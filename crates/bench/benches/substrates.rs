@@ -25,6 +25,36 @@ fn main() {
         h.bench("numeric/harmonic_sum_60", || {
             terms.iter().cloned().sum::<Rational>()
         });
+
+        // The simplex row update `v -= f·p` over a 64-entry row of
+        // rationals of at most 8 bits, the paper examples' shape.
+        let small = |k: i64, salt: i64| {
+            Rational::new((k * 37 + salt) % 255 - 127, (k * 53 + salt) % 200 + 1)
+        };
+        let row: Vec<Rational> = (0..64).map(|k| small(k, 11)).collect();
+        let pivot: Vec<Rational> = (0..64).map(|k| small(k, 29)).collect();
+        let f = small(5, 3);
+        h.bench("numeric/rational_pivot_update_8bit", || {
+            black_box(&row)
+                .iter()
+                .zip(black_box(&pivot))
+                .map(|(v, p)| v - &(black_box(&f) * p))
+                .collect::<Vec<Rational>>()
+        });
+
+        // Operands straddling `i64`: each result crosses between the
+        // inline and the heap representation.
+        let max = Rational::from(i64::MAX);
+        let min_third = Rational::new(i64::MIN, 3);
+        let heap = &max + &Rational::one();
+        let two = Rational::from(2);
+        h.bench("numeric/rational_promote_boundary", || {
+            let up = black_box(&max) + black_box(&two);
+            let down = &up - black_box(&heap);
+            let wide = black_box(&min_third) * black_box(&min_third);
+            let back = &wide / black_box(&min_third);
+            (down, back)
+        });
     }
 
     {

@@ -55,13 +55,24 @@ pub(crate) fn standardize(model: &Model) -> Standardized {
         }
     }
 
-    let mut rows: Vec<Vec<Rational>> = Vec::new();
-    let mut rhs: Vec<Rational> = Vec::new();
-    let mut relations: Vec<Cmp> = Vec::new();
+    let constraints = model.padded_constraints();
+    let upper_bounds = upper.iter().take(n).filter(|u| u.is_some()).count();
+    let inequalities = upper_bounds
+        + constraints
+            .iter()
+            .filter(|(_, cmp)| !matches!(cmp, Cmp::Eq))
+            .count();
+    // One slack/surplus column per inequality, after the variable
+    // columns and in row order, so rows are allocated at their final
+    // width.
+    let width = num_cols + inequalities;
+    let mut rows: Vec<Vec<Rational>> = Vec::with_capacity(constraints.len() + upper_bounds);
+    let mut rhs: Vec<Rational> = Vec::with_capacity(rows.capacity());
+    let mut next_slack = num_cols;
 
     // Affine constraint `e cmp 0` becomes `coeffs·x cmp -const`.
     let mut push_constraint = |coeffs: &[(usize, Rational)], constant: &Rational, cmp: Cmp| {
-        let mut row = vec![Rational::zero(); num_cols];
+        let mut row = vec![Rational::zero(); width];
         let mut b = -constant;
         for (var, c) in coeffs {
             if c.is_zero() {
@@ -78,12 +89,20 @@ pub(crate) fn standardize(model: &Model) -> Standardized {
                 }
             }
         }
+        let slack = match cmp {
+            Cmp::Eq => None,
+            Cmp::Le => Some(Rational::one()),
+            Cmp::Ge => Some(-Rational::one()),
+        };
+        if let Some(slack) = slack {
+            row[next_slack] = slack;
+            next_slack += 1;
+        }
         rows.push(row);
         rhs.push(b);
-        relations.push(cmp);
     };
 
-    for (e, cmp) in model.padded_constraints() {
+    for (e, cmp) in constraints {
         let coeffs: Vec<(usize, Rational)> = e
             .coeffs()
             .iter()
@@ -99,28 +118,6 @@ pub(crate) fn standardize(model: &Model) -> Standardized {
         }
     }
 
-    // Slack/surplus columns.
-    for (r, rel) in relations.iter().enumerate() {
-        match rel {
-            Cmp::Eq => {}
-            Cmp::Le | Cmp::Ge => {
-                let sign = if matches!(rel, Cmp::Le) {
-                    Rational::one()
-                } else {
-                    -Rational::one()
-                };
-                for (rr, row) in rows.iter_mut().enumerate() {
-                    row.push(if rr == r {
-                        sign.clone()
-                    } else {
-                        Rational::zero()
-                    });
-                }
-                num_cols += 1;
-            }
-        }
-    }
-
     // Make all rhs nonnegative.
     for (r, b) in rhs.iter_mut().enumerate() {
         if b.is_negative() {
@@ -133,7 +130,7 @@ pub(crate) fn standardize(model: &Model) -> Standardized {
 
     // Phase-2 costs over standardized columns.
     let obj = model.padded_objective();
-    let mut costs = vec![Rational::zero(); num_cols];
+    let mut costs = vec![Rational::zero(); width];
     let mut obj_constant = obj.constant_term().clone();
     for (i, c) in obj.coeffs().iter().enumerate() {
         if c.is_zero() {
@@ -157,7 +154,7 @@ pub(crate) fn standardize(model: &Model) -> Standardized {
         costs,
         obj_constant,
         maps,
-        num_cols,
+        num_cols: width,
     }
 }
 
@@ -199,36 +196,62 @@ impl GrowthMeter {
     }
 }
 
+/// `row -= f · pivot_row` for `f = row[c]`, and the same on `rhs`.
+/// Entries facing a zero in the pivot row are left as they are (but
+/// still metered, as every entry of an updated row is).
+fn eliminate(
+    row: &mut [Rational],
+    rhs: &mut Rational,
+    pivot_row: &[Rational],
+    pivot_rhs: &Rational,
+    c: usize,
+    growth: &mut GrowthMeter,
+) {
+    let f = row[c].clone();
+    for (v, p) in row.iter_mut().zip(pivot_row) {
+        if !p.is_zero() {
+            *v -= &(&f * p);
+        }
+        growth.note(v);
+    }
+    *rhs -= &(&f * pivot_rhs);
+}
+
 impl Tableau {
     fn pivot(&mut self, r: usize, c: usize) {
         let mut growth = GrowthMeter::default();
         let inv = self.rows[r][c].recip();
         for v in self.rows[r].iter_mut() {
-            *v = &*v * &inv;
+            if !v.is_zero() {
+                *v *= &inv;
+            }
             growth.note(v);
         }
         self.rhs[r] = &self.rhs[r] * &inv;
-        let pivot_row = self.rows[r].clone();
-        let pivot_rhs = self.rhs[r].clone();
-        for rr in 0..self.rows.len() {
-            if rr == r || self.rows[rr][c].is_zero() {
+        let (above, rest) = self.rows.split_at_mut(r);
+        let (pivot_row, below) = rest.split_at_mut(1);
+        let pivot_row = &pivot_row[0];
+        let (rhs_above, rhs_rest) = self.rhs.split_at_mut(r);
+        let (pivot_rhs, rhs_below) = rhs_rest.split_at_mut(1);
+        let pivot_rhs = &pivot_rhs[0];
+        let others = above.iter_mut().chain(below.iter_mut());
+        let other_rhs = rhs_above.iter_mut().chain(rhs_below.iter_mut());
+        for (row, rhs) in others.zip(other_rhs) {
+            if row[c].is_zero() {
                 continue;
             }
-            let f = self.rows[rr][c].clone();
-            for (v, p) in self.rows[rr].iter_mut().zip(&pivot_row) {
-                *v = &*v - &(&f * p);
-                growth.note(v);
-            }
-            self.rhs[rr] = &self.rhs[rr] - &(&f * &pivot_rhs);
-            growth.note(&self.rhs[rr]);
+            eliminate(row, rhs, pivot_row, pivot_rhs, c, &mut growth);
+            growth.note(rhs);
         }
         if !self.obj[c].is_zero() {
-            let f = self.obj[c].clone();
-            for (v, p) in self.obj.iter_mut().zip(&pivot_row) {
-                *v = &*v - &(&f * p);
-                growth.note(v);
-            }
-            self.obj_rhs = &self.obj_rhs - &(&f * &pivot_rhs);
+            eliminate(
+                &mut self.obj,
+                &mut self.obj_rhs,
+                pivot_row,
+                pivot_rhs,
+                c,
+                &mut growth,
+            );
         }
         self.basis[r] = c;
         growth.flush();
@@ -302,11 +325,52 @@ pub(crate) fn solve(model: &Model, budget: &Budget) -> Result<LpOutcome, AovErro
     Ok(match solve_standardized(&std, budget)? {
         StdOutcome::Optimal(y, objective) => {
             let values = destandardize(&std, &y);
+            #[cfg(debug_assertions)]
+            check_optimal_answer(model, &values, &objective);
             LpOutcome::Optimal(Solution { values, objective })
         }
         StdOutcome::Infeasible => LpOutcome::Infeasible,
         StdOutcome::Unbounded => LpOutcome::Unbounded,
     })
+}
+
+/// Debug-build check of an `Optimal` answer against the model it claims
+/// to solve: the values satisfy every constraint and bound exactly, and
+/// the objective is the objective expression evaluated at them.
+#[cfg(debug_assertions)]
+fn check_optimal_answer(model: &Model, values: &QVector, objective: &Rational) {
+    for (i, (e, cmp)) in model.padded_constraints().iter().enumerate() {
+        let v = e.eval(values);
+        let holds = match cmp {
+            Cmp::Ge => !v.is_negative(),
+            Cmp::Le => !v.is_positive(),
+            Cmp::Eq => v.is_zero(),
+        };
+        assert!(
+            holds,
+            "simplex answer violates constraint #{i}: {v} {cmp:?} 0"
+        );
+    }
+    let (lower, upper) = model.bounds();
+    for (i, x) in values.iter().enumerate() {
+        if let Some(Some(l)) = lower.get(i) {
+            assert!(
+                x >= l,
+                "simplex answer x{i} = {x} is below its lower bound {l}"
+            );
+        }
+        if let Some(Some(u)) = upper.get(i) {
+            assert!(
+                x <= u,
+                "simplex answer x{i} = {x} is above its upper bound {u}"
+            );
+        }
+    }
+    let expected = model.padded_objective().eval(values);
+    assert_eq!(
+        objective, &expected,
+        "simplex objective differs from the objective at its values"
+    );
 }
 
 enum StdOutcome {

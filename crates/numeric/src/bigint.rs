@@ -1,8 +1,15 @@
 //! Arbitrary-precision signed integers.
 //!
-//! Little-endian base-2^64 magnitude plus a sign. The representation is
-//! canonical: no trailing zero limbs, and zero has an empty magnitude with
-//! sign `0`. Division uses Knuth's Algorithm D.
+//! A value has exactly one of two representations. Every value in the
+//! `i64` range is stored inline and never touches the heap; only a value
+//! outside that range is stored as a sign plus a little-endian base-2^64
+//! magnitude with no trailing zero limbs. Every constructor goes through
+//! the one promotion rule ([`BigInt::from_i128`] and
+//! [`BigInt::from_sign_mag`] demote any result that fits in `i64`), so
+//! the derived `Eq` and `Hash` agree with numeric equality. Inline
+//! operations widen to `i128`, where no sum, difference, product or
+//! quotient of two `i64`s can overflow, and never rely on overflow
+//! checks. The heap path divides with Knuth's Algorithm D.
 
 use crate::{ParseErrorKind, ParseNumberError};
 use std::cmp::Ordering;
@@ -15,7 +22,8 @@ use std::str::FromStr;
 ///
 /// `BigInt` supports the ring operations, Euclidean division
 /// ([`BigInt::div_rem`]), gcd (via [`crate::gcd_big`]), decimal parsing and
-/// formatting. All operations are exact.
+/// formatting. All operations are exact. Values that fit in an `i64` are
+/// stored inline and cost no allocation.
 ///
 /// # Examples
 ///
@@ -28,86 +36,167 @@ use std::str::FromStr;
 /// assert_eq!(&q * &b + &r, a);
 /// # Ok::<(), aov_numeric::ParseNumberError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct BigInt {
-    /// -1, 0, or 1. Zero iff `mag` is empty.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct BigInt(Repr);
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    /// Every value in `i64::MIN..=i64::MAX`.
+    Small(i64),
+    /// A value outside `i64`: sign (-1 or 1) and a magnitude with no
+    /// trailing zero limbs.
+    Large(i8, Vec<u64>),
+}
+
+/// Sign and magnitude of a value for the heap path: borrows the limbs of
+/// a heap value, or holds the single limb of an inline one.
+struct Parts<'a> {
     sign: i8,
-    /// Little-endian limbs, no trailing zeros.
-    mag: Vec<u64>,
+    limb: [u64; 1],
+    heap: Option<&'a [u64]>,
+}
+
+impl Parts<'_> {
+    fn mag(&self) -> &[u64] {
+        match self.heap {
+            Some(mag) => mag,
+            None if self.sign == 0 => &[],
+            None => &self.limb,
+        }
+    }
 }
 
 impl BigInt {
     /// The integer 0.
+    #[inline]
     pub fn zero() -> Self {
-        BigInt::default()
+        BigInt(Repr::Small(0))
     }
 
     /// The integer 1.
+    #[inline]
     pub fn one() -> Self {
-        BigInt {
-            sign: 1,
-            mag: vec![1],
-        }
+        BigInt(Repr::Small(1))
     }
 
     /// Returns `true` when `self == 0`.
+    #[inline]
     pub fn is_zero(&self) -> bool {
-        self.sign == 0
+        matches!(self.0, Repr::Small(0))
     }
 
     /// Returns `true` when `self == 1`.
+    #[inline]
     pub fn is_one(&self) -> bool {
-        self.sign == 1 && self.mag == [1]
+        matches!(self.0, Repr::Small(1))
     }
 
     /// Returns `true` when `self < 0`.
+    #[inline]
     pub fn is_negative(&self) -> bool {
-        self.sign < 0
+        self.signum() < 0
     }
 
     /// Returns `true` when `self > 0`.
+    #[inline]
     pub fn is_positive(&self) -> bool {
-        self.sign > 0
+        self.signum() > 0
     }
 
     /// Sign of the integer: `-1`, `0` or `1`.
+    #[inline]
     pub fn signum(&self) -> i8 {
-        self.sign
+        match &self.0 {
+            Repr::Small(v) => v.signum() as i8,
+            Repr::Large(sign, _) => *sign,
+        }
     }
 
     /// Absolute value.
     pub fn abs(&self) -> BigInt {
-        BigInt {
-            sign: self.sign.abs(),
-            mag: self.mag.clone(),
+        match &self.0 {
+            Repr::Small(v) => BigInt::from_i128(i128::from(*v).abs()),
+            // A heap magnitude exceeds `i64::MAX` whatever its sign.
+            Repr::Large(_, mag) => BigInt(Repr::Large(1, mag.clone())),
         }
     }
 
     /// Number of bits in the magnitude (0 for zero).
     pub fn bits(&self) -> usize {
-        match self.mag.last() {
-            None => 0,
-            Some(&hi) => 64 * (self.mag.len() - 1) + (64 - hi.leading_zeros() as usize),
+        match &self.0 {
+            Repr::Small(v) => 64 - v.unsigned_abs().leading_zeros() as usize,
+            Repr::Large(_, mag) => {
+                let hi = mag[mag.len() - 1];
+                64 * (mag.len() - 1) + (64 - hi.leading_zeros() as usize)
+            }
         }
     }
 
     /// Number of 64-bit limbs storing the magnitude (0 for zero) — the
     /// unit the numeric-growth telemetry counts, since limbs are what
-    /// heap usage and arithmetic cost scale with.
+    /// heap usage and arithmetic cost scale with. A nonzero inline value
+    /// counts as one limb.
+    #[inline]
     pub fn limbs(&self) -> usize {
-        self.mag.len()
+        match &self.0 {
+            Repr::Small(0) => 0,
+            Repr::Small(_) => 1,
+            Repr::Large(_, mag) => mag.len(),
+        }
     }
 
-    /// Construct from sign and little-endian limbs (normalizing).
+    fn parts(&self) -> Parts<'_> {
+        match &self.0 {
+            Repr::Small(v) => Parts {
+                sign: v.signum() as i8,
+                limb: [v.unsigned_abs()],
+                heap: None,
+            },
+            Repr::Large(sign, mag) => Parts {
+                sign: *sign,
+                limb: [0],
+                heap: Some(mag),
+            },
+        }
+    }
+
+    /// The canonical value of `v`: inline when it fits in `i64`.
+    #[inline]
+    pub(crate) fn from_i128(v: i128) -> BigInt {
+        match i64::try_from(v) {
+            Ok(small) => BigInt(Repr::Small(small)),
+            Err(_) => BigInt::from_u128_mag(if v < 0 { -1 } else { 1 }, v.unsigned_abs()),
+        }
+    }
+
+    /// Heap value of sign `sign` and magnitude `mag`; the caller knows
+    /// the value lies outside `i64`.
+    fn from_u128_mag(sign: i8, mag: u128) -> BigInt {
+        let (lo, hi) = (mag as u64, (mag >> 64) as u64);
+        let limbs = if hi != 0 { vec![lo, hi] } else { vec![lo] };
+        BigInt(Repr::Large(sign, limbs))
+    }
+
+    /// Construct from sign and little-endian limbs (normalizing, and
+    /// demoting to inline when the value fits in `i64`).
     fn from_sign_mag(sign: i8, mut mag: Vec<u64>) -> BigInt {
         while mag.last() == Some(&0) {
             mag.pop();
         }
-        if mag.is_empty() {
-            BigInt::zero()
-        } else {
-            debug_assert!(sign == 1 || sign == -1);
-            BigInt { sign, mag }
+        match mag.len() {
+            0 => BigInt::zero(),
+            1 => {
+                debug_assert!(sign == 1 || sign == -1);
+                let v = i128::from(sign) * i128::from(mag[0]);
+                match i64::try_from(v) {
+                    Ok(small) => BigInt(Repr::Small(small)),
+                    Err(_) => BigInt(Repr::Large(sign, mag)),
+                }
+            }
+            _ => {
+                debug_assert!(sign == 1 || sign == -1);
+                BigInt(Repr::Large(sign, mag))
+            }
         }
     }
 
@@ -121,20 +210,23 @@ impl BigInt {
     /// Panics if `rhs` is zero.
     pub fn div_rem(&self, rhs: &BigInt) -> (BigInt, BigInt) {
         assert!(!rhs.is_zero(), "division by zero BigInt");
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &rhs.0) {
+            // In i128, `i64::MIN / -1` is the heap value 2^63.
+            let (a, b) = (i128::from(*a), i128::from(*b));
+            return (BigInt::from_i128(a / b), BigInt::from_i128(a % b));
+        }
         if self.is_zero() {
             return (BigInt::zero(), BigInt::zero());
         }
-        match cmp_mag(&self.mag, &rhs.mag) {
+        let (a, b) = (self.parts(), rhs.parts());
+        match cmp_mag(a.mag(), b.mag()) {
             Ordering::Less => (BigInt::zero(), self.clone()),
-            Ordering::Equal => (
-                BigInt::from_sign_mag(self.sign * rhs.sign, vec![1]),
-                BigInt::zero(),
-            ),
+            Ordering::Equal => (BigInt::from(a.sign * b.sign), BigInt::zero()),
             Ordering::Greater => {
-                let (q, r) = divrem_mag(&self.mag, &rhs.mag);
+                let (q, r) = divrem_mag(a.mag(), b.mag());
                 (
-                    BigInt::from_sign_mag(self.sign * rhs.sign, q),
-                    BigInt::from_sign_mag(self.sign, r),
+                    BigInt::from_sign_mag(a.sign * b.sign, q),
+                    BigInt::from_sign_mag(a.sign, r),
                 )
             }
         }
@@ -148,7 +240,7 @@ impl BigInt {
     /// Panics if `rhs` is zero.
     pub fn div_floor(&self, rhs: &BigInt) -> BigInt {
         let (q, r) = self.div_rem(rhs);
-        if !r.is_zero() && (r.sign * rhs.sign) < 0 {
+        if !r.is_zero() && (r.signum() * rhs.signum()) < 0 {
             q - BigInt::one()
         } else {
             q
@@ -162,25 +254,32 @@ impl BigInt {
     /// Panics if `rhs` is zero.
     pub fn mod_floor(&self, rhs: &BigInt) -> BigInt {
         let r = self - &(&self.div_floor(rhs) * rhs);
-        debug_assert!(r.is_zero() || r.sign == rhs.sign);
+        debug_assert!(r.is_zero() || r.signum() == rhs.signum());
         r
     }
 
-    /// Converts to `i64` if it fits.
+    /// Converts to `i64` if it fits (exactly when the value is inline).
+    #[inline]
     pub fn to_i64(&self) -> Option<i64> {
-        self.to_i128().and_then(|v| i64::try_from(v).ok())
+        match self.0 {
+            Repr::Small(v) => Some(v),
+            Repr::Large(..) => None,
+        }
     }
 
     /// Converts to `i128` if it fits.
     pub fn to_i128(&self) -> Option<i128> {
-        match self.mag.len() {
-            0 => Some(0),
-            1 => Some(self.sign as i128 * self.mag[0] as i128),
+        let mag = match &self.0 {
+            Repr::Small(v) => return Some(i128::from(*v)),
+            Repr::Large(_, mag) => mag,
+        };
+        match mag.len() {
+            1 => Some(i128::from(self.signum()) * i128::from(mag[0])),
             2 => {
-                let mag = (self.mag[1] as u128) << 64 | self.mag[0] as u128;
-                if self.sign > 0 && mag <= i128::MAX as u128 {
+                let mag = (mag[1] as u128) << 64 | mag[0] as u128;
+                if self.is_positive() && mag <= i128::MAX as u128 {
                     Some(mag as i128)
-                } else if self.sign < 0 && mag <= i128::MAX as u128 + 1 {
+                } else if self.is_negative() && mag <= i128::MAX as u128 + 1 {
                     Some((mag as i128).wrapping_neg())
                 } else {
                     None
@@ -192,11 +291,15 @@ impl BigInt {
 
     /// Approximate conversion to `f64` (for reporting only).
     pub fn to_f64(&self) -> f64 {
+        let mag = match &self.0 {
+            Repr::Small(v) => return *v as f64,
+            Repr::Large(_, mag) => mag,
+        };
         let mut v = 0.0f64;
-        for &limb in self.mag.iter().rev() {
+        for &limb in mag.iter().rev() {
             v = v * 1.8446744073709552e19 + limb as f64;
         }
-        if self.sign < 0 {
+        if self.is_negative() {
             -v
         } else {
             v
@@ -220,8 +323,14 @@ impl BigInt {
     }
 }
 
+impl Default for BigInt {
+    fn default() -> Self {
+        BigInt::zero()
+    }
+}
+
 // ---------------------------------------------------------------------------
-// magnitude primitives
+// magnitude primitives (heap path)
 // ---------------------------------------------------------------------------
 
 fn cmp_mag(a: &[u64], b: &[u64]) -> Ordering {
@@ -237,6 +346,25 @@ fn cmp_mag(a: &[u64], b: &[u64]) -> Ordering {
     Ordering::Equal
 }
 
+/// Signed sum of two sign/magnitude operands.
+fn add_parts(a: &Parts<'_>, b: &Parts<'_>) -> BigInt {
+    let (am, bm) = (a.mag(), b.mag());
+    if a.sign == 0 {
+        return BigInt::from_sign_mag(b.sign, bm.to_vec());
+    }
+    if b.sign == 0 {
+        return BigInt::from_sign_mag(a.sign, am.to_vec());
+    }
+    if a.sign == b.sign {
+        BigInt::from_sign_mag(a.sign, add_mag(am, bm))
+    } else {
+        match cmp_mag(am, bm) {
+            Ordering::Equal => BigInt::zero(),
+            Ordering::Greater => BigInt::from_sign_mag(a.sign, sub_mag(am, bm)),
+            Ordering::Less => BigInt::from_sign_mag(b.sign, sub_mag(bm, am)),
+        }
+    }
+}
 fn add_mag(a: &[u64], b: &[u64]) -> Vec<u64> {
     let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
     let mut out = Vec::with_capacity(long.len() + 1);
@@ -436,14 +564,16 @@ impl PartialOrd for BigInt {
 
 impl Ord for BigInt {
     fn cmp(&self, other: &Self) -> Ordering {
-        match self.sign.cmp(&other.sign) {
-            Ordering::Equal => {}
-            ord => return ord,
-        }
-        match self.sign {
-            0 => Ordering::Equal,
-            1 => cmp_mag(&self.mag, &other.mag),
-            _ => cmp_mag(&other.mag, &self.mag),
+        match (&self.0, &other.0) {
+            (Repr::Small(a), Repr::Small(b)) => a.cmp(b),
+            // A heap value lies beyond every inline value on its side.
+            (Repr::Small(_), Repr::Large(sign, _)) => 0.cmp(sign),
+            (Repr::Large(sign, _), Repr::Small(_)) => sign.cmp(&0),
+            (Repr::Large(sa, a), Repr::Large(sb, b)) => match sa.cmp(sb) {
+                Ordering::Equal if *sa > 0 => cmp_mag(a, b),
+                Ordering::Equal => cmp_mag(b, a),
+                ord => ord,
+            },
         }
     }
 }
@@ -451,17 +581,9 @@ impl Ord for BigInt {
 macro_rules! impl_from_signed {
     ($($t:ty),*) => {$(
         impl From<$t> for BigInt {
+            #[inline]
             fn from(v: $t) -> BigInt {
-                let sign = match v.cmp(&0) {
-                    Ordering::Less => -1,
-                    Ordering::Equal => 0,
-                    Ordering::Greater => 1,
-                };
-                let mag = (v as i128).unsigned_abs();
-                let lo = mag as u64;
-                let hi = (mag >> 64) as u64;
-                let mag = if hi != 0 { vec![lo, hi] } else if lo != 0 { vec![lo] } else { vec![] };
-                BigInt { sign, mag }
+                BigInt::from_i128(v as i128)
             }
         }
     )*};
@@ -471,15 +593,12 @@ impl_from_signed!(i8, i16, i32, i64, i128, isize);
 macro_rules! impl_from_unsigned {
     ($($t:ty),*) => {$(
         impl From<$t> for BigInt {
+            #[inline]
             fn from(v: $t) -> BigInt {
-                if v == 0 {
-                    BigInt::zero()
-                } else {
-                    let v = v as u128;
-                    let lo = v as u64;
-                    let hi = (v >> 64) as u64;
-                    let mag = if hi != 0 { vec![lo, hi] } else { vec![lo] };
-                    BigInt { sign: 1, mag }
+                let v = v as u128;
+                match i64::try_from(v) {
+                    Ok(small) => BigInt(Repr::Small(small)),
+                    Err(_) => BigInt::from_u128_mag(1, v),
                 }
             }
         }
@@ -489,9 +608,12 @@ impl_from_unsigned!(u8, u16, u32, u64, u128, usize);
 
 impl Neg for BigInt {
     type Output = BigInt;
-    fn neg(mut self) -> BigInt {
-        self.sign = -self.sign;
-        self
+    fn neg(self) -> BigInt {
+        match self.0 {
+            Repr::Small(v) => BigInt::from_i128(-i128::from(v)),
+            // 2^63 negates into the inline `i64::MIN`.
+            Repr::Large(sign, mag) => BigInt::from_sign_mag(-sign, mag),
+        }
     }
 }
 
@@ -505,45 +627,37 @@ impl Neg for &BigInt {
 impl Add<&BigInt> for &BigInt {
     type Output = BigInt;
     fn add(self, rhs: &BigInt) -> BigInt {
-        if self.is_zero() {
-            return rhs.clone();
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &rhs.0) {
+            return BigInt::from_i128(i128::from(*a) + i128::from(*b));
         }
-        if rhs.is_zero() {
-            return self.clone();
-        }
-        if self.sign == rhs.sign {
-            BigInt::from_sign_mag(self.sign, add_mag(&self.mag, &rhs.mag))
-        } else {
-            match cmp_mag(&self.mag, &rhs.mag) {
-                Ordering::Equal => BigInt::zero(),
-                Ordering::Greater => BigInt::from_sign_mag(self.sign, sub_mag(&self.mag, &rhs.mag)),
-                Ordering::Less => BigInt::from_sign_mag(rhs.sign, sub_mag(&rhs.mag, &self.mag)),
-            }
-        }
+        add_parts(&self.parts(), &rhs.parts())
     }
 }
 
 impl Sub<&BigInt> for &BigInt {
     type Output = BigInt;
     fn sub(self, rhs: &BigInt) -> BigInt {
-        if rhs.is_zero() {
-            return self.clone();
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &rhs.0) {
+            return BigInt::from_i128(i128::from(*a) - i128::from(*b));
         }
-        let neg = BigInt {
-            sign: -rhs.sign,
-            mag: rhs.mag.clone(),
-        };
-        self + &neg
+        let mut negated = rhs.parts();
+        negated.sign = -negated.sign;
+        add_parts(&self.parts(), &negated)
     }
 }
 
 impl Mul<&BigInt> for &BigInt {
     type Output = BigInt;
     fn mul(self, rhs: &BigInt) -> BigInt {
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &rhs.0) {
+            // |a·b| <= 2^126.
+            return BigInt::from_i128(i128::from(*a) * i128::from(*b));
+        }
         if self.is_zero() || rhs.is_zero() {
             return BigInt::zero();
         }
-        BigInt::from_sign_mag(self.sign * rhs.sign, mul_mag(&self.mag, &rhs.mag))
+        let (a, b) = (self.parts(), rhs.parts());
+        BigInt::from_sign_mag(a.sign * b.sign, mul_mag(a.mag(), b.mag()))
     }
 }
 
@@ -611,12 +725,13 @@ impl Product for BigInt {
 
 impl fmt::Display for BigInt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return f.pad_integral(true, "", "0");
-        }
+        let mag = match &self.0 {
+            Repr::Small(v) => return f.pad_integral(*v >= 0, "", &v.unsigned_abs().to_string()),
+            Repr::Large(_, mag) => mag,
+        };
         // Repeatedly divide by 10^19 (largest power of ten within u64).
         const CHUNK: u64 = 10_000_000_000_000_000_000;
-        let mut mag = self.mag.clone();
+        let mut mag = mag.clone();
         let mut chunks: Vec<u64> = Vec::new();
         while !mag.is_empty() {
             let (q, r) = divrem_mag_limb(&mag, CHUNK);
@@ -628,7 +743,7 @@ impl fmt::Display for BigInt {
         for c in chunks.iter().rev().skip(1) {
             s.push_str(&format!("{c:019}"));
         }
-        f.pad_integral(self.sign >= 0, "", &s)
+        f.pad_integral(self.is_positive(), "", &s)
     }
 }
 

@@ -36,6 +36,10 @@ pub fn lcm(a: i64, b: i64) -> i64 {
 
 /// Greatest common divisor of two [`BigInt`]s (always nonnegative).
 pub fn gcd_big(a: &BigInt, b: &BigInt) -> BigInt {
+    if let (Some(x), Some(y)) = (a.to_i64(), b.to_i64()) {
+        // `gcd(i64::MIN, i64::MIN)` is 2^63, a heap value.
+        return BigInt::from(gcd_u64(x.unsigned_abs(), y.unsigned_abs()));
+    }
     let mut a = a.abs();
     let mut b = b.abs();
     while !b.is_zero() {
@@ -44,6 +48,49 @@ pub fn gcd_big(a: &BigInt, b: &BigInt) -> BigInt {
         b = t;
     }
     a
+}
+
+/// Binary (Stein) gcd of two machine words; `gcd_u64(0, 0) == 0`.
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// Binary gcd of two double words, dropping to [`gcd_u64`] as soon as
+/// both fit in one word.
+pub(crate) fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        if let Ok(b64) = u64::try_from(b) {
+            // a <= b, so both fit in one word; both are odd.
+            return u128::from(gcd_u64(a as u64, b64)) << shift;
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
 }
 
 /// Extended Euclidean algorithm: returns `(g, x, y)` with
@@ -112,6 +159,35 @@ mod tests {
                     gcd(a, b),
                     "gcd({a},{b})"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn word_gcds_match_euclid() {
+        let samples = [
+            0u128,
+            1,
+            2,
+            6,
+            48,
+            1 << 63,
+            u64::MAX as u128,
+            (u64::MAX as u128) + 1,
+            3 << 70,
+            u128::MAX,
+            (1u128 << 126) - 6,
+        ];
+        for &a in &samples {
+            for &b in &samples {
+                let (mut x, mut y) = (a, b);
+                while y != 0 {
+                    (x, y) = (y, x % y);
+                }
+                assert_eq!(gcd_u128(a, b), x, "gcd_u128({a}, {b})");
+                if let (Ok(a64), Ok(b64)) = (u64::try_from(a), u64::try_from(b)) {
+                    assert_eq!(gcd_u64(a64, b64) as u128, x, "gcd_u64({a}, {b})");
+                }
             }
         }
     }

@@ -10,6 +10,22 @@
 //! * [`gcd`]/[`lcm`]/[`extended_gcd`] — lattice utilities used by the
 //!   storage transformation (unimodular completion).
 //!
+//! # Representation
+//!
+//! The coefficients the analyses meet are small (a few bits in the
+//! paper's examples), so the kernel is word-sized and the heap is only
+//! the overflow representation. A [`BigInt`] whose value fits in an
+//! `i64` is stored inline and never allocates; any other value is stored
+//! as a sign plus heap limbs. The promotion rule is the only way values
+//! are built: a result that fits in `i64` is demoted to inline, one that
+//! does not is promoted to limbs, so every value has exactly one
+//! representation and equality and hashing are structural. Inline
+//! operations widen to `i128`, where two `i64` operands cannot overflow.
+//! [`Rational`] operations whose four parts are all inline run in `i128`
+//! with one word gcd; [`gcd_big`] has the same fast path. A nonzero
+//! inline value reports [`BigInt::limbs`] `== 1`, as a one-limb heap
+//! value did.
+//!
 //! # Examples
 //!
 //! ```

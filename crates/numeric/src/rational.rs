@@ -1,5 +1,11 @@
 //! Exact rational numbers over [`BigInt`].
+//!
+//! When all four parts of an operation are inline `BigInt`s, add, sub,
+//! mul, div and cmp run in `i128` (no cross product of two `i64`s reaches
+//! 2^127) and reduce with a single word gcd; otherwise they take the
+//! general `BigInt` path. Both paths produce the same canonical value.
 
+use crate::gcd::{gcd_u128, gcd_u64};
 use crate::{gcd_big, BigInt, ParseErrorKind, ParseNumberError};
 use std::cmp::Ordering;
 use std::fmt;
@@ -62,6 +68,14 @@ impl Rational {
     /// Panics if `den` is zero.
     pub fn from_big(num: BigInt, den: BigInt) -> Self {
         assert!(!den.is_zero(), "rational with zero denominator");
+        if let (Some(n), Some(d)) = (num.to_i64(), den.to_i64()) {
+            let (n, d) = (i128::from(n), i128::from(d));
+            return if d < 0 {
+                Rational::reduced(-n, -d)
+            } else {
+                Rational::reduced(n, d)
+            };
+        }
         if num.is_zero() {
             return Rational::zero();
         }
@@ -73,6 +87,41 @@ impl Rational {
             den = -den;
         }
         Rational { num, den }
+    }
+
+    /// `num/den` in lowest terms, for `den > 0` and both below 2^127 in
+    /// magnitude.
+    fn reduced(num: i128, den: i128) -> Rational {
+        debug_assert!(den > 0);
+        if num == 0 {
+            return Rational::zero();
+        }
+        if den == 1 {
+            return Rational::from(BigInt::from_i128(num));
+        }
+        if let (Ok(n), Ok(d)) = (i64::try_from(num), i64::try_from(den)) {
+            // Word division is far cheaper than `i128` division; `g <= d`,
+            // so `g` fits in `i64`.
+            let g = gcd_u64(n.unsigned_abs(), d as u64) as i64;
+            return Rational {
+                num: BigInt::from(n / g),
+                den: BigInt::from(d / g),
+            };
+        }
+        let g = gcd_u128(num.unsigned_abs(), den as u128) as i128;
+        Rational {
+            num: BigInt::from_i128(num / g),
+            den: BigInt::from_i128(den / g),
+        }
+    }
+
+    /// Numerator and denominator widened to `i128`, when both are inline.
+    #[inline]
+    fn small_parts(&self) -> Option<(i128, i128)> {
+        Some((
+            i128::from(self.num.to_i64()?),
+            i128::from(self.den.to_i64()?),
+        ))
     }
 
     /// Creates an integer rational.
@@ -211,6 +260,9 @@ impl Neg for &Rational {
 impl Add<&Rational> for &Rational {
     type Output = Rational;
     fn add(self, rhs: &Rational) -> Rational {
+        if let (Some((an, ad)), Some((bn, bd))) = (self.small_parts(), rhs.small_parts()) {
+            return Rational::reduced(an * bd + bn * ad, ad * bd);
+        }
         Rational::from_big(
             &self.num * &rhs.den + &rhs.num * &self.den,
             &self.den * &rhs.den,
@@ -221,6 +273,9 @@ impl Add<&Rational> for &Rational {
 impl Sub<&Rational> for &Rational {
     type Output = Rational;
     fn sub(self, rhs: &Rational) -> Rational {
+        if let (Some((an, ad)), Some((bn, bd))) = (self.small_parts(), rhs.small_parts()) {
+            return Rational::reduced(an * bd - bn * ad, ad * bd);
+        }
         Rational::from_big(
             &self.num * &rhs.den - &rhs.num * &self.den,
             &self.den * &rhs.den,
@@ -234,6 +289,9 @@ impl Mul<&Rational> for &Rational {
         if self.is_zero() || rhs.is_zero() {
             return Rational::zero();
         }
+        if let (Some((an, ad)), Some((bn, bd))) = (self.small_parts(), rhs.small_parts()) {
+            return Rational::reduced(an * bn, ad * bd);
+        }
         Rational::from_big(&self.num * &rhs.num, &self.den * &rhs.den)
     }
 }
@@ -242,6 +300,14 @@ impl Div<&Rational> for &Rational {
     type Output = Rational;
     fn div(self, rhs: &Rational) -> Rational {
         assert!(!rhs.is_zero(), "division by zero rational");
+        if let (Some((an, ad)), Some((bn, bd))) = (self.small_parts(), rhs.small_parts()) {
+            let (num, den) = (an * bd, ad * bn);
+            return if den < 0 {
+                Rational::reduced(-num, -den)
+            } else {
+                Rational::reduced(num, den)
+            };
+        }
         Rational::from_big(&self.num * &rhs.den, &self.den * &rhs.num)
     }
 }
@@ -297,6 +363,9 @@ impl PartialOrd for Rational {
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
         // Denominators are positive, so cross-multiplying preserves order.
+        if let (Some((an, ad)), Some((bn, bd))) = (self.small_parts(), other.small_parts()) {
+            return (an * bd).cmp(&(bn * ad));
+        }
         (&self.num * &other.den).cmp(&(&other.num * &self.den))
     }
 }

@@ -539,16 +539,23 @@ pub fn tree(records: &[SpanRecord]) -> Vec<TreeNode> {
     build(records, None, &known)
 }
 
+/// Serializes this crate's tests that touch process-global state: the
+/// span sink, the tracing switch and the flight-recorder ring (every
+/// span, enabled or not, writes to the ring).
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    TEST_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    // Tracing state is process-global; serialize the tests that toggle it.
-    static TEST_LOCK: StdMutex<()> = StdMutex::new(());
 
     fn with_tracing<R>(f: impl FnOnce() -> R) -> (R, Vec<SpanRecord>) {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = test_lock();
         set_enabled(true);
         clear();
         let out = f();
@@ -558,7 +565,7 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = test_lock();
         set_enabled(false);
         clear();
         {
@@ -569,7 +576,7 @@ mod tests {
 
     #[test]
     fn disabled_span_still_feeds_recorder_and_labels() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = test_lock();
         set_enabled(false);
         recorder::clear();
         {

@@ -19,6 +19,16 @@ cargo build --release --offline --workspace
 echo "== cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "== numeric tests in release"
+# Release builds wrap on integer overflow instead of panicking, so the
+# exact kernel's property and boundary tests also run there.
+cargo test --release -q --offline -p aov-numeric
+
+echo "== perfbench selftest"
+# Two processes per workload must agree on every solver count and, from
+# the second pass on, on every allocation count.
+python3 perfbench/run.py --selftest --seed 1
+
 echo "== trace smoke"
 trace_file="$(mktemp /tmp/aov-trace-smoke.XXXXXX.json)"
 bench_file="$(mktemp /tmp/aov-bench-smoke.XXXXXX.json)"
