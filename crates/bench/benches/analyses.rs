@@ -1,7 +1,8 @@
 //! Benchmarks of the paper's analyses, one per evaluation artifact
 //! (Figures 3–14). Example 3's full AOV is benched through its dominant
-//! component (schedule-constraint generation) because a single solve
-//! takes ~a minute; the `fig11_example3` binary runs it end to end.
+//! component (the shared `Analysis`: dependences and schedule
+//! constraints) because a single solve takes ~half a minute; the
+//! `fig11_example3` binary runs it end to end.
 
 use aov_support::bench::Harness;
 use std::hint::black_box;
@@ -12,25 +13,27 @@ fn main() {
     {
         let (p, s) = aov_bench::example1_row_schedule();
         h.bench("fig03/ov_for_schedule/example1", || {
-            aov_core::problems::ov_for_schedule(black_box(&p), black_box(&s)).unwrap()
+            aov_core::problems::ov_for_schedule_with(black_box(&p), black_box(&s), 1).unwrap()
         });
     }
 
     {
         let p = aov_ir::examples::example1();
+        let a = aov_schedule::Analysis::new(&p).unwrap();
         let v = aov_core::OccupancyVector::new(vec![0, 2]);
         h.bench("fig04/schedules_for_ov/example1", || {
-            aov_core::problems::schedules_for_ov(black_box(&p), std::slice::from_ref(&v)).unwrap()
+            aov_core::problems::schedules_for_ov(black_box(&a), std::slice::from_ref(&v)).unwrap()
         });
     }
 
     {
         let p = aov_ir::examples::example1();
         h.bench("fig05/aov/example1", || {
-            aov_core::problems::aov(black_box(&p)).unwrap()
+            aov_core::problems::aov_with(black_box(&p), 1).unwrap()
         });
         h.bench("fig05/uov_baseline/example1", || {
-            aov_core::uov::shortest_uov(black_box(&p), aov_ir::ArrayId(0), 6).unwrap()
+            let deps = aov_ir::analysis::dependences(black_box(&p));
+            aov_core::uov::shortest_uov(&p, &deps, aov_ir::ArrayId(0), 6).unwrap()
         });
     }
 
@@ -46,14 +49,14 @@ fn main() {
     {
         let p = aov_ir::examples::example2();
         h.bench("fig09/aov/example2", || {
-            aov_core::problems::aov(black_box(&p)).unwrap()
+            aov_core::problems::aov_with(black_box(&p), 1).unwrap()
         });
     }
 
     {
         let p = aov_ir::examples::example3();
-        h.bench("fig11/schedule_constraints/example3", || {
-            aov_schedule::legal::schedule_constraints(black_box(&p)).unwrap()
+        h.bench("fig11/analysis/example3", || {
+            aov_schedule::Analysis::new(black_box(&p)).unwrap()
         });
         h.bench("fig11/dependences/example3", || {
             aov_ir::analysis::dependences(black_box(&p))
@@ -63,14 +66,14 @@ fn main() {
     {
         let p = aov_ir::examples::example4();
         h.bench("fig14/aov/example4", || {
-            aov_core::problems::aov(black_box(&p)).unwrap()
+            aov_core::problems::aov_with(black_box(&p), 1).unwrap()
         });
     }
 
     {
         let p = aov_ir::examples::example2();
         h.bench("scheduler/find_schedule/example2", || {
-            aov_schedule::scheduler::find_schedule(black_box(&p)).unwrap()
+            aov_schedule::scheduler::find_schedule_with(black_box(&p), &[]).unwrap()
         });
     }
 

@@ -11,18 +11,20 @@
 use crate::FigureReport;
 use aov_core::{problems, uov};
 use aov_ir::examples;
+use aov_schedule::Analysis;
 
 /// Figure 5 computed without the pipeline: solve Problem 3 from scratch
 /// and compare against the exact search and the UOV baseline.
 pub fn fig05() -> FigureReport {
     let p = examples::example1();
-    let aov = problems::aov(&p)
+    let aov = problems::aov_with(&p, 1)
         .expect("solvable")
         .vector_for("A")
         .unwrap()
         .clone();
-    let search = problems::aov_search(&p, 6).expect("solvable");
-    let uov = uov::shortest_uov(&p, aov_ir::ArrayId(0), 6).expect("stencil");
+    let analysis = Analysis::new(&p).expect("example1 linearizes");
+    let search = problems::aov_search_with(&analysis, 6, 1).expect("solvable");
+    let uov = uov::shortest_uov(&p, analysis.deps(), aov_ir::ArrayId(0), 6).expect("stencil");
     FigureReport {
         id: "fig05".into(),
         title: "AOV of Example 1 vs the Strout et al. UOV".into(),

@@ -23,7 +23,7 @@ use aov_engine::{EngineError, Health, Pipeline, Report};
 use aov_ir::{examples, Program};
 use aov_linalg::{AffineExpr, QVector};
 use aov_machine::{experiments, MachineConfig};
-use aov_schedule::{legal, Schedule, ScheduleSpace};
+use aov_schedule::{Analysis, Schedule};
 use aov_support::{Json, ToJson};
 
 pub mod legacy;
@@ -262,7 +262,8 @@ pub fn fig03(ctx: &FigureCtx) -> FigureReport {
         .with_schedule(row.clone())
         .run()
         .expect("solvable");
-    let search = problems::ov_for_schedule_search(p, &row, 6).expect("solvable");
+    let analysis = Analysis::new(p).expect("example1 linearizes");
+    let search = problems::ov_for_schedule_search(&analysis, &row, 6).expect("solvable");
     let v = report
         .ov
         .as_ref()
@@ -288,7 +289,9 @@ pub fn fig03(ctx: &FigureCtx) -> FigureReport {
 pub fn fig04(ctx: &FigureCtx) -> FigureReport {
     let p = ctx.program("example1");
     let v = OccupancyVector::new(vec![0, 2]);
-    let (space, poly) = problems::schedules_for_ov(p, &[v]).expect("solvable");
+    let analysis = Analysis::new(p).expect("example1 linearizes");
+    let space = analysis.space();
+    let poly = problems::schedules_for_ov(&analysis, &[v]).expect("solvable");
     let sid = aov_ir::StmtId(0);
     let dim = space.dim();
     // Admissible slope interval a/b at fixed b; the paper's lower bound
@@ -355,8 +358,9 @@ pub fn fig05(ctx: &FigureCtx) -> FigureReport {
         .vector_for("A")
         .expect("array A")
         .clone();
-    let search = problems::aov_search(p, 6).expect("solvable");
-    let uov = uov::shortest_uov(p, aov_ir::ArrayId(0), 6).expect("stencil");
+    let analysis = Analysis::new(p).expect("example1 linearizes");
+    let search = problems::aov_search_with(&analysis, 6, 1).expect("solvable");
+    let uov = uov::shortest_uov(p, analysis.deps(), aov_ir::ArrayId(0), 6).expect("stencil");
     FigureReport {
         id: "fig05".into(),
         title: "AOV of Example 1 vs the Strout et al. UOV".into(),
@@ -494,7 +498,8 @@ pub fn fig14(ctx: &FigureCtx) -> FigureReport {
         .clone();
     // The paper's hand derivation reports (1,1); our exact dependence
     // domains admit the shorter (1,0), which the exact checker confirms.
-    let mut checker = aov_core::check::Checker::new(p);
+    let analysis = Analysis::new(p).expect("example4 linearizes");
+    let checker = aov_core::check::Checker::new(&analysis);
     let a = p.array_by_name("A").unwrap();
     let paper_valid = checker.valid_for_all_schedules(a, &[1, 1]).unwrap_or(false);
     let ours_valid = checker
@@ -709,11 +714,6 @@ pub fn example1_row_schedule() -> (aov_ir::Program, Schedule) {
     (p, s)
 }
 
-/// Helper for benches: schedule-space dimension of a program.
-pub fn schedule_space_dim(p: &aov_ir::Program) -> usize {
-    ScheduleSpace::new(p).dim()
-}
-
 /// Sanity helper shared by bins: panic (nonzero exit) when a report
 /// fails to reproduce.
 pub fn assert_reproduced(r: &FigureReport) {
@@ -723,9 +723,4 @@ pub fn assert_reproduced(r: &FigureReport) {
         r.id,
         r.render()
     );
-}
-
-/// Quick legality probe used by the explorer example and tests.
-pub fn is_legal(p: &aov_ir::Program, s: &Schedule) -> bool {
-    legal::is_legal(p, s)
 }

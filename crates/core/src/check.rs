@@ -8,76 +8,47 @@
 //! built directly on them.
 
 use crate::storage::{exact_z, mirror_guard_row};
-use aov_ir::{analysis, ArrayId, Dependence, Program};
+use aov_ir::{ArrayId, Dependence};
 use aov_linalg::AffineExpr;
-use aov_polyhedra::{PolyhedraError, Polyhedron};
+use aov_polyhedra::PolyhedraError;
 use aov_schedule::linearize::eliminate_to_linear;
-use aov_schedule::{legal, Schedule, ScheduleSpace};
+use aov_schedule::{legal, Analysis, Schedule};
 
-/// Context reused across many validity checks on one program.
+/// Validity checks of concrete vectors over one program's [`Analysis`]
+/// (its dependences, schedule space and ℛ).
 pub struct Checker<'a> {
-    p: &'a Program,
-    space: ScheduleSpace,
-    deps: Vec<Dependence>,
-    /// Legal-schedule polyhedron ℛ (computed lazily for the all-schedules
-    /// check).
-    legal: Option<Polyhedron>,
+    a: &'a Analysis<'a>,
 }
 
 impl<'a> Checker<'a> {
-    /// Builds a checker (computes dependences).
-    pub fn new(p: &'a Program) -> Self {
-        Checker {
-            p,
-            space: ScheduleSpace::new(p),
-            deps: analysis::dependences(p),
-            legal: None,
-        }
-    }
-
-    /// The schedule space used by this checker.
-    pub fn space(&self) -> &ScheduleSpace {
-        &self.space
-    }
-
-    /// The program's dependences.
-    pub fn deps(&self) -> &[Dependence] {
-        &self.deps
+    /// A checker over the shared analysis.
+    pub fn new(a: &'a Analysis<'a>) -> Self {
+        Checker { a }
     }
 
     /// Dependences whose source writes `array` (those constrain the
     /// array's occupancy vector).
-    pub fn deps_on_array(&self, array: ArrayId) -> Vec<&Dependence> {
-        self.deps
+    pub fn deps_on_array(&self, array: ArrayId) -> Vec<&'a Dependence> {
+        let p = self.a.program();
+        self.a
+            .deps()
             .iter()
-            .filter(|d| self.p.statement(d.source).writes() == array)
+            .filter(|d| p.statement(d.source).writes() == array)
             .collect()
-    }
-
-    /// The legal-schedule polyhedron ℛ.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PolyhedraError`] from constraint linearization.
-    pub fn legal_polyhedron(&mut self) -> Result<&Polyhedron, PolyhedraError> {
-        if self.legal.is_none() {
-            let (_, poly) = legal::legal_schedule_polyhedron(self.p)?;
-            self.legal = Some(poly);
-        }
-        Ok(self.legal.as_ref().expect("just set"))
     }
 
     /// Whether `v` is a valid occupancy vector for `array` under the
     /// concrete schedule `sched` (Eq. 3, exact `Z`).
     pub fn valid_for_schedule(&self, array: ArrayId, v: &[i64], sched: &Schedule) -> bool {
-        let point = legal::point_of(self.p, &self.space, sched);
+        let (p, space) = (self.a.program(), self.a.space());
+        let point = legal::point_of(p, space, sched);
         for dep in self.deps_on_array(array) {
-            let t = self.p.statement(dep.source);
-            let r = self.p.statement(dep.target);
-            let dim = r.depth() + self.p.num_params();
+            let t = p.statement(dep.source);
+            let r = p.statement(dep.target);
+            let dim = r.depth() + p.num_params();
             assert_eq!(v.len(), t.depth(), "vector dimension");
-            let z = exact_z(self.p, dep, v);
-            let region = z.intersect(&self.p.embed_param_domain(r.depth()));
+            let z = exact_z(p, dep, v);
+            let region = z.intersect(&p.embed_param_domain(r.depth()));
             if !region.is_empty() {
                 let h_plus_v: Vec<AffineExpr> = dep
                     .h
@@ -85,7 +56,7 @@ impl<'a> Checker<'a> {
                     .zip(v)
                     .map(|(hk, &vk)| hk + &AffineExpr::constant(dim, vk.into()))
                     .collect();
-                let form = legal::difference_form(self.p, &self.space, dep, &h_plus_v, 0).negated();
+                let form = legal::difference_form(p, space, dep, &h_plus_v, 0).negated();
                 let over_domain = form.fix_unknowns(&point);
                 if !region.implies_nonneg(&over_domain) {
                     return false;
@@ -94,13 +65,11 @@ impl<'a> Checker<'a> {
             // Sign-symmetric storage class: a reachable mirror
             // overwriter h - v demands a_T·v >= 1 (see `exact_z`).
             let neg_v: Vec<i64> = v.iter().map(|&c| -c).collect();
-            let z_minus = exact_z(self.p, dep, &neg_v);
+            let z_minus = exact_z(p, dep, &neg_v);
             if !z_minus
-                .intersect(&self.p.embed_param_domain(r.depth()))
+                .intersect(&p.embed_param_domain(r.depth()))
                 .is_empty()
-                && mirror_guard_row(&self.space, dep, v)
-                    .eval(&point)
-                    .is_negative()
+                && mirror_guard_row(space, dep, v).eval(&point).is_negative()
             {
                 return false;
             }
@@ -116,37 +85,26 @@ impl<'a> Checker<'a> {
     ///
     /// Propagates [`PolyhedraError`] from vertex elimination.
     pub fn valid_for_all_schedules(
-        &mut self,
+        &self,
         array: ArrayId,
         v: &[i64],
     ) -> Result<bool, PolyhedraError> {
-        // Borrow dance: compute ℛ first.
-        self.legal_polyhedron()?;
-        let legal_poly = self.legal.clone().expect("computed above");
-        for dep in self
-            .deps_on_array(array)
-            .into_iter()
-            .cloned()
-            .collect::<Vec<_>>()
-        {
-            let t = self.p.statement(dep.source);
-            let r = self.p.statement(dep.target);
-            let dim = r.depth() + self.p.num_params();
+        let (p, space, legal_poly) = (self.a.program(), self.a.space(), self.a.legal());
+        for dep in self.deps_on_array(array) {
+            let t = p.statement(dep.source);
+            let r = p.statement(dep.target);
+            let dim = r.depth() + p.num_params();
             assert_eq!(v.len(), t.depth(), "vector dimension");
-            let z = exact_z(self.p, &dep, v);
-            if !z
-                .intersect(&self.p.embed_param_domain(r.depth()))
-                .is_empty()
-            {
+            let z = exact_z(p, dep, v);
+            if !z.intersect(&p.embed_param_domain(r.depth())).is_empty() {
                 let h_plus_v: Vec<AffineExpr> = dep
                     .h
                     .iter()
                     .zip(v)
                     .map(|(hk, &vk)| hk + &AffineExpr::constant(dim, vk.into()))
                     .collect();
-                let form =
-                    legal::difference_form(self.p, &self.space, &dep, &h_plus_v, 0).negated();
-                let rows = eliminate_to_linear(&form, &z, r.depth(), self.p.param_domain())?;
+                let form = legal::difference_form(p, space, dep, &h_plus_v, 0).negated();
+                let rows = eliminate_to_linear(&form, &z, r.depth(), p.param_domain())?;
                 for row in rows {
                     if !legal_poly.implies_nonneg(&row) {
                         return Ok(false);
@@ -156,11 +114,11 @@ impl<'a> Checker<'a> {
             // Sign-symmetric storage class: a reachable mirror
             // overwriter h - v demands a_T·v >= 1 (see `exact_z`).
             let neg_v: Vec<i64> = v.iter().map(|&c| -c).collect();
-            let z_minus = exact_z(self.p, &dep, &neg_v);
+            let z_minus = exact_z(p, dep, &neg_v);
             if !z_minus
-                .intersect(&self.p.embed_param_domain(r.depth()))
+                .intersect(&p.embed_param_domain(r.depth()))
                 .is_empty()
-                && !legal_poly.implies_nonneg(&mirror_guard_row(&self.space, &dep, v))
+                && !legal_poly.implies_nonneg(&mirror_guard_row(space, dep, v))
             {
                 return Ok(false);
             }
@@ -178,7 +136,8 @@ mod tests {
     #[test]
     fn example1_fig3_ov_for_row_schedule() {
         let p = example1();
-        let checker = Checker::new(&p);
+        let an = Analysis::new(&p).unwrap();
+        let checker = Checker::new(&an);
         let row = Schedule::uniform_for(&p, &[AffineExpr::from_i64(&[0, 1, 0, 0], 0)]);
         let a = ArrayId(0);
         // Figure 3: (0,1) is valid for the row-parallel schedule.
@@ -193,7 +152,8 @@ mod tests {
     #[test]
     fn example1_fig5_aov_validity() {
         let p = example1();
-        let mut checker = Checker::new(&p);
+        let an = Analysis::new(&p).unwrap();
+        let checker = Checker::new(&an);
         let a = ArrayId(0);
         // Figure 5 / §5.1.4: (1,2) is an AOV, (0,3) (the UOV) too.
         assert!(checker.valid_for_all_schedules(a, &[1, 2]).unwrap());
@@ -207,7 +167,8 @@ mod tests {
     #[test]
     fn example2_fig9_aovs() {
         let p = example2();
-        let mut checker = Checker::new(&p);
+        let an = Analysis::new(&p).unwrap();
+        let checker = Checker::new(&an);
         let a = p.array_by_name("A").unwrap();
         let b = p.array_by_name("B").unwrap();
         assert!(checker.valid_for_all_schedules(a, &[1, 1]).unwrap());
@@ -238,7 +199,8 @@ mod tests {
         b.add_statement(s);
         let p = b.build().unwrap();
 
-        let mut checker = Checker::new(&p);
+        let an = Analysis::new(&p).unwrap();
+        let checker = Checker::new(&an);
         // The value written at i=1 is read at i=3. With v = -1, cell
         // class {x - k} makes the i=2 write clobber it; with v = +1 the
         // i=2 write is the h+v overwriter directly. Both are illegal for
@@ -258,7 +220,8 @@ mod tests {
     #[test]
     fn deps_on_array_filters_by_writer() {
         let p = example2();
-        let checker = Checker::new(&p);
+        let an = Analysis::new(&p).unwrap();
+        let checker = Checker::new(&an);
         let a = p.array_by_name("A").unwrap();
         let on_a = checker.deps_on_array(a);
         assert_eq!(on_a.len(), 1);

@@ -5,14 +5,20 @@
 //! under `v` stores iterations `i` and `i + k·v` in the same cell. This
 //! crate implements the paper's three problems:
 //!
-//! 1. [`problems::ov_for_schedule`] — the shortest occupancy vector valid
-//!    for a *given* affine schedule (§4.5.1),
-//! 2. [`problems::schedules_for_ov`] / [`problems::best_schedule_for_ov`]
-//!    — the affine schedules valid for *given* occupancy vectors
-//!    (§4.5.2),
-//! 3. [`problems::aov`] / [`problems::AovSolver`] — the shortest *Affine
-//!    Occupancy Vector*, valid for every legal one-dimensional affine
-//!    schedule, via the affine form of Farkas' lemma (§4.5.3).
+//! 1. [`problems::ov_for_schedule_budgeted`] — the shortest occupancy
+//!    vector valid for a *given* affine schedule (§4.5.1),
+//! 2. [`problems::schedules_for_ov`] /
+//!    [`problems::best_schedule_for_ov_budgeted`] — the affine schedules
+//!    valid for *given* occupancy vectors (§4.5.2),
+//! 3. [`problems::aov_budgeted`] — the shortest *Affine Occupancy
+//!    Vector*, valid for every legal one-dimensional affine schedule,
+//!    via the affine form of Farkas' lemma (§4.5.3).
+//!
+//! All three borrow one [`aov_schedule::Analysis`] — the dependences and
+//! the legal-schedule polyhedron ℛ, computed once per program. Each
+//! problem also has one `&Program` convenience form that builds the
+//! analysis itself ([`problems::ov_for_schedule_with`],
+//! [`problems::best_schedule_for_ov`], [`problems::aov_with`]).
 //!
 //! Each LP-based solver has an independent exact cross-check
 //! ([`check`] + the `_search` variants in [`problems`]) that enumerates
@@ -28,11 +34,11 @@
 //!
 //! ```
 //! use aov_ir::examples::example1;
-//! use aov_core::problems::AovSolver;
+//! use aov_core::problems;
 //!
 //! # fn main() -> Result<(), aov_core::CoreError> {
 //! let program = example1();
-//! let solution = AovSolver::new(&program)?.solve()?;
+//! let solution = problems::aov_with(&program, 1)?;
 //! let v = solution.vector_for("A").unwrap();
 //! assert_eq!(v.components(), [1, 2]); // the paper's Figure 5 AOV
 //! # Ok(())

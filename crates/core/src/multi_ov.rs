@@ -30,9 +30,9 @@
 
 use crate::check::Checker;
 use crate::CoreError;
-use aov_ir::{ArrayId, Program};
+use aov_ir::ArrayId;
 use aov_linalg::AffineExpr;
-use aov_schedule::ScheduleSpace;
+use aov_schedule::Analysis;
 
 /// All nonzero shifts `Σ k_j·v_j` with their coefficient vectors, whose
 /// components stay within `±extents` (the only shifts that can relate
@@ -78,17 +78,15 @@ pub fn lattice_shifts(gens: &[Vec<i64>], extents: &[i64]) -> Vec<(Vec<i64>, Vec<
 ///
 /// Propagates polyhedral failures from the per-shift checks.
 pub fn lattice_valid_for_all_schedules(
-    p: &Program,
+    a: &Analysis,
     array: ArrayId,
     gens: &[Vec<i64>],
     extents: &[i64],
 ) -> Result<bool, CoreError> {
     let shifts = lattice_shifts(gens, extents);
-    let mut checker = Checker::new(p);
-    // Precompute ℛ and the writer ordering rows.
-    checker.legal_polyhedron()?;
-    let space = ScheduleSpace::new(p);
-    let writers = p.writers_of(array);
+    let checker = Checker::new(a);
+    let (space, legal) = (a.space(), a.legal());
+    let writers = a.program().writers_of(array);
 
     // Try every generator sign assignment.
     'orient: for mask in 0u32..(1 << gens.len()) {
@@ -109,7 +107,6 @@ pub fn lattice_valid_for_all_schedules(
                 for (k, &wk) in w.iter().enumerate() {
                     row = &row + &AffineExpr::var(dim, space.iter_coeff(t, k)).scale(&wk.into());
                 }
-                let legal = checker.legal_polyhedron()?;
                 if !legal.implies_nonneg(&row) {
                     continue 'orient;
                 }
@@ -134,7 +131,7 @@ pub fn lattice_valid_for_all_schedules(
 ///
 /// Propagates polyhedral failures from the validity checks.
 pub fn second_vector_search(
-    p: &Program,
+    a: &Analysis,
     array: ArrayId,
     v1: &[i64],
     extents: &[i64],
@@ -147,7 +144,7 @@ pub fn second_vector_search(
                 continue;
             }
             let gens = vec![v1.to_vec(), v2.clone()];
-            if lattice_valid_for_all_schedules(p, array, &gens, extents)? {
+            if lattice_valid_for_all_schedules(a, array, &gens, extents)? {
                 return Ok(Some(v2));
             }
         }
@@ -200,22 +197,23 @@ mod tests {
     #[test]
     fn rank1_lattice_matches_single_ov() {
         let p = example1_sized(6, 6);
+        let an = Analysis::new(&p).unwrap();
         let a = p.array_by_name("A").unwrap();
         assert!(
-            lattice_valid_for_all_schedules(&p, a, &[vec![1, 2]], &[6, 6]).unwrap(),
+            lattice_valid_for_all_schedules(&an, a, &[vec![1, 2]], &[6, 6]).unwrap(),
             "the AOV's own lattice must validate"
         );
         assert!(
-            lattice_valid_for_all_schedules(&p, a, &[vec![0, 3]], &[6, 6]).unwrap(),
+            lattice_valid_for_all_schedules(&an, a, &[vec![0, 3]], &[6, 6]).unwrap(),
             "the UOV's lattice must validate"
         );
         assert!(
-            !lattice_valid_for_all_schedules(&p, a, &[vec![0, 1]], &[6, 6]).unwrap(),
+            !lattice_valid_for_all_schedules(&an, a, &[vec![0, 1]], &[6, 6]).unwrap(),
             "(0,1) is not valid for all schedules"
         );
         // Orientation handling: the negated generator describes the same
         // lattice and must validate too.
-        assert!(lattice_valid_for_all_schedules(&p, a, &[vec![-1, -2]], &[6, 6]).unwrap());
+        assert!(lattice_valid_for_all_schedules(&an, a, &[vec![-1, -2]], &[6, 6]).unwrap());
     }
 
     /// The paper's open question, answered negatively for live 2-d
@@ -224,8 +222,9 @@ mod tests {
     #[test]
     fn no_second_vector_for_live_2d_array() {
         let p = example1_sized(5, 5);
+        let an = Analysis::new(&p).unwrap();
         let a = p.array_by_name("A").unwrap();
-        let v2 = second_vector_search(&p, a, &[1, 2], &[5, 5], 3).unwrap();
+        let v2 = second_vector_search(&an, a, &[1, 2], &[5, 5], 3).unwrap();
         assert_eq!(v2, None);
     }
 }

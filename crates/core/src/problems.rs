@@ -8,12 +8,12 @@ use crate::storage::{
 };
 use crate::{CoreError, OccupancyVector, OvSpace};
 use aov_fault::{AovError, Budget};
-use aov_ir::{analysis, Program};
+use aov_ir::Program;
 use aov_linalg::AffineExpr;
 use aov_lp::{Cmp, LpOutcome, Model};
 use aov_polyhedra::{Constraint, Polyhedron};
 use aov_schedule::farkas::farkas_system;
-use aov_schedule::{legal, scheduler, Schedule, ScheduleSpace};
+use aov_schedule::{legal, scheduler, Analysis, Schedule};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::PoisonError;
 
@@ -233,61 +233,53 @@ impl std::fmt::Display for OvResult {
 // Problem 1: an occupancy vector for a given schedule (§4.5.1)
 // ---------------------------------------------------------------------
 
-/// Shortest occupancy vectors valid for the given schedule, by the
-/// paper's LP method: substitute the schedule into the linearized
-/// storage constraints and minimize the two-term objective, solving once
-/// per sign orthant (closed orthants; exact `Z`-emptiness pruning per
-/// orthant).
+/// Shortest occupancy vectors valid for the given schedule (Problem 1),
+/// with the per-orthant subproblems fanned out over `workers` threads
+/// (`<= 1` means sequential); see [`ov_for_schedule_budgeted`].
 ///
 /// # Errors
 ///
-/// * [`CoreError::IllegalSchedule`] — the schedule violates dependences.
-/// * [`CoreError::NoVectorFound`] — no orthant admits a valid vector.
-pub fn ov_for_schedule(p: &Program, sched: &Schedule) -> Result<OvResult, CoreError> {
-    ov_for_schedule_with(p, sched, 1)
-}
-
-/// [`ov_for_schedule`] with the per-orthant subproblems fanned out over
-/// `workers` threads (`<= 1` means sequential). Results are bit-identical
-/// to the sequential solver regardless of worker count.
-///
-/// # Errors
-///
-/// As for [`ov_for_schedule`].
+/// As for [`ov_for_schedule_budgeted`], plus [`CoreError::Polyhedra`]
+/// when the program's causality constraints cannot be linearized.
 pub fn ov_for_schedule_with(
     p: &Program,
     sched: &Schedule,
     workers: usize,
 ) -> Result<OvResult, CoreError> {
-    ov_for_schedule_budgeted(p, sched, workers, &Budget::unlimited())
+    ov_for_schedule_budgeted(&Analysis::new(p)?, sched, workers, &Budget::unlimited())
 }
 
-/// [`ov_for_schedule_with`] under a [`Budget`]: every simplex pivot and
-/// branch-and-bound node in the per-orthant ILPs charges the budget, and
-/// exhaustion surfaces as [`CoreError::Fault`] with the trip site.
+/// Shortest occupancy vectors valid for the given schedule, by the
+/// paper's LP method: substitute the schedule into the linearized
+/// storage constraints and minimize the two-term objective, solving once
+/// per sign orthant (closed orthants; exact `Z`-emptiness pruning per
+/// orthant). The orthants fan out over `workers` threads with results
+/// bit-identical to the sequential solver. Every simplex pivot and
+/// branch-and-bound node charges `budget`.
 ///
 /// # Errors
 ///
-/// As for [`ov_for_schedule`], plus [`CoreError::Fault`] on budget
-/// exhaustion, cancellation, or an isolated worker panic.
+/// * [`CoreError::IllegalSchedule`] — the schedule violates dependences.
+/// * [`CoreError::NoVectorFound`] — no orthant admits a valid vector.
+/// * [`CoreError::Fault`] — budget exhaustion, cancellation, or an
+///   isolated worker panic.
 pub fn ov_for_schedule_budgeted(
-    p: &Program,
+    a: &Analysis,
     sched: &Schedule,
     workers: usize,
     budget: &Budget,
 ) -> Result<OvResult, CoreError> {
-    if !legal::is_legal(p, sched) {
+    if !a.is_legal(sched) {
         return Err(CoreError::IllegalSchedule);
     }
-    let space = ScheduleSpace::new(p);
+    let (p, space, deps) = (a.program(), a.space(), a.deps());
     let ov_space = OvSpace::new(p);
-    let deps = analysis::dependences(p);
-    let theta = legal::point_of(p, &space, sched);
+    let theta = legal::point_of(p, space, sched);
     // Pattern-independent rows, instantiated at the schedule point.
     let mut dep_rows: Vec<Vec<AffineExpr>> = Vec::with_capacity(deps.len());
     for (didx, dep) in deps.iter().enumerate() {
         let _span = aov_trace::span!("core.storage_forms_for_dep", dep = didx);
-        let forms = storage_forms_for_dep(p, &space, &ov_space, dep)?;
+        let forms = storage_forms_for_dep(p, space, &ov_space, dep)?;
         dep_rows.push(forms.iter().map(|f| f.at_point(&theta)).collect());
     }
     let patterns: Vec<Orthant> = sign_patterns(ov_space.dim())
@@ -354,14 +346,15 @@ fn pattern_has_zero_array(p: &Program, ov_space: &OvSpace, pattern: &Orthant) ->
 /// * [`CoreError::IllegalSchedule`] — the schedule violates dependences.
 /// * [`CoreError::NoVectorFound`] — nothing within `max_radius`.
 pub fn ov_for_schedule_search(
-    p: &Program,
+    a: &Analysis,
     sched: &Schedule,
     max_radius: i64,
 ) -> Result<OvResult, CoreError> {
-    if !legal::is_legal(p, sched) {
+    if !a.is_legal(sched) {
         return Err(CoreError::IllegalSchedule);
     }
-    let checker = Checker::new(p);
+    let p = a.program();
+    let checker = Checker::new(a);
     let mut vectors = Vec::new();
     for (aidx, a) in p.arrays().iter().enumerate() {
         let aid = aov_ir::ArrayId(aidx);
@@ -380,143 +373,133 @@ pub fn ov_for_schedule_search(
 // Problem 2: schedules for given occupancy vectors (§4.5.2)
 // ---------------------------------------------------------------------
 
+/// The instantiated storage constraints (Eq. 10) for `vectors` that are
+/// not already causality rows of `a`, in dependence order, each
+/// required `>= 0`. Problem 2 intersects ℛ with exactly these rows.
+fn storage_rows(a: &Analysis, vectors: &[OccupancyVector]) -> Result<Vec<AffineExpr>, CoreError> {
+    let _s = aov_trace::span!("p2.storage_rows", deps = a.deps().len());
+    let mut extra: Vec<AffineExpr> = Vec::new();
+    for r in storage_rows_concrete(a.program(), a.space(), a.deps(), vectors)? {
+        if !a.rows().contains(&r) && !extra.contains(&r) {
+            extra.push(r);
+        }
+    }
+    Ok(extra)
+}
+
 /// The polyhedron of affine schedules valid for the given occupancy
 /// vectors: causality constraints (Eq. 11) plus instantiated storage
-/// constraints (Eq. 10).
+/// constraints (Eq. 10), in the schedule space of `a`.
 ///
 /// # Errors
 ///
 /// Propagates polyhedral failures.
 pub fn schedules_for_ov(
-    p: &Program,
+    a: &Analysis,
     vectors: &[OccupancyVector],
-) -> Result<(ScheduleSpace, Polyhedron), CoreError> {
-    let (space, mut rows) = legal::schedule_constraints(p)?;
-    let deps = analysis::dependences(p);
-    for r in storage_rows_concrete(p, &space, &deps, vectors)? {
-        if !rows.contains(&r) {
-            rows.push(r);
-        }
-    }
-    let poly =
-        Polyhedron::from_constraints(space.dim(), rows.into_iter().map(Constraint::ge0).collect());
-    Ok((space, poly))
+) -> Result<Polyhedron, CoreError> {
+    let extra = storage_rows(a, vectors)?;
+    let rows = a.rows().iter().chain(&extra).cloned();
+    Ok(Polyhedron::from_constraints(
+        a.space().dim(),
+        rows.map(Constraint::ge0).collect(),
+    ))
 }
 
 /// A best (smallest-coefficient) schedule valid for the given occupancy
-/// vectors, or [`CoreError::Unschedulable`] when the vectors are too
-/// short for any affine schedule.
+/// vectors; see [`best_schedule_for_ov_budgeted`].
 ///
 /// # Errors
 ///
-/// * [`CoreError::Unschedulable`] — no schedule respects both the
-///   dependences and the storage constraints.
+/// As for [`best_schedule_for_ov_budgeted`], plus
+/// [`CoreError::Polyhedra`] when the program's causality constraints
+/// cannot be linearized.
 pub fn best_schedule_for_ov(
     p: &Program,
     vectors: &[OccupancyVector],
 ) -> Result<Schedule, CoreError> {
-    best_schedule_for_ov_budgeted(p, vectors, &Budget::unlimited())
+    best_schedule_for_ov_budgeted(&Analysis::new(p)?, vectors, &Budget::unlimited())
 }
 
-/// [`best_schedule_for_ov`] under a [`Budget`]: the scheduling ILP
-/// charges the budget per pivot and per branch-and-bound node.
+/// A best (smallest-coefficient) schedule valid for the given occupancy
+/// vectors. The scheduling ILP charges `budget` per pivot and per
+/// branch-and-bound node.
 ///
 /// # Errors
 ///
-/// As for [`best_schedule_for_ov`], plus [`CoreError::Fault`] on budget
-/// exhaustion or cancellation.
+/// * [`CoreError::Unschedulable`] — no schedule respects both the
+///   dependences and the storage constraints (the vectors are too
+///   short for any affine schedule).
+/// * [`CoreError::Fault`] — budget exhaustion or cancellation.
 pub fn best_schedule_for_ov_budgeted(
-    p: &Program,
+    a: &Analysis,
     vectors: &[OccupancyVector],
     budget: &Budget,
 ) -> Result<Schedule, CoreError> {
-    let (space, mut rows) = {
-        let _s = aov_trace::span!("p2.legal_constraints");
-        legal::schedule_constraints(p)?
-    };
-    let deps = {
-        let _s = aov_trace::span!("p2.dependences");
-        analysis::dependences(p)
-    };
-    {
-        let _s = aov_trace::span!("p2.storage_rows", deps = deps.len());
-        for r in storage_rows_concrete(p, &space, &deps, vectors)? {
-            if !rows.contains(&r) {
-                rows.push(r);
-            }
-        }
-    }
-    let _s = aov_trace::span!("p2.solve", rows = rows.len());
-    Ok(scheduler::solve_budgeted(p, &space, rows, &[], budget)?)
+    let extra: Vec<(AffineExpr, Cmp)> = storage_rows(a, vectors)?
+        .into_iter()
+        .map(|r| (r, Cmp::Ge))
+        .collect();
+    let _s = aov_trace::span!("p2.solve", rows = a.rows().len() + extra.len());
+    Ok(scheduler::find_schedule_with_budgeted(a, &extra, budget)?)
 }
 
 // ---------------------------------------------------------------------
 // Problem 3: the AOV (§4.5.3)
 // ---------------------------------------------------------------------
 
+/// Shortest Affine Occupancy Vectors (Problem 3) with the per-orthant
+/// Farkas ILPs fanned out over `workers` threads (`<= 1` means
+/// sequential); see [`aov_budgeted`].
+///
+/// # Errors
+///
+/// As for [`aov_budgeted`], plus [`CoreError::Polyhedra`] when the
+/// program's causality constraints cannot be linearized.
+pub fn aov_with(p: &Program, workers: usize) -> Result<OvResult, CoreError> {
+    aov_budgeted(&Analysis::new(p)?, workers, &Budget::unlimited())
+}
+
 /// Shortest Affine Occupancy Vectors by the paper's Farkas method: each
 /// linearized storage constraint, affine in Θ with coefficients affine in
 /// `v`, is equated to a nonnegative combination of the schedule
 /// constraints; the resulting system is linear in `(v, λ)` and one ILP
-/// per sign orthant minimizes the two-term objective.
+/// per sign orthant minimizes the two-term objective. The orthants fan
+/// out over `workers` threads; the reduction is deterministic, so results
+/// are bit-identical to the sequential solver for any worker count.
+/// Every simplex pivot and branch-and-bound node charges `budget`; a trip
+/// cancels the sibling orthants (scoped to this call — the caller's
+/// budget stays live) and surfaces with the deterministic trip site.
 ///
 /// # Errors
 ///
 /// * [`CoreError::Unschedulable`] — the program has no one-dimensional
 ///   affine schedule, so "valid for all legal schedules" is vacuous.
 /// * [`CoreError::NoVectorFound`] — no orthant admits a vector.
-pub fn aov(p: &Program) -> Result<OvResult, CoreError> {
-    aov_with(p, 1)
-}
-
-/// [`aov`] with the per-orthant Farkas ILPs fanned out over `workers`
-/// threads (`<= 1` means sequential). The reduction is deterministic:
-/// results are bit-identical to the sequential solver for any worker
-/// count.
-///
-/// # Errors
-///
-/// As for [`aov`].
-pub fn aov_with(p: &Program, workers: usize) -> Result<OvResult, CoreError> {
-    aov_budgeted(p, workers, &Budget::unlimited())
-}
-
-/// [`aov_with`] under a [`Budget`]: every simplex pivot and
-/// branch-and-bound node in the per-orthant Farkas ILPs charges the
-/// budget. A trip cancels the sibling orthants (scoped to this call —
-/// the caller's budget stays live) and surfaces as [`CoreError::Fault`]
-/// with the deterministic trip site.
-///
-/// # Errors
-///
-/// As for [`aov`], plus [`CoreError::Fault`] on budget exhaustion,
-/// cancellation, or an isolated worker panic.
-pub fn aov_budgeted(p: &Program, workers: usize, budget: &Budget) -> Result<OvResult, CoreError> {
-    let (space, sched_rows) = legal::schedule_constraints(p)?;
+/// * [`CoreError::Fault`] — budget exhaustion, cancellation, or an
+///   isolated worker panic.
+pub fn aov_budgeted(a: &Analysis, workers: usize, budget: &Budget) -> Result<OvResult, CoreError> {
     // Farkas needs ℛ nonempty; also drop redundant rows to shrink the
     // multiplier count.
-    let legal_poly = Polyhedron::from_constraints(
-        space.dim(),
-        sched_rows.iter().cloned().map(Constraint::ge0).collect(),
-    );
-    if legal_poly.is_empty() {
+    if a.legal().is_empty() {
         return Err(CoreError::Unschedulable);
     }
-    let reduced = legal_poly.remove_redundant();
-    let sched_rows: Vec<AffineExpr> = reduced
+    let sched_rows: Vec<AffineExpr> = a
+        .legal()
+        .remove_redundant()
         .constraints()
         .iter()
         .map(|c| c.expr().clone())
         .collect();
 
+    let (p, space, deps) = (a.program(), a.space(), a.deps());
     let ov_space = OvSpace::new(p);
-    let deps = analysis::dependences(p);
     // Pattern-independent storage forms and Farkas systems, per dep.
     let mut dep_systems: Vec<Vec<aov_schedule::farkas::FarkasSystem>> =
         Vec::with_capacity(deps.len());
     for (didx, dep) in deps.iter().enumerate() {
         let _span = aov_trace::span!("core.storage_forms_for_dep", dep = didx);
-        let forms = storage_forms_for_dep(p, &space, &ov_space, dep)?;
+        let forms = storage_forms_for_dep(p, space, &ov_space, dep)?;
         dep_systems.push(
             forms
                 .iter()
@@ -581,34 +564,37 @@ pub fn aov_budgeted(p: &Program, workers: usize, budget: &Budget) -> Result<OvRe
 
 /// Exact cross-check for Problem 3: enumerate integer candidates per
 /// array and validate each against every legal schedule via the exact
-/// checker.
+/// checker; see [`aov_search_with`].
+///
+/// # Errors
+///
+/// As for [`aov_search_with`], plus [`CoreError::Polyhedra`] when the
+/// program's causality constraints cannot be linearized.
+pub fn aov_search(p: &Program, max_radius: i64) -> Result<OvResult, CoreError> {
+    aov_search_with(&Analysis::new(p)?, max_radius, 1)
+}
+
+/// Exact cross-check for Problem 3 with the per-array searches fanned
+/// out over `workers` threads (`<= 1` means sequential). Arrays are
+/// independent and the workers share one checker, so the result is
+/// bit-identical to the sequential search.
 ///
 /// # Errors
 ///
 /// * [`CoreError::Unschedulable`] / [`CoreError::NoVectorFound`] as for
-///   [`aov`].
-pub fn aov_search(p: &Program, max_radius: i64) -> Result<OvResult, CoreError> {
-    aov_search_with(p, max_radius, 1)
-}
-
-/// [`aov_search`] with the per-array searches fanned out over `workers`
-/// threads (`<= 1` means sequential). Arrays are independent, so the
-/// result is bit-identical to the sequential search.
-///
-/// # Errors
-///
-/// As for [`aov_search`].
+///   [`aov_budgeted`].
 pub fn aov_search_with(
-    p: &Program,
+    a: &Analysis,
     max_radius: i64,
     workers: usize,
 ) -> Result<OvResult, CoreError> {
-    let mut checker = Checker::new(p);
-    if checker.legal_polyhedron()?.is_empty() {
+    if a.legal().is_empty() {
         return Err(CoreError::Unschedulable);
     }
+    let p = a.program();
+    let checker = Checker::new(a);
     let narrays = p.arrays().len();
-    let search_one = |aidx: usize, checker: &mut Checker| -> Result<OccupancyVector, CoreError> {
+    let search_one = |aidx: usize| -> Result<OccupancyVector, CoreError> {
         let _span = aov_trace::span!("aov.search_array", array = aidx);
         let aid = aov_ir::ArrayId(aidx);
         let dim = p.arrays()[aidx].dim();
@@ -635,12 +621,11 @@ pub fn aov_search_with(
     if workers <= 1 || narrays <= 1 {
         let mut vectors = Vec::with_capacity(narrays);
         for aidx in 0..narrays {
-            vectors.push(search_one(aidx, &mut checker)?);
+            vectors.push(search_one(aidx)?);
         }
         return Ok(OvResult::new(p, vectors));
     }
-    // One checker per thread (its legality cache is not shareable);
-    // results land in array order. Each per-array search runs under
+    // Results land in array order. Each per-array search runs under
     // `catch_unwind` so a panicking worker surfaces as a structured
     // `WorkerPanic` for its slot instead of aborting the scope.
     let mut slots: Vec<Option<Result<OccupancyVector, CoreError>>> = Vec::new();
@@ -653,19 +638,19 @@ pub fn aov_search_with(
         for _ in 0..workers.min(narrays) {
             s.spawn(|| {
                 let _adopt = aov_trace::adopt(&ctx);
-                let mut local = Checker::new(p);
                 loop {
                     let aidx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if aidx >= narrays {
                         break;
                     }
-                    let r = catch_unwind(AssertUnwindSafe(|| search_one(aidx, &mut local)))
-                        .unwrap_or_else(|payload| {
+                    let r = catch_unwind(AssertUnwindSafe(|| search_one(aidx))).unwrap_or_else(
+                        |payload| {
                             Err(CoreError::Fault(AovError::from_panic(
                                 "aov.search_array",
                                 payload.as_ref(),
                             )))
-                        });
+                        },
+                    );
                     **lock(&slot_refs[aidx]) = Some(r);
                 }
             });
@@ -684,61 +669,6 @@ pub fn aov_search_with(
         }
     }
     Ok(OvResult::new(p, vectors))
-}
-
-// ---------------------------------------------------------------------
-// Ergonomic wrapper
-// ---------------------------------------------------------------------
-
-/// Builder-style entry point for the AOV analysis.
-///
-/// # Examples
-///
-/// ```
-/// use aov_ir::examples::example2;
-/// use aov_core::problems::AovSolver;
-///
-/// # fn main() -> Result<(), aov_core::CoreError> {
-/// let p = example2();
-/// let sol = AovSolver::new(&p)?.solve()?;
-/// assert_eq!(sol.vector_for("A").unwrap().components(), [1, 1]);
-/// assert_eq!(sol.vector_for("B").unwrap().components(), [1, 1]);
-/// # Ok(())
-/// # }
-/// ```
-pub struct AovSolver<'a> {
-    p: &'a Program,
-}
-
-impl<'a> AovSolver<'a> {
-    /// Validates the program and prepares a solver.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidProgram`] when the program violates the
-    /// single-assignment structural invariants.
-    pub fn new(p: &'a Program) -> Result<Self, CoreError> {
-        p.validate().map_err(CoreError::InvalidProgram)?;
-        Ok(AovSolver { p })
-    }
-
-    /// Runs the Farkas AOV analysis (Problem 3).
-    ///
-    /// # Errors
-    ///
-    /// As for [`aov`].
-    pub fn solve(&self) -> Result<OvResult, CoreError> {
-        aov(self.p)
-    }
-
-    /// Runs the exact enumeration solver instead.
-    ///
-    /// # Errors
-    ///
-    /// As for [`aov_search`].
-    pub fn solve_by_search(&self) -> Result<OvResult, CoreError> {
-        aov_search(self.p, DEFAULT_SEARCH_RADIUS)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -890,8 +820,8 @@ mod tests {
     fn fig3_problem1_lp_and_search_agree() {
         let p = example1();
         let row = Schedule::uniform_for(&p, &[AffineExpr::from_i64(&[0, 1, 0, 0], 0)]);
-        let lp = ov_for_schedule(&p, &row).unwrap();
-        let search = ov_for_schedule_search(&p, &row, 6).unwrap();
+        let lp = ov_for_schedule_with(&p, &row, 1).unwrap();
+        let search = ov_for_schedule_search(&Analysis::new(&p).unwrap(), &row, 6).unwrap();
         // Figure 3: shortest OV for the row-parallel schedule is (0, 1).
         assert_eq!(lp.vector_for("A").unwrap().components(), [0, 1]);
         assert_eq!(search.vector_for("A").unwrap().components(), [0, 1]);
@@ -902,7 +832,7 @@ mod tests {
         let p = example1();
         let col = Schedule::uniform_for(&p, &[AffineExpr::from_i64(&[1, 0, 0, 0], 0)]);
         assert!(matches!(
-            ov_for_schedule(&p, &col),
+            ov_for_schedule_with(&p, &col, 1),
             Err(CoreError::IllegalSchedule)
         ));
     }
@@ -910,7 +840,7 @@ mod tests {
     #[test]
     fn fig5_aov_example1() {
         let p = example1();
-        let r = aov(&p).unwrap();
+        let r = aov_with(&p, 1).unwrap();
         assert_eq!(r.vector_for("A").unwrap().components(), [1, 2]);
         let s = aov_search(&p, 6).unwrap();
         assert_eq!(s.vector_for("A").unwrap().components(), [1, 2]);
@@ -919,7 +849,7 @@ mod tests {
     #[test]
     fn fig9_aov_example2() {
         let p = example2();
-        let r = aov(&p).unwrap();
+        let r = aov_with(&p, 1).unwrap();
         assert_eq!(r.vector_for("A").unwrap().components(), [1, 1]);
         assert_eq!(r.vector_for("B").unwrap().components(), [1, 1]);
     }
@@ -930,14 +860,14 @@ mod tests {
     #[test]
     fn fig11_aov_example3() {
         let p = aov_ir::examples::example3();
-        let r = aov(&p).unwrap();
+        let r = aov_with(&p, 1).unwrap();
         assert_eq!(r.vector_for("D").unwrap().components(), [1, 1, 1]);
     }
 
     #[test]
     fn fig14_aov_example4() {
         let p = example4();
-        let r = aov(&p).unwrap();
+        let r = aov_with(&p, 1).unwrap();
         // The paper reports v_A = (1,1); our exact dependence domains
         // (S2 reads A[i][n-i] only for i <= n-1) admit the strictly
         // shorter (1,0), which causality alone protects:
@@ -945,7 +875,8 @@ mod tests {
         // checker confirms both; see EXPERIMENTS.md.
         assert_eq!(r.vector_for("A").unwrap().components(), [1, 0]);
         assert_eq!(r.vector_for("B").unwrap().components(), [1]);
-        let mut checker = Checker::new(&p);
+        let an = Analysis::new(&p).unwrap();
+        let checker = Checker::new(&an);
         let a = p.array_by_name("A").unwrap();
         assert!(checker.valid_for_all_schedules(a, &[1, 0]).unwrap());
         assert!(checker.valid_for_all_schedules(a, &[1, 1]).unwrap());
@@ -956,10 +887,10 @@ mod tests {
     #[test]
     fn aov_auxiliary_programs() {
         let p = prefix_sum();
-        let r = aov(&p).unwrap();
+        let r = aov_with(&p, 1).unwrap();
         assert_eq!(r.vector_for("P").unwrap().components(), [1]);
         let p = wavefront2d();
-        let r = aov(&p).unwrap();
+        let r = aov_with(&p, 1).unwrap();
         // Dependences (1,0) and (0,1): storage rows a·vi + b·vj − a and
         // … − b over R = {a,b >= 1}: (1,1) works, length-2; (0,2)/(2,0)
         // fail one row; so (1,1).
@@ -971,7 +902,9 @@ mod tests {
         let p = example1();
         // Given OV (0, 2), the legal schedules satisfy b >= 2a, b >= 1+a,
         // b >= 1−2a (paper §5.1.3): slope a/b ∈ (−1/2, 1/2).
-        let (space, poly) = schedules_for_ov(&p, &[OccupancyVector::new(vec![0, 2])]).unwrap();
+        let an = Analysis::new(&p).unwrap();
+        let space = an.space();
+        let poly = schedules_for_ov(&an, &[OccupancyVector::new(vec![0, 2])]).unwrap();
         let sid = aov_ir::StmtId(0);
         let mk = |a: i64, b: i64| {
             let mut pt = QVector::zeros(space.dim());
@@ -993,8 +926,9 @@ mod tests {
         let p = example1();
         let v = OccupancyVector::new(vec![0, 2]);
         let s = best_schedule_for_ov(&p, std::slice::from_ref(&v)).unwrap();
-        assert!(legal::is_legal(&p, &s));
-        let checker = Checker::new(&p);
+        let an = Analysis::new(&p).unwrap();
+        assert!(an.is_legal(&s));
+        let checker = Checker::new(&an);
         assert!(checker.valid_for_schedule(aov_ir::ArrayId(0), v.components(), &s));
     }
 

@@ -13,10 +13,10 @@
 //! crate — which is what this module does.
 
 use crate::check::Checker;
-use crate::{CoreError, OccupancyVector};
-use aov_ir::{Program, StmtId};
+use crate::OccupancyVector;
+use aov_ir::Program;
 use aov_linalg::AffineExpr;
-use aov_schedule::{legal, Schedule};
+use aov_schedule::{Analysis, Schedule};
 
 /// The two loop-interchange schedules of a depth-2 statement with
 /// constant bounds: `(outer-i, outer-j)` sequential orders, linearized
@@ -49,44 +49,36 @@ pub fn interchange_schedules(p: &Program, k: i64) -> (Schedule, Schedule) {
 
 /// Whether the program's depth-2 loops are interchange-tilable:
 /// both sequential orders are legal schedules.
-pub fn loops_permutable(p: &Program, k: i64) -> bool {
-    let (a, b) = interchange_schedules(p, k);
-    legal::is_legal(p, &a) && legal::is_legal(p, &b)
+pub fn loops_permutable(a: &Analysis, k: i64) -> bool {
+    let (s1, s2) = interchange_schedules(a.program(), k);
+    a.is_legal(&s1) && a.is_legal(&s2)
 }
 
 /// The paper's §3.3 claim, checked for a concrete program: if both loop
 /// orders are legal originally, both remain valid after transforming
 /// every array under the given vectors (i.e. tiling stays legal).
 ///
-/// Returns `Ok(None)` when the loops were not permutable to begin with
+/// Returns `None` when the loops were not permutable to begin with
 /// (the claim is vacuous), otherwise whether both orders accept the
 /// storage mapping.
-///
-/// # Errors
-///
-/// Propagates polyhedral failures from the validity checks.
-pub fn tiling_preserved(
-    p: &Program,
-    vectors: &[OccupancyVector],
-    k: i64,
-) -> Result<Option<bool>, CoreError> {
-    if !loops_permutable(p, k) {
-        return Ok(None);
+pub fn tiling_preserved(a: &Analysis, vectors: &[OccupancyVector], k: i64) -> Option<bool> {
+    if !loops_permutable(a, k) {
+        return None;
     }
-    let (a, b) = interchange_schedules(p, k);
-    let checker = Checker::new(p);
+    let p = a.program();
+    let (s1, s2) = interchange_schedules(p, k);
+    let checker = Checker::new(a);
     for (aidx, arr) in p.arrays().iter().enumerate() {
         let aid = aov_ir::ArrayId(aidx);
         let v = &vectors[aidx];
         assert_eq!(v.dim(), arr.dim(), "one vector per array");
-        if !checker.valid_for_schedule(aid, v.components(), &a)
-            || !checker.valid_for_schedule(aid, v.components(), &b)
+        if !checker.valid_for_schedule(aid, v.components(), &s1)
+            || !checker.valid_for_schedule(aid, v.components(), &s2)
         {
-            return Ok(Some(false));
+            return Some(false);
         }
     }
-    let _ = StmtId(0);
-    Ok(Some(true))
+    Some(true)
 }
 
 #[cfg(test)]
@@ -101,12 +93,10 @@ mod tests {
     #[test]
     fn example1_not_permutable() {
         let p = example1_sized(6, 6);
-        assert!(!loops_permutable(&p, 100));
-        let aov = problems::aov(&p).expect("solvable");
-        assert_eq!(
-            tiling_preserved(&p, aov.vectors(), 100).expect("checkable"),
-            None
-        );
+        let an = Analysis::new(&p).unwrap();
+        assert!(!loops_permutable(&an, 100));
+        let aov = problems::aov_with(&p, 1).expect("solvable");
+        assert_eq!(tiling_preserved(&an, aov.vectors(), 100), None);
     }
 
     /// The wavefront nest is also permutable, and its AOV (1,1) keeps it
@@ -114,12 +104,10 @@ mod tests {
     #[test]
     fn wavefront_aov_preserves_tiling() {
         let p = wavefront2d_sized(6, 6);
-        assert!(loops_permutable(&p, 100));
-        let aov = problems::aov(&p).expect("solvable");
-        assert_eq!(
-            tiling_preserved(&p, aov.vectors(), 100).expect("checkable"),
-            Some(true)
-        );
+        let an = Analysis::new(&p).unwrap();
+        assert!(loops_permutable(&an, 100));
+        let aov = problems::aov_with(&p, 1).expect("solvable");
+        assert_eq!(tiling_preserved(&an, aov.vectors(), 100), Some(true));
     }
 
     /// A schedule-specific (non-AOV) vector need NOT preserve tiling:
@@ -129,10 +117,8 @@ mod tests {
     #[test]
     fn schedule_specific_vector_can_break_tiling() {
         let p = wavefront2d_sized(6, 6);
+        let an = Analysis::new(&p).unwrap();
         let short = vec![OccupancyVector::new(vec![0, 1])];
-        assert_eq!(
-            tiling_preserved(&p, &short, 100).expect("checkable"),
-            Some(false)
-        );
+        assert_eq!(tiling_preserved(&an, &short, 100), Some(false));
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::objective::evenness;
 use crate::{CoreError, OccupancyVector};
-use aov_ir::{analysis, ArrayId, Program};
+use aov_ir::{ArrayId, Dependence, Program};
 use aov_linalg::AffineExpr;
 use aov_lp::{Cmp, LpOutcome, Model};
 
@@ -51,8 +51,9 @@ pub fn is_nonneg_combination(target: &[i64], dists: &[Vec<i64>]) -> bool {
 }
 
 /// Shortest UOV (by the paper's two-term objective) for an array whose
-/// dependences are all uniform self-dependences, searching Manhattan
-/// shells up to `max_radius`.
+/// dependences (`deps`, the program's `analysis::dependences`) are all
+/// uniform self-dependences, searching Manhattan shells up to
+/// `max_radius`.
 ///
 /// # Errors
 ///
@@ -62,12 +63,12 @@ pub fn is_nonneg_combination(target: &[i64], dists: &[Vec<i64>]) -> bool {
 /// * [`CoreError::NoVectorFound`] — nothing within `max_radius`.
 pub fn shortest_uov(
     p: &Program,
+    deps: &[Dependence],
     array: ArrayId,
     max_radius: i64,
 ) -> Result<OccupancyVector, CoreError> {
-    let deps = analysis::dependences(p);
     let mut dists: Vec<Vec<i64>> = Vec::new();
-    for d in &deps {
+    for d in deps {
         if p.statement(d.source).writes() != array {
             continue;
         }
@@ -103,17 +104,19 @@ pub fn shortest_uov(
 
 /// Shortest UOV for *every* array of the program (see [`shortest_uov`]).
 /// This is the schedule-independent fallback the engine degrades to when
-/// the Farkas AOV solver is unavailable (budget spent, injected fault).
+/// the Farkas AOV solver is unavailable (budget spent, injected fault,
+/// failed linearization): it needs nothing but the dependences.
 ///
 /// # Errors
 ///
 /// As for [`shortest_uov`], for the first array that fails.
 pub fn shortest_uov_all(
     p: &Program,
+    deps: &[Dependence],
     max_radius: i64,
 ) -> Result<crate::problems::OvResult, CoreError> {
     let vectors = (0..p.arrays().len())
-        .map(|aidx| shortest_uov(p, ArrayId(aidx), max_radius))
+        .map(|aidx| shortest_uov(p, deps, ArrayId(aidx), max_radius))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(crate::problems::OvResult::new(p, vectors))
 }
@@ -122,7 +125,7 @@ pub fn shortest_uov_all(
 mod tests {
     use super::*;
     use aov_ir::examples::{example1, heat1d, prefix_sum};
-    use aov_ir::ArrayId;
+    use aov_ir::{analysis, ArrayId};
 
     #[test]
     fn nonneg_combination_queries() {
@@ -140,7 +143,7 @@ mod tests {
     #[test]
     fn example1_uov_is_0_3() {
         let p = example1();
-        let uov = shortest_uov(&p, ArrayId(0), 6).unwrap();
+        let uov = shortest_uov(&p, &analysis::dependences(&p), ArrayId(0), 6).unwrap();
         assert_eq!(uov.components(), [0, 3]);
         // And (1,2) is NOT a UOV even though it is an AOV.
         let dists = vec![vec![2, 1], vec![0, 1], vec![-1, 1]];
@@ -151,7 +154,7 @@ mod tests {
     #[test]
     fn heat1d_uov() {
         let p = heat1d();
-        let uov = shortest_uov(&p, ArrayId(0), 6).unwrap();
+        let uov = shortest_uov(&p, &analysis::dependences(&p), ArrayId(0), 6).unwrap();
         // Distances (1,1), (0,1), (−1,1): v − d must decompose for all d;
         // try (0,2): (−1,1),(0,1),(1,1) ✓ each a single distance.
         assert_eq!(uov.components(), [0, 2]);
@@ -160,7 +163,7 @@ mod tests {
     #[test]
     fn prefix_sum_uov_is_one() {
         let p = prefix_sum();
-        let uov = shortest_uov(&p, ArrayId(0), 4).unwrap();
+        let uov = shortest_uov(&p, &analysis::dependences(&p), ArrayId(0), 4).unwrap();
         assert_eq!(uov.components(), [1]);
     }
 
@@ -169,7 +172,7 @@ mod tests {
         let p = aov_ir::examples::example2();
         // Cross-statement dependences: UOV framework does not apply.
         assert!(matches!(
-            shortest_uov(&p, ArrayId(0), 4),
+            shortest_uov(&p, &analysis::dependences(&p), ArrayId(0), 4),
             Err(CoreError::InvalidProgram(_))
         ));
     }

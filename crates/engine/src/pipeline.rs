@@ -28,6 +28,7 @@
 //! wrong parameter count, illegal schedule override) abort the run with
 //! a hard [`EngineError`]. [`Report::health`] summarizes the ladder.
 
+use std::cell::OnceCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -35,11 +36,13 @@ use aov_core::problems::{self, OvResult, DEFAULT_SEARCH_RADIUS};
 use aov_core::transform::StorageTransform;
 use aov_core::{codegen, uov, CoreError};
 use aov_fault::{AovError, Budget};
-use aov_interp::validate::semantics_preserved;
-use aov_ir::{analysis, examples, Program};
+use aov_interp::exec::original_values;
+use aov_interp::validate::matches_reference;
+use aov_ir::{analysis, examples, Dependence, Program};
 use aov_machine::experiments::{example2_speedup_with, example3_speedup_with, SpeedupPoint};
 use aov_machine::MachineConfig;
-use aov_schedule::{legal, scheduler, Schedule};
+use aov_polyhedra::PolyhedraError;
+use aov_schedule::{legal, scheduler, Analysis, Schedule};
 use aov_support::{counters, Json, ToJson};
 
 /// Errors from running a pipeline.
@@ -952,14 +955,20 @@ impl Pipeline {
             )
         })?;
 
-        run_stage(stages, "dependences", || {
+        let deps: Option<Vec<Dependence>> = run_stage(stages, "dependences", || {
             let deps = analysis::dependences(p);
-            done((), Json::obj().field("count", deps.len()))
+            let detail = Json::obj().field("count", deps.len());
+            done(deps, detail)
         })?;
+        let shared = SharedAnalysis {
+            p,
+            deps: deps.as_deref(),
+            cell: OnceCell::new(),
+        };
 
         run_stage(stages, "legal_schedule", || {
-            let (space, poly) =
-                legal::legal_schedule_polyhedron(p).map_err(CoreError::Polyhedra)?;
+            let a = shared.get()?;
+            let (space, poly) = (a.space(), a.legal());
             // Project away the parameter/constant coefficients (FM
             // elimination) to expose the cone of legal iteration
             // coefficients — the part of ℛ the occupancy vectors fight.
@@ -982,16 +991,17 @@ impl Pipeline {
         })?;
 
         let sched: Option<Schedule> = run_stage(stages, "schedule", || {
+            let a = shared.get()?;
             let (sched, overridden) = match &self.schedule_override {
                 Some(s) => {
-                    if !legal::is_legal(p, s) {
+                    if !a.is_legal(s) {
                         return Err(EngineError::Schedule(
                             "overridden schedule violates a dependence".to_string(),
                         ));
                     }
                     (s.clone(), true)
                 }
-                None => match scheduler::find_schedule_with_budgeted(p, &[], budget) {
+                None => match scheduler::find_schedule_with_budgeted(a, &[], budget) {
                     Ok(s) => (s, false),
                     // No 1-D affine schedule: degrade with a diagnostic
                     // naming the violated dependence; the AOV-only
@@ -999,7 +1009,7 @@ impl Pipeline {
                     Err(scheduler::ScheduleError::Infeasible) => {
                         return Err(EngineError::Core(CoreError::Fault(
                             AovError::Unschedulable {
-                                detail: legal::unschedulable_diagnostic(p),
+                                detail: legal::unschedulable_diagnostic(a),
                             },
                         )))
                     }
@@ -1015,14 +1025,18 @@ impl Pipeline {
         let ov: Option<OvResult> = match &sched {
             None => skip_stage(stages, "problem1", "no schedule to optimize against"),
             Some(s) => run_stage(stages, "problem1", || {
-                let ov = problems::ov_for_schedule_budgeted(p, s, self.workers, budget)?;
+                let ov =
+                    problems::ov_for_schedule_budgeted(shared.get()?, s, self.workers, budget)?;
                 let detail = ov_detail(p, &ov);
                 done(ov, detail)
             })?,
         };
 
         let aov_pair: Option<(OvResult, &'static str)> = run_stage(stages, "aov", || {
-            match problems::aov_budgeted(p, self.workers, budget) {
+            match shared
+                .get()
+                .and_then(|a| problems::aov_budgeted(a, self.workers, budget))
+            {
                 Ok(aov) => {
                     let detail = ov_detail(p, &aov);
                     done((aov, "farkas"), detail)
@@ -1035,8 +1049,16 @@ impl Pipeline {
                     // Farkas solver unavailable: degrade to the
                     // schedule-independent UOV baseline. The
                     // fallback is deliberately unbudgeted — it must
-                    // stay reachable when the budget is spent.
-                    match uov::shortest_uov_all(p, DEFAULT_SEARCH_RADIUS) {
+                    // stay reachable when the budget is spent — and
+                    // needs only the dependences, so it also stays
+                    // reachable when the linearization failed.
+                    let Some(deps) = shared
+                        .deps
+                        .or_else(|| shared.get().ok().map(Analysis::deps))
+                    else {
+                        return Err(e);
+                    };
+                    match uov::shortest_uov_all(p, deps, DEFAULT_SEARCH_RADIUS) {
                         Ok(u) => {
                             let detail = ov_detail(p, &u).field("fallback", "uov");
                             Ok((
@@ -1064,7 +1086,11 @@ impl Pipeline {
                 "no occupancy vectors to schedule against",
             ),
             Some(aov_r) => run_stage(stages, "problem2", || {
-                let sched2 = problems::best_schedule_for_ov_budgeted(p, aov_r.vectors(), budget)?;
+                let sched2 = problems::best_schedule_for_ov_budgeted(
+                    shared.get()?,
+                    aov_r.vectors(),
+                    budget,
+                )?;
                 let detail = Json::obj().field("theta", sched2.display(p).to_string());
                 done(sched2, detail)
             })?,
@@ -1110,16 +1136,23 @@ impl Pipeline {
             (Some(ts), s1, s2) => run_stage(stages, "equivalence", || {
                 // The AOV must work under every available schedule: the
                 // dependence-only one and the storage-constrained one
-                // from Problem 2.
+                // from Problem 2. Both runs compare against one reference
+                // execution under the scheduler's own schedule.
+                let reference_sched = scheduler::find_schedule_with_budgeted(
+                    shared.get()?,
+                    &[],
+                    &Budget::unlimited(),
+                )?;
+                let reference = original_values(p, check_params, &reference_sched);
                 let mut verdict = true;
                 let mut detail = Json::obj();
                 if let Some(s) = s1 {
-                    let ok = semantics_preserved(p, check_params, s, ts);
+                    let ok = matches_reference(p, check_params, &reference, s, ts);
                     verdict &= ok;
                     detail = detail.field("under_found_schedule", ok);
                 }
                 if let Some(s) = s2 {
-                    let ok = semantics_preserved(p, check_params, s, ts);
+                    let ok = matches_reference(p, check_params, &reference, s, ts);
                     verdict &= ok;
                     detail = detail.field("under_best_schedule", ok);
                 }
@@ -1193,6 +1226,30 @@ impl Pipeline {
             "example4" => vec![6],
             _ => vec![8; want],
         })
+    }
+}
+
+/// The run's one [`Analysis`], built on first use: by the
+/// `legal_schedule` stage, or — when an injected fault knocked that stage
+/// out before it built the analysis — by the first later stage that
+/// needs it, so every stage records the outcome it would on its own.
+/// Never cached beyond one run: a cold run must measure it.
+struct SharedAnalysis<'a> {
+    p: &'a Program,
+    /// The `dependences` stage's output (`None` when it degraded).
+    deps: Option<&'a [Dependence]>,
+    cell: OnceCell<Result<Analysis<'a>, PolyhedraError>>,
+}
+
+impl<'a> SharedAnalysis<'a> {
+    fn get(&self) -> Result<&Analysis<'a>, CoreError> {
+        self.cell
+            .get_or_init(|| match self.deps {
+                Some(deps) => Analysis::with_deps(self.p, deps),
+                None => Analysis::new(self.p),
+            })
+            .as_ref()
+            .map_err(|e| CoreError::Polyhedra(e.clone()))
     }
 }
 

@@ -118,6 +118,51 @@ fn example1_flame_table_golden() {
     );
 }
 
+/// The analysis (dependences, schedule constraints, ℛ) is built once
+/// per run at any worker count, and one exact search shares it across
+/// its workers.
+#[test]
+fn analysis_is_built_once_per_run() {
+    let _guard = lock();
+    let count = |records: &[SpanRecord]| {
+        records
+            .iter()
+            .filter(|r| r.name == "schedule.analysis")
+            .count()
+    };
+    for example in ["example1", "example2"] {
+        for workers in [1, 3] {
+            aov_trace::clear();
+            aov_trace::set_enabled(true);
+            let report = Pipeline::for_example(example)
+                .unwrap()
+                .workers(workers)
+                .memoize(true)
+                .run()
+                .expect("example runs");
+            aov_trace::set_enabled(false);
+            assert_eq!(report.equivalent, Some(true));
+            assert_eq!(
+                count(&aov_trace::drain()),
+                1,
+                "{example} at {workers} workers"
+            );
+        }
+    }
+    let p = aov_ir::examples::example2();
+    aov_trace::clear();
+    aov_trace::set_enabled(true);
+    let a = aov_schedule::Analysis::new(&p).expect("example2 linearizes");
+    let found = aov_core::problems::aov_search_with(&a, 6, 3).expect("example2 has AOVs");
+    aov_trace::set_enabled(false);
+    assert_eq!(found.vector_for("A").unwrap().components(), [1, 1]);
+    assert_eq!(
+        count(&aov_trace::drain()),
+        1,
+        "aov_search_with at 3 workers"
+    );
+}
+
 /// Golden internal span tree of the problem2 stage: the stage body is
 /// fully re-attributed to `p2.*` child spans, and the polyhedral
 /// library underneath (vertex enumeration, chamber splitting, DD
@@ -131,18 +176,21 @@ fn example1_problem2_internal_span_tree_golden() {
         .iter()
         .find(|n| n.name == "pipeline.problem2")
         .expect("problem2 root");
-    // The four phases of best_schedule_for_ov, each exactly once.
-    for phase in [
-        "p2.legal_constraints",
-        "p2.dependences",
-        "p2.storage_rows",
-        "p2.solve",
-    ] {
+    // The two phases of best_schedule_for_ov, each exactly once.
+    for phase in ["p2.storage_rows", "p2.solve"] {
         assert_eq!(
             p2.children.iter().filter(|c| c.name == phase).count(),
             1,
             "problem2 must run {phase} exactly once; children: {:?}",
             p2.children.iter().map(|c| &c.name).collect::<Vec<_>>()
+        );
+    }
+    // The causality constraints and dependences come from the run's
+    // shared analysis; problem2 must not recompute them.
+    for phase in ["p2.legal_constraints", "p2.dependences"] {
+        assert!(
+            p2.children.iter().all(|c| c.name != phase),
+            "problem2 must not run {phase}"
         );
     }
     // One storage-row derivation per dependence, nested under the

@@ -136,17 +136,24 @@ fn eval_expr(e: &Expr, iter: &[i64], params: &[i64], reads: &[i64]) -> i64 {
     }
 }
 
-/// Reference per-instance values: original storage under any legal
-/// schedule (single assignment makes the result schedule-independent).
+/// Per-instance values under `sched` with original storage. For any
+/// legal schedule these are the reference values: single assignment
+/// makes them schedule-independent.
+pub fn original_values(p: &Program, params: &[i64], sched: &Schedule) -> InstanceValues {
+    let modes: Vec<StorageMode<'_>> = p.arrays().iter().map(|_| StorageMode::Original).collect();
+    run_scheduled(p, params, sched, &modes).0
+}
+
+/// Reference per-instance values: [`original_values`] under the
+/// scheduler's legal schedule.
 ///
 /// # Panics
 ///
 /// Panics if the program has no one-dimensional affine schedule.
 pub fn reference_values(p: &Program, params: &[i64]) -> InstanceValues {
-    let sched = aov_schedule::scheduler::find_schedule(p)
+    let sched = aov_schedule::scheduler::find_schedule_with(p, &[])
         .expect("reference execution needs a schedulable program");
-    let modes: Vec<StorageMode<'_>> = p.arrays().iter().map(|_| StorageMode::Original).collect();
-    run_scheduled(p, params, &sched, &modes).0
+    original_values(p, params, &sched)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The dynamic equivalence oracle.
 
-use crate::exec::{reference_values, run_scheduled};
+use crate::exec::{reference_values, run_scheduled, InstanceValues};
 use crate::store::StorageMode;
 use aov_core::transform::StorageTransform;
 use aov_ir::Program;
@@ -18,7 +18,19 @@ pub fn semantics_preserved(
     sched: &Schedule,
     transforms: &[StorageTransform],
 ) -> bool {
-    let reference = reference_values(p, params);
+    matches_reference(p, params, &reference_values(p, params), sched, transforms)
+}
+
+/// [`semantics_preserved`] against reference values the caller already
+/// computed (see [`crate::exec::original_values`]), so several schedules
+/// can share one reference execution.
+pub fn matches_reference(
+    p: &Program,
+    params: &[i64],
+    reference: &InstanceValues,
+    sched: &Schedule,
+    transforms: &[StorageTransform],
+) -> bool {
     let modes: Vec<StorageMode<'_>> = p
         .arrays()
         .iter()
@@ -31,7 +43,7 @@ pub fn semantics_preserved(
         })
         .collect();
     let (vals, _) = run_scheduled(p, params, sched, &modes);
-    vals == reference
+    vals == *reference
 }
 
 #[cfg(test)]
@@ -55,7 +67,7 @@ mod tests {
     #[test]
     fn example1_aov_semantics_across_schedules() {
         let p = example1();
-        let aov = problems::aov(&p).unwrap();
+        let aov = problems::aov_with(&p, 1).unwrap();
         let ts = transforms_for(&p, aov.vectors());
         for theta in [
             AffineExpr::from_i64(&[0, 1, 0, 0], 0),  // rows
@@ -64,7 +76,10 @@ mod tests {
             AffineExpr::from_i64(&[1, 3, 0, 0], 0),
         ] {
             let s = Schedule::uniform_for(&p, &[theta]);
-            assert!(aov_schedule::legal::is_legal(&p, &s), "test schedule legal");
+            assert!(
+                aov_schedule::Analysis::new(&p).unwrap().is_legal(&s),
+                "test schedule legal"
+            );
             assert!(
                 semantics_preserved(&p, &[7, 6], &s, &ts),
                 "AOV must survive every legal schedule"
@@ -88,7 +103,7 @@ mod tests {
     #[test]
     fn example2_aov_semantics() {
         let p = example2();
-        let aov = problems::aov(&p).unwrap();
+        let aov = problems::aov_with(&p, 1).unwrap();
         let ts = transforms_for(&p, aov.vectors());
         for (t1, t2) in [
             (
@@ -101,7 +116,7 @@ mod tests {
             ),
         ] {
             let s = Schedule::uniform_for(&p, &[t1, t2]);
-            assert!(aov_schedule::legal::is_legal(&p, &s));
+            assert!(aov_schedule::Analysis::new(&p).unwrap().is_legal(&s));
             assert!(semantics_preserved(&p, &[5, 5], &s, &ts));
         }
     }
@@ -110,7 +125,7 @@ mod tests {
     #[test]
     fn example4_sharp_aov_semantics() {
         let p = example4();
-        let aov = problems::aov(&p).unwrap();
+        let aov = problems::aov_with(&p, 1).unwrap();
         assert_eq!(aov.vector_for("A").unwrap().components(), [1, 0]);
         let ts = transforms_for(&p, aov.vectors());
         let sched = problems::best_schedule_for_ov(&p, aov.vectors()).unwrap();

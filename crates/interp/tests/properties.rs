@@ -8,7 +8,7 @@ use aov_interp::store::StorageMode;
 use aov_interp::validate::semantics_preserved;
 use aov_ir::examples::{example1, heat1d};
 use aov_linalg::AffineExpr;
-use aov_schedule::{legal, Schedule};
+use aov_schedule::{Analysis, Schedule};
 use aov_support::{prop_assume, props};
 
 props! {
@@ -24,7 +24,7 @@ props! {
         let m = g.i64_in(2, 7);
         let p = example1();
         let s = Schedule::uniform_for(&p, &[AffineExpr::from_i64(&[a, b, 0, 0], c)]);
-        prop_assume!(legal::is_legal(&p, &s));
+        prop_assume!(Analysis::new(&p).unwrap().is_legal(&s));
         let arr = p.array_by_name("A").unwrap();
         let t = StorageTransform::new(&p, arr, &OccupancyVector::new(vec![1, 2])).unwrap();
         assert!(semantics_preserved(&p, &[n, m], &s, &[t]));
@@ -42,7 +42,7 @@ props! {
         let p = heat1d();
         let s1 = Schedule::uniform_for(&p, &[AffineExpr::from_i64(&[a1, b1, 0, 0], 0)]);
         let s2 = Schedule::uniform_for(&p, &[AffineExpr::from_i64(&[a2, b2, 0, 0], 0)]);
-        prop_assume!(legal::is_legal(&p, &s1) && legal::is_legal(&p, &s2));
+        prop_assume!(Analysis::new(&p).unwrap().is_legal(&s1) && Analysis::new(&p).unwrap().is_legal(&s2));
         let modes1: Vec<StorageMode<'_>> =
             p.arrays().iter().map(|_| StorageMode::Original).collect();
         let modes2: Vec<StorageMode<'_>> =

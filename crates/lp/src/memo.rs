@@ -11,8 +11,6 @@
 //! positional index, so models that differ only in variable names
 //! (e.g. the per-orthant Farkas systems, whose multiplier names carry
 //! the enumeration index of the active dependence set) share an entry.
-//! [`set_legacy_keys`] switches back to the historical
-//! [`Display`](std::fmt::Display)-text key for A/B hit-rate comparison.
 //!
 //! # Concurrency
 //!
@@ -57,7 +55,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 pub const SHARD_COUNT: usize = 16;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static LEGACY_KEYS: AtomicBool = AtomicBool::new(false);
 /// Total-entry bound across all shards (0 = unbounded).
 static CAPACITY: AtomicUsize = AtomicUsize::new(0);
 /// Global LRU clock: bumped on every hit/insert, stamped into entries.
@@ -187,23 +184,6 @@ pub fn set_enabled(on: bool) {
 /// Whether memoization is currently active.
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Selects the cache-key scheme: `true` keys on the model's display
-/// text (variable names included, the pre-alpha-renaming behaviour),
-/// `false` (the default) on the alpha-renamed
-/// [`canonical_key`](crate::Model::canonical_key). Switching clears the
-/// cache — the two schemes' keys must never mix.
-pub fn set_legacy_keys(on: bool) {
-    let was = LEGACY_KEYS.swap(on, Ordering::Relaxed);
-    if was != on {
-        clear();
-    }
-}
-
-/// Whether the legacy display-text key scheme is active.
-pub fn legacy_keys() -> bool {
-    LEGACY_KEYS.load(Ordering::Relaxed)
 }
 
 /// Bounds the cache to roughly `capacity` entries across all shards

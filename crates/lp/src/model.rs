@@ -342,11 +342,7 @@ impl Model {
         if crate::memo::enabled() {
             let key = {
                 let _s = aov_trace::span!("lp.canonicalize");
-                if crate::memo::legacy_keys() {
-                    self.to_string()
-                } else {
-                    self.canonical_key()
-                }
+                self.canonical_key()
             };
             let claim = {
                 let _s = aov_trace::span!("lp.memo.lookup");

@@ -1,7 +1,7 @@
 //! Causality (schedule) constraints and the legal-schedule polyhedron ℛ.
 
-use crate::{linearize, BilinearForm, Schedule, ScheduleSpace};
-use aov_ir::{analysis, Dependence, Program};
+use crate::{Analysis, BilinearForm, Schedule, ScheduleSpace};
+use aov_ir::{Dependence, Program};
 use aov_linalg::{AffineExpr, QVector};
 use aov_polyhedra::{Constraint, PolyhedraError, Polyhedron};
 
@@ -66,31 +66,6 @@ pub fn difference_form(
     f
 }
 
-/// Linearized causality constraints (Eq. 11): affine forms over the
-/// schedule space, each required `>= 0`.
-///
-/// # Errors
-///
-/// Propagates [`PolyhedraError`] from domain-vertex elimination.
-pub fn schedule_constraints(
-    p: &Program,
-) -> Result<(ScheduleSpace, Vec<AffineExpr>), PolyhedraError> {
-    let space = ScheduleSpace::new(p);
-    let deps = analysis::dependences(p);
-    let mut out: Vec<AffineExpr> = Vec::new();
-    for dep in &deps {
-        let form = causality_form(p, &space, dep);
-        let depth = p.statement(dep.target).depth();
-        let rows = linearize::eliminate_to_linear(&form, &dep.domain, depth, p.param_domain())?;
-        for r in rows {
-            if !out.contains(&r) {
-                out.push(r);
-            }
-        }
-    }
-    Ok((space, out))
-}
-
 /// The polyhedron ℛ of legal one-dimensional affine schedules, in the
 /// schedule space ℰ.
 ///
@@ -100,67 +75,37 @@ pub fn schedule_constraints(
 pub fn legal_schedule_polyhedron(
     p: &Program,
 ) -> Result<(ScheduleSpace, Polyhedron), PolyhedraError> {
-    let (space, rows) = schedule_constraints(p)?;
-    let poly =
-        Polyhedron::from_constraints(space.dim(), rows.into_iter().map(Constraint::ge0).collect());
-    Ok((space, poly))
+    let a = Analysis::new(p)?;
+    Ok((a.space().clone(), a.legal().clone()))
 }
 
 /// Explains *why* no one-dimensional affine schedule exists: re-adds
-/// each dependence's causality constraints in order and names the first
-/// dependence whose constraints make ℛ empty.
+/// each dependence's causality rows in order and names the first
+/// dependence whose rows make ℛ empty.
 ///
 /// Diagnostic-quality path only (it rebuilds the polyhedron per
 /// dependence); callers invoke it after the scheduler has already
-/// reported infeasibility. Never fails: polyhedral errors degrade to a
-/// generic message.
-pub fn unschedulable_diagnostic(p: &Program) -> String {
-    let scan = || -> Result<String, PolyhedraError> {
-        let space = ScheduleSpace::new(p);
-        let deps = analysis::dependences(p);
-        let mut cons: Vec<Constraint> = Vec::new();
-        for (k, dep) in deps.iter().enumerate() {
-            let form = causality_form(p, &space, dep);
-            let depth = p.statement(dep.target).depth();
-            let rows = linearize::eliminate_to_linear(&form, &dep.domain, depth, p.param_domain())?;
-            cons.extend(rows.into_iter().map(Constraint::ge0));
-            let poly = Polyhedron::from_constraints(space.dim(), cons.clone());
-            if poly.is_empty() {
-                let source = p.statement(dep.source).name().to_string();
-                let target = p.statement(dep.target).name().to_string();
-                return Ok(format!(
-                    "no one-dimensional affine schedule exists: causality of \
-                     dependence #{k} ({source} -> {target}, read #{} of {target}) \
-                     is unsatisfiable together with the dependences before it",
-                    dep.access
-                ));
-            }
-        }
-        // ℛ is non-empty but has no integer point (or the caller
-        // mis-diagnosed); stay truthful without naming a dependence.
-        Ok("no one-dimensional affine schedule exists".to_string())
-    };
-    scan().unwrap_or_else(|e| {
-        format!("no one-dimensional affine schedule exists (diagnostic unavailable: {e})")
-    })
-}
-
-/// Exact legality check of a concrete schedule: every dependence's
-/// causality form must be nonnegative over its domain (jointly with the
-/// parameter domain).
-pub fn is_legal(p: &Program, sched: &Schedule) -> bool {
-    let space = ScheduleSpace::new(p);
-    let point = point_of(p, &space, sched);
-    for dep in analysis::dependences(p) {
-        let form = causality_form(p, &space, &dep);
-        let over_domain = form.fix_unknowns(&point);
-        let depth = p.statement(dep.target).depth();
-        let region = dep.domain.intersect(&p.embed_param_domain(depth));
-        if !region.implies_nonneg(&over_domain) {
-            return false;
+/// reported infeasibility.
+pub fn unschedulable_diagnostic(a: &Analysis) -> String {
+    let p = a.program();
+    let mut cons: Vec<Constraint> = Vec::new();
+    for (k, (dep, rows)) in a.deps().iter().zip(a.causality_rows()).enumerate() {
+        cons.extend(rows.iter().cloned().map(Constraint::ge0));
+        let poly = Polyhedron::from_constraints(a.space().dim(), cons.clone());
+        if poly.is_empty() {
+            let source = p.statement(dep.source).name();
+            let target = p.statement(dep.target).name();
+            return format!(
+                "no one-dimensional affine schedule exists: causality of \
+                 dependence #{k} ({source} -> {target}, read #{} of {target}) \
+                 is unsatisfiable together with the dependences before it",
+                dep.access
+            );
         }
     }
-    true
+    // ℛ is non-empty but has no integer point (or the caller
+    // mis-diagnosed); stay truthful without naming a dependence.
+    "no one-dimensional affine schedule exists".to_string()
 }
 
 /// Encodes a concrete schedule as a point of ℰ.
@@ -186,12 +131,17 @@ mod tests {
     use aov_ir::examples::{example1, example2, example4, prefix_sum};
     use aov_ir::StmtId;
 
+    fn is_legal(p: &Program, sched: &Schedule) -> bool {
+        Analysis::new(p).unwrap().is_legal(sched)
+    }
+
     /// §5.1.1: Example 1's simplified schedule constraints are
     /// 2a + b − 1 >= 0, b − 1 >= 0, −a + b − 1 >= 0.
     #[test]
     fn example1_constraints_match_paper() {
         let p = example1();
-        let (space, rows) = schedule_constraints(&p).unwrap();
+        let a = Analysis::new(&p).unwrap();
+        let (space, rows) = (a.space(), a.rows());
         // Project each row onto (a_i, a_j) — param/const coefficients are
         // zero for uniform dependences.
         let ai = space.iter_coeff(StmtId(0), 0);
@@ -308,14 +258,15 @@ mod tests {
     #[test]
     fn example2_linearization_matches_paper_5_2() {
         let p = example2();
-        let (space, rows) = schedule_constraints(&p).unwrap();
+        let a = Analysis::new(&p).unwrap();
+        let (space, rows) = (a.space(), a.rows());
         // 2 dependences × 4 vertices × (1 param vertex + 2 rays) = 24
         // rows before deduplication; dedup keeps it below.
         assert!(rows.len() <= 24, "got {} rows", rows.len());
         assert!(rows.len() >= 6, "got {} rows", rows.len());
         let poly = Polyhedron::from_constraints(
             space.dim(),
-            rows.into_iter().map(Constraint::ge0).collect(),
+            rows.iter().cloned().map(Constraint::ge0).collect(),
         );
         let s1 = p.stmt_by_name("S1").unwrap();
         let s2 = p.stmt_by_name("S2").unwrap();

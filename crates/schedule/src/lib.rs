@@ -10,29 +10,35 @@
 //!   vertex-based linearization of §4.4.2–4.4.3 (Theorem 1): eliminate
 //!   the iteration vector at parameterized domain vertices, then the
 //!   structural parameters at the vertices/rays of the parameter domain,
-//! * [`legal::schedule_constraints`] / [`legal::legal_schedule_polyhedron`]
-//!   — the causality constraints (Eq. 2 / Eq. 11) and the polyhedron `ℛ`
-//!   of legal schedules,
+//! * [`Analysis`] — everything the problems share for one program: the
+//!   dependences, `ℰ`, the linearized causality constraints (Eq. 2 /
+//!   Eq. 11) and the polyhedron `ℛ` of legal schedules, built once,
+//! * [`legal`] — causality forms, legality of a concrete schedule and
+//!   the unschedulability diagnostic,
 //! * [`farkas`] — the affine form of Farkas' lemma (Theorem 2), used by
 //!   the AOV solver in `aov-core`,
-//! * [`scheduler::find_schedule`] — a Feautrier-style LP scheduler
-//!   picking a shortest-coefficient legal schedule.
+//! * [`scheduler::find_schedule_with_budgeted`] — a Feautrier-style LP
+//!   scheduler picking a shortest-coefficient legal schedule.
 //!
 //! # Examples
 //!
 //! ```
+//! use aov_fault::Budget;
 //! use aov_ir::examples::example1;
-//! use aov_schedule::{legal, scheduler};
+//! use aov_schedule::{scheduler, Analysis};
 //!
 //! let p = example1();
-//! let sched = scheduler::find_schedule(&p).expect("example1 is schedulable");
-//! assert!(legal::is_legal(&p, &sched));
+//! let a = Analysis::new(&p).expect("example1 linearizes");
+//! let sched = scheduler::find_schedule_with_budgeted(&a, &[], &Budget::unlimited())
+//!     .expect("example1 is schedulable");
+//! assert!(a.is_legal(&sched));
 //! ```
 
 // Library code must surface failures as values (see `aov-fault`);
 // `unwrap`/`expect` are reserved for tests.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod analysis;
 mod bilinear;
 pub mod farkas;
 pub mod legal;
@@ -40,5 +46,6 @@ pub mod linearize;
 pub mod scheduler;
 mod space;
 
+pub use analysis::Analysis;
 pub use bilinear::BilinearForm;
 pub use space::{Schedule, ScheduleSpace};

@@ -6,7 +6,7 @@
 //! coefficients, then constants. This favors maximally parallel
 //! schedules like the paper's `Θ = j` for Example 1.
 
-use crate::{legal, Schedule, ScheduleSpace};
+use crate::{Analysis, Schedule};
 use aov_fault::{AovError, Budget};
 use aov_ir::Program;
 use aov_linalg::AffineExpr;
@@ -53,93 +53,61 @@ impl From<AovError> for ScheduleError {
     }
 }
 
-/// Finds a legal schedule with small integer coefficients.
-///
-/// # Errors
-///
-/// [`ScheduleError::Infeasible`] when ℛ is empty (no one-dimensional
-/// affine schedule exists).
-pub fn find_schedule(p: &Program) -> Result<Schedule, ScheduleError> {
-    find_schedule_with(p, &[])
-}
-
-/// Finds a legal schedule additionally satisfying `extra` affine
-/// constraints over the schedule space (used for Problem 2: a schedule
-/// valid for given occupancy vectors).
+/// Finds a legal schedule with small integer coefficients that also
+/// satisfies the `extra` affine constraints over the schedule space.
 ///
 /// # Errors
 ///
 /// [`ScheduleError::Infeasible`] when no schedule satisfies the combined
-/// constraints.
+/// constraints; [`ScheduleError::Polyhedra`] when the causality
+/// constraints cannot be linearized.
 pub fn find_schedule_with(p: &Program, extra: &[Constraint]) -> Result<Schedule, ScheduleError> {
-    find_schedule_with_budgeted(p, extra, &Budget::unlimited())
+    let extra: Vec<(AffineExpr, Cmp)> = extra
+        .iter()
+        .map(|c| {
+            let cmp = if c.is_equality() { Cmp::Eq } else { Cmp::Ge };
+            (c.expr().clone(), cmp)
+        })
+        .collect();
+    find_schedule_with_budgeted(&Analysis::new(p)?, &extra, &Budget::unlimited())
 }
 
-/// [`find_schedule_with`] under a [`Budget`] checked at LP pivot / ILP
-/// node granularity.
+/// Searches ℛ for a small schedule under a [`Budget`] checked at LP
+/// pivot / ILP node granularity. The ILP holds the causality rows of
+/// `a` (`>= 0`), then each `extra` row `expr cmp 0` in order (Problem 2
+/// passes its storage rows here).
 ///
 /// # Errors
 ///
 /// [`ScheduleError::Fault`] when the budget trips or a fault is
 /// injected; [`ScheduleError::Infeasible`] when no schedule satisfies
 /// the combined constraints.
-pub fn find_schedule_with_budgeted(
-    p: &Program,
-    extra: &[Constraint],
-    budget: &Budget,
-) -> Result<Schedule, ScheduleError> {
-    let (space, rows) = legal::schedule_constraints(p)?;
-    solve_budgeted(p, &space, rows, extra, budget)
-}
-
-/// Shared LP construction for schedule search (unlimited budget).
-pub fn solve(
-    p: &Program,
-    space: &ScheduleSpace,
-    rows: Vec<AffineExpr>,
-    extra: &[Constraint],
-) -> Result<Schedule, ScheduleError> {
-    solve_budgeted(p, space, rows, extra, &Budget::unlimited())
-}
-
-/// Shared LP construction for schedule search, under `budget`.
-///
-/// # Errors
-///
-/// [`ScheduleError::Fault`] on budget trips/injected faults,
-/// [`ScheduleError::Infeasible`] when the combined constraints have no
-/// integer solution.
 ///
 /// # Panics
 ///
-/// Panics when an `extra` constraint's dimension disagrees with the
-/// schedule space (caller invariant).
-pub fn solve_budgeted(
-    p: &Program,
-    space: &ScheduleSpace,
-    rows: Vec<AffineExpr>,
-    extra: &[Constraint],
+/// Panics when an `extra` row's dimension disagrees with the schedule
+/// space (caller invariant).
+pub fn find_schedule_with_budgeted(
+    a: &Analysis,
+    extra: &[(AffineExpr, Cmp)],
     budget: &Budget,
 ) -> Result<Schedule, ScheduleError> {
+    let (p, space) = (a.program(), a.space());
     aov_fault::chaos::tick("schedule.solve").map_err(ScheduleError::Fault)?;
     let mut m = Model::new();
     for name in space.vars().names() {
         let v = m.add_var(name.clone());
         m.set_integer(v);
     }
-    for r in rows {
-        m.constrain(r, Cmp::Ge);
+    for r in a.rows() {
+        m.constrain(r.clone(), Cmp::Ge);
     }
-    for c in extra {
-        assert_eq!(c.dim(), space.dim(), "extra constraint dimension");
-        m.constrain(
-            c.expr().clone(),
-            if c.is_equality() { Cmp::Eq } else { Cmp::Ge },
-        );
+    for (e, cmp) in extra {
+        assert_eq!(e.dim(), space.dim(), "extra constraint dimension");
+        m.constrain(e.clone(), *cmp);
     }
     // Objective: weighted Manhattan norms — iteration coefficients
     // dominate, then parameter coefficients, then constants.
-    let mut objective = AffineExpr::zero(space.dim());
     let mut abs_terms: Vec<(aov_lp::VarId, i64)> = Vec::new();
     for s in p.stmt_ids() {
         let st = p.statement(s);
@@ -151,7 +119,6 @@ pub fn solve_budgeted(
         }
         abs_terms.push((aov_lp::VarId::from_index(space.const_coeff(s)), 1));
     }
-    let _ = &mut objective;
     let mut obj_terms: Vec<(usize, i64)> = Vec::new();
     for (var, weight) in abs_terms {
         let a = m.add_abs_bound(var, format!("abs_{}", var.index()));
@@ -183,14 +150,23 @@ pub fn solve_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScheduleSpace;
     use aov_ir::examples::{example1, example2, example3, example4, prefix_sum, wavefront2d};
-    use aov_ir::StmtId;
+    use aov_ir::{Program, StmtId};
+
+    fn find_schedule(p: &Program) -> Result<Schedule, ScheduleError> {
+        find_schedule_with(p, &[])
+    }
+
+    fn is_legal(p: &Program, sched: &Schedule) -> bool {
+        Analysis::new(p).unwrap().is_legal(sched)
+    }
 
     #[test]
     fn example1_scheduler_finds_row_schedule() {
         let p = example1();
         let s = find_schedule(&p).unwrap();
-        assert!(legal::is_legal(&p, &s));
+        assert!(is_legal(&p, &s));
         // The minimal-coefficient legal schedule is Θ = j (+ const 0).
         let th = s.theta(StmtId(0));
         assert_eq!(th.coeff(0).to_i64(), Some(0));
@@ -201,28 +177,28 @@ mod tests {
     fn example2_schedule_found_and_legal() {
         let p = example2();
         let s = find_schedule(&p).unwrap();
-        assert!(legal::is_legal(&p, &s));
+        assert!(is_legal(&p, &s));
     }
 
     #[test]
     fn example3_schedule_found_and_legal() {
         let p = example3();
         let s = find_schedule(&p).unwrap();
-        assert!(legal::is_legal(&p, &s));
+        assert!(is_legal(&p, &s));
     }
 
     #[test]
     fn example4_schedule_found_and_legal() {
         let p = example4();
         let s = find_schedule(&p).unwrap();
-        assert!(legal::is_legal(&p, &s));
+        assert!(is_legal(&p, &s));
     }
 
     #[test]
     fn auxiliary_programs_schedulable() {
         for p in [prefix_sum(), wavefront2d()] {
             let s = find_schedule(&p).unwrap();
-            assert!(legal::is_legal(&p, &s), "{}", p.name());
+            assert!(is_legal(&p, &s), "{}", p.name());
         }
     }
 
@@ -237,7 +213,7 @@ mod tests {
                 - &AffineExpr::constant(dim, 1.into()),
         );
         let s = find_schedule_with(&p, &[c]).unwrap();
-        assert!(legal::is_legal(&p, &s));
+        assert!(is_legal(&p, &s));
         assert_eq!(s.theta(StmtId(0)).coeff(0).to_i64(), Some(1));
     }
 

@@ -8,24 +8,30 @@
 //! transformation and transformed code, and validates the result both
 //! statically (exact checker) and dynamically (interpreter).
 
-use aov::core::{check::Checker, codegen, problems::AovSolver, transform::StorageTransform};
+use aov::core::{check::Checker, codegen, problems, transform::StorageTransform};
 use aov::interp::validate::semantics_preserved;
 use aov::ir::examples::example1;
 use aov::linalg::AffineExpr;
-use aov::schedule::{scheduler, Schedule};
+use aov::schedule::{scheduler, Analysis, Schedule};
+use aov_fault::Budget;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = example1();
+    program.validate()?;
     println!("== program ==\n{program}");
     println!("== original code ==\n{}", codegen::original_code(&program));
 
+    // The shared analysis: dependences, schedule constraints and the
+    // polyhedron ℛ of legal schedules, computed once.
+    let analysis = Analysis::new(&program)?;
+
     // A maximally parallel schedule (the scheduler finds Θ = j).
-    let sched = scheduler::find_schedule(&program)?;
+    let sched = scheduler::find_schedule_with_budgeted(&analysis, &[], &Budget::unlimited())?;
     println!("== schedule ==\n{}", sched.display(&program));
 
     // Problem 3: the shortest occupancy vector valid for EVERY legal
     // affine schedule.
-    let solution = AovSolver::new(&program)?.solve()?;
+    let solution = problems::aov_budgeted(&analysis, 1, &Budget::unlimited())?;
     println!("== AOV ==\n{solution}");
     let v = solution.vector_for("A").expect("array A");
     assert_eq!(v.components(), [1, 2], "the paper's Figure 5 result");
@@ -45,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Static validation: v is valid for every legal affine schedule.
-    let mut checker = Checker::new(&program);
+    let checker = Checker::new(&analysis);
     assert!(checker.valid_for_all_schedules(a, v.components())?);
 
     // Dynamic validation: run original vs transformed under several

@@ -10,6 +10,7 @@
 use aov::core::{problems, CoreError, OccupancyVector};
 use aov::ir::examples::example1;
 use aov::linalg::{AffineExpr, QVector};
+use aov::schedule::Analysis;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = example1();
@@ -28,7 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Figure 4: the slope picture for v = (0, 2).
-    let (space, poly) = problems::schedules_for_ov(&program, &[OccupancyVector::new(vec![0, 2])])?;
+    let analysis = Analysis::new(&program)?;
+    let space = analysis.space();
+    let poly = problems::schedules_for_ov(&analysis, &[OccupancyVector::new(vec![0, 2])])?;
     let sid = aov::ir::StmtId(0);
     println!("\nschedules Θ = a·i + b·j valid for v = (0,2):");
     println!("      b = 1   2   3   4   5   6");
@@ -48,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // storage can shrink to a single row.
     let row =
         aov::schedule::Schedule::uniform_for(&program, &[AffineExpr::from_i64(&[0, 1, 0, 0], 0)]);
-    let ov = problems::ov_for_schedule(&program, &row)?;
+    let ov = problems::ov_for_schedule_with(&program, &row, 1)?;
     println!("\nshortest OV for Θ = j: {}", ov.vector_for("A").unwrap());
     Ok(())
 }

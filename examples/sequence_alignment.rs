@@ -8,11 +8,12 @@
 //! ```
 
 use aov::core::{problems, transform::StorageTransform};
-use aov::interp::exec::{reference_values, run_scheduled};
+use aov::interp::exec::{original_values, run_scheduled};
 use aov::interp::store::StorageMode;
 use aov::ir::examples::example3;
 use aov::machine::{experiments, MachineConfig};
-use aov::schedule::scheduler;
+use aov::schedule::{scheduler, Analysis};
+use aov_fault::Budget;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = example3();
@@ -20,7 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The headline analysis: AOV (1,1,1) despite 19 dependences and the
     // boundary-writer pruning of §5.3.
-    let aov = problems::aov(&program)?;
+    let analysis = Analysis::new(&program)?;
+    let aov = problems::aov_budgeted(&analysis, 1, &Budget::unlimited())?;
     let v = aov.vector_for("D").expect("array D");
     println!("AOV of the DP cube: v = {v}");
 
@@ -37,8 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Execute the real recurrence (min/add interpreted, w hashed) with
     // both storages under a legal schedule and compare every value.
-    let sched = scheduler::find_schedule(&program)?;
-    let reference = reference_values(&program, &[x, y, z]);
+    let sched = scheduler::find_schedule_with_budgeted(&analysis, &[], &Budget::unlimited())?;
+    let reference = original_values(&program, &[x, y, z], &sched);
     let modes: Vec<StorageMode<'_>> = program
         .arrays()
         .iter()

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== program ==\n{program}");
 
     // Problem 3 on a two-array program: each array gets its own AOV.
-    let aov = problems::aov(&program)?;
+    let aov = problems::aov_with(&program, 1)?;
     println!("AOVs:\n{aov}");
     assert_eq!(aov.vector_for("A").unwrap().components(), [1, 1]);
     assert_eq!(aov.vector_for("B").unwrap().components(), [1, 1]);

@@ -26,8 +26,6 @@
 //!                      (default: available parallelism, capped at 8)
 //!   --sequential       shorthand for --workers 1
 //!   --memoize          enable the LP memoization cache
-//!   --legacy-memo-keys key the cache on raw model text instead of the
-//!                      alpha-renamed canonical form (A/B comparison)
 //!   --machine          include the §6 simulated-speedup stage
 //!   --params A,B       parameter sizes for the equivalence oracle
 //!   --runs N           repeat the pipeline N times; the report carries
@@ -228,7 +226,6 @@ struct Options {
     check_syntax: bool,
     workers: usize,
     memoize: bool,
-    legacy_memo_keys: bool,
     machine: bool,
     params: Option<Vec<i64>>,
     runs: usize,
@@ -248,7 +245,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: aov <example1|example2|example3|example4|unschedulable|all> \
-         [--workers N] [--sequential] [--memoize] [--legacy-memo-keys] \
+         [--workers N] [--sequential] [--memoize] \
          [--machine] [--params A,B,..] [--runs N] [--compact] \
          [--trace FILE] [--profile] [--profile-out FILE] [--progress] \
          [--mem] [--diag-dir DIR] \
@@ -314,7 +311,6 @@ fn parse(args: &[String], run_mode: bool) -> Options {
         check_syntax: false,
         workers: aov_bench::default_workers(),
         memoize: false,
-        legacy_memo_keys: false,
         machine: false,
         params: None,
         runs: 1,
@@ -342,7 +338,6 @@ fn parse(args: &[String], run_mode: bool) -> Options {
             },
             "--sequential" => opts.workers = 1,
             "--memoize" => opts.memoize = true,
-            "--legacy-memo-keys" => opts.legacy_memo_keys = true,
             "--machine" => opts.machine = true,
             "--params" => match it.next() {
                 Some(spec) => {
@@ -1996,9 +1991,6 @@ fn main() {
     if tracing {
         aov_trace::set_enabled(true);
     }
-    if opts.legacy_memo_keys {
-        aov_lp::memo::set_legacy_keys(true);
-    }
 
     // The sampler only reads: flight-recorder snapshots and relaxed
     // counter loads. Solver threads never see it.
@@ -2150,14 +2142,9 @@ fn print_profile(
     let misses = report.counter("lp.memo.misses");
     match report.memo_hit_rate() {
         Some(rate) => eprintln!(
-            "memo: {hits} hits / {} lookups ({:.1}% hit rate, {})",
+            "memo: {hits} hits / {} lookups ({:.1}% hit rate)",
             hits + misses,
-            rate * 100.0,
-            if aov_lp::memo::legacy_keys() {
-                "legacy keys"
-            } else {
-                "canonical keys"
-            }
+            rate * 100.0
         ),
         None => eprintln!("memo: no lookups"),
     }

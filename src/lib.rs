@@ -37,11 +37,11 @@
 //!
 //! ```
 //! use aov::ir::examples::example1;
-//! use aov::core::problems::AovSolver;
+//! use aov::core::problems;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let program = example1();
-//! let solution = AovSolver::new(&program)?.solve()?;
+//! let solution = problems::aov_with(&program, 1)?;
 //! let v = &solution.vector_for("A").unwrap();
 //! assert_eq!(v.components(), [1, 2]); // the paper's Figure 5 AOV
 //! # Ok(())

@@ -6,7 +6,7 @@ use aov::core::{check::Checker, problems, transform::StorageTransform, uov, Occu
 use aov::interp::validate::semantics_preserved;
 use aov::ir::examples;
 use aov::linalg::AffineExpr;
-use aov::schedule::{legal, scheduler, Schedule};
+use aov::schedule::{scheduler, Analysis, Schedule};
 
 /// End-to-end on Example 1: every stage feeds the next and the final
 /// artifact is dynamically equivalent.
@@ -17,10 +17,10 @@ fn example1_end_to_end() {
     let deps = aov::ir::analysis::dependences(&p);
     assert_eq!(deps.len(), 3);
 
-    let sched = scheduler::find_schedule(&p).expect("schedulable");
-    assert!(legal::is_legal(&p, &sched));
+    let sched = scheduler::find_schedule_with(&p, &[]).expect("schedulable");
+    assert!(Analysis::new(&p).unwrap().is_legal(&sched));
 
-    let aov = problems::aov(&p).expect("AOV exists");
+    let aov = problems::aov_with(&p, 1).expect("AOV exists");
     let v = aov.vector_for("A").unwrap();
     assert_eq!(v.components(), [1, 2]);
 
@@ -42,7 +42,7 @@ fn farkas_and_search_agree() {
         examples::wavefront2d(),
         examples::heat1d(),
     ] {
-        let lp = problems::aov(&p).unwrap_or_else(|e| panic!("{}: {e}", p.name()));
+        let lp = problems::aov_with(&p, 1).unwrap_or_else(|e| panic!("{}: {e}", p.name()));
         let search = problems::aov_search(&p, 6).unwrap_or_else(|e| panic!("{}: {e}", p.name()));
         assert_eq!(lp, search, "solver disagreement on {}", p.name());
     }
@@ -59,8 +59,9 @@ fn problem1_methods_agree_across_schedules() {
         AffineExpr::from_i64(&[-1, 3, 0, 0], 0),
     ] {
         let s = Schedule::uniform_for(&p, &[theta]);
-        let lp = problems::ov_for_schedule(&p, &s).expect("solvable");
-        let search = problems::ov_for_schedule_search(&p, &s, 6).expect("solvable");
+        let lp = problems::ov_for_schedule_with(&p, &s, 1).expect("solvable");
+        let search =
+            problems::ov_for_schedule_search(&Analysis::new(&p).unwrap(), &s, 6).expect("solvable");
         assert_eq!(
             lp.vector_for("A").unwrap().manhattan(),
             search.vector_for("A").unwrap().manhattan(),
@@ -79,10 +80,11 @@ fn aov_dominates_schedule_specific_ov() {
         examples::example2(),
         examples::wavefront2d(),
     ] {
-        let sched = scheduler::find_schedule(&p).expect("schedulable");
-        let specific = problems::ov_for_schedule(&p, &sched).expect("solvable");
-        let universal = problems::aov(&p).expect("solvable");
-        let checker = Checker::new(&p);
+        let sched = scheduler::find_schedule_with(&p, &[]).expect("schedulable");
+        let specific = problems::ov_for_schedule_with(&p, &sched, 1).expect("solvable");
+        let universal = problems::aov_with(&p, 1).expect("solvable");
+        let analysis = Analysis::new(&p).unwrap();
+        let checker = Checker::new(&analysis);
         for (aidx, a) in p.arrays().iter().enumerate() {
             let aid = aov::ir::ArrayId(aidx);
             let sv = specific.vector_for(a.name()).unwrap();
@@ -101,9 +103,16 @@ fn aov_dominates_schedule_specific_ov() {
 #[test]
 fn uov_is_also_an_aov() {
     let p = examples::example1();
-    let u = uov::shortest_uov(&p, aov::ir::ArrayId(0), 6).expect("stencil");
+    let u = uov::shortest_uov(
+        &p,
+        &aov::ir::analysis::dependences(&p),
+        aov::ir::ArrayId(0),
+        6,
+    )
+    .expect("stencil");
     assert_eq!(u.components(), [0, 3]);
-    let mut checker = Checker::new(&p);
+    let analysis = Analysis::new(&p).unwrap();
+    let checker = Checker::new(&analysis);
     assert!(checker
         .valid_for_all_schedules(aov::ir::ArrayId(0), u.components())
         .expect("checkable"));
@@ -117,7 +126,7 @@ fn problem2_roundtrip_and_budget_cliff() {
     let p = examples::example1();
     let v = OccupancyVector::new(vec![0, 2]);
     let sched = problems::best_schedule_for_ov(&p, std::slice::from_ref(&v)).expect("schedulable");
-    assert!(legal::is_legal(&p, &sched));
+    assert!(Analysis::new(&p).unwrap().is_legal(&sched));
     let a = p.array_by_name("A").unwrap();
     let t = StorageTransform::new(&p, a, &v).expect("transformable");
     assert!(semantics_preserved(&p, &[8, 8], &sched, &[t]));
@@ -132,7 +141,7 @@ fn problem2_roundtrip_and_budget_cliff() {
 #[test]
 fn example4_end_to_end() {
     let p = examples::example4();
-    let aovs = problems::aov(&p).expect("solvable");
+    let aovs = problems::aov_with(&p, 1).expect("solvable");
     let ts: Vec<StorageTransform> = p
         .arrays()
         .iter()
@@ -154,7 +163,7 @@ fn auxiliary_programs_end_to_end() {
         examples::wavefront2d(),
         examples::heat1d(),
     ] {
-        let aovs = problems::aov(&p).unwrap_or_else(|e| panic!("{}: {e}", p.name()));
+        let aovs = problems::aov_with(&p, 1).unwrap_or_else(|e| panic!("{}: {e}", p.name()));
         let ts: Vec<StorageTransform> = p
             .arrays()
             .iter()
@@ -184,6 +193,6 @@ fn rejected_vectors_break_dynamically() {
     // (0,1) is not an AOV; witness schedule Θ = i + 2j breaks it.
     let t = StorageTransform::new(&p, a, &OccupancyVector::new(vec![0, 1])).unwrap();
     let witness = Schedule::uniform_for(&p, &[AffineExpr::from_i64(&[1, 2, 0, 0], 0)]);
-    assert!(legal::is_legal(&p, &witness));
+    assert!(Analysis::new(&p).unwrap().is_legal(&witness));
     assert!(!semantics_preserved(&p, &[8, 7], &witness, &[t]));
 }

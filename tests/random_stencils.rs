@@ -7,7 +7,7 @@ use aov::core::{check::Checker, problems, transform::StorageTransform};
 use aov::interp::validate::semantics_preserved;
 use aov::ir::{Expr, Program, ProgramBuilder};
 use aov::linalg::AffineExpr;
-use aov::schedule::{legal, scheduler, Schedule};
+use aov::schedule::{scheduler, Analysis, Schedule};
 use aov_support::{props, Rng};
 
 /// 1–3 distinct read offsets in `[-2, 2]`, sorted (mirrors the original
@@ -54,7 +54,7 @@ props! {
         let p = stencil_program(&offsets);
 
         // Both engines find vectors with the same (optimal) objective.
-        let farkas = problems::aov(&p).expect("AOV exists for j-carried stencils");
+        let farkas = problems::aov_with(&p, 1).expect("AOV exists for j-carried stencils");
         let search = problems::aov_search(&p, 8).expect("search must find it too");
         assert_eq!(
             farkas.objective(),
@@ -66,7 +66,8 @@ props! {
         );
 
         // Both answers pass the exact checker.
-        let mut checker = Checker::new(&p);
+        let analysis = Analysis::new(&p).unwrap();
+        let checker = Checker::new(&analysis);
         let a = p.array_by_name("A").unwrap();
         for r in [&farkas, &search] {
             let v = r.vector_for("A").unwrap();
@@ -82,12 +83,12 @@ props! {
         // legal schedule.
         let v = farkas.vector_for("A").unwrap();
         let t = StorageTransform::new(&p, a, v).expect("transformable");
-        let sched = scheduler::find_schedule(&p).expect("schedulable");
+        let sched = scheduler::find_schedule_with(&p, &[]).expect("schedulable");
         assert!(semantics_preserved(&p, &[7, 6], &sched, std::slice::from_ref(&t)));
         // A steep skew is legal for any j-carried stencil with |di| <= 2:
         // Θ = i + 4j satisfies 4 - di·1 >= 1.
         let skew = Schedule::uniform_for(&p, &[AffineExpr::from_i64(&[1, 4, 0, 0], 0)]);
-        assert!(legal::is_legal(&p, &skew));
+        assert!(Analysis::new(&p).unwrap().is_legal(&skew));
         assert!(semantics_preserved(&p, &[7, 6], &skew, std::slice::from_ref(&t)));
     }
 
@@ -97,9 +98,9 @@ props! {
         let offsets = random_offsets(g);
         let p = stencil_program(&offsets);
         let row = Schedule::uniform_for(&p, &[AffineExpr::from_i64(&[0, 1, 0, 0], 0)]);
-        assert!(legal::is_legal(&p, &row));
-        let specific = problems::ov_for_schedule(&p, &row).expect("solvable");
-        let universal = problems::aov(&p).expect("solvable");
+        assert!(Analysis::new(&p).unwrap().is_legal(&row));
+        let specific = problems::ov_for_schedule_with(&p, &row, 1).expect("solvable");
+        let universal = problems::aov_with(&p, 1).expect("solvable");
         let sv = specific.vector_for("A").unwrap();
         let uv = universal.vector_for("A").unwrap();
         assert!(sv.manhattan() <= uv.manhattan());
