@@ -26,7 +26,6 @@ use aov_machine::{experiments, MachineConfig};
 use aov_schedule::{Analysis, Schedule};
 use aov_support::{Json, ToJson};
 
-pub mod legacy;
 pub mod observatory;
 pub mod pdiff;
 pub mod regress;

@@ -540,14 +540,16 @@ pub fn aov_budgeted(a: &Analysis, workers: usize, budget: &Budget) -> Result<OvR
                     fi += 1;
                     let total = m.num_vars();
                     for eq in &sys.equations {
-                        // lhs(v) − Σ_j mult_j λ_j == 0.
-                        let map: Vec<usize> = (0..ov_space.dim()).collect();
-                        let mut e = eq.lhs.embed(total, &map);
+                        // lhs(v) − Σ_j mult_j λ_j == 0, as one row.
+                        let mut row = Vec::with_capacity(total);
+                        row.extend_from_slice(eq.lhs.coeffs().as_slice());
+                        row.resize(total, aov_numeric::Rational::zero());
                         for (j, c) in eq.multipliers.iter().enumerate() {
                             if !c.is_zero() {
-                                e = &e - &AffineExpr::var(total, lambda_base + j).scale(c);
+                                row[lambda_base + j] = -c;
                             }
                         }
+                        let e = AffineExpr::from_parts(row.into(), eq.lhs.constant_term().clone());
                         m.constrain(e, Cmp::Eq);
                     }
                 }

@@ -78,8 +78,9 @@ pub(crate) fn solve(model: &Model, budget: &Budget) -> Result<LpOutcome, AovErro
                             &AffineExpr::var(n, i) - &AffineExpr::constant(n, floor),
                             Cmp::Le,
                         );
-                        // x_i >= ceil
-                        let mut hi = node.clone();
+                        // x_i >= ceil, reusing the parent (pushed last,
+                        // so the DFS order is unchanged)
+                        let mut hi = node;
                         hi.constrain(
                             &AffineExpr::var(n, i) - &AffineExpr::constant(n, ceil),
                             Cmp::Ge,

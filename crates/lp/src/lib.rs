@@ -42,6 +42,8 @@
 mod branch_bound;
 pub mod memo;
 mod model;
+#[cfg(test)]
+mod reference;
 mod simplex;
 
 pub use model::{Cmp, LpOutcome, Model, Solution, VarId};

@@ -350,39 +350,6 @@ pub fn claim(key: &str) -> Claim {
     }
 }
 
-/// Non-blocking probe, kept for A/B tests and tooling: bumps the
-/// hit/miss counters like [`claim`] but never installs a flight.
-pub fn lookup(key: &str) -> Option<LpOutcome> {
-    let mut shard = shard(key);
-    let hit = match shard.get_mut(key) {
-        Some(Entry::Ready { outcome, stamp }) => {
-            *stamp = next_stamp();
-            Some(outcome.clone())
-        }
-        _ => None,
-    };
-    if hit.is_some() {
-        aov_support::static_counter!("lp.memo.hits").fetch_add(1, Ordering::Relaxed);
-    } else {
-        aov_support::static_counter!("lp.memo.misses").fetch_add(1, Ordering::Relaxed);
-    }
-    hit
-}
-
-/// Direct insertion (bypasses single-flight), kept for tests and
-/// warm-start tooling.
-pub fn store(key: String, outcome: &LpOutcome) {
-    let mut stripe = shard(&key);
-    stripe.insert(
-        key,
-        Entry::Ready {
-            outcome: outcome.clone(),
-            stamp: next_stamp(),
-        },
-    );
-    enforce_capacity(&mut stripe);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,23 +393,27 @@ mod tests {
     }
 
     /// Cache-sharing across renamed models, exercised through the raw
-    /// lookup/store layer (the global enable flag stays untouched so
-    /// parallel tests are unaffected).
+    /// claim layer (the global enable flag stays untouched so parallel
+    /// tests are unaffected).
     #[test]
     fn renamed_models_share_cache_entries() {
         let (a, b) = renamed_models();
         let outcome = a.solve_lp();
-        store(a.canonical_key(), &outcome);
-        assert_eq!(
-            lookup(&b.canonical_key()),
-            Some(outcome.clone()),
-            "alpha-renamed model must hit"
-        );
+        let Claim::Miss(guard) = claim(&a.canonical_key()) else {
+            panic!("first claim must miss");
+        };
+        guard.complete(&outcome);
+        match claim(&b.canonical_key()) {
+            Claim::Hit(got) => assert_eq!(got, outcome, "alpha-renamed model must hit"),
+            Claim::Miss(_) => panic!("alpha-renamed model must hit"),
+        }
         // Under the legacy display-text scheme the rename misses.
-        store(a.to_string(), &outcome);
-        assert_eq!(
-            lookup(&b.to_string()),
-            None,
+        let Claim::Miss(guard) = claim(&a.to_string()) else {
+            panic!("first claim must miss");
+        };
+        guard.complete(&outcome);
+        assert!(
+            matches!(claim(&b.to_string()), Claim::Miss(_)),
             "legacy keys distinguish names"
         );
     }

@@ -86,8 +86,8 @@ impl LpOutcome {
 ///
 /// Variables are unbounded (free) by default. Constraint expressions are
 /// affine forms over the model variables in creation order; expressions of
-/// smaller dimension (built before later variables were added) are padded
-/// with zero coefficients at solve time.
+/// smaller dimension (built before later variables were added) are stored
+/// as given and read as zero on the missing variables.
 ///
 /// # Examples
 ///
@@ -153,11 +153,6 @@ impl Model {
         self.constraints.len()
     }
 
-    /// Name of a variable.
-    pub fn var_name(&self, v: VarId) -> &str {
-        self.vars.name(v.0)
-    }
-
     /// Sets a lower bound.
     pub fn set_lower_bound(&mut self, v: VarId, bound: Rational) {
         self.lower[v.0] = Some(bound);
@@ -189,11 +184,6 @@ impl Model {
         self.constraints.push((expr, cmp));
     }
 
-    /// Convenience: `expr >= 0`.
-    pub fn require_nonneg(&mut self, expr: AffineExpr) {
-        self.constrain(expr, Cmp::Ge);
-    }
-
     /// Sets the objective to minimize.
     ///
     /// # Panics
@@ -206,13 +196,6 @@ impl Model {
             "objective dimension mismatch"
         );
         self.objective = Some(expr);
-    }
-
-    /// Sets the objective to maximize (stored negated).
-    pub fn maximize(&mut self, expr: AffineExpr) {
-        self.minimize(-&expr);
-        // Note: reported objective is the minimized value; callers that
-        // maximize should negate `Solution::objective`.
     }
 
     /// Adds a variable `a` with `a >= x` and `a >= -x`, so that minimizing
@@ -231,29 +214,16 @@ impl Model {
         a
     }
 
-    /// Pads an expression with zero coefficients up to the current
-    /// variable count.
-    pub(crate) fn pad(&self, e: &AffineExpr) -> AffineExpr {
-        if e.dim() == self.num_vars() {
-            e.clone()
-        } else {
-            let map: Vec<usize> = (0..e.dim()).collect();
-            e.embed(self.num_vars(), &map)
-        }
+    /// The stored constraints, each over a prefix of the variables
+    /// (missing trailing coefficients are zero).
+    pub(crate) fn constraints(&self) -> &[(AffineExpr, Cmp)] {
+        &self.constraints
     }
 
-    pub(crate) fn padded_constraints(&self) -> Vec<(AffineExpr, Cmp)> {
-        self.constraints
-            .iter()
-            .map(|(e, c)| (self.pad(e), *c))
-            .collect()
-    }
-
-    pub(crate) fn padded_objective(&self) -> AffineExpr {
-        match &self.objective {
-            Some(e) => self.pad(e),
-            None => AffineExpr::zero(self.num_vars()),
-        }
+    /// The stored objective, over a prefix of the variables; `None`
+    /// means the zero objective.
+    pub(crate) fn objective(&self) -> Option<&AffineExpr> {
+        self.objective.as_ref()
     }
 
     pub(crate) fn bounds(&self) -> (&[Option<Rational>], &[Option<Rational>]) {
@@ -282,7 +252,10 @@ impl Model {
         }
         let mut out = String::with_capacity(64 * (1 + self.constraints.len()));
         out.push_str("min ");
-        push_expr(&mut out, &self.padded_objective());
+        push_expr(
+            &mut out,
+            self.objective.as_ref().unwrap_or(&AffineExpr::default()),
+        );
         for (e, c) in &self.constraints {
             out.push('\n');
             out.push_str(match c {
@@ -290,7 +263,7 @@ impl Model {
                 Cmp::Le => "<=0 ",
                 Cmp::Eq => "==0 ",
             });
-            push_expr(&mut out, &self.pad(e));
+            push_expr(&mut out, e);
         }
         for (i, (lo, hi)) in self.lower.iter().zip(&self.upper).enumerate() {
             if lo.is_some() || hi.is_some() || self.integer[i] {
@@ -441,11 +414,9 @@ impl Model {
 
 impl fmt::Display for Model {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "minimize {}",
-            self.padded_objective().display(&self.vars)
-        )?;
+        let zero = AffineExpr::default();
+        let objective = self.objective.as_ref().unwrap_or(&zero);
+        writeln!(f, "minimize {}", objective.display(&self.vars))?;
         writeln!(f, "subject to")?;
         for (e, c) in &self.constraints {
             let rel = match c {
@@ -453,7 +424,7 @@ impl fmt::Display for Model {
                 Cmp::Le => "<=",
                 Cmp::Eq => "==",
             };
-            writeln!(f, "  {} {rel} 0", self.pad(e).display(&self.vars))?;
+            writeln!(f, "  {} {rel} 0", e.display(&self.vars))?;
         }
         for (i, (lo, hi)) in self.lower.iter().zip(&self.upper).enumerate() {
             if lo.is_some() || hi.is_some() || self.integer[i] {
@@ -471,5 +442,55 @@ impl fmt::Display for Model {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Expressions written before later variables existed, as the
+    /// Farkas build writes them, plus bounds and integer marks.
+    fn short_model() -> Model {
+        let mut m = Model::new();
+        let x = m.add_var("x");
+        m.constrain(
+            AffineExpr::from_parts(QVector::from_vec(vec![Rational::new(1, 2)]), (-3).into()),
+            Cmp::Ge,
+        );
+        let y = m.add_nonneg_var("y");
+        m.set_integer(y);
+        m.constrain(AffineExpr::from_i64(&[1, 0], -4), Cmp::Eq);
+        let z = m.add_var("z");
+        m.set_lower_bound(z, (-1).into());
+        m.set_upper_bound(z, Rational::new(7, 3));
+        m.set_integer(x);
+        m.constrain(AffineExpr::from_i64(&[0, 2, -1], 0), Cmp::Le);
+        m.minimize(AffineExpr::from_i64(&[0, 1], 5));
+        m
+    }
+
+    #[test]
+    fn canonical_key_is_pinned_and_padding_free() {
+        let m = short_model();
+        let key = m.canonical_key();
+        assert_eq!(
+            key,
+            "min 1*x1+5\n\
+             >=0 1/2*x0+-3\n\
+             ==0 1*x0+-4\n\
+             <=0 2*x1+-1*x2+0\n\
+             x0 int\n\
+             x1 >= 0 int\n\
+             x2 >= -1 <= 7/3"
+        );
+        // The same model with every expression padded to full width.
+        let n = m.num_vars();
+        let pad = |e: &AffineExpr| e.embed(n, &(0..e.dim()).collect::<Vec<_>>());
+        let mut padded = m.clone();
+        padded.constraints = m.constraints.iter().map(|(e, c)| (pad(e), *c)).collect();
+        padded.objective = m.objective.as_ref().map(pad);
+        assert_eq!(padded.canonical_key(), key);
+        assert_eq!(padded.to_string(), m.to_string());
     }
 }

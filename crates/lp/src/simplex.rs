@@ -1,14 +1,36 @@
 //! Exact two-phase primal simplex with Bland's rule.
 //!
 //! The model is standardized (free variables split, lower bounds shifted,
-//! slacks/surpluses and artificials added) into `A y = b, y >= 0, b >= 0`,
-//! then solved in two phases over exact rationals. Bland's smallest-index
-//! pivoting rule guarantees termination without cycling.
+//! slacks/surpluses and artificials added) into `A y + I a = b`,
+//! `y, a >= 0`, `b >= 0`, then solved in two phases over exact rationals.
+//! Bland's smallest-index pivoting rule guarantees termination without
+//! cycling.
+//!
+//! **Row layout.** `standardize` reads the model's stored (unpadded)
+//! expressions and allocates each row once at its final width `n + m`:
+//! variable columns in model order, one slack/surplus per inequality in
+//! row order, then the artificials, row `r`'s (`n + r`) already set. The
+//! tableau takes the rows by move.
+//!
+//! **Nonzero-driven work.** Paper tableaux are sparse (~6 % dense on
+//! the Farkas models), so a pivot gathers the pivot row's nonzero
+//! columns once and updates only those; the phase-1 price-out and the
+//! rhs sign flip skip zeros; the ratio test cross-multiplies instead of
+//! dividing. No value changes, so the pivots are the dense ones, pivot
+//! for pivot (checked against the test-only dense `reference.rs`).
+//!
+//! **Growth meter.** Each pivot adds to `lp.simplex.coeff_limbs_total`
+//! the limbs of every entry of every row it updates (a zero counts its
+//! denominator's one limb) and of each eliminated row's rhs, and raises
+//! `lp.simplex.coeff_bits_max` to the widest entry. A row's limb total
+//! is summed by one full scan on its first update and kept from the
+//! touched entries' deltas after that, so both equal a dense scan.
 
 use crate::model::{Cmp, LpOutcome, Model, Solution};
 use aov_fault::{AovError, Budget, BudgetExceeded};
 use aov_linalg::QVector;
 use aov_numeric::Rational;
+use std::cmp::Ordering;
 
 /// How each original model variable maps into standardized columns.
 #[derive(Debug, Clone)]
@@ -20,7 +42,9 @@ enum VarMap {
 }
 
 pub(crate) struct Standardized {
-    /// Rows: coefficients over standardized columns; parallel `rhs`.
+    /// Rows over the `num_cols` standardized columns followed by one
+    /// artificial column per row (row `r`'s is `num_cols + r`, set to
+    /// one); parallel `rhs`, all nonnegative.
     rows: Vec<Vec<Rational>>,
     rhs: Vec<Rational>,
     /// Cost of each standardized column (phase-2 objective).
@@ -55,7 +79,7 @@ pub(crate) fn standardize(model: &Model) -> Standardized {
         }
     }
 
-    let constraints = model.padded_constraints();
+    let constraints = model.constraints();
     let upper_bounds = upper.iter().take(n).filter(|u| u.is_some()).count();
     let inequalities = upper_bounds
         + constraints
@@ -63,87 +87,80 @@ pub(crate) fn standardize(model: &Model) -> Standardized {
             .filter(|(_, cmp)| !matches!(cmp, Cmp::Eq))
             .count();
     // One slack/surplus column per inequality, after the variable
-    // columns and in row order, so rows are allocated at their final
-    // width.
+    // columns and in row order; then one artificial per row.
     let width = num_cols + inequalities;
-    let mut rows: Vec<Vec<Rational>> = Vec::with_capacity(constraints.len() + upper_bounds);
-    let mut rhs: Vec<Rational> = Vec::with_capacity(rows.capacity());
+    let num_rows = constraints.len() + upper_bounds;
+    let mut rows: Vec<Vec<Rational>> = Vec::with_capacity(num_rows);
+    let mut rhs: Vec<Rational> = Vec::with_capacity(num_rows);
     let mut next_slack = num_cols;
 
     // Affine constraint `e cmp 0` becomes `coeffs·x cmp -const`.
-    let mut push_constraint = |coeffs: &[(usize, Rational)], constant: &Rational, cmp: Cmp| {
-        let mut row = vec![Rational::zero(); width];
+    let mut push_constraint = |coeffs: &[Rational], constant: &Rational, cmp: Cmp| {
+        let mut row = vec![Rational::zero(); width + num_rows];
         let mut b = -constant;
-        for (var, c) in coeffs {
+        for (var, c) in coeffs.iter().enumerate() {
             if c.is_zero() {
                 continue;
             }
-            match &maps[*var] {
+            match &maps[var] {
                 VarMap::Shifted { col, lower } => {
-                    row[*col] = &row[*col] + c;
-                    b = &b - &(c * lower);
+                    row[*col] += c;
+                    if !lower.is_zero() {
+                        b -= &(c * lower);
+                    }
                 }
                 VarMap::Split { pos, neg } => {
-                    row[*pos] = &row[*pos] + c;
-                    row[*neg] = &row[*neg] - c;
+                    row[*pos] += c;
+                    row[*neg] -= c;
                 }
             }
         }
-        let slack = match cmp {
-            Cmp::Eq => None,
-            Cmp::Le => Some(Rational::one()),
-            Cmp::Ge => Some(-Rational::one()),
-        };
-        if let Some(slack) = slack {
-            row[next_slack] = slack;
+        if cmp != Cmp::Eq {
+            row[next_slack] = Rational::from(if cmp == Cmp::Le { 1 } else { -1 });
             next_slack += 1;
         }
+        // Make the rhs nonnegative.
+        if b.is_negative() {
+            b = -b;
+            for v in row[..width].iter_mut().filter(|v| !v.is_zero()) {
+                *v = -std::mem::take(v);
+            }
+        }
+        row[width + rows.len()] = Rational::one();
         rows.push(row);
         rhs.push(b);
     };
 
     for (e, cmp) in constraints {
-        let coeffs: Vec<(usize, Rational)> = e
-            .coeffs()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, c.clone()))
-            .collect();
-        push_constraint(&coeffs, e.constant_term(), cmp);
+        push_constraint(e.coeffs().as_slice(), e.constant_term(), *cmp);
     }
     // Upper bounds as `x <= u`.
     for (i, u) in upper.iter().enumerate().take(n) {
         if let Some(u) = u {
-            push_constraint(&[(i, Rational::one())], &-u, Cmp::Le);
-        }
-    }
-
-    // Make all rhs nonnegative.
-    for (r, b) in rhs.iter_mut().enumerate() {
-        if b.is_negative() {
-            *b = -&*b;
-            for v in rows[r].iter_mut() {
-                *v = -&*v;
-            }
+            let mut unit = vec![Rational::zero(); i + 1];
+            unit[i] = Rational::one();
+            push_constraint(&unit, &-u, Cmp::Le);
         }
     }
 
     // Phase-2 costs over standardized columns.
-    let obj = model.padded_objective();
     let mut costs = vec![Rational::zero(); width];
-    let mut obj_constant = obj.constant_term().clone();
-    for (i, c) in obj.coeffs().iter().enumerate() {
-        if c.is_zero() {
-            continue;
-        }
-        match &maps[i] {
-            VarMap::Shifted { col, lower } => {
-                costs[*col] = &costs[*col] + c;
-                obj_constant = &obj_constant + &(c * lower);
+    let mut obj_constant = Rational::zero();
+    if let Some(obj) = model.objective() {
+        obj_constant = obj.constant_term().clone();
+        for (i, c) in obj.coeffs().iter().enumerate() {
+            if c.is_zero() {
+                continue;
             }
-            VarMap::Split { pos, neg } => {
-                costs[*pos] = &costs[*pos] + c;
-                costs[*neg] = &costs[*neg] - c;
+            match &maps[i] {
+                VarMap::Shifted { col, lower } => {
+                    costs[*col] += c;
+                    obj_constant += &(c * lower);
+                }
+                VarMap::Split { pos, neg } => {
+                    costs[*pos] += c;
+                    costs[*neg] -= c;
+                }
             }
         }
     }
@@ -158,15 +175,19 @@ pub(crate) fn standardize(model: &Model) -> Standardized {
     }
 }
 
-/// Dense simplex tableau. `rows[r]` has `num_cols` coefficients; `rhs[r]`
-/// is the current basic value of `basis[r]`. The objective row holds
-/// reduced costs and `obj_rhs == -(current objective)`.
+/// Simplex tableau over `n + m` columns. `rhs[r]` is the current basic
+/// value of `basis[r]`. The objective row holds reduced costs and
+/// `obj_rhs == -(current objective)`.
 struct Tableau {
     rows: Vec<Vec<Rational>>,
     rhs: Vec<Rational>,
     basis: Vec<usize>,
+    /// Running limb total of each row's entries; `None` until the row's
+    /// first update (see the module doc's growth meter).
+    row_limbs: Vec<Option<u64>>,
     obj: Vec<Rational>,
     obj_rhs: Rational,
+    obj_limbs: Option<u64>,
 }
 
 /// Per-pivot numeric-growth accumulator: limb totals and the widest
@@ -179,11 +200,38 @@ struct GrowthMeter {
     bits: u64,
 }
 
+fn limbs(v: &Rational) -> u64 {
+    (v.numer().limbs() + v.denom().limbs()) as u64
+}
+
+fn bits(v: &Rational) -> u64 {
+    v.numer().bits().max(v.denom().bits()) as u64
+}
+
 impl GrowthMeter {
-    #[inline]
-    fn note(&mut self, v: &Rational) {
-        self.limbs += (v.numer().limbs() + v.denom().limbs()) as u64;
-        self.bits = self.bits.max(v.numer().bits().max(v.denom().bits()) as u64);
+    /// Applies `op` to `row[j]` for each `j` in `cols` and meters the
+    /// whole row through its running limb total `total`. On the row's
+    /// first update every entry's width is noted too; after that the
+    /// untouched entries are unchanged and already noted.
+    fn update_row(
+        &mut self,
+        row: &mut [Rational],
+        total: &mut Option<u64>,
+        cols: &[usize],
+        mut op: impl FnMut(usize, &mut Rational),
+    ) {
+        let first = total.is_none();
+        let t = total.get_or_insert_with(|| row.iter().map(limbs).sum());
+        for &j in cols {
+            let before = limbs(&row[j]);
+            op(j, &mut row[j]);
+            *t = *t - before + limbs(&row[j]);
+            self.bits = self.bits.max(bits(&row[j]));
+        }
+        if first {
+            self.bits = row.iter().map(bits).fold(self.bits, u64::max);
+        }
+        self.limbs += *t;
     }
 
     fn flush(self) {
@@ -196,64 +244,67 @@ impl GrowthMeter {
     }
 }
 
-/// `row -= f · pivot_row` for `f = row[c]`, and the same on `rhs`.
-/// Entries facing a zero in the pivot row are left as they are (but
-/// still metered, as every entry of an updated row is).
-fn eliminate(
-    row: &mut [Rational],
-    rhs: &mut Rational,
-    pivot_row: &[Rational],
-    pivot_rhs: &Rational,
-    c: usize,
-    growth: &mut GrowthMeter,
-) {
-    let f = row[c].clone();
-    for (v, p) in row.iter_mut().zip(pivot_row) {
-        if !p.is_zero() {
-            *v -= &(&f * p);
-        }
-        growth.note(v);
-    }
-    *rhs -= &(&f * pivot_rhs);
-}
-
 impl Tableau {
+    /// The phase-1 tableau: the artificials form the starting basis and
+    /// the objective row is their sum priced out, `d_j = −Σ_r a_rj` on
+    /// the standardized columns and zero on the artificials.
+    fn phase1(rows: Vec<Vec<Rational>>, rhs: Vec<Rational>, n: usize) -> Tableau {
+        let m = rows.len();
+        let mut obj = vec![Rational::zero(); n + m];
+        let mut obj_rhs = Rational::zero();
+        for (row, b) in rows.iter().zip(&rhs) {
+            for (d, a) in obj.iter_mut().zip(&row[..n]) {
+                if !a.is_zero() {
+                    *d -= a;
+                }
+            }
+            obj_rhs -= b;
+        }
+        Tableau {
+            rows,
+            rhs,
+            basis: (n..n + m).collect(),
+            row_limbs: vec![None; m],
+            obj,
+            obj_rhs,
+            obj_limbs: None,
+        }
+    }
+
     fn pivot(&mut self, r: usize, c: usize) {
         let mut growth = GrowthMeter::default();
-        let inv = self.rows[r][c].recip();
-        for v in self.rows[r].iter_mut() {
-            if !v.is_zero() {
-                *v *= &inv;
-            }
-            growth.note(v);
-        }
-        self.rhs[r] = &self.rhs[r] * &inv;
-        let (above, rest) = self.rows.split_at_mut(r);
-        let (pivot_row, below) = rest.split_at_mut(1);
-        let pivot_row = &pivot_row[0];
-        let (rhs_above, rhs_rest) = self.rhs.split_at_mut(r);
-        let (pivot_rhs, rhs_below) = rhs_rest.split_at_mut(1);
-        let pivot_rhs = &pivot_rhs[0];
-        let others = above.iter_mut().chain(below.iter_mut());
-        let other_rhs = rhs_above.iter_mut().chain(rhs_below.iter_mut());
-        for (row, rhs) in others.zip(other_rhs) {
-            if row[c].is_zero() {
+        let mut pivot_row = std::mem::take(&mut self.rows[r]);
+        let nonzero: Vec<usize> = (0..pivot_row.len())
+            .filter(|&j| !pivot_row[j].is_zero())
+            .collect();
+        let inv = pivot_row[c].recip();
+        let pivot_limbs = &mut self.row_limbs[r];
+        growth.update_row(&mut pivot_row, pivot_limbs, &nonzero, |_, v| *v *= &inv);
+        self.rhs[r] *= &inv;
+        let pivot_rhs = self.rhs[r].clone();
+        for (i, row) in self.rows.iter_mut().enumerate() {
+            if i == r || row[c].is_zero() {
                 continue;
             }
-            eliminate(row, rhs, pivot_row, pivot_rhs, c, &mut growth);
-            growth.note(rhs);
+            let f = row[c].clone();
+            let total = &mut self.row_limbs[i];
+            growth.update_row(row, total, &nonzero, |j, v| *v -= &(&f * &pivot_row[j]));
+            let rhs = &mut self.rhs[i];
+            *rhs -= &(&f * &pivot_rhs);
+            growth.limbs += limbs(rhs);
+            growth.bits = growth.bits.max(bits(rhs));
         }
         if !self.obj[c].is_zero() {
-            eliminate(
-                &mut self.obj,
-                &mut self.obj_rhs,
-                pivot_row,
-                pivot_rhs,
-                c,
-                &mut growth,
-            );
+            let f = self.obj[c].clone();
+            growth.update_row(&mut self.obj, &mut self.obj_limbs, &nonzero, |j, v| {
+                *v -= &(&f * &pivot_row[j])
+            });
+            self.obj_rhs -= &(&f * &pivot_rhs);
         }
+        self.rows[r] = pivot_row;
         self.basis[r] = c;
+        #[cfg(test)]
+        crate::reference::log_pivot((r, c, growth.limbs, growth.bits));
         growth.flush();
     }
 
@@ -267,54 +318,64 @@ impl Tableau {
                 return Ok(true); // optimal
             };
             // Ratio test; Bland tie-break on smallest basis variable.
-            let mut best: Option<(Rational, usize)> = None;
+            // With both pivots positive, rhs_r/a_r < rhs_b/a_b exactly
+            // when rhs_r·a_b < rhs_b·a_r.
+            let mut best: Option<usize> = None;
             for r in 0..self.rows.len() {
-                if self.rows[r][c].is_positive() {
-                    let ratio = &self.rhs[r] / &self.rows[r][c];
-                    let better = match &best {
-                        None => true,
-                        Some((bratio, brow)) => {
-                            ratio < *bratio
-                                || (ratio == *bratio && self.basis[r] < self.basis[*brow])
+                let a = &self.rows[r][c];
+                if !a.is_positive() {
+                    continue;
+                }
+                let better = match best {
+                    None => true,
+                    Some(b) => {
+                        let lhs = &self.rhs[r] * &self.rows[b][c];
+                        match lhs.cmp(&(&self.rhs[b] * a)) {
+                            Ordering::Less => true,
+                            Ordering::Equal => self.basis[r] < self.basis[b],
+                            Ordering::Greater => false,
                         }
-                    };
-                    if better {
-                        best = Some((ratio, r));
                     }
+                };
+                if better {
+                    best = Some(r);
                 }
             }
-            match best {
-                None => return Ok(false), // unbounded
-                Some((ratio, r)) => {
-                    budget.tick_pivot("lp.simplex")?;
-                    aov_support::static_counter!("lp.simplex.pivots")
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if ratio.is_zero() {
-                        aov_support::static_counter!("lp.simplex.degenerate_pivots")
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    self.pivot(r, c);
-                }
+            let Some(r) = best else {
+                return Ok(false); // unbounded
+            };
+            budget.tick_pivot("lp.simplex")?;
+            aov_support::static_counter!("lp.simplex.pivots")
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if self.rhs[r].is_zero() {
+                aov_support::static_counter!("lp.simplex.degenerate_pivots")
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
+            self.pivot(r, c);
         }
     }
 
-    /// Re-derives the objective row for costs `c` given the current basis
-    /// (price-out).
+    /// Re-derives the objective row for costs `costs` (zero past their
+    /// end) given the current basis (price-out).
     fn install_objective(&mut self, costs: &[Rational], constant: &Rational) {
         let n = self.obj.len();
-        self.obj = costs.to_vec();
+        self.obj.clear();
+        self.obj.extend_from_slice(costs);
         self.obj.resize(n, Rational::zero());
         self.obj_rhs = -constant;
-        for r in 0..self.rows.len() {
+        self.obj_limbs = None;
+        for (r, row) in self.rows.iter().enumerate() {
             let b = self.basis[r];
-            if !self.obj[b].is_zero() {
-                let f = self.obj[b].clone();
-                for (v, p) in self.obj.iter_mut().zip(&self.rows[r]) {
-                    *v = &*v - &(&f * p);
-                }
-                self.obj_rhs = &self.obj_rhs - &(&f * &self.rhs[r]);
+            if self.obj[b].is_zero() {
+                continue;
             }
+            let f = self.obj[b].clone();
+            for (v, p) in self.obj.iter_mut().zip(row) {
+                if !p.is_zero() {
+                    *v -= &(&f * p);
+                }
+            }
+            self.obj_rhs -= &(&f * &self.rhs[r]);
         }
     }
 }
@@ -322,16 +383,64 @@ impl Tableau {
 pub(crate) fn solve(model: &Model, budget: &Budget) -> Result<LpOutcome, AovError> {
     aov_fault::chaos::tick("lp.simplex")?;
     let std = standardize(model);
-    Ok(match solve_standardized(&std, budget)? {
-        StdOutcome::Optimal(y, objective) => {
-            let values = destandardize(&std, &y);
-            #[cfg(debug_assertions)]
-            check_optimal_answer(model, &values, &objective);
-            LpOutcome::Optimal(Solution { values, objective })
+    let n = std.num_cols;
+    let mut t = Tableau::phase1(std.rows, std.rhs, n);
+    // Phase 1: minimize the sum of the artificials.
+    let total = t.obj.len();
+    let bounded = t.run(total, budget)?;
+    debug_assert!(bounded, "phase 1 is always bounded below by 0");
+    // Optimal phase-1 objective is -obj_rhs.
+    if !t.obj_rhs.is_zero() {
+        #[cfg(debug_assertions)]
+        {
+            // y_r = 1 − d_{n+r}: the duals read off the artificials'
+            // reduced costs (their phase-1 cost is one).
+            let y: Vec<Rational> = t.obj[n..].iter().map(|d| &Rational::one() - d).collect();
+            check_infeasibility_certificate(model, &y);
         }
-        StdOutcome::Infeasible => LpOutcome::Infeasible,
-        StdOutcome::Unbounded => LpOutcome::Unbounded,
-    })
+        return Ok(LpOutcome::Infeasible);
+    }
+    // Drive remaining artificials out of the basis.
+    let mut r = 0;
+    while r < t.rows.len() {
+        if t.basis[r] >= n {
+            if let Some(c) = (0..n).find(|&c| !t.rows[r][c].is_zero()) {
+                t.pivot(r, c);
+            } else {
+                // Redundant row: drop it.
+                t.rows.remove(r);
+                t.rhs.remove(r);
+                t.basis.remove(r);
+                t.row_limbs.remove(r);
+                continue;
+            }
+        }
+        r += 1;
+    }
+    // Phase 2 on original costs; artificial columns are excluded from
+    // pricing by passing `active_cols = n`.
+    t.install_objective(&std.costs, &std.obj_constant);
+    if !t.run(n, budget)? {
+        return Ok(LpOutcome::Unbounded);
+    }
+    let mut y = vec![Rational::zero(); n];
+    for (r, &b) in t.basis.iter().enumerate() {
+        if b < n {
+            y[b] = std::mem::take(&mut t.rhs[r]);
+        }
+    }
+    let values: QVector = std
+        .maps
+        .iter()
+        .map(|m| match m {
+            VarMap::Shifted { col, lower } => lower + &y[*col],
+            VarMap::Split { pos, neg } => &y[*pos] - &y[*neg],
+        })
+        .collect();
+    let objective = -&t.obj_rhs;
+    #[cfg(debug_assertions)]
+    check_optimal_answer(model, &values, &objective);
+    Ok(LpOutcome::Optimal(Solution { values, objective }))
 }
 
 /// Debug-build check of an `Optimal` answer against the model it claims
@@ -339,8 +448,8 @@ pub(crate) fn solve(model: &Model, budget: &Budget) -> Result<LpOutcome, AovErro
 /// the objective is the objective expression evaluated at them.
 #[cfg(debug_assertions)]
 fn check_optimal_answer(model: &Model, values: &QVector, objective: &Rational) {
-    for (i, (e, cmp)) in model.padded_constraints().iter().enumerate() {
-        let v = e.eval(values);
+    for (i, (e, cmp)) in model.constraints().iter().enumerate() {
+        let v = e.eval(&values.iter().take(e.dim()).cloned().collect());
         let holds = match cmp {
             Cmp::Ge => !v.is_negative(),
             Cmp::Le => !v.is_positive(),
@@ -366,90 +475,35 @@ fn check_optimal_answer(model: &Model, values: &QVector, objective: &Rational) {
             );
         }
     }
-    let expected = model.padded_objective().eval(values);
+    let expected = model.objective().map_or_else(Rational::zero, |e| {
+        e.eval(&values.iter().take(e.dim()).cloned().collect())
+    });
     assert_eq!(
         objective, &expected,
         "simplex objective differs from the objective at its values"
     );
 }
 
-enum StdOutcome {
-    Optimal(Vec<Rational>, Rational),
-    Infeasible,
-    Unbounded,
-}
-
-fn destandardize(std: &Standardized, y: &[Rational]) -> QVector {
-    std.maps
-        .iter()
-        .map(|m| match m {
-            VarMap::Shifted { col, lower } => lower + &y[*col],
-            VarMap::Split { pos, neg } => &y[*pos] - &y[*neg],
-        })
-        .collect()
-}
-
-fn solve_standardized(std: &Standardized, budget: &Budget) -> Result<StdOutcome, BudgetExceeded> {
-    let m = std.rows.len();
-    let n = std.num_cols;
-    // Add one artificial per row.
-    let total = n + m;
-    let mut rows = Vec::with_capacity(m);
-    for (r, row) in std.rows.iter().enumerate() {
-        let mut full = row.clone();
-        full.resize(total, Rational::zero());
-        full[n + r] = Rational::one();
-        rows.push(full);
+/// Debug-build check of an `Infeasible` verdict: `y` is a Farkas
+/// certificate for the standardized system `A y' = b, y' >= 0`, i.e.
+/// `yᵀA_j <= 0` for every standardized column `j` and `yᵀb > 0` (then
+/// `0 >= yᵀA y' = yᵀb > 0` for any feasible `y'`, a contradiction).
+#[cfg(debug_assertions)]
+fn check_infeasibility_certificate(model: &Model, y: &[Rational]) {
+    let std = standardize(model);
+    assert_eq!(y.len(), std.rows.len(), "certificate has one entry per row");
+    for j in 0..std.num_cols {
+        let yaj: Rational = y.iter().zip(&std.rows).map(|(yr, row)| yr * &row[j]).sum();
+        assert!(
+            !yaj.is_positive(),
+            "infeasibility certificate fails on column {j}: yᵀA_j = {yaj} > 0"
+        );
     }
-    let mut t = Tableau {
-        rows,
-        rhs: std.rhs.clone(),
-        basis: (n..n + m).collect(),
-        obj: vec![Rational::zero(); total],
-        obj_rhs: Rational::zero(),
-    };
-    // Phase 1: minimize sum of artificials.
-    let mut phase1 = vec![Rational::zero(); total];
-    for c in phase1.iter_mut().skip(n) {
-        *c = Rational::one();
-    }
-    t.install_objective(&phase1, &Rational::zero());
-    let bounded = t.run(total, budget)?;
-    debug_assert!(bounded, "phase 1 is always bounded below by 0");
-    // Optimal phase-1 objective is -obj_rhs.
-    if !t.obj_rhs.is_zero() {
-        return Ok(StdOutcome::Infeasible);
-    }
-    // Drive remaining artificials out of the basis.
-    let mut r = 0;
-    while r < t.rows.len() {
-        if t.basis[r] >= n {
-            if let Some(c) = (0..n).find(|&c| !t.rows[r][c].is_zero()) {
-                t.pivot(r, c);
-            } else {
-                // Redundant row: drop it.
-                t.rows.remove(r);
-                t.rhs.remove(r);
-                t.basis.remove(r);
-                continue;
-            }
-        }
-        r += 1;
-    }
-    // Phase 2 on original costs; artificial columns are excluded from
-    // pricing by passing `active_cols = n`.
-    t.install_objective(&std.costs, &std.obj_constant);
-    if !t.run(n, budget)? {
-        return Ok(StdOutcome::Unbounded);
-    }
-    let mut y = vec![Rational::zero(); n];
-    for (r, &b) in t.basis.iter().enumerate() {
-        if b < n {
-            y[b] = t.rhs[r].clone();
-        }
-    }
-    let objective = -&t.obj_rhs;
-    Ok(StdOutcome::Optimal(y, objective))
+    let yb: Rational = y.iter().zip(&std.rhs).map(|(yr, b)| yr * b).sum();
+    assert!(
+        yb.is_positive(),
+        "infeasibility certificate fails: yᵀb = {yb} is not positive"
+    );
 }
 
 #[cfg(test)]

@@ -31,6 +31,11 @@ echo "== numeric tests in release"
 # exact kernel's property and boundary tests also run there.
 cargo test --release -q --offline -p aov-numeric
 
+echo "== LP tests in release"
+# The differential oracle (the nonzero-driven simplex against the dense
+# reference, pivot for pivot) also runs where integer overflow wraps.
+cargo test --release -q --offline -p aov-lp
+
 echo "== perfbench selftest"
 # Two processes per workload must agree on every solver count and, from
 # the second pass on, on every allocation count.
