@@ -6,7 +6,13 @@ use aov_bench::observatory::{self, SuiteConfig};
 use aov_bench::regress::{self, Status, Tolerance};
 use aov_support::{Json, ToJson};
 
+/// A suite's traced run turns the process-wide tracing switch on and
+/// off; two suites racing in this binary would cut each other's traces
+/// short, so they take turns.
+static TRACING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn example1_suite(runs: usize) -> observatory::Artifact {
+    let _turn = TRACING.lock().unwrap_or_else(|e| e.into_inner());
     observatory::run_suite(&SuiteConfig {
         examples: vec!["example1".to_string()],
         runs,

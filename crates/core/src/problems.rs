@@ -109,8 +109,7 @@ fn fan_out_patterns(
                     if pruning && prune(pat) > *lock(&bound) {
                         continue;
                     }
-                    aov_support::static_counter!("core.fanout.patterns")
-                        .fetch_add(1, Ordering::Relaxed);
+                    aov_support::static_counter!("core.fanout.patterns").add(1);
                     match run_one(pat) {
                         Ok(Some((obj, vs))) => {
                             let mut b = lock(&bound);

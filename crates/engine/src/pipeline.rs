@@ -43,7 +43,8 @@ use aov_machine::experiments::{example2_speedup_with, example3_speedup_with, Spe
 use aov_machine::MachineConfig;
 use aov_polyhedra::PolyhedraError;
 use aov_schedule::{legal, scheduler, Analysis, Schedule};
-use aov_support::{counters, Json, ToJson};
+use aov_support::context::{Context, Tally};
+use aov_support::{Json, ToJson};
 
 /// Errors from running a pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -172,25 +173,26 @@ impl Health {
 pub struct StageReport {
     pub name: &'static str,
     pub micros: u128,
-    /// `(counter name, increment)` for every counter that moved.
+    /// `(counter name, increment)` for every counter the stage moved in
+    /// its run (a max counter's entry is the rise of the run's mark).
     pub counters: Vec<(String, u64)>,
     /// Stage-specific payload (vectors, schedule text, code, …).
     pub detail: Json,
     /// Where the stage landed on the degradation ladder.
     pub outcome: StageOutcome,
-    /// Heap allocations performed while the stage ran (worker threads
-    /// included — the counting allocator is process-global).
+    /// Heap allocations the stage performed, its fan-out workers
+    /// included (charged to the stage's telemetry context).
     pub allocs: u64,
     /// Bytes allocated while the stage ran.
     pub alloc_bytes: u64,
     /// Peak live heap bytes observed during the stage (absolute, not a
     /// delta: the high-water of total live memory while it ran).
     pub alloc_peak: u64,
-    /// Rise of the numeric-growth high-water mark (max coefficient
-    /// bit-width, see [`aov_support::alloc::record_bits`]) caused by
-    /// this stage. `0` means the stage did not widen any coefficient
-    /// beyond what earlier stages already reached; the cumulative sum
-    /// across stages is the running maximum.
+    /// Rise of the run's numeric-growth high-water mark (max
+    /// coefficient bit-width, see [`aov_support::alloc::record_bits`])
+    /// caused by this stage. `0` means the stage did not widen any
+    /// coefficient beyond what earlier stages of the run already
+    /// reached; the cumulative sum across stages is the run's maximum.
     pub max_bits: u64,
     /// The `source()` chain of the error behind a `Degraded`/`Failed`
     /// outcome, outermost first; empty for `Ok`/`Skipped` stages.
@@ -368,9 +370,8 @@ pub struct Report {
     pub check_params: Vec<i64>,
     /// Total wall-clock across stages.
     pub total_micros: u128,
-    /// Counter increments caused by *this run* (whole-run snapshot
-    /// delta) — unlike the raw registry, these never accumulate across
-    /// pipeline runs in the same process.
+    /// Counter values charged to *this run's* telemetry context — never
+    /// another run's, concurrent or earlier, in the same process.
     pub counters: Vec<(String, u64)>,
     /// Min/median timing across repetitions; `None` for single runs
     /// (the default), so one-run reports keep their historical shape.
@@ -684,9 +685,12 @@ impl Pipeline {
         self
     }
 
-    /// Enables the process-global LP memoization cache for this run.
-    /// Identical LP relaxations (common across sign orthants and
-    /// branch-and-bound nodes) are then solved once.
+    /// Whether this run's LPs probe the process-global memoization
+    /// cache: identical LP relaxations (common across sign orthants and
+    /// branch-and-bound nodes) are then solved once. The run's flag
+    /// decides regardless of the process switch; `true` also arms that
+    /// switch ([`aov_lp::memo::set_enabled`]) for solves outside any
+    /// run.
     pub fn memoize(mut self, on: bool) -> Self {
         self.memoize = on;
         self
@@ -821,6 +825,7 @@ impl Pipeline {
     fn run_once(&self) -> Result<Report, EngineError> {
         let check_params = self.resolved_params()?;
         if self.memoize {
+            // Arms the process switch too, for solves outside any run.
             aov_lp::memo::set_enabled(true);
         }
         // Session-free runs own the process: a fresh flight-recorder
@@ -829,21 +834,24 @@ impl Pipeline {
         // the ring with concurrent neighbors — they must not clear it;
         // their events are stamped instead and bundles filter on the
         // stamp.
-        let _session_guard = if self.session == 0 {
+        if self.session == 0 {
             aov_trace::recorder::clear();
-            None
-        } else {
-            Some(aov_trace::recorder::enter_session(self.session))
-        };
+        }
+        let run = Context::child(
+            (self.session != 0).then_some(self.session),
+            Some(self.memoize),
+        );
+        let entered = run.enter();
         // A fresh budget per run: repeated runs each get the full
         // allowance, and the deadline clock starts here.
         let budget = self.budget.to_budget();
         let mut stages: Vec<StageReport> = Vec::new();
-        let run_before = counters::snapshot();
         let t_start = Instant::now();
         let out = self.ladder(&budget, &check_params, &mut stages);
         let total_micros = t_start.elapsed().as_micros();
-        let run_counters = counters::delta(&run_before, &counters::snapshot());
+        drop(entered);
+        let run_counters = run.counters();
+        drop(run);
         match out {
             Ok(out) => {
                 let mut report = Report {
@@ -920,13 +928,11 @@ impl Pipeline {
             self.session,
         ) {
             Ok(path) => {
-                aov_support::static_counter!("engine.diag.bundles")
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                aov_support::static_counter!("engine.diag.bundles").add(1);
                 Some(path.display().to_string())
             }
             Err(_) => {
-                aov_support::static_counter!("engine.diag.write_failed")
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                aov_support::static_counter!("engine.diag.write_failed").add(1);
                 None
             }
         }
@@ -1303,7 +1309,8 @@ pub(crate) fn error_chain_of(e: &dyn std::error::Error) -> Vec<String> {
 
 /// Runs `f` as the named stage of the ladder: opens the
 /// `pipeline.<name>` span, fires the chaos probe, isolates panics,
-/// times the body and captures the counter delta. A degradable error
+/// times the body and charges it to a child telemetry context of the
+/// run, whose tally becomes the stage's counters. A degradable error
 /// (solver incapacity, budget trip, worker panic, injected fault)
 /// records a `Degraded` outcome and returns `Ok(None)` so the pipeline
 /// continues; a hard error records `Failed` and aborts the run.
@@ -1318,8 +1325,8 @@ fn run_stage<T>(
     let site = format!("pipeline.{name}");
     let _span = aov_trace::span!(site.clone());
     recorder::record(EventKind::StageEnter, name, stages.len() as u64, 0);
-    let before = counters::snapshot();
-    let alloc_before = alloc::stats();
+    let stage = Context::child(None, None);
+    let entered = stage.enter();
     // Per-stage peak: reset the high-water to the current live level so
     // `alloc_peak` reports the peak *during* this stage (still an
     // absolute live-byte level, not a delta).
@@ -1336,96 +1343,55 @@ fn run_stage<T>(
         ))))
     });
     let micros = t0.elapsed().as_micros();
-    let counters = counters::delta(&before, &counters::snapshot());
-    let alloc_after = alloc::stats();
-    let allocs = alloc_after.allocs.saturating_sub(alloc_before.allocs);
-    let alloc_bytes = alloc_after.bytes.saturating_sub(alloc_before.bytes);
-    let alloc_peak = alloc_after.peak.max(0) as u64;
-    let max_bits = alloc_after.max_bits.saturating_sub(alloc_before.max_bits);
+    drop(entered);
+    let alloc_peak = alloc::stats().peak.max(0) as u64;
+    let Tally {
+        counters,
+        allocs,
+        bytes: alloc_bytes,
+        max_bits,
+    } = stage.finish();
     // Mirror the moved counters into the flight recorder so a crash
     // bundle's tail shows where solver effort went, then close the
     // stage window (a = micros, b = outcome/error class ordinal).
     for (counter_name, delta) in &counters {
         recorder::record(EventKind::Counter, counter_name, *delta, 0);
     }
-    let outcome_code = |o: &StageOutcome| match o {
+    let (value, detail, outcome, error_chain, hard_error) = match result {
+        Ok((value, detail, outcome)) => (Some(value), detail, outcome, Vec::new(), None),
+        Err(e) => {
+            let error_chain = error_chain_of(&e);
+            let (outcome, hard_error) = if e.is_degradable() {
+                let reason = e.to_string();
+                (StageOutcome::Degraded { reason }, None)
+            } else {
+                let error = e.to_string();
+                (StageOutcome::Failed { error }, Some(e))
+            };
+            (None, Json::Null, outcome, error_chain, hard_error)
+        }
+    };
+    let outcome_code = match outcome {
         StageOutcome::Ok => 0,
         StageOutcome::Degraded { .. } => 1,
         StageOutcome::Skipped { .. } => 2,
         StageOutcome::Failed { .. } => 3,
     };
     let micros_u64 = u64::try_from(micros).unwrap_or(u64::MAX);
-    match result {
-        Ok((value, detail, outcome)) => {
-            recorder::record(
-                EventKind::StageExit,
-                name,
-                micros_u64,
-                outcome_code(&outcome),
-            );
-            stages.push(StageReport {
-                name,
-                micros,
-                counters,
-                detail,
-                outcome,
-                allocs,
-                alloc_bytes,
-                alloc_peak,
-                max_bits,
-                error_chain: Vec::new(),
-            });
-            Ok(Some(value))
-        }
-        Err(e) if e.is_degradable() => {
-            let outcome = StageOutcome::Degraded {
-                reason: e.to_string(),
-            };
-            recorder::record(
-                EventKind::StageExit,
-                name,
-                micros_u64,
-                outcome_code(&outcome),
-            );
-            stages.push(StageReport {
-                name,
-                micros,
-                counters,
-                detail: Json::Null,
-                outcome,
-                allocs,
-                alloc_bytes,
-                alloc_peak,
-                max_bits,
-                error_chain: error_chain_of(&e),
-            });
-            Ok(None)
-        }
-        Err(e) => {
-            let outcome = StageOutcome::Failed {
-                error: e.to_string(),
-            };
-            recorder::record(
-                EventKind::StageExit,
-                name,
-                micros_u64,
-                outcome_code(&outcome),
-            );
-            stages.push(StageReport {
-                name,
-                micros,
-                counters,
-                detail: Json::Null,
-                outcome,
-                allocs,
-                alloc_bytes,
-                alloc_peak,
-                max_bits,
-                error_chain: error_chain_of(&e),
-            });
-            Err(e)
-        }
-    }
+    recorder::record(EventKind::StageExit, name, micros_u64, outcome_code);
+    stages.push(StageReport {
+        name,
+        micros,
+        counters,
+        detail,
+        outcome,
+        allocs,
+        alloc_bytes,
+        alloc_peak,
+        max_bits,
+        error_chain,
+    });
+    hard_error.map_or(Ok(value), Err)
 }
 
 /// Shared detail payload for the occupancy-vector stages.

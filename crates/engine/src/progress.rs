@@ -6,21 +6,23 @@
 //! sampler thread that wakes on a fixed interval, reads the always-on
 //! telemetry the solvers already maintain — the
 //! [recorder](aov_trace::recorder) ring for the current stage and span,
-//! the [`aov_support::counters`] registry for pivot and vertex totals —
-//! and emits one stderr heartbeat line per tick:
+//! the live process-wide [`aov_support::counters::snapshot`] (runs in
+//! flight included) for pivot and vertex totals — and emits one stderr
+//! heartbeat line per tick:
 //!
 //! ```text
 //! [progress 12.0s] stage=legal_schedule span=p2.vertex_enum pivots=1086 (+0/s) vertices=19732 (+1849/s)
 //! ```
 //!
-//! The sampler is strictly read-only and out-of-band: it never takes a
-//! lock the solver threads touch (ring snapshots are seqlock reads,
-//! counters are relaxed atomic loads), so its cost is a handful of
-//! microseconds per tick on the sampler thread and *zero* instructions
-//! on the solver threads. When `--progress` is not given, no thread
-//! starts and no code runs at all.
+//! The sampler is strictly read-only and out-of-band: ring snapshots
+//! are seqlock reads and counter cells relaxed atomic loads; the only
+//! locks it takes are the counter registry and the run contexts' child
+//! lists, which the solver threads touch only when a run or stage
+//! starts or finishes. Its cost is a handful of microseconds per tick
+//! on the sampler thread and *zero* instructions on the solver threads.
+//! When `--progress` is not given, no thread starts and no code runs at
+//! all.
 
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -33,6 +35,12 @@ const RATE_COUNTERS: [(&str, &str); 2] = [
     ("pivots", "lp.simplex.pivots"),
     ("vertices", "polyhedra.dd.vertices"),
 ];
+
+/// Live process-wide values of [`RATE_COUNTERS`].
+fn rate_counters() -> [u64; RATE_COUNTERS.len()] {
+    let snap = aov_support::counters::snapshot();
+    RATE_COUNTERS.map(|(_, name)| snap.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v))
+}
 
 /// A running heartbeat thread; construct with [`ProgressSampler::start`],
 /// stop by dropping (or explicitly via [`ProgressSampler::finish`]).
@@ -106,9 +114,7 @@ impl ProgressSampler {
             .spawn(move || {
                 let t0 = Instant::now();
                 let mut last_tick = t0;
-                let mut last: [u64; RATE_COUNTERS.len()] = std::array::from_fn(|i| {
-                    aov_support::counters::counter(RATE_COUNTERS[i].1).load(Ordering::Relaxed)
-                });
+                let mut last = rate_counters();
                 let mut labels = LabelTracker::new();
                 let (stopped, cvar) = &*thread_shared;
                 let mut stopped = stopped.lock().expect("progress flag poisoned");
@@ -139,8 +145,9 @@ impl ProgressSampler {
                         labels.stage.as_deref().unwrap_or("-")
                     ));
                     line.push_str(&format!(" span={}", labels.span.as_deref().unwrap_or("-")));
-                    for (i, (short, name)) in RATE_COUNTERS.iter().enumerate() {
-                        let cur = aov_support::counters::counter(name).load(Ordering::Relaxed);
+                    let now_counts = rate_counters();
+                    for (i, (short, _)) in RATE_COUNTERS.iter().enumerate() {
+                        let cur = now_counts[i];
                         let rate = (cur.saturating_sub(last[i])) as f64 / dt;
                         line.push_str(&format!(" {short}={cur} (+{rate:.0}/s)"));
                         last[i] = cur;

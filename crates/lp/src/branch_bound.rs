@@ -27,8 +27,7 @@ pub(crate) fn solve(model: &Model, budget: &Budget) -> Result<LpOutcome, AovErro
         nodes += 1;
         budget.tick_node("lp.ilp")?;
         aov_fault::chaos::tick("lp.ilp.node")?;
-        aov_support::static_counter!("lp.bb.nodes")
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        aov_support::static_counter!("lp.bb.nodes").add(1);
         if nodes > NODE_LIMIT {
             limit_hit = true;
             break;

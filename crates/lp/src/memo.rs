@@ -38,11 +38,12 @@
 //!
 //! The cache is process-global, thread-safe, and disabled by default so
 //! that micro-benchmarks and tests measure the real solver unless a
-//! caller (the pipeline engine, the daemon) opts in with
-//! [`set_enabled`]. Hits and misses are recorded on the `lp.memo.hits`
-//! / `lp.memo.misses` counters; a single-flight waiter served by the
-//! computing thread counts as a hit (the solve was shared), the
-//! computing thread itself as a miss.
+//! caller opts in: a pipeline run through its own flag, code outside
+//! any run (the daemon's start-up, benchmarks) with [`set_enabled`].
+//! Hits and misses are recorded on the `lp.memo.hits` /
+//! `lp.memo.misses` counters of the solving run; a single-flight waiter
+//! served by the computing thread counts as a hit (the solve was
+//! shared), the computing thread itself as a miss.
 
 use crate::model::LpOutcome;
 use std::collections::HashMap;
@@ -168,12 +169,14 @@ fn enforce_capacity(shard: &mut Shard) {
             .min();
         let Some((_, key)) = victim else { break };
         shard.remove(&key);
-        aov_support::static_counter!("lp.memo.evictions").fetch_add(1, Ordering::Relaxed);
+        aov_support::static_counter!("lp.memo.evictions").add(1);
     }
 }
 
-/// Turns memoization on or off. Turning it off clears the cache so a
-/// later re-enable starts cold (deterministic counter deltas).
+/// Turns the process switch on or off. The switch decides for solves
+/// outside any pipeline run; inside a run, the run's own flag decides
+/// (see [`enabled`]). Turning it off clears the cache so a later
+/// re-enable starts cold (deterministic counter deltas).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
     if !on {
@@ -181,9 +184,11 @@ pub fn set_enabled(on: bool) {
     }
 }
 
-/// Whether memoization is currently active.
+/// Whether solves on this thread probe the cache: the flag of the
+/// installed telemetry context when it has one (a pipeline run's, see
+/// `aov_support::context`), else the process switch.
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    aov_support::context::memoize().unwrap_or_else(|| ENABLED.load(Ordering::Relaxed))
 }
 
 /// Bounds the cache to roughly `capacity` entries across all shards
@@ -228,7 +233,8 @@ pub fn len() -> usize {
 pub struct MemoStats {
     /// Entries currently resident (complete + in flight).
     pub entries: usize,
-    /// Cumulative `lp.memo.hits` (process lifetime).
+    /// Cumulative `lp.memo.hits` over the process lifetime: finished
+    /// runs plus solves outside any run.
     pub hits: u64,
     /// Cumulative `lp.memo.misses`.
     pub misses: u64,
@@ -241,9 +247,9 @@ pub struct MemoStats {
 pub fn stats() -> MemoStats {
     MemoStats {
         entries: len(),
-        hits: aov_support::static_counter!("lp.memo.hits").load(Ordering::Relaxed),
-        misses: aov_support::static_counter!("lp.memo.misses").load(Ordering::Relaxed),
-        evictions: aov_support::static_counter!("lp.memo.evictions").load(Ordering::Relaxed),
+        hits: aov_support::counters::counter("lp.memo.hits").load(Ordering::Relaxed),
+        misses: aov_support::counters::counter("lp.memo.misses").load(Ordering::Relaxed),
+        evictions: aov_support::counters::counter("lp.memo.evictions").load(Ordering::Relaxed),
     }
 }
 
@@ -317,7 +323,7 @@ pub fn claim(key: &str) -> Claim {
                 Some(Entry::Ready { outcome, stamp }) => {
                     *stamp = next_stamp();
                     let outcome = outcome.clone();
-                    aov_support::static_counter!("lp.memo.hits").fetch_add(1, Ordering::Relaxed);
+                    aov_support::static_counter!("lp.memo.hits").add(1);
                     return Claim::Hit(outcome);
                 }
                 Some(Entry::InFlight { flight, .. }) => Arc::clone(flight),
@@ -331,7 +337,7 @@ pub fn claim(key: &str) -> Claim {
                             token,
                         },
                     );
-                    aov_support::static_counter!("lp.memo.misses").fetch_add(1, Ordering::Relaxed);
+                    aov_support::static_counter!("lp.memo.misses").add(1);
                     return Claim::Miss(FlightGuard {
                         key: key.to_string(),
                         token,
@@ -344,7 +350,7 @@ pub fn claim(key: &str) -> Claim {
         // Wait outside the stripe lock so the computing thread can
         // publish. An abandoned flight loops back and re-claims.
         if let Some(outcome) = flight.wait() {
-            aov_support::static_counter!("lp.memo.hits").fetch_add(1, Ordering::Relaxed);
+            aov_support::static_counter!("lp.memo.hits").add(1);
             return Claim::Hit(outcome);
         }
     }

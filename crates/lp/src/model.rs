@@ -284,8 +284,8 @@ impl Model {
 
     /// Solves the continuous relaxation with exact two-phase simplex.
     ///
-    /// When [`memo::set_enabled`](crate::memo::set_enabled) is on,
-    /// repeated solves of canonically identical models are served from a
+    /// When [`memo::enabled`](crate::memo::enabled) holds, repeated
+    /// solves of canonically identical models are served from a
     /// process-global cache.
     ///
     /// Legacy infallible entry point: runs with an unlimited
@@ -381,7 +381,7 @@ impl Model {
         ];
         for (name, &n) in NAMES.iter().zip(&buckets) {
             if n > 0 {
-                aov_support::counters::add(name, n);
+                aov_support::counters::Counter::named(name).add(n);
             }
         }
         aov_support::counters::record_max("lp.solve.coeff_bits_max", widest);

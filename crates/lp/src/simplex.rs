@@ -235,8 +235,7 @@ impl GrowthMeter {
     }
 
     fn flush(self) {
-        aov_support::static_counter!("lp.simplex.coeff_limbs_total")
-            .fetch_add(self.limbs, std::sync::atomic::Ordering::Relaxed);
+        aov_support::static_counter!("lp.simplex.coeff_limbs_total").add(self.limbs);
         aov_support::counters::record_max("lp.simplex.coeff_bits_max", self.bits);
         // Feed the same width into the span-scoped telemetry so the
         // flame table's max_bits column names the span that grew.
@@ -345,11 +344,9 @@ impl Tableau {
                 return Ok(false); // unbounded
             };
             budget.tick_pivot("lp.simplex")?;
-            aov_support::static_counter!("lp.simplex.pivots")
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            aov_support::static_counter!("lp.simplex.pivots").add(1);
             if self.rhs[r].is_zero() {
-                aov_support::static_counter!("lp.simplex.degenerate_pivots")
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                aov_support::static_counter!("lp.simplex.degenerate_pivots").add(1);
             }
             self.pivot(r, c);
         }

@@ -219,11 +219,9 @@ pub(crate) fn generators(p: &Polyhedron) -> GeneratorSet {
             }
         }
     }
-    use std::sync::atomic::Ordering::Relaxed;
-    aov_support::static_counter!("polyhedra.dd.conversions").fetch_add(1, Relaxed);
-    aov_support::static_counter!("polyhedra.dd.vertices")
-        .fetch_add(out.vertices.len() as u64, Relaxed);
-    aov_support::static_counter!("polyhedra.dd.rays").fetch_add(out.rays.len() as u64, Relaxed);
+    aov_support::static_counter!("polyhedra.dd.conversions").add(1);
+    aov_support::static_counter!("polyhedra.dd.vertices").add(out.vertices.len() as u64);
+    aov_support::static_counter!("polyhedra.dd.rays").add(out.rays.len() as u64);
     out
 }
 

@@ -8,8 +8,7 @@ use aov_numeric::Rational;
 pub(crate) fn eliminate_dim(p: &Polyhedron, k: usize) -> Polyhedron {
     assert!(k < p.dim(), "eliminating dimension {k} of {}", p.dim());
     let _span = aov_trace::span!("p2.fm.project", dim = k, rows = p.constraints().len());
-    aov_support::static_counter!("polyhedra.fm.eliminations")
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    aov_support::static_counter!("polyhedra.fm.eliminations").add(1);
     let dim = p.dim();
 
     // If an equality mentions x_k, substitute it away.

@@ -73,8 +73,7 @@ pub fn parameterized_vertices(
         n_elim = n_elim,
         rows = system.constraints().len(),
     );
-    aov_support::static_counter!("polyhedra.param.vertex_enums")
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    aov_support::static_counter!("polyhedra.param.vertex_enums").add(1);
     let n_params = system
         .dim()
         .checked_sub(n_elim)
@@ -315,8 +314,7 @@ fn split(
                 // Both halves are strictly smaller (the condition changes
                 // sign on the interior), and in each half this condition
                 // resolves to Always / Never / BoundaryOnly.
-                aov_support::static_counter!("polyhedra.param.chamber_splits")
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                aov_support::static_counter!("polyhedra.param.chamber_splits").add(1);
                 let mut lo = domain.clone();
                 lo.add_constraint(Constraint::ge0(cond.clone()));
                 let mut hi = domain;
@@ -344,8 +342,7 @@ fn split(
             }
         }
     }
-    aov_support::static_counter!("polyhedra.param.chambers")
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    aov_support::static_counter!("polyhedra.param.chambers").add(1);
     out.push(Chamber { domain, vertices });
     Ok(())
 }

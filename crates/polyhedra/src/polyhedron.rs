@@ -212,7 +212,6 @@ impl Polyhedron {
     /// describes the same set with an irredundant (not necessarily
     /// minimal-cardinality for degenerate inputs) system.
     pub fn remove_redundant(&self) -> Polyhedron {
-        use std::sync::atomic::Ordering::Relaxed;
         let _span = aov_trace::span!("p2.redundancy", rows = self.constraints.len());
         let mut kept: Vec<Constraint> = self.constraints.clone();
         let mut i = 0;
@@ -228,10 +227,9 @@ impl Polyhedron {
                 dim: self.dim,
                 constraints: rest,
             };
-            aov_support::static_counter!("polyhedra.redundancy.checks").fetch_add(1, Relaxed);
+            aov_support::static_counter!("polyhedra.redundancy.checks").add(1);
             if without.implies_nonneg(candidate.expr()) {
-                aov_support::static_counter!("polyhedra.redundancy.rows_dropped")
-                    .fetch_add(1, Relaxed);
+                aov_support::static_counter!("polyhedra.redundancy.rows_dropped").add(1);
                 kept.remove(i);
             } else {
                 i += 1;

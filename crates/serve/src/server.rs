@@ -1083,19 +1083,15 @@ fn process_job(shared: &Arc<Shared>, job: &Job) {
     if let Some(dir) = &shared.cfg.diag_dir {
         pipeline = pipeline.diag_dir(dir.clone());
     }
-    let memo_before = aov_lp::memo::stats();
     let solve_start = Instant::now();
     let result = pipeline.run();
     let solve_ns = ns_since(solve_start);
     shared.telemetry.record_phase(Phase::Solve, solve_ns);
-    // Deltas of the shared counters: approximate under concurrent
-    // workers, exact when serial — honest enough for per-request
-    // memo economics.
-    let memo_after = aov_lp::memo::stats();
-    let memo_hits = memo_after.hits.saturating_sub(memo_before.hits);
-    let memo_misses = memo_after.misses.saturating_sub(memo_before.misses);
     match result {
         Ok(report) => {
+            // The run's own memo economics, exact under concurrency.
+            let memo_hits = report.counter("lp.memo.hits");
+            let memo_misses = report.counter("lp.memo.misses");
             // The CLI's exit-code contract, mirrored per frame.
             let exit_code = match report.health() {
                 Health::Degraded | Health::Failed => 3,
@@ -1145,8 +1141,8 @@ fn process_job(shared: &Arc<Shared>, job: &Job) {
                 queue_wait_ns,
                 solve_ns,
                 0,
-                memo_hits,
-                memo_misses,
+                0,
+                0,
             );
         }
     }

@@ -485,8 +485,8 @@ pub struct AccessRecord<'a> {
     pub total_ns: u64,
     /// The request's knobs (workers, memoize, budget, deadline_ms).
     pub knobs: Json,
-    /// Memo-tier hits this request contributed (approximate under
-    /// concurrent workers: deltas of the shared counters).
+    /// Memo-tier hits of this request's own run (its report's
+    /// `lp.memo.hits`; 0 when the run failed without a report).
     pub memo_hits: u64,
     pub memo_misses: u64,
 }

@@ -126,3 +126,81 @@ fn daemon_served_reports_match_the_cli_path_byte_for_byte() {
     }
     server.shutdown();
 }
+
+/// `(stage, counters)` of every stage of a report, as JSON.
+fn stage_counters(report: &Json) -> Vec<(Json, Json)> {
+    let Some(Json::Arr(stages)) = report.get("stages") else {
+        panic!("report has no stages: {report:?}");
+    };
+    stages
+        .iter()
+        .map(|s| {
+            (
+                s.get("name").unwrap().clone(),
+                s.get("counters").unwrap().clone(),
+            )
+        })
+        .collect()
+}
+
+/// Two requests solved at the same time by two daemon workers each get
+/// stage counters identical to a solo run on the CLI path — every
+/// counter, high-water marks included: a request's numbers are its own,
+/// never a concurrent neighbor's.
+#[test]
+fn concurrent_requests_get_the_solo_stage_counters() {
+    const NAMES: [&str; 2] = ["example1", "example4"];
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        memo: false,
+        ..ServerConfig::default()
+    })
+    .expect("daemon starts");
+    let cfg = ClientConfig {
+        addr: server.addr().to_string(),
+        retries: 2,
+        base_ms: 1,
+        cap_ms: 10,
+        seed: 5,
+    };
+    let solo: Vec<Vec<(Json, Json)>> = NAMES
+        .iter()
+        .map(|&name| {
+            std::thread::spawn(move || {
+                let program =
+                    aov_lang::parse(aov_lang::corpus::source(name).expect("corpus")).expect(name);
+                let report = Pipeline::new(program).run().expect("direct run");
+                stage_counters(&report.to_json())
+            })
+            .join()
+            .expect("solo run")
+        })
+        .collect();
+    let barrier = std::sync::Barrier::new(NAMES.len());
+    let served: Vec<Vec<(Json, Json)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = NAMES
+            .iter()
+            .enumerate()
+            .map(|(i, &name)| {
+                let (barrier, cfg) = (&barrier, &cfg);
+                s.spawn(move || {
+                    let frame =
+                        protocol::solve_frame(i as i64, (name, true), &SolveOptions::default());
+                    barrier.wait();
+                    let frame = client::call(cfg, &frame, None)
+                        .expect("daemon answers")
+                        .frame;
+                    stage_counters(frame.get("report").expect("report frame"))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    server.shutdown();
+    for ((name, solo), served) in NAMES.iter().zip(&solo).zip(&served) {
+        assert_eq!(
+            served, solo,
+            "{name}: served stage counters differ from a solo run"
+        );
+    }
+}

@@ -6,9 +6,12 @@
 //! * **global** — allocation/free counts, cumulative bytes, live bytes
 //!   and a high-water mark for the whole process, always on;
 //! * **scoped** — the same quantities charged to the innermost open
-//!   [`AllocScope`] on the allocating thread, so `aov-trace` spans (and
-//!   engine pipeline stages) can report *their own* heap traffic the
-//!   way the flame table reports self-time.
+//!   [`AllocScope`] on the allocating thread, so `aov-trace` spans can
+//!   report *their own* heap traffic the way the flame table reports
+//!   self-time.
+//!
+//! Runs and pipeline stages are charged through their telemetry
+//! [`context`](crate::context) instead, from the batched global ledger.
 //!
 //! # Hot-path contract
 //!
@@ -24,10 +27,11 @@
 //! floor — shared `fetch_add`s per allocation would cost more than the
 //! small allocations they count. The price is staleness: another
 //! thread's last `< FLUSH_EVERY` events may not be visible in
-//! [`stats`] yet. [`stats`] always flushes the *calling* thread first,
-//! and the engine's fan-outs flush each worker on exit (via
-//! `aov_trace::adopt` guard drop), so stage-boundary readings in the
-//! pipeline are exact.
+//! [`stats`] yet. [`stats`] always flushes the *calling* thread first.
+//! Each flush also charges the batch to the thread's installed
+//! [`context`](crate::context), and installing or leaving a context
+//! (including a fan-out worker's `aov_trace::adopt`) flushes first, so a
+//! run's and a stage's allocation totals are exact.
 //!
 //! The high-water mark is maintained at flush points with a racy
 //! load-compare-store rather than a CAS loop: it may come out low by
@@ -244,9 +248,10 @@ thread_local! {
 }
 
 /// Drains this thread's batched tallies into the global atomics and
-/// refreshes the high-water mark. Called automatically by [`stats`],
-/// [`reset_peak`], the flush conditions in the hot path, and fan-out
-/// guard drops (`aov_trace::adopt`); harmless to call at any time.
+/// the installed context, and refreshes the high-water mark. Called
+/// automatically by [`stats`], [`reset_peak`], the flush conditions in
+/// the hot path, and context installs and exits; harmless to call at
+/// any time.
 pub fn flush_local() {
     let _ = LOCAL.try_with(flush_cells);
 }
@@ -261,6 +266,7 @@ fn flush_cells(l: &LocalLedger) {
     }
     let bytes_delta = l.bytes.take();
     let freed_delta = l.freed_bytes.take();
+    crate::context::charge_allocs(allocs, bytes_delta);
     ALLOCS.fetch_add(allocs, Ordering::Relaxed);
     FREES.fetch_add(frees, Ordering::Relaxed);
     let bytes = BYTES.fetch_add(bytes_delta, Ordering::Relaxed) + bytes_delta;
@@ -379,14 +385,16 @@ impl Drop for ExemptGuard {
 }
 
 /// Reports a numeric bit-width (e.g. of a `BigInt` coefficient) to the
-/// global ledger and the innermost scope: both keep a racy max. Numeric
-/// growth thereby lands in the same per-span columns as heap traffic.
+/// global ledger, the installed context and the innermost scope: each
+/// keeps a max. Numeric growth thereby lands in the same per-span
+/// columns as heap traffic.
 #[inline]
 pub fn record_bits(bits: u64) {
     if !COUNTING.load(Ordering::Relaxed) {
         return;
     }
     raise_racy_u64(&MAX_BITS, bits);
+    crate::context::charge_bits(bits);
     let top = LOCAL.try_with(|l| l.top.get()).unwrap_or(std::ptr::null());
     if !top.is_null() {
         // Safety: non-null `top` always points at the ScopeCell of a

@@ -1,60 +1,103 @@
-//! A process-global registry of named `u64` counters.
+//! Named `u64` counters, charged to the run that bumps them.
 //!
-//! Hot paths (simplex pivots, branch-and-bound nodes, Fourier–Motzkin
-//! eliminations) bump counters through a cached `&'static AtomicU64`, so
-//! the per-event cost is one relaxed atomic increment; the registry lock
-//! is only taken on first lookup and when snapshotting.
+//! Each counter name gets a dense id on first use, and every
+//! [`Context`](crate::context::Context) holds one cell per id. Hot paths
+//! (simplex pivots, branch-and-bound nodes, Fourier–Motzkin
+//! eliminations) bump through a cached [`Counter`] (see
+//! [`static_counter!`](crate::static_counter)): one thread-local read
+//! and one relaxed atomic add into the installed context, or into the
+//! process root when no run is installed. The registry lock is only
+//! taken on first lookup and when reading.
 //!
-//! Counters are cumulative across threads — parallel fan-out sums into
-//! the same cells, so totals are deterministic even though interleaving
-//! is not. `aov-engine` diffs [`snapshot`]s around each pipeline stage to
-//! attribute work to stages.
+//! Parallel fan-out workers adopt their run's context, so totals are
+//! deterministic even though interleaving is not. Finished runs fold
+//! into the root, so [`snapshot`] and [`counter`] keep their
+//! process-wide meaning.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-fn registry() -> &'static Mutex<Vec<(String, &'static AtomicU64)>> {
-    static REGISTRY: OnceLock<Mutex<Vec<(String, &'static AtomicU64)>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+use crate::context::{self, MAX_COUNTERS};
+
+/// Counter names by id, each with whether it is a max counter.
+static REGISTRY: Mutex<Vec<(String, bool)>> = Mutex::new(Vec::new());
+
+pub(crate) fn registry() -> MutexGuard<'static, Vec<(String, bool)>> {
+    // Every update leaves the vector valid.
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The counter named `name`, registering it (at zero) on first use.
-/// The returned reference is `'static`: cache it in hot paths (see
-/// [`static_counter!`](crate::static_counter)).
-pub fn counter(name: &str) -> &'static AtomicU64 {
-    let mut reg = registry().lock().expect("counter registry poisoned");
-    if let Some((_, c)) = reg.iter().find(|(n, _)| n == name) {
-        return c;
+/// The id of `name`, registering it on first use; `max` marks it as a
+/// max counter.
+fn id(name: &str, max: bool) -> usize {
+    let mut reg = registry();
+    if let Some(id) = reg.iter().position(|(n, _)| n == name) {
+        reg[id].1 |= max;
+        return id;
     }
-    let cell: &'static AtomicU64 = Box::leak(Box::new(AtomicU64::new(0)));
-    reg.push((name.to_string(), cell));
-    cell
+    assert!(
+        reg.len() < MAX_COUNTERS,
+        "more than {MAX_COUNTERS} counter names; raise context::MAX_COUNTERS"
+    );
+    reg.push((name.to_string(), max));
+    reg.len() - 1
 }
 
-/// Convenience: `counter(name) += delta` (relaxed).
-pub fn add(name: &str, delta: u64) {
-    counter(name).fetch_add(delta, Ordering::Relaxed);
+/// A registered additive counter; cache it in hot paths (see
+/// [`static_counter!`](crate::static_counter)).
+#[derive(Debug, Clone, Copy)]
+pub struct Counter(usize);
+
+impl Counter {
+    /// The counter named `name`, registering it on first use.
+    #[must_use]
+    pub fn named(name: &str) -> Counter {
+        Counter(id(name, false))
+    }
+
+    /// Adds `n` to the counter in the current context.
+    #[inline]
+    pub fn add(self, n: u64) {
+        context::with_current(|c| c.counter(self.0).fetch_add(n, Ordering::Relaxed));
+    }
 }
 
-/// Raises `counter(name)` to at least `value` (relaxed `fetch_max`).
+/// The process-root cell of the counter named `name`: every bump made
+/// outside any run plus every finished run.
+pub fn counter(name: &str) -> &'static AtomicU64 {
+    context::root().counter(id(name, false))
+}
+
+/// Raises the max counter `name` to at least `value` in the current
+/// context.
 ///
-/// A *max counter* is monotone like an additive counter, so it flows
-/// through [`snapshot`]/[`delta`] unchanged — but a per-stage delta
-/// reads as "how much the high-water mark rose during the stage", and
-/// the running maximum at the end of stage *k* is the cumulative sum
-/// of the first *k* deltas. Used for quantities like the largest
+/// A finished context folds a max counter into its parent by maximum,
+/// and reports the rise of the parent's high-water mark as its share
+/// (see [`Context::finish`](crate::context::Context::finish)): a
+/// pipeline stage's entry reads "how much the run's high-water mark
+/// rose during the stage", and the run's mark after stage *k* is the
+/// sum of the first *k* entries. Used for quantities like the largest
 /// coefficient bit-width seen in simplex.
 pub fn record_max(name: &str, value: u64) {
-    counter(name).fetch_max(value, Ordering::Relaxed);
+    let id = id(name, true);
+    context::with_current(|c| c.counter(id).fetch_max(value, Ordering::Relaxed));
 }
 
-/// Current values of all registered counters, sorted by name.
+/// Process-wide values of all registered counters, runs still in
+/// flight included, sorted by name.
 pub fn snapshot() -> Vec<(String, u64)> {
-    let reg = registry().lock().expect("counter registry poisoned");
-    let mut out: Vec<(String, u64)> = reg
-        .iter()
-        .map(|(n, c)| (n.clone(), c.load(Ordering::Relaxed)))
-        .collect();
+    let mut keep = Vec::new();
+    let mut out: Vec<(String, u64)> = {
+        let reg = registry();
+        let mut totals = vec![0; reg.len()];
+        context::root().add_live(&reg, &mut totals, &mut keep);
+        reg.iter()
+            .zip(totals)
+            .map(|((n, _), v)| (n.clone(), v))
+            .collect()
+    };
+    // Contexts that finished meanwhile fold here, after the lock.
+    drop(keep);
     out.sort();
     out
 }
@@ -75,23 +118,12 @@ pub fn delta(before: &[(String, u64)], after: &[(String, u64)]) -> Vec<(String, 
         .collect()
 }
 
-/// Resets every registered counter to zero. Intended for process-level
-/// tools (the `aov` CLI); concurrent increments during a reset are not
-/// atomically accounted.
-pub fn reset() {
-    let reg = registry().lock().expect("counter registry poisoned");
-    for (_, c) in reg.iter() {
-        c.store(0, Ordering::Relaxed);
-    }
-}
-
 /// Caches a counter lookup in a local `static` so hot loops pay only the
-/// atomic increment:
+/// bump:
 ///
 /// ```
-/// use std::sync::atomic::Ordering;
 /// for _ in 0..3 {
-///     aov_support::static_counter!("example.iterations").fetch_add(1, Ordering::Relaxed);
+///     aov_support::static_counter!("example.iterations").add(1);
 /// }
 /// let snap = aov_support::counters::snapshot();
 /// assert!(snap.iter().any(|(n, v)| n == "example.iterations" && *v >= 3));
@@ -99,9 +131,8 @@ pub fn reset() {
 #[macro_export]
 macro_rules! static_counter {
     ($name:expr) => {{
-        static CELL: ::std::sync::OnceLock<&'static ::std::sync::atomic::AtomicU64> =
-            ::std::sync::OnceLock::new();
-        *CELL.get_or_init(|| $crate::counters::counter($name))
+        static ID: ::std::sync::OnceLock<$crate::counters::Counter> = ::std::sync::OnceLock::new();
+        *ID.get_or_init(|| $crate::counters::Counter::named($name))
     }};
 }
 
@@ -112,9 +143,9 @@ mod tests {
     #[test]
     fn register_add_snapshot_delta() {
         let before = snapshot();
-        add("test.counters.alpha", 3);
-        add("test.counters.alpha", 2);
-        add("test.counters.beta", 1);
+        Counter::named("test.counters.alpha").add(3);
+        Counter::named("test.counters.alpha").add(2);
+        Counter::named("test.counters.beta").add(1);
         let after = snapshot();
         let d = delta(&before, &after);
         assert!(d.contains(&("test.counters.alpha".to_string(), 5)));
@@ -132,7 +163,7 @@ mod tests {
     fn static_counter_macro_counts() {
         let before = snapshot();
         for _ in 0..4 {
-            crate::static_counter!("test.counters.macro").fetch_add(1, Ordering::Relaxed);
+            crate::static_counter!("test.counters.macro").add(1);
         }
         let after = snapshot();
         let d = delta(&before, &after);
@@ -146,7 +177,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..1000 {
-                        add("test.counters.mt", 1);
+                        Counter::named("test.counters.mt").add(1);
                     }
                 });
             }

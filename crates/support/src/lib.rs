@@ -15,10 +15,13 @@
 //! * [`prop`] + [`props!`] — a seeded property-test runner (replaces
 //!   `proptest`): failures report the case index and per-case seed so
 //!   they reproduce exactly,
-//! * [`counters`] + [`static_counter!`] — a process-global registry of
-//!   named atomic counters used by the solver stack (simplex pivots,
-//!   branch-and-bound nodes, Fourier–Motzkin eliminations, …) and read
-//!   back by `aov-engine` reports,
+//! * [`context`] — run-scoped telemetry: each pipeline run (and stage)
+//!   charges its own counters, allocation totals and trace spans, and
+//!   folds them into its parent when it finishes,
+//! * [`counters`] + [`static_counter!`] — named counters used by the
+//!   solver stack (simplex pivots, branch-and-bound nodes,
+//!   Fourier–Motzkin eliminations, …), charged to the installed
+//!   [`context`] and read back by `aov-engine` reports,
 //! * [`schema`] — a structural checker for versioned JSON artifacts
 //!   (`BENCH_*.json`) with path-annotated mismatch reports,
 //! * [`digest`] — FNV-1a content digests used to fingerprint figure
@@ -37,6 +40,7 @@
 pub mod alloc;
 pub mod bench;
 pub mod calibrate;
+pub mod context;
 pub mod counters;
 pub mod digest;
 pub mod histogram;

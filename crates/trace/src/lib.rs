@@ -16,8 +16,11 @@
 //!
 //! — and get nested, thread-attributed wall-clock timing plus `key=value`
 //! fields. Spans are kept on a thread-local stack (so nesting needs no
-//! coordination) and finished spans are published to a process-global
-//! sink. Three consumers read the sink:
+//! coordination) and finished spans are published to the sink of the
+//! thread's installed [`aov_support::context`]: a pipeline run's own, or
+//! the process root outside any run. A finished run folds its spans into
+//! its parent, so [`drain`] outside any run sees every finished run.
+//! Three consumers read the drained records:
 //!
 //! * [`chrome`] — Chrome trace-event JSON, loadable in Perfetto or
 //!   `chrome://tracing`, one track per worker thread,
@@ -51,9 +54,11 @@
 //! A scoped fan-out captures [`current_context`] before spawning and
 //! calls [`adopt`] inside each worker; spans the worker opens then hang
 //! off the capturing span, so traces stay hierarchical across the
-//! per-orthant solver threads. The context also carries the innermost
-//! allocation scope — adopted workers charge their heap traffic to the
-//! span that spawned them even when tracing is disabled.
+//! per-orthant solver threads. The handle also carries the innermost
+//! allocation scope and the run's telemetry context, so adopted workers
+//! charge their heap traffic to the span that spawned them and their
+//! counters, allocations, spans and recorder events to its run, tracing
+//! on or off.
 //!
 //! # Determinism
 //!
@@ -68,10 +73,12 @@ pub mod flame;
 pub mod metrics;
 pub mod recorder;
 
+pub use aov_support::context::SpanRecord;
+use aov_support::context::{self, Context};
 use recorder::EventKind;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -95,11 +102,6 @@ pub(crate) fn thread_track_id() -> u64 {
         .unwrap_or(0xffff_ffff)
 }
 
-fn sink() -> &'static Mutex<Vec<SpanRecord>> {
-    static SINK: OnceLock<Mutex<Vec<SpanRecord>>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(Vec::new()))
-}
-
 /// Turns tracing on or off process-wide. Spans already open keep
 /// recording (their guard captured the enabled state at entry).
 pub fn set_enabled(on: bool) {
@@ -113,35 +115,6 @@ pub fn set_enabled(on: bool) {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// One finished span.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// Unique id (sequential, process-wide).
-    pub id: u64,
-    /// Enclosing span, if any — possibly on another thread (see
-    /// [`adopt`]).
-    pub parent: Option<u64>,
-    /// Small sequential id of the recording thread (trace track).
-    pub thread: u64,
-    /// Span name (aggregation key of the flame table).
-    pub name: String,
-    /// `key=value` fields attached at entry.
-    pub fields: Vec<(&'static str, String)>,
-    /// Start offset from the trace epoch, nanoseconds.
-    pub start_ns: u64,
-    /// Wall-clock duration, nanoseconds.
-    pub dur_ns: u64,
-    /// Heap allocations charged to this span itself (not children).
-    pub alloc_allocs: u64,
-    /// Heap bytes charged to this span itself.
-    pub alloc_bytes: u64,
-    /// High-water mark of net live bytes while the span was innermost,
-    /// clamped at zero.
-    pub alloc_peak: u64,
-    /// Largest numeric bit-width reported inside the span (0 = none).
-    pub max_bits: u64,
 }
 
 /// A span label truncated to the recorder's inline capacity; kept on
@@ -170,6 +143,10 @@ impl SmallLabel {
     }
 }
 
+/// Label-stack capacity reserved when a thread's state is created, so
+/// opening spans never allocates below this nesting depth.
+const LABEL_DEPTH: usize = 32;
+
 struct ThreadState {
     thread_id: u64,
     /// Open span ids, innermost last (full-tracing spans only).
@@ -184,7 +161,7 @@ thread_local! {
     static TLS: RefCell<ThreadState> = RefCell::new(ThreadState {
         thread_id: NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed),
         stack: Vec::new(),
-        labels: Vec::new(),
+        labels: Vec::with_capacity(LABEL_DEPTH),
         adopted: None,
     });
 }
@@ -199,91 +176,66 @@ pub fn current_span_label() -> Option<String> {
         .flatten()
 }
 
-/// A handle naming the current innermost span and allocation scope, for
-/// handing to another thread (capture with [`current_context`], install
-/// with [`adopt`]).
-#[derive(Debug, Clone, Default)]
+/// A handle naming the current innermost span, allocation scope and
+/// telemetry context, for handing to another thread (capture with
+/// [`current_context`], install with [`adopt`]).
+#[derive(Debug, Clone)]
 pub struct SpanContext {
     parent: Option<u64>,
     alloc: Option<aov_support::alloc::ScopeHandle>,
-    /// Flight-recorder session attribution of the capturing thread
-    /// (0 = none). Captured even while tracing is disabled, so a
-    /// daemon request's session survives fan-outs in untraced runs.
-    session: u64,
+    ctx: Arc<Context>,
 }
 
 /// The context under which new spans on this thread would nest. The
-/// allocation scope is captured even while tracing is disabled, so
-/// stage-level memory attribution survives fan-outs in untraced runs.
+/// allocation scope and the telemetry context are captured even while
+/// tracing is disabled, so a run's numbers survive fan-outs in untraced
+/// runs.
 pub fn current_context() -> SpanContext {
     let alloc = aov_support::alloc::current_handle();
-    let session = recorder::current_session();
-    if !enabled() {
-        return SpanContext {
-            parent: None,
-            alloc,
-            session,
-        };
-    }
-    TLS.with(|tls| {
-        let tls = tls.borrow();
-        SpanContext {
-            parent: tls.stack.last().copied().or(tls.adopted),
-            alloc,
-            session,
-        }
-    })
+    let ctx = context::current();
+    let parent = if enabled() {
+        TLS.with(|tls| {
+            let tls = tls.borrow();
+            tls.stack.last().copied().or(tls.adopted)
+        })
+    } else {
+        None
+    };
+    SpanContext { parent, alloc, ctx }
 }
 
 /// Guard restoring the thread's previous adopted parent on drop.
 pub struct AdoptGuard {
     prev: Option<u64>,
-    installed: bool,
     _alloc: Option<aov_support::alloc::AllocScope>,
-    _session: recorder::SessionGuard,
+    /// Dropped last: leaving the context flushes the worker's batched
+    /// allocation tallies into it.
+    _ctx: context::Entered,
 }
 
 /// Installs `ctx` as the parent for spans opened on this thread while
-/// the guard lives, and re-opens the captured allocation scope here.
-/// Used by scoped fan-outs to keep worker spans nested under — and
-/// worker heap traffic charged to — the span that spawned them. The
-/// capturing thread's recorder session attribution is installed too,
-/// so a request's ring events stay stamped across its worker threads.
+/// the guard lives, re-opens the captured allocation scope here and
+/// enters the captured telemetry context. Used by scoped fan-outs to
+/// keep worker spans nested under — and worker heap traffic charged to
+/// — the span that spawned them, and the workers' counters, spans and
+/// recorder events charged to its run.
 pub fn adopt(ctx: &SpanContext) -> AdoptGuard {
+    let entered = ctx.ctx.enter();
     let alloc = ctx.alloc.as_ref().map(aov_support::alloc::adopt);
-    let session = recorder::enter_session(ctx.session);
-    if !enabled() {
-        return AdoptGuard {
-            prev: None,
-            installed: false,
-            _alloc: alloc,
-            _session: session,
-        };
+    // Touching the thread state here, tracing on or off, charges its
+    // one-time allocation to every adopted worker alike — not only to
+    // those that happen to open a span.
+    let prev = TLS.with(|tls| std::mem::replace(&mut tls.borrow_mut().adopted, ctx.parent));
+    AdoptGuard {
+        prev,
+        _alloc: alloc,
+        _ctx: entered,
     }
-    TLS.with(|tls| {
-        let mut tls = tls.borrow_mut();
-        let prev = tls.adopted;
-        tls.adopted = ctx.parent;
-        AdoptGuard {
-            prev,
-            installed: true,
-            _alloc: alloc,
-            _session: session,
-        }
-    })
 }
 
 impl Drop for AdoptGuard {
     fn drop(&mut self) {
-        // A fan-out worker is about to finish: drain its batched
-        // allocation tallies so the stage-boundary reading on the
-        // spawning thread sees the worker's traffic (the allocator's
-        // global ledger is flushed per-thread in windows — see
-        // `aov_support::alloc`).
-        aov_support::alloc::flush_local();
-        if self.installed {
-            TLS.with(|tls| tls.borrow_mut().adopted = self.prev);
-        }
+        TLS.with(|tls| tls.borrow_mut().adopted = self.prev);
     }
 }
 
@@ -369,14 +321,6 @@ impl SpanGuard {
             alloc,
         }))
     }
-
-    /// The id of this span, if it is fully recording.
-    pub fn id(&self) -> Option<u64> {
-        match &self.0 {
-            GuardInner::Full(s) => Some(s.id),
-            _ => None,
-        }
-    }
 }
 
 impl Drop for SpanGuard {
@@ -427,7 +371,7 @@ impl Drop for SpanGuard {
                 // attribution so growth reallocations never charge
                 // whichever user span happens to enclose this drop.
                 let _pause = aov_support::alloc::exempt();
-                sink().lock().expect("trace sink poisoned").push(record);
+                context::push_span(record);
             }
         }
     }
@@ -485,17 +429,19 @@ macro_rules! hot_span {
     };
 }
 
-/// Removes and returns every finished span, sorted by
-/// `(thread, start, id)` for deterministic downstream processing.
+/// Removes and returns every finished span of the current context —
+/// outside any run, the process root's: every span recorded outside a
+/// run plus every finished run's — sorted by `(thread, start, id)` for
+/// deterministic downstream processing.
 pub fn drain() -> Vec<SpanRecord> {
-    let mut records = std::mem::take(&mut *sink().lock().expect("trace sink poisoned"));
+    let mut records = context::take_spans();
     records.sort_by_key(|r| (r.thread, r.start_ns, r.id));
     records
 }
 
-/// Discards every finished span.
+/// Discards every finished span of the current context.
 pub fn clear() {
-    sink().lock().expect("trace sink poisoned").clear();
+    drop(context::take_spans());
 }
 
 /// One node of a timestamp-free span tree (see [`tree`]).
@@ -540,11 +486,11 @@ pub fn tree(records: &[SpanRecord]) -> Vec<TreeNode> {
 }
 
 /// Serializes this crate's tests that touch process-global state: the
-/// span sink, the tracing switch and the flight-recorder ring (every
-/// span, enabled or not, writes to the ring).
+/// root span sink, the tracing switch and the flight-recorder ring
+/// (every span, enabled or not, writes to the ring).
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     TEST_LOCK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -212,49 +212,16 @@ pub struct Event {
     pub t_ns: u64,
     /// Recording thread's trace track id.
     pub thread: u64,
-    /// Session the recording thread was attributed to (0 = none). The
-    /// ring is process-global; a daemon serving concurrent requests
-    /// stamps each request's session so crash bundles can filter out a
-    /// neighbor's timeline (see [`enter_session`]).
+    /// Session of the recording thread's telemetry context (0 = none;
+    /// see `aov_support::context`). The ring is process-global; a
+    /// daemon serving concurrent requests stamps each request's session
+    /// so crash bundles can filter out a neighbor's timeline.
     pub session: u64,
     pub kind: EventKind,
     /// Truncated label (span name, counter name, budget site, …).
     pub label: String,
     pub a: u64,
     pub b: u64,
-}
-
-thread_local! {
-    /// Session id stamped into events this thread records (0 = none).
-    static SESSION: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// The session id currently attributed to this thread (0 = none).
-#[must_use]
-pub fn current_session() -> u64 {
-    SESSION.try_with(std::cell::Cell::get).unwrap_or(0)
-}
-
-/// Guard restoring the thread's previous session attribution on drop.
-pub struct SessionGuard {
-    prev: u64,
-}
-
-/// Attributes events this thread records to `session` until the guard
-/// drops (which restores the previous attribution). Fan-out workers
-/// inherit the attribution through [`crate::adopt`], so a request's
-/// events stay stamped across its solver threads.
-#[must_use]
-pub fn enter_session(session: u64) -> SessionGuard {
-    let prev = current_session();
-    let _ = SESSION.try_with(|s| s.set(session));
-    SessionGuard { prev }
-}
-
-impl Drop for SessionGuard {
-    fn drop(&mut self) {
-        let _ = SESSION.try_with(|s| s.set(self.prev));
-    }
 }
 
 /// Turns the recorder off (and back on). It ships **on**; tests that
@@ -306,7 +273,8 @@ pub fn record(kind: EventKind, label: &str, a: u64, b: u64) {
         Ordering::Relaxed,
     );
     slot.t_ns.store(t_ns, Ordering::Relaxed);
-    slot.session.store(current_session(), Ordering::Relaxed);
+    slot.session
+        .store(aov_support::context::session(), Ordering::Relaxed);
     slot.a.store(a, Ordering::Relaxed);
     slot.b.store(b, Ordering::Relaxed);
     slot.seq.store(claim + 1, Ordering::Release);
@@ -417,17 +385,6 @@ impl Cursor {
     pub fn new() -> Cursor {
         Cursor {
             next: HEAD.load(Ordering::Acquire),
-            blocked_at: u64::MAX,
-        }
-    }
-
-    /// A cursor positioned `lookback` events before the present
-    /// (clamped to what the ring can still hold).
-    #[must_use]
-    pub fn with_lookback(lookback: u64) -> Cursor {
-        let head = HEAD.load(Ordering::Acquire);
-        Cursor {
-            next: head.saturating_sub(lookback.min(slots() as u64)),
             blocked_at: u64::MAX,
         }
     }
@@ -596,15 +553,19 @@ mod tests {
     fn session_attribution_stamps_nests_and_restores() {
         let _g = locked();
         clear();
+        use aov_support::context::Context;
         record(EventKind::Counter, "test.sess.none", 0, 0);
         {
-            let _outer = enter_session(41);
+            let _outer = Context::child(Some(41), None).enter();
             record(EventKind::Counter, "test.sess.a", 0, 0);
             {
-                let _inner = enter_session(42);
+                let _inner = Context::child(Some(42), None).enter();
                 record(EventKind::Counter, "test.sess.b", 0, 0);
             }
-            record(EventKind::Counter, "test.sess.a2", 0, 0);
+            {
+                let _inherits = Context::child(None, None).enter();
+                record(EventKind::Counter, "test.sess.a2", 0, 0);
+            }
         }
         record(EventKind::Counter, "test.sess.after", 0, 0);
         let events = snapshot();

@@ -20,8 +20,9 @@ echo "== cargo test -q --offline"
 cargo test -q --offline --workspace
 
 echo "== root lib tests, three runs in a row"
-# The lib tests share the process-global trace sink; running them
-# repeatedly keeps a cross-test leak from passing by luck.
+# The lib tests run in parallel in one process; each campaign and run
+# charges its own telemetry context. Running them repeatedly keeps a
+# cross-test leak from passing by luck.
 for _ in 1 2 3; do
     cargo test -q --offline --lib
 done

@@ -575,18 +575,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Campaigns and pipeline runs write into the process-global trace
-    /// sink and counters; the tests that run them hold this lock so one
-    /// test's spans never land in another's drain.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> MutexGuard<'static, ()> {
-        SERIAL
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     fn quiet(cfg: &FuzzConfig) -> FuzzSummary {
         run(cfg, |_| {})
@@ -596,7 +584,6 @@ mod tests {
     /// mismatches; unschedulable seeds surface as degraded, not failed.
     #[test]
     fn quick_campaign_is_clean() {
-        let _serial = serial();
         let cfg = FuzzConfig::quick(7, 12);
         let summary = quiet(&cfg);
         assert_eq!(summary.cases.len(), 12);
@@ -649,7 +636,6 @@ mod tests {
     /// Summaries match their own schema.
     #[test]
     fn summary_matches_schema() {
-        let _serial = serial();
         let summary = quiet(&FuzzConfig::quick(3, 4));
         aov_support::schema::validate(&summary.to_json(), &summary_schema())
             .expect("summary schema");
@@ -659,7 +645,6 @@ mod tests {
     /// worker count changes nothing observable.
     #[test]
     fn campaign_is_deterministic_across_workers() {
-        let _serial = serial();
         let print = |workers: usize| {
             let mut cfg = FuzzConfig::quick(11, 6);
             cfg.workers = workers;
@@ -675,12 +660,14 @@ mod tests {
         }
     }
 
-    /// `fuzz.case` spans are emitted per case.
+    /// `fuzz.case` spans are emitted per case. The campaign runs in a
+    /// telemetry context of its own, so concurrent tests' spans never
+    /// land in its drain.
     #[test]
     fn emits_case_spans() {
-        let _serial = serial();
+        let ctx = aov_support::context::Context::child(None, None);
+        let _entered = ctx.enter();
         aov_trace::set_enabled(true);
-        aov_trace::clear();
         let _ = quiet(&FuzzConfig::quick(5, 2));
         let names: Vec<String> = aov_trace::drain().into_iter().map(|r| r.name).collect();
         aov_trace::set_enabled(false);
@@ -697,7 +684,6 @@ mod tests {
     /// unit classify() path below.
     #[test]
     fn classify_flags_refuted_equivalence() {
-        let _serial = serial();
         let g = generate(1, &GenConfig::quick());
         let report = Pipeline::new(g.program.clone())
             .check_params(g.check_params.clone())
