@@ -53,7 +53,7 @@ pub struct SuiteConfig {
     pub examples: Vec<String>,
     /// Pipeline repetitions per example (min/median over all of them).
     pub runs: usize,
-    /// Worker threads for the per-orthant solver fan-out.
+    /// Pipeline worker threads (see `aov_engine::Pipeline::workers`).
     pub workers: usize,
     /// Run the machine-model figures at reduced problem sizes (the CI
     /// smoke setting); analysis figures are unaffected.

@@ -11,8 +11,16 @@
 //!    [`problems::best_schedule_for_ov_budgeted`] — the affine schedules
 //!    valid for *given* occupancy vectors (§4.5.2),
 //! 3. [`problems::aov_budgeted`] — the shortest *Affine Occupancy
-//!    Vector*, valid for every legal one-dimensional affine schedule,
-//!    via the affine form of Farkas' lemma (§4.5.3).
+//!    Vector*, valid for every legal one-dimensional affine schedule.
+//!    The paper states the condition with the affine form of Farkas'
+//!    lemma (§4.5.3); the solver uses its generator form, one row in
+//!    `v` per vertex, ray and line of ℛ (Theorem 1), and keeps
+//!    [`aov_schedule::farkas`] as the paper's method and test oracle.
+//!
+//! Problems 1 and 3 solve one ILP per sign orthant of `v` in a single
+//! sequential loop that visits orthants by a lower bound on their
+//! objective and stops once none can beat the incumbent, so answers
+//! and work are the same for any worker count.
 //!
 //! All three borrow one [`aov_schedule::Analysis`] — the dependences and
 //! the legal-schedule polyhedron ℛ, computed once per program. Each

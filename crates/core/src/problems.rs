@@ -11,9 +11,8 @@ use aov_fault::{AovError, Budget};
 use aov_ir::Program;
 use aov_linalg::AffineExpr;
 use aov_lp::{Cmp, LpOutcome, Model};
-use aov_polyhedra::{Constraint, Polyhedron};
-use aov_schedule::farkas::farkas_system;
-use aov_schedule::{legal, scheduler, Analysis, Schedule};
+use aov_polyhedra::{Constraint, GeneratorSet, Polyhedron};
+use aov_schedule::{legal, scheduler, Analysis, BilinearForm, Schedule};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::PoisonError;
 
@@ -21,151 +20,110 @@ use std::sync::PoisonError;
 /// candidate-enumeration solvers.
 pub const DEFAULT_SEARCH_RADIUS: i64 = 8;
 
-/// Solves the per-orthant subproblems with a deterministic reduction.
-///
-/// The sequential scan keeps the first pattern achieving a strictly
-/// smaller objective, which is exactly the minimum under the key
-/// `(objective, pattern index)`. The parallel branch distributes
-/// patterns over `std::thread::scope` workers and reduces by the same
-/// key, so both modes return bit-identical results. The incumbent bound
-/// is shared for pruning; the parallel branch prunes strictly (`>`
-/// instead of `>=`) so equal-objective patterns with smaller indices are
-/// never lost to a later-indexed pattern that merely finished first.
-///
-/// Fault behaviour: each orthant solve runs under `catch_unwind`, so a
-/// panicking worker surfaces as [`AovError::WorkerPanic`] instead of
-/// poisoning the whole `std::thread::scope`. The fan-out runs under a
-/// [`Budget::child`] scope: the first failure cancels the child, so
-/// losing siblings stop pivoting, while the caller's budget — and any
-/// later pipeline stage sharing it — stays live. Sibling cancellation
-/// errors are ranked below the primary cause in the error reduction,
-/// keeping the reported failure deterministic. Under a *finite* budget,
-/// incumbent pruning is disabled: pruning makes the per-pattern work
-/// depend on completion order, and solving every pattern is what makes
-/// the budget trip point worker-count-invariant.
+/// An orthant's optimum: its exact objective and the vectors attaining it.
 type OrthantSolution = (i64, Vec<OccupancyVector>);
-type OrthantSolver<'a> =
-    &'a (dyn Fn(&Orthant, &Budget) -> Result<Option<OrthantSolution>, AovError> + Sync);
 
-fn fan_out_patterns(
-    patterns: &[Orthant],
-    workers: usize,
-    budget: &Budget,
-    site: &'static str,
-    prune: &(dyn Fn(&Orthant) -> i64 + Sync),
-    solve: OrthantSolver<'_>,
-) -> Result<Option<OrthantSolution>, AovError> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let pruning = budget.is_unlimited();
-    // Child scope: shares the work counters (limits stay global) but
-    // owns the cancel flag, so first-failure cancellation of this
-    // fan-out cannot poison later stages using the parent budget.
-    let scoped = budget.child();
-    let run_one = |pat: &Orthant| -> Result<Option<OrthantSolution>, AovError> {
-        match catch_unwind(AssertUnwindSafe(|| -> Result<_, AovError> {
-            scoped.check(site)?;
-            aov_fault::chaos::tick(site)?;
-            solve(pat, &scoped)
-        })) {
-            Ok(r) => r,
-            Err(payload) => Err(AovError::from_panic(site, payload.as_ref())),
-        }
-    };
-    if workers <= 1 || patterns.len() <= 1 {
-        let mut best: Option<(i64, Vec<OccupancyVector>)> = None;
-        for pat in patterns {
-            if pruning {
-                if let Some((bound, _)) = &best {
-                    if prune(pat) >= *bound {
-                        continue;
-                    }
-                }
-            }
-            if let Some((obj, vs)) = run_one(pat)? {
-                if best.as_ref().is_none_or(|(b, _)| obj < *b) {
-                    best = Some((obj, vs));
-                }
-            }
-        }
-        return Ok(best);
-    }
-    let next = AtomicUsize::new(0);
-    let bound = Mutex::new(i64::MAX);
-    let results: Mutex<Vec<(usize, i64, Vec<OccupancyVector>)>> = Mutex::new(Vec::new());
-    let failures: Mutex<Vec<(usize, AovError)>> = Mutex::new(Vec::new());
-    // Worker spans adopt the caller's span so the trace stays one tree.
-    let ctx = aov_trace::current_context();
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(patterns.len()) {
-            s.spawn(|| {
-                let _adopt = aov_trace::adopt(&ctx);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= patterns.len() || scoped.is_cancelled() {
-                        break;
-                    }
-                    let pat = &patterns[i];
-                    if pruning && prune(pat) > *lock(&bound) {
-                        continue;
-                    }
-                    aov_support::static_counter!("core.fanout.patterns").add(1);
-                    match run_one(pat) {
-                        Ok(Some((obj, vs))) => {
-                            let mut b = lock(&bound);
-                            if obj < *b {
-                                *b = obj;
-                            }
-                            drop(b);
-                            lock(&results).push((i, obj, vs));
-                        }
-                        Ok(None) => {}
-                        Err(e) => {
-                            // First failure wins; cancel the siblings
-                            // (losing orthants stop pivoting at their
-                            // next budget checkpoint).
-                            lock(&failures).push((i, e));
-                            scoped.cancel();
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let failures = failures
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    if !failures.is_empty() {
-        // Deterministic reduction of concurrent failures: the primary
-        // cause (lowest pattern index among non-cancellation errors)
-        // beats the cancellations it triggered. Every real budget trip
-        // carries the identical (resource, limit, site) payload, so the
-        // reported error is worker-count-invariant.
-        let cause = failures
-            .into_iter()
-            .min_by_key(|(i, e)| (e.is_cancellation(), *i))
-            .map(|(_, e)| e);
-        return Err(cause.unwrap_or(AovError::Internal {
-            detail: "failure set emptied during reduction".to_string(),
-        }));
-    }
-    Ok(results
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .min_by(|a, b| (a.1, a.0).cmp(&(b.1, b.0)))
-        .map(|(_, obj, vs)| (obj, vs)))
+/// Lower bound on the objective inside a sign pattern: every nonzero
+/// component adds at least `LENGTH_WEIGHT` to the length term, and the
+/// evenness term is nonnegative.
+fn pattern_bound(pattern: &Orthant) -> i64 {
+    LENGTH_WEIGHT * pattern.iter().filter(|&&s| s != 0).count() as i64
 }
 
-/// Poison-tolerant lock: orthant workers isolate panics via
-/// `catch_unwind`, so a poisoned mutex still guards consistent data.
-fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+/// Solves the per-orthant subproblems of Problems 1 and 3 in one
+/// sequential loop and returns the minimum under the key
+/// `(objective, pattern index)`.
+///
+/// Under an unlimited budget the loop visits patterns by
+/// `(bound, index)` ([`pattern_bound`]) and stops at the first whose key
+/// exceeds the incumbent's `(objective, index)`: every later pattern
+/// has a larger key, so none can win. The answer is the index-order
+/// minimum by construction, and the work done is a function of the
+/// input alone. Under a finite budget every pattern is solved, in index
+/// order, so where the budget trips does not depend on incumbents.
+///
+/// Fault behaviour: the budget is checked and the chaos site ticked
+/// before each orthant, and each solve runs under `catch_unwind`, so a
+/// panicking orthant surfaces as [`AovError::WorkerPanic`]. The first
+/// failure ends the loop.
+fn solve_patterns(
+    patterns: &[Orthant],
+    budget: &Budget,
+    site: &'static str,
+    solve: impl Fn(&Orthant) -> Result<Option<OrthantSolution>, AovError>,
+) -> Result<Option<OrthantSolution>, AovError> {
+    let pruning = budget.is_unlimited();
+    let mut order: Vec<usize> = (0..patterns.len()).collect();
+    if pruning {
+        order.sort_by_key(|&i| (pattern_bound(&patterns[i]), i));
+    }
+    let mut best: Option<(i64, usize, Vec<OccupancyVector>)> = None;
+    for i in order {
+        let pat = &patterns[i];
+        if pruning
+            && best
+                .as_ref()
+                .is_some_and(|(obj, bi, _)| (pattern_bound(pat), i) > (*obj, *bi))
+        {
+            break;
+        }
+        let solved = catch_unwind(AssertUnwindSafe(|| -> Result<_, AovError> {
+            budget.check(site)?;
+            aov_fault::chaos::tick(site)?;
+            solve(pat)
+        }))
+        .unwrap_or_else(|payload| Err(AovError::from_panic(site, payload.as_ref())))?;
+        if let Some((obj, vs)) = solved {
+            if best.as_ref().is_none_or(|(b, bi, _)| (obj, i) < (*b, *bi)) {
+                best = Some((obj, i, vs));
+            }
+        }
+    }
+    Ok(best.map(|(obj, _, vs)| (obj, vs)))
+}
+
+/// The shortest occupancy vectors over every sign pattern of `a`'s
+/// program: per pattern, one ILP over the joint vector `v` with the
+/// rows `add_rows(model, dep)` adds for each dependence active in the
+/// pattern, plus the pattern's sign rows and two-term objective.
+/// Patterns are searched by [`solve_patterns`]; `site` names the
+/// per-orthant span, budget checkpoint and chaos site.
+fn shortest_over_patterns(
+    a: &Analysis,
+    ov_space: &OvSpace,
+    budget: &Budget,
+    site: &'static str,
+    add_rows: impl Fn(&mut Model, usize),
+) -> Result<OvResult, CoreError> {
+    let p = a.program();
+    let patterns: Vec<Orthant> = sign_patterns(ov_space.dim())
+        .into_iter()
+        .filter(|pat| !pattern_has_zero_array(p, ov_space, pat))
+        .collect();
+    let solve = |pattern: &Orthant| {
+        let _span = aov_trace::span!(site, pattern = pattern_label(pattern));
+        let mut m = Model::new();
+        for name in ov_space.vars().names() {
+            let v = m.add_var(name.clone());
+            m.set_integer(v);
+        }
+        for (didx, dep) in a.deps().iter().enumerate() {
+            if dependence_active_in_pattern(p, ov_space, dep, pattern) {
+                add_rows(&mut m, didx);
+            }
+        }
+        let obj = install_pattern_objective(&mut m, p, ov_space, pattern);
+        m.minimize(obj);
+        Ok(candidate_of(ov_space, m.solve_ilp_budgeted(budget)?))
+    };
+    solve_patterns(&patterns, budget, site, solve)?
+        .map(|(_, vs)| OvResult::new(p, vs))
+        .ok_or(CoreError::NoVectorFound)
 }
 
 /// Extracts an integral candidate and its exact objective from an ILP
-/// outcome (the reduction key of [`fan_out_patterns`]).
-fn candidate_of(ov_space: &OvSpace, outcome: LpOutcome) -> Option<(i64, Vec<OccupancyVector>)> {
+/// outcome (the reduction key of [`solve_patterns`]).
+fn candidate_of(ov_space: &OvSpace, outcome: LpOutcome) -> Option<OrthantSolution> {
     if let LpOutcome::Optimal(sol) = outcome {
         let point: Option<Vec<i64>> = (0..ov_space.dim())
             .map(|k| sol.values.as_slice()[k].to_i64())
@@ -232,9 +190,10 @@ impl std::fmt::Display for OvResult {
 // Problem 1: an occupancy vector for a given schedule (§4.5.1)
 // ---------------------------------------------------------------------
 
-/// Shortest occupancy vectors valid for the given schedule (Problem 1),
-/// with the per-orthant subproblems fanned out over `workers` threads
-/// (`<= 1` means sequential); see [`ov_for_schedule_budgeted`].
+/// Shortest occupancy vectors valid for the given schedule (Problem 1);
+/// see [`ov_for_schedule_budgeted`]. `workers` is unused: the orthants
+/// are solved in one sequential loop, so the answer and the work done
+/// do not depend on it.
 ///
 /// # Errors
 ///
@@ -243,77 +202,47 @@ impl std::fmt::Display for OvResult {
 pub fn ov_for_schedule_with(
     p: &Program,
     sched: &Schedule,
-    workers: usize,
+    _workers: usize,
 ) -> Result<OvResult, CoreError> {
-    ov_for_schedule_budgeted(&Analysis::new(p)?, sched, workers, &Budget::unlimited())
+    ov_for_schedule_budgeted(&Analysis::new(p)?, sched, &Budget::unlimited())
 }
 
 /// Shortest occupancy vectors valid for the given schedule, by the
 /// paper's LP method: substitute the schedule into the linearized
 /// storage constraints and minimize the two-term objective, solving once
 /// per sign orthant (closed orthants; exact `Z`-emptiness pruning per
-/// orthant). The orthants fan out over `workers` threads with results
-/// bit-identical to the sequential solver. Every simplex pivot and
-/// branch-and-bound node charges `budget`.
+/// orthant). Every simplex pivot and branch-and-bound node charges
+/// `budget`.
 ///
 /// # Errors
 ///
 /// * [`CoreError::IllegalSchedule`] — the schedule violates dependences.
 /// * [`CoreError::NoVectorFound`] — no orthant admits a valid vector.
 /// * [`CoreError::Fault`] — budget exhaustion, cancellation, or an
-///   isolated worker panic.
+///   isolated orthant panic.
 pub fn ov_for_schedule_budgeted(
     a: &Analysis,
     sched: &Schedule,
-    workers: usize,
     budget: &Budget,
 ) -> Result<OvResult, CoreError> {
     if !a.is_legal(sched) {
         return Err(CoreError::IllegalSchedule);
     }
-    let (p, space, deps) = (a.program(), a.space(), a.deps());
+    let (p, space) = (a.program(), a.space());
     let ov_space = OvSpace::new(p);
     let theta = legal::point_of(p, space, sched);
     // Pattern-independent rows, instantiated at the schedule point.
-    let mut dep_rows: Vec<Vec<AffineExpr>> = Vec::with_capacity(deps.len());
-    for (didx, dep) in deps.iter().enumerate() {
+    let mut dep_rows: Vec<Vec<AffineExpr>> = Vec::with_capacity(a.deps().len());
+    for (didx, dep) in a.deps().iter().enumerate() {
         let _span = aov_trace::span!("core.storage_forms_for_dep", dep = didx);
         let forms = storage_forms_for_dep(p, space, &ov_space, dep)?;
         dep_rows.push(forms.iter().map(|f| f.at_point(&theta)).collect());
     }
-    let patterns: Vec<Orthant> = sign_patterns(ov_space.dim())
-        .into_iter()
-        .filter(|pat| !pattern_has_zero_array(p, &ov_space, pat))
-        .collect();
-    let solve = |pattern: &Orthant, b: &Budget| {
-        let _span = aov_trace::span!("p1.orthant", pattern = pattern_label(pattern));
-        let mut m = Model::new();
-        for name in ov_space.vars().names() {
-            let v = m.add_var(name.clone());
-            m.set_integer(v);
+    shortest_over_patterns(a, &ov_space, budget, "p1.orthant", |m, didx| {
+        for r in &dep_rows[didx] {
+            m.constrain(r.clone(), Cmp::Ge);
         }
-        for (dep, rows) in deps.iter().zip(&dep_rows) {
-            if !dependence_active_in_pattern(p, &ov_space, dep, pattern) {
-                continue;
-            }
-            for r in rows {
-                m.constrain(r.clone(), Cmp::Ge);
-            }
-        }
-        let obj = install_pattern_objective(&mut m, p, &ov_space, pattern);
-        m.minimize(obj);
-        Ok(candidate_of(&ov_space, m.solve_ilp_budgeted(b)?))
-    };
-    fan_out_patterns(
-        &patterns,
-        workers,
-        budget,
-        "p1.orthant",
-        &|_| i64::MIN,
-        &solve,
-    )?
-    .map(|(_, vs)| OvResult::new(p, vs))
-    .ok_or(CoreError::NoVectorFound)
+    })
 }
 
 /// Compact trace label for a sign pattern, e.g. `+0-`.
@@ -447,28 +376,37 @@ pub fn best_schedule_for_ov_budgeted(
 // Problem 3: the AOV (§4.5.3)
 // ---------------------------------------------------------------------
 
-/// Shortest Affine Occupancy Vectors (Problem 3) with the per-orthant
-/// Farkas ILPs fanned out over `workers` threads (`<= 1` means
-/// sequential); see [`aov_budgeted`].
+/// Shortest Affine Occupancy Vectors (Problem 3); see [`aov_budgeted`].
+/// `workers` is unused: the orthants are solved in one sequential loop,
+/// so the answer and the work done do not depend on it.
 ///
 /// # Errors
 ///
 /// As for [`aov_budgeted`], plus [`CoreError::Polyhedra`] when the
 /// program's causality constraints cannot be linearized.
-pub fn aov_with(p: &Program, workers: usize) -> Result<OvResult, CoreError> {
-    aov_budgeted(&Analysis::new(p)?, workers, &Budget::unlimited())
+pub fn aov_with(p: &Program, _workers: usize) -> Result<OvResult, CoreError> {
+    aov_budgeted(&Analysis::new(p)?, &Budget::unlimited())
 }
 
-/// Shortest Affine Occupancy Vectors by the paper's Farkas method: each
-/// linearized storage constraint, affine in Θ with coefficients affine in
-/// `v`, is equated to a nonnegative combination of the schedule
-/// constraints; the resulting system is linear in `(v, λ)` and one ILP
-/// per sign orthant minimizes the two-term objective. The orthants fan
-/// out over `workers` threads; the reduction is deterministic, so results
-/// are bit-identical to the sequential solver for any worker count.
-/// Every simplex pivot and branch-and-bound node charges `budget`; a trip
-/// cancels the sibling orthants (scoped to this call — the caller's
-/// budget stays live) and surfaces with the deterministic trip site.
+/// Shortest Affine Occupancy Vectors: each linearized storage constraint
+/// `G(v, Θ)`, affine in Θ with coefficients affine in `v`, must hold for
+/// every legal schedule Θ ∈ ℛ.
+///
+/// The paper linearizes that condition with the affine form of Farkas'
+/// lemma (§4.5.3; [`aov_schedule::farkas`]). This solver uses the
+/// equivalent generator form, the paper's Theorem 1 (Minkowski–Weyl)
+/// applied to ℛ = conv(vertices) + cone(rays) + span(lines): `G ≥ 0` on
+/// ℛ exactly when `G(v, x) ≥ 0` at every vertex `x`, `G`'s linear part
+/// is `≥ 0` along every ray and `= 0` along every line. Each generator
+/// gives one row linear in `v` alone, with no multipliers. One ILP per
+/// sign orthant then minimizes the two-term objective. Every simplex
+/// pivot and branch-and-bound node charges `budget`.
+///
+/// The generator count of ℛ can grow exponentially with its dimension.
+/// The counters `core.aov.generators` and `core.aov.generator_rows`
+/// record it, against `core.aov.farkas_multipliers`: the multipliers the
+/// Farkas form would introduce, one per row of ℛ plus one per storage
+/// form, counted before its redundancy pass.
 ///
 /// # Errors
 ///
@@ -476,91 +414,59 @@ pub fn aov_with(p: &Program, workers: usize) -> Result<OvResult, CoreError> {
 ///   affine schedule, so "valid for all legal schedules" is vacuous.
 /// * [`CoreError::NoVectorFound`] — no orthant admits a vector.
 /// * [`CoreError::Fault`] — budget exhaustion, cancellation, or an
-///   isolated worker panic.
-pub fn aov_budgeted(a: &Analysis, workers: usize, budget: &Budget) -> Result<OvResult, CoreError> {
-    // Farkas needs ℛ nonempty; also drop redundant rows to shrink the
-    // multiplier count.
-    if a.legal().is_empty() {
+///   isolated orthant panic.
+pub fn aov_budgeted(a: &Analysis, budget: &Budget) -> Result<OvResult, CoreError> {
+    let gens = a.legal().generators();
+    if gens.is_empty() {
         return Err(CoreError::Unschedulable);
     }
-    let sched_rows: Vec<AffineExpr> = a
-        .legal()
-        .remove_redundant()
-        .constraints()
-        .iter()
-        .map(|c| c.expr().clone())
-        .collect();
-
-    let (p, space, deps) = (a.program(), a.space(), a.deps());
+    let (p, space) = (a.program(), a.space());
     let ov_space = OvSpace::new(p);
-    // Pattern-independent storage forms and Farkas systems, per dep.
-    let mut dep_systems: Vec<Vec<aov_schedule::farkas::FarkasSystem>> =
-        Vec::with_capacity(deps.len());
-    for (didx, dep) in deps.iter().enumerate() {
+    let mut dep_rows: Vec<Vec<(AffineExpr, Cmp)>> = Vec::with_capacity(a.deps().len());
+    let mut forms_total = 0;
+    for (didx, dep) in a.deps().iter().enumerate() {
         let _span = aov_trace::span!("core.storage_forms_for_dep", dep = didx);
         let forms = storage_forms_for_dep(p, space, &ov_space, dep)?;
-        dep_systems.push(
-            forms
-                .iter()
-                .map(|f| farkas_system(f, &sched_rows))
-                .collect(),
-        );
+        forms_total += forms.len();
+        dep_rows.push(generator_rows(&forms, &gens));
     }
-    let patterns: Vec<Orthant> = sign_patterns(ov_space.dim())
-        .into_iter()
-        .filter(|pat| !pattern_has_zero_array(p, &ov_space, pat))
-        .collect();
-    // Bound: with |v| >= objective of the incumbent, skip the pattern
-    // early by its minimum possible length.
-    let prune = |pattern: &Orthant| -> i64 {
-        let min_len: i64 = pattern.iter().map(|&s| i64::from(s != 0)).sum();
-        LENGTH_WEIGHT * min_len
-    };
-    let solve = |pattern: &Orthant, b: &Budget| {
-        let _span = aov_trace::span!("aov.orthant", pattern = pattern_label(pattern));
-        let mut m = Model::new();
-        {
-            let _build = aov_trace::span!("farkas.model_build");
-            for name in ov_space.vars().names() {
-                let v = m.add_var(name.clone());
-                m.set_integer(v);
-            }
-            let mut fi = 0usize;
-            for (dep, systems) in deps.iter().zip(&dep_systems) {
-                if !dependence_active_in_pattern(p, &ov_space, dep, pattern) {
-                    continue;
-                }
-                for sys in systems {
-                    // Fresh multipliers for this storage row.
-                    let lambda_base = m.num_vars();
-                    for j in 0..sys.num_multipliers {
-                        m.add_nonneg_var(format!("lam_{fi}_{j}"));
-                    }
-                    fi += 1;
-                    let total = m.num_vars();
-                    for eq in &sys.equations {
-                        // lhs(v) − Σ_j mult_j λ_j == 0, as one row.
-                        let mut row = Vec::with_capacity(total);
-                        row.extend_from_slice(eq.lhs.coeffs().as_slice());
-                        row.resize(total, aov_numeric::Rational::zero());
-                        for (j, c) in eq.multipliers.iter().enumerate() {
-                            if !c.is_zero() {
-                                row[lambda_base + j] = -c;
-                            }
-                        }
-                        let e = AffineExpr::from_parts(row.into(), eq.lhs.constant_term().clone());
-                        m.constrain(e, Cmp::Eq);
-                    }
-                }
-            }
-            let obj = install_pattern_objective(&mut m, p, &ov_space, pattern);
-            m.minimize(obj);
+    let generators = gens.vertices.len() + gens.rays.len() + gens.lines.len();
+    aov_support::static_counter!("core.aov.generators").add(generators as u64);
+    aov_support::static_counter!("core.aov.generator_rows")
+        .add(dep_rows.iter().map(Vec::len).sum::<usize>() as u64);
+    aov_support::static_counter!("core.aov.farkas_multipliers")
+        .add((forms_total * (a.rows().len() + 1)) as u64);
+    shortest_over_patterns(a, &ov_space, budget, "aov.orthant", |m, didx| {
+        for (r, cmp) in &dep_rows[didx] {
+            m.constrain(r.clone(), *cmp);
         }
-        Ok(candidate_of(&ov_space, m.solve_ilp_budgeted(b)?))
-    };
-    fan_out_patterns(&patterns, workers, budget, "aov.orthant", &prune, &solve)?
-        .map(|(_, vs)| OvResult::new(p, vs))
-        .ok_or(CoreError::NoVectorFound)
+    })
+}
+
+/// Problem 3's rows for one dependence, in `v` alone (see
+/// [`aov_budgeted`]): each storage form at each vertex of ℛ (`>= 0`),
+/// along each ray (`>= 0`) and along each line (`== 0`), cleared of
+/// denominators, with duplicates and trivially true rows dropped.
+fn generator_rows(forms: &[BilinearForm], gens: &GeneratorSet) -> Vec<(AffineExpr, Cmp)> {
+    let _span = aov_trace::span!("aov.generator_rows", forms = forms.len());
+    let mut out: Vec<(AffineExpr, Cmp)> = Vec::new();
+    for f in forms {
+        let at_vertices = gens.vertices.iter().map(|x| (f.at_point(x), Cmp::Ge));
+        let along_rays = gens.rays.iter().map(|r| (f.linear_part_along(r), Cmp::Ge));
+        let along_lines = gens.lines.iter().map(|l| (f.linear_part_along(l), Cmp::Eq));
+        for (row, cmp) in at_vertices.chain(along_rays).chain(along_lines) {
+            let trivial = row.is_constant()
+                && match cmp {
+                    Cmp::Eq => row.constant_term().is_zero(),
+                    _ => !row.constant_term().is_negative(),
+                };
+            let row = (row.clear_denominators(), cmp);
+            if !trivial && !out.contains(&row) {
+                out.push(row);
+            }
+        }
+    }
+    out
 }
 
 /// Exact cross-check for Problem 3: enumerate integer candidates per
@@ -652,7 +558,9 @@ pub fn aov_search_with(
                             )))
                         },
                     );
-                    **lock(&slot_refs[aidx]) = Some(r);
+                    **slot_refs[aidx]
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner) = Some(r);
                 }
             });
         }
@@ -931,6 +839,171 @@ mod tests {
         assert!(an.is_legal(&s));
         let checker = Checker::new(&an);
         assert!(checker.valid_for_schedule(aov_ir::ArrayId(0), v.components(), &s));
+    }
+
+    /// The paper's Farkas form of Problem 3 (§4.5.3): each storage form
+    /// is equated to a nonnegative combination of ℛ's irredundant rows,
+    /// with fresh multipliers per form. Kept as the oracle of the
+    /// generator form [`aov_budgeted`] uses.
+    fn aov_farkas(a: &Analysis) -> Result<OvResult, CoreError> {
+        if a.legal().is_empty() {
+            return Err(CoreError::Unschedulable);
+        }
+        let sched_rows: Vec<AffineExpr> = a
+            .legal()
+            .remove_redundant()
+            .constraints()
+            .iter()
+            .map(|c| c.expr().clone())
+            .collect();
+        let (p, space) = (a.program(), a.space());
+        let ov_space = OvSpace::new(p);
+        let mut dep_systems = Vec::with_capacity(a.deps().len());
+        for dep in a.deps() {
+            let forms = storage_forms_for_dep(p, space, &ov_space, dep)?;
+            dep_systems.push(
+                forms
+                    .iter()
+                    .map(|f| aov_schedule::farkas::farkas_system(f, &sched_rows))
+                    .collect::<Vec<_>>(),
+            );
+        }
+        let budget = Budget::unlimited();
+        shortest_over_patterns(a, &ov_space, &budget, "aov.orthant", |m, didx| {
+            for sys in &dep_systems[didx] {
+                let lambda_base = m.num_vars();
+                for j in 0..sys.num_multipliers {
+                    m.add_nonneg_var(format!("lam_{lambda_base}_{j}"));
+                }
+                let total = m.num_vars();
+                for eq in &sys.equations {
+                    // lhs(v) − Σ_j mult_j λ_j == 0, as one row.
+                    let mut row = eq.lhs.coeffs().as_slice().to_vec();
+                    row.resize(total, aov_numeric::Rational::zero());
+                    for (j, c) in eq.multipliers.iter().enumerate() {
+                        row[lambda_base + j] = -c;
+                    }
+                    let e = AffineExpr::from_parts(row.into(), eq.lhs.constant_term().clone());
+                    m.constrain(e, Cmp::Eq);
+                }
+            }
+        })
+    }
+
+    /// What a differential oracle compares: the objective and vectors,
+    /// or the error class.
+    fn verdict(r: Result<OvResult, CoreError>) -> Result<(i64, Vec<OccupancyVector>), String> {
+        match r {
+            Ok(ov) => Ok((ov.objective(), ov.vectors().to_vec())),
+            Err(e) => Err(format!("{:?}", std::mem::discriminant(&e))),
+        }
+    }
+
+    /// The paper examples, then 300 generated programs (seeds
+    /// `mix(42, i)`, default generator profile).
+    fn oracle_corpus() -> Vec<Program> {
+        let mut programs = vec![
+            example1(),
+            example2(),
+            aov_ir::examples::example3(),
+            example4(),
+        ];
+        let cfg = aov_gen::GenConfig::default();
+        programs.extend(
+            (0..300).map(|i| aov_gen::generate(aov_support::rng::mix(42, i), &cfg).program),
+        );
+        programs
+    }
+
+    /// Oracle for the generator form: on every corpus program it returns
+    /// the same AOVs, objective and error class as the Farkas form.
+    #[test]
+    fn generator_form_matches_farkas_form() {
+        let (mut solved, mut compared) = (0, 0);
+        for p in oracle_corpus() {
+            let Ok(a) = Analysis::new(&p) else { continue };
+            let generator = verdict(aov_budgeted(&a, &Budget::unlimited()));
+            let farkas = verdict(aov_farkas(&a));
+            assert_eq!(generator, farkas, "{}", p.name());
+            compared += 1;
+            solved += usize::from(generator.is_ok());
+        }
+        assert!(
+            compared >= 300 && solved >= 150,
+            "{compared} compared, {solved} solved"
+        );
+    }
+
+    /// Oracle for the bound-ordered orthant loop: under an unlimited
+    /// budget it returns what the unpruned index-order scan returns. A
+    /// finite budget turns pruning off and visits patterns in index
+    /// order, so a limit no solve reaches gives that scan.
+    #[test]
+    fn ordered_loop_matches_index_order_scan() {
+        let scan = || Budget::new(Some(u64::MAX - 1), None, None);
+        let (mut p1_solved, mut p3_solved) = (0, 0);
+        for p in oracle_corpus() {
+            let Ok(a) = Analysis::new(&p) else { continue };
+            let ordered = verdict(aov_budgeted(&a, &Budget::unlimited()));
+            assert_eq!(ordered, verdict(aov_budgeted(&a, &scan())), "{}", p.name());
+            p3_solved += usize::from(ordered.is_ok());
+            let Ok(sched) = scheduler::find_schedule_with_budgeted(&a, &[], &Budget::unlimited())
+            else {
+                continue;
+            };
+            let ordered = verdict(ov_for_schedule_budgeted(&a, &sched, &Budget::unlimited()));
+            let index_order = verdict(ov_for_schedule_budgeted(&a, &sched, &scan()));
+            assert_eq!(ordered, index_order, "{}", p.name());
+            p1_solved += usize::from(ordered.is_ok());
+        }
+        assert!(
+            p1_solved >= 150 && p3_solved >= 150,
+            "{p1_solved} / {p3_solved}"
+        );
+    }
+
+    /// Oracle for the loop itself, on synthetic orthant optima with
+    /// many cross-pattern ties: the bound-ordered, pruned loop returns
+    /// the minimum of `(objective, pattern index)` that an unpruned
+    /// index-order scan finds, and it prunes.
+    #[test]
+    fn ordered_loop_matches_index_order_scan_on_synthetic_optima() {
+        let patterns: Vec<Orthant> = sign_patterns(3)
+            .into_iter()
+            .filter(|pat| pat.iter().any(|&s| s != 0))
+            .collect();
+        let mut rng = aov_support::rng::Rng::new(42);
+        let solves = std::cell::Cell::new(0);
+        let trials = 2000;
+        for _ in 0..trials {
+            // Each orthant is infeasible, or its optimum has a length of
+            // its nonzero count or one more, and an evenness of 0..=3.
+            let optima: Vec<Option<i64>> = patterns
+                .iter()
+                .map(|pat| {
+                    let nonzeros = pat.iter().filter(|&&s| s != 0).count() as i64;
+                    let length = nonzeros + rng.i64_in(0, 1);
+                    (rng.u64_below(3) != 0).then(|| LENGTH_WEIGHT * length + rng.i64_in(0, 3))
+                })
+                .collect();
+            let scan = optima
+                .iter()
+                .enumerate()
+                .filter_map(|(i, o)| o.map(|obj| (obj, i)))
+                .min()
+                .map(|(obj, i)| (obj, vec![OccupancyVector::new(vec![i as i64])]));
+            let solve = |pat: &Orthant| {
+                solves.set(solves.get() + 1);
+                let i = patterns.iter().position(|q| q == pat).unwrap();
+                Ok(optima[i].map(|obj| (obj, vec![OccupancyVector::new(vec![i as i64])])))
+            };
+            let ordered = solve_patterns(&patterns, &Budget::unlimited(), "aov.orthant", solve);
+            assert_eq!(ordered.unwrap(), scan, "optima {optima:?}");
+        }
+        assert!(
+            solves.get() < trials * patterns.len(),
+            "the loop must prune"
+        );
     }
 
     #[test]

@@ -173,8 +173,8 @@ pub(crate) fn build_bundle(
             .find(|s| !s.error_chain.is_empty())
             .map(|s| (s, s.error_chain.clone()))
             .or_else(|| {
-                // Some faults are absorbed inside a stage (a worker
-                // panic the fan-out isolated) and surface only as the
+                // Some faults are absorbed inside a stage (a panic an
+                // orthant loop isolated) and surface only as the
                 // degraded outcome's reason — still worth naming.
                 stages
                     .iter()

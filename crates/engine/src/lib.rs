@@ -3,8 +3,8 @@
 //! Runs a program through the paper's tool chain (dependences →
 //! legal-schedule polyhedron → Problems 1/2/3 → storage transform →
 //! codegen → dynamic equivalence) as named, timed, counter-instrumented
-//! stages, with deterministic parallel fan-out of the per-orthant
-//! solvers. The `aov` binary exposes the same pipeline on the command
+//! stages whose reports do not depend on the worker count. The `aov`
+//! binary exposes the same pipeline on the command
 //! line and emits a JSON report.
 
 pub mod diag;

@@ -11,9 +11,10 @@
 //! span (`pipeline.<stage>`) under which every solver span nests — the
 //! CLI's `--trace`/`--profile` flags build on this.
 //!
-//! The per-orthant solvers of Problems 1 and 3 fan out over a
-//! configurable number of worker threads; the reduction is deterministic,
-//! so a parallel run is bit-identical to a sequential one.
+//! Problems 1 and 3 solve their sign orthants in one sequential loop
+//! ordered by lower bound, so a run's answers, counters and allocations
+//! do not depend on the configured worker count (which only the
+//! machine-model stage uses).
 //!
 //! # Degradation ladder
 //!
@@ -341,7 +342,7 @@ impl ToJson for BudgetSpec {
 pub struct Report {
     /// Program name (`example1` … `example4`).
     pub program: String,
-    /// Worker threads used for the per-orthant fan-out.
+    /// The configured worker count (see [`Pipeline::workers`]).
     pub workers: usize,
     /// Whether LP memoization was on.
     pub memoized: bool,
@@ -355,8 +356,10 @@ pub struct Report {
     /// fallback (see [`Report::aov_source`]). `None` when the stage
     /// degraded with no fallback.
     pub aov: Option<OvResult>,
-    /// Which solver produced [`Report::aov`]: `"farkas"` (the paper's
-    /// Problem 3) or `"uov"` (the schedule-independent fallback).
+    /// Which solver produced [`Report::aov`]: `"farkas"` names the
+    /// paper's exact Problem 3 solver (solved in the generator form of
+    /// Farkas' condition, see [`problems::aov_budgeted`]), `"uov"` the
+    /// schedule-independent fallback.
     pub aov_source: Option<&'static str>,
     /// Names of the arrays, aligned with [`Report::aov`].
     pub arrays: Vec<String>,
@@ -678,8 +681,10 @@ impl Pipeline {
         aov_support::digest::fnv1a_hex(format!("{:?}", self.program).as_bytes())
     }
 
-    /// Fans the per-orthant solvers out over `workers` threads
-    /// (`<= 1` means sequential). Results are bit-identical either way.
+    /// Worker threads for the machine-model speedup stage (`<= 1`
+    /// means sequential). Problems 1 and 3 solve their orthants in one
+    /// sequential loop, so the answers, counters and allocations of a
+    /// run do not depend on it.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -1031,18 +1036,14 @@ impl Pipeline {
         let ov: Option<OvResult> = match &sched {
             None => skip_stage(stages, "problem1", "no schedule to optimize against"),
             Some(s) => run_stage(stages, "problem1", || {
-                let ov =
-                    problems::ov_for_schedule_budgeted(shared.get()?, s, self.workers, budget)?;
+                let ov = problems::ov_for_schedule_budgeted(shared.get()?, s, budget)?;
                 let detail = ov_detail(p, &ov);
                 done(ov, detail)
             })?,
         };
 
         let aov_pair: Option<(OvResult, &'static str)> = run_stage(stages, "aov", || {
-            match shared
-                .get()
-                .and_then(|a| problems::aov_budgeted(a, self.workers, budget))
-            {
+            match shared.get().and_then(|a| problems::aov_budgeted(a, budget)) {
                 Ok(aov) => {
                     let detail = ov_detail(p, &aov);
                     done((aov, "farkas"), detail)
@@ -1052,7 +1053,7 @@ impl Pipeline {
                     if !e.is_degradable() {
                         return Err(e);
                     }
-                    // Farkas solver unavailable: degrade to the
+                    // Exact solver unavailable: degrade to the
                     // schedule-independent UOV baseline. The
                     // fallback is deliberately unbudgeted — it must
                     // stay reachable when the budget is spent — and

@@ -1,19 +1,17 @@
 //! Deterministic allocation fingerprints: the counting allocator's
 //! per-span attribution on Example 1 must be *exactly* reproducible —
 //! same span counts, same allocation counts, same byte totals — no
-//! matter how many workers the fan-out stages use. Worker threads adopt
-//! the caller's span context, so attribution must be independent of how
-//! orthants land on threads.
+//! matter which worker count the pipeline is configured with.
 //!
 //! The trace sink is process-global, so this lives in its own test
 //! binary (the other engine binaries never enable tracing).
 //!
-//! The fingerprint covers the spans whose work is schedule-invariant:
-//! `p1.orthant` (Problem 1 never prunes, all 8 orthants of Example 1
-//! solve identical models), the storage-form instantiation, and the
-//! Farkas system builds of the scheduler. The AOV orthant fan-out is
-//! deliberately excluded — its shared incumbent bound legitimately
-//! prunes a timing-dependent subset of orthants in parallel runs.
+//! The fingerprint covers the orthant solves of Problems 1 and 3
+//! (`p1.orthant`, `aov.orthant`), the storage-form instantiation and
+//! Problem 3's generator rows. Both problems solve their orthants in
+//! one sequential loop ordered by lower bound, so which orthants are
+//! solved, and what each allocates, is a function of the program alone:
+//! Problem 1 prunes Example 1 to 4 orthants, Problem 3 solves all 8.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -26,7 +24,12 @@ static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Spans whose (count, allocs, bytes, max_bits) aggregate must be
 /// bit-identical across worker counts.
-const STABLE_SPANS: [&str; 3] = ["p1.orthant", "core.storage_forms_for_dep", "farkas.system"];
+const STABLE_SPANS: [&str; 4] = [
+    "p1.orthant",
+    "aov.orthant",
+    "core.storage_forms_for_dep",
+    "aov.generator_rows",
+];
 
 #[derive(Debug, PartialEq, Eq, Default, Clone)]
 struct Aggregate {
@@ -78,16 +81,24 @@ fn fingerprint_is_identical_across_worker_counts() {
 
     let records = traced_run(1);
     let baseline = fingerprint(&records);
-    // The fingerprint is meaningful: Example 1 solves all 8 non-zero
-    // sign patterns in Problem 1, each allocating a fresh model.
-    assert_eq!(baseline["p1.orthant"].count, 8, "{baseline:?}");
-    assert!(baseline["p1.orthant"].allocs > 0, "{baseline:?}");
-    assert!(baseline["p1.orthant"].bytes > 0, "{baseline:?}");
-    assert!(baseline["farkas.system"].count > 0, "{baseline:?}");
-    assert!(
-        baseline["core.storage_forms_for_dep"].count > 0,
+    // The fingerprint is meaningful: of Example 1's 8 non-zero sign
+    // patterns, Problem 1 solves the 4 whose bound does not exceed its
+    // optimum (0, 1) and Problem 3 solves all 8 (its optimum (1, 2)
+    // exceeds every bound), each allocating a fresh model. Each problem
+    // instantiates the storage forms once per dependence, and Problem 3
+    // derives one generator-row set per dependence.
+    let ndeps = aov_ir::analysis::dependences(&aov_ir::examples::example1()).len() as u64;
+    assert_eq!(baseline["p1.orthant"].count, 4, "{baseline:?}");
+    assert_eq!(baseline["aov.orthant"].count, 8, "{baseline:?}");
+    assert_eq!(
+        baseline["core.storage_forms_for_dep"].count,
+        2 * ndeps,
         "{baseline:?}"
     );
+    assert_eq!(baseline["aov.generator_rows"].count, ndeps, "{baseline:?}");
+    for (name, agg) in &baseline {
+        assert!(agg.allocs > 0 && agg.bytes > 0, "{name}: {baseline:?}");
+    }
     // Bit-width growth is charged to the innermost span doing the
     // arithmetic: the pivot loop itself, not its orthant ancestor.
     let lp_bits = records

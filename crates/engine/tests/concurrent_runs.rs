@@ -30,14 +30,10 @@ fn solo(name: &'static str, workers: usize) -> Report {
         .expect("solo run")
 }
 
-/// The stages whose numbers must repeat. At `workers > 1` the AOV
-/// orthant fan-out shares an incumbent bound, so which orthants it
-/// prunes — and the `aov` stage's counters — depend on worker timing
-/// even in a solo run (see `alloc_fingerprint.rs`).
-fn stages(r: &Report, workers: usize) -> Vec<StageNumbers> {
+/// Every stage's attributed numbers.
+fn stages(r: &Report) -> Vec<StageNumbers> {
     r.stages
         .iter()
-        .filter(|s| workers == 1 || s.name != "aov")
         .map(|s| (s.name, s.counters.clone(), s.allocs, s.alloc_bytes))
         .collect()
 }
@@ -66,12 +62,10 @@ fn racing_runs_match_solo_runs(workers: usize) {
     for ((name, solo), raced) in PROGRAMS.iter().zip(&solo).zip(&raced) {
         assert!(solo.counter("lp.simplex.pivots") > 0, "{name}");
         assert!(solo.stages.iter().any(|s| s.allocs > 0), "{name}");
-        if workers == 1 {
-            assert_eq!(raced.counters, solo.counters, "{name}: run counters");
-        }
+        assert_eq!(raced.counters, solo.counters, "{name}: run counters");
         assert_eq!(
-            stages(raced, workers),
-            stages(solo, workers),
+            stages(raced),
+            stages(solo),
             "{name} at --workers {workers}: stage numbers"
         );
     }

@@ -68,16 +68,20 @@ fn example1_flame_table_golden() {
         .expect("storage-form spans");
     assert_eq!(forms.count as usize, 2 * ndeps);
     // Example 1's vector space has 2 components: 3^2 sign patterns minus
-    // the all-zero one survive the filter, and Problem 1 never prunes.
-    assert_eq!(table.row("p1.orthant").expect("p1 spans").count, 8);
-    // The AOV incumbent bound may prune late orthants (timing-dependent
-    // in parallel runs), but at least one must be solved.
-    assert!(table.row("aov.orthant").expect("aov spans").count >= 1);
-    // Solver-cost attribution: the flame table separates model build
-    // from LP solve from memo lookup.
+    // the all-zero one survive the filter. Both problems visit them by
+    // lower bound and stop once no pattern can beat the incumbent:
+    // Problem 1's optimum (0, 1) leaves the 4 one-component patterns,
+    // Problem 3's optimum (1, 2) exceeds every bound, so all 8 solve.
+    assert_eq!(table.row("p1.orthant").expect("p1 spans").count, 4);
+    assert_eq!(table.row("aov.orthant").expect("aov spans").count, 8);
+    // Problem 3 derives its generator rows once per dependence.
+    let rows = table
+        .row("aov.generator_rows")
+        .expect("generator-row spans");
+    assert_eq!(rows.count as usize, ndeps);
+    // Solver-cost attribution: the flame table separates LP solve from
+    // memo lookup.
     for name in [
-        "farkas.model_build",
-        "farkas.system",
         "lp.solve",
         "lp.simplex",
         "lp.canonicalize",
@@ -94,7 +98,7 @@ fn example1_flame_table_golden() {
     let rendered = table.render();
     assert!(rendered.contains("pipeline.aov") && rendered.contains("lp.simplex"));
     // Deterministic tree shape: every root is a pipeline stage, and the
-    // cross-thread orthant spans re-attach below their stage.
+    // orthant spans attach below their stage.
     let tree = aov_trace::tree(&records);
     assert_eq!(tree.len(), STAGES.len());
     for root in &tree {
@@ -113,8 +117,8 @@ fn example1_flame_table_golden() {
             .iter()
             .filter(|c| c.name == "p1.orthant")
             .count(),
-        8,
-        "orthant spans must parent to their stage across worker threads"
+        4,
+        "orthant spans must parent to their stage"
     );
 }
 
@@ -220,7 +224,15 @@ fn example1_problem2_internal_span_tree_golden() {
     assert!(chambers.count > enums.count);
     assert!(dd.count > chambers.count);
     assert!(table.row("p2.fm.project").is_some(), "FM projections");
-    assert!(table.row("p2.redundancy").is_some(), "redundancy pass");
+    // Problem 3's generator form needs no irredundant ℛ, so no stage
+    // runs the LP redundancy pass.
+    assert!(table.row("p2.redundancy").is_none(), "no redundancy pass");
+    for counter in [
+        "polyhedra.redundancy.checks",
+        "polyhedra.redundancy.rows_dropped",
+    ] {
+        assert_eq!(report.counter(counter), 0, "{counter}");
+    }
     // Re-attribution: the stage's own self time is residual glue. The
     // acceptance bar is ≥90% of self time moved into p2.* children;
     // assert the same with slack (≥80%) so scheduler jitter on a
@@ -237,8 +249,6 @@ fn example1_problem2_internal_span_tree_golden() {
         "polyhedra.param.vertex_enums",
         "polyhedra.param.chambers",
         "polyhedra.dd.conversions",
-        "polyhedra.redundancy.checks",
-        "polyhedra.redundancy.rows_dropped",
     ] {
         assert!(
             report.counter(counter) > 0,
@@ -247,9 +257,24 @@ fn example1_problem2_internal_span_tree_golden() {
     }
 }
 
+/// Spans of Example 2's exact Problem 3 search fanned out over 2
+/// workers: the analysis on the calling thread, the per-array searches
+/// on worker threads.
+fn traced_search() -> Vec<SpanRecord> {
+    let _guard = lock();
+    aov_trace::clear();
+    aov_trace::set_enabled(true);
+    let p = aov_ir::examples::example2();
+    let a = aov_schedule::Analysis::new(&p).expect("example2 linearizes");
+    aov_core::problems::aov_search_with(&a, 6, 2).expect("example2 has AOVs");
+    aov_trace::set_enabled(false);
+    aov_trace::drain()
+}
+
 #[test]
 fn chrome_export_round_trips() {
-    let (records, _) = traced_example1(2);
+    let (mut records, _) = traced_example1(1);
+    records.extend(traced_search());
     let doc = aov_trace::chrome::chrome_trace(&records);
     let parsed = Json::parse(&doc.to_pretty()).expect("chrome trace parses back");
     let Some(Json::Arr(events)) = parsed.get("traceEvents") else {
@@ -271,7 +296,7 @@ fn chrome_export_round_trips() {
     }
     assert_eq!(complete, records.len());
     assert!(meta >= 2, "expected thread_name metadata per track");
-    // workers(2) puts spans on more than one track.
+    // The search's worker threads put spans on more than one track.
     let threads: std::collections::BTreeSet<u64> = records.iter().map(|r| r.thread).collect();
     assert!(
         threads.len() >= 2,

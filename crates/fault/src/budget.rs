@@ -3,16 +3,15 @@
 //! A [`Budget`] is a cheap clone-to-share handle (an `Arc` around a few
 //! atomics) threaded from the engine down into the simplex pivot loop
 //! and the branch-and-bound node loop. Solvers *tick* it at
-//! pivot/node granularity; fan-outs *cancel* it when a sibling fails.
+//! pivot/node granularity; a holder may *cancel* it cooperatively.
 //!
-//! Determinism contract: the pivot/node counters are process-shared
-//! across all workers of one pipeline run, and the exceeded error
-//! carries only the resource, the configured limit, and the checkpoint
-//! site — never the racy observed count. Together with the engine's
-//! rule that finite budgets disable incumbent-based pruning in
-//! `fan_out_patterns`, the same budget trips with the same error at the
-//! same stage regardless of worker count. Wall-clock deadlines are the
-//! documented exception: they are inherently timing-dependent.
+//! Determinism contract: the exceeded error carries only the resource,
+//! the configured limit, and the checkpoint site — never the observed
+//! count. Together with the rule that finite budgets disable
+//! incumbent-based pruning in the orthant loop of Problems 1 and 3, the
+//! same budget trips with the same error at the same stage regardless
+//! of worker count. Wall-clock deadlines are the documented exception:
+//! they are inherently timing-dependent.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,8 +46,7 @@ impl Resource {
 }
 
 /// A budget checkpoint fired. Deliberately carries no observed counts:
-/// under parallel fan-out the observing thread races, but the
-/// (resource, limit, site) triple is worker-count-invariant.
+/// the (resource, limit, site) triple alone identifies the trip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetExceeded {
     pub resource: Resource,
@@ -86,41 +84,19 @@ impl fmt::Display for BudgetExceeded {
 
 impl std::error::Error for BudgetExceeded {}
 
-/// Work counters, shared between a budget and all its child scopes so
-/// limits are global to the run.
-struct Counters {
-    pivots: AtomicU64,
-    nodes: AtomicU64,
-}
-
 struct Inner {
     /// `u64::MAX` means unlimited.
     max_pivots: u64,
     max_nodes: u64,
     deadline: Option<Instant>,
     deadline_ms: u64,
-    counters: Arc<Counters>,
+    pivots: AtomicU64,
+    nodes: AtomicU64,
     cancelled: AtomicBool,
-    /// Cancellation chains: a child scope is cancelled when its own
-    /// flag *or* any ancestor's flag is set, but cancelling the child
-    /// never touches the parent (a failed fan-out must not poison later
-    /// pipeline stages).
-    parent: Option<Arc<Inner>>,
-}
-
-impl Inner {
-    fn cancelled_here_or_above(&self) -> bool {
-        if self.cancelled.load(Ordering::Relaxed) {
-            return true;
-        }
-        self.parent
-            .as_deref()
-            .is_some_and(Inner::cancelled_here_or_above)
-    }
 }
 
 /// Shareable budget handle. `Clone` shares the same counters and cancel
-/// flag; [`Budget::child`] shares counters but scopes cancellation.
+/// flag.
 #[derive(Clone)]
 pub struct Budget {
     inner: Arc<Inner>,
@@ -147,40 +123,18 @@ impl Budget {
                 max_nodes: max_nodes.unwrap_or(u64::MAX),
                 deadline: max_millis.map(|ms| Instant::now() + Duration::from_millis(ms)),
                 deadline_ms: max_millis.unwrap_or(0),
-                counters: Arc::new(Counters {
-                    pivots: AtomicU64::new(0),
-                    nodes: AtomicU64::new(0),
-                }),
+                pivots: AtomicU64::new(0),
+                nodes: AtomicU64::new(0),
                 cancelled: AtomicBool::new(false),
-                parent: None,
             }),
         }
     }
 
-    /// A child scope: same limits and *shared* counters (work anywhere
-    /// still charges the global budget), but its own cancel flag.
-    /// Cancelling the child stops the child's workers; the parent — and
-    /// so later pipeline stages — stays live. Cancelling the parent
-    /// also cancels the child.
-    #[must_use]
-    pub fn child(&self) -> Budget {
-        Budget {
-            inner: Arc::new(Inner {
-                max_pivots: self.inner.max_pivots,
-                max_nodes: self.inner.max_nodes,
-                deadline: self.inner.deadline,
-                deadline_ms: self.inner.deadline_ms,
-                counters: Arc::clone(&self.inner.counters),
-                cancelled: AtomicBool::new(false),
-                parent: Some(Arc::clone(&self.inner)),
-            }),
-        }
-    }
-
-    /// True when no pivot/node/deadline limit is set. Fan-outs use this
-    /// to decide whether incumbent pruning is allowed (pruning makes
-    /// work counts depend on completion order, so any finite budget
-    /// turns it off to keep trip points deterministic).
+    /// True when no pivot/node/deadline limit is set. The orthant loop
+    /// of Problems 1 and 3 uses this to decide whether incumbent pruning
+    /// is allowed (pruning makes work counts depend on incumbents, so
+    /// any finite budget turns it off to keep trip points where an
+    /// unpruned index-order scan puts them).
     #[must_use]
     pub fn is_unlimited(&self) -> bool {
         self.inner.max_pivots == u64::MAX
@@ -194,23 +148,23 @@ impl Budget {
         self.inner.cancelled.store(true, Ordering::Relaxed);
     }
 
-    /// Whether [`Budget::cancel`] has been called on this handle or any
-    /// ancestor scope.
+    /// Whether [`Budget::cancel`] has been called on this handle or a
+    /// clone of it.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled_here_or_above()
+        self.inner.cancelled.load(Ordering::Relaxed)
     }
 
-    /// Pivots ticked so far (for reporting; racy under fan-out).
+    /// Pivots ticked so far (for reporting).
     #[must_use]
     pub fn pivots_spent(&self) -> u64 {
-        self.inner.counters.pivots.load(Ordering::Relaxed)
+        self.inner.pivots.load(Ordering::Relaxed)
     }
 
-    /// Nodes ticked so far (for reporting; racy under fan-out).
+    /// Nodes ticked so far (for reporting).
     #[must_use]
     pub fn nodes_spent(&self) -> u64 {
-        self.inner.counters.nodes.load(Ordering::Relaxed)
+        self.inner.nodes.load(Ordering::Relaxed)
     }
 
     /// One simplex pivot at `site`.
@@ -220,7 +174,7 @@ impl Budget {
     /// [`BudgetExceeded`] when the pivot limit, the deadline, or the
     /// cancel flag trips.
     pub fn tick_pivot(&self, site: &'static str) -> Result<(), BudgetExceeded> {
-        let count = self.inner.counters.pivots.fetch_add(1, Ordering::Relaxed);
+        let count = self.inner.pivots.fetch_add(1, Ordering::Relaxed);
         if count >= self.inner.max_pivots {
             return Err(self.exceeded(Resource::Pivots, site));
         }
@@ -234,7 +188,7 @@ impl Budget {
     /// [`BudgetExceeded`] when the node limit, the deadline, or the
     /// cancel flag trips.
     pub fn tick_node(&self, site: &'static str) -> Result<(), BudgetExceeded> {
-        let count = self.inner.counters.nodes.fetch_add(1, Ordering::Relaxed);
+        let count = self.inner.nodes.fetch_add(1, Ordering::Relaxed);
         if count >= self.inner.max_nodes {
             return Err(self.exceeded(Resource::Nodes, site));
         }
@@ -382,28 +336,6 @@ mod tests {
         let e = c.tick_pivot("lp.simplex").unwrap_err();
         assert_eq!(e.resource, Resource::Cancelled);
         assert_eq!(c.check("stage").unwrap_err().resource, Resource::Cancelled);
-    }
-
-    #[test]
-    fn child_scope_cancellation_is_contained() {
-        let parent = Budget::new(Some(100), None, None);
-        let child = parent.child();
-        // Work in the child charges the shared counters.
-        child.tick_pivot("s").unwrap();
-        assert_eq!(parent.pivots_spent(), 1);
-        // Cancelling the child does not cancel the parent…
-        child.cancel();
-        assert!(child.is_cancelled());
-        assert!(!parent.is_cancelled());
-        parent.tick_pivot("s").unwrap();
-        assert_eq!(
-            child.tick_pivot("s").unwrap_err().resource,
-            Resource::Cancelled
-        );
-        // …but cancelling the parent cancels a fresh child.
-        let child2 = parent.child();
-        parent.cancel();
-        assert!(child2.is_cancelled());
     }
 
     #[test]

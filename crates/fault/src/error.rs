@@ -20,11 +20,11 @@ pub enum AovError {
     Unbounded { context: String },
     /// A work or wall-clock budget tripped (or the run was cancelled).
     BudgetExceeded(BudgetExceeded),
-    /// A scoped worker panicked; the panic was caught at the thread
-    /// boundary and converted into a value instead of unwinding the
-    /// whole `std::thread::scope`.
+    /// An orthant solve or a scoped worker panicked; the panic was
+    /// caught at that boundary and converted into a value instead of
+    /// unwinding further.
     WorkerPanic {
-        /// The fan-out site (e.g. `"aov.orthant"`) or stage name.
+        /// The isolating site (e.g. `"aov.orthant"`) or stage name.
         stage: String,
         /// The panic payload, downcast to a string when possible.
         payload: String,
@@ -52,13 +52,6 @@ impl AovError {
             AovError::InvalidInput { .. } => "invalid_input",
             AovError::Internal { .. } => "internal",
         }
-    }
-
-    /// Whether this error came from cooperative cancellation (a sibling
-    /// failed first); reducers prefer the primary cause over these.
-    #[must_use]
-    pub fn is_cancellation(&self) -> bool {
-        matches!(self, AovError::BudgetExceeded(b) if b.resource == crate::budget::Resource::Cancelled)
     }
 
     /// Converts a caught panic payload (from `std::panic::catch_unwind`)
@@ -175,21 +168,5 @@ mod tests {
             AovError::WorkerPanic { payload, .. } => assert_eq!(payload, "owned"),
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn cancellation_detection() {
-        let cancelled = AovError::BudgetExceeded(BudgetExceeded {
-            resource: Resource::Cancelled,
-            limit: 0,
-            site: "lp.simplex",
-        });
-        assert!(cancelled.is_cancellation());
-        let real = AovError::BudgetExceeded(BudgetExceeded {
-            resource: Resource::Pivots,
-            limit: 5,
-            site: "lp.simplex",
-        });
-        assert!(!real.is_cancellation());
     }
 }

@@ -1,7 +1,7 @@
 //! Fault-tolerance runtime for the `aov` workspace.
 //!
 //! The solver stack (exact-rational simplex, branch-and-bound ILP, the
-//! per-orthant Farkas fan-out) can run for a long time on adversarial
+//! per-orthant ILPs of Problems 1 and 3) can run for a long time on adversarial
 //! inputs and used to abort the whole process on internal failures.
 //! This crate provides the three primitives the rest of the workspace
 //! builds its degradation ladder on:
@@ -15,9 +15,8 @@
 //! * [`budget::Budget`] — a cheap, shareable handle carrying work
 //!   limits (simplex pivots, ILP nodes, a wall-clock deadline) and an
 //!   atomic cancel flag. Solvers call [`budget::Budget::tick_pivot`] /
-//!   [`budget::Budget::tick_node`] at pivot/node granularity; parallel
-//!   fan-outs call [`budget::Budget::cancel`] on first failure so
-//!   losing siblings stop pivoting.
+//!   [`budget::Budget::tick_node`] at pivot/node granularity, and
+//!   [`budget::Budget::cancel`] stops every holder at its next tick.
 //! * [`chaos`] — a deterministic fault-injection layer. A single
 //!   process-global spec (parsed from `AOV_CHAOS` or `--chaos`) arms
 //!   exactly one fault — an injected solver error, a worker panic, or

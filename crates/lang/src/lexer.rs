@@ -84,7 +84,9 @@ pub struct Token {
 /// Returns a caret [`Diagnostic`] on the first unrecognized character or
 /// malformed literal.
 pub fn lex(src: &str) -> Result<Vec<Token>, Diagnostic> {
-    let mut toks = Vec::new();
+    // Every token but `Eof` spans at least one byte, and the sources are
+    // mostly identifiers and whitespace: half the length rarely regrows.
+    let mut toks = Vec::with_capacity(src.len() / 2 + 1);
     let mut line: u32 = 1;
     let mut col: u32 = 1;
     let mut chars = src.chars().peekable();
@@ -137,27 +139,34 @@ pub fn lex(src: &str) -> Result<Vec<Token>, Diagnostic> {
                 push!(Tok::Ident(s), tline, tcol);
             }
             '0'..='9' => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_digit() {
-                        s.push(c);
-                        chars.next();
-                        col += 1;
-                    } else {
-                        break;
-                    }
+                // `None` once the value overflows `i64`.
+                let mut value = Some(0i64);
+                let mut len = 0;
+                while let Some(d) = chars.peek().and_then(|c| c.to_digit(10)) {
+                    value = value.and_then(|v| v.checked_mul(10)?.checked_add(i64::from(d)));
+                    len += 1;
+                    chars.next();
+                    col += 1;
                 }
-                match s.parse::<i64>() {
-                    Ok(v) => push!(Tok::Int(v), tline, tcol),
-                    Err(_) => {
+                match value {
+                    Some(v) => push!(Tok::Int(v), tline, tcol),
+                    None => {
+                        let literal: String = src
+                            .lines()
+                            .nth(tline as usize - 1)
+                            .unwrap_or_default()
+                            .chars()
+                            .skip(tcol as usize - 1)
+                            .take(len)
+                            .collect();
                         return Err(Diagnostic::at(
                             src,
                             Span {
                                 line: tline,
                                 col: tcol,
                             },
-                            format!("integer literal `{s}` out of range"),
-                        ))
+                            format!("integer literal `{literal}` out of range"),
+                        ));
                     }
                 }
             }

@@ -11,6 +11,7 @@ use crate::ast::*;
 use crate::diag::{Diagnostic, Span};
 use aov_ir::{ArrayId, Expr, Program, ProgramBuilder, StatementBuilder};
 use aov_linalg::AffineExpr;
+use aov_numeric::Rational;
 use aov_polyhedra::Constraint;
 use std::collections::HashMap;
 
@@ -133,15 +134,16 @@ fn lower_chain(src: &str, chain: &RelChain, scope: &Scope) -> Result<Vec<Constra
         .iter()
         .map(|a| lower_aff(src, a, scope))
         .collect::<Result<_, _>>()?;
-    let one = AffineExpr::constant(scope.dim(), 1.into());
-    let mut out = Vec::new();
+    let minus_one = Rational::from(-1);
+    let mut out = Vec::with_capacity(chain.ops.len());
     for (k, (op, _)) in chain.ops.iter().enumerate() {
         let (a, b) = (&exprs[k], &exprs[k + 1]);
+        // Integer points: `a < b` is `b - a - 1 >= 0`.
         out.push(match op {
-            RelOp::Le => Constraint::le(a.clone(), b.clone()),
-            RelOp::Lt => Constraint::ge0(&(b - a) - &one),
-            RelOp::Ge => Constraint::ge(a.clone(), b.clone()),
-            RelOp::Gt => Constraint::ge0(&(a - b) - &one),
+            RelOp::Le => Constraint::ge0(b - a),
+            RelOp::Lt => Constraint::ge0((b - a).plus_constant(&minus_one)),
+            RelOp::Ge => Constraint::ge0(a - b),
+            RelOp::Gt => Constraint::ge0((a - b).plus_constant(&minus_one)),
             RelOp::Eq => Constraint::eq0(a - b),
         });
     }

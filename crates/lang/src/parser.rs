@@ -54,21 +54,30 @@ impl<'a> Parser<'a> {
         self.toks[self.pos].span
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.toks[self.pos].clone();
+    fn bump(&mut self) {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
-        t
+    }
+
+    /// Consumes the current token, an identifier, moving its text out.
+    fn take_ident(&mut self) -> String {
+        let text = match &mut self.toks[self.pos].tok {
+            Tok::Ident(s) => std::mem::take(s),
+            _ => String::new(),
+        };
+        self.bump();
+        text
     }
 
     fn err<T>(&self, span: Span, msg: String) -> Result<T, Diagnostic> {
         Err(Diagnostic::at(self.src, span, msg))
     }
 
-    fn expect(&mut self, want: &Tok, what: &str) -> Result<Token, Diagnostic> {
+    fn expect(&mut self, want: &Tok, what: &str) -> Result<(), Diagnostic> {
         if self.peek() == want {
-            Ok(self.bump())
+            self.bump();
+            Ok(())
         } else {
             self.err(
                 self.span(),
@@ -79,11 +88,8 @@ impl<'a> Parser<'a> {
 
     fn ident(&mut self, what: &str) -> Result<(String, Span), Diagnostic> {
         let span = self.span();
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok((s, span))
-            }
+        match self.peek() {
+            Tok::Ident(_) => Ok((self.take_ident(), span)),
             other => self.err(span, format!("expected {what}, found {}", other.describe())),
         }
     }
@@ -126,22 +132,18 @@ impl<'a> Parser<'a> {
         self.expect(&Tok::Semi, "`;` after program name")?;
         let mut items = Vec::new();
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::Eof => break,
-                Tok::Ident(kw) => match kw.as_str() {
-                    "param" => items.push(self.param()?),
-                    "assume" => items.push(self.assume()?),
-                    "array" => items.push(self.array()?),
-                    "stmt" => items.push(Item::Stmt(self.stmt()?)),
-                    other => {
-                        return self.err(
-                            self.span(),
-                            format!(
-                                "expected `param`, `assume`, `array` or `stmt`, found `{other}`"
-                            ),
-                        )
-                    }
-                },
+                Tok::Ident(kw) if kw == "param" => items.push(self.param()?),
+                Tok::Ident(kw) if kw == "assume" => items.push(self.assume()?),
+                Tok::Ident(kw) if kw == "array" => items.push(self.array()?),
+                Tok::Ident(kw) if kw == "stmt" => items.push(Item::Stmt(self.stmt()?)),
+                Tok::Ident(other) => {
+                    return self.err(
+                        self.span(),
+                        format!("expected `param`, `assume`, `array` or `stmt`, found `{other}`"),
+                    )
+                }
                 other => {
                     return self.err(
                         self.span(),
@@ -325,7 +327,7 @@ impl<'a> Parser<'a> {
     /// `INT ("*" IDENT)? | IDENT`, with `sign` folded into the coefficient.
     fn aterm(&mut self, sign: i64) -> Result<AffTerm, Diagnostic> {
         let span = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 let coeff = sign.checked_mul(v).ok_or_else(|| {
@@ -342,14 +344,11 @@ impl<'a> Parser<'a> {
                     Ok(AffTerm { coeff, var: None })
                 }
             }
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(AffTerm {
-                    coeff: sign,
-                    var: Some((s, span)),
-                })
-            }
-            other => self.err(
+            Tok::Ident(_) => Ok(AffTerm {
+                coeff: sign,
+                var: Some((self.take_ident(), span)),
+            }),
+            ref other => self.err(
                 span,
                 format!(
                     "expected an affine term (integer or variable), found {}",
@@ -378,13 +377,13 @@ impl<'a> Parser<'a> {
 
     fn bterm(&mut self) -> Result<Bexpr, Diagnostic> {
         let span = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Int(_) | Tok::Minus => {
                 let (v, span) = self.int("integer literal")?;
                 Ok(Bexpr::Int(v, span))
             }
-            Tok::Ident(name) => {
-                self.bump();
+            Tok::Ident(_) => {
+                let name = self.take_ident();
                 match self.peek() {
                     Tok::LParen => {
                         self.bump();

@@ -164,6 +164,13 @@ impl AffineExpr {
         AffineExpr { coeffs, constant }
     }
 
+    /// The expression with `c` added to its constant term.
+    #[must_use]
+    pub fn plus_constant(mut self, c: &Rational) -> AffineExpr {
+        self.constant = &self.constant + c;
+        self
+    }
+
     /// Coefficient vector.
     pub fn coeffs(&self) -> &QVector {
         &self.coeffs

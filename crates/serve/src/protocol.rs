@@ -77,7 +77,8 @@ pub mod code {
 /// Per-request solve options (all optional on the wire).
 #[derive(Debug, Clone, Default)]
 pub struct SolveOptions {
-    /// Solver fan-out width (`0`/absent = sequential).
+    /// Pipeline worker count (`0`/absent = 1; see
+    /// `aov_engine::Pipeline::workers`).
     pub workers: usize,
     /// Request-level memoization opt-in (the daemon's shared tier must
     /// also be armed for it to matter).

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Problem 3: the shortest occupancy vector valid for EVERY legal
     // affine schedule.
-    let solution = problems::aov_budgeted(&analysis, 1, &Budget::unlimited())?;
+    let solution = problems::aov_budgeted(&analysis, &Budget::unlimited())?;
     println!("== AOV ==\n{solution}");
     let v = solution.vector_for("A").expect("array A");
     assert_eq!(v.components(), [1, 2], "the paper's Figure 5 result");

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The headline analysis: AOV (1,1,1) despite 19 dependences and the
     // boundary-writer pruning of §5.3.
     let analysis = Analysis::new(&program)?;
-    let aov = problems::aov_budgeted(&analysis, 1, &Budget::unlimited())?;
+    let aov = problems::aov_budgeted(&analysis, &Budget::unlimited())?;
     let v = aov.vector_for("D").expect("array D");
     println!("AOV of the DP cube: v = {v}");
 

@@ -78,6 +78,21 @@ fi
 ./target/release/aov inspect "$trend_file" --check
 ./target/release/aov inspect "$trend_file" > /dev/null
 
+echo "== worker invariance"
+# Problems 1 and 3 solve their orthants in one sequential loop, so a
+# report depends on the program alone: with the wall-clock fields and
+# the echoed worker count removed, --workers 1 and --workers 3 agree.
+report_without_timings() {
+    ./target/release/aov "$1" --compact --workers "$2" \
+        | sed -E 's/"(total_)?micros":[0-9]+,?//g; s/"workers":[0-9]+,//'
+}
+for n in 1 2 4; do
+    if [ "$(report_without_timings "example$n" 1)" != "$(report_without_timings "example$n" 3)" ]; then
+        echo "worker invariance: example$n reports differ between --workers 1 and 3"
+        exit 1
+    fi
+done
+
 echo "== chaos smoke"
 # One injected fault per pipeline stage (plus a worker panic and a
 # forced budget trip in the solver layers): every run must degrade —

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Profile one example through the full pipeline, with the LP memo cache
-# on and the per-orthant solvers fanned out.
+# on.
 #
 # Writes a Chrome trace-event file and prints the per-span flame table
 # plus the memo hit rate to stderr. Load the trace in

@@ -22,8 +22,9 @@
 //!                      that print ∘ parse is a fixed point, then exit
 //!                      without running the pipeline
 //!
-//!   --workers N        fan the per-orthant solvers out over N threads
-//!                      (default: available parallelism, capped at 8)
+//!   --workers N        threads for the --machine simulations (default:
+//!                      available parallelism, capped at 8); reports do
+//!                      not depend on it
 //!   --sequential       shorthand for --workers 1
 //!   --memoize          enable the LP memoization cache
 //!   --machine          include the §6 simulated-speedup stage
@@ -87,7 +88,7 @@
 //!                      mix(S, i)
 //!   --count N          number of cases (default 100)
 //!   --quick            smaller programs, tighter budgets (CI smoke)
-//!   --workers N        solver fan-out threads per case
+//!   --workers N        pipeline worker threads per case
 //!   --repro-dir DIR    where minimal repros and diag bundles land
 //!                      (default fuzz-repros/)
 //!   --out FILE         write the campaign summary JSON here
@@ -114,7 +115,7 @@
 //!                         a noise-aware regression report
 //!   --fail-on-regression  exit 1 when the comparison gates
 //!   --examples A,B        subset of examples (default: all four)
-//!   --workers N           solver fan-out threads
+//!   --workers N           pipeline worker threads
 //!   --quick               machine-model figures at reduced sizes
 //!   --no-figures          skip the figure suite
 //!   --check FILE          validate an existing artifact against the

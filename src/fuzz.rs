@@ -29,7 +29,7 @@
 //!
 //! Determinism: per-case seeds are `mix(seed, index)`, budgets are
 //! work-based (pivots/nodes, never wall-clock), and the generator,
-//! solver fan-out and shrinker are all deterministic — so a summary is a
+//! solvers and shrinker are all deterministic — so a summary is a
 //! pure function of `(seed, count, config)`, independent of `--workers`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,7 +53,7 @@ pub struct FuzzConfig {
     pub seed: u64,
     /// Number of cases.
     pub count: usize,
-    /// Solver fan-out threads per pipeline run.
+    /// Pipeline worker threads per case.
     pub workers: usize,
     /// Smaller programs, tighter budgets, fewer shrink evaluations.
     pub quick: bool,

@@ -17,7 +17,7 @@
 //! * [`machine`] — a simulated multiprocessor reproducing the paper's
 //!   speedup experiments.
 //! * [`engine`] — the instrumented end-to-end pipeline (stages, solver
-//!   counters, parallel fan-out) behind the `aov` CLI.
+//!   counters, degradation ladder) behind the `aov` CLI.
 //! * [`support`] — the zero-dependency runtime substrate (PRNG, JSON,
 //!   bench harness, property-test runner, counter registry).
 //! * [`trace`] — hierarchical tracing and solver profiling (spans,
