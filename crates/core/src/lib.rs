@@ -74,7 +74,7 @@ use aov_schedule::scheduler::ScheduleError;
 /// Errors from the schedule/storage solvers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreError {
-    /// Polyhedral machinery failed (unbounded domain, chamber explosion).
+    /// Polyhedral machinery failed (an unbounded iteration domain).
     Polyhedra(PolyhedraError),
     /// No legal one-dimensional affine schedule exists, so occupancy
     /// vector problems over "all legal schedules" are vacuous.

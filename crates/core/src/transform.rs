@@ -42,8 +42,8 @@ impl StorageTransform {
     /// * [`CoreError::InvalidProgram`] — zero vector or dimension
     ///   mismatch.
     /// * [`CoreError::Unsupported`] — the data space has no
-    ///   parameter-uniform bounding box (offsets/extents would be
-    ///   chamber-dependent).
+    ///   parameter-uniform bounding box (offsets/extents would differ
+    ///   across parameter regions).
     pub fn new(p: &Program, array: ArrayId, ov: &OccupancyVector) -> Result<Self, CoreError> {
         let arr = p.array(array);
         if ov.dim() != arr.dim() {
@@ -224,18 +224,13 @@ fn symbolic_range(
     let mut candidates: Vec<AffineExpr> = Vec::new();
     for &w in writers {
         let st = p.statement(w);
-        let chambers = param::parameterized_vertices(st.domain(), st.depth(), p.param_domain())?;
-        for ch in &chambers {
-            for vx in &ch.vertices {
-                // e at (Γ(N), N): substitute data dims by vertex coords.
-                let mut subs = vx.coords.clone();
-                for j in 0..np {
-                    subs.push(AffineExpr::var(np, j));
-                }
-                let val = e.substitute(&subs);
-                if !candidates.contains(&val) {
-                    candidates.push(val);
-                }
+        for vx in param::parameterized_vertices(st.domain(), st.depth(), p.param_domain())? {
+            // e at (Γ(N), N): substitute data dims by vertex coords.
+            let mut subs = vx.coords;
+            subs.extend((0..np).map(|j| AffineExpr::var(np, j)));
+            let val = e.substitute(&subs);
+            if !candidates.contains(&val) {
+                candidates.push(val);
             }
         }
     }

@@ -13,9 +13,9 @@
 //!   lines via Chernikova's double-description method,
 //! * [`Polyhedron::eliminate_dims`] — Fourier–Motzkin projection,
 //! * [`param`] — vertices of a polytope whose right-hand sides depend
-//!   affinely on symbolic parameters (Loechner–Wilde-style, with chamber
-//!   splitting), needed when iteration-domain vertices depend on loop
-//!   bounds or on the unknown occupancy vector.
+//!   affinely on symbolic parameters, each with its validity domain
+//!   (Loechner–Wilde-style), needed when iteration-domain vertices
+//!   depend on loop bounds or on the unknown occupancy vector.
 //!
 //! # Examples
 //!
@@ -49,8 +49,6 @@ pub use polyhedron::Polyhedron;
 /// Errors from polyhedral computations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PolyhedraError {
-    /// Chamber decomposition exceeded the recursion limit.
-    ChamberDepthExceeded,
     /// The eliminated sub-polytope is unbounded for some parameter values,
     /// so vertex evaluation (Theorem 1) does not apply.
     UnboundedDirection,
@@ -61,9 +59,6 @@ pub enum PolyhedraError {
 impl std::fmt::Display for PolyhedraError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PolyhedraError::ChamberDepthExceeded => {
-                write!(f, "chamber decomposition exceeded recursion limit")
-            }
             PolyhedraError::UnboundedDirection => {
                 write!(f, "polytope is unbounded in an eliminated direction")
             }

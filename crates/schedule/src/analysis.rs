@@ -10,8 +10,8 @@ use std::borrow::Cow;
 /// the legal-schedule polyhedron ℛ of one program, computed once.
 ///
 /// Problems 1–3 all work over these objects; building them is the
-/// parameterized-vertex and chamber work of §4.4, so every stage of a
-/// solve borrows one `Analysis` instead of rebuilding it.
+/// parameterized-vertex work of §4.4, so every stage of a solve borrows
+/// one `Analysis` instead of rebuilding it.
 ///
 /// # Examples
 ///

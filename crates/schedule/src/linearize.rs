@@ -5,12 +5,18 @@
 //! domain, produce finitely many affine constraints over `u`:
 //!
 //! 1. eliminate `i` at the parameterized vertices of the domain
-//!    (§4.4.2, using chamber decomposition when the vertex structure
-//!    varies),
-//! 2. eliminate `N` at the vertices and rays of each chamber's parameter
-//!    region (§4.4.3; rays contribute "linear part nonnegative"
-//!    constraints per Theorem 1, lines contribute equalities encoded as
-//!    two inequalities).
+//!    (§4.4.2); each vertex comes with its validity domain, the
+//!    parameters at which it is a vertex,
+//! 2. eliminate `N` at the vertices and rays of each validity domain
+//!    (§4.4.3; rays contribute "linear part nonnegative" constraints per
+//!    Theorem 1, lines contribute equalities encoded as two
+//!    inequalities).
+//!
+//! This is exact: at every `N`, the vertices of the polytope are the
+//! values of the vertices valid at `N`, so the form is `>= 0` on every
+//! polytope iff each vertex's substituted form, affine in `N`, is `>= 0`
+//! on its validity domain, which Theorem 1 decides at that domain's
+//! generators.
 
 use crate::BilinearForm;
 use aov_polyhedra::{param, PolyhedraError, Polyhedron};
@@ -27,7 +33,7 @@ use aov_polyhedra::{param, PolyhedraError, Polyhedron};
 /// # Errors
 ///
 /// Propagates [`PolyhedraError`] from the parameterized-vertex
-/// computation (unbounded iteration domains, pathological chambers).
+/// computation (unbounded iteration domains).
 pub fn eliminate_to_linear(
     form: &BilinearForm,
     system: &Polyhedron,
@@ -69,35 +75,27 @@ pub fn eliminate_to_linear_tagged(
     let n_params = system.dim() - n_elim;
     assert_eq!(param_domain.dim(), n_params, "param domain dimension");
 
-    let chambers = param::parameterized_vertices(system, n_elim, param_domain)?;
     let mut out = Vec::new();
-    for chamber in &chambers {
-        if chamber.vertices.is_empty() {
-            continue; // empty polytope on this chamber: nothing to require
+    for vertex in param::parameterized_vertices(system, n_elim, param_domain)? {
+        // Substitute i := Γ(N): the domain space becomes N alone.
+        let mut subs = vertex.coords;
+        subs.extend((0..n_params).map(|j| aov_linalg::AffineExpr::var(n_params, j)));
+        let over_params = form.substitute_domain(&subs);
+        let gens = &vertex.generators;
+        for w in &gens.vertices {
+            push_nontrivial(&mut out, over_params.at_point(w), RowKind::Point);
         }
-        let gens = chamber.domain.generators();
-        for vertex in &chamber.vertices {
-            // Substitute i := Γ(N): the domain space becomes N alone.
-            let mut subs = vertex.coords.clone();
-            for j in 0..n_params {
-                subs.push(aov_linalg::AffineExpr::var(n_params, j));
-            }
-            let over_params = form.substitute_domain(&subs);
-            for w in &gens.vertices {
-                push_nontrivial(&mut out, over_params.at_point(w), RowKind::Point);
-            }
-            for r in &gens.rays {
-                push_nontrivial(
-                    &mut out,
-                    over_params.linear_part_along(r),
-                    RowKind::Direction,
-                );
-            }
-            for l in &gens.lines {
-                let lin = over_params.linear_part_along(l);
-                push_nontrivial(&mut out, lin.clone(), RowKind::Direction);
-                push_nontrivial(&mut out, -&lin, RowKind::Direction);
-            }
+        for r in &gens.rays {
+            push_nontrivial(
+                &mut out,
+                over_params.linear_part_along(r),
+                RowKind::Direction,
+            );
+        }
+        for l in &gens.lines {
+            let lin = over_params.linear_part_along(l);
+            push_nontrivial(&mut out, lin.clone(), RowKind::Direction);
+            push_nontrivial(&mut out, -&lin, RowKind::Direction);
         }
     }
     Ok(out)

@@ -86,7 +86,7 @@ report_without_timings() {
     ./target/release/aov "$1" --compact --workers "$2" \
         | sed -E 's/"(total_)?micros":[0-9]+,?//g; s/"workers":[0-9]+,//'
 }
-for n in 1 2 4; do
+for n in 1 2 3 4; do
     if [ "$(report_without_timings "example$n" 1)" != "$(report_without_timings "example$n" 3)" ]; then
         echo "worker invariance: example$n reports differ between --workers 1 and 3"
         exit 1
