@@ -17,7 +17,9 @@
 //!    `v` per vertex, ray and line of ℛ (Theorem 1), and keeps
 //!    [`aov_schedule::farkas`] as the paper's method and test oracle.
 //!
-//! Problems 1 and 3 solve one ILP per sign orthant of `v` in a single
+//! Problems 1 and 3 solve each array on its own — a storage row involves
+//! only its source array's vector and the objective is a sum over arrays
+//! — with one ILP per sign orthant of that array's vector, in a single
 //! sequential loop that visits orthants by a lower bound on their
 //! objective and stops once none can beat the incumbent, so answers
 //! and work are the same for any worker count.
@@ -65,7 +67,9 @@ pub mod transform;
 pub mod uov;
 
 pub use objective::{evenness, objective_value, LENGTH_WEIGHT};
-pub use ov::{OccupancyVector, OvSpace};
+pub use ov::OccupancyVector;
+#[cfg(test)]
+pub(crate) use ov::OvSpace;
 
 use aov_fault::AovError;
 use aov_polyhedra::PolyhedraError;
@@ -121,6 +125,18 @@ impl std::error::Error for CoreError {
             _ => None,
         }
     }
+}
+
+/// The differential oracles' corpus: the paper examples, then 300
+/// generated programs (seeds `mix(42, i)`, default generator profile).
+#[cfg(test)]
+pub(crate) fn oracle_corpus() -> Vec<aov_ir::Program> {
+    use aov_ir::examples::{example1, example2, example3, example4};
+    let mut programs = vec![example1(), example2(), example3(), example4()];
+    let cfg = aov_gen::GenConfig::default();
+    programs
+        .extend((0..300).map(|i| aov_gen::generate(aov_support::rng::mix(42, i), &cfg).program));
+    programs
 }
 
 impl From<PolyhedraError> for CoreError {

@@ -1,6 +1,9 @@
-//! Occupancy vectors and the joint per-array coordinate space.
+//! Occupancy vectors, and (for the test oracles) the joint per-array
+//! coordinate space.
 
+#[cfg(test)]
 use aov_ir::{ArrayId, Program};
+#[cfg(test)]
 use aov_linalg::VarSet;
 use std::fmt;
 
@@ -72,19 +75,11 @@ impl fmt::Display for OccupancyVector {
     }
 }
 
-/// The joint coordinate space of all arrays' occupancy-vector components
-/// (the unknowns of the storage LPs).
-///
-/// # Examples
-///
-/// ```
-/// use aov_ir::examples::example4;
-/// use aov_core::OvSpace;
-///
-/// let p = example4();
-/// let space = OvSpace::new(&p);
-/// assert_eq!(space.dim(), 3); // A is 2-d, B is 1-d
-/// ```
+/// The joint coordinate space of all arrays' occupancy-vector components,
+/// one array-contiguous slice per array in array order: the unknowns of
+/// the joint search the test oracles keep. The solvers search each
+/// array's own components.
+#[cfg(test)]
 #[derive(Debug, Clone)]
 pub struct OvSpace {
     offsets: Vec<usize>,
@@ -93,6 +88,7 @@ pub struct OvSpace {
     vars: VarSet,
 }
 
+#[cfg(test)]
 impl OvSpace {
     /// Builds the space for a program (one slice per array, in array
     /// order).
@@ -126,11 +122,6 @@ impl OvSpace {
     pub fn component(&self, array: ArrayId, k: usize) -> usize {
         assert!(k < self.dims[array.0], "component out of range");
         self.offsets[array.0] + k
-    }
-
-    /// Dimension of one array's vector.
-    pub fn array_dim(&self, array: ArrayId) -> usize {
-        self.dims[array.0]
     }
 
     /// Named variables (for LP display).

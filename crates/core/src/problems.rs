@@ -3,16 +3,18 @@
 use crate::check::Checker;
 use crate::objective::{evenness, objective_value, LENGTH_WEIGHT};
 use crate::storage::{
-    dependence_active_in_pattern, sign_patterns, storage_forms_for_dep, storage_rows_concrete,
+    dependence_active_in_orthant, sign_patterns, storage_forms_for_dep, storage_rows_concrete,
     Orthant,
 };
-use crate::{CoreError, OccupancyVector, OvSpace};
+use crate::{CoreError, OccupancyVector};
 use aov_fault::{AovError, Budget};
-use aov_ir::Program;
+use aov_ir::{ArrayId, Program};
 use aov_linalg::AffineExpr;
 use aov_lp::{Cmp, LpOutcome, Model};
+use aov_polyhedra::param::dedup_in_order;
 use aov_polyhedra::{Constraint, GeneratorSet, Polyhedron};
 use aov_schedule::{legal, scheduler, Analysis, BilinearForm, Schedule};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::PoisonError;
 
@@ -20,8 +22,12 @@ use std::sync::PoisonError;
 /// candidate-enumeration solvers.
 pub const DEFAULT_SEARCH_RADIUS: i64 = 8;
 
-/// An orthant's optimum: its exact objective and the vectors attaining it.
-type OrthantSolution = (i64, Vec<OccupancyVector>);
+/// An orthant's optimum: its exact objective and what attains it.
+type OrthantSolution<T> = (i64, T);
+
+/// Each dependence's rows over its source array's vector components,
+/// parallel to [`Analysis::deps`].
+type DepRows = Vec<Vec<(AffineExpr, Cmp)>>;
 
 /// Lower bound on the objective inside a sign pattern: every nonzero
 /// component adds at least `LENGTH_WEIGHT` to the length term, and the
@@ -30,8 +36,8 @@ fn pattern_bound(pattern: &Orthant) -> i64 {
     LENGTH_WEIGHT * pattern.iter().filter(|&&s| s != 0).count() as i64
 }
 
-/// Solves the per-orthant subproblems of Problems 1 and 3 in one
-/// sequential loop and returns the minimum under the key
+/// Solves the per-orthant subproblems of one array in Problems 1 and 3
+/// in one sequential loop and returns the minimum under the key
 /// `(objective, pattern index)`.
 ///
 /// Under an unlimited budget the loop visits patterns by
@@ -46,18 +52,21 @@ fn pattern_bound(pattern: &Orthant) -> i64 {
 /// before each orthant, and each solve runs under `catch_unwind`, so a
 /// panicking orthant surfaces as [`AovError::WorkerPanic`]. The first
 /// failure ends the loop.
-fn solve_patterns(
+///
+/// [`shortest_per_array`] runs it once per array, over that array's own
+/// nonzero sign patterns.
+fn solve_patterns<T>(
     patterns: &[Orthant],
     budget: &Budget,
     site: &'static str,
-    solve: impl Fn(&Orthant) -> Result<Option<OrthantSolution>, AovError>,
-) -> Result<Option<OrthantSolution>, AovError> {
+    solve: impl Fn(&Orthant) -> Result<Option<OrthantSolution<T>>, AovError>,
+) -> Result<Option<OrthantSolution<T>>, AovError> {
     let pruning = budget.is_unlimited();
     let mut order: Vec<usize> = (0..patterns.len()).collect();
     if pruning {
         order.sort_by_key(|&i| (pattern_bound(&patterns[i]), i));
     }
-    let mut best: Option<(i64, usize, Vec<OccupancyVector>)> = None;
+    let mut best: Option<(i64, usize, T)> = None;
     for i in order {
         let pat = &patterns[i];
         if pruning
@@ -82,59 +91,70 @@ fn solve_patterns(
     Ok(best.map(|(obj, _, vs)| (obj, vs)))
 }
 
-/// The shortest occupancy vectors over every sign pattern of `a`'s
-/// program: per pattern, one ILP over the joint vector `v` with the
-/// rows `add_rows(model, dep)` adds for each dependence active in the
-/// pattern, plus the pattern's sign rows and two-term objective.
-/// Patterns are searched by [`solve_patterns`]; `site` names the
-/// per-orthant span, budget checkpoint and chaos site.
-fn shortest_over_patterns(
+/// The shortest occupancy vector of every array of `a`'s program, one
+/// array at a time. Per array, [`solve_patterns`] searches the `3^d − 1`
+/// nonzero sign patterns of its `d` components; each pattern is one ILP
+/// over those components with the rows `dep_rows[dep]` of every
+/// dependence whose source writes the array and is active in the
+/// pattern, the pattern's sign rows and the array's two-term objective.
+/// `site` names the per-orthant span, budget checkpoint and chaos site.
+///
+/// It returns what one search over every array's components at once
+/// returns: a dependence's rows involve only its source array's vector,
+/// and the objective is a sum over arrays, so the joint ILP of a pattern
+/// is the direct sum of the per-array ILPs of its slices. `sign_patterns` is lexicographic over the array-contiguous
+/// components, so the joint `(objective, index)` minimum is the tuple
+/// of the per-array minima.
+fn shortest_per_array(
     a: &Analysis,
-    ov_space: &OvSpace,
     budget: &Budget,
     site: &'static str,
-    add_rows: impl Fn(&mut Model, usize),
+    dep_rows: &DepRows,
 ) -> Result<OvResult, CoreError> {
     let p = a.program();
-    let patterns: Vec<Orthant> = sign_patterns(ov_space.dim())
-        .into_iter()
-        .filter(|pat| !pattern_has_zero_array(p, ov_space, pat))
-        .collect();
-    let solve = |pattern: &Orthant| {
-        let _span = aov_trace::span!(site, pattern = pattern_label(pattern));
-        let mut m = Model::new();
-        for name in ov_space.vars().names() {
-            let v = m.add_var(name.clone());
-            m.set_integer(v);
-        }
-        for (didx, dep) in a.deps().iter().enumerate() {
-            if dependence_active_in_pattern(p, ov_space, dep, pattern) {
-                add_rows(&mut m, didx);
+    let mut vectors = Vec::with_capacity(p.arrays().len());
+    for (aidx, array) in p.arrays().iter().enumerate() {
+        let writers: Vec<usize> = (0..a.deps().len())
+            .filter(|&d| p.statement(a.deps()[d].source).writes() == ArrayId(aidx))
+            .collect();
+        let patterns: Vec<Orthant> = sign_patterns(array.dim())
+            .into_iter()
+            .filter(|pat| pat.iter().any(|&s| s != 0))
+            .collect();
+        let solve = |pattern: &Orthant| {
+            let _span = aov_trace::span!(site, pattern = pattern_label(pattern));
+            let mut m = Model::new();
+            for k in 0..array.dim() {
+                let v = m.add_var(format!("v_{}_{k}", array.name()));
+                m.set_integer(v);
             }
-        }
-        let obj = install_pattern_objective(&mut m, p, ov_space, pattern);
-        m.minimize(obj);
-        Ok(candidate_of(ov_space, m.solve_ilp_budgeted(budget)?))
-    };
-    solve_patterns(&patterns, budget, site, solve)?
-        .map(|(_, vs)| OvResult::new(p, vs))
-        .ok_or(CoreError::NoVectorFound)
+            for &didx in &writers {
+                if dependence_active_in_orthant(p, &a.deps()[didx], pattern) {
+                    for (r, cmp) in &dep_rows[didx] {
+                        m.constrain(r.clone(), *cmp);
+                    }
+                }
+            }
+            let obj = install_pattern_objective(&mut m, array.name(), pattern);
+            m.minimize(obj);
+            Ok(candidate_of(array.dim(), m.solve_ilp_budgeted(budget)?))
+        };
+        let (_, v) =
+            solve_patterns(&patterns, budget, site, solve)?.ok_or(CoreError::NoVectorFound)?;
+        vectors.push(v);
+    }
+    Ok(OvResult::new(p, vectors))
 }
 
-/// Extracts an integral candidate and its exact objective from an ILP
-/// outcome (the reduction key of [`solve_patterns`]).
-fn candidate_of(ov_space: &OvSpace, outcome: LpOutcome) -> Option<OrthantSolution> {
+/// Extracts an integral candidate and its exact objective from one
+/// array's ILP outcome (the reduction key of [`solve_patterns`]).
+fn candidate_of(dim: usize, outcome: LpOutcome) -> Option<OrthantSolution<OccupancyVector>> {
     if let LpOutcome::Optimal(sol) = outcome {
-        let point: Option<Vec<i64>> = (0..ov_space.dim())
+        let v: Option<Vec<i64>> = (0..dim)
             .map(|k| sol.values.as_slice()[k].to_i64())
             .collect();
-        let point = point?;
-        let vectors = ov_space.split(&point);
-        let obj: i64 = vectors
-            .iter()
-            .map(|v| objective_value(v.components()))
-            .sum();
-        Some((obj, vectors))
+        let v = v?;
+        Some((objective_value(&v), OccupancyVector::new(v)))
     } else {
         None
     }
@@ -209,15 +229,18 @@ pub fn ov_for_schedule_with(
 
 /// Shortest occupancy vectors valid for the given schedule, by the
 /// paper's LP method: substitute the schedule into the linearized
-/// storage constraints and minimize the two-term objective, solving once
-/// per sign orthant (closed orthants; exact `Z`-emptiness pruning per
-/// orthant). Every simplex pivot and branch-and-bound node charges
-/// `budget`.
+/// storage constraints and minimize the two-term objective. The storage
+/// forms are linearized at the dependence-domain vertices `a` kept, and
+/// each array is solved on its own ([`shortest_per_array`]): one ILP per
+/// sign orthant of its vector (closed orthants; exact `Z`-emptiness
+/// pruning per orthant). Every simplex pivot and branch-and-bound node
+/// charges `budget`.
 ///
 /// # Errors
 ///
 /// * [`CoreError::IllegalSchedule`] — the schedule violates dependences.
-/// * [`CoreError::NoVectorFound`] — no orthant admits a valid vector.
+/// * [`CoreError::NoVectorFound`] — no orthant of some array admits a
+///   valid vector.
 /// * [`CoreError::Fault`] — budget exhaustion, cancellation, or an
 ///   isolated orthant panic.
 pub fn ov_for_schedule_budgeted(
@@ -228,21 +251,20 @@ pub fn ov_for_schedule_budgeted(
     if !a.is_legal(sched) {
         return Err(CoreError::IllegalSchedule);
     }
-    let (p, space) = (a.program(), a.space());
-    let ov_space = OvSpace::new(p);
-    let theta = legal::point_of(p, space, sched);
+    let theta = legal::point_of(a.program(), a.space(), sched);
     // Pattern-independent rows, instantiated at the schedule point.
-    let mut dep_rows: Vec<Vec<AffineExpr>> = Vec::with_capacity(a.deps().len());
-    for (didx, dep) in a.deps().iter().enumerate() {
+    let mut dep_rows: DepRows = Vec::with_capacity(a.deps().len());
+    for didx in 0..a.deps().len() {
         let _span = aov_trace::span!("core.storage_forms_for_dep", dep = didx);
-        let forms = storage_forms_for_dep(p, space, &ov_space, dep)?;
-        dep_rows.push(forms.iter().map(|f| f.at_point(&theta)).collect());
+        let forms = storage_forms_for_dep(a, didx);
+        dep_rows.push(
+            forms
+                .iter()
+                .map(|f| (f.at_point(&theta), Cmp::Ge))
+                .collect(),
+        );
     }
-    shortest_over_patterns(a, &ov_space, budget, "p1.orthant", |m, didx| {
-        for r in &dep_rows[didx] {
-            m.constrain(r.clone(), Cmp::Ge);
-        }
-    })
+    shortest_per_array(a, budget, "p1.orthant", &dep_rows)
 }
 
 /// Compact trace label for a sign pattern, e.g. `+0-`.
@@ -255,14 +277,6 @@ fn pattern_label(pattern: &Orthant) -> String {
             std::cmp::Ordering::Less => '-',
         })
         .collect()
-}
-
-/// A pattern whose slice for some array is all zeros encodes the zero
-/// vector for that array — never a realizable occupancy vector.
-fn pattern_has_zero_array(p: &Program, ov_space: &OvSpace, pattern: &Orthant) -> bool {
-    p.arrays().iter().enumerate().any(|(aidx, a)| {
-        (0..a.dim()).all(|k| pattern[ov_space.component(aov_ir::ArrayId(aidx), k)] == 0)
-    })
 }
 
 /// Exact cross-check for Problem 1: enumerate integer candidates per
@@ -306,13 +320,10 @@ pub fn ov_for_schedule_search(
 /// required `>= 0`. Problem 2 intersects ℛ with exactly these rows.
 fn storage_rows(a: &Analysis, vectors: &[OccupancyVector]) -> Result<Vec<AffineExpr>, CoreError> {
     let _s = aov_trace::span!("p2.storage_rows", deps = a.deps().len());
-    let mut extra: Vec<AffineExpr> = Vec::new();
-    for r in storage_rows_concrete(a.program(), a.space(), a.deps(), vectors)? {
-        if !a.rows().contains(&r) && !extra.contains(&r) {
-            extra.push(r);
-        }
-    }
-    Ok(extra)
+    let causality: HashSet<&AffineExpr> = a.rows().iter().collect();
+    let mut extra = storage_rows_concrete(a.program(), a.space(), a.deps(), vectors)?;
+    extra.retain(|r| !causality.contains(r));
+    Ok(dedup_in_order(extra))
 }
 
 /// The polyhedron of affine schedules valid for the given occupancy
@@ -398,8 +409,11 @@ pub fn aov_with(p: &Program, _workers: usize) -> Result<OvResult, CoreError> {
 /// applied to ℛ = conv(vertices) + cone(rays) + span(lines): `G ≥ 0` on
 /// ℛ exactly when `G(v, x) ≥ 0` at every vertex `x`, `G`'s linear part
 /// is `≥ 0` along every ray and `= 0` along every line. Each generator
-/// gives one row linear in `v` alone, with no multipliers. One ILP per
-/// sign orthant then minimizes the two-term objective. Every simplex
+/// gives one row linear in `v` alone, with no multipliers. The storage
+/// forms come from the dependence-domain vertices `a` kept, and a row of
+/// a dependence involves only its source array's vector, so each array
+/// is solved on its own ([`shortest_per_array`]): one ILP per sign
+/// orthant of its vector minimizes its two-term objective. Every simplex
 /// pivot and branch-and-bound node charges `budget`.
 ///
 /// The generator count of ℛ can grow exponentially with its dimension.
@@ -412,7 +426,8 @@ pub fn aov_with(p: &Program, _workers: usize) -> Result<OvResult, CoreError> {
 ///
 /// * [`CoreError::Unschedulable`] — the program has no one-dimensional
 ///   affine schedule, so "valid for all legal schedules" is vacuous.
-/// * [`CoreError::NoVectorFound`] — no orthant admits a vector.
+/// * [`CoreError::NoVectorFound`] — no orthant of some array admits a
+///   vector.
 /// * [`CoreError::Fault`] — budget exhaustion, cancellation, or an
 ///   isolated orthant panic.
 pub fn aov_budgeted(a: &Analysis, budget: &Budget) -> Result<OvResult, CoreError> {
@@ -420,13 +435,11 @@ pub fn aov_budgeted(a: &Analysis, budget: &Budget) -> Result<OvResult, CoreError
     if gens.is_empty() {
         return Err(CoreError::Unschedulable);
     }
-    let (p, space) = (a.program(), a.space());
-    let ov_space = OvSpace::new(p);
-    let mut dep_rows: Vec<Vec<(AffineExpr, Cmp)>> = Vec::with_capacity(a.deps().len());
+    let mut dep_rows: DepRows = Vec::with_capacity(a.deps().len());
     let mut forms_total = 0;
-    for (didx, dep) in a.deps().iter().enumerate() {
+    for didx in 0..a.deps().len() {
         let _span = aov_trace::span!("core.storage_forms_for_dep", dep = didx);
-        let forms = storage_forms_for_dep(p, space, &ov_space, dep)?;
+        let forms = storage_forms_for_dep(a, didx);
         forms_total += forms.len();
         dep_rows.push(generator_rows(&forms, &gens));
     }
@@ -436,11 +449,7 @@ pub fn aov_budgeted(a: &Analysis, budget: &Budget) -> Result<OvResult, CoreError
         .add(dep_rows.iter().map(Vec::len).sum::<usize>() as u64);
     aov_support::static_counter!("core.aov.farkas_multipliers")
         .add((forms_total * (a.rows().len() + 1)) as u64);
-    shortest_over_patterns(a, &ov_space, budget, "aov.orthant", |m, didx| {
-        for (r, cmp) in &dep_rows[didx] {
-            m.constrain(r.clone(), *cmp);
-        }
-    })
+    shortest_per_array(a, budget, "aov.orthant", &dep_rows)
 }
 
 /// Problem 3's rows for one dependence, in `v` alone (see
@@ -449,7 +458,7 @@ pub fn aov_budgeted(a: &Analysis, budget: &Budget) -> Result<OvResult, CoreError
 /// denominators, with duplicates and trivially true rows dropped.
 fn generator_rows(forms: &[BilinearForm], gens: &GeneratorSet) -> Vec<(AffineExpr, Cmp)> {
     let _span = aov_trace::span!("aov.generator_rows", forms = forms.len());
-    let mut out: Vec<(AffineExpr, Cmp)> = Vec::new();
+    let mut out = Vec::new();
     for f in forms {
         let at_vertices = gens.vertices.iter().map(|x| (f.at_point(x), Cmp::Ge));
         let along_rays = gens.rays.iter().map(|r| (f.linear_part_along(r), Cmp::Ge));
@@ -460,13 +469,12 @@ fn generator_rows(forms: &[BilinearForm], gens: &GeneratorSet) -> Vec<(AffineExp
                     Cmp::Eq => row.constant_term().is_zero(),
                     _ => !row.constant_term().is_negative(),
                 };
-            let row = (row.clear_denominators(), cmp);
-            if !trivial && !out.contains(&row) {
-                out.push(row);
+            if !trivial {
+                out.push((row.clear_denominators(), cmp));
             }
         }
     }
-    out
+    dedup_in_order(out)
 }
 
 /// Exact cross-check for Problem 3: enumerate integer candidates per
@@ -585,51 +593,43 @@ pub fn aov_search_with(
 // ---------------------------------------------------------------------
 
 /// Adds the sign-pattern constraints (`v_k >= 1`, `v_k <= -1` or
-/// `v_k == 0`) and the two-term objective; returns the objective
-/// expression. Within a pattern `|v_k| = sign_k · v_k` exactly.
-fn install_pattern_objective(
-    m: &mut Model,
-    p: &Program,
-    ov_space: &OvSpace,
-    pattern: &Orthant,
-) -> AffineExpr {
-    let vdim = ov_space.dim();
-    for (k, &sign) in pattern.iter().enumerate().take(vdim) {
-        let var = AffineExpr::var(vdim, k);
+/// `v_k == 0`) and the two-term objective of one array's vector, whose
+/// components are the model's first `pattern.len()` variables; returns
+/// the objective expression. Within a pattern `|v_k| = sign_k · v_k`
+/// exactly.
+fn install_pattern_objective(m: &mut Model, array: &str, pattern: &Orthant) -> AffineExpr {
+    let dim = pattern.len();
+    for (k, &sign) in pattern.iter().enumerate() {
+        let var = AffineExpr::var(dim, k);
         if sign == 0 {
             m.constrain(var, Cmp::Eq);
         } else {
-            let e = &var.scale(&i64::from(sign).into()) - &AffineExpr::constant(vdim, 1.into());
+            let e = &var.scale(&i64::from(sign).into()) - &AffineExpr::constant(dim, 1.into());
             m.constrain(e, Cmp::Ge);
         }
     }
-    let mut objective_parts: Vec<AffineExpr> = Vec::new();
-    for (aidx, a) in p.arrays().iter().enumerate() {
-        let aid = aov_ir::ArrayId(aidx);
-        let abs_exprs: Vec<AffineExpr> = (0..a.dim())
-            .map(|k| {
-                let idx = ov_space.component(aid, k);
-                AffineExpr::var(vdim, idx).scale(&i64::from(pattern[idx]).into())
-            })
-            .collect();
-        // Length term.
-        let sum = abs_exprs
-            .iter()
-            .fold(AffineExpr::zero(vdim), |acc, e| &acc + e);
-        objective_parts.push(sum.scale(&LENGTH_WEIGHT.into()));
-        // Evenness term: d_{kl} >= ±(|v_k| − |v_l|).
-        for k in 0..a.dim() {
-            for l in k + 1..a.dim() {
-                let d = m.add_nonneg_var(format!("d_{}_{k}_{l}", a.name()));
-                let total = m.num_vars();
-                let map: Vec<usize> = (0..vdim).collect();
-                let tk = abs_exprs[k].embed(total, &map);
-                let tl = abs_exprs[l].embed(total, &map);
-                let dv = AffineExpr::var(total, d.index());
-                m.constrain(&dv - &(&tk - &tl), Cmp::Ge);
-                m.constrain(&dv - &(&tl - &tk), Cmp::Ge);
-                objective_parts.push(dv);
-            }
+    let abs_exprs: Vec<AffineExpr> = pattern
+        .iter()
+        .enumerate()
+        .map(|(k, &sign)| AffineExpr::var(dim, k).scale(&i64::from(sign).into()))
+        .collect();
+    // Length term.
+    let sum = abs_exprs
+        .iter()
+        .fold(AffineExpr::zero(dim), |acc, e| &acc + e);
+    let mut objective_parts = vec![sum.scale(&LENGTH_WEIGHT.into())];
+    // Evenness term: d_{kl} >= ±(|v_k| − |v_l|).
+    for k in 0..dim {
+        for l in k + 1..dim {
+            let d = m.add_nonneg_var(format!("d_{array}_{k}_{l}"));
+            let total = m.num_vars();
+            let map: Vec<usize> = (0..dim).collect();
+            let tk = abs_exprs[k].embed(total, &map);
+            let tl = abs_exprs[l].embed(total, &map);
+            let dv = AffineExpr::var(total, d.index());
+            m.constrain(&dv - &(&tk - &tl), Cmp::Ge);
+            m.constrain(&dv - &(&tl - &tk), Cmp::Ge);
+            objective_parts.push(dv);
         }
     }
     // Pad and sum.
@@ -704,9 +704,211 @@ fn enumerate_shell(dim: usize, r: i64) -> Vec<Vec<i64>> {
     out
 }
 
+/// Test oracle: the joint search over every array's vector components
+/// at once, one ILP per joint sign pattern, over storage forms linearized
+/// anew from each dependence domain — the search before it was split per
+/// array.
+#[cfg(test)]
+mod joint {
+    use super::{pattern_label, solve_patterns, OrthantSolution, OvResult};
+    use crate::objective::{objective_value, LENGTH_WEIGHT};
+    use crate::storage::{dependence_active_in_orthant, reference, sign_patterns, Orthant};
+    use crate::{CoreError, OccupancyVector, OvSpace};
+    use aov_fault::Budget;
+    use aov_ir::{Dependence, Program};
+    use aov_linalg::AffineExpr;
+    use aov_lp::{Cmp, LpOutcome, Model};
+    use aov_schedule::{legal, Analysis, BilinearForm, Schedule};
+
+    /// Problem 1 by the joint search.
+    pub fn ov_for_schedule(a: &Analysis, sched: &Schedule) -> Result<OvResult, CoreError> {
+        if !a.is_legal(sched) {
+            return Err(CoreError::IllegalSchedule);
+        }
+        let theta = legal::point_of(a.program(), a.space(), sched);
+        let dep_rows: Vec<Vec<AffineExpr>> = joint_forms(a)?
+            .iter()
+            .map(|forms| forms.iter().map(|f| f.at_point(&theta)).collect())
+            .collect();
+        shortest_over_patterns(a, &Budget::unlimited(), "p1.orthant", |m, didx| {
+            for r in &dep_rows[didx] {
+                m.constrain(r.clone(), Cmp::Ge);
+            }
+        })
+    }
+
+    /// Problem 3 by the joint search, with the generator rows of ℛ.
+    pub fn aov(a: &Analysis) -> Result<OvResult, CoreError> {
+        let gens = a.legal().generators();
+        if gens.is_empty() {
+            return Err(CoreError::Unschedulable);
+        }
+        let dep_rows: Vec<Vec<(AffineExpr, Cmp)>> = joint_forms(a)?
+            .iter()
+            .map(|forms| super::generator_rows(forms, &gens))
+            .collect();
+        shortest_over_patterns(a, &Budget::unlimited(), "aov.orthant", |m, didx| {
+            for (r, cmp) in &dep_rows[didx] {
+                m.constrain(r.clone(), *cmp);
+            }
+        })
+    }
+
+    /// Each dependence's storage forms over the joint vector space.
+    pub fn joint_forms(a: &Analysis) -> Result<Vec<Vec<BilinearForm>>, CoreError> {
+        let (p, space) = (a.program(), a.space());
+        let ov_space = OvSpace::new(p);
+        let forms = a.deps().iter().map(|dep| {
+            reference::storage_forms_for_dep(p, space, &ov_space, dep).map_err(CoreError::from)
+        });
+        forms.collect()
+    }
+
+    /// The shortest occupancy vectors over every joint sign pattern: per
+    /// pattern, one ILP over the joint vector `v` with the rows
+    /// `add_rows(model, dep)` adds for each dependence active in the
+    /// pattern, plus the pattern's sign rows and two-term objective.
+    pub fn shortest_over_patterns(
+        a: &Analysis,
+        budget: &Budget,
+        site: &'static str,
+        add_rows: impl Fn(&mut Model, usize),
+    ) -> Result<OvResult, CoreError> {
+        let p = a.program();
+        let ov_space = OvSpace::new(p);
+        let patterns: Vec<Orthant> = sign_patterns(ov_space.dim())
+            .into_iter()
+            .filter(|pat| !pattern_has_zero_array(p, &ov_space, pat))
+            .collect();
+        let solve = |pattern: &Orthant| {
+            let _span = aov_trace::span!(site, pattern = pattern_label(pattern));
+            let mut m = Model::new();
+            for name in ov_space.vars().names() {
+                let v = m.add_var(name.clone());
+                m.set_integer(v);
+            }
+            for (didx, dep) in a.deps().iter().enumerate() {
+                if dependence_active_in_pattern(p, &ov_space, dep, pattern) {
+                    add_rows(&mut m, didx);
+                }
+            }
+            let obj = install_pattern_objective(&mut m, p, &ov_space, pattern);
+            m.minimize(obj);
+            Ok(candidate_of(&ov_space, m.solve_ilp_budgeted(budget)?))
+        };
+        solve_patterns(&patterns, budget, site, solve)?
+            .map(|(_, vs)| OvResult::new(p, vs))
+            .ok_or(CoreError::NoVectorFound)
+    }
+
+    /// Extracts an integral candidate and its exact objective from an ILP
+    /// outcome.
+    fn candidate_of(
+        ov_space: &OvSpace,
+        outcome: LpOutcome,
+    ) -> Option<OrthantSolution<Vec<OccupancyVector>>> {
+        if let LpOutcome::Optimal(sol) = outcome {
+            let point: Option<Vec<i64>> = (0..ov_space.dim())
+                .map(|k| sol.values.as_slice()[k].to_i64())
+                .collect();
+            let point = point?;
+            let vectors = ov_space.split(&point);
+            let obj: i64 = vectors
+                .iter()
+                .map(|v| objective_value(v.components()))
+                .sum();
+            Some((obj, vectors))
+        } else {
+            None
+        }
+    }
+
+    /// A pattern whose slice for some array is all zeros encodes the zero
+    /// vector for that array — never a realizable occupancy vector.
+    fn pattern_has_zero_array(p: &Program, ov_space: &OvSpace, pattern: &Orthant) -> bool {
+        p.arrays().iter().enumerate().any(|(aidx, a)| {
+            (0..a.dim()).all(|k| pattern[ov_space.component(aov_ir::ArrayId(aidx), k)] == 0)
+        })
+    }
+
+    /// Activity of a dependence under a joint sign pattern (extracts the
+    /// array's slice of the pattern).
+    fn dependence_active_in_pattern(
+        p: &Program,
+        ov_space: &OvSpace,
+        dep: &Dependence,
+        pattern: &Orthant,
+    ) -> bool {
+        let t = p.statement(dep.source);
+        let array = t.writes();
+        let slice: Vec<i8> = (0..t.depth())
+            .map(|k| pattern[ov_space.component(array, k)])
+            .collect();
+        dependence_active_in_orthant(p, dep, &slice)
+    }
+
+    /// Adds the sign-pattern constraints and the two-term objective of
+    /// every array; returns the objective expression.
+    fn install_pattern_objective(
+        m: &mut Model,
+        p: &Program,
+        ov_space: &OvSpace,
+        pattern: &Orthant,
+    ) -> AffineExpr {
+        let vdim = ov_space.dim();
+        for (k, &sign) in pattern.iter().enumerate().take(vdim) {
+            let var = AffineExpr::var(vdim, k);
+            if sign == 0 {
+                m.constrain(var, Cmp::Eq);
+            } else {
+                let e = &var.scale(&i64::from(sign).into()) - &AffineExpr::constant(vdim, 1.into());
+                m.constrain(e, Cmp::Ge);
+            }
+        }
+        let mut objective_parts: Vec<AffineExpr> = Vec::new();
+        for (aidx, a) in p.arrays().iter().enumerate() {
+            let aid = aov_ir::ArrayId(aidx);
+            let abs_exprs: Vec<AffineExpr> = (0..a.dim())
+                .map(|k| {
+                    let idx = ov_space.component(aid, k);
+                    AffineExpr::var(vdim, idx).scale(&i64::from(pattern[idx]).into())
+                })
+                .collect();
+            // Length term.
+            let sum = abs_exprs
+                .iter()
+                .fold(AffineExpr::zero(vdim), |acc, e| &acc + e);
+            objective_parts.push(sum.scale(&LENGTH_WEIGHT.into()));
+            // Evenness term: d_{kl} >= ±(|v_k| − |v_l|).
+            for k in 0..a.dim() {
+                for l in k + 1..a.dim() {
+                    let d = m.add_nonneg_var(format!("d_{}_{k}_{l}", a.name()));
+                    let total = m.num_vars();
+                    let map: Vec<usize> = (0..vdim).collect();
+                    let tk = abs_exprs[k].embed(total, &map);
+                    let tl = abs_exprs[l].embed(total, &map);
+                    let dv = AffineExpr::var(total, d.index());
+                    m.constrain(&dv - &(&tk - &tl), Cmp::Ge);
+                    m.constrain(&dv - &(&tl - &tk), Cmp::Ge);
+                    objective_parts.push(dv);
+                }
+            }
+        }
+        // Pad and sum.
+        let total = m.num_vars();
+        let mut obj = AffineExpr::zero(total);
+        for part in objective_parts {
+            let map: Vec<usize> = (0..part.dim()).collect();
+            obj = &obj + &part.embed(total, &map);
+        }
+        obj
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle_corpus;
     use aov_ir::examples::{example1, example2, example4, prefix_sum, wavefront2d};
     use aov_linalg::QVector;
 
@@ -856,20 +1058,17 @@ mod tests {
             .iter()
             .map(|c| c.expr().clone())
             .collect();
-        let (p, space) = (a.program(), a.space());
-        let ov_space = OvSpace::new(p);
-        let mut dep_systems = Vec::with_capacity(a.deps().len());
-        for dep in a.deps() {
-            let forms = storage_forms_for_dep(p, space, &ov_space, dep)?;
-            dep_systems.push(
+        let dep_systems: Vec<Vec<_>> = joint::joint_forms(a)?
+            .iter()
+            .map(|forms| {
                 forms
                     .iter()
                     .map(|f| aov_schedule::farkas::farkas_system(f, &sched_rows))
-                    .collect::<Vec<_>>(),
-            );
-        }
+                    .collect()
+            })
+            .collect();
         let budget = Budget::unlimited();
-        shortest_over_patterns(a, &ov_space, &budget, "aov.orthant", |m, didx| {
+        joint::shortest_over_patterns(a, &budget, "aov.orthant", |m, didx| {
             for sys in &dep_systems[didx] {
                 let lambda_base = m.num_vars();
                 for j in 0..sys.num_multipliers {
@@ -899,20 +1098,32 @@ mod tests {
         }
     }
 
-    /// The paper examples, then 300 generated programs (seeds
-    /// `mix(42, i)`, default generator profile).
-    fn oracle_corpus() -> Vec<Program> {
-        let mut programs = vec![
-            example1(),
-            example2(),
-            aov_ir::examples::example3(),
-            example4(),
-        ];
-        let cfg = aov_gen::GenConfig::default();
-        programs.extend(
-            (0..300).map(|i| aov_gen::generate(aov_support::rng::mix(42, i), &cfg).program),
+    /// Oracle for the per-array search: on every corpus program, Problem
+    /// 1 at the scheduler's schedule and Problem 3 return the objective,
+    /// vectors and error class of the joint search over every array at
+    /// once, whose storage forms are linearized anew per dependence.
+    #[test]
+    fn per_array_search_matches_joint_search() {
+        let (mut p1_solved, mut p3_solved, mut multi_array) = (0, 0, 0);
+        for p in oracle_corpus() {
+            let Ok(a) = Analysis::new(&p) else { continue };
+            let per_array = verdict(aov_budgeted(&a, &Budget::unlimited()));
+            assert_eq!(per_array, verdict(joint::aov(&a)), "{}", p.name());
+            p3_solved += usize::from(per_array.is_ok());
+            multi_array += usize::from(p.arrays().len() > 1);
+            let Ok(sched) = scheduler::find_schedule_with_budgeted(&a, &[], &Budget::unlimited())
+            else {
+                continue;
+            };
+            let per_array = verdict(ov_for_schedule_budgeted(&a, &sched, &Budget::unlimited()));
+            let joint = verdict(joint::ov_for_schedule(&a, &sched));
+            assert_eq!(per_array, joint, "{}", p.name());
+            p1_solved += usize::from(per_array.is_ok());
+        }
+        assert!(
+            p1_solved >= 150 && p3_solved >= 150 && multi_array >= 100,
+            "{p1_solved} / {p3_solved} solved, {multi_array} multi-array"
         );
-        programs
     }
 
     /// Oracle for the generator form: on every corpus program it returns
@@ -991,11 +1202,11 @@ mod tests {
                 .enumerate()
                 .filter_map(|(i, o)| o.map(|obj| (obj, i)))
                 .min()
-                .map(|(obj, i)| (obj, vec![OccupancyVector::new(vec![i as i64])]));
+                .map(|(obj, i)| (obj, OccupancyVector::new(vec![i as i64])));
             let solve = |pat: &Orthant| {
                 solves.set(solves.get() + 1);
                 let i = patterns.iter().position(|q| q == pat).unwrap();
-                Ok(optima[i].map(|obj| (obj, vec![OccupancyVector::new(vec![i as i64])])))
+                Ok(optima[i].map(|obj| (obj, OccupancyVector::new(vec![i as i64]))))
             };
             let ordered = solve_patterns(&patterns, &Budget::unlimited(), "aov.orthant", solve);
             assert_eq!(ordered.unwrap(), scan, "optima {optima:?}");

@@ -11,21 +11,23 @@
 //!
 //! * [`storage_rows_concrete`] — `v` known: exact `Z`, rows affine over
 //!   the schedule space (used by Problem 2 and the validity checkers),
-//! * [`storage_forms_symbolic`] — `v` unknown: the paper's practical
+//! * [`storage_forms_for_dep`] — `v` unknown: the paper's practical
 //!   recipe of `Z' = P` (conservative, exact for uniform self-
-//!   dependences) plus exact *activity pruning* — a dependence whose `Z`
-//!   is empty for every `v` in the current sign orthant contributes no
-//!   constraint (the paper's §5.3 argument for Example 3, decided here by
-//!   one emptiness LP on the joint `(i, N, v)` polyhedron).
+//!   dependences), linearized at the dependence domain's vertices that
+//!   the [`Analysis`] kept. Callers add exact *activity pruning*
+//!   ([`dependence_active_in_orthant`]) — a dependence whose `Z` is empty
+//!   for every `v` in the current sign orthant contributes no constraint
+//!   (the paper's §5.3 argument for Example 3, decided here by one
+//!   emptiness LP on the joint `(i, N, v)` polyhedron).
 
-use crate::OvSpace;
 use aov_ir::{Dependence, Program};
 use aov_linalg::AffineExpr;
+use aov_polyhedra::param::dedup_in_order;
 use aov_polyhedra::{Constraint, PolyhedraError, Polyhedron};
-use aov_schedule::linearize::{eliminate_to_linear, eliminate_to_linear_tagged, RowKind};
-use aov_schedule::{legal, BilinearForm, ScheduleSpace};
+use aov_schedule::linearize::{eliminate_to_linear, RowKind};
+use aov_schedule::{legal, Analysis, BilinearForm, ScheduleSpace};
 
-/// A sign assumption per joint occupancy-vector component: `+1` for
+/// A sign assumption per occupancy-vector component: `+1` for
 /// `v_k >= 1`, `-1` for `v_k <= -1`, `0` for `v_k == 0`. Integer vectors
 /// fall in exactly one pattern, which makes the paper's "Z empty for
 /// positive components" pruning (§5.3) exact.
@@ -125,11 +127,7 @@ pub fn storage_rows_concrete(
                 .map(|(hk, &vk)| hk + &AffineExpr::constant(dim, vk.into()))
                 .collect();
             let form = legal::difference_form(p, space, dep, &h_plus_v, 0).negated();
-            for row in eliminate_to_linear(&form, &z, r.depth(), p.param_domain())? {
-                if !out.contains(&row) {
-                    out.push(row);
-                }
-            }
+            out.extend(eliminate_to_linear(&form, &z, r.depth(), p.param_domain())?);
         }
         // Storage classes {x + kv} are sign-symmetric: wherever the
         // mirror overwriter h - v exists, guard with a_T·v >= 1 (see
@@ -140,13 +138,10 @@ pub fn storage_rows_concrete(
             .intersect(&p.embed_param_domain(r.depth()))
             .is_empty()
         {
-            let row = mirror_guard_row(space, dep, v.components());
-            if !out.contains(&row) {
-                out.push(row);
-            }
+            out.push(mirror_guard_row(space, dep, v.components()));
         }
     }
-    Ok(out)
+    Ok(dedup_in_order(out))
 }
 
 /// The mirror-overwriter guard `a_T·v - 1 >= 0` as a row over the
@@ -236,112 +231,112 @@ fn overwriter_reachable(
     !Polyhedron::from_constraints(dim, cs).is_empty()
 }
 
-/// Symbolic storage constraints under a sign orthant: bilinear forms with
-/// the joint occupancy-vector components as unknowns over the schedule
-/// space as domain.
+/// Pattern-independent symbolic storage forms of one dependence: the
+/// storage form `Θ_T(h(i, N) + v) − Θ_R(i, N)` with `Z' = P`, linearized
+/// at the dependence domain's vertices the analysis kept
+/// ([`Analysis::linearize`]), with the `v·Θ` coupling `Σ_k v_k · a_{T,k}`
+/// on point rows. The unknowns are the components of the source
+/// statement's array, in order; each form `G(v, Θ)` must be `>= 0`.
+/// Callers apply activity pruning per sign orthant.
 ///
-/// Each returned form `G(v, Θ)` must satisfy `G(v, Θ) >= 0` for every
-/// legal schedule `Θ` (that is the Farkas side, handled by the caller)
-/// and encodes one row of Eq. 10 with `Z' = P` and the `v·Θ` coupling
-/// `Σ_k v_k · a_{T,k}` attached to point rows.
+/// # Panics
 ///
-/// # Errors
-///
-/// Propagates [`PolyhedraError`] from vertex elimination.
-pub fn storage_forms_symbolic(
-    p: &Program,
-    space: &ScheduleSpace,
-    ov_space: &OvSpace,
-    deps: &[Dependence],
-    orthant: &Orthant,
-) -> Result<Vec<BilinearForm>, PolyhedraError> {
-    assert_eq!(orthant.len(), ov_space.dim(), "orthant dimension");
-    let mut out: Vec<BilinearForm> = Vec::new();
-    for dep in deps {
-        if !dependence_active_in_pattern(p, ov_space, dep, orthant) {
-            continue; // Z empty throughout the pattern: exact pruning
+/// Panics if `dep` is out of range for `a.deps()`.
+pub fn storage_forms_for_dep(a: &Analysis, dep: usize) -> Vec<BilinearForm> {
+    let (p, space) = (a.program(), a.space());
+    let d = &a.deps()[dep];
+    let source_depth = p.statement(d.source).depth();
+    // F0 = Θ_T(h(i), N) − Θ_R(i, N): slack 0, v added separately.
+    let f0 = legal::difference_form(p, space, d, &d.h, 0).negated();
+    let forms = a.linearize(dep, &f0).into_iter().map(|(row, kind)| {
+        let mut bf = BilinearForm::new(vec![AffineExpr::zero(space.dim()); source_depth], row);
+        if kind == RowKind::Point {
+            // Θ_T(h + v) − Θ_T(h) = Σ_k v_k · a_{T,k}.
+            for k in 0..source_depth {
+                bf.add_to_coeff(
+                    k,
+                    &AffineExpr::var(space.dim(), space.iter_coeff(d.source, k)),
+                );
+            }
         }
-        for bf in storage_forms_for_dep(p, space, ov_space, dep)? {
+        bf
+    });
+    dedup_in_order(forms.collect())
+}
+
+/// Test oracle: the storage forms linearized anew from each dependence
+/// domain, over the joint occupancy-vector space of every array — the
+/// path before [`Analysis`] kept the domain vertices.
+#[cfg(test)]
+pub(crate) mod reference {
+    use crate::OvSpace;
+    use aov_ir::{Dependence, Program};
+    use aov_linalg::AffineExpr;
+    use aov_polyhedra::{param, PolyhedraError};
+    use aov_schedule::linearize::{linearize_at_vertices, RowKind};
+    use aov_schedule::{legal, BilinearForm, ScheduleSpace};
+
+    /// The symbolic storage forms of `dep` over the joint space `ov_space`.
+    pub fn storage_forms_for_dep(
+        p: &Program,
+        space: &ScheduleSpace,
+        ov_space: &OvSpace,
+        dep: &Dependence,
+    ) -> Result<Vec<BilinearForm>, PolyhedraError> {
+        let t = p.statement(dep.source);
+        let array = t.writes();
+        let r = p.statement(dep.target);
+        // F0 = Θ_T(h(i), N) − Θ_R(i, N): slack 0, v added separately.
+        let f0 = legal::difference_form(p, space, dep, &dep.h, 0).negated();
+        let vertices = param::parameterized_vertices(&dep.domain, r.depth(), p.param_domain())?;
+        let tagged = linearize_at_vertices(&f0, &vertices);
+        let mut out = Vec::with_capacity(tagged.len());
+        for (row, kind) in tagged {
+            let mut bf =
+                BilinearForm::new(vec![AffineExpr::zero(space.dim()); ov_space.dim()], row);
+            if kind == RowKind::Point {
+                // Θ_T(h + v) − Θ_T(h) = Σ_k v_k · a_{T,k}.
+                for k in 0..t.depth() {
+                    bf.add_to_coeff(
+                        ov_space.component(array, k),
+                        &AffineExpr::var(space.dim(), space.iter_coeff(dep.source, k)),
+                    );
+                }
+            }
             if !out.contains(&bf) {
                 out.push(bf);
             }
         }
+        Ok(out)
     }
-    Ok(out)
-}
-
-/// Activity of a dependence under a joint sign pattern (extracts the
-/// array's slice of the pattern).
-pub fn dependence_active_in_pattern(
-    p: &Program,
-    ov_space: &OvSpace,
-    dep: &Dependence,
-    pattern: &Orthant,
-) -> bool {
-    let t = p.statement(dep.source);
-    let array = t.writes();
-    let slice: Vec<i8> = (0..t.depth())
-        .map(|k| pattern[ov_space.component(array, k)])
-        .collect();
-    dependence_active_in_orthant(p, dep, &slice)
-}
-
-/// Pattern-independent symbolic storage forms of one dependence (the
-/// linearized `Z' = P` rows with the `v·Θ` coupling on point rows).
-/// Callers apply activity pruning per sign pattern.
-///
-/// # Errors
-///
-/// Propagates [`PolyhedraError`] from vertex elimination.
-pub fn storage_forms_for_dep(
-    p: &Program,
-    space: &ScheduleSpace,
-    ov_space: &OvSpace,
-    dep: &Dependence,
-) -> Result<Vec<BilinearForm>, PolyhedraError> {
-    let t = p.statement(dep.source);
-    let array = t.writes();
-    let r = p.statement(dep.target);
-    // F0 = Θ_T(h(i), N) − Θ_R(i, N): slack 0, v added separately.
-    let f0 = legal::difference_form(p, space, dep, &dep.h, 0).negated();
-    let tagged = eliminate_to_linear_tagged(&f0, &dep.domain, r.depth(), p.param_domain())?;
-    let mut out = Vec::with_capacity(tagged.len());
-    for (row, kind) in tagged {
-        let mut bf = BilinearForm::new(vec![AffineExpr::zero(space.dim()); ov_space.dim()], row);
-        if kind == RowKind::Point {
-            // Θ_T(h + v) − Θ_T(h) = Σ_k v_k · a_{T,k}.
-            for k in 0..t.depth() {
-                bf.add_to_coeff(
-                    ov_space.component(array, k),
-                    &AffineExpr::var(space.dim(), space.iter_coeff(dep.source, k)),
-                );
-            }
-        }
-        if !out.contains(&bf) {
-            out.push(bf);
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OccupancyVector;
+    use crate::{OccupancyVector, OvSpace};
     use aov_ir::{analysis, examples::example1, examples::example3, StmtId};
     use aov_linalg::QVector;
+
+    /// Example 1's storage forms in the orthant `v >= (1, 1)`, over the
+    /// dependences active there, duplicates dropped.
+    fn example1_forms_in_positive_orthant(a: &Analysis) -> Vec<BilinearForm> {
+        let forms = (0..a.deps().len())
+            .filter(|&d| dependence_active_in_orthant(a.program(), &a.deps()[d], &[1, 1]))
+            .flat_map(|d| storage_forms_for_dep(a, d))
+            .collect();
+        dedup_in_order(forms)
+    }
 
     /// §5.1.1: Example 1's linearized storage constraints for unknown v
     /// are a·v_i + b·v_j − 2a − b, a·v_i + b·v_j − b, a·v_i + b·v_j + a − b.
     #[test]
     fn example1_symbolic_storage_matches_paper() {
         let p = example1();
-        let space = ScheduleSpace::new(&p);
-        let ov = OvSpace::new(&p);
-        let deps = analysis::dependences(&p);
-        let forms = storage_forms_symbolic(&p, &space, &ov, &deps, &vec![1, 1]).unwrap();
+        let a = Analysis::new(&p).unwrap();
+        let space = a.space();
+        let forms = example1_forms_in_positive_orthant(&a);
         assert_eq!(forms.len(), 3, "one row per uniform dependence");
-        let _ = &forms;
         let ai = space.iter_coeff(StmtId(0), 0);
         let aj = space.iter_coeff(StmtId(0), 1);
         // Each form: coeff of v_i = a, coeff of v_j = b; constant part is
@@ -373,10 +368,9 @@ mod tests {
     #[test]
     fn example1_rows_at_row_schedule() {
         let p = example1();
-        let space = ScheduleSpace::new(&p);
-        let ov = OvSpace::new(&p);
-        let deps = analysis::dependences(&p);
-        let forms = storage_forms_symbolic(&p, &space, &ov, &deps, &vec![1, 1]).unwrap();
+        let a = Analysis::new(&p).unwrap();
+        let space = a.space();
+        let forms = example1_forms_in_positive_orthant(&a);
         // Θ = j: a = 0, b = 1, rest 0.
         let mut theta = QVector::zeros(space.dim());
         theta[space.iter_coeff(StmtId(0), 1)] = 1.into();
@@ -461,6 +455,40 @@ mod tests {
         for r in &rows {
             assert!(!r.eval(&theta).is_negative(), "row {r:?} violated");
         }
+    }
+
+    /// Oracle for linearizing each dependence domain once: on every
+    /// corpus program, each dependence's forms over the analysis's kept
+    /// vertices, placed in the joint occupancy-vector space, are the forms
+    /// a fresh linearization of its domain gives, in the same order.
+    #[test]
+    fn storage_forms_match_fresh_linearization() {
+        let (mut programs, mut deps) = (0, 0);
+        for p in crate::oracle_corpus() {
+            let Ok(a) = Analysis::new(&p) else { continue };
+            let ov = OvSpace::new(&p);
+            for (didx, dep) in a.deps().iter().enumerate() {
+                let array = p.statement(dep.source).writes();
+                let joint: Vec<BilinearForm> = storage_forms_for_dep(&a, didx)
+                    .iter()
+                    .map(|f| {
+                        let mut coeffs = vec![AffineExpr::zero(a.space().dim()); ov.dim()];
+                        for k in 0..f.num_unknowns() {
+                            coeffs[ov.component(array, k)] = f.coeff(k).clone();
+                        }
+                        BilinearForm::new(coeffs, f.constant().clone())
+                    })
+                    .collect();
+                let fresh = reference::storage_forms_for_dep(&p, a.space(), &ov, dep).unwrap();
+                assert_eq!(joint, fresh, "{} dependence {didx}", p.name());
+                deps += 1;
+            }
+            programs += 1;
+        }
+        assert!(
+            programs >= 300 && deps >= 600,
+            "{programs} programs, {deps} deps"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! span (`pipeline.<stage>`) under which every solver span nests — the
 //! CLI's `--trace`/`--profile` flags build on this.
 //!
-//! Problems 1 and 3 solve their sign orthants in one sequential loop
+//! Problems 1 and 3 solve each array's sign orthants in one sequential loop
 //! ordered by lower bound, so a run's answers, counters and allocations
 //! do not depend on the configured worker count (which only the
 //! machine-model stage uses).

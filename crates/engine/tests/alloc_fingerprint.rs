@@ -9,9 +9,10 @@
 //! The fingerprint covers the orthant solves of Problems 1 and 3
 //! (`p1.orthant`, `aov.orthant`), the storage-form instantiation and
 //! Problem 3's generator rows. Both problems solve their orthants in
-//! one sequential loop ordered by lower bound, so which orthants are
-//! solved, and what each allocates, is a function of the program alone:
-//! Problem 1 prunes Example 1 to 4 orthants, Problem 3 solves all 8.
+//! one sequential loop per array ordered by lower bound, so which
+//! orthants are solved, and what each allocates, is a function of the
+//! program alone: Problem 1 prunes Example 1 to 4 orthants, Problem 3
+//! solves all 8; on two-array Example 2 they solve 8 and 10.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -57,14 +58,18 @@ fn fingerprint(records: &[SpanRecord]) -> BTreeMap<&'static str, Aggregate> {
 }
 
 fn traced_run(workers: usize) -> Vec<SpanRecord> {
+    traced_example_run("example1", workers)
+}
+
+fn traced_example_run(example: &str, workers: usize) -> Vec<SpanRecord> {
     aov_trace::clear();
     aov_trace::set_enabled(true);
-    let report = Pipeline::for_example("example1")
+    let report = Pipeline::for_example(example)
         .unwrap()
         .workers(workers)
         .memoize(false)
         .run()
-        .expect("example1 runs");
+        .expect("example runs");
     aov_trace::set_enabled(false);
     assert_eq!(report.equivalent, Some(true));
     aov_trace::drain()
@@ -129,4 +134,24 @@ fn fingerprint_is_identical_across_repeat_runs() {
     let first = fingerprint(&traced_run(3));
     let second = fingerprint(&traced_run(3));
     assert_eq!(first, second, "repeat runs must agree");
+}
+
+/// Example 2 has two 2-d arrays, so Problems 1 and 3 search each array's
+/// 8 nonzero sign patterns on their own. Problem 1's optima (1, 0) leave
+/// the 4 one-component patterns per array; Problem 3's (1, 1) is found at
+/// the first two-component pattern, after the 4 one-component ones, so 5
+/// per array. The fingerprint is the same at every worker count.
+#[test]
+fn example2_fingerprint_counts_orthants_per_array() {
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    aov_lp::memo::set_enabled(false);
+    let _ = traced_example_run("example2", 1); // warmup (see above)
+    let baseline = fingerprint(&traced_example_run("example2", 1));
+    assert_eq!(baseline["p1.orthant"].count, 8, "{baseline:?}");
+    assert_eq!(baseline["aov.orthant"].count, 10, "{baseline:?}");
+    assert_eq!(
+        fingerprint(&traced_example_run("example2", 3)),
+        baseline,
+        "allocation fingerprint drifted at --workers 3"
+    );
 }

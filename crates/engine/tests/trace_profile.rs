@@ -122,6 +122,47 @@ fn example1_flame_table_golden() {
     );
 }
 
+/// Example 2 writes two 2-d arrays, and Problems 1 and 3 search each
+/// array's 8 nonzero sign patterns on their own, in array order. Problem
+/// 1's optima (1, 0) leave the 4 one-component patterns of each array;
+/// Problem 3's (1, 1) is found at the first two-component pattern after
+/// the 4 one-component ones, so 5 per array.
+#[test]
+fn example2_orthants_are_searched_per_array() {
+    let _guard = lock();
+    aov_lp::memo::set_enabled(false);
+    aov_trace::clear();
+    aov_trace::set_enabled(true);
+    let report = Pipeline::for_example("example2")
+        .unwrap()
+        .workers(1)
+        .memoize(true)
+        .run()
+        .expect("example2 runs");
+    aov_trace::set_enabled(false);
+    assert_eq!(report.equivalent, Some(true));
+    let records = aov_trace::drain();
+    // Each orthant span's sign pattern, in solve order: A's, then B's.
+    let patterns = |name: &str| -> String {
+        let labels: Vec<&str> = records
+            .iter()
+            .filter(|r| r.name == name)
+            .map(|r| {
+                r.fields
+                    .iter()
+                    .find(|(k, _)| *k == "pattern")
+                    .map_or("?", |(_, v)| v)
+            })
+            .collect();
+        labels.join(" ")
+    };
+    assert_eq!(patterns("p1.orthant"), "+0 0+ 0- -0 +0 0+ 0- -0");
+    assert_eq!(patterns("aov.orthant"), "+0 0+ 0- -0 ++ +0 0+ 0- -0 ++");
+    let table = FlameTable::build(&records);
+    assert_eq!(table.row("p1.orthant").expect("p1 spans").count, 8);
+    assert_eq!(table.row("aov.orthant").expect("aov spans").count, 10);
+}
+
 /// The analysis (dependences, schedule constraints, ℛ) is built once
 /// per run at any worker count, and one exact search shares it across
 /// its workers.

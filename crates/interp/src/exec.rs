@@ -1,6 +1,6 @@
 //! Time-stepped execution under an affine schedule.
 
-use crate::domain::{iteration_points, written_by_program};
+use crate::domain::{iteration_points, WrittenCells};
 use crate::funcs;
 use crate::store::{ArrayStore, StorageMode};
 use aov_ir::{Expr, Program, StmtId};
@@ -51,6 +51,7 @@ pub fn run_scheduled(
     }
     by_time.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| (a.1, &a.2).cmp(&(b.1, &b.2))));
 
+    let written = WrittenCells::new(p, params);
     let mut stores: Vec<ArrayStore> = p.arrays().iter().map(|_| ArrayStore::new()).collect();
     let mut values: InstanceValues = HashMap::new();
     let mut stats = RunStats {
@@ -71,7 +72,7 @@ pub fn run_scheduled(
         // Phase 1: evaluate all bodies (reads see the previous step).
         let mut writes: Vec<(usize, Vec<i64>, i64)> = Vec::with_capacity(end - idx);
         for (_, s, pt) in &by_time[idx..end] {
-            let value = eval_instance(p, *s, pt, params, &stores, modes);
+            let value = eval_instance(p, *s, pt, params, &written, &stores, modes);
             values.insert((*s, pt.clone()), value);
             let aid = p.statement(*s).writes();
             let cell = modes[aid.0].cell(pt, params);
@@ -92,6 +93,7 @@ fn eval_instance(
     s: StmtId,
     iter: &[i64],
     params: &[i64],
+    written: &WrittenCells,
     stores: &[ArrayStore],
     modes: &[StorageMode<'_>],
 ) -> i64 {
@@ -107,7 +109,7 @@ fn eval_instance(
             .collect();
         let aid = acc.array();
         let name = p.array(aid).name();
-        let v = if !written_by_program(p, aid, &index, params) {
+        let v = if !written.contains(aid, &index) {
             funcs::initial(name, &index)
         } else {
             let cell = modes[aid.0].cell(&index, params);

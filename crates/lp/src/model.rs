@@ -29,7 +29,7 @@ impl VarId {
 }
 
 /// Relation of a constraint expression to zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cmp {
     /// `expr >= 0`
     Ge,

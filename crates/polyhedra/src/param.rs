@@ -226,8 +226,9 @@ fn next_combination(subset: &mut [usize], m: usize) -> bool {
     false
 }
 
-/// Drops repeated items, keeping each first occurrence in its place.
-fn dedup_in_order<T: Eq + Hash>(items: Vec<T>) -> Vec<T> {
+/// Drops repeated items, keeping each first occurrence in its place
+/// (one hash-set pass, so row lists keep their order at linear cost).
+pub fn dedup_in_order<T: Eq + Hash>(items: Vec<T>) -> Vec<T> {
     let keep: Vec<bool> = {
         let mut seen = HashSet::with_capacity(items.len());
         items.iter().map(|x| seen.insert(x)).collect()

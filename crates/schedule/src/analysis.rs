@@ -1,17 +1,23 @@
 //! The per-program analysis every schedule/storage problem shares.
 
-use crate::{legal, linearize, Schedule, ScheduleSpace};
+use crate::linearize::{linearize_at_vertices, RowKind};
+use crate::{legal, BilinearForm, Schedule, ScheduleSpace};
 use aov_ir::{analysis, Dependence, Program};
 use aov_linalg::AffineExpr;
+use aov_polyhedra::param::{self, dedup_in_order, ParamVertex};
 use aov_polyhedra::{Constraint, PolyhedraError, Polyhedron};
 use std::borrow::Cow;
 
-/// Dependences, schedule space, linearized causality rows (Eq. 11) and
-/// the legal-schedule polyhedron ℛ of one program, computed once.
+/// Dependences, schedule space, the parameterized vertices of every
+/// dependence domain, linearized causality rows (Eq. 11) and the
+/// legal-schedule polyhedron ℛ of one program, computed once.
 ///
 /// Problems 1–3 all work over these objects; building them is the
 /// parameterized-vertex work of §4.4, so every stage of a solve borrows
-/// one `Analysis` instead of rebuilding it.
+/// one `Analysis` instead of rebuilding it. Any form over a dependence
+/// domain — the causality form here, the storage forms of Problems 1
+/// and 3 — is linearized over the same kept vertices
+/// ([`Analysis::linearize`]).
 ///
 /// # Examples
 ///
@@ -30,6 +36,7 @@ pub struct Analysis<'p> {
     p: &'p Program,
     deps: Cow<'p, [Dependence]>,
     space: ScheduleSpace,
+    vertices: Vec<Vec<ParamVertex>>,
     causality: Vec<Vec<AffineExpr>>,
     rows: Vec<AffineExpr>,
     legal: Polyhedron,
@@ -58,20 +65,20 @@ impl<'p> Analysis<'p> {
     fn build(p: &'p Program, deps: Cow<'p, [Dependence]>) -> Result<Self, PolyhedraError> {
         let _span = aov_trace::span!("schedule.analysis", deps = deps.len());
         let space = ScheduleSpace::new(p);
+        let mut vertices = Vec::with_capacity(deps.len());
         let mut causality = Vec::with_capacity(deps.len());
-        let mut rows: Vec<AffineExpr> = Vec::new();
         for dep in deps.iter() {
-            let form = legal::causality_form(p, &space, dep);
             let depth = p.statement(dep.target).depth();
-            let dep_rows =
-                linearize::eliminate_to_linear(&form, &dep.domain, depth, p.param_domain())?;
-            for r in &dep_rows {
-                if !rows.contains(r) {
-                    rows.push(r.clone());
-                }
-            }
+            let dep_vertices = param::parameterized_vertices(&dep.domain, depth, p.param_domain())?;
+            let form = legal::causality_form(p, &space, dep);
+            let dep_rows: Vec<AffineExpr> = linearize_at_vertices(&form, &dep_vertices)
+                .into_iter()
+                .map(|(row, _)| row)
+                .collect();
             causality.push(dep_rows);
+            vertices.push(dep_vertices);
         }
+        let rows = dedup_in_order(causality.iter().flatten().cloned().collect());
         let legal = Polyhedron::from_constraints(
             space.dim(),
             rows.iter().cloned().map(Constraint::ge0).collect(),
@@ -80,6 +87,7 @@ impl<'p> Analysis<'p> {
             p,
             deps,
             space,
+            vertices,
             causality,
             rows,
             legal,
@@ -99,6 +107,20 @@ impl<'p> Analysis<'p> {
     /// The schedule space ℰ.
     pub fn space(&self) -> &ScheduleSpace {
         &self.space
+    }
+
+    /// Linearizes `form`, over dependence `dep`'s domain `(i, N)`, at that
+    /// domain's parameterized vertices kept from construction: the rows
+    /// of [`linearize::eliminate_to_linear`](crate::linearize::eliminate_to_linear)
+    /// over `deps()[dep].domain`, tagged with their [`RowKind`], without
+    /// enumerating the vertices again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dep` is out of range or `form`'s domain is not the
+    /// target statement's space.
+    pub fn linearize(&self, dep: usize, form: &BilinearForm) -> Vec<(AffineExpr, RowKind)> {
+        linearize_at_vertices(form, &self.vertices[dep])
     }
 
     /// Linearized causality rows of each dependence (parallel to

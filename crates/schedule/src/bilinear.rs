@@ -28,7 +28,7 @@ use aov_numeric::Rational;
 /// let at3 = f.at_point(&QVector::from_i64(&[3]));
 /// assert_eq!(at3, AffineExpr::from_i64(&[4], -2)); // 4·u0 − 2
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BilinearForm {
     coeffs: Vec<AffineExpr>,
     constant: AffineExpr,

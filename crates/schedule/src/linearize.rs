@@ -19,7 +19,9 @@
 //! generators.
 
 use crate::BilinearForm;
-use aov_polyhedra::{param, PolyhedraError, Polyhedron};
+use aov_linalg::AffineExpr;
+use aov_polyhedra::param::{self, dedup_in_order, ParamVertex};
+use aov_polyhedra::{PolyhedraError, Polyhedron};
 
 /// Linearizes `F(u, (i, N)) >= 0  ∀ (i, N) ∈ system, N ∈ param_domain`
 /// into affine constraints `g(u) >= 0`.
@@ -39,20 +41,24 @@ pub fn eliminate_to_linear(
     system: &Polyhedron,
     n_elim: usize,
     param_domain: &Polyhedron,
-) -> Result<Vec<aov_linalg::AffineExpr>, PolyhedraError> {
-    Ok(
-        eliminate_to_linear_tagged(form, system, n_elim, param_domain)?
-            .into_iter()
-            .map(|(e, _)| e)
-            .collect(),
-    )
+) -> Result<Vec<AffineExpr>, PolyhedraError> {
+    assert_eq!(
+        form.domain_dim(),
+        system.dim(),
+        "form/system domain mismatch"
+    );
+    let vertices = param::parameterized_vertices(system, n_elim, param_domain)?;
+    Ok(linearize_at_vertices(form, &vertices)
+        .into_iter()
+        .map(|(e, _)| e)
+        .collect())
 }
 
 /// Where a linearized row came from — a parameter-domain vertex (the form
 /// evaluated at a point) or a ray/line (the form's linear part along a
 /// direction). The storage solvers need the distinction: point rows carry
 /// the `v·Θ` coupling of the occupancy vector, direction rows do not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowKind {
     /// Evaluated at a concrete `(i, N)` point.
     Point,
@@ -60,68 +66,56 @@ pub enum RowKind {
     Direction,
 }
 
-/// As [`eliminate_to_linear`], tagging each row with its [`RowKind`].
-pub fn eliminate_to_linear_tagged(
+/// The linearization of [`eliminate_to_linear`] over parameterized
+/// vertices already computed for the form's domain, each row tagged with
+/// its [`RowKind`]. Trivially true constant rows are dropped (a negative
+/// constant is kept: the LP reports the contradiction), and repeated
+/// `(row, kind)` pairs keep their first occurrence.
+///
+/// # Panics
+///
+/// Panics if `form`'s domain is not the vertices' eliminated dims
+/// followed by their parameter dims.
+pub fn linearize_at_vertices(
     form: &BilinearForm,
-    system: &Polyhedron,
-    n_elim: usize,
-    param_domain: &Polyhedron,
-) -> Result<Vec<(aov_linalg::AffineExpr, RowKind)>, PolyhedraError> {
-    assert_eq!(
-        form.domain_dim(),
-        system.dim(),
-        "form/system domain mismatch"
-    );
-    let n_params = system.dim() - n_elim;
-    assert_eq!(param_domain.dim(), n_params, "param domain dimension");
-
+    vertices: &[ParamVertex],
+) -> Vec<(AffineExpr, RowKind)> {
     let mut out = Vec::new();
-    for vertex in param::parameterized_vertices(system, n_elim, param_domain)? {
+    for vertex in vertices {
         // Substitute i := Γ(N): the domain space becomes N alone.
-        let mut subs = vertex.coords;
-        subs.extend((0..n_params).map(|j| aov_linalg::AffineExpr::var(n_params, j)));
+        let n_params = vertex.domain.dim();
+        assert_eq!(
+            form.domain_dim(),
+            vertex.coords.len() + n_params,
+            "form/vertex domain mismatch"
+        );
+        let mut subs = vertex.coords.clone();
+        subs.extend((0..n_params).map(|j| AffineExpr::var(n_params, j)));
         let over_params = form.substitute_domain(&subs);
         let gens = &vertex.generators;
         for w in &gens.vertices {
-            push_nontrivial(&mut out, over_params.at_point(w), RowKind::Point);
+            out.push((over_params.at_point(w), RowKind::Point));
         }
         for r in &gens.rays {
-            push_nontrivial(
-                &mut out,
-                over_params.linear_part_along(r),
-                RowKind::Direction,
-            );
+            out.push((over_params.linear_part_along(r), RowKind::Direction));
         }
         for l in &gens.lines {
             let lin = over_params.linear_part_along(l);
-            push_nontrivial(&mut out, lin.clone(), RowKind::Direction);
-            push_nontrivial(&mut out, -&lin, RowKind::Direction);
+            let neg = -&lin;
+            out.push((lin, RowKind::Direction));
+            out.push((neg, RowKind::Direction));
         }
     }
-    Ok(out)
-}
-
-fn push_nontrivial(
-    out: &mut Vec<(aov_linalg::AffineExpr, RowKind)>,
-    e: aov_linalg::AffineExpr,
-    kind: RowKind,
-) {
-    if e.is_constant() {
-        // A constant >= 0 requirement: either trivially true (drop) or a
-        // contradiction (keep — the LP will report infeasibility).
-        if !e.constant_term().is_negative() {
-            return;
-        }
-    }
-    if !out.iter().any(|(x, k)| *x == e && *k == kind) {
-        out.push((e, kind));
-    }
+    // A constant >= 0 requirement is either trivially true (dropped) or
+    // a contradiction (kept — the LP will report infeasibility).
+    out.retain(|(e, _)| !e.is_constant() || e.constant_term().is_negative());
+    dedup_in_order(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aov_linalg::{AffineExpr, QVector};
+    use aov_linalg::QVector;
     use aov_polyhedra::Constraint;
 
     fn ge(coeffs: &[i64], c: i64) -> Constraint {

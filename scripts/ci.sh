@@ -167,6 +167,17 @@ trap 'rm -f "$trace_file" "$bench_file" "$chaos_file" "$bad_file" "$profile_file
 ./target/release/aov fuzz --seed 1 --count 25 --quick \
     --repro-dir "$repro_dir" --compact > /dev/null
 
+echo "== fuzz verdicts"
+# The seed-42 campaign's verdict counts are pinned: a change that moves
+# a case between ok and degraded, or adds a mismatch or a failure,
+# fails here.
+fuzz_verdicts="$(./target/release/aov fuzz --seed 42 --count 100 --compact 2> /dev/null \
+    | grep -o '"verdicts":{[^}]*}' || true)"
+if [ "$fuzz_verdicts" != '"verdicts":{"ok":59,"degraded":41,"mismatch":0,"failed":0}' ]; then
+    echo "fuzz verdicts: expected ok 59, degraded 41, mismatch 0, failed 0; got ${fuzz_verdicts:-no summary}"
+    exit 1
+fi
+
 echo "== diag smoke"
 # One injected fault with --diag-dir armed must produce exactly one
 # crash-diagnostic bundle that validates against the aov-diag/1 schema
