@@ -37,7 +37,7 @@ use aov_core::problems::{self, OvResult, DEFAULT_SEARCH_RADIUS};
 use aov_core::transform::StorageTransform;
 use aov_core::{codegen, uov, CoreError};
 use aov_fault::{AovError, Budget};
-use aov_interp::exec::original_values;
+use aov_interp::exec::Instances;
 use aov_interp::validate::matches_reference;
 use aov_ir::{analysis, examples, Dependence, Program};
 use aov_machine::experiments::{example2_speedup_with, example3_speedup_with, SpeedupPoint};
@@ -1143,23 +1143,34 @@ impl Pipeline {
             (Some(ts), s1, s2) => run_stage(stages, "equivalence", || {
                 // The AOV must work under every available schedule: the
                 // dependence-only one and the storage-constrained one
-                // from Problem 2. Both runs compare against one reference
-                // execution under the scheduler's own schedule.
-                let reference_sched = scheduler::find_schedule_with_budgeted(
-                    shared.get()?,
-                    &[],
-                    &Budget::unlimited(),
-                )?;
-                let reference = original_values(p, check_params, &reference_sched);
+                // from Problem 2. Both runs share one enumeration of the
+                // instances and compare against one reference execution
+                // under the scheduler's own schedule, which the
+                // `schedule` stage already found unless it was
+                // overridden.
+                let found;
+                let reference_sched = match s1 {
+                    Some(s) if self.schedule_override.is_none() => s,
+                    _ => {
+                        found = scheduler::find_schedule_with_budgeted(
+                            shared.get()?,
+                            &[],
+                            &Budget::unlimited(),
+                        )?;
+                        &found
+                    }
+                };
+                let instances = Instances::new(p, check_params);
+                let reference = instances.original_values(reference_sched);
                 let mut verdict = true;
                 let mut detail = Json::obj();
                 if let Some(s) = s1 {
-                    let ok = matches_reference(p, check_params, &reference, s, ts);
+                    let ok = matches_reference(&instances, &reference, s, ts);
                     verdict &= ok;
                     detail = detail.field("under_found_schedule", ok);
                 }
                 if let Some(s) = s2 {
-                    let ok = matches_reference(p, check_params, &reference, s, ts);
+                    let ok = matches_reference(&instances, &reference, s, ts);
                     verdict &= ok;
                     detail = detail.field("under_best_schedule", ok);
                 }
@@ -1513,6 +1524,29 @@ mod tests {
         // The AOV is schedule-independent and unchanged by the override.
         let aov = report.aov.as_ref().expect("aov ran");
         assert_eq!(aov.vector_for("A").unwrap().components(), [1, 2]);
+    }
+
+    #[test]
+    fn equivalence_reuses_the_found_schedule_unless_overridden() {
+        // The reference execution runs under the scheduler's schedule:
+        // the `schedule` stage's, unless that was overridden, in which
+        // case the equivalence stage solves the scheduler's ILP itself.
+        let nodes = |r: &Report| {
+            let stage = r.stage("equivalence").expect("equivalence ran");
+            let node = stage.counters.iter().find(|(k, _)| k == "lp.bb.nodes");
+            node.map_or(0, |(_, v)| *v)
+        };
+        let found = run_example("example1", 1).expect("example1 runs");
+        assert_eq!(found.equivalent, Some(true));
+        assert_eq!(nodes(&found), 0);
+        let p = examples::example1();
+        let row = aov_schedule::Schedule::uniform_for(
+            &p,
+            &[aov_linalg::AffineExpr::from_i64(&[0, 1, 0, 0], 0)],
+        );
+        let overridden = Pipeline::new(p).with_schedule(row).run().expect("runs");
+        assert_eq!(overridden.equivalent, Some(true));
+        assert_eq!(nodes(&overridden), 1);
     }
 
     #[test]

@@ -24,68 +24,125 @@ pub struct RunStats {
     pub max_width: usize,
 }
 
-/// Executes the program under `sched` with the given storage mode per
-/// array, honoring the paper's §4.3 convention that *reads precede
-/// writes within a time step*.
-///
-/// Returns the value computed by every statement instance plus run
-/// statistics. Reads of data-space points never written by the program
-/// resolve to deterministic [`funcs::initial`] values (input data);
-/// reads of cells whose producing write has not happened yet resolve to
-/// [`funcs::missing`] markers (only reachable under an illegal schedule
-/// or an invalid occupancy vector).
+/// A program's statement instances and written cells at one parameter
+/// point, enumerated once so that several scheduled runs share them:
+/// an enumeration solves an emptiness LP per statement and two
+/// bounding-box LPs per loop dimension.
+#[derive(Debug, Clone)]
+pub struct Instances<'p> {
+    program: &'p Program,
+    params: Vec<i64>,
+    /// Every statement instance, statement by statement in
+    /// [`Program::stmt_ids`] order.
+    points: Vec<(StmtId, Vec<i64>)>,
+    written: WrittenCells,
+}
+
+impl<'p> Instances<'p> {
+    /// Enumerates every statement's iteration points and fixes every
+    /// writer's domain at `params`.
+    pub fn new(program: &'p Program, params: &[i64]) -> Self {
+        let points = program
+            .stmt_ids()
+            .flat_map(|s| {
+                iteration_points(program, s, params)
+                    .into_iter()
+                    .map(move |pt| (s, pt))
+            })
+            .collect();
+        Instances {
+            program,
+            params: params.to_vec(),
+            points,
+            written: WrittenCells::new(program, params),
+        }
+    }
+
+    /// The program whose instances these are.
+    pub fn program(&self) -> &'p Program {
+        self.program
+    }
+
+    /// Executes the program under `sched` with the given storage mode
+    /// per array, honoring the paper's §4.3 convention that *reads
+    /// precede writes within a time step*.
+    ///
+    /// Returns the value computed by every statement instance plus run
+    /// statistics. Reads of data-space points never written by the
+    /// program resolve to deterministic [`funcs::initial`] values (input
+    /// data); reads of cells whose producing write has not happened yet
+    /// resolve to [`funcs::missing`] markers (only reachable under an
+    /// illegal schedule or an invalid occupancy vector).
+    pub fn run(&self, sched: &Schedule, modes: &[StorageMode<'_>]) -> (InstanceValues, RunStats) {
+        let (p, params) = (self.program, self.params.as_slice());
+        assert_eq!(modes.len(), p.arrays().len(), "one storage mode per array");
+        // Order all instances by time.
+        let mut by_time: Vec<(Rational, &(StmtId, Vec<i64>))> = self
+            .points
+            .iter()
+            .map(|inst| (sched.eval(inst.0, &inst.1, params), inst))
+            .collect();
+        by_time.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
+
+        let mut stores: Vec<ArrayStore> = p.arrays().iter().map(|_| ArrayStore::new()).collect();
+        let mut values: InstanceValues = HashMap::new();
+        let mut stats = RunStats {
+            instances: by_time.len(),
+            ..RunStats::default()
+        };
+
+        let mut idx = 0;
+        while idx < by_time.len() {
+            // One time step: [idx, end).
+            let t = &by_time[idx].0;
+            let mut end = idx;
+            while end < by_time.len() && by_time[end].0 == *t {
+                end += 1;
+            }
+            stats.time_steps += 1;
+            stats.max_width = stats.max_width.max(end - idx);
+            // Phase 1: evaluate all bodies (reads see the previous step).
+            let mut writes: Vec<(usize, Vec<i64>, i64)> = Vec::with_capacity(end - idx);
+            for (_, (s, pt)) in &by_time[idx..end] {
+                let value = eval_instance(p, *s, pt, params, &self.written, &stores, modes);
+                values.insert((*s, pt.clone()), value);
+                let aid = p.statement(*s).writes();
+                let cell = modes[aid.0].cell(pt, params);
+                writes.push((aid.0, cell, value));
+            }
+            // Phase 2: apply all writes.
+            for (a, cell, value) in writes {
+                stores[a].write(cell, value);
+            }
+            idx = end;
+        }
+        stats.cells_used = stores.iter().map(ArrayStore::cells_used).collect();
+        (values, stats)
+    }
+
+    /// Per-instance values under `sched` with original storage. For any
+    /// legal schedule these are the reference values: single assignment
+    /// makes them schedule-independent.
+    pub fn original_values(&self, sched: &Schedule) -> InstanceValues {
+        let modes: Vec<StorageMode<'_>> = self
+            .program
+            .arrays()
+            .iter()
+            .map(|_| StorageMode::Original)
+            .collect();
+        self.run(sched, &modes).0
+    }
+}
+
+/// [`Instances::run`] for a single run: enumerates the instances of `p`
+/// at `params` and executes them under `sched` and `modes`.
 pub fn run_scheduled(
     p: &Program,
     params: &[i64],
     sched: &Schedule,
     modes: &[StorageMode<'_>],
 ) -> (InstanceValues, RunStats) {
-    assert_eq!(modes.len(), p.arrays().len(), "one storage mode per array");
-    // Gather all instances with their times.
-    let mut by_time: Vec<(Rational, StmtId, Vec<i64>)> = Vec::new();
-    for s in p.stmt_ids() {
-        for pt in iteration_points(p, s, params) {
-            let t = sched.eval(s, &pt, params);
-            by_time.push((t, s, pt));
-        }
-    }
-    by_time.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| (a.1, &a.2).cmp(&(b.1, &b.2))));
-
-    let written = WrittenCells::new(p, params);
-    let mut stores: Vec<ArrayStore> = p.arrays().iter().map(|_| ArrayStore::new()).collect();
-    let mut values: InstanceValues = HashMap::new();
-    let mut stats = RunStats {
-        instances: by_time.len(),
-        ..RunStats::default()
-    };
-
-    let mut idx = 0;
-    while idx < by_time.len() {
-        // One time step: [idx, end).
-        let t = by_time[idx].0.clone();
-        let mut end = idx;
-        while end < by_time.len() && by_time[end].0 == t {
-            end += 1;
-        }
-        stats.time_steps += 1;
-        stats.max_width = stats.max_width.max(end - idx);
-        // Phase 1: evaluate all bodies (reads see the previous step).
-        let mut writes: Vec<(usize, Vec<i64>, i64)> = Vec::with_capacity(end - idx);
-        for (_, s, pt) in &by_time[idx..end] {
-            let value = eval_instance(p, *s, pt, params, &written, &stores, modes);
-            values.insert((*s, pt.clone()), value);
-            let aid = p.statement(*s).writes();
-            let cell = modes[aid.0].cell(pt, params);
-            writes.push((aid.0, cell, value));
-        }
-        // Phase 2: apply all writes.
-        for (a, cell, value) in writes {
-            stores[a].write(cell, value);
-        }
-        idx = end;
-    }
-    stats.cells_used = stores.iter().map(ArrayStore::cells_used).collect();
-    (values, stats)
+    Instances::new(p, params).run(sched, modes)
 }
 
 fn eval_instance(
@@ -138,24 +195,25 @@ fn eval_expr(e: &Expr, iter: &[i64], params: &[i64], reads: &[i64]) -> i64 {
     }
 }
 
-/// Per-instance values under `sched` with original storage. For any
-/// legal schedule these are the reference values: single assignment
-/// makes them schedule-independent.
-pub fn original_values(p: &Program, params: &[i64], sched: &Schedule) -> InstanceValues {
-    let modes: Vec<StorageMode<'_>> = p.arrays().iter().map(|_| StorageMode::Original).collect();
-    run_scheduled(p, params, sched, &modes).0
+/// The scheduler's legal schedule of `p`, under which reference values
+/// are computed.
+///
+/// # Panics
+///
+/// Panics if the program has no one-dimensional affine schedule.
+pub(crate) fn reference_schedule(p: &Program) -> Schedule {
+    aov_schedule::scheduler::find_schedule_with(p, &[])
+        .expect("reference execution needs a schedulable program")
 }
 
-/// Reference per-instance values: [`original_values`] under the
+/// Reference per-instance values: [`Instances::original_values`] under the
 /// scheduler's legal schedule.
 ///
 /// # Panics
 ///
 /// Panics if the program has no one-dimensional affine schedule.
 pub fn reference_values(p: &Program, params: &[i64]) -> InstanceValues {
-    let sched = aov_schedule::scheduler::find_schedule_with(p, &[])
-        .expect("reference execution needs a schedulable program");
-    original_values(p, params, &sched)
+    Instances::new(p, params).original_values(&reference_schedule(p))
 }
 
 #[cfg(test)]

@@ -12,8 +12,10 @@
 //!
 //! * [`funcs::apply`] — function-symbol semantics (`add`, `min`, `max`
 //!   exact; everything else hash-mixed),
-//! * [`exec::run_scheduled`] — two-phase (reads before writes, §4.3)
-//!   time-stepped execution under a schedule,
+//! * [`exec::Instances`] — a program's statement instances at one
+//!   parameter point, enumerated once; [`exec::Instances::run`] is the
+//!   two-phase (reads before writes, §4.3) time-stepped execution under
+//!   a schedule, and [`exec::run_scheduled`] one such run on its own,
 //! * [`exec::reference_values`] — per-instance reference values
 //!   (original storage, any legal schedule — single assignment makes the
 //!   result schedule-independent),

@@ -1,6 +1,6 @@
 //! The dynamic equivalence oracle.
 
-use crate::exec::{reference_values, run_scheduled, InstanceValues};
+use crate::exec::{reference_schedule, InstanceValues, Instances};
 use crate::store::StorageMode;
 use aov_core::transform::StorageTransform;
 use aov_ir::Program;
@@ -12,37 +12,40 @@ use aov_schedule::Schedule;
 ///
 /// This is the paper's §3.2 validity criterion, decided dynamically for
 /// one concrete parameter vector.
+///
+/// # Panics
+///
+/// Panics if the program has no one-dimensional affine schedule to
+/// compute the reference values under.
 pub fn semantics_preserved(
     p: &Program,
     params: &[i64],
     sched: &Schedule,
     transforms: &[StorageTransform],
 ) -> bool {
-    matches_reference(p, params, &reference_values(p, params), sched, transforms)
+    let instances = Instances::new(p, params);
+    let reference = instances.original_values(&reference_schedule(p));
+    matches_reference(&instances, &reference, sched, transforms)
 }
 
-/// [`semantics_preserved`] against reference values the caller already
-/// computed (see [`crate::exec::original_values`]), so several schedules
-/// can share one reference execution.
+/// [`semantics_preserved`] over instances and reference values the
+/// caller already computed (see [`Instances::original_values`]), so
+/// several schedules share one enumeration and one reference execution.
 pub fn matches_reference(
-    p: &Program,
-    params: &[i64],
+    instances: &Instances<'_>,
     reference: &InstanceValues,
     sched: &Schedule,
     transforms: &[StorageTransform],
 ) -> bool {
-    let modes: Vec<StorageMode<'_>> = p
-        .arrays()
-        .iter()
-        .enumerate()
-        .map(|(aidx, _)| {
+    let modes: Vec<StorageMode<'_>> = (0..instances.program().arrays().len())
+        .map(|aidx| {
             transforms
                 .iter()
                 .find(|t| t.array().0 == aidx)
                 .map_or(StorageMode::Original, StorageMode::Transformed)
         })
         .collect();
-    let (vals, _) = run_scheduled(p, params, sched, &modes);
+    let (vals, _) = instances.run(sched, &modes);
     vals == *reference
 }
 

@@ -1,4 +1,4 @@
-//! Dense reference for the exact LP path, for the differential test
+//! Dense reference for the exact LP path, for the differential tests
 //! below.
 //!
 //! The same two-phase Bland simplex done densely: every constraint
@@ -6,10 +6,13 @@
 //! tableau for the artificials, the phase-1 objective priced out over
 //! every cell, pivots that update and meter every entry of each updated
 //! row, and a ratio test that builds each quotient. Branch-and-bound
-//! clones the parent for both children. The test drives it and the
-//! production path over seeded random LPs and ILPs and requires the same
-//! outcome, the same `(row, col)` pivot sequence and the same
-//! growth-meter readings.
+//! clones the parent for both children. It starts phase 1 in one of two
+//! ways ([`Start`]): from the slack basis the production path uses, or
+//! from the all-artificial basis that path used before. The tests drive
+//! it and the production path over seeded random LPs and ILPs: from the
+//! slack start they require the same outcome, the same `(row, col)`
+//! pivot sequence and the same growth-meter readings; from the
+//! all-artificial start, the same outcome class and objective.
 
 use crate::model::{Cmp, LpOutcome, Model, Solution};
 use aov_linalg::{AffineExpr, QVector};
@@ -23,6 +26,17 @@ thread_local! {
     static PIVOT_LOG: std::cell::RefCell<Vec<Pivot>> = const { std::cell::RefCell::new(Vec::new()) };
     /// Degenerate (zero-ratio) pivots the reference made on this thread.
     static DEGENERATE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How phase 1 starts.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Start {
+    /// Each row whose slack has coefficient +1 (a zero-rhs `≥` row
+    /// negated for it) starts on that slack; only the other rows get an
+    /// artificial, and phase 1 stops once their sum is zero.
+    Slack,
+    /// Every row gets an artificial, and phase 1 runs to optimality.
+    AllArtificial,
 }
 
 /// Records a pivot of the production simplex.
@@ -39,6 +53,8 @@ enum VarMap {
 struct Standardized {
     rows: Vec<Vec<Rational>>,
     rhs: Vec<Rational>,
+    /// Each row's slack column, `None` on equalities.
+    slacks: Vec<Option<usize>>,
     costs: Vec<Rational>,
     obj_constant: Rational,
     maps: Vec<VarMap>,
@@ -50,7 +66,7 @@ fn pad(model: &Model, e: &AffineExpr) -> AffineExpr {
     e.embed(model.num_vars(), &map)
 }
 
-fn standardize(model: &Model) -> Standardized {
+fn standardize(model: &Model, start: Start) -> Standardized {
     let n = model.num_vars();
     let (lower, upper) = model.bounds();
     let mut num_cols = 0usize;
@@ -87,6 +103,8 @@ fn standardize(model: &Model) -> Standardized {
     let width = num_cols + inequalities;
     let mut rows: Vec<Vec<Rational>> = Vec::new();
     let mut rhs: Vec<Rational> = Vec::new();
+    let mut slacks: Vec<Option<usize>> = Vec::new();
+    let mut geq: Vec<bool> = Vec::new();
     let mut next_slack = num_cols;
     let mut push_constraint = |coeffs: &[(usize, Rational)], constant: &Rational, cmp: Cmp| {
         let mut row = vec![Rational::zero(); width];
@@ -111,10 +129,12 @@ fn standardize(model: &Model) -> Standardized {
             Cmp::Le => Some(Rational::one()),
             Cmp::Ge => Some(-Rational::one()),
         };
+        slacks.push(slack.is_some().then_some(next_slack));
         if let Some(slack) = slack {
             row[next_slack] = slack;
             next_slack += 1;
         }
+        geq.push(cmp == Cmp::Ge);
         rows.push(row);
         rhs.push(b);
     };
@@ -128,7 +148,7 @@ fn standardize(model: &Model) -> Standardized {
         }
     }
     for (r, b) in rhs.iter_mut().enumerate() {
-        if b.is_negative() {
+        if b.is_negative() || (start == Start::Slack && b.is_zero() && geq[r]) {
             *b = -&*b;
             for v in rows[r].iter_mut() {
                 *v = -&*v;
@@ -159,6 +179,7 @@ fn standardize(model: &Model) -> Standardized {
     Standardized {
         rows,
         rhs,
+        slacks,
         costs,
         obj_constant,
         maps,
@@ -233,8 +254,11 @@ impl Tableau {
         self.log.push((r, c, limbs, bits));
     }
 
-    fn run(&mut self, active_cols: usize) -> bool {
+    fn run(&mut self, active_cols: usize, until_zero: bool) -> bool {
         loop {
+            if until_zero && self.obj_rhs.is_zero() {
+                return true;
+            }
             let Some(c) = (0..active_cols).find(|&j| self.obj[j].is_negative()) else {
                 return true;
             };
@@ -284,24 +308,35 @@ impl Tableau {
     }
 }
 
-/// Solves the LP relaxation densely; returns the outcome and the pivots
-/// it made.
-pub(crate) fn solve_lp(model: &Model) -> (LpOutcome, Vec<Pivot>) {
-    let std = standardize(model);
+/// Solves the LP relaxation densely from `start`; returns the outcome
+/// and the pivots it made.
+pub(crate) fn solve_lp(model: &Model, start: Start) -> (LpOutcome, Vec<Pivot>) {
+    let std = standardize(model, start);
     let m = std.rows.len();
     let n = std.num_cols;
-    let total = n + m;
+    // Each row's starting basic column: a slack with coefficient +1, or
+    // the next artificial.
+    let mut total = n;
+    let basis: Vec<usize> = (std.slacks.iter().zip(&std.rows))
+        .map(|(slack, row)| match slack {
+            Some(s) if start == Start::Slack && row[*s].is_positive() => *s,
+            _ => {
+                total += 1;
+                total - 1
+            }
+        })
+        .collect();
     let mut rows = Vec::with_capacity(m);
-    for (r, row) in std.rows.iter().enumerate() {
+    for (row, &b) in std.rows.iter().zip(&basis) {
         let mut full = row.clone();
         full.resize(total, Rational::zero());
-        full[n + r] = Rational::one();
+        full[b] = Rational::one();
         rows.push(full);
     }
     let mut t = Tableau {
         rows,
         rhs: std.rhs.clone(),
-        basis: (n..n + m).collect(),
+        basis,
         obj: vec![Rational::zero(); total],
         obj_rhs: Rational::zero(),
         log: Vec::new(),
@@ -311,7 +346,10 @@ pub(crate) fn solve_lp(model: &Model) -> (LpOutcome, Vec<Pivot>) {
         *c = Rational::one();
     }
     t.install_objective(&phase1, &Rational::zero());
-    assert!(t.run(total), "phase 1 is always bounded below by 0");
+    assert!(
+        t.run(total, start == Start::Slack),
+        "phase 1 is always bounded below by 0"
+    );
     if !t.obj_rhs.is_zero() {
         return (LpOutcome::Infeasible, t.log);
     }
@@ -330,7 +368,7 @@ pub(crate) fn solve_lp(model: &Model) -> (LpOutcome, Vec<Pivot>) {
         r += 1;
     }
     t.install_objective(&std.costs, &std.obj_constant);
-    if !t.run(n) {
+    if !t.run(n, false) {
         return (LpOutcome::Unbounded, t.log);
     }
     let mut y = vec![Rational::zero(); n];
@@ -351,10 +389,10 @@ pub(crate) fn solve_lp(model: &Model) -> (LpOutcome, Vec<Pivot>) {
     (LpOutcome::Optimal(Solution { values, objective }), t.log)
 }
 
-/// Depth-first branch-and-bound over [`solve_lp`], cloning the parent
-/// into both children; returns the outcome and every relaxation's
-/// pivots in solve order.
-pub(crate) fn solve_ilp(model: &Model) -> (LpOutcome, Vec<Pivot>) {
+/// Depth-first branch-and-bound over [`solve_lp`] from `start`, cloning
+/// the parent into both children; returns the outcome and every
+/// relaxation's pivots in solve order.
+pub(crate) fn solve_ilp(model: &Model, start: Start) -> (LpOutcome, Vec<Pivot>) {
     let marks = model.integer_marks().to_vec();
     let mut log = Vec::new();
     let mut best: Option<Solution> = None;
@@ -362,7 +400,7 @@ pub(crate) fn solve_ilp(model: &Model) -> (LpOutcome, Vec<Pivot>) {
     let mut stack = vec![model.clone()];
     while let Some(node) = stack.pop() {
         nodes += 1;
-        let (outcome, pivots) = solve_lp(&node);
+        let (outcome, pivots) = solve_lp(&node, start);
         log.extend(pivots);
         match outcome {
             LpOutcome::Infeasible => continue,
@@ -400,7 +438,7 @@ pub(crate) fn solve_ilp(model: &Model) -> (LpOutcome, Vec<Pivot>) {
 
 #[cfg(test)]
 mod tests {
-    use super::{Pivot, DEGENERATE, PIVOT_LOG};
+    use super::{Pivot, Start, DEGENERATE, PIVOT_LOG};
     use crate::{Cmp, LpOutcome, Model};
     use aov_linalg::{AffineExpr, QVector};
     use aov_numeric::Rational;
@@ -560,9 +598,9 @@ mod tests {
             };
             take_log();
             let (got, want) = if integer {
-                (m.solve_ilp(), super::solve_ilp(&m))
+                (m.solve_ilp(), super::solve_ilp(&m, Start::Slack))
             } else {
-                (m.solve_lp(), super::solve_lp(&m))
+                (m.solve_lp(), super::solve_lp(&m, Start::Slack))
             };
             let got_log = take_log();
             assert_eq!(got, want.0, "case {case}: outcome of\n{m}");
@@ -585,5 +623,53 @@ mod tests {
         assert!(pivots > 2000, "only {pivots} pivots compared");
         let degenerate = DEGENERATE.with(|d| d.get());
         assert!(degenerate >= 100, "only {degenerate} degenerate pivots");
+    }
+
+    /// The outcome class and, when optimal, the objective.
+    fn class(o: &LpOutcome) -> (usize, Option<Rational>) {
+        match o {
+            LpOutcome::Optimal(sol) => (0, Some(sol.objective.clone())),
+            LpOutcome::Infeasible => (1, None),
+            LpOutcome::Unbounded => (2, None),
+            LpOutcome::LimitReached => (3, None),
+        }
+    }
+
+    /// The slack start is a different route to the same optimum: on the
+    /// same seeded LPs and ILPs as above, the production path and the
+    /// all-artificial start reach the same outcome class and objective
+    /// (the optimal vertex itself may differ when the optimum is not
+    /// unique), and over the corpus the slack start pivots less.
+    #[test]
+    fn slack_start_matches_all_artificial_start() {
+        let mut g = Rng::new(0x5EED_D1FF);
+        let mut tally = [0usize; 3];
+        let (mut slack_pivots, mut artificial_pivots) = (0, 0);
+        for case in 0..1000 {
+            let integer = case % 2 == 1;
+            let m = if case % 4 < 2 {
+                general(&mut g, integer)
+            } else {
+                farkas_shaped(&mut g, integer)
+            };
+            take_log();
+            let (got, want) = if integer {
+                (m.solve_ilp(), super::solve_ilp(&m, Start::AllArtificial))
+            } else {
+                (m.solve_lp(), super::solve_lp(&m, Start::AllArtificial))
+            };
+            slack_pivots += take_log().len();
+            artificial_pivots += want.1.len();
+            assert_eq!(class(&got), class(&want.0), "case {case}: outcome of\n{m}");
+            tally[class(&got).0.min(2)] += 1;
+        }
+        assert!(
+            tally.iter().all(|&n| n >= 20),
+            "outcomes (optimal, infeasible, unbounded): {tally:?}"
+        );
+        assert!(
+            slack_pivots < artificial_pivots,
+            "slack start {slack_pivots} pivots, all-artificial {artificial_pivots}"
+        );
     }
 }

@@ -1,16 +1,27 @@
 //! Exact two-phase primal simplex with Bland's rule.
 //!
 //! The model is standardized (free variables split, lower bounds shifted,
-//! slacks/surpluses and artificials added) into `A y + I a = b`,
-//! `y, a >= 0`, `b >= 0`, then solved in two phases over exact rationals.
-//! Bland's smallest-index pivoting rule guarantees termination without
-//! cycling.
+//! one slack/surplus per inequality) into `A y = b`, `y >= 0`, `b >= 0`,
+//! then solved in two phases over exact rationals. Bland's
+//! smallest-index pivoting rule guarantees termination without cycling.
+//!
+//! **Slack start.** Each row starts with a basic column whose entry is
+//! +1 and zero in every other row. A row whose slack has coefficient +1
+//! once its rhs is made nonnegative uses that slack: a `≤` row with a
+//! nonnegative rhs, a `≥` row with a negative one, and a `≥` row with a
+//! zero rhs, which is negated for this. Only the other rows (equalities,
+//! `≥` rows with a positive rhs and `≤` rows with a negative one) get
+//! an artificial column. So the form is `A y + E a = b` with one column
+//! of `E` per such row, and phase 1 minimizes the sum of those
+//! artificials only, stopping as soon as that sum reaches zero. The
+//! paper's homogeneous storage and generator rows, and the `|x|` and
+//! evenness rows, all start on their slacks.
 //!
 //! **Row layout.** `standardize` reads the model's stored (unpadded)
-//! expressions and allocates each row once at its final width `n + m`:
-//! variable columns in model order, one slack/surplus per inequality in
-//! row order, then the artificials, row `r`'s (`n + r`) already set. The
-//! tableau takes the rows by move.
+//! expressions and allocates each row once at its final width `n + k`
+//! (`k` artificials): variable columns in model order, one slack/surplus
+//! per inequality in row order, then the artificials in row order, the
+//! row's own already set. The tableau takes the rows by move.
 //!
 //! **Nonzero-driven work.** Paper tableaux are sparse (~6 % dense on
 //! the Farkas models), so a pivot gathers the pivot row's nonzero
@@ -25,6 +36,10 @@
 //! `lp.simplex.coeff_bits_max` to the widest entry. A row's limb total
 //! is summed by one full scan on its first update and kept from the
 //! touched entries' deltas after that, so both equal a dense scan.
+//!
+//! **Certificates.** Debug builds check every answer: an `Optimal` one
+//! against the model and against its dual read off the final tableau,
+//! an `Infeasible` one against a Farkas ray read off phase 1.
 
 use crate::model::{Cmp, LpOutcome, Model, Solution};
 use aov_fault::{AovError, Budget, BudgetExceeded};
@@ -42,11 +57,13 @@ enum VarMap {
 }
 
 pub(crate) struct Standardized {
-    /// Rows over the `num_cols` standardized columns followed by one
-    /// artificial column per row (row `r`'s is `num_cols + r`, set to
-    /// one); parallel `rhs`, all nonnegative.
+    /// Rows over the `num_cols` standardized columns followed by the
+    /// artificial columns, one per row that needs one (see the module
+    /// doc); parallel `rhs`, all nonnegative.
     rows: Vec<Vec<Rational>>,
     rhs: Vec<Rational>,
+    /// Each row's starting basic column: its slack, or its artificial.
+    start: Vec<usize>,
     /// Cost of each standardized column (phase-2 objective).
     costs: Vec<Rational>,
     /// Objective constant (added to the tableau objective at the end).
@@ -79,69 +96,100 @@ pub(crate) fn standardize(model: &Model) -> Standardized {
         }
     }
 
+    // Every row as `coeffs·x cmp −constant`: the constraints, then the
+    // upper bounds as `x <= u`.
     let constraints = model.constraints();
-    let upper_bounds = upper.iter().take(n).filter(|u| u.is_some()).count();
-    let inequalities = upper_bounds
-        + constraints
+    let units: Vec<(Vec<Rational>, Rational)> = upper
+        .iter()
+        .take(n)
+        .enumerate()
+        .filter_map(|(i, u)| {
+            let u = u.as_ref()?;
+            let mut unit = vec![Rational::zero(); i + 1];
+            unit[i] = Rational::one();
+            Some((unit, -u))
+        })
+        .collect();
+    let sources = || {
+        constraints
             .iter()
-            .filter(|(_, cmp)| !matches!(cmp, Cmp::Eq))
-            .count();
+            .map(|(e, cmp)| (e.coeffs().as_slice(), e.constant_term(), *cmp))
+            .chain(units.iter().map(|(u, c)| (u.as_slice(), c, Cmp::Le)))
+    };
+    let num_rows = constraints.len() + units.len();
     // One slack/surplus column per inequality, after the variable
-    // columns and in row order; then one artificial per row.
-    let width = num_cols + inequalities;
-    let num_rows = constraints.len() + upper_bounds;
-    let mut rows: Vec<Vec<Rational>> = Vec::with_capacity(num_rows);
-    let mut rhs: Vec<Rational> = Vec::with_capacity(num_rows);
-    let mut next_slack = num_cols;
+    // columns and in row order; then the artificials.
+    let width = num_cols + sources().filter(|(.., cmp)| *cmp != Cmp::Eq).count();
 
-    // Affine constraint `e cmp 0` becomes `coeffs·x cmp -const`.
-    let mut push_constraint = |coeffs: &[Rational], constant: &Rational, cmp: Cmp| {
-        let mut row = vec![Rational::zero(); width + num_rows];
+    // First pass: each row's rhs with the lower bounds shifted out, and
+    // its orientation. A row is negated when its rhs is negative, or
+    // zero on a `≥` row, so that every rhs is nonnegative and every
+    // slack that can start basic has coefficient +1.
+    let mut rhs: Vec<Rational> = Vec::with_capacity(num_rows);
+    let mut negated: Vec<bool> = Vec::with_capacity(num_rows);
+    let mut artificials = 0usize;
+    for (coeffs, constant, cmp) in sources() {
         let mut b = -constant;
+        for (var, c) in coeffs.iter().enumerate() {
+            if let VarMap::Shifted { lower, .. } = &maps[var] {
+                if !c.is_zero() && !lower.is_zero() {
+                    b -= &(c * lower);
+                }
+            }
+        }
+        let negate = b.is_negative() || (b.is_zero() && cmp == Cmp::Ge);
+        if negate {
+            b = -b;
+        }
+        artificials += usize::from(match cmp {
+            Cmp::Eq => true,
+            Cmp::Le => negate,
+            Cmp::Ge => !negate,
+        });
+        rhs.push(b);
+        negated.push(negate);
+    }
+
+    // Second pass: the rows at their final width.
+    let mut rows: Vec<Vec<Rational>> = Vec::with_capacity(num_rows);
+    let mut start: Vec<usize> = Vec::with_capacity(num_rows);
+    let (mut next_slack, mut next_artificial) = (num_cols, width);
+    for ((coeffs, _, cmp), negate) in sources().zip(negated) {
+        let mut row = vec![Rational::zero(); width + artificials];
         for (var, c) in coeffs.iter().enumerate() {
             if c.is_zero() {
                 continue;
             }
             match &maps[var] {
-                VarMap::Shifted { col, lower } => {
-                    row[*col] += c;
-                    if !lower.is_zero() {
-                        b -= &(c * lower);
-                    }
-                }
+                VarMap::Shifted { col, .. } => row[*col] += c,
                 VarMap::Split { pos, neg } => {
                     row[*pos] += c;
                     row[*neg] -= c;
                 }
             }
         }
+        let mut slack = None;
         if cmp != Cmp::Eq {
             row[next_slack] = Rational::from(if cmp == Cmp::Le { 1 } else { -1 });
+            slack = Some(next_slack);
             next_slack += 1;
         }
-        // Make the rhs nonnegative.
-        if b.is_negative() {
-            b = -b;
+        if negate {
             for v in row[..width].iter_mut().filter(|v| !v.is_zero()) {
                 *v = -std::mem::take(v);
             }
         }
-        row[width + rows.len()] = Rational::one();
-        rows.push(row);
-        rhs.push(b);
-    };
-
-    for (e, cmp) in constraints {
-        push_constraint(e.coeffs().as_slice(), e.constant_term(), *cmp);
-    }
-    // Upper bounds as `x <= u`.
-    for (i, u) in upper.iter().enumerate().take(n) {
-        if let Some(u) = u {
-            let mut unit = vec![Rational::zero(); i + 1];
-            unit[i] = Rational::one();
-            push_constraint(&unit, &-u, Cmp::Le);
+        match slack.filter(|&s| row[s].is_positive()) {
+            Some(s) => start.push(s),
+            None => {
+                row[next_artificial] = Rational::one();
+                start.push(next_artificial);
+                next_artificial += 1;
+            }
         }
+        rows.push(row);
     }
+    debug_assert_eq!(next_artificial, width + artificials);
 
     // Phase-2 costs over standardized columns.
     let mut costs = vec![Rational::zero(); width];
@@ -168,6 +216,7 @@ pub(crate) fn standardize(model: &Model) -> Standardized {
     Standardized {
         rows,
         rhs,
+        start,
         costs,
         obj_constant,
         maps,
@@ -175,9 +224,9 @@ pub(crate) fn standardize(model: &Model) -> Standardized {
     }
 }
 
-/// Simplex tableau over `n + m` columns. `rhs[r]` is the current basic
-/// value of `basis[r]`. The objective row holds reduced costs and
-/// `obj_rhs == -(current objective)`.
+/// Simplex tableau over the `n` standardized and `k` artificial columns.
+/// `rhs[r]` is the current basic value of `basis[r]`. The objective row
+/// holds reduced costs and `obj_rhs == -(current objective)`.
 struct Tableau {
     rows: Vec<Vec<Rational>>,
     rhs: Vec<Rational>,
@@ -244,14 +293,21 @@ impl GrowthMeter {
 }
 
 impl Tableau {
-    /// The phase-1 tableau: the artificials form the starting basis and
-    /// the objective row is their sum priced out, `d_j = −Σ_r a_rj` on
-    /// the standardized columns and zero on the artificials.
-    fn phase1(rows: Vec<Vec<Rational>>, rhs: Vec<Rational>, n: usize) -> Tableau {
+    /// The phase-1 tableau: each row's `start` column is basic, and the
+    /// objective row is the sum of the artificials (the columns from `n`
+    /// on) priced out: `d_j = −Σ a_rj` on the standardized columns, the
+    /// sum over the rows that start on an artificial, and zero elsewhere.
+    fn phase1(
+        rows: Vec<Vec<Rational>>,
+        rhs: Vec<Rational>,
+        start: Vec<usize>,
+        n: usize,
+    ) -> Tableau {
         let m = rows.len();
-        let mut obj = vec![Rational::zero(); n + m];
+        let width = rows.first().map_or(n, Vec::len);
+        let mut obj = vec![Rational::zero(); width];
         let mut obj_rhs = Rational::zero();
-        for (row, b) in rows.iter().zip(&rhs) {
+        for ((row, b), _) in rows.iter().zip(&rhs).zip(&start).filter(|(_, s)| **s >= n) {
             for (d, a) in obj.iter_mut().zip(&row[..n]) {
                 if !a.is_zero() {
                     *d -= a;
@@ -262,7 +318,7 @@ impl Tableau {
         Tableau {
             rows,
             rhs,
-            basis: (n..n + m).collect(),
+            basis: start,
             row_limbs: vec![None; m],
             obj,
             obj_rhs,
@@ -308,9 +364,19 @@ impl Tableau {
     }
 
     /// Runs simplex iterations with Bland's rule on the columns in
-    /// `0..active_cols`. Returns `false` when unbounded.
-    fn run(&mut self, active_cols: usize, budget: &Budget) -> Result<bool, BudgetExceeded> {
+    /// `0..active_cols`; with `until_zero`, stops as soon as the
+    /// objective reaches zero (phase 1: the start is then feasible).
+    /// Returns `false` when unbounded.
+    fn run(
+        &mut self,
+        active_cols: usize,
+        until_zero: bool,
+        budget: &Budget,
+    ) -> Result<bool, BudgetExceeded> {
         loop {
+            if until_zero && self.obj_rhs.is_zero() {
+                return Ok(true);
+            }
             // Bland: entering column = smallest index with negative
             // reduced cost.
             let Some(c) = (0..active_cols).find(|&j| self.obj[j].is_negative()) else {
@@ -381,20 +447,17 @@ pub(crate) fn solve(model: &Model, budget: &Budget) -> Result<LpOutcome, AovErro
     aov_fault::chaos::tick("lp.simplex")?;
     let std = standardize(model);
     let n = std.num_cols;
-    let mut t = Tableau::phase1(std.rows, std.rhs, n);
+    #[cfg(debug_assertions)]
+    let start = std.start.clone();
+    let mut t = Tableau::phase1(std.rows, std.rhs, std.start, n);
     // Phase 1: minimize the sum of the artificials.
     let total = t.obj.len();
-    let bounded = t.run(total, budget)?;
+    let bounded = t.run(total, true, budget)?;
     debug_assert!(bounded, "phase 1 is always bounded below by 0");
     // Optimal phase-1 objective is -obj_rhs.
     if !t.obj_rhs.is_zero() {
         #[cfg(debug_assertions)]
-        {
-            // y_r = 1 − d_{n+r}: the duals read off the artificials'
-            // reduced costs (their phase-1 cost is one).
-            let y: Vec<Rational> = t.obj[n..].iter().map(|d| &Rational::one() - d).collect();
-            check_infeasibility_certificate(model, &y);
-        }
+        check_infeasibility_certificate(model, &duals(&t.obj, &start, n, true));
         return Ok(LpOutcome::Infeasible);
     }
     // Drive remaining artificials out of the basis.
@@ -417,7 +480,7 @@ pub(crate) fn solve(model: &Model, budget: &Budget) -> Result<LpOutcome, AovErro
     // Phase 2 on original costs; artificial columns are excluded from
     // pricing by passing `active_cols = n`.
     t.install_objective(&std.costs, &std.obj_constant);
-    if !t.run(n, budget)? {
+    if !t.run(n, false, budget)? {
         return Ok(LpOutcome::Unbounded);
     }
     let mut y = vec![Rational::zero(); n];
@@ -436,8 +499,31 @@ pub(crate) fn solve(model: &Model, budget: &Budget) -> Result<LpOutcome, AovErro
         .collect();
     let objective = -&t.obj_rhs;
     #[cfg(debug_assertions)]
-    check_optimal_answer(model, &values, &objective);
+    {
+        check_optimal_answer(model, &values, &objective);
+        check_dual_certificate(model, &duals(&t.obj, &start, n, false), &objective);
+    }
     Ok(LpOutcome::Optimal(Solution { values, objective }))
+}
+
+/// The duals `y` of the standardized rows, read off an objective row
+/// `d_j = c_j − yᵀA_j`: each row's start column is a unit column of the
+/// starting tableau, so `y_r = c_start − d_start`. Slacks cost nothing;
+/// artificials cost one in phase 1 and nothing in phase 2. A row that
+/// drive-out dropped as redundant keeps its reading (its artificial was
+/// basic at cost zero there), which is a valid dual of the full system.
+#[cfg(debug_assertions)]
+fn duals(obj: &[Rational], start: &[usize], n: usize, phase1: bool) -> Vec<Rational> {
+    start
+        .iter()
+        .map(|&s| {
+            if phase1 && s >= n {
+                &Rational::one() - &obj[s]
+            } else {
+                -&obj[s]
+            }
+        })
+        .collect()
 }
 
 /// Debug-build check of an `Optimal` answer against the model it claims
@@ -500,6 +586,29 @@ fn check_infeasibility_certificate(model: &Model, y: &[Rational]) {
     assert!(
         yb.is_positive(),
         "infeasibility certificate fails: yᵀb = {yb} is not positive"
+    );
+}
+
+/// Debug-build check of an `Optimal` answer's dual: `y` is feasible for
+/// the dual of `min cᵀy' : A y' = b, y' >= 0`, i.e. `yᵀA_j <= c_j` for
+/// every standardized column `j`, and `yᵀb` plus the objective constant
+/// is the objective (then no feasible `y'` costs less, by weak duality).
+#[cfg(debug_assertions)]
+fn check_dual_certificate(model: &Model, y: &[Rational], objective: &Rational) {
+    let std = standardize(model);
+    assert_eq!(y.len(), std.rows.len(), "dual has one entry per row");
+    for (j, c) in std.costs.iter().enumerate() {
+        let yaj: Rational = y.iter().zip(&std.rows).map(|(yr, row)| yr * &row[j]).sum();
+        assert!(
+            yaj <= *c,
+            "dual certificate fails on column {j}: yᵀA_j = {yaj} > c_j = {c}"
+        );
+    }
+    let yb: Rational = y.iter().zip(&std.rhs).map(|(yr, b)| yr * b).sum();
+    assert_eq!(
+        &(&yb + &std.obj_constant),
+        objective,
+        "dual certificate fails: yᵀb + constant differs from the objective"
     );
 }
 

@@ -8,7 +8,7 @@
 //! ```
 
 use aov::core::{problems, transform::StorageTransform};
-use aov::interp::exec::{original_values, run_scheduled};
+use aov::interp::exec::Instances;
 use aov::interp::store::StorageMode;
 use aov::ir::examples::example3;
 use aov::machine::{experiments, MachineConfig};
@@ -40,13 +40,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Execute the real recurrence (min/add interpreted, w hashed) with
     // both storages under a legal schedule and compare every value.
     let sched = scheduler::find_schedule_with_budgeted(&analysis, &[], &Budget::unlimited())?;
-    let reference = original_values(&program, &[x, y, z], &sched);
+    let instances = Instances::new(&program, &[x, y, z]);
+    let reference = instances.original_values(&sched);
     let modes: Vec<StorageMode<'_>> = program
         .arrays()
         .iter()
         .map(|_| StorageMode::Transformed(&t))
         .collect();
-    let (vals, stats) = run_scheduled(&program, &[x, y, z], &sched, &modes);
+    let (vals, stats) = instances.run(&sched, &modes);
     assert_eq!(
         vals, reference,
         "transformed DP must compute identical costs"
