@@ -2,18 +2,15 @@
 
 use crate::check::Checker;
 use crate::objective::{evenness, objective_value, LENGTH_WEIGHT};
-use crate::storage::{
-    dependence_active_in_orthant, sign_patterns, storage_forms_for_dep, storage_rows_concrete,
-    Orthant,
-};
+use crate::storage::storage_rows_concrete;
 use crate::{CoreError, OccupancyVector};
 use aov_fault::{AovError, Budget};
 use aov_ir::{ArrayId, Program};
-use aov_linalg::AffineExpr;
+use aov_linalg::{AffineExpr, QVector};
 use aov_lp::{Cmp, LpOutcome, Model};
 use aov_polyhedra::param::dedup_in_order;
 use aov_polyhedra::{Constraint, GeneratorSet, Polyhedron};
-use aov_schedule::{legal, scheduler, Analysis, BilinearForm, Schedule};
+use aov_schedule::{legal, scheduler, sign_patterns, Analysis, BilinearForm, Orthant, Schedule};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::PoisonError;
@@ -37,8 +34,8 @@ fn pattern_bound(pattern: &Orthant) -> i64 {
 }
 
 /// Solves the per-orthant subproblems of one array in Problems 1 and 3
-/// in one sequential loop and returns the minimum under the key
-/// `(objective, pattern index)`.
+/// in one sequential loop (`solve(i)` solves `patterns[i]`) and returns
+/// the minimum under the key `(objective, pattern index)`.
 ///
 /// Under an unlimited budget the loop visits patterns by
 /// `(bound, index)` ([`pattern_bound`]) and stops at the first whose key
@@ -59,7 +56,7 @@ fn solve_patterns<T>(
     patterns: &[Orthant],
     budget: &Budget,
     site: &'static str,
-    solve: impl Fn(&Orthant) -> Result<Option<OrthantSolution<T>>, AovError>,
+    solve: impl Fn(usize) -> Result<Option<OrthantSolution<T>>, AovError>,
 ) -> Result<Option<OrthantSolution<T>>, AovError> {
     let pruning = budget.is_unlimited();
     let mut order: Vec<usize> = (0..patterns.len()).collect();
@@ -79,7 +76,7 @@ fn solve_patterns<T>(
         let solved = catch_unwind(AssertUnwindSafe(|| -> Result<_, AovError> {
             budget.check(site)?;
             aov_fault::chaos::tick(site)?;
-            solve(pat)
+            solve(i)
         }))
         .unwrap_or_else(|payload| Err(AovError::from_panic(site, payload.as_ref())))?;
         if let Some((obj, vs)) = solved {
@@ -95,9 +92,12 @@ fn solve_patterns<T>(
 /// array at a time. Per array, [`solve_patterns`] searches the `3^d − 1`
 /// nonzero sign patterns of its `d` components; each pattern is one ILP
 /// over those components with the rows `dep_rows[dep]` of every
-/// dependence whose source writes the array and is active in the
-/// pattern, the pattern's sign rows and the array's two-term objective.
-/// `site` names the per-orthant span, budget checkpoint and chaos site.
+/// dependence whose source writes the array and is `active` in the
+/// pattern, the pattern's sign rows and the array's two-term objective,
+/// handed to `solve_ilp`. `site` names the per-orthant span, budget
+/// checkpoint and chaos site. Problems 1 and 3 pass the analysis's
+/// activity table ([`Analysis::active_in_orthant`]) and the budgeted
+/// branch and bound.
 ///
 /// It returns what one search over every array's components at once
 /// returns: a dependence's rows involve only its source array's vector,
@@ -110,6 +110,8 @@ fn shortest_per_array(
     budget: &Budget,
     site: &'static str,
     dep_rows: &DepRows,
+    active: impl Fn(usize, &Orthant) -> bool,
+    solve_ilp: impl Fn(&Model) -> Result<LpOutcome, AovError>,
 ) -> Result<OvResult, CoreError> {
     let p = a.program();
     let mut vectors = Vec::with_capacity(p.arrays().len());
@@ -121,23 +123,34 @@ fn shortest_per_array(
             .into_iter()
             .filter(|pat| pat.iter().any(|&s| s != 0))
             .collect();
-        let solve = |pattern: &Orthant| {
+        // Each pattern's active writers, decided before the loop: an
+        // orthant's span times its ILP alone.
+        let active_writers: Vec<Vec<usize>> = patterns
+            .iter()
+            .map(|pat| {
+                writers
+                    .iter()
+                    .copied()
+                    .filter(|&d| active(d, pat))
+                    .collect()
+            })
+            .collect();
+        let solve = |i: usize| {
+            let pattern = &patterns[i];
             let _span = aov_trace::span!(site, pattern = pattern_label(pattern));
             let mut m = Model::new();
             for k in 0..array.dim() {
                 let v = m.add_var(format!("v_{}_{k}", array.name()));
                 m.set_integer(v);
             }
-            for &didx in &writers {
-                if dependence_active_in_orthant(p, &a.deps()[didx], pattern) {
-                    for (r, cmp) in &dep_rows[didx] {
-                        m.constrain(r.clone(), *cmp);
-                    }
+            for &didx in &active_writers[i] {
+                for (r, cmp) in &dep_rows[didx] {
+                    m.constrain(r.clone(), *cmp);
                 }
             }
             let obj = install_pattern_objective(&mut m, array.name(), pattern);
             m.minimize(obj);
-            Ok(candidate_of(array.dim(), m.solve_ilp_budgeted(budget)?))
+            Ok(candidate_of(array.dim(), solve_ilp(&m)?))
         };
         let (_, v) =
             solve_patterns(&patterns, budget, site, solve)?.ok_or(CoreError::NoVectorFound)?;
@@ -230,11 +243,12 @@ pub fn ov_for_schedule_with(
 /// Shortest occupancy vectors valid for the given schedule, by the
 /// paper's LP method: substitute the schedule into the linearized
 /// storage constraints and minimize the two-term objective. The storage
-/// forms are linearized at the dependence-domain vertices `a` kept, and
-/// each array is solved on its own ([`shortest_per_array`]): one ILP per
-/// sign orthant of its vector (closed orthants; exact `Z`-emptiness
-/// pruning per orthant). Every simplex pivot and branch-and-bound node
-/// charges `budget`.
+/// forms are `a`'s ([`Analysis::storage_forms`]), and each array is
+/// solved on its own ([`shortest_per_array`]): one ILP per sign orthant
+/// of its vector, over the dependences active there
+/// ([`Analysis::active_in_orthant`]: exact `Z`-emptiness pruning, decided
+/// once per analysis). These ILPs are the only LPs it solves; every
+/// simplex pivot and branch-and-bound node charges `budget`.
 ///
 /// # Errors
 ///
@@ -248,23 +262,31 @@ pub fn ov_for_schedule_budgeted(
     sched: &Schedule,
     budget: &Budget,
 ) -> Result<OvResult, CoreError> {
-    if !a.is_legal(sched) {
+    let theta = legal::point_of(a.program(), a.space(), sched);
+    // ℛ's rows are the causality forms linearized exactly (Theorem 1),
+    // so membership decides legality without an LP.
+    if !a.legal().contains(&theta) {
         return Err(CoreError::IllegalSchedule);
     }
-    let theta = legal::point_of(a.program(), a.space(), sched);
-    // Pattern-independent rows, instantiated at the schedule point.
-    let mut dep_rows: DepRows = Vec::with_capacity(a.deps().len());
-    for didx in 0..a.deps().len() {
-        let _span = aov_trace::span!("core.storage_forms_for_dep", dep = didx);
-        let forms = storage_forms_for_dep(a, didx);
-        dep_rows.push(
-            forms
-                .iter()
-                .map(|f| (f.at_point(&theta), Cmp::Ge))
-                .collect(),
-        );
-    }
-    shortest_per_array(a, budget, "p1.orthant", &dep_rows)
+    shortest_per_array(
+        a,
+        budget,
+        "p1.orthant",
+        &schedule_rows(a, &theta),
+        |d, pattern| a.active_in_orthant(d, pattern),
+        |m| m.solve_ilp_budgeted(budget),
+    )
+}
+
+/// Problem 1's rows: each dependence's storage forms at the schedule
+/// point `theta`.
+fn schedule_rows(a: &Analysis, theta: &QVector) -> DepRows {
+    (0..a.deps().len())
+        .map(|d| {
+            let forms = a.storage_forms(d).iter();
+            forms.map(|f| (f.at_point(theta), Cmp::Ge)).collect()
+        })
+        .collect()
 }
 
 /// Compact trace label for a sign pattern, e.g. `+0-`.
@@ -410,11 +432,13 @@ pub fn aov_with(p: &Program, _workers: usize) -> Result<OvResult, CoreError> {
 /// ℛ exactly when `G(v, x) ≥ 0` at every vertex `x`, `G`'s linear part
 /// is `≥ 0` along every ray and `= 0` along every line. Each generator
 /// gives one row linear in `v` alone, with no multipliers. The storage
-/// forms come from the dependence-domain vertices `a` kept, and a row of
-/// a dependence involves only its source array's vector, so each array
-/// is solved on its own ([`shortest_per_array`]): one ILP per sign
-/// orthant of its vector minimizes its two-term objective. Every simplex
-/// pivot and branch-and-bound node charges `budget`.
+/// forms and their activity per orthant are `a`'s, shared with Problem 1
+/// ([`Analysis::storage_forms`], [`Analysis::active_in_orthant`]), and a
+/// row of a dependence involves only its source array's vector, so each
+/// array is solved on its own ([`shortest_per_array`]): one ILP per sign
+/// orthant of its vector minimizes its two-term objective. These ILPs
+/// are the only LPs it solves; every simplex pivot and branch-and-bound
+/// node charges `budget`.
 ///
 /// The generator count of ℛ can grow exponentially with its dimension.
 /// The counters `core.aov.generators` and `core.aov.generator_rows`
@@ -435,21 +459,29 @@ pub fn aov_budgeted(a: &Analysis, budget: &Budget) -> Result<OvResult, CoreError
     if gens.is_empty() {
         return Err(CoreError::Unschedulable);
     }
-    let mut dep_rows: DepRows = Vec::with_capacity(a.deps().len());
-    let mut forms_total = 0;
-    for didx in 0..a.deps().len() {
-        let _span = aov_trace::span!("core.storage_forms_for_dep", dep = didx);
-        let forms = storage_forms_for_dep(a, didx);
-        forms_total += forms.len();
-        dep_rows.push(generator_rows(&forms, &gens));
-    }
+    let dep_rows = all_generator_rows(a, &gens);
+    let forms_total: usize = (0..a.deps().len()).map(|d| a.storage_forms(d).len()).sum();
     let generators = gens.vertices.len() + gens.rays.len() + gens.lines.len();
     aov_support::static_counter!("core.aov.generators").add(generators as u64);
     aov_support::static_counter!("core.aov.generator_rows")
         .add(dep_rows.iter().map(Vec::len).sum::<usize>() as u64);
     aov_support::static_counter!("core.aov.farkas_multipliers")
         .add((forms_total * (a.rows().len() + 1)) as u64);
-    shortest_per_array(a, budget, "aov.orthant", &dep_rows)
+    shortest_per_array(
+        a,
+        budget,
+        "aov.orthant",
+        &dep_rows,
+        |d, pattern| a.active_in_orthant(d, pattern),
+        |m| m.solve_ilp_budgeted(budget),
+    )
+}
+
+/// Problem 3's rows: each dependence's [`generator_rows`].
+fn all_generator_rows(a: &Analysis, gens: &GeneratorSet) -> DepRows {
+    (0..a.deps().len())
+        .map(|d| generator_rows(a.storage_forms(d), gens))
+        .collect()
 }
 
 /// Problem 3's rows for one dependence, in `v` alone (see
@@ -712,13 +744,13 @@ fn enumerate_shell(dim: usize, r: i64) -> Vec<Vec<i64>> {
 mod joint {
     use super::{pattern_label, solve_patterns, OrthantSolution, OvResult};
     use crate::objective::{objective_value, LENGTH_WEIGHT};
-    use crate::storage::{dependence_active_in_orthant, reference, sign_patterns, Orthant};
+    use crate::storage::{dependence_active_in_orthant, reference};
     use crate::{CoreError, OccupancyVector, OvSpace};
     use aov_fault::Budget;
     use aov_ir::{Dependence, Program};
     use aov_linalg::AffineExpr;
     use aov_lp::{Cmp, LpOutcome, Model};
-    use aov_schedule::{legal, Analysis, BilinearForm, Schedule};
+    use aov_schedule::{legal, sign_patterns, Analysis, BilinearForm, Orthant, Schedule};
 
     /// Problem 1 by the joint search.
     pub fn ov_for_schedule(a: &Analysis, sched: &Schedule) -> Result<OvResult, CoreError> {
@@ -780,7 +812,8 @@ mod joint {
             .into_iter()
             .filter(|pat| !pattern_has_zero_array(p, &ov_space, pat))
             .collect();
-        let solve = |pattern: &Orthant| {
+        let solve = |i: usize| {
+            let pattern = &patterns[i];
             let _span = aov_trace::span!(site, pattern = pattern_label(pattern));
             let mut m = Model::new();
             for name in ov_space.vars().names() {
@@ -1145,6 +1178,86 @@ mod tests {
         );
     }
 
+    /// Oracle for the activity table in the orthant loops: on ex1–4,
+    /// Problems 1 (at the scheduler's schedule) and 3 solve the same
+    /// orthant ILPs in the same order, byte for byte by `canonical_key`,
+    /// and reach the same verdict, with the analysis's activity table as
+    /// with the per-pattern emptiness LPs.
+    #[test]
+    fn orthant_ilps_match_oracle_activity() {
+        use crate::storage::dependence_active_in_orthant;
+        use aov_ir::examples::example3;
+        let budget = Budget::unlimited();
+        for p in [example1(), example2(), example3(), example4()] {
+            let a = Analysis::new(&p).unwrap();
+            let sched = scheduler::find_schedule_with_budgeted(&a, &[], &budget).unwrap();
+            let theta = legal::point_of(&p, a.space(), &sched);
+            let problems = [
+                ("p1.orthant", schedule_rows(&a, &theta)),
+                (
+                    "aov.orthant",
+                    all_generator_rows(&a, &a.legal().generators()),
+                ),
+            ];
+            for (site, dep_rows) in &problems {
+                let solve = |active: &dyn Fn(usize, &Orthant) -> bool| {
+                    let keys = std::cell::RefCell::new(Vec::new());
+                    let ov = shortest_per_array(&a, &budget, site, dep_rows, active, |m| {
+                        keys.borrow_mut().push(m.canonical_key());
+                        m.solve_ilp_budgeted(&budget)
+                    });
+                    (verdict(ov), keys.into_inner())
+                };
+                let table = solve(&|d, pattern| a.active_in_orthant(d, pattern));
+                let oracle =
+                    solve(&|d, pattern| dependence_active_in_orthant(&p, &a.deps()[d], pattern));
+                assert!(
+                    table.0.is_ok() && !table.1.is_empty(),
+                    "{} {site}",
+                    p.name()
+                );
+                assert_eq!(table, oracle, "{} {site}", p.name());
+            }
+        }
+    }
+
+    /// Oracle for Problem 1's legality check: on every corpus program,
+    /// membership in ℛ agrees with the exact per-dependence check
+    /// [`Analysis::is_legal`] at the scheduler's schedule and at each of
+    /// its neighbours one unit away along an iteration coefficient.
+    #[test]
+    fn membership_in_legal_polyhedron_is_legality() {
+        let (mut schedules, mut illegal) = (0, 0);
+        for p in oracle_corpus() {
+            let Ok(a) = Analysis::new(&p) else { continue };
+            let Ok(sched) = scheduler::find_schedule_with_budgeted(&a, &[], &Budget::unlimited())
+            else {
+                continue;
+            };
+            let theta = legal::point_of(&p, a.space(), &sched);
+            let mut points = vec![theta.clone()];
+            for s in p.stmt_ids() {
+                for k in 0..p.statement(s).depth() {
+                    for step in [1, -1] {
+                        let mut q = theta.clone();
+                        q[a.space().iter_coeff(s, k)] += &aov_numeric::Rational::from(step);
+                        points.push(q);
+                    }
+                }
+            }
+            for q in points {
+                let legal = a.is_legal(&a.space().schedule_at(&q));
+                assert_eq!(a.legal().contains(&q), legal, "{} at {q:?}", p.name());
+                schedules += 1;
+                illegal += usize::from(!legal);
+            }
+        }
+        assert!(
+            schedules >= 1_000 && illegal > 0 && illegal < schedules,
+            "{schedules} schedules, {illegal} illegal"
+        );
+    }
+
     /// Oracle for the bound-ordered orthant loop: under an unlimited
     /// budget it returns what the unpruned index-order scan returns. A
     /// finite budget turns pruning off and visits patterns in index
@@ -1203,9 +1316,8 @@ mod tests {
                 .filter_map(|(i, o)| o.map(|obj| (obj, i)))
                 .min()
                 .map(|(obj, i)| (obj, OccupancyVector::new(vec![i as i64])));
-            let solve = |pat: &Orthant| {
+            let solve = |i: usize| {
                 solves.set(solves.get() + 1);
-                let i = patterns.iter().position(|q| q == pat).unwrap();
                 Ok(optima[i].map(|obj| (obj, OccupancyVector::new(vec![i as i64]))))
             };
             let ordered = solve_patterns(&patterns, &Budget::unlimited(), "aov.orthant", solve);

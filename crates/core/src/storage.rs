@@ -11,44 +11,22 @@
 //!
 //! * [`storage_rows_concrete`] — `v` known: exact `Z`, rows affine over
 //!   the schedule space (used by Problem 2 and the validity checkers),
-//! * [`storage_forms_for_dep`] — `v` unknown: the paper's practical
+//! * [`Analysis::storage_forms`] — `v` unknown: the paper's practical
 //!   recipe of `Z' = P` (conservative, exact for uniform self-
 //!   dependences), linearized at the dependence domain's vertices that
-//!   the [`Analysis`] kept. Callers add exact *activity pruning*
-//!   ([`dependence_active_in_orthant`]) — a dependence whose `Z` is empty
+//!   the [`Analysis`] kept. Problems 1 and 3 add exact *activity pruning*
+//!   ([`Analysis::active_in_orthant`]) — a dependence whose `Z` is empty
 //!   for every `v` in the current sign orthant contributes no constraint
-//!   (the paper's §5.3 argument for Example 3, decided here by one
-//!   emptiness LP on the joint `(i, N, v)` polyhedron).
+//!   (the paper's §5.3 argument for Example 3). The analysis decides it
+//!   once per program, for every dependence and orthant, on the
+//!   projection of the joint `(i, N, v)` polyhedron onto `v`.
 
 use aov_ir::{Dependence, Program};
 use aov_linalg::AffineExpr;
 use aov_polyhedra::param::dedup_in_order;
 use aov_polyhedra::{Constraint, PolyhedraError, Polyhedron};
-use aov_schedule::linearize::{eliminate_to_linear, RowKind};
-use aov_schedule::{legal, Analysis, BilinearForm, ScheduleSpace};
-
-/// A sign assumption per occupancy-vector component: `+1` for
-/// `v_k >= 1`, `-1` for `v_k <= -1`, `0` for `v_k == 0`. Integer vectors
-/// fall in exactly one pattern, which makes the paper's "Z empty for
-/// positive components" pruning (§5.3) exact.
-pub type Orthant = Vec<i8>;
-
-/// All `3^dim` sign patterns.
-pub fn sign_patterns(dim: usize) -> Vec<Orthant> {
-    let mut out = vec![Vec::with_capacity(dim)];
-    for _ in 0..dim {
-        let mut next = Vec::with_capacity(out.len() * 3);
-        for pat in &out {
-            for s in [1i8, 0, -1] {
-                let mut p = pat.clone();
-                p.push(s);
-                next.push(p);
-            }
-        }
-        out = next;
-    }
-    out
-}
+use aov_schedule::linearize::eliminate_to_linear;
+use aov_schedule::{legal, ScheduleSpace};
 
 /// The exact domain `Z` of a storage constraint for a concrete `v`:
 /// `dep.domain ∩ {i | h(i, N) + v ∈ D_T}`, over the target space.
@@ -155,12 +133,14 @@ pub fn mirror_guard_row(space: &ScheduleSpace, dep: &Dependence, v: &[i64]) -> A
     row
 }
 
-/// Whether a dependence's storage constraint can be active for *some*
-/// occupancy vector in the given orthant (and some parameters): the
-/// joint polyhedron over `(i, N, v_A)` is nonempty for the `h + v`
-/// overwriter *or* its sign-symmetric mirror `h - v` (storage classes
-/// `{x + kv}` contain both, see `exact_z`).
-pub fn dependence_active_in_orthant(
+/// Test oracle of `Analysis::active_in_orthant`: whether a
+/// dependence's storage constraint can be active for *some* occupancy
+/// vector in the given orthant (and some parameters), by one emptiness
+/// LP per direction: the joint polyhedron over `(i, N, v_A)` is nonempty
+/// for the `h + v` overwriter *or* its sign-symmetric mirror `h - v`
+/// (storage classes `{x + kv}` contain both, see `exact_z`).
+#[cfg(test)]
+pub(crate) fn dependence_active_in_orthant(
     p: &Program,
     dep: &Dependence,
     orthant_for_array: &[i8],
@@ -171,6 +151,7 @@ pub fn dependence_active_in_orthant(
 
 /// One direction of the activity test: the joint `(i, N, v_A)`
 /// polyhedron with `D_T` imposed at `h(i, N) + sign·v` is nonempty.
+#[cfg(test)]
 fn overwriter_reachable(
     p: &Program,
     dep: &Dependence,
@@ -231,39 +212,6 @@ fn overwriter_reachable(
     !Polyhedron::from_constraints(dim, cs).is_empty()
 }
 
-/// Pattern-independent symbolic storage forms of one dependence: the
-/// storage form `Θ_T(h(i, N) + v) − Θ_R(i, N)` with `Z' = P`, linearized
-/// at the dependence domain's vertices the analysis kept
-/// ([`Analysis::linearize`]), with the `v·Θ` coupling `Σ_k v_k · a_{T,k}`
-/// on point rows. The unknowns are the components of the source
-/// statement's array, in order; each form `G(v, Θ)` must be `>= 0`.
-/// Callers apply activity pruning per sign orthant.
-///
-/// # Panics
-///
-/// Panics if `dep` is out of range for `a.deps()`.
-pub fn storage_forms_for_dep(a: &Analysis, dep: usize) -> Vec<BilinearForm> {
-    let (p, space) = (a.program(), a.space());
-    let d = &a.deps()[dep];
-    let source_depth = p.statement(d.source).depth();
-    // F0 = Θ_T(h(i), N) − Θ_R(i, N): slack 0, v added separately.
-    let f0 = legal::difference_form(p, space, d, &d.h, 0).negated();
-    let forms = a.linearize(dep, &f0).into_iter().map(|(row, kind)| {
-        let mut bf = BilinearForm::new(vec![AffineExpr::zero(space.dim()); source_depth], row);
-        if kind == RowKind::Point {
-            // Θ_T(h + v) − Θ_T(h) = Σ_k v_k · a_{T,k}.
-            for k in 0..source_depth {
-                bf.add_to_coeff(
-                    k,
-                    &AffineExpr::var(space.dim(), space.iter_coeff(d.source, k)),
-                );
-            }
-        }
-        bf
-    });
-    dedup_in_order(forms.collect())
-}
-
 /// Test oracle: the storage forms linearized anew from each dependence
 /// domain, over the joint occupancy-vector space of every array — the
 /// path before [`Analysis`] kept the domain vertices.
@@ -317,13 +265,14 @@ mod tests {
     use crate::{OccupancyVector, OvSpace};
     use aov_ir::{analysis, examples::example1, examples::example3, StmtId};
     use aov_linalg::QVector;
+    use aov_schedule::{sign_patterns, Analysis, BilinearForm};
 
     /// Example 1's storage forms in the orthant `v >= (1, 1)`, over the
     /// dependences active there, duplicates dropped.
     fn example1_forms_in_positive_orthant(a: &Analysis) -> Vec<BilinearForm> {
         let forms = (0..a.deps().len())
-            .filter(|&d| dependence_active_in_orthant(a.program(), &a.deps()[d], &[1, 1]))
-            .flat_map(|d| storage_forms_for_dep(a, d))
+            .filter(|&d| a.active_in_orthant(d, &[1, 1]))
+            .flat_map(|d| a.storage_forms(d).to_vec())
             .collect();
         dedup_in_order(forms)
     }
@@ -390,25 +339,31 @@ mod tests {
     }
 
     /// §5.3: for Example 3, the S2-on-boundary storage constraints have
-    /// empty Z in the positive orthant and must be pruned.
+    /// empty Z in the positive orthant and must be pruned — in the
+    /// analysis's activity table and by the per-pattern LP oracle.
     #[test]
     fn example3_boundary_constraints_pruned_in_positive_orthant() {
         let p = example3();
-        let deps = analysis::dependences(&p);
+        let a = Analysis::new(&p).unwrap();
+        let active = |d: usize, pattern: &[i8]| {
+            let table = a.active_in_orthant(d, pattern);
+            assert_eq!(
+                table,
+                dependence_active_in_orthant(&p, &a.deps()[d], pattern)
+            );
+            table
+        };
         let s2 = p.stmt_by_name("S2").unwrap();
         let pos = vec![1i8, 1, 1]; // v >= (1,1,1) componentwise
         let with_zero = vec![0i8, 1, 1]; // v_i == 0
-        for dep in &deps {
+        for (d, dep) in a.deps().iter().enumerate() {
             if dep.source == s2 {
-                assert!(
-                    dependence_active_in_orthant(&p, dep, &pos),
-                    "interior deps stay active"
-                );
+                assert!(active(d, &pos), "interior deps stay active");
             } else {
                 // Boundary writers: h + v can land back on the boundary
                 // plane only if the plane's v component is nonpositive.
                 assert!(
-                    !dependence_active_in_orthant(&p, dep, &pos),
+                    !active(d, &pos),
                     "boundary storage constraint must be pruned for v >= 1"
                 );
             }
@@ -417,10 +372,38 @@ mod tests {
         // reachable again for reads with offset o_i == -1… from i == 2:
         // h_i + v_i = 2 - 1 + 0 = 1.
         let s1a = p.stmt_by_name("S1a").unwrap();
-        assert!(deps
-            .iter()
-            .filter(|d| d.source == s1a)
-            .any(|d| dependence_active_in_orthant(&p, d, &with_zero)));
+        assert!((0..a.deps().len())
+            .filter(|&d| a.deps()[d].source == s1a)
+            .any(|d| active(d, &with_zero)));
+    }
+
+    /// Oracle for the activity table: on ex1–4 and every corpus program,
+    /// each dependence's activity in each sign pattern of its source
+    /// array, the all-zero one included, is the verdict of the emptiness
+    /// LPs over the joint `(i, N, v)` polyhedron. The projected images
+    /// stay small: their largest row count is pinned.
+    #[test]
+    fn activity_table_matches_emptiness_lps() {
+        let (mut pairs, mut active, mut max_rows) = (0, 0, 0);
+        for p in crate::oracle_corpus() {
+            let Ok(a) = Analysis::new(&p) else { continue };
+            for (didx, dep) in a.deps().iter().enumerate() {
+                let image = legal::overwriter_image(&p, dep);
+                max_rows = max_rows.max(image.constraints().len());
+                for pattern in sign_patterns(p.statement(dep.source).depth()) {
+                    let table = a.active_in_orthant(didx, &pattern);
+                    let oracle = dependence_active_in_orthant(&p, dep, &pattern);
+                    assert_eq!(table, oracle, "{} dep {didx} {pattern:?}", p.name());
+                    pairs += 1;
+                    active += usize::from(table);
+                }
+            }
+        }
+        assert_eq!(max_rows, 8, "largest projected image");
+        assert!(
+            pairs >= 4_800 && active > 0 && active < pairs,
+            "{pairs} pairs, {active} active"
+        );
     }
 
     #[test]
@@ -469,7 +452,8 @@ mod tests {
             let ov = OvSpace::new(&p);
             for (didx, dep) in a.deps().iter().enumerate() {
                 let array = p.statement(dep.source).writes();
-                let joint: Vec<BilinearForm> = storage_forms_for_dep(&a, didx)
+                let joint: Vec<BilinearForm> = a
+                    .storage_forms(didx)
                     .iter()
                     .map(|f| {
                         let mut coeffs = vec![AffineExpr::zero(a.space().dim()); ov.dim()];
@@ -489,18 +473,5 @@ mod tests {
             programs >= 300 && deps >= 600,
             "{programs} programs, {deps} deps"
         );
-    }
-
-    #[test]
-    fn sign_pattern_enumeration() {
-        assert_eq!(sign_patterns(2).len(), 9);
-        assert_eq!(sign_patterns(0).len(), 1);
-        assert!(sign_patterns(3).iter().any(|o| o == &vec![1, 0, -1]));
-        // No duplicates.
-        let mut pats = sign_patterns(3);
-        let n = pats.len();
-        pats.sort();
-        pats.dedup();
-        assert_eq!(pats.len(), n);
     }
 }

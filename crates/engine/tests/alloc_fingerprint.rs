@@ -7,7 +7,7 @@
 //! binary (the other engine binaries never enable tracing).
 //!
 //! The fingerprint covers the orthant solves of Problems 1 and 3
-//! (`p1.orthant`, `aov.orthant`), the storage-form instantiation and
+//! (`p1.orthant`, `aov.orthant`), the storage-form construction and
 //! Problem 3's generator rows. Both problems solve their orthants in
 //! one sequential loop per array ordered by lower bound, so which
 //! orthants are solved, and what each allocates, is a function of the
@@ -89,15 +89,14 @@ fn fingerprint_is_identical_across_worker_counts() {
     // The fingerprint is meaningful: of Example 1's 8 non-zero sign
     // patterns, Problem 1 solves the 4 whose bound does not exceed its
     // optimum (0, 1) and Problem 3 solves all 8 (its optimum (1, 2)
-    // exceeds every bound), each allocating a fresh model. Each problem
-    // instantiates the storage forms once per dependence, and Problem 3
-    // derives one generator-row set per dependence.
+    // exceeds every bound), each allocating a fresh model. The analysis
+    // builds the storage forms once per dependence for both problems, and
+    // Problem 3 derives one generator-row set per dependence.
     let ndeps = aov_ir::analysis::dependences(&aov_ir::examples::example1()).len() as u64;
     assert_eq!(baseline["p1.orthant"].count, 4, "{baseline:?}");
     assert_eq!(baseline["aov.orthant"].count, 8, "{baseline:?}");
     assert_eq!(
-        baseline["core.storage_forms_for_dep"].count,
-        2 * ndeps,
+        baseline["core.storage_forms_for_dep"].count, ndeps,
         "{baseline:?}"
     );
     assert_eq!(baseline["aov.generator_rows"].count, ndeps, "{baseline:?}");

@@ -61,12 +61,13 @@ fn example1_flame_table_golden() {
             .unwrap_or_else(|| panic!("missing stage row {stage}"));
         assert_eq!(row.count, 1, "{stage} must run exactly once");
     }
-    // Problems 1 and 3 each instantiate the storage forms once per dep.
+    // The analysis builds the storage forms once per dependence, and
+    // Problems 1 and 3 share them.
     let ndeps = aov_ir::analysis::dependences(&aov_ir::examples::example1()).len();
     let forms = table
         .row("core.storage_forms_for_dep")
         .expect("storage-form spans");
-    assert_eq!(forms.count as usize, 2 * ndeps);
+    assert_eq!(forms.count as usize, ndeps);
     // Example 1's vector space has 2 components: 3^2 sign patterns minus
     // the all-zero one survive the filter. Both problems visit them by
     // lower bound and stop once no pattern can beat the incumbent:

@@ -7,7 +7,7 @@ use aov_numeric::Rational;
 /// Eliminates dimension `k`; see [`Polyhedron::eliminate_dim`].
 pub(crate) fn eliminate_dim(p: &Polyhedron, k: usize) -> Polyhedron {
     assert!(k < p.dim(), "eliminating dimension {k} of {}", p.dim());
-    let _span = aov_trace::span!("p2.fm.project", dim = k, rows = p.constraints().len());
+    let _span = aov_trace::hot_span!("p2.fm.project", dim = k, rows = p.constraints().len());
     aov_support::static_counter!("polyhedra.fm.eliminations").add(1);
     let dim = p.dim();
 

@@ -7,6 +7,7 @@ use aov_linalg::AffineExpr;
 use aov_polyhedra::param::{self, dedup_in_order, ParamVertex};
 use aov_polyhedra::{Constraint, PolyhedraError, Polyhedron};
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Dependences, schedule space, the parameterized vertices of every
 /// dependence domain, linearized causality rows (Eq. 11) and the
@@ -17,7 +18,10 @@ use std::borrow::Cow;
 /// one `Analysis` instead of rebuilding it. Any form over a dependence
 /// domain — the causality form here, the storage forms of Problems 1
 /// and 3 — is linearized over the same kept vertices
-/// ([`Analysis::linearize`]).
+/// ([`Analysis::linearize`]). The storage forms and their activity per
+/// sign orthant depend on the program alone; they are built on first use
+/// and shared by both problems ([`Analysis::storage_forms`],
+/// [`Analysis::active_in_orthant`]).
 ///
 /// # Examples
 ///
@@ -40,6 +44,11 @@ pub struct Analysis<'p> {
     causality: Vec<Vec<AffineExpr>>,
     rows: Vec<AffineExpr>,
     legal: Polyhedron,
+    /// Each dependence's storage forms, built on first use.
+    storage_forms: OnceLock<Vec<Vec<BilinearForm>>>,
+    /// Each dependence's activity per sign pattern of its source array,
+    /// in [`sign_patterns`] order, built on first use.
+    activity: OnceLock<Vec<Vec<bool>>>,
 }
 
 impl<'p> Analysis<'p> {
@@ -91,6 +100,8 @@ impl<'p> Analysis<'p> {
             causality,
             rows,
             legal,
+            storage_forms: OnceLock::new(),
+            activity: OnceLock::new(),
         })
     }
 
@@ -123,6 +134,80 @@ impl<'p> Analysis<'p> {
         linearize_at_vertices(form, &self.vertices[dep])
     }
 
+    /// The storage forms of dependence `dep`: the form
+    /// `Θ_T(h(i, N) + v) − Θ_R(i, N)` with `Z' = P` (the paper's practical
+    /// recipe: conservative, exact for uniform self-dependences),
+    /// linearized at the dependence domain's kept vertices, with the `v·Θ`
+    /// coupling `Σ_k v_k · a_{T,k}` on point rows. The unknowns are the
+    /// components of the source statement's array, in order; each form
+    /// `G(v, Θ)` must be `>= 0` wherever the dependence is active
+    /// ([`Analysis::active_in_orthant`]). Every dependence's forms are
+    /// built on the first call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dep` is out of range.
+    pub fn storage_forms(&self, dep: usize) -> &[BilinearForm] {
+        let forms = self.storage_forms.get_or_init(|| {
+            (0..self.deps.len())
+                .map(|d| self.build_storage_forms(d))
+                .collect()
+        });
+        &forms[dep]
+    }
+
+    fn build_storage_forms(&self, dep: usize) -> Vec<BilinearForm> {
+        let _span = aov_trace::span!("core.storage_forms_for_dep", dep = dep);
+        let (p, space) = (self.p, &self.space);
+        let d = &self.deps[dep];
+        let source_depth = p.statement(d.source).depth();
+        // F0 = Θ_T(h(i), N) − Θ_R(i, N): slack 0, v added separately.
+        let f0 = legal::difference_form(p, space, d, &d.h, 0).negated();
+        let forms = self.linearize(dep, &f0).into_iter().map(|(row, kind)| {
+            let mut bf = BilinearForm::new(vec![AffineExpr::zero(space.dim()); source_depth], row);
+            if kind == RowKind::Point {
+                // Θ_T(h + v) − Θ_T(h) = Σ_k v_k · a_{T,k}.
+                for k in 0..source_depth {
+                    bf.add_to_coeff(
+                        k,
+                        &AffineExpr::var(space.dim(), space.iter_coeff(d.source, k)),
+                    );
+                }
+            }
+            bf
+        });
+        dedup_in_order(forms.collect())
+    }
+
+    /// Whether dependence `dep`'s storage constraint can be active for
+    /// some occupancy vector in the sign orthant `pattern` of its source
+    /// array (`+1`: `v_k >= 1`, `-1`: `v_k <= -1`, `0`: `v_k == 0`) and
+    /// some parameters: whether the `h + v` overwriter or its mirror
+    /// `h − v` exists there (storage classes `{x + kv}` contain both).
+    /// A dependence inactive in an orthant contributes no storage
+    /// constraint there (§5.3). Integer vectors fall in exactly one
+    /// pattern, so the pruning is exact.
+    ///
+    /// The first call decides every dependence and pattern at once,
+    /// without an LP: each dependence's [`legal::overwriter_image`] is
+    /// projected once, and it meets a pattern's orthant iff, with the
+    /// pattern's rows added and its remaining dimensions eliminated, no
+    /// trivially false row is left. The mirror's image is its reflection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dep` is out of range or `pattern` is not as long as the
+    /// source array's dimension.
+    pub fn active_in_orthant(&self, dep: usize, pattern: &[i8]) -> bool {
+        let source_depth = self.p.statement(self.deps[dep].source).depth();
+        assert_eq!(pattern.len(), source_depth, "orthant dimension");
+        let table = self.activity.get_or_init(|| {
+            let p = self.p;
+            self.deps.iter().map(|d| activity_table(p, d)).collect()
+        });
+        table[dep][pattern_index(pattern)]
+    }
+
     /// Linearized causality rows of each dependence (parallel to
     /// [`Analysis::deps`]), each required `>= 0`.
     pub fn causality_rows(&self) -> &[Vec<AffineExpr>] {
@@ -153,5 +238,108 @@ impl<'p> Analysis<'p> {
             let region = dep.domain.intersect(&p.embed_param_domain(depth));
             region.implies_nonneg(&over_domain)
         })
+    }
+}
+
+/// A sign assumption per occupancy-vector component: `+1` for
+/// `v_k >= 1`, `-1` for `v_k <= -1`, `0` for `v_k == 0`. Integer vectors
+/// fall in exactly one pattern, which makes the paper's "Z empty for
+/// positive components" pruning (§5.3) exact.
+pub type Orthant = Vec<i8>;
+
+/// All `3^dim` sign patterns, lexicographic over the digits `+1, 0, −1`.
+pub fn sign_patterns(dim: usize) -> Vec<Orthant> {
+    let mut out = vec![Vec::with_capacity(dim)];
+    for _ in 0..dim {
+        let mut next = Vec::with_capacity(out.len() * 3);
+        for pat in &out {
+            for s in [1i8, 0, -1] {
+                let mut p = pat.clone();
+                p.push(s);
+                next.push(p);
+            }
+        }
+        out = next;
+    }
+    out
+}
+
+/// The position of `pattern` in [`sign_patterns`]`(pattern.len())`.
+fn pattern_index(pattern: &[i8]) -> usize {
+    pattern
+        .iter()
+        .fold(0, |acc, &s| 3 * acc + (1 - s.signum()) as usize)
+}
+
+/// One dependence's activity per sign pattern of its source array, in
+/// [`sign_patterns`] order (see [`Analysis::active_in_orthant`]). The
+/// mirror `h − v`'s image is the reflection `v ↦ −v` of the `h + v`
+/// overwriter's, so a pattern is active iff that one image meets its
+/// orthant or the reflected one. Reflection maps pattern index `i` to
+/// `3^d − 1 − i`: it swaps the digits `+1` and `−1`.
+fn activity_table(p: &Program, dep: &Dependence) -> Vec<bool> {
+    let d_v = p.statement(dep.source).depth();
+    let _span = aov_trace::span!("schedule.activity", depth = d_v);
+    let image = legal::overwriter_image(p, dep);
+    let patterns = sign_patterns(d_v);
+    if is_trivially_empty(&image) {
+        return vec![false; patterns.len()];
+    }
+    let all: Vec<usize> = (0..d_v).collect();
+    let meets: Vec<bool> = patterns
+        .iter()
+        .map(|pattern| {
+            let mut cut = image.clone();
+            for (k, &s) in pattern.iter().enumerate() {
+                let v = AffineExpr::var(d_v, k);
+                cut.add_constraint(if s == 0 {
+                    Constraint::eq0(v)
+                } else {
+                    let one = AffineExpr::constant(d_v, 1.into());
+                    Constraint::ge0(&v.scale(&i64::from(s).into()) - &one)
+                });
+            }
+            !is_trivially_empty(&cut.eliminate_dims(&all))
+        })
+        .collect();
+    let last = meets.len() - 1;
+    (0..meets.len())
+        .map(|i| meets[i] || meets[last - i])
+        .collect()
+}
+
+/// Whether a row of `p` is false everywhere — after Fourier–Motzkin has
+/// eliminated every dimension, exactly when `p` is empty.
+fn is_trivially_empty(p: &Polyhedron) -> bool {
+    p.constraints().iter().any(Constraint::is_trivially_false)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sign_pattern_enumeration() {
+        assert_eq!(sign_patterns(2).len(), 9);
+        assert_eq!(sign_patterns(0).len(), 1);
+        assert!(sign_patterns(3).iter().any(|o| o == &vec![1, 0, -1]));
+        // No duplicates.
+        let mut pats = sign_patterns(3);
+        let n = pats.len();
+        pats.sort();
+        pats.dedup();
+        assert_eq!(pats.len(), n);
+    }
+
+    #[test]
+    fn pattern_index_is_the_enumeration_order() {
+        for dim in 0..=3 {
+            let patterns = sign_patterns(dim);
+            for (i, pattern) in patterns.iter().enumerate() {
+                assert_eq!(pattern_index(pattern), i);
+                let mirror: Orthant = pattern.iter().map(|&s| -s).collect();
+                assert_eq!(pattern_index(&mirror), patterns.len() - 1 - i);
+            }
+        }
     }
 }

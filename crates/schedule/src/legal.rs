@@ -66,6 +66,48 @@ pub fn difference_form(
     f
 }
 
+/// The occupancy vectors `v` of `dep`'s source array for which the
+/// `h + v` overwriter exists for some iteration and parameters: the
+/// joint polyhedron over `(i, N, v)` of the dependence domain, the
+/// source domain `D_T` at `h(i, N) + v` and the parameter domain,
+/// projected onto `v` by Fourier–Motzkin elimination. The projection is
+/// exact over ℚ, so the image with further rows in `v` alone is nonempty
+/// exactly when the joint polyhedron with those rows is — the storage
+/// constraint activity test of §5.3 ([`Analysis::active_in_orthant`]).
+/// The mirror overwriter `h − v`'s image is this one reflected through
+/// the origin.
+pub fn overwriter_image(p: &Program, dep: &Dependence) -> Polyhedron {
+    let (r, t) = (p.statement(dep.target), p.statement(dep.source));
+    let outer = r.depth() + p.num_params();
+    let dim = outer + t.depth();
+    let keep: Vec<usize> = (0..outer).collect();
+    let params: Vec<usize> = (r.depth()..outer).collect();
+    // Source iteration h(i, N) + v, parameters unchanged.
+    let mut subs: Vec<AffineExpr> = Vec::with_capacity(t.depth() + p.num_params());
+    for (k, hk) in dep.h.iter().enumerate() {
+        subs.push(&hk.embed(dim, &keep) + &AffineExpr::var(dim, outer + k));
+    }
+    subs.extend(params.iter().map(|&j| AffineExpr::var(dim, j)));
+    let mut rows: Vec<Constraint> = Vec::new();
+    let mut push = |c: &Constraint, e: AffineExpr| {
+        rows.push(if c.is_equality() {
+            Constraint::eq0(e)
+        } else {
+            Constraint::ge0(e)
+        });
+    };
+    for c in dep.domain.constraints() {
+        push(c, c.expr().embed(dim, &keep));
+    }
+    for c in t.domain().constraints() {
+        push(c, c.expr().substitute(&subs));
+    }
+    for c in p.param_domain().constraints() {
+        push(c, c.expr().embed(dim, &params));
+    }
+    Polyhedron::from_constraints(dim, rows).eliminate_dims(&keep)
+}
+
 /// The polyhedron ℛ of legal one-dimensional affine schedules, in the
 /// schedule space ℰ.
 ///

@@ -46,6 +46,6 @@ pub mod linearize;
 pub mod scheduler;
 mod space;
 
-pub use analysis::Analysis;
+pub use analysis::{sign_patterns, Analysis, Orthant};
 pub use bilinear::BilinearForm;
 pub use space::{Schedule, ScheduleSpace};

@@ -17,6 +17,9 @@ echo "== cargo build --release --offline"
 cargo build --release --offline --workspace
 
 echo "== cargo test -q --offline"
+# Among them, crates/bench/tests/golden_all_figures.rs pins the whole
+# `all_figures --quick` rendering byte for byte: a figure change fails
+# here.
 cargo test -q --offline --workspace
 
 echo "== root lib tests, three runs in a row"
