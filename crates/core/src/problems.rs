@@ -343,7 +343,7 @@ pub fn ov_for_schedule_search(
 fn storage_rows(a: &Analysis, vectors: &[OccupancyVector]) -> Result<Vec<AffineExpr>, CoreError> {
     let _s = aov_trace::span!("p2.storage_rows", deps = a.deps().len());
     let causality: HashSet<&AffineExpr> = a.rows().iter().collect();
-    let mut extra = storage_rows_concrete(a.program(), a.space(), a.deps(), vectors)?;
+    let mut extra = storage_rows_concrete(a, vectors)?;
     extra.retain(|r| !causality.contains(r));
     Ok(dedup_in_order(extra))
 }

@@ -26,7 +26,7 @@ use aov_linalg::AffineExpr;
 use aov_polyhedra::param::dedup_in_order;
 use aov_polyhedra::{Constraint, PolyhedraError, Polyhedron};
 use aov_schedule::linearize::eliminate_to_linear;
-use aov_schedule::{legal, ScheduleSpace};
+use aov_schedule::{legal, Analysis, ScheduleSpace};
 
 /// The exact domain `Z` of a storage constraint for a concrete `v`:
 /// `dep.domain ∩ {i | h(i, N) + v ∈ D_T}`, over the target space.
@@ -72,36 +72,37 @@ pub fn exact_z(p: &Program, dep: &Dependence, v: &[i64]) -> Polyhedron {
 }
 
 /// Linearized storage rows for concrete occupancy vectors: affine forms
-/// over the schedule space, each required `>= 0` (the instantiated
-/// Eq. 10).
+/// over the schedule space of `a`, each required `>= 0` (the
+/// instantiated Eq. 10).
 ///
 /// `vectors[a]` is the vector of array `a` (one per program array, in
-/// array order).
+/// array order). Whether a dependence's `Z(v)`, or its mirror `Z(−v)`,
+/// is empty for every parameter value is read off the analysis's
+/// overwriter images ([`Analysis::overwriter_exists`]), not an LP.
 ///
 /// # Errors
 ///
 /// Propagates [`PolyhedraError`] from vertex elimination.
 pub fn storage_rows_concrete(
-    p: &Program,
-    space: &ScheduleSpace,
-    deps: &[Dependence],
+    a: &Analysis,
     vectors: &[crate::OccupancyVector],
 ) -> Result<Vec<AffineExpr>, PolyhedraError> {
+    let (p, space) = (a.program(), a.space());
     assert_eq!(vectors.len(), p.arrays().len(), "one vector per array");
     let mut out: Vec<AffineExpr> = Vec::new();
-    for (didx, dep) in deps.iter().enumerate() {
+    for (didx, dep) in a.deps().iter().enumerate() {
         let _span = aov_trace::span!("p2.storage_dep", dep = didx);
         let t = p.statement(dep.source);
-        let v = &vectors[t.writes().0];
+        let v = vectors[t.writes().0].components();
         let r = p.statement(dep.target);
         let dim = r.depth() + p.num_params();
-        let z = exact_z(p, dep, v.components());
         // Skip constraints whose Z is empty for every parameter value.
-        if !z.intersect(&p.embed_param_domain(r.depth())).is_empty() {
+        if a.overwriter_exists(didx, v) {
+            let z = exact_z(p, dep, v);
             let h_plus_v: Vec<AffineExpr> = dep
                 .h
                 .iter()
-                .zip(v.components())
+                .zip(v)
                 .map(|(hk, &vk)| hk + &AffineExpr::constant(dim, vk.into()))
                 .collect();
             let form = legal::difference_form(p, space, dep, &h_plus_v, 0).negated();
@@ -110,13 +111,9 @@ pub fn storage_rows_concrete(
         // Storage classes {x + kv} are sign-symmetric: wherever the
         // mirror overwriter h - v exists, guard with a_T·v >= 1 (see
         // `exact_z`).
-        let neg_v: Vec<i64> = v.components().iter().map(|&c| -c).collect();
-        let z_minus = exact_z(p, dep, &neg_v);
-        if !z_minus
-            .intersect(&p.embed_param_domain(r.depth()))
-            .is_empty()
-        {
-            out.push(mirror_guard_row(space, dep, v.components()));
+        let neg_v: Vec<i64> = v.iter().map(|&c| -c).collect();
+        if a.overwriter_exists(didx, &neg_v) {
+            out.push(mirror_guard_row(space, dep, v));
         }
     }
     Ok(dedup_in_order(out))
@@ -212,17 +209,57 @@ fn overwriter_reachable(
     !Polyhedron::from_constraints(dim, cs).is_empty()
 }
 
-/// Test oracle: the storage forms linearized anew from each dependence
+/// Test oracles: the storage forms linearized anew from each dependence
 /// domain, over the joint occupancy-vector space of every array — the
-/// path before [`Analysis`] kept the domain vertices.
+/// path before [`Analysis`] kept the domain vertices — and Problem 2's
+/// rows with each overwriter decided by an emptiness LP.
 #[cfg(test)]
 pub(crate) mod reference {
+    use super::{exact_z, mirror_guard_row};
     use crate::OvSpace;
     use aov_ir::{Dependence, Program};
     use aov_linalg::AffineExpr;
+    use aov_polyhedra::param::dedup_in_order;
     use aov_polyhedra::{param, PolyhedraError};
-    use aov_schedule::linearize::{linearize_at_vertices, RowKind};
+    use aov_schedule::linearize::{eliminate_to_linear, linearize_at_vertices, RowKind};
     use aov_schedule::{legal, BilinearForm, ScheduleSpace};
+
+    /// [`super::storage_rows_concrete`] as it was before the overwriter
+    /// images: `Z(v)` and the mirror `Z(−v)` tested by emptiness LPs.
+    pub fn storage_rows_concrete(
+        p: &Program,
+        space: &ScheduleSpace,
+        deps: &[Dependence],
+        vectors: &[crate::OccupancyVector],
+    ) -> Result<Vec<AffineExpr>, PolyhedraError> {
+        let mut out: Vec<AffineExpr> = Vec::new();
+        for dep in deps {
+            let t = p.statement(dep.source);
+            let v = &vectors[t.writes().0];
+            let r = p.statement(dep.target);
+            let dim = r.depth() + p.num_params();
+            let z = exact_z(p, dep, v.components());
+            if !z.intersect(&p.embed_param_domain(r.depth())).is_empty() {
+                let h_plus_v: Vec<AffineExpr> = dep
+                    .h
+                    .iter()
+                    .zip(v.components())
+                    .map(|(hk, &vk)| hk + &AffineExpr::constant(dim, vk.into()))
+                    .collect();
+                let form = legal::difference_form(p, space, dep, &h_plus_v, 0).negated();
+                out.extend(eliminate_to_linear(&form, &z, r.depth(), p.param_domain())?);
+            }
+            let neg_v: Vec<i64> = v.components().iter().map(|&c| -c).collect();
+            let z_minus = exact_z(p, dep, &neg_v);
+            if !z_minus
+                .intersect(&p.embed_param_domain(r.depth()))
+                .is_empty()
+            {
+                out.push(mirror_guard_row(space, dep, v.components()));
+            }
+        }
+        Ok(dedup_in_order(out))
+    }
 
     /// The symbolic storage forms of `dep` over the joint space `ov_space`.
     pub fn storage_forms_for_dep(
@@ -406,6 +443,88 @@ mod tests {
         );
     }
 
+    /// Oracle for Problem 2's overwriter tests: on ex1–4 and every corpus
+    /// program, for every dependence, membership in the overwriter image
+    /// gives the verdict of the emptiness LP over `Z(w) ∩` parameter
+    /// domain, at the program's AOV, its negation and every `w` in
+    /// `[-2, 2]^d`.
+    #[test]
+    fn overwriter_membership_matches_emptiness_lps() {
+        let (mut checked, mut reachable) = (0, 0);
+        for p in crate::oracle_corpus() {
+            let Ok(a) = Analysis::new(&p) else { continue };
+            let aov = crate::problems::aov_with(&p, 1).ok();
+            for (didx, dep) in a.deps().iter().enumerate() {
+                let t = p.statement(dep.source);
+                let r = p.statement(dep.target);
+                let mut vectors: Vec<Vec<i64>> = vec![Vec::new()];
+                for _ in 0..t.depth() {
+                    vectors = vectors
+                        .into_iter()
+                        .flat_map(|w| {
+                            (-2..=2).map(move |x| {
+                                let mut w = w.clone();
+                                w.push(x);
+                                w
+                            })
+                        })
+                        .collect();
+                }
+                if let Some(aov) = &aov {
+                    let v = aov.vectors()[t.writes().0].components();
+                    vectors.push(v.to_vec());
+                    vectors.push(v.iter().map(|&c| -c).collect());
+                }
+                for w in vectors {
+                    let z = exact_z(&p, dep, &w);
+                    let lp = !z.intersect(&p.embed_param_domain(r.depth())).is_empty();
+                    assert_eq!(
+                        a.overwriter_exists(didx, &w),
+                        lp,
+                        "{} dep {didx} at {w:?}",
+                        p.name()
+                    );
+                    checked += 1;
+                    reachable += usize::from(lp);
+                }
+            }
+        }
+        assert!(
+            checked >= 14_000 && reachable > 0 && reachable < checked,
+            "{checked} vectors, {reachable} with an overwriter"
+        );
+    }
+
+    /// Oracle for Problem 2's rows: on ex1–4 and every corpus program,
+    /// at its AOV and at the AOV's negation, the rows equal, in order,
+    /// the rows whose overwriters are decided by emptiness LPs.
+    #[test]
+    fn concrete_rows_match_emptiness_lp_path() {
+        let mut compared = 0;
+        for p in crate::oracle_corpus() {
+            let Ok(aov) = crate::problems::aov_with(&p, 1) else {
+                continue;
+            };
+            let a = Analysis::new(&p).unwrap();
+            let negated: Vec<OccupancyVector> = aov
+                .vectors()
+                .iter()
+                .map(|v| OccupancyVector::new(v.components().iter().map(|&c| -c).collect()))
+                .collect();
+            for vectors in [aov.vectors(), &negated[..]] {
+                let lp = reference::storage_rows_concrete(&p, a.space(), a.deps(), vectors);
+                assert_eq!(
+                    storage_rows_concrete(&a, vectors),
+                    lp,
+                    "{} at {vectors:?}",
+                    p.name()
+                );
+                compared += 1;
+            }
+        }
+        assert!(compared >= 390, "{compared} row sets compared");
+    }
+
     #[test]
     fn exact_z_clips_by_producer_domain() {
         let p = example1();
@@ -426,10 +545,9 @@ mod tests {
     #[test]
     fn concrete_rows_for_valid_vector_are_satisfiable() {
         let p = example1();
-        let space = ScheduleSpace::new(&p);
-        let deps = analysis::dependences(&p);
-        let rows =
-            storage_rows_concrete(&p, &space, &deps, &[OccupancyVector::new(vec![1, 2])]).unwrap();
+        let a = Analysis::new(&p).unwrap();
+        let space = a.space();
+        let rows = storage_rows_concrete(&a, &[OccupancyVector::new(vec![1, 2])]).unwrap();
         assert!(!rows.is_empty());
         // Θ = j satisfies all rows for v = (1,2): a·1 + b·2 − … ≥ 0 with
         // a=0, b=1: 2 − 1 = 1 >= 0 etc.

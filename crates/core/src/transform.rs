@@ -8,15 +8,21 @@
 //! every coordinate nonnegative (the paper's "+m" in `A[2i−j+m]`), and
 //! extents give the transformed array size (e.g. `n·m → 2n+m` for
 //! Example 1).
+//!
+//! Offsets and extents come from a parameter-uniform min and max of each
+//! coordinate over the writers' parameterized vertices: each writer
+//! domain is enumerated once per transform, and "`o − c >= 0` on the
+//! parameter domain" is decided at that domain's generators (Theorem 1),
+//! with no LP.
 
 use crate::{CoreError, OccupancyVector};
 use aov_ir::{ArrayId, Program};
 use aov_linalg::{lattice, AffineExpr};
 use aov_numeric::Rational;
-use aov_polyhedra::param;
+use aov_polyhedra::{param, GeneratorSet};
 
 /// A computed storage mapping for one array.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageTransform {
     array: ArrayId,
     array_name: String,
@@ -45,6 +51,18 @@ impl StorageTransform {
     ///   parameter-uniform bounding box (offsets/extents would differ
     ///   across parameter regions).
     pub fn new(p: &Program, array: ArrayId, ov: &OccupancyVector) -> Result<Self, CoreError> {
+        let gens = p.param_domain().generators();
+        Self::build(p, array, ov, |e| nonneg_at_generators(&gens, e))
+    }
+
+    /// The transformation, with `nonneg(e)` deciding whether the
+    /// parameter-affine `e` is `>= 0` on the whole parameter domain.
+    fn build(
+        p: &Program,
+        array: ArrayId,
+        ov: &OccupancyVector,
+        nonneg: impl Fn(&AffineExpr) -> bool,
+    ) -> Result<Self, CoreError> {
         let arr = p.array(array);
         if ov.dim() != arr.dim() {
             return Err(CoreError::InvalidProgram(format!(
@@ -74,20 +92,26 @@ impl StorageTransform {
         };
 
         // Data space = union of writer domains; compute a symbolic
-        // min/max of each projected row over every writer and combine.
-        let writers = p.writers_of(array);
+        // min/max of each projected row over every writer's vertices.
+        let mut vertices = Vec::new();
+        for w in p.writers_of(array) {
+            let st = p.statement(w);
+            let vxs = param::parameterized_vertices(st.domain(), st.depth(), p.param_domain())?;
+            vertices.extend(vxs.into_iter().map(|vx| vx.coords));
+        }
+        let range = |e: &AffineExpr| symbolic_range(&vertices, np, e, &nonneg);
         let mut coords = Vec::with_capacity(d - 1);
         let mut extents = Vec::with_capacity(d - 1);
         for row in u.iter().skip(1) {
             let e = row_expr(row);
-            let (min, max) = symbolic_range(p, &writers, &e)?;
+            let (min, max) = range(&e)?;
             coords.push(&e - &embed_params(&min, d, np));
             extents.push(&(&max - &min) + &AffineExpr::constant(np, 1.into()));
         }
         let mut original_extents = Vec::with_capacity(d);
         for k in 0..d {
             let e = AffineExpr::var(d + np, k);
-            let (min, max) = symbolic_range(p, &writers, &e)?;
+            let (min, max) = range(&e)?;
             original_extents.push(&(&max - &min) + &AffineExpr::constant(np, 1.into()));
         }
         let mod_coord = (g > 1).then(|| row_expr(&u[0]));
@@ -213,25 +237,33 @@ fn embed_params(e: &AffineExpr, d: usize, np: usize) -> AffineExpr {
     e.embed(d + np, &map)
 }
 
+/// Whether the parameter-affine `e` is `>= 0` on the polyhedron with
+/// generators `gens` (Theorem 1): at every vertex, along every ray, and
+/// constant along every line.
+fn nonneg_at_generators(gens: &GeneratorSet, e: &AffineExpr) -> bool {
+    gens.vertices.iter().all(|v| !e.eval(v).is_negative())
+        && gens.rays.iter().all(|r| !e.coeffs().dot(r).is_negative())
+        && gens.lines.iter().all(|l| e.coeffs().dot(l).is_zero())
+}
+
 /// Symbolic (parameter-affine) min and max of `e` (over data dims ++
-/// params) across the union of writer domains.
+/// params) across the data space's vertices (`coords` over the `np`
+/// parameters): the first vertex value that every other one stays above
+/// (below) on the whole parameter domain, by `nonneg`.
 fn symbolic_range(
-    p: &Program,
-    writers: &[aov_ir::StmtId],
+    vertices: &[Vec<AffineExpr>],
+    np: usize,
     e: &AffineExpr,
+    nonneg: impl Fn(&AffineExpr) -> bool,
 ) -> Result<(AffineExpr, AffineExpr), CoreError> {
-    let np = p.num_params();
     let mut candidates: Vec<AffineExpr> = Vec::new();
-    for &w in writers {
-        let st = p.statement(w);
-        for vx in param::parameterized_vertices(st.domain(), st.depth(), p.param_domain())? {
-            // e at (Γ(N), N): substitute data dims by vertex coords.
-            let mut subs = vx.coords;
-            subs.extend((0..np).map(|j| AffineExpr::var(np, j)));
-            let val = e.substitute(&subs);
-            if !candidates.contains(&val) {
-                candidates.push(val);
-            }
+    for coords in vertices {
+        // e at (Γ(N), N): substitute data dims by vertex coords.
+        let mut subs = coords.clone();
+        subs.extend((0..np).map(|j| AffineExpr::var(np, j)));
+        let val = e.substitute(&subs);
+        if !candidates.contains(&val) {
+            candidates.push(val);
         }
     }
     if candidates.is_empty() {
@@ -239,17 +271,16 @@ fn symbolic_range(
             "empty data space for transformed array".into(),
         ));
     }
-    let ndom = p.param_domain();
     let minimum = candidates
         .iter()
-        .find(|c| candidates.iter().all(|o| ndom.implies_nonneg(&(o - *c))))
+        .find(|c| candidates.iter().all(|o| nonneg(&(o - *c))))
         .cloned()
         .ok_or_else(|| {
             CoreError::Unsupported("no parameter-uniform minimum for storage offset".into())
         })?;
     let maximum = candidates
         .iter()
-        .find(|c| candidates.iter().all(|o| ndom.implies_nonneg(&(&**c - o))))
+        .find(|c| candidates.iter().all(|o| nonneg(&(&**c - o))))
         .cloned()
         .ok_or_else(|| {
             CoreError::Unsupported("no parameter-uniform maximum for storage extent".into())
@@ -345,6 +376,42 @@ mod tests {
         let base = t.map_point(&[2, 3, 4], &[x, y, z]);
         assert_eq!(t.map_point(&[3, 4, 5], &[x, y, z]), base);
         assert_ne!(t.map_point(&[3, 4, 4], &[x, y, z]), base);
+    }
+
+    /// Oracle for deciding offsets and extents without an LP: on ex1–4
+    /// and every corpus program, the transform of each array under its
+    /// AOV equals, field by field, the one whose min and max are chosen
+    /// by implication LPs over the parameter domain (or both fail alike).
+    #[test]
+    fn generator_test_matches_implication_lps() {
+        let (mut compared, mut built) = (0, 0);
+        for p in crate::oracle_corpus() {
+            let Ok(aov) = crate::problems::aov_with(&p, 1) else {
+                continue;
+            };
+            for (aidx, v) in aov.vectors().iter().enumerate() {
+                let a = ArrayId(aidx);
+                let by_lp =
+                    StorageTransform::build(&p, a, v, |e| p.param_domain().implies_nonneg(e));
+                match (StorageTransform::new(&p, a, v), by_lp) {
+                    (Ok(t), Ok(lp)) => {
+                        assert_eq!(t, lp, "{} array {aidx}", p.name());
+                        built += 1;
+                    }
+                    (t, lp) => assert_eq!(
+                        t.err().map(|e| e.to_string()),
+                        lp.err().map(|e| e.to_string()),
+                        "{} array {aidx}",
+                        p.name()
+                    ),
+                }
+                compared += 1;
+            }
+        }
+        assert!(
+            compared >= 260 && built > 0,
+            "{compared} transforms compared, {built} built"
+        );
     }
 
     #[test]

@@ -111,6 +111,27 @@ impl Constraint {
     /// Canonical form: integer coefficients divided by their gcd (keeps
     /// the sign, so the constraint is unchanged as a set).
     fn normalized(self) -> Self {
+        // Integer rows in machine words, the common case: divide by their
+        // gcd without scaling (a gcd of 2^63 reads negative and falls
+        // through).
+        let parts = self.expr.coeffs().iter().chain([self.expr.constant_term()]);
+        if let Some(ints) = parts.map(Rational::to_i64).collect::<Option<Vec<i64>>>() {
+            let g = ints.iter().fold(0, |g, &x| aov_numeric::gcd(g, x));
+            if (0..=1).contains(&g) {
+                return self;
+            }
+            if g > 1 {
+                let (constant, coeffs) = ints.split_last().expect("constant term");
+                let expr = AffineExpr::from_parts(
+                    coeffs.iter().map(|&x| Rational::from_int(x / g)).collect(),
+                    Rational::from_int(constant / g),
+                );
+                return Constraint {
+                    expr,
+                    kind: self.kind,
+                };
+            }
+        }
         let cleared = self.expr.clear_denominators();
         // Divide by gcd of all integer coefficients.
         let mut g = aov_numeric::BigInt::zero();

@@ -8,7 +8,8 @@
 //! orthogonal to, exactly as in Le Verge's presentation of Chernikova's
 //! algorithm.
 
-use crate::{ConstraintKind, Polyhedron};
+use crate::bits::Bits;
+use crate::{Constraint, ConstraintKind, Polyhedron};
 use aov_linalg::QVector;
 use aov_numeric::Rational;
 
@@ -45,13 +46,40 @@ impl GeneratorSet {
 struct Gen {
     /// Homogenized coordinates `(λ, x_0, …, x_{d-1})`, primitive integer.
     v: QVector,
-    /// `tight[k]` iff inequality `k` holds with equality on this ray.
-    tight: Vec<bool>,
+    /// The inequalities that hold with equality on this ray: the `r`-th
+    /// inequality of the constraint list is bit `r`, and `λ >= 0` is the
+    /// bit after the last one.
+    tight: Bits,
+}
+
+/// Generators together with the inequality rows each vertex and ray
+/// saturates ([`saturated`]). Lines saturate every row.
+pub(crate) struct Saturated {
+    /// The generators, as [`generators`] returns them.
+    pub gens: GeneratorSet,
+    /// Per vertex, the inequalities of the constraint list (equalities
+    /// not counted) that hold with equality there: bit `r` for the
+    /// `r`-th one (the bit after the last is the homogenizing row).
+    pub vertex_tight: Vec<Bits>,
+    /// The same for each ray.
+    pub ray_tight: Vec<Bits>,
 }
 
 /// Scales to a primitive integer vector (direction preserved).
-fn normalize(v: &QVector) -> QVector {
+pub(crate) fn normalize(v: &QVector) -> QVector {
     use aov_numeric::BigInt;
+    // Combinations of primitive integer vectors are integer vectors:
+    // divide by their gcd in machine words.
+    if let Some(ints) = v.to_i64() {
+        // Negative only when the gcd is 2^63, which needs the slow path.
+        let g = ints.iter().fold(0, |g, &x| aov_numeric::gcd(g, x));
+        if (0..=1).contains(&g) {
+            return v.clone();
+        }
+        if g > 1 {
+            return ints.iter().map(|&x| Rational::from_int(x / g)).collect();
+        }
+    }
     let mut l = BigInt::one();
     for c in v.iter() {
         let d = c.denom();
@@ -78,19 +106,26 @@ fn normalize(v: &QVector) -> QVector {
 
 /// Computes the generators of `p`.
 pub(crate) fn generators(p: &Polyhedron) -> GeneratorSet {
+    saturated(p.dim(), p.constraints()).gens
+}
+
+/// Computes the generators of the polyhedron `constraints` over `Q^d`,
+/// with each vertex's and ray's saturated inequality rows. Every row
+/// takes part, trivially true ones included, so tight-set positions are
+/// the rows' positions among the list's inequalities.
+pub(crate) fn saturated(d: usize, constraints: &[Constraint]) -> Saturated {
     // One span per constraint-to-generator conversion step. A hot span
     // (example3 performs ~186k conversions): untraced runs pay nothing
     // and the flight-recorder ring keeps its low-rate evidence; it is
     // also deliberately field-free, since every byte on this record is
     // multiplied heavily in traced runs.
     let _span = aov_trace::hot_span!("p2.dd.step");
-    let d = p.dim();
     let hdim = d + 1;
     // Homogenized constraint rows: (coeff on λ = constant term, then x
     // coefficients), with a kind. λ >= 0 goes first.
-    let mut rows: Vec<(QVector, ConstraintKind)> = Vec::with_capacity(p.constraints().len() + 1);
+    let mut rows: Vec<(QVector, ConstraintKind)> = Vec::with_capacity(constraints.len() + 1);
     rows.push((QVector::unit(hdim, 0), ConstraintKind::Ineq));
-    for c in p.constraints() {
+    for c in constraints {
         let mut row = QVector::zeros(hdim);
         row[0] = c.expr().constant_term().clone();
         for (k, coeff) in c.expr().coeffs().iter().enumerate() {
@@ -98,18 +133,21 @@ pub(crate) fn generators(p: &Polyhedron) -> GeneratorSet {
         }
         rows.push((row, c.kind()));
     }
-    let total_ineqs = rows
-        .iter()
-        .filter(|(_, k)| *k == ConstraintKind::Ineq)
-        .count();
+    // Tight-set bit of each inequality, in processing order: λ >= 0 is
+    // bit `n_ineqs`, the constraints' inequalities bits 0, 1, ….
+    let n_ineqs = constraints.iter().filter(|c| !c.is_equality()).count();
+    let mut bit_of = std::iter::once(n_ineqs).chain(0..n_ineqs);
+    let width = n_ineqs + 1;
 
     // Initial cone: all of Q^{d+1} — lines along every axis.
     let mut bi: Vec<QVector> = (0..hdim).map(|k| QVector::unit(hdim, k)).collect();
     let mut uni: Vec<Gen> = Vec::new();
-    let mut processed_ineqs = 0usize;
+    // The inequalities processed so far.
+    let mut done = Bits::empty(width);
 
     for (row, kind) in rows {
         let f = |v: &QVector| row.dot(v);
+        let bit = (kind == ConstraintKind::Ineq).then(|| bit_of.next().expect("one bit per row"));
         // Case 1: some line is non-orthogonal to the constraint.
         if let Some(pos) = bi.iter().position(|b| !f(b).is_zero()) {
             let b0 = bi.remove(pos);
@@ -128,46 +166,27 @@ pub(crate) fn generators(p: &Polyhedron) -> GeneratorSet {
                     // (b0 was orthogonal to all of them); the current one
                     // now holds with equality.
                 }
-                if *kindof(&kind) == ConstraintKind::Ineq {
-                    g.tight.push(true);
+                if let Some(bit) = bit {
+                    g.tight.insert(bit);
                 }
             }
-            match kind {
-                ConstraintKind::Ineq => {
-                    // b0 becomes a unidirectional ray, oriented so f > 0;
-                    // tight on all previous inequalities, not the current.
-                    let oriented = if fb0.is_negative() { -&b0 } else { b0 };
-                    let mut tight = vec![true; processed_ineqs];
-                    tight.push(false);
-                    uni.push(Gen {
-                        v: normalize(&oriented),
-                        tight,
-                    });
-                    processed_ineqs += 1;
-                }
-                ConstraintKind::Eq => {
-                    // The line is simply removed.
-                }
+            // An equality's line is simply removed. An inequality's
+            // becomes a unidirectional ray, oriented so f > 0; tight on
+            // all previous inequalities, not the current.
+            if let Some(bit) = bit {
+                let oriented = if fb0.is_negative() { -&b0 } else { b0 };
+                uni.push(Gen {
+                    v: normalize(&oriented),
+                    tight: done.clone(),
+                });
+                done.insert(bit);
             }
             continue;
         }
         // Case 2: all lines orthogonal — combine unidirectional rays.
         let values: Vec<Rational> = uni.iter().map(|g| f(&g.v)).collect();
-        let mut next: Vec<Gen> = Vec::new();
-        for (g, val) in uni.iter().zip(&values) {
-            let keep = match kind {
-                ConstraintKind::Ineq => !val.is_negative(),
-                ConstraintKind::Eq => val.is_zero(),
-            };
-            if keep {
-                let mut g = g.clone();
-                if kind == ConstraintKind::Ineq {
-                    g.tight.push(val.is_zero());
-                }
-                next.push(g);
-            }
-        }
         // Adjacent (+,−) pairs produce new rays on the hyperplane.
+        let mut combos: Vec<Gen> = Vec::new();
         for (ip, vp) in values.iter().enumerate() {
             if !vp.is_positive() {
                 continue;
@@ -176,7 +195,7 @@ pub(crate) fn generators(p: &Polyhedron) -> GeneratorSet {
                 if !vn.is_negative() {
                     continue;
                 }
-                if !adjacent(&uni, ip, in_, processed_ineqs) {
+                if !adjacent(&uni, ip, in_) {
                     continue;
                 }
                 let combo = &uni[ip].v.scale(&-vn) + &uni[in_].v.scale(vp);
@@ -184,49 +203,64 @@ pub(crate) fn generators(p: &Polyhedron) -> GeneratorSet {
                 if combo.is_zero() {
                     continue;
                 }
-                let mut tight: Vec<bool> = (0..processed_ineqs)
-                    .map(|k| uni[ip].tight[k] && uni[in_].tight[k])
-                    .collect();
-                if kind == ConstraintKind::Ineq {
-                    tight.push(true);
+                let mut tight = uni[ip].tight.and(&uni[in_].tight);
+                if let Some(bit) = bit {
+                    tight.insert(bit);
                 }
-                next.push(Gen { v: combo, tight });
+                combos.push(Gen { v: combo, tight });
             }
         }
-        if kind == ConstraintKind::Ineq {
-            processed_ineqs += 1;
+        // The kept generators, then the combinations.
+        let mut next: Vec<Gen> = Vec::with_capacity(uni.len() + combos.len());
+        for (mut g, val) in uni.into_iter().zip(&values) {
+            let keep = match kind {
+                ConstraintKind::Ineq => !val.is_negative(),
+                ConstraintKind::Eq => val.is_zero(),
+            };
+            if keep {
+                if let Some(bit) = bit.filter(|_| val.is_zero()) {
+                    g.tight.insert(bit);
+                }
+                next.push(g);
+            }
+        }
+        next.extend(combos);
+        if let Some(bit) = bit {
+            done.insert(bit);
         }
         uni = dedup_gens(next);
     }
-    debug_assert_eq!(processed_ineqs, total_ineqs);
+    debug_assert_eq!(done, Bits::full(width));
 
     // Extract polyhedron generators from the cone.
-    let mut out = GeneratorSet::default();
+    let mut out = Saturated {
+        gens: GeneratorSet::default(),
+        vertex_tight: Vec::new(),
+        ray_tight: Vec::new(),
+    };
     for b in bi {
         debug_assert!(b[0].is_zero(), "line with nonzero homogenizing coord");
-        out.lines.push(normalize(&drop_lambda(&b)));
+        out.gens.lines.push(normalize(&drop_lambda(&b)));
     }
     for g in uni {
         let lambda = &g.v[0];
         if lambda.is_positive() {
             let x = drop_lambda(&g.v);
-            out.vertices.push(x.scale(&lambda.recip()));
+            out.gens.vertices.push(x.scale(&lambda.recip()));
+            out.vertex_tight.push(g.tight);
         } else {
             debug_assert!(lambda.is_zero());
             let dir = drop_lambda(&g.v);
             if !dir.is_zero() {
-                out.rays.push(normalize(&dir));
+                out.gens.rays.push(normalize(&dir));
+                out.ray_tight.push(g.tight);
             }
         }
     }
     aov_support::static_counter!("polyhedra.dd.conversions").add(1);
-    aov_support::static_counter!("polyhedra.dd.vertices").add(out.vertices.len() as u64);
-    aov_support::static_counter!("polyhedra.dd.rays").add(out.rays.len() as u64);
+    aov_support::static_counter!("polyhedra.dd.vertices").add(out.gens.vertices.len() as u64);
+    aov_support::static_counter!("polyhedra.dd.rays").add(out.gens.rays.len() as u64);
     out
-}
-
-fn kindof(k: &ConstraintKind) -> &ConstraintKind {
-    k
 }
 
 fn drop_lambda(v: &QVector) -> QVector {
@@ -235,19 +269,11 @@ fn drop_lambda(v: &QVector) -> QVector {
 
 /// Combinatorial adjacency: `p` and `n` are adjacent iff no *other* ray's
 /// tight set contains `tight(p) ∩ tight(n)`.
-fn adjacent(uni: &[Gen], p: usize, n: usize, num_ineqs: usize) -> bool {
-    let common: Vec<usize> = (0..num_ineqs)
-        .filter(|&k| uni[p].tight[k] && uni[n].tight[k])
-        .collect();
-    for (i, g) in uni.iter().enumerate() {
-        if i == p || i == n {
-            continue;
-        }
-        if common.iter().all(|&k| g.tight[k]) {
-            return false;
-        }
-    }
-    true
+fn adjacent(uni: &[Gen], p: usize, n: usize) -> bool {
+    let common = uni[p].tight.and(&uni[n].tight);
+    uni.iter()
+        .enumerate()
+        .all(|(i, g)| i == p || i == n || !common.is_subset_of(&g.tight))
 }
 
 fn dedup_gens(gens: Vec<Gen>) -> Vec<Gen> {
@@ -263,7 +289,6 @@ fn dedup_gens(gens: Vec<Gen>) -> Vec<Gen> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Constraint;
     use aov_linalg::AffineExpr;
 
     fn ge(coeffs: &[i64], c: i64) -> Constraint {
@@ -419,6 +444,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Rays and lines come out as primitive integer vectors, so equal
+    /// directions compare equal (the parameterized-vertex projection and
+    /// the linearized rows rely on it).
+    #[test]
+    fn rays_and_lines_are_primitive() {
+        let mut rng = aov_support::Rng::new(11);
+        let mut directions = 0;
+        for _case in 0..60 {
+            let d = rng.usize_in(2, 3);
+            let cs = (0..rng.usize_in(1, 4))
+                .map(|_| ge(&rng.vec_i64(-3, 3, d), rng.i64_in(-4, 4)))
+                .collect();
+            let g = Polyhedron::from_constraints(d, cs).generators();
+            for r in g.rays.iter().chain(&g.lines) {
+                let ints = r.to_i64().expect("integer direction");
+                let gcd = ints.iter().fold(0, |a, &x| aov_numeric::gcd(a, x));
+                assert_eq!(gcd, 1, "{r:?} is not primitive");
+                directions += 1;
+            }
+        }
+        assert!(directions >= 60, "{directions} directions");
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!   lines via Chernikova's double-description method,
 //! * [`Polyhedron::eliminate_dims`] — Fourier–Motzkin projection,
 //! * [`param`] — vertices of a polytope whose right-hand sides depend
-//!   affinely on symbolic parameters, each with its validity domain
-//!   (Loechner–Wilde-style), needed when iteration-domain vertices
-//!   depend on loop bounds or on the unknown occupancy vector.
+//!   affinely on symbolic parameters, each with its validity domain,
+//!   read off the faces of one DD of the lifted polyhedron over
+//!   iterations and parameters (Loechner–Wilde), needed when
+//!   iteration-domain vertices depend on loop bounds or on the unknown
+//!   occupancy vector.
 //!
 //! # Examples
 //!
@@ -36,6 +38,7 @@
 //! assert!(!tri.contains(&QVector::from_i64(&[3, 1])));
 //! ```
 
+mod bits;
 mod constraint;
 mod dd;
 mod fm;

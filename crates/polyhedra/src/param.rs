@@ -1,17 +1,23 @@
-//! Parameterized vertices (Loechner–Wilde-style) with validity domains.
+//! Parameterized vertices (Loechner–Wilde) with validity domains.
 //!
 //! The linearization of §4.4.2 of the paper replaces an iteration vector
 //! by the vertices of its (parameterized) domain. When the domain's
 //! right-hand sides depend on symbolic parameters — loop bounds `N`, or
 //! the unknown occupancy vector `v` — the vertices are affine functions of
-//! those parameters, and *which* candidate intersections are actual
-//! vertices can change across the parameter space. Following [13]
-//! (Loechner & Wilde), we enumerate candidate bases (the matrix of
-//! eliminated-variable coefficients is constant, so each candidate is an
-//! affine function of the parameters) and give each distinct candidate
-//! its *validity domain*: the parameters at which it satisfies every
-//! row. No chamber decomposition is formed; each domain costs one DD.
+//! those parameters, and *which* affine functions are vertices can change
+//! across the parameter space. Following [13] (Loechner & Wilde), the
+//! vertices are read off the faces of the lifted polyhedron
+//! `L = {(i, N) | system, N ∈ param domain}`: on a face whose tight rows
+//! fix `i` (their `i`-parts have full rank), `i` is an affine function
+//! `c(N)`, and at every `N` the vertices of the polytope are the values of
+//! the faces whose projection holds `N`. One DD of `L` gives its
+//! generators and the rows each one saturates; the faces, their `c` and
+//! their validity domains (the faces' projections onto `N`) follow from
+//! those tight sets and the generators' projections, without a DD or an
+//! LP per domain. No chamber decomposition is formed.
 
+use crate::bits::Bits;
+use crate::dd;
 use crate::{Constraint, ConstraintKind, GeneratorSet, PolyhedraError, Polyhedron};
 use aov_linalg::{AffineExpr, QMatrix, QVector};
 use aov_numeric::Rational;
@@ -28,7 +34,9 @@ pub struct ParamVertex {
     /// Validity domain: the points of the parameter domain at which
     /// `coords` lies in the polytope (nonempty).
     pub domain: Polyhedron,
-    /// Generators of `domain`.
+    /// Generators of `domain`: the projections onto the parameters of
+    /// the lifted polyhedron's generators on the vertex's face (a DD of
+    /// `domain` when that polyhedron has lines).
     pub generators: GeneratorSet,
 }
 
@@ -47,14 +55,17 @@ impl ParamVertex {
 /// the remaining ones are symbolic parameters. `param_domain` constrains
 /// the parameters (dimension `system.dim() - n_elim`).
 ///
-/// Returns each distinct candidate vertex whose validity domain is
-/// nonempty, in first-enumeration order. At every parameter point `N`
-/// of `param_domain`, the vertices of the polytope are exactly the
-/// values at `N` of the returned vertices whose domain contains `N`
-/// (an affine form is therefore `>= 0` on every polytope iff, for each
-/// returned vertex, it is `>= 0` after substitution at that vertex's
-/// domain generators). The list is empty when the polytope is empty for
-/// every parameter value.
+/// Returns one vertex per face `F` of the lifted polyhedron `L` (system
+/// and parameter domain) that is `L ∩ graph(c)` for an affine `c`: its
+/// coordinates are the basic solution of the lexicographically first
+/// invertible `n_elim`-subset of `F`'s tight rows, and the vertices come
+/// in the order of those subsets. At every parameter point `N` of
+/// `param_domain`, the vertices of the polytope are exactly the values at
+/// `N` of the returned vertices whose domain contains `N` (an affine form
+/// is therefore `>= 0` on every polytope iff, for each returned vertex,
+/// it is `>= 0` after substitution at that vertex's domain generators).
+/// The list is empty when the polytope is empty for every parameter
+/// value.
 ///
 /// # Errors
 ///
@@ -82,49 +93,51 @@ pub fn parameterized_vertices(
         "parameter domain dimension mismatch"
     );
 
-    // Identical rows are common (overlapping target/source bounds) and
-    // inflate the candidate-basis count combinatorially.
+    // Identical rows are common (overlapping target/source bounds); one
+    // copy of each keeps the tight sets and the bases small.
     let rows = dedup_in_order(split_rows(system, n_elim));
+    // L's extreme rays cannot tell whether every P(N) is bounded: a
+    // recession direction of P(N) need not be extreme in L.
     if !bounded(&rows, n_elim) {
         return Err(PolyhedraError::UnboundedDirection);
     }
+    let lifted = Lifted::new(&rows, n_elim, param_domain);
 
-    // Candidate vertices: basic solutions of invertible n_elim-subsets of
-    // rows, one per distinct expression.
-    let mut candidates = Vec::new();
-    let mut subset: Vec<usize> = (0..n_elim).collect();
-    if rows.len() >= n_elim {
-        loop {
-            if let Some(coords) = basic_solution(&rows, &subset, n_params) {
-                candidates.push(coords);
-            }
-            if !next_combination(&mut subset, rows.len()) {
-                break;
-            }
-        }
-    }
-
-    let mut out = Vec::new();
-    'candidates: for coords in dedup_in_order(candidates) {
-        // Every row evaluated at the candidate must be >= 0. Constant
-        // rows (the basis rows among them) are decided here.
-        let mut conditions = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let cond = row_at(row, &coords);
-            if !cond.is_constant() {
-                conditions.push(cond);
-            } else if cond.constant_term().is_negative() {
-                continue 'candidates;
-            }
-        }
-        let mut domain = param_domain.clone();
-        for cond in dedup_in_order(conditions) {
-            domain.add_constraint(Constraint::ge0(cond));
-        }
-        let generators = domain.generators();
-        if generators.is_empty() {
+    // Each face with `i` fixed is named by the first basis among its
+    // tight rows; `L ∩ {basis rows = 0}` is the largest face with that
+    // basis's vertex expression.
+    let mut bases: Vec<Vec<usize>> = lifted.fixed_face_bases(&rows, n_elim);
+    bases.sort_unstable();
+    bases.dedup();
+    let mut faces_seen = HashSet::with_capacity(bases.len());
+    let mut out = Vec::with_capacity(bases.len());
+    for basis in bases {
+        let face = lifted.face_of_rows(basis.iter().copied());
+        if !faces_seen.insert(face.clone()) {
+            // A lower-dimensional face that two bases describe: their
+            // expressions agree on its projection, so one is enough.
             continue;
         }
+        let coords = basic_solution(&rows, &basis, n_params).expect("first basis is invertible");
+        // Every row evaluated at the vertex must be >= 0. A row constant
+        // at the vertex (the basis rows among them) holds on the
+        // nonempty face, so it needs no domain row.
+        let conditions = rows
+            .iter()
+            .map(|row| row_at(row, &coords))
+            .filter(|cond| !cond.is_constant());
+        let mut domain = param_domain.clone();
+        for cond in dedup_in_order(conditions.collect()) {
+            domain.add_constraint(Constraint::ge0(cond));
+        }
+        let generators = if lifted.gens.lines.is_empty() {
+            lifted.project(&face, n_elim)
+        } else {
+            // The vertices of a polyhedron with lines are not unique;
+            // the DD of the domain keeps the representation it always
+            // had.
+            domain.generators()
+        };
         // Counts validity domains kept; the name predates them and stays
         // so per-layer series remain comparable.
         aov_support::static_counter!("polyhedra.param.chambers").add(1);
@@ -165,17 +178,181 @@ fn split_rows(system: &Polyhedron, n_elim: usize) -> Vec<Row> {
 }
 
 /// Whether the polytope is bounded: its recession cone
-/// `{i | ipart · i >= 0 for every row}` is `{0}`.
+/// `{i | ipart · i >= 0 for every row}` is `{0}`. Rows of one `i`-part
+/// bound the cone alike, so each distinct nonzero one is a row once.
 fn bounded(rows: &[Row], n_elim: usize) -> bool {
+    let iparts = rows.iter().map(|(ipart, _)| ipart).filter(|v| !v.is_zero());
     let recession = Polyhedron::from_constraints(
         n_elim,
-        rows.iter()
-            .map(|(ipart, _)| {
-                Constraint::ge0(AffineExpr::from_parts(ipart.clone(), Rational::zero()))
-            })
+        dedup_in_order(iparts.collect())
+            .into_iter()
+            .map(|ipart| Constraint::ge0(AffineExpr::from_parts(ipart.clone(), Rational::zero())))
             .collect(),
     );
     recession.generators().is_bounded()
+}
+
+/// The lifted polyhedron `L` after its one DD: its generators, and which
+/// rows of the system each one saturates. Generator sets index the
+/// vertices first, then the rays.
+struct Lifted {
+    gens: GeneratorSet,
+    /// `rows_at[g]`: the system's rows that are zero at generator `g`.
+    rows_at: Vec<Bits>,
+    /// `on_row[r]`: the generators at which row `r` is zero.
+    on_row: Vec<Bits>,
+}
+
+impl Lifted {
+    /// The DD of `rows` (as inequalities, in order, so that row `r` is
+    /// tight-set bit `r`) and the parameter domain embedded after the
+    /// eliminated dimensions.
+    fn new(rows: &[Row], n_elim: usize, param_domain: &Polyhedron) -> Self {
+        let dim = n_elim + param_domain.dim();
+        let params: Vec<usize> = (n_elim..dim).collect();
+        let mut constraints: Vec<Constraint> = rows
+            .iter()
+            .map(|(ipart, ppart)| {
+                let coeffs = ipart.iter().chain(ppart.coeffs().iter()).cloned();
+                Constraint::ge0(AffineExpr::from_parts(
+                    coeffs.collect(),
+                    ppart.constant_term().clone(),
+                ))
+            })
+            .collect();
+        for c in param_domain.constraints() {
+            let e = c.expr().embed(dim, &params);
+            constraints.push(match c.kind() {
+                ConstraintKind::Ineq => Constraint::ge0(e),
+                ConstraintKind::Eq => Constraint::eq0(e),
+            });
+        }
+        let sat = dd::saturated(dim, &constraints);
+        let n = sat.gens.vertices.len() + sat.gens.rays.len();
+        let mut rows_at = Vec::with_capacity(n);
+        let mut on_row = vec![Bits::empty(n); rows.len()];
+        for (g, tight) in sat.vertex_tight.iter().chain(&sat.ray_tight).enumerate() {
+            let mut at = Bits::empty(rows.len());
+            for r in tight.iter().take_while(|&r| r < rows.len()) {
+                at.insert(r);
+                on_row[r].insert(g);
+            }
+            rows_at.push(at);
+        }
+        Lifted {
+            gens: sat.gens,
+            rows_at,
+            on_row,
+        }
+    }
+
+    /// The face where every row of `rows` is zero, as its generators.
+    fn face_of_rows(&self, rows: impl IntoIterator<Item = usize>) -> Bits {
+        let n = self.rows_at.len();
+        let mut face = Bits::full(n);
+        for r in rows {
+            face.intersect_with(&self.on_row[r]);
+        }
+        face
+    }
+
+    /// The first bases (see [`first_basis`]) of every face of `L` on
+    /// which the tight rows of the system fix `i`. Faces are taken
+    /// closed under the system's rows: `L ∩ {rows tight on F = 0}` has
+    /// `F`'s tight rows, so nothing is lost. Such faces are closed under
+    /// taking subfaces, and every nonempty face holds a vertex, so they
+    /// are reached from the vertices by joining one generator at a time.
+    /// A larger face keeps its subface's first basis when it keeps all
+    /// of that basis's rows (a subset holding the first basis has no
+    /// earlier one).
+    fn fixed_face_bases(&self, rows: &[Row], n_elim: usize) -> Vec<Vec<usize>> {
+        let n = self.rows_at.len();
+        let mut seen: HashSet<Bits> = HashSet::new();
+        // Faces to grow, each with its tight rows and the position of its
+        // subface's basis in `bases`.
+        let mut stack: Vec<(Bits, Bits, Option<usize>)> = Vec::new();
+        let mut bases: Vec<Vec<usize>> = Vec::new();
+        for w in 0..self.gens.vertices.len() {
+            let tight = self.rows_at[w].clone();
+            let face = self.face_of_rows(tight.iter());
+            if seen.insert(face.clone()) {
+                stack.push((face, tight, None));
+            }
+        }
+        while let Some((face, tight, inherited)) = stack.pop() {
+            let kept = inherited.filter(|&b| bases[b].iter().all(|&r| tight.contains(r)));
+            let basis = match kept {
+                Some(b) => b,
+                None => match first_basis(rows, tight.iter(), n_elim) {
+                    Some(b) => {
+                        bases.push(b);
+                        bases.len() - 1
+                    }
+                    None => continue,
+                },
+            };
+            for g in (0..n).filter(|&g| !face.contains(g)) {
+                let joined = tight.and(&self.rows_at[g]);
+                let bigger = self.face_of_rows(joined.iter());
+                if !seen.contains(&bigger) {
+                    seen.insert(bigger.clone());
+                    stack.push((bigger, joined, Some(basis)));
+                }
+            }
+        }
+        bases
+    }
+
+    /// The generators of `face`'s projection onto the parameters. The
+    /// projection is one to one on a face where `i = c(N)`, so extreme
+    /// points and rays stay extreme.
+    fn project(&self, face: &Bits, n_elim: usize) -> GeneratorSet {
+        let gens = &self.gens;
+        let nv = gens.vertices.len();
+        let drop_i = |x: &QVector| -> QVector { x.iter().skip(n_elim).cloned().collect() };
+        GeneratorSet {
+            vertices: (0..nv)
+                .filter(|&k| face.contains(k))
+                .map(|k| drop_i(&gens.vertices[k]))
+                .collect(),
+            rays: (0..gens.rays.len())
+                .filter(|&k| face.contains(nv + k))
+                .map(|k| dd::normalize(&drop_i(&gens.rays[k])))
+                .collect(),
+            lines: Vec::new(),
+        }
+    }
+}
+
+/// The lexicographically first `n_elim`-subset of `tight` (ascending row
+/// indices) whose `i`-parts are independent, or `None` when they have
+/// lower rank. Taking each row that is independent of those already
+/// taken finds it (a matroid's greedy basis).
+fn first_basis(
+    rows: &[Row],
+    tight: impl IntoIterator<Item = usize>,
+    n_elim: usize,
+) -> Option<Vec<usize>> {
+    let mut basis = Vec::with_capacity(n_elim);
+    // Reduced rows, each with its pivot column.
+    let mut echelon: Vec<(usize, QVector)> = Vec::with_capacity(n_elim);
+    for r in tight {
+        if basis.len() == n_elim {
+            break;
+        }
+        let mut v = rows[r].0.clone();
+        for (col, e) in &echelon {
+            if !v[*col].is_zero() {
+                let f = &v[*col] / &e[*col];
+                v = &v - &e.scale(&f);
+            }
+        }
+        if let Some(col) = (0..n_elim).find(|&k| !v[k].is_zero()) {
+            echelon.push((col, v));
+            basis.push(r);
+        }
+    }
+    (basis.len() == n_elim).then_some(basis)
 }
 
 /// The basic solution `i(p)` of the rows in `subset` held at equality,
@@ -212,6 +389,7 @@ fn row_at((ipart, ppart): &Row, coords: &[AffineExpr]) -> AffineExpr {
 
 /// Advances `subset` to the next `subset.len()`-combination of `0..m`
 /// in lexicographic order; `false` after the last one.
+#[cfg(test)]
 fn next_combination(subset: &mut [usize], m: usize) -> bool {
     let n = subset.len();
     for k in (0..n).rev() {
@@ -238,6 +416,69 @@ pub fn dedup_in_order<T: Eq + Hash>(items: Vec<T>) -> Vec<T> {
         .zip(keep)
         .filter_map(|(x, k)| k.then_some(x))
         .collect()
+}
+
+/// Test oracle: the basis enumeration this module used before the lifted
+/// polyhedron's faces. Every invertible `n_elim`-subset of rows gives a
+/// candidate vertex; each distinct one, in first-enumeration order, is
+/// kept with its validity domain (one DD per domain) when that domain is
+/// nonempty.
+#[cfg(test)]
+mod basis_reference {
+    use super::{
+        basic_solution, bounded, dedup_in_order, next_combination, row_at, split_rows, ParamVertex,
+    };
+    use crate::{Constraint, PolyhedraError, Polyhedron};
+
+    pub fn parameterized_vertices(
+        system: &Polyhedron,
+        n_elim: usize,
+        param_domain: &Polyhedron,
+    ) -> Result<Vec<ParamVertex>, PolyhedraError> {
+        let n_params = system.dim() - n_elim;
+        let rows = dedup_in_order(split_rows(system, n_elim));
+        if !bounded(&rows, n_elim) {
+            return Err(PolyhedraError::UnboundedDirection);
+        }
+        let mut candidates = Vec::new();
+        let mut subset: Vec<usize> = (0..n_elim).collect();
+        if rows.len() >= n_elim {
+            loop {
+                if let Some(coords) = basic_solution(&rows, &subset, n_params) {
+                    candidates.push(coords);
+                }
+                if !next_combination(&mut subset, rows.len()) {
+                    break;
+                }
+            }
+        }
+        let mut out = Vec::new();
+        'candidates: for coords in dedup_in_order(candidates) {
+            let mut conditions = Vec::with_capacity(rows.len());
+            for row in &rows {
+                let cond = row_at(row, &coords);
+                if !cond.is_constant() {
+                    conditions.push(cond);
+                } else if cond.constant_term().is_negative() {
+                    continue 'candidates;
+                }
+            }
+            let mut domain = param_domain.clone();
+            for cond in dedup_in_order(conditions) {
+                domain.add_constraint(Constraint::ge0(cond));
+            }
+            let generators = domain.generators();
+            if generators.is_empty() {
+                continue;
+            }
+            out.push(ParamVertex {
+                coords,
+                domain,
+                generators,
+            });
+        }
+        Ok(out)
+    }
 }
 
 /// Test oracle: the chamber recursion of Loechner–Wilde-style vertex
@@ -556,6 +797,34 @@ mod tests {
         }
     }
 
+    /// A lifted polyhedron with a line: `p <= i <= p + 1` over a free
+    /// parameter. Both vertices hold everywhere, and their domains'
+    /// generators are the DD's (a line, no unique vertex).
+    #[test]
+    fn lifted_polyhedron_with_lines() {
+        // Dims: (i, p).
+        let system = Polyhedron::from_constraints(2, vec![ge(&[1, -1], 0), ge(&[-1, 1], 1)]);
+        let params = Polyhedron::universe(1);
+        let vertices = parameterized_vertices(&system, 1, &params).unwrap();
+        let coords: Vec<_> = vertices.iter().map(|v| v.coords.clone()).collect();
+        assert_eq!(
+            coords,
+            vec![
+                vec![AffineExpr::from_i64(&[1], 0)],
+                vec![AffineExpr::from_i64(&[1], 1)]
+            ]
+        );
+        for v in &vertices {
+            assert!(same_set(&v.domain, &params), "{v:?}");
+            assert_eq!(v.generators, v.domain.generators());
+            assert_eq!(v.generators.lines.len(), 1);
+        }
+        assert_eq!(
+            values_at(&vertices, &QVector::from_i64(&[-3])),
+            vec!["(-2)", "(-3)"]
+        );
+    }
+
     #[test]
     fn unbounded_polytope_rejected() {
         // i >= 0 with no upper bound.
@@ -786,6 +1055,170 @@ mod tests {
         for r in &rows {
             assert!(old.implies_nonneg(r), "{what}: reference rows miss {r:?}");
         }
+    }
+
+    /// `form >= 0` linearized over `vertices` the way
+    /// `aov_schedule::linearize::linearize_at_vertices` does it, each row
+    /// tagged `true` for a point row, as a set.
+    fn rows_over(
+        form: &aov_schedule::BilinearForm,
+        vertices: &[ParamVertex],
+    ) -> HashSet<(AffineExpr, bool)> {
+        let mut out = HashSet::new();
+        for vertex in vertices {
+            let n_params = vertex.domain.dim();
+            let mut subs = vertex.coords.clone();
+            subs.extend((0..n_params).map(|j| AffineExpr::var(n_params, j)));
+            let over_params = form.substitute_domain(&subs);
+            let gens = &vertex.generators;
+            out.extend(
+                gens.vertices
+                    .iter()
+                    .map(|w| (over_params.at_point(w), true)),
+            );
+            for r in gens.rays.iter().chain(&gens.lines) {
+                out.insert((over_params.linear_part_along(r), false));
+            }
+            for l in &gens.lines {
+                out.insert((-&over_params.linear_part_along(l), false));
+            }
+        }
+        out.retain(|(e, _)| !e.is_constant() || e.constant_term().is_negative());
+        out
+    }
+
+    /// Every integer point of the box `[-1, 3]^n_params`.
+    fn param_box(n_params: usize) -> Vec<QVector> {
+        let mut points = vec![Vec::new()];
+        for _ in 0..n_params {
+            points = points
+                .into_iter()
+                .flat_map(|pt: Vec<i64>| {
+                    (-1..=3).map(move |x| {
+                        let mut pt = pt.clone();
+                        pt.push(x);
+                        pt
+                    })
+                })
+                .collect();
+        }
+        points.iter().map(|pt| QVector::from_i64(pt)).collect()
+    }
+
+    /// Both vertex lists of `system` give the same vertex values at every
+    /// point of the parameter box, or both fail with the same error.
+    /// Returns the pair of lists when both succeed.
+    fn assert_same_values(
+        system: &Polyhedron,
+        n_elim: usize,
+        param_domain: &Polyhedron,
+        what: &str,
+    ) -> Option<(Vec<ParamVertex>, Vec<ParamVertex>)> {
+        let new = parameterized_vertices(system, n_elim, param_domain);
+        let old = basis_reference::parameterized_vertices(system, n_elim, param_domain);
+        let (new, old) = match (new, old) {
+            (Ok(new), Ok(old)) => (new, old),
+            (new, old) => {
+                assert_eq!(new.err(), old.err(), "{what}");
+                return None;
+            }
+        };
+        assert!(new.len() <= old.len(), "{what}: more vertices than bases");
+        for pt in param_box(param_domain.dim()) {
+            assert_eq!(
+                values_at(&new, &pt),
+                values_at(&old, &pt),
+                "{what} at {pt:?}"
+            );
+        }
+        Some((new, old))
+    }
+
+    /// Oracle for the face enumeration against the basis enumeration it
+    /// replaced, on every system the pipeline enumerates for ex1–4 and
+    /// 300 generated programs (seeds `mix(42, i)`, default profile):
+    /// dependence domains, statement domains, and Problem 2's `Z` at the
+    /// program's AOV. For each, both vertex lists give
+    /// the same vertex values at every integer point of a small parameter
+    /// box, and the causality, storage and Problem 2 rows linearized over
+    /// either list are equal as sets (the production rows, through
+    /// `Analysis` and `eliminate_to_linear`, against the basis list's).
+    #[test]
+    fn faces_match_basis_enumeration() {
+        use aov_schedule::{legal, linearize::eliminate_to_linear, Analysis};
+        let mut programs = vec![
+            aov_ir::examples::example1(),
+            aov_ir::examples::example2(),
+            aov_ir::examples::example3(),
+            aov_ir::examples::example4(),
+        ];
+        let cfg = aov_gen::GenConfig::default();
+        programs.extend(
+            (0..300).map(|i| aov_gen::generate(aov_support::rng::mix(42, i), &cfg).program),
+        );
+        let (mut statements, mut domains, mut zs, mut fewer) = (0, 0, 0, 0);
+        for p in &programs {
+            let param_domain = local!(p.param_domain());
+            for st in p.statements() {
+                let what = format!("{} statement {}", p.name(), st.name());
+                assert_same_values(&local!(st.domain()), st.depth(), &param_domain, &what);
+                statements += 1;
+            }
+            let Ok(a) = Analysis::new(p) else { continue };
+            let space = a.space();
+            for (d, dep) in a.deps().iter().enumerate() {
+                let depth = p.statement(dep.target).depth();
+                let what = format!("{} dependence {d}", p.name());
+                let (new, old) =
+                    assert_same_values(&local!(dep.domain), depth, &param_domain, &what)
+                        .expect("the analysis linearized this domain");
+                fewer += usize::from(new.len() < old.len());
+                domains += 1;
+                let causality = legal::causality_form(p, space, dep);
+                let rows: HashSet<(AffineExpr, bool)> = rows_over(&causality, &old);
+                let production: HashSet<AffineExpr> =
+                    a.causality_rows()[d].iter().cloned().collect();
+                let reference: HashSet<AffineExpr> = rows.into_iter().map(|(r, _)| r).collect();
+                assert_eq!(production, reference, "{what} causality rows");
+                let f0 = legal::difference_form(p, space, dep, &dep.h, 0).negated();
+                assert_eq!(rows_over(&f0, &new), rows_over(&f0, &old), "{what} storage");
+            }
+            let Ok(aov) = aov_core::problems::aov_with(p, 1) else {
+                continue;
+            };
+            for (d, dep) in a.deps().iter().enumerate() {
+                let depth = p.statement(dep.target).depth();
+                let v = aov.vectors()[p.statement(dep.source).writes().0].components();
+                let dim = depth + p.num_params();
+                let h_plus_v: Vec<AffineExpr> = dep
+                    .h
+                    .iter()
+                    .zip(v)
+                    .map(|(hk, &vk)| hk + &AffineExpr::constant(dim, vk.into()))
+                    .collect();
+                let form = legal::difference_form(p, space, dep, &h_plus_v, 0).negated();
+                let z = aov_core::storage::exact_z(p, dep, v);
+                let what = format!("{} dependence {d} Z({v:?})", p.name());
+                let Some((_, old)) = assert_same_values(&local!(z), depth, &param_domain, &what)
+                else {
+                    continue;
+                };
+                zs += 1;
+                let production: HashSet<AffineExpr> =
+                    eliminate_to_linear(&form, &z, depth, p.param_domain())
+                        .expect("same verdict as the reference")
+                        .into_iter()
+                        .collect();
+                let reference: HashSet<AffineExpr> =
+                    rows_over(&form, &old).into_iter().map(|(r, _)| r).collect();
+                assert_eq!(production, reference, "{what} rows");
+            }
+        }
+        assert!(
+            statements >= 450 && domains >= 700 && zs >= 350,
+            "{statements} statement domains, {domains} dependence domains, {zs} Z compared"
+        );
+        assert!(fewer > 0, "no degenerate face met");
     }
 
     /// Oracle for validity domains against the chamber recursion, on the

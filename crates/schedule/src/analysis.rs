@@ -3,7 +3,7 @@
 use crate::linearize::{linearize_at_vertices, RowKind};
 use crate::{legal, BilinearForm, Schedule, ScheduleSpace};
 use aov_ir::{analysis, Dependence, Program};
-use aov_linalg::AffineExpr;
+use aov_linalg::{AffineExpr, QVector};
 use aov_polyhedra::param::{self, dedup_in_order, ParamVertex};
 use aov_polyhedra::{Constraint, PolyhedraError, Polyhedron};
 use std::borrow::Cow;
@@ -21,7 +21,9 @@ use std::sync::OnceLock;
 /// ([`Analysis::linearize`]). The storage forms and their activity per
 /// sign orthant depend on the program alone; they are built on first use
 /// and shared by both problems ([`Analysis::storage_forms`],
-/// [`Analysis::active_in_orthant`]).
+/// [`Analysis::active_in_orthant`]). Problem 2 asks of the same
+/// projections whether a concrete vector's overwriters exist
+/// ([`Analysis::overwriter_exists`]).
 ///
 /// # Examples
 ///
@@ -46,6 +48,8 @@ pub struct Analysis<'p> {
     legal: Polyhedron,
     /// Each dependence's storage forms, built on first use.
     storage_forms: OnceLock<Vec<Vec<BilinearForm>>>,
+    /// Each dependence's [`legal::overwriter_image`], built on first use.
+    images: OnceLock<Vec<Polyhedron>>,
     /// Each dependence's activity per sign pattern of its source array,
     /// in [`sign_patterns`] order, built on first use.
     activity: OnceLock<Vec<Vec<bool>>>,
@@ -101,6 +105,7 @@ impl<'p> Analysis<'p> {
             rows,
             legal,
             storage_forms: OnceLock::new(),
+            images: OnceLock::new(),
             activity: OnceLock::new(),
         })
     }
@@ -189,8 +194,8 @@ impl<'p> Analysis<'p> {
     /// pattern, so the pruning is exact.
     ///
     /// The first call decides every dependence and pattern at once,
-    /// without an LP: each dependence's [`legal::overwriter_image`] is
-    /// projected once, and it meets a pattern's orthant iff, with the
+    /// without an LP: each dependence's [`legal::overwriter_image`]
+    /// (projected once per run) meets a pattern's orthant iff, with the
     /// pattern's rows added and its remaining dimensions eliminated, no
     /// trivially false row is left. The mirror's image is its reflection.
     ///
@@ -202,10 +207,40 @@ impl<'p> Analysis<'p> {
         let source_depth = self.p.statement(self.deps[dep].source).depth();
         assert_eq!(pattern.len(), source_depth, "orthant dimension");
         let table = self.activity.get_or_init(|| {
-            let p = self.p;
-            self.deps.iter().map(|d| activity_table(p, d)).collect()
+            self.overwriter_images()
+                .iter()
+                .map(activity_table)
+                .collect()
         });
         table[dep][pattern_index(pattern)]
+    }
+
+    /// Whether dependence `dep`'s `h + v` overwriter exists for some
+    /// iteration and parameters: whether the storage domain
+    /// `Z(v) = {i ∈ P | h(i, N) + v ∈ D_T}` meets the parameter domain.
+    /// It does exactly when `v` lies in the dependence's
+    /// [`legal::overwriter_image`], a projection that is exact over ℚ, so
+    /// membership gives the verdict of an emptiness LP over `Z(v)`. The
+    /// mirror `h − v` overwriter exists iff `overwriter_exists(dep, −v)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dep` is out of range or `v` is not as long as the
+    /// source array's dimension.
+    pub fn overwriter_exists(&self, dep: usize, v: &[i64]) -> bool {
+        self.overwriter_images()[dep].contains(&QVector::from_i64(v))
+    }
+
+    /// Every dependence's overwriter image, projected on the first call.
+    fn overwriter_images(&self) -> &[Polyhedron] {
+        self.images.get_or_init(|| {
+            let _span = aov_trace::span!("schedule.overwriter_images", deps = self.deps.len());
+            let p = self.p;
+            self.deps
+                .iter()
+                .map(|d| legal::overwriter_image(p, d))
+                .collect()
+        })
     }
 
     /// Linearized causality rows of each dependence (parallel to
@@ -272,17 +307,17 @@ fn pattern_index(pattern: &[i8]) -> usize {
 }
 
 /// One dependence's activity per sign pattern of its source array, in
-/// [`sign_patterns`] order (see [`Analysis::active_in_orthant`]). The
-/// mirror `h − v`'s image is the reflection `v ↦ −v` of the `h + v`
-/// overwriter's, so a pattern is active iff that one image meets its
-/// orthant or the reflected one. Reflection maps pattern index `i` to
-/// `3^d − 1 − i`: it swaps the digits `+1` and `−1`.
-fn activity_table(p: &Program, dep: &Dependence) -> Vec<bool> {
-    let d_v = p.statement(dep.source).depth();
+/// [`sign_patterns`] order, from its overwriter image over the array's
+/// `d_v` dimensions (see [`Analysis::active_in_orthant`]). The mirror `h − v`'s image is
+/// the reflection `v ↦ −v` of the `h + v` overwriter's, so a pattern is
+/// active iff that one image meets its orthant or the reflected one.
+/// Reflection maps pattern index `i` to `3^d − 1 − i`: it swaps the
+/// digits `+1` and `−1`.
+fn activity_table(image: &Polyhedron) -> Vec<bool> {
+    let d_v = image.dim();
     let _span = aov_trace::span!("schedule.activity", depth = d_v);
-    let image = legal::overwriter_image(p, dep);
     let patterns = sign_patterns(d_v);
-    if is_trivially_empty(&image) {
+    if is_trivially_empty(image) {
         return vec![false; patterns.len()];
     }
     let all: Vec<usize> = (0..d_v).collect();

@@ -40,6 +40,13 @@ echo "== LP tests in release"
 # reference, pivot for pivot) also runs where integer overflow wraps.
 cargo test --release -q --offline -p aov-lp
 
+echo "== polyhedra tests in release"
+# The DD's saturation bitsets, the normalization fast paths and the face
+# enumeration of parameterized vertices, with their oracles (the basis
+# enumeration and the chamber recursion), also run where integer
+# overflow wraps.
+cargo test --release -q --offline -p aov-polyhedra
+
 echo "== perfbench selftest"
 # Two processes per workload must agree on every solver count and, from
 # the second pass on, on every allocation count.
