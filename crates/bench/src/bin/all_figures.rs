@@ -1,10 +1,25 @@
-//! Regenerates every evaluation artifact and writes
+//! Regenerates the paper's evaluation artifacts and writes
 //! `target/figures.json`; exits nonzero if any qualitative claim fails.
-//! Pass `--quick` for smaller machine sweeps.
+//!
+//! `all_figures [--quick] [ID…]`: `--quick` runs smaller machine
+//! sweeps. Figure ids (`fig03` … `fig16`, `storage`) restrict the run
+//! to those figures, over pipelines for only the examples they need;
+//! an unknown id exits 64 and lists the known ones.
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let ctx = aov_bench::FigureCtx::build_all(aov_bench::default_workers()).expect("pipelines run");
-    let reports = aov_bench::all_reports(&ctx, !quick);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let quick = args.iter().any(|a| a == "--quick");
+    let ids: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| *a != "--quick")
+        .collect();
+    let specs = aov_bench::select_figures(&ids).unwrap_or_else(|e| {
+        eprintln!("all_figures: {e}");
+        std::process::exit(64);
+    });
+    let ctx = aov_bench::FigureCtx::for_figures(&specs, aov_bench::default_workers())
+        .expect("pipelines run");
+    let reports: Vec<_> = specs.iter().map(|s| (s.run)(&ctx, !quick)).collect();
     let mut failures = 0;
     for r in &reports {
         print!("{}", r.render());

@@ -1,22 +1,18 @@
-//! Regeneration harness for every figure of the paper's evaluation,
-//! plus the benchmark observatory that tracks its cost over time.
+//! Regeneration harness for every figure of the paper's evaluation.
 //!
 //! Each `figNN` function recomputes one paper artifact and returns a
 //! [`FigureReport`] with the series/rows the paper prints, a short
 //! conclusion, and a pass/fail against the expected qualitative shape.
 //! The figures are *engine-driven*: analysis results (AOVs, Problem 1
 //! OVs, transformed code) come out of [`aov_engine::Pipeline`] reports
-//! held in a [`FigureCtx`], so every figure inherits per-stage timings,
-//! `aov-trace` span attribution and solver-counter deltas for free —
-//! and the heavy analyses (Example 3's AOV in particular) run once per
-//! suite instead of once per figure.
+//! held in a [`FigureCtx`], so the heavy analyses (Example 3's AOV in
+//! particular) run once per suite instead of once per figure.
 //!
-//! The binaries under `src/bin/` print single figures;
-//! `cargo run -p aov-bench --bin all_figures` regenerates everything
-//! (the data recorded in `EXPERIMENTS.md`). The [`observatory`] module
-//! turns a suite run into a versioned `BENCH_<n>.json` artifact and
-//! [`regress`] compares two artifacts with noise-aware thresholds — the
-//! `aov bench` CLI subcommand drives both.
+//! `cargo run -p aov-bench --bin all_figures -- [--quick] [ID…]`
+//! regenerates every figure (the data recorded in `EXPERIMENTS.md`), or
+//! only the named ones; `transformed_code` prints the original and
+//! transformed code of all four examples. The timing benchmark is the
+//! standalone `perfbench/` crate.
 
 use aov_core::{problems, transform::StorageTransform, uov, OccupancyVector};
 use aov_engine::{EngineError, Health, Pipeline, Report};
@@ -25,11 +21,6 @@ use aov_linalg::{AffineExpr, QVector};
 use aov_machine::{experiments, MachineConfig};
 use aov_schedule::{Analysis, Schedule};
 use aov_support::{Json, ToJson};
-
-pub mod observatory;
-pub mod pdiff;
-pub mod regress;
-pub mod trend;
 
 /// A regenerated artifact: headline result plus printable lines.
 #[derive(Debug, Clone)]
@@ -85,8 +76,8 @@ impl ToJson for FigureReport {
 /// The paper's four example programs, in order.
 pub const EXAMPLES: [&str; 4] = ["example1", "example2", "example3", "example4"];
 
-/// Worker-thread default shared by the figure binaries and `aov bench`:
-/// available parallelism, capped at 8.
+/// Worker-thread default shared by the figure binaries and the `aov`
+/// CLI: available parallelism, capped at 8.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -147,25 +138,22 @@ impl FigureCtx {
         FigureCtx::build(&EXAMPLES, workers)
     }
 
-    /// Wraps reports that were already produced elsewhere (the
-    /// observatory's timed runs) so the figures reuse them instead of
-    /// re-running the pipelines.
-    pub fn from_reports(workers: usize, reports: Vec<Report>) -> FigureCtx {
-        let entries = reports
+    /// A context over just the examples `specs` need, in example order.
+    ///
+    /// # Errors
+    ///
+    /// As for [`FigureCtx::build`].
+    pub fn for_figures(specs: &[&FigureSpec], workers: usize) -> Result<FigureCtx, EngineError> {
+        let needed: Vec<&str> = EXAMPLES
             .into_iter()
-            .filter_map(|r| program_by_name(&r.program).map(|p| (r.program.clone(), p, r)))
+            .filter(|e| specs.iter().any(|s| s.needs.contains(e)))
             .collect();
-        FigureCtx { workers, entries }
+        FigureCtx::build(&needed, workers)
     }
 
     /// Whether this context holds a report for `name`.
     pub fn has(&self, name: &str) -> bool {
         self.entries.iter().any(|(n, _, _)| n == name)
-    }
-
-    /// Example names present, in insertion order.
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|(n, _, _)| n.as_str()).collect()
     }
 
     /// Worker threads the pipelines ran with.
@@ -228,10 +216,10 @@ impl FigureCtx {
     }
 }
 
-/// The figure suite measures the paper's results; a degraded pipeline
+/// The figures measure the paper's results; a degraded pipeline
 /// (budget trip, fault, unschedulable input) has none to measure, so
-/// benchmarking rejects it instead of recording partial numbers.
-pub(crate) fn reject_degraded(name: &str, report: &Report) -> Result<(), EngineError> {
+/// the context rejects it instead of reporting partial numbers.
+fn reject_degraded(name: &str, report: &Report) -> Result<(), EngineError> {
     if report.health() == Health::Ok {
         return Ok(());
     }
@@ -242,7 +230,7 @@ pub(crate) fn reject_degraded(name: &str, report: &Report) -> Result<(), EngineE
         .map(|s| format!("{}: {}", s.name, s.outcome.reason().unwrap_or("")))
         .collect();
     Err(EngineError::Unsupported(format!(
-        "pipeline for {name} did not complete cleanly ({}); benchmarking requires healthy runs",
+        "pipeline for {name} did not complete cleanly ({}); figures require healthy runs",
         reasons.join("; ")
     )))
 }
@@ -631,9 +619,8 @@ pub fn storage_footprints(ctx: &FigureCtx) -> FigureReport {
 pub struct FigureSpec {
     /// Figure identifier (`"fig05"`, `"storage"`, …).
     pub id: &'static str,
-    /// Examples that must be present in the [`FigureCtx`]. Suites built
-    /// over a subset of examples (CI smoke) skip figures whose
-    /// requirements are not met.
+    /// Examples whose reports or programs the figure reads from its
+    /// [`FigureCtx`]; the machine sweeps need none.
     pub needs: &'static [&'static str],
     /// Regenerates the figure; the flag is `full_scale` for the machine
     /// sweeps (ignored by analysis figures).
@@ -680,12 +667,12 @@ pub fn figure_specs() -> &'static [FigureSpec] {
         },
         FigureSpec {
             id: "fig15",
-            needs: &["example2"],
+            needs: &[],
             run: |_, full| fig15(full),
         },
         FigureSpec {
             id: "fig16",
-            needs: &["example3"],
+            needs: &[],
             run: |_, full| fig16(full),
         },
         FigureSpec {
@@ -694,6 +681,27 @@ pub fn figure_specs() -> &'static [FigureSpec] {
             run: |ctx, _| storage_footprints(ctx),
         },
     ]
+}
+
+/// The registry entries named by `ids`, in registry order; every
+/// figure when `ids` is empty.
+///
+/// # Errors
+///
+/// An unknown id, named together with every known id.
+pub fn select_figures(ids: &[&str]) -> Result<Vec<&'static FigureSpec>, String> {
+    let specs = figure_specs();
+    if let Some(bad) = ids.iter().find(|id| !specs.iter().any(|s| s.id == **id)) {
+        let known: Vec<&str> = specs.iter().map(|s| s.id).collect();
+        return Err(format!(
+            "unknown figure id {bad:?} (known: {})",
+            known.join(", ")
+        ));
+    }
+    Ok(specs
+        .iter()
+        .filter(|s| ids.is_empty() || ids.contains(&s.id))
+        .collect())
 }
 
 /// All reports the context can produce (figure order); a full context
@@ -711,15 +719,4 @@ pub fn example1_row_schedule() -> (aov_ir::Program, Schedule) {
     let p = examples::example1();
     let s = Schedule::uniform_for(&p, &[AffineExpr::from_i64(&[0, 1, 0, 0], 0)]);
     (p, s)
-}
-
-/// Sanity helper shared by bins: panic (nonzero exit) when a report
-/// fails to reproduce.
-pub fn assert_reproduced(r: &FigureReport) {
-    assert!(
-        r.reproduced,
-        "{} failed to reproduce:\n{}",
-        r.id,
-        r.render()
-    );
 }

@@ -1,8 +1,8 @@
 //! Golden text of the engine-driven fig05.
 //!
-//! The observatory rewired every figure through `aov_engine::Pipeline`;
-//! fig05 exercises the AOV headline result, so its rendered text and
-//! pretty JSON are pinned here byte for byte.
+//! Every figure reads its analysis results from `aov_engine::Pipeline`
+//! reports; fig05 exercises the AOV headline result, so its rendered
+//! text and pretty JSON are pinned here byte for byte.
 
 use aov_support::ToJson;
 
@@ -33,23 +33,4 @@ fn engine_driven_fig05_matches_pinned_text() {
     assert_eq!(engine.render(), RENDER);
     assert_eq!(engine.to_json().to_pretty(), JSON);
     assert!(engine.reproduced);
-}
-
-#[test]
-fn memoized_context_yields_identical_fig05() {
-    // The observatory builds its contexts with memoization on; the LP
-    // memo must be result-transparent all the way to the rendered text.
-    let plain = aov_bench::FigureCtx::build(&["example1"], 1).expect("pipeline runs");
-    let suite = aov_bench::observatory::run_suite(&aov_bench::observatory::SuiteConfig {
-        examples: vec!["example1".to_string()],
-        runs: 1,
-        workers: 1,
-        quick: true,
-        figures: false,
-        span_rows: 8,
-        ..aov_bench::observatory::SuiteConfig::default()
-    })
-    .expect("suite runs");
-    assert_eq!(suite.examples.len(), 1);
-    assert_eq!(aov_bench::fig05(&plain).render(), RENDER);
 }

@@ -5,9 +5,7 @@
 //! percentile durations, allocator traffic and peak numeric bit-widths),
 //! its whole-run counter deltas, and enough identity (program name,
 //! digest, crate version) to tell two profiles apart. The CLI writes one
-//! with `--profile --profile-out FILE`, `aov bench --profile-dir DIR`
-//! writes one per example, and `aov pdiff BASE NEW` compares two of them
-//! with the noise-aware band semantics of `aov_bench::regress`.
+//! with `--profile-out FILE`, and `aov inspect` renders it.
 //!
 //! Documents are schema-versioned ([`SCHEMA`]) and structurally
 //! validated ([`profile_schema`]) by `aov inspect --check` and the CI

@@ -30,12 +30,8 @@
 //!    windows, worker states, the `metrics` and `watch` verbs
 //!    (`aov-svcmetrics/1`, live flight-recorder tails), and the
 //!    size-rotated `aov-access/1` structured access log.
-//!
-//! [`loadtest`] packages the whole story as a measurable campaign for
-//! `aov bench --serve-clients N`.
 
 pub mod client;
-pub mod loadtest;
 pub mod protocol;
 pub mod server;
 pub mod telemetry;

@@ -3,9 +3,8 @@
 //! `aov-svcmetrics/1` metrics document, and the `aov-access/1`
 //! structured access log.
 //!
-//! Everything here follows the measurement-integrity discipline the
-//! bench observatory established: artifacts are schema-versioned and
-//! validated (`aov inspect --check`), quantiles come from a real
+//! Everything here follows one measurement-integrity discipline:
+//! artifacts are schema-versioned and validated (`aov inspect --check`), quantiles come from a real
 //! distribution ([`aov_support::histogram`]) rather than a sample
 //! vector, and recording is lock-free — a relaxed `fetch_add` per
 //! phase — so the telemetry never becomes the contention point it is
@@ -328,8 +327,8 @@ impl Telemetry {
         )
     }
 
-    /// Snapshot of one phase's histogram (tests, loadtest reuse).
-    #[must_use]
+    /// Snapshot of one phase's histogram.
+    #[cfg(test)]
     pub fn phase_snapshot(&self, phase: Phase) -> Snapshot {
         self.phases[phase as usize].snapshot()
     }

@@ -157,9 +157,8 @@ impl Harness {
 }
 
 /// Measures one closure with the harness's warmup/batch protocol and
-/// returns the raw statistics without printing. The [`Harness`] CLI
-/// path and the [`crate::calibrate`] microprobes share this.
-pub fn measure<R>(name: &str, config: &BenchConfig, body: &mut impl FnMut() -> R) -> BenchStats {
+/// returns the raw statistics without printing.
+fn measure<R>(name: &str, config: &BenchConfig, body: &mut impl FnMut() -> R) -> BenchStats {
     // Warmup: run for at least `warmup`, counting iterations to estimate
     // the per-iteration cost.
     let warm_start = Instant::now();

@@ -1,10 +1,9 @@
 //! Tiny content digests for artifact fingerprinting.
 //!
-//! The benchmark observatory stores a digest of every figure's rendered
-//! text so a perf baseline also catches *correctness* drift: if a figure
-//! starts printing different numbers, the digest mismatch fails the
-//! comparison even when timings look fine. FNV-1a is enough for that —
-//! the digests guard against accidental drift, not adversaries.
+//! Profiles, diagnostic bundles and `aovd` requests carry a digest of
+//! the program (and profiles one of their flame table) so two artifacts
+//! can be told apart or matched up. FNV-1a is enough for that — the
+//! digests guard against accidental drift, not adversaries.
 
 /// 64-bit FNV-1a hash of `bytes`.
 #[must_use]
@@ -20,7 +19,7 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 }
 
 /// [`fnv1a_64`] rendered as a fixed-width hex string (the form stored in
-/// `BENCH_*.json`).
+/// artifacts).
 #[must_use]
 pub fn fnv1a_hex(bytes: &[u8]) -> String {
     format!("{:016x}", fnv1a_64(bytes))

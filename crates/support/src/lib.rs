@@ -23,15 +23,13 @@
 //!   Fourier–Motzkin eliminations, …), charged to the installed
 //!   [`context`] and read back by `aov-engine` reports,
 //! * [`schema`] — a structural checker for versioned JSON artifacts
-//!   (`BENCH_*.json`) with path-annotated mismatch reports,
-//! * [`digest`] — FNV-1a content digests used to fingerprint figure
-//!   outputs inside perf artifacts,
+//!   (reports, profiles, diagnostic bundles) with path-annotated
+//!   mismatch reports,
+//! * [`digest`] — FNV-1a content digests that fingerprint programs and
+//!   flame tables inside those artifacts,
 //! * [`alloc`] — a counting `#[global_allocator]` wrapper with
 //!   per-scope (per-span) attribution, the memory axis of the
 //!   observability layer,
-//! * [`calibrate`] — deterministic machine-speed microprobes recorded
-//!   into perf artifacts so cross-run comparisons can normalize away
-//!   container speed drift,
 //! * [`histogram`] — a log-bucketed (HDR-style) fixed-size latency
 //!   histogram with lock-free atomic recording, merge, and
 //!   deterministic quantile extraction (replaces `hdrhistogram` for
@@ -39,7 +37,6 @@
 
 pub mod alloc;
 pub mod bench;
-pub mod calibrate;
 pub mod context;
 pub mod counters;
 pub mod digest;

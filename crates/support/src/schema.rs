@@ -1,6 +1,6 @@
 //! A minimal structural schema checker for [`Json`] documents.
 //!
-//! Versioned artifacts (`BENCH_*.json`, trace metrics) need a way to
+//! Versioned artifacts (reports, profiles, bundles) need a way to
 //! assert "this file has the shape my reader expects" without pulling in
 //! a JSON-Schema implementation. A [`Schema`] is a small declarative
 //! description — object fields (required or optional), homogeneous

@@ -114,16 +114,6 @@ impl FlameTable {
         self.rows.iter().find(|r| r.name == name)
     }
 
-    /// The top `n` rows by self time, as a new table. Artifact exports
-    /// (`BENCH_*.json`) cap row counts so baselines stay small and
-    /// diff-able even when a run opens thousands of span names.
-    #[must_use]
-    pub fn truncated(&self, n: usize) -> FlameTable {
-        FlameTable {
-            rows: self.rows.iter().take(n).cloned().collect(),
-        }
-    }
-
     /// Renders the table as aligned text, one row per span name.
     pub fn render(&self) -> String {
         let mut out = String::new();

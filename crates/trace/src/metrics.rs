@@ -58,13 +58,6 @@ pub fn snapshot(records: &[SpanRecord], counters: &[(String, u64)]) -> Json {
         .field("alloc", alloc_json)
 }
 
-/// Span aggregates alone (no counters), capped to the `top` rows by
-/// self time — the export hook the benchmark observatory embeds in
-/// `BENCH_*.json` per-example entries.
-pub fn span_aggregates(records: &[SpanRecord], top: usize) -> Json {
-    FlameTable::build(records).truncated(top).to_json()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,24 +93,5 @@ mod tests {
     fn no_lookups_yields_null_rate() {
         let j = snapshot(&[], &[]);
         assert_eq!(j.get("memo").unwrap().get("hit_rate"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn span_aggregates_caps_rows_by_self_time() {
-        let records: Vec<SpanRecord> = (0..5u64)
-            .map(|i| SpanRecord {
-                id: i + 1,
-                name: format!("span{i}"),
-                dur_ns: 500 - i * 100,
-                ..SpanRecord::default()
-            })
-            .collect();
-        let Json::Arr(rows) = span_aggregates(&records, 3) else {
-            panic!("expected array");
-        };
-        assert_eq!(rows.len(), 3);
-        // Kept in descending self-time order: the three slowest.
-        assert_eq!(rows[0].get("name"), Some(&Json::Str("span0".into())));
-        assert_eq!(rows[2].get("name"), Some(&Json::Str("span2".into())));
     }
 }

@@ -1,7 +1,7 @@
 //! The `aov` command line: run the instrumented pipeline on one of the
 //! paper's examples or a `.aov` source file and print a JSON report,
-//! fuzz the pipeline differentially, or drive the benchmark
-//! observatory.
+//! fuzz the pipeline differentially, inspect written artifacts, or run
+//! and query the `aovd` solver daemon.
 //!
 //! ```text
 //! aov <example1|example2|example3|example4|unschedulable|all> [options]
@@ -44,9 +44,7 @@
 //!   --profile-out FILE write a schema-versioned `aov-profile/1` JSON
 //!                      artifact (flame table, counters, identity
 //!                      digests) for the run; render it with
-//!                      `aov inspect`, compare two with `aov pdiff`
-//!                      (single program only — suites use
-//!                      `aov bench --profile-dir`)
+//!                      `aov inspect` (single program only)
 //!   --progress         print a once-a-second heartbeat to stderr while
 //!                      the pipeline runs: current stage and span,
 //!                      pivot/vertex rates, elapsed time against any
@@ -69,9 +67,9 @@
 //!
 //!   The flight recorder is always armed. The counting allocator's
 //!   byte accounting arms only when one of `--profile`, `--mem`,
-//!   `--trace` or `--diag-dir` will consume it (and under `aov
-//!   bench`); plain runs disarm it — their reports carry frozen
-//!   alloc columns — keeping telemetry within its 1%-of-wall budget.
+//!   `--trace`, `--profile-out` or `--diag-dir` will consume it; plain
+//!   runs disarm it — their reports carry frozen alloc columns —
+//!   keeping telemetry within its 1%-of-wall budget.
 //!
 //! aov fuzz [options]
 //!
@@ -102,57 +100,6 @@
 //!   report (degraded cases — unschedulable seeds, budget trips — are
 //!   expected and do not gate)
 //!
-//! aov bench [options]
-//!
-//!   Run the benchmark observatory: every example through the pipeline
-//!   (memoization on), min/median timings over repeated runs, span and
-//!   counter attribution, the engine-driven figure suite with output
-//!   fingerprints — written as a versioned BENCH_<n>.json artifact.
-//!
-//!   --runs N              pipeline repetitions per example (default 1)
-//!   --out FILE            write the artifact here (default: stdout)
-//!   --baseline FILE       compare against a previous artifact and print
-//!                         a noise-aware regression report
-//!   --fail-on-regression  exit 1 when the comparison gates
-//!   --examples A,B        subset of examples (default: all four)
-//!   --workers N           pipeline worker threads
-//!   --quick               machine-model figures at reduced sizes
-//!   --no-figures          skip the figure suite
-//!   --check FILE          validate an existing artifact against the
-//!                         schema instead of running anything
-//!   --profile-dir DIR     also write one `aov-profile/1` artifact per
-//!                         example (profile_<name>.json) from the
-//!                         suite's traced run
-//!   --budget-pivots N     solver budget passed through to every
-//!   --budget-nodes N      pipeline run; a tripped budget degrades the
-//!   --budget-ms N         run and the suite refuses to record it
-//!
-//! aov trend BENCH_0.json BENCH_1.json … [--out FILE] [--compact]
-//!
-//!   Cross-artifact trend analysis: flatten every benchmark artifact
-//!   into per-metric series, normalize Time metrics onto the first
-//!   artifact's machine speed (measured calibration when both sides
-//!   carry one, the median-ratio estimate for v1-era artifacts), and
-//!   classify each series flat / step / drift with a median-based
-//!   change-point detector. Prints a grouped sparkline report; with
-//!   --out also writes a schema-versioned `aov-trend/1` document that
-//!   `aov inspect` validates and renders. v1 artifacts are upgraded in
-//!   memory through the same shim as `aov bench --check`. Exit 0 when
-//!   every input is readable and schema-valid, 1 otherwise (the trend
-//!   itself never gates — gating is the pairwise baseline comparison's
-//!   job).
-//!
-//! aov pdiff BASE NEW [--time-rel F] [--time-floor-us N]
-//!
-//!   Differential profiling: compare two `aov-profile/1` artifacts with
-//!   the bench suite's noise-aware bands (relative band plus an
-//!   absolute floor for span times, a drift band for counters). Prints
-//!   a grouped flame-diff report — spans sorted by self-time movement,
-//!   counters that moved, a verdict per row. Spans present on only one
-//!   side read New/Missing and never gate. Exit 0 when clean, 1 when
-//!   any metric regresses beyond tolerance. Comparing an artifact
-//!   against itself is always clean.
-//!
 //! aov inspect FILE [--check]
 //!
 //!   Render an `aov-diag/1` crash-diagnostic bundle (written via
@@ -160,9 +107,7 @@
 //!   columns, the budget state and the flight-recorder timeline tail —
 //!   an `aov-profile/1` profile artifact (written via `--profile-out`)
 //!   — the flame table with allocator columns and the counter table —
-//!   an `aov-trend/1` trend document (written via `aov trend --out`)
-//!   — the artifact ladder with drift factors and every non-flat
-//!   series — an `aov-serve/1` transcript, an `aov-svcmetrics/1`
+//!   an `aov-serve/1` transcript, an `aov-svcmetrics/1`
 //!   metrics document (saved from `aov client --metrics`), or an
 //!   `aov-access/1` access log (JSONL, written via `aovd
 //!   --access-log`; every line is validated). The schema tag in the
@@ -190,15 +135,12 @@
 //! Exit status mirrors the report's health:
 //!
 //! * `0` — every stage ran and dynamic equivalence holds
-//! * `1` — pipeline complete but equivalence does not hold (or, under
-//!   `bench`, an artifact is invalid / a gated regression is found)
+//! * `1` — pipeline complete but equivalence does not hold
 //! * `2` — hard failure: a stage failed with a non-degradable error
 //! * `3` — degraded: a budget tripped or a fault was isolated; the
 //!   printed report says which stages degraded or were skipped and why
 //! * `64` — usage error
 
-use aov_bench::observatory::{self, SuiteConfig};
-use aov_bench::regress;
 use aov_engine::{BudgetSpec, Health, Pipeline};
 use aov_fault::chaos;
 use aov_support::{Json, ToJson};
@@ -257,13 +199,6 @@ fn usage() -> ! {
          aov fuzz [--seed S] [--count N] [--quick] [--workers N] \
          [--repro-dir DIR] [--out FILE] [--compact] [--budget-pivots N] \
          [--budget-nodes N]\n       \
-         aov bench [--runs N] [--out FILE] [--baseline FILE] \
-         [--fail-on-regression] [--examples A,B] [--workers N] [--quick] \
-         [--no-figures] [--check FILE] [--profile-dir DIR] \
-         [--serve-clients N] [--budget-pivots N] \
-         [--budget-nodes N] [--budget-ms N]\n       \
-         aov pdiff BASE NEW\n       \
-         aov trend ARTIFACT ARTIFACT.. [--out FILE] [--compact]\n       \
          aov inspect FILE [--check]\n       \
          aovd / aov aovd [--addr A] [--workers N] [--queue N] \
          [--no-memo] [--memo-capacity N] [--pivot-pool N] \
@@ -279,7 +214,7 @@ fn usage() -> ! {
          aov --check-trace FILE\n       \
          aov --check-report FILE\n\n\
          every subcommand also accepts --recorder-slots N\n\
-         exit codes: 0 ok, 1 inequivalent/regression, 2 failed, \
+         exit codes: 0 ok, 1 inequivalent, 2 failed, \
          3 degraded, 64 usage"
     );
     std::process::exit(64);
@@ -414,8 +349,7 @@ fn parse(args: &[String], run_mode: bool) -> Options {
         usage();
     }
     if opts.profile_out.is_some() && opts.programs.len() != 1 {
-        // One artifact, one program: suites get per-example artifacts
-        // via `aov bench --profile-dir`.
+        // One artifact, one program.
         eprintln!("aov: --profile-out expects exactly one program");
         std::process::exit(64);
     }
@@ -556,412 +490,6 @@ fn check_trace(path: &str) -> i32 {
     0
 }
 
-struct BenchOptions {
-    runs: usize,
-    out: Option<String>,
-    baseline: Option<String>,
-    fail_on_regression: bool,
-    examples: Vec<String>,
-    workers: usize,
-    quick: bool,
-    figures: bool,
-    check: Option<String>,
-    profile_dir: Option<String>,
-    budget: BudgetSpec,
-    serve_clients: Option<usize>,
-}
-
-fn parse_bench(args: &[String]) -> BenchOptions {
-    let mut opts = BenchOptions {
-        runs: 1,
-        out: None,
-        baseline: None,
-        fail_on_regression: false,
-        examples: aov_bench::EXAMPLES
-            .iter()
-            .map(|s| (*s).to_string())
-            .collect(),
-        workers: aov_bench::default_workers(),
-        quick: false,
-        figures: true,
-        check: None,
-        profile_dir: None,
-        budget: BudgetSpec::default(),
-        serve_clients: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if parse_budget_flag(&mut opts.budget, arg, &mut it) {
-            continue;
-        }
-        match arg.as_str() {
-            "--runs" => match it.next().and_then(|r| r.parse().ok()) {
-                Some(r) if r >= 1 => opts.runs = r,
-                _ => usage(),
-            },
-            "--out" => match it.next() {
-                Some(f) => opts.out = Some(f.clone()),
-                None => usage(),
-            },
-            "--baseline" => match it.next() {
-                Some(f) => opts.baseline = Some(f.clone()),
-                None => usage(),
-            },
-            "--fail-on-regression" => opts.fail_on_regression = true,
-            "--examples" => match it.next() {
-                Some(spec) => {
-                    opts.examples = spec
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty())
-                        .collect();
-                    if opts.examples.is_empty() {
-                        usage();
-                    }
-                }
-                None => usage(),
-            },
-            "--workers" => match it.next().and_then(|w| w.parse().ok()) {
-                Some(w) => opts.workers = w,
-                None => usage(),
-            },
-            "--quick" => opts.quick = true,
-            "--no-figures" => opts.figures = false,
-            "--check" => match it.next() {
-                Some(f) => opts.check = Some(f.clone()),
-                None => usage(),
-            },
-            "--profile-dir" => match it.next() {
-                Some(d) => opts.profile_dir = Some(d.clone()),
-                None => usage(),
-            },
-            "--serve-clients" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) if n >= 1 => opts.serve_clients = Some(n),
-                _ => usage(),
-            },
-            _ => usage(),
-        }
-    }
-    opts
-}
-
-/// Validates an artifact file: JSON parse, version-aware upgrade,
-/// structural schema. A v1-era artifact passes through the upgrade shim
-/// first and the verdict says so.
-fn check_artifact(path: &str) -> i32 {
-    let (doc, upgraded) = match read_bench_artifact(path) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("aov bench: {e}");
-            return 1;
-        }
-    };
-    if let Err(errors) = observatory::validate(&doc) {
-        eprintln!("aov bench: {path}: schema violations:");
-        for e in &errors {
-            eprintln!("  {e}");
-        }
-        return 1;
-    }
-    eprintln!(
-        "aov bench: {path}: ok ({}{})",
-        observatory::SCHEMA_VERSION,
-        if upgraded {
-            format!(", upgraded from {}", observatory::SCHEMA_VERSION_V1)
-        } else {
-            String::new()
-        }
-    );
-    0
-}
-
-fn read_artifact(path: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))
-}
-
-/// Reads a benchmark artifact and lifts it to the current schema
-/// version through [`observatory::upgrade`]; the flag reports whether
-/// the shim did any work (the on-disk file was v1).
-fn read_bench_artifact(path: &str) -> Result<(Json, bool), String> {
-    let doc = read_artifact(path)?;
-    observatory::upgrade(doc).map_err(|e| format!("{path}: {e}"))
-}
-
-fn bench_main(args: &[String]) -> i32 {
-    let opts = parse_bench(args);
-    if let Some(path) = &opts.check {
-        return check_artifact(path);
-    }
-    let cfg = SuiteConfig {
-        examples: opts.examples.clone(),
-        runs: opts.runs,
-        workers: opts.workers,
-        quick: opts.quick,
-        figures: opts.figures,
-        budget: opts.budget,
-        profile_dir: opts.profile_dir.clone().map(Into::into),
-        ..SuiteConfig::default()
-    };
-    eprintln!(
-        "aov bench: {} × {} run(s), workers {}{}",
-        cfg.examples.join(","),
-        cfg.runs,
-        cfg.workers,
-        if cfg.quick { ", quick" } else { "" }
-    );
-    let mut artifact = match observatory::run_suite(&cfg) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("aov bench: {e}");
-            return 1;
-        }
-    };
-    // The load test runs after the suite so its warm shared memo tier
-    // cannot perturb the suite's own memo economics; its summary rides
-    // along in the artifact but no regression gate reads it.
-    if let Some(clients) = opts.serve_clients {
-        // The campaign corpus stays the loadtest default (example1):
-        // identical cheap solves are exactly what exercises admission,
-        // backoff and the shared memo tier; the expensive corpus
-        // entries would only serialize the queue.
-        let lt_cfg = aov_serve::loadtest::LoadtestConfig {
-            clients,
-            ..aov_serve::loadtest::LoadtestConfig::default()
-        };
-        match aov_serve::loadtest::run(&lt_cfg) {
-            Ok(summary) => {
-                let pick = |k: &str| summary.get(k).cloned().unwrap_or(Json::Null);
-                eprintln!(
-                    "aov bench: serve load test: {clients} clients, {} request(s), \
-                     {} overloaded retr(ies), memo {}",
-                    pick("requests").to_compact(),
-                    pick("overloaded_retries").to_compact(),
-                    pick("memo").to_compact(),
-                );
-                artifact.serve = Some(summary);
-            }
-            Err(e) => {
-                eprintln!("aov bench: serve load test failed: {e}");
-                return 1;
-            }
-        }
-    }
-    for e in &artifact.examples {
-        eprintln!(
-            "aov bench: {:<9} wall {} µs (min of {}), memo hit rate {}",
-            e.program,
-            e.wall_us.min,
-            e.runs,
-            e.memo_hit_rate
-                .map_or("n/a".to_string(), |r| format!("{:.1}%", r * 100.0)),
-        );
-    }
-    if artifact.figures_enabled {
-        let reproduced = artifact.figures.iter().filter(|f| f.reproduced).count();
-        eprintln!(
-            "aov bench: figures {reproduced}/{} reproduced",
-            artifact.figures.len()
-        );
-    }
-
-    let doc = artifact.to_json();
-    if let Err(errors) = observatory::validate(&doc) {
-        eprintln!("aov bench: internal error: artifact fails its own schema:");
-        for e in &errors {
-            eprintln!("  {e}");
-        }
-        return 1;
-    }
-    match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, doc.to_pretty()) {
-                eprintln!("aov bench: cannot write {path}: {e}");
-                return 1;
-            }
-            eprintln!("aov bench: artifact written to {path}");
-        }
-        None => {
-            use std::io::Write;
-            let _ = std::io::stdout().write_all(doc.to_pretty().as_bytes());
-        }
-    }
-
-    if !artifact.figures.iter().all(|f| f.reproduced) {
-        eprintln!("aov bench: FAILED: a figure did not reproduce");
-        return 1;
-    }
-
-    match &opts.baseline {
-        None => {
-            eprintln!("aov bench: no baseline given; skipping comparison");
-            0
-        }
-        Some(path) => {
-            let baseline = match read_bench_artifact(path) {
-                Ok((doc, upgraded)) => {
-                    if upgraded {
-                        eprintln!(
-                            "aov bench: baseline {path} upgraded from {}",
-                            observatory::SCHEMA_VERSION_V1
-                        );
-                    }
-                    doc
-                }
-                Err(e) => {
-                    eprintln!("aov bench: {e}");
-                    return 1;
-                }
-            };
-            let cmp = regress::compare(&baseline, &doc, &regress::Tolerance::default());
-            eprint!("{}", cmp.render());
-            if cmp.has_regressions() && opts.fail_on_regression {
-                eprintln!("aov bench: FAILED: regressions beyond tolerance");
-                1
-            } else {
-                0
-            }
-        }
-    }
-}
-
-/// `aov pdiff BASE NEW`: noise-aware comparison of two `aov-profile/1`
-/// artifacts. Exit 0 clean, 1 when any metric regresses beyond
-/// tolerance, 64 on usage.
-fn pdiff_main(args: &[String]) -> i32 {
-    let mut paths: Vec<&str> = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            p if !p.starts_with('-') => paths.push(p),
-            _ => usage(),
-        }
-    }
-    let [base_path, new_path] = paths[..] else {
-        usage()
-    };
-    let mut docs = Vec::new();
-    for path in [base_path, new_path] {
-        let doc = match read_artifact(path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("aov pdiff: {e}");
-                return 1;
-            }
-        };
-        if let Err(errors) = aov_engine::profile::validate(&doc) {
-            eprintln!(
-                "aov pdiff: {path}: not a valid {} artifact:",
-                aov_engine::profile::SCHEMA
-            );
-            for e in &errors {
-                eprintln!("  {e}");
-            }
-            return 1;
-        }
-        docs.push(doc);
-    }
-    let (base, new) = (&docs[0], &docs[1]);
-    let cmp = aov_bench::pdiff::diff(base, new, &regress::Tolerance::default());
-    print!("{}", aov_bench::pdiff::render(base, new, &cmp));
-    if cmp.has_regressions() {
-        eprintln!("aov pdiff: FAILED: regressions beyond tolerance");
-        1
-    } else {
-        0
-    }
-}
-
-/// `aov trend ARTIFACT ARTIFACT.. [--out FILE] [--compact]`: follow
-/// every metric across a sequence of benchmark artifacts. Each input
-/// is schema-checked (after the v1→v2 upgrade shim); the grouped
-/// sparkline report goes to stdout and `--out` additionally writes the
-/// `aov-trend/1` document. Exit 0 on success, 1 on any unreadable or
-/// schema-invalid input, 64 on usage.
-fn trend_main(args: &[String]) -> i32 {
-    let mut paths: Vec<&str> = Vec::new();
-    let mut out: Option<String> = None;
-    let mut compact = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(f) => out = Some(f.clone()),
-                None => usage(),
-            },
-            "--compact" => compact = true,
-            p if !p.starts_with('-') => paths.push(p),
-            _ => usage(),
-        }
-    }
-    if paths.len() < 2 {
-        eprintln!(
-            "aov trend: need at least two artifacts, got {}",
-            paths.len()
-        );
-        usage();
-    }
-    let mut inputs: Vec<(String, Json)> = Vec::new();
-    for path in paths {
-        let (doc, upgraded) = match read_bench_artifact(path) {
-            Ok(pair) => pair,
-            Err(e) => {
-                eprintln!("aov trend: {e}");
-                return 1;
-            }
-        };
-        if let Err(errors) = observatory::validate(&doc) {
-            eprintln!("aov trend: {path}: schema violations:");
-            for e in &errors {
-                eprintln!("  {e}");
-            }
-            return 1;
-        }
-        if upgraded {
-            eprintln!(
-                "aov trend: {path}: upgraded from {}",
-                observatory::SCHEMA_VERSION_V1
-            );
-        }
-        // The label is the file name alone: the report column stays
-        // narrow no matter where the artifacts live.
-        let label = std::path::Path::new(path)
-            .file_name()
-            .map_or_else(|| path.to_string(), |n| n.to_string_lossy().into_owned());
-        inputs.push((label, doc));
-    }
-    let trend = match aov_bench::trend::analyze(&inputs, &regress::Tolerance::default()) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("aov trend: {e}");
-            return 1;
-        }
-    };
-    print!("{}", trend.render());
-    if let Some(path) = &out {
-        let doc = trend.to_json();
-        if let Err(errors) = aov_bench::trend::validate(&doc) {
-            eprintln!("aov trend: internal error: document fails its own schema:");
-            for e in &errors {
-                eprintln!("  {e}");
-            }
-            return 1;
-        }
-        let text = if compact {
-            let mut line = doc.to_compact();
-            line.push('\n');
-            line
-        } else {
-            doc.to_pretty()
-        };
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("aov trend: cannot write {path}: {e}");
-            return 1;
-        }
-        eprintln!("aov trend: document written to {path}");
-    }
-    0
-}
-
 /// String field accessor with a `"?"` fallback for rendering.
 fn jstr<'a>(j: &'a Json, key: &str) -> &'a str {
     match j.get(key) {
@@ -987,7 +515,7 @@ fn jarr<'a>(j: &'a Json, key: &str) -> &'a [Json] {
 }
 
 /// `aov inspect`: render (or, with `--check`, just validate) one
-/// `aov-diag/1` crash-diagnostic bundle.
+/// written artifact of a kind in [`INSPECT_KINDS`], or an access log.
 fn inspect_main(args: &[String]) -> i32 {
     let mut path: Option<&str> = None;
     let mut check = false;
@@ -1024,42 +552,17 @@ fn inspect_main(args: &[String]) -> i32 {
             return 1;
         }
     };
-    // The schema tag picks the renderer: crash bundles and profile
-    // artifacts share this entry point. Version gate and schema
-    // validation run in both modes; --check just stops after the
-    // verdict.
+    // The schema tag picks the schema and the renderer. Version gate
+    // and schema validation run in both modes; --check just stops
+    // after the verdict.
     let tag = match doc.get("schema") {
         Some(Json::Str(v)) => v.clone(),
-        other => {
-            eprintln!(
-                "aov inspect: {path}: unsupported schema {other:?} (want {:?}, {:?} or {:?})",
-                aov_engine::diag::SCHEMA,
-                aov_engine::profile::SCHEMA,
-                aov_bench::trend::SCHEMA_VERSION
-            );
-            return 1;
-        }
+        other => return unsupported_schema(path, &format!("{other:?}")),
     };
-    let schema = match tag.as_str() {
-        t if t == aov_engine::diag::SCHEMA => aov_engine::diag::diag_schema(),
-        t if t == aov_engine::profile::SCHEMA => aov_engine::profile::profile_schema(),
-        t if t == aov_bench::trend::SCHEMA_VERSION => aov_bench::trend::trend_schema(),
-        t if t == aov_serve::protocol::SCHEMA => aov_serve::protocol::transcript_schema(),
-        t if t == aov_serve::telemetry::SVCMETRICS_SCHEMA => {
-            aov_serve::telemetry::svcmetrics_schema()
-        }
-        _ => {
-            eprintln!(
-                "aov inspect: {path}: unsupported schema {tag:?} (want {:?}, {:?}, {:?} or {:?})",
-                aov_engine::diag::SCHEMA,
-                aov_engine::profile::SCHEMA,
-                aov_bench::trend::SCHEMA_VERSION,
-                aov_serve::protocol::SCHEMA,
-            );
-            return 1;
-        }
+    let Some(&(_, schema, render)) = INSPECT_KINDS.iter().find(|k| k.0 == tag) else {
+        return unsupported_schema(path, &format!("{tag:?}"));
     };
-    if let Err(errors) = aov_support::schema::validate(&doc, &schema) {
+    if let Err(errors) = aov_support::schema::validate(&doc, &schema()) {
         eprintln!("aov inspect: {path}: schema violations:");
         for e in &errors {
             eprintln!("  {e}");
@@ -1070,18 +573,49 @@ fn inspect_main(args: &[String]) -> i32 {
         eprintln!("aov inspect: {path}: ok ({tag})");
         return 0;
     }
-    if tag == aov_engine::profile::SCHEMA {
-        render_profile_artifact(path, &doc);
-    } else if tag == aov_bench::trend::SCHEMA_VERSION {
-        render_trend_document(path, &doc);
-    } else if tag == aov_serve::protocol::SCHEMA {
-        render_transcript(path, &doc);
-    } else if tag == aov_serve::telemetry::SVCMETRICS_SCHEMA {
-        render_svcmetrics(path, &doc);
-    } else {
-        render_bundle(path, &doc);
-    }
+    render(path, &doc);
     0
+}
+
+/// A one-document kind `aov inspect` reads: its schema tag, the schema
+/// it is validated against, and its renderer.
+type InspectKind = (&'static str, fn() -> aov_support::Schema, fn(&str, &Json));
+
+/// Every one-document kind `aov inspect` reads. The `aov-access/1`
+/// access log is JSONL and takes its own path, [`inspect_access_log`].
+const INSPECT_KINDS: [InspectKind; 4] = [
+    (
+        aov_engine::diag::SCHEMA,
+        aov_engine::diag::diag_schema,
+        render_bundle,
+    ),
+    (
+        aov_engine::profile::SCHEMA,
+        aov_engine::profile::profile_schema,
+        render_profile_artifact,
+    ),
+    (
+        aov_serve::protocol::SCHEMA,
+        aov_serve::protocol::transcript_schema,
+        render_transcript,
+    ),
+    (
+        aov_serve::telemetry::SVCMETRICS_SCHEMA,
+        aov_serve::telemetry::svcmetrics_schema,
+        render_svcmetrics,
+    ),
+];
+
+/// Refuses a document whose schema tag `aov inspect` does not read,
+/// naming every tag it does.
+fn unsupported_schema(path: &str, found: &str) -> i32 {
+    let mut tags: Vec<&str> = INSPECT_KINDS.iter().map(|k| k.0).collect();
+    tags.push(aov_serve::telemetry::ACCESS_SCHEMA);
+    eprintln!(
+        "aov inspect: {path}: unsupported schema {found} (want one of {})",
+        tags.join(", ")
+    );
+    1
 }
 
 /// `aov inspect` on an `aov-access/1` access log: validate every
@@ -1154,75 +688,6 @@ fn render_transcript(path: &str, doc: &Json) {
         let arrow = if dir == "send" { "->" } else { "<-" };
         let frame = f.get("frame").cloned().unwrap_or(Json::Null);
         println!("  {arrow} {}", frame.to_compact());
-    }
-}
-
-/// Human rendering of a validated `aov-trend/1` document: the artifact
-/// ladder with drift factors, the summary line, and every non-flat
-/// series with its change verdict.
-fn render_trend_document(path: &str, doc: &Json) {
-    let summary = doc.get("summary").cloned().unwrap_or_else(Json::obj);
-    println!(
-        "== {path}: trend over {} artifacts ({} series: {} flat, {} steps, {} drifts; {} fingerprint flips) ==",
-        jarr(doc, "artifacts").len(),
-        jint(&summary, "series"),
-        jint(&summary, "flat"),
-        jint(&summary, "steps"),
-        jint(&summary, "drifts"),
-        jint(&summary, "exact_flips"),
-    );
-    let jnum = |j: &Json, key: &str| -> f64 {
-        match j.get(key) {
-            Some(Json::Float(f)) => *f,
-            Some(Json::Int(n)) => *n as f64,
-            _ => 0.0,
-        }
-    };
-    for (i, a) in jarr(doc, "artifacts").iter().enumerate() {
-        println!(
-            "  #{i} {:<16} {} drift ×{:.3} ({})",
-            jstr(a, "label"),
-            if matches!(a.get("calibrated"), Some(Json::Bool(true))) {
-                "calibrated"
-            } else {
-                "uncalibrated"
-            },
-            jnum(a, "drift"),
-            jstr(a, "drift_source"),
-        );
-    }
-    let moved: Vec<&Json> = jarr(doc, "series")
-        .iter()
-        .filter(|s| s.get("change").is_some_and(|c| jstr(c, "kind") != "flat"))
-        .collect();
-    println!("\nnon-flat series ({}):", moved.len());
-    for s in moved {
-        let change = s.get("change").cloned().unwrap_or_else(Json::obj);
-        let verdict = match jstr(&change, "kind") {
-            "step" => format!(
-                "STEP ×{:.2} at #{}",
-                jnum(&change, "ratio"),
-                jint(&change, "at")
-            ),
-            "drift" => format!("DRIFT ×{:.2}", jnum(&change, "ratio")),
-            other => other.to_string(),
-        };
-        println!(
-            "  {:<48} [{}] {}",
-            jstr(s, "key"),
-            jstr(s, "class"),
-            verdict
-        );
-    }
-    let flipped: Vec<&Json> = jarr(doc, "fingerprints")
-        .iter()
-        .filter(|f| jint(f, "flips") > 0)
-        .collect();
-    if !flipped.is_empty() {
-        println!("\nfingerprint flips:");
-        for f in flipped {
-            println!("  {:<48} {} flip(s)", jstr(f, "key"), jint(f, "flips"));
-        }
     }
 }
 
@@ -1917,20 +1382,11 @@ fn main() {
             std::process::exit(64);
         }
     }
-    if args.first().map(String::as_str) == Some("bench") {
-        std::process::exit(bench_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("trend") {
-        std::process::exit(trend_main(&args[1..]));
-    }
     if args.first().map(String::as_str) == Some("inspect") {
         std::process::exit(inspect_main(&args[1..]));
     }
     if args.first().map(String::as_str) == Some("fuzz") {
         std::process::exit(fuzz_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("pdiff") {
-        std::process::exit(pdiff_main(&args[1..]));
     }
     if args.first().map(String::as_str) == Some("aovd") {
         std::process::exit(aovd_main(&args[1..]));

@@ -1,0 +1,45 @@
+//! `aov inspect` refuses a document it cannot read with a message that
+//! names every schema tag it does read.
+
+use std::process::Command;
+
+/// Every schema tag `aov inspect` accepts.
+const ACCEPTED: [&str; 5] = [
+    aov_engine::diag::SCHEMA,
+    aov_engine::profile::SCHEMA,
+    aov_serve::protocol::SCHEMA,
+    aov_serve::telemetry::SVCMETRICS_SCHEMA,
+    aov_serve::telemetry::ACCESS_SCHEMA,
+];
+
+/// Runs `aov inspect` on `doc` written to a scratch file; returns the
+/// exit code and stderr.
+fn inspect(name: &str, doc: &str) -> (Option<i32>, String) {
+    let path = std::env::temp_dir().join(format!("aov-inspect-{name}-{}.json", std::process::id()));
+    std::fs::write(&path, doc).expect("scratch file");
+    let out = Command::new(env!("CARGO_BIN_EXE_aov"))
+        .arg("inspect")
+        .arg(&path)
+        .output()
+        .expect("aov starts");
+    let _ = std::fs::remove_file(&path);
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn unsupported_schema_messages_name_every_accepted_tag() {
+    for (name, doc) in [
+        ("unknown-tag", r#"{"schema": "aov-nothing/1"}"#),
+        ("no-tag", r#"{"program": "example1"}"#),
+    ] {
+        let (code, stderr) = inspect(name, doc);
+        assert_eq!(code, Some(1), "{name}: {stderr}");
+        assert!(stderr.contains("unsupported schema"), "{name}: {stderr}");
+        for tag in ACCEPTED {
+            assert!(stderr.contains(tag), "{name}: {tag} missing from: {stderr}");
+        }
+    }
+}
