@@ -584,18 +584,17 @@ pub fn fig16(full_scale: bool) -> FigureReport {
 /// Extra: observed storage cells from dynamic runs (confirms the static
 /// size predictions of the transforms).
 pub fn storage_footprints(ctx: &FigureCtx) -> FigureReport {
-    use aov_interp::store::StorageMode;
     let p = ctx.program("example1");
     let row = Schedule::uniform_for(p, &[AffineExpr::from_i64(&[0, 1, 0, 0], 0)]);
     let a = p.array_by_name("A").unwrap();
     let (n, m) = (12i64, 10i64);
+    let instances = aov_interp::exec::Instances::new(p, &[n, m]).unwrap();
     let mut lines = Vec::new();
     let mut all_ok = true;
     for v in [vec![0, 1], vec![1, 2], vec![0, 2]] {
         let ov = OccupancyVector::new(v.clone());
         let t = StorageTransform::new(p, a, &ov).unwrap();
-        let modes = vec![StorageMode::Transformed(&t)];
-        let (_, stats) = aov_interp::exec::run_scheduled(p, &[n, m], &row, &modes);
+        let (_, stats) = instances.run(&row, std::slice::from_ref(&t)).unwrap();
         let predicted = t.transformed_size(&[n, m]);
         let used = stats.cells_used[0] as i64;
         let ok = used <= predicted;

@@ -39,6 +39,7 @@ use aov_core::{codegen, uov, CoreError};
 use aov_fault::{AovError, Budget};
 use aov_interp::exec::Instances;
 use aov_interp::validate::matches_reference;
+use aov_interp::InterpError;
 use aov_ir::{analysis, examples, Dependence, Program};
 use aov_machine::experiments::{example2_speedup_with, example3_speedup_with, SpeedupPoint};
 use aov_machine::MachineConfig;
@@ -1143,34 +1144,21 @@ impl Pipeline {
             (Some(ts), s1, s2) => run_stage(stages, "equivalence", || {
                 // The AOV must work under every available schedule: the
                 // dependence-only one and the storage-constrained one
-                // from Problem 2. Both runs share one enumeration of the
-                // instances and compare against one reference execution
-                // under the scheduler's own schedule, which the
-                // `schedule` stage already found unless it was
-                // overridden.
-                let found;
-                let reference_sched = match s1 {
-                    Some(s) if self.schedule_override.is_none() => s,
-                    _ => {
-                        found = scheduler::find_schedule_with_budgeted(
-                            shared.get()?,
-                            &[],
-                            &Budget::unlimited(),
-                        )?;
-                        &found
-                    }
-                };
-                let instances = Instances::new(p, check_params);
-                let reference = instances.original_values(reference_sched);
+                // from Problem 2. Both runs share one lowering of the
+                // instances and compare against the schedule-free
+                // reference values.
+                let interp = |e: InterpError| EngineError::Unsupported(format!("equivalence: {e}"));
+                let instances = Instances::new(p, check_params).map_err(interp)?;
+                let reference = instances.reference().map_err(interp)?;
                 let mut verdict = true;
                 let mut detail = Json::obj();
                 if let Some(s) = s1 {
-                    let ok = matches_reference(&instances, &reference, s, ts);
+                    let ok = matches_reference(&instances, &reference, s, ts).map_err(interp)?;
                     verdict &= ok;
                     detail = detail.field("under_found_schedule", ok);
                 }
                 if let Some(s) = s2 {
-                    let ok = matches_reference(&instances, &reference, s, ts);
+                    let ok = matches_reference(&instances, &reference, s, ts).map_err(interp)?;
                     verdict &= ok;
                     detail = detail.field("under_best_schedule", ok);
                 }
@@ -1528,11 +1516,17 @@ mod tests {
 
     #[test]
     fn equivalence_reuses_the_found_schedule_unless_overridden() {
-        // The reference execution runs under the scheduler's schedule:
-        // the `schedule` stage's, unless that was overridden, in which
-        // case the equivalence stage solves the scheduler's ILP itself.
+        // The reference values come from the dataflow, not from a run
+        // under some schedule, so the equivalence stage solves no LP or
+        // ILP, whether or not the schedule was overridden.
         let nodes = |r: &Report| {
             let stage = r.stage("equivalence").expect("equivalence ran");
+            let lp: Vec<_> = stage
+                .counters
+                .iter()
+                .filter(|(k, _)| k.starts_with("lp."))
+                .collect();
+            assert!(lp.is_empty(), "equivalence moved {lp:?}");
             let node = stage.counters.iter().find(|(k, _)| k == "lp.bb.nodes");
             node.map_or(0, |(_, v)| *v)
         };
@@ -1546,7 +1540,7 @@ mod tests {
         );
         let overridden = Pipeline::new(p).with_schedule(row).run().expect("runs");
         assert_eq!(overridden.equivalent, Some(true));
-        assert_eq!(nodes(&overridden), 1);
+        assert_eq!(nodes(&overridden), 0);
     }
 
     #[test]

@@ -27,20 +27,20 @@ fn lp_work(name: &str) -> (u64, u64) {
 
 #[test]
 fn example1_lp_work() {
-    assert_eq!(lp_work("example1"), (149, 14));
+    assert_eq!(lp_work("example1"), (137, 14));
 }
 
 #[test]
 fn example2_lp_work() {
-    assert_eq!(lp_work("example2"), (145, 20));
+    assert_eq!(lp_work("example2"), (121, 20));
 }
 
 #[test]
 fn example3_lp_work() {
-    assert_eq!(lp_work("example3"), (1_141, 40));
+    assert_eq!(lp_work("example3"), (1_045, 40));
 }
 
 #[test]
 fn example4_lp_work() {
-    assert_eq!(lp_work("example4"), (107, 12));
+    assert_eq!(lp_work("example4"), (91, 12));
 }

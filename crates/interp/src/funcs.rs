@@ -9,48 +9,115 @@
 
 /// Applies a function symbol to evaluated arguments.
 pub fn apply(name: &str, args: &[i64]) -> i64 {
-    match name {
-        "add" => args.iter().fold(0i64, |a, &b| a.wrapping_add(b)),
-        "sub" => match args {
-            [a, b] => a.wrapping_sub(*b),
-            _ => panic!("sub expects 2 arguments, got {}", args.len()),
-        },
-        "min" => args.iter().copied().min().expect("min of no arguments"),
-        "max" => args.iter().copied().max().expect("max of no arguments"),
-        "id" => match args {
-            [a] => *a,
-            _ => panic!("id expects 1 argument"),
-        },
-        _ => mix(name, args),
+    Symbol::resolve(name).apply(args)
+}
+
+/// A function symbol resolved once, so that a lowered statement body
+/// applies it without matching or hashing its name on every call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Symbol {
+    /// Wrapping sum of any number of arguments.
+    Add,
+    /// Wrapping difference of exactly two arguments.
+    Sub,
+    /// Minimum of at least one argument.
+    Min,
+    /// Maximum of at least one argument.
+    Max,
+    /// The single argument itself.
+    Id,
+    /// An uninterpreted symbol: a hash mix of its name and arguments.
+    Mixed(Mixer),
+}
+
+impl Symbol {
+    /// The semantics of the symbol called `name`.
+    pub fn resolve(name: &str) -> Symbol {
+        match name {
+            "add" => Symbol::Add,
+            "sub" => Symbol::Sub,
+            "min" => Symbol::Min,
+            "max" => Symbol::Max,
+            "id" => Symbol::Id,
+            _ => Symbol::Mixed(Mixer::new(0x94d0_49bb_1331_11eb, name)),
+        }
+    }
+
+    /// Whether the symbol accepts `argc` arguments (applying it to any
+    /// other count panics).
+    pub fn accepts(self, argc: usize) -> bool {
+        match self {
+            Symbol::Add | Symbol::Mixed(_) => true,
+            Symbol::Sub => argc == 2,
+            Symbol::Min | Symbol::Max => argc > 0,
+            Symbol::Id => argc == 1,
+        }
+    }
+
+    /// Applies the symbol to evaluated arguments.
+    pub fn apply(self, args: &[i64]) -> i64 {
+        match self {
+            Symbol::Add => args.iter().fold(0i64, |a, &b| a.wrapping_add(b)),
+            Symbol::Sub => match args {
+                [a, b] => a.wrapping_sub(*b),
+                _ => panic!("sub expects 2 arguments, got {}", args.len()),
+            },
+            Symbol::Min => args.iter().copied().min().expect("min of no arguments"),
+            Symbol::Max => args.iter().copied().max().expect("max of no arguments"),
+            Symbol::Id => match args {
+                [a] => *a,
+                _ => panic!("id expects 1 argument"),
+            },
+            Symbol::Mixed(m) => m.mix(args),
+        }
     }
 }
 
 /// Deterministic initial value of a never-written array cell (a model of
 /// the input data / boundary conditions).
 pub fn initial(array: &str, index: &[i64]) -> i64 {
-    mix_with(0x9e37_79b9_7f4a_7c15, array, index)
+    Mixer::initial(array).mix(index)
 }
 
 /// Marker value for reading a cell before any write reached it under the
 /// evaluated schedule (only possible when the schedule or the occupancy
 /// vector is invalid).
 pub fn missing(array: &str, index: &[i64]) -> i64 {
-    mix_with(0xbf58_476d_1ce4_e5b9, array, index)
+    Mixer::missing(array).mix(index)
 }
 
-fn mix(name: &str, args: &[i64]) -> i64 {
-    mix_with(0x94d0_49bb_1331_11eb, name, args)
-}
+/// The hash state after a seed and a name: mixing arguments into it
+/// gives the same value as mixing seed, name and arguments at once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mixer(u64);
 
-fn mix_with(seed: u64, name: &str, args: &[i64]) -> i64 {
-    let mut h = seed;
-    for b in name.as_bytes() {
-        h = splitmix(h ^ u64::from(*b));
+impl Mixer {
+    fn new(seed: u64, name: &str) -> Self {
+        let mut h = seed;
+        for b in name.as_bytes() {
+            h = splitmix(h ^ u64::from(*b));
+        }
+        Mixer(h)
     }
-    for &a in args {
-        h = splitmix(h ^ (a as u64));
+
+    /// The mixer of [`initial`] values of `array`.
+    pub fn initial(array: &str) -> Self {
+        Mixer::new(0x9e37_79b9_7f4a_7c15, array)
     }
-    h as i64
+
+    /// The mixer of [`missing`] markers of `array`.
+    pub fn missing(array: &str) -> Self {
+        Mixer::new(0xbf58_476d_1ce4_e5b9, array)
+    }
+
+    /// Mixes `args` into the state.
+    pub fn mix(self, args: &[i64]) -> i64 {
+        let mut h = self.0;
+        for &a in args {
+            h = splitmix(h ^ (a as u64));
+        }
+        h as i64
+    }
 }
 
 /// splitmix64 finalizer — fast avalanche mixing.

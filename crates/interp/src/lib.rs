@@ -12,15 +12,23 @@
 //!
 //! * [`funcs::apply`] — function-symbol semantics (`add`, `min`, `max`
 //!   exact; everything else hash-mixed),
-//! * [`exec::Instances`] — a program's statement instances at one
-//!   parameter point, enumerated once; [`exec::Instances::run`] is the
-//!   two-phase (reads before writes, §4.3) time-stepped execution under
-//!   a schedule, and [`exec::run_scheduled`] one such run on its own,
-//! * [`exec::reference_values`] — per-instance reference values
-//!   (original storage, any legal schedule — single assignment makes the
-//!   result schedule-independent),
+//! * [`exec::Instances`] — a program lowered at one parameter point:
+//!   domains, accesses and bodies as integer rows and postfix code, the
+//!   instances enumerated over each domain's bounding box (found by a
+//!   small Fourier–Motzkin projection, no LP) and every read resolved to
+//!   the instance that writes its cell,
+//! * [`exec::Instances::reference`] — per-instance reference values,
+//!   evaluated on demand in dataflow order with no schedule (single
+//!   assignment makes these the values of every legal schedule),
+//! * [`exec::Instances::run`] — the two-phase (reads before writes, §4.3)
+//!   time-stepped execution under a schedule, with flat stores: an
+//!   original array over its written box, a transformed one over its
+//!   image's box,
 //! * [`validate::semantics_preserved`] — the equivalence oracle used by
 //!   the test-suite to confirm/refute occupancy vectors dynamically.
+//!
+//! Lowered arithmetic is checked: an index, bound, time key or cell that
+//! leaves `i64` is an [`InterpError::Overflow`], never a wrapped value.
 //!
 //! # Examples
 //!
@@ -41,5 +49,38 @@
 pub mod domain;
 pub mod exec;
 pub mod funcs;
-pub mod store;
+#[cfg(test)]
+mod oracle;
 pub mod validate;
+
+use std::fmt;
+
+/// Why a program cannot be interpreted at a parameter point.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InterpError {
+    /// An index, bound, time key, cell or box size leaves `i64` (or
+    /// `usize`): lowered arithmetic is checked and never wraps.
+    Overflow(String),
+    /// The named instance depends on its own value, so no execution
+    /// order exists.
+    Cycle(String),
+    /// The program, schedule or transform is outside what the
+    /// interpreter executes (an unbounded domain, a non-integer index, a
+    /// cell written twice, a symbol of the wrong arity, a mismatched
+    /// space).
+    Unsupported(String),
+}
+
+impl fmt::Display for InterpError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InterpError::Overflow(m) => write!(f, "integer overflow: {m}"),
+            InterpError::Cycle(m) => {
+                write!(f, "dataflow cycle through {m}: it depends on its own value")
+            }
+            InterpError::Unsupported(m) => write!(f, "unsupported: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for InterpError {}

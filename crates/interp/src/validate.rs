@@ -1,7 +1,7 @@
 //! The dynamic equivalence oracle.
 
-use crate::exec::{reference_schedule, InstanceValues, Instances};
-use crate::store::StorageMode;
+use crate::exec::{Instances, Values};
+use crate::InterpError;
 use aov_core::transform::StorageTransform;
 use aov_ir::Program;
 use aov_schedule::Schedule;
@@ -11,42 +11,47 @@ use aov_schedule::Schedule;
 /// program (arrays without a transform keep original storage).
 ///
 /// This is the paper's §3.2 validity criterion, decided dynamically for
-/// one concrete parameter vector.
+/// one concrete parameter vector against the schedule-free
+/// [`Instances::reference`] values; it solves no LP. A program whose
+/// dataflow has a cycle at `params` has no reference values, so nothing
+/// preserves them: the answer is `false`.
 ///
 /// # Panics
 ///
-/// Panics if the program has no one-dimensional affine schedule to
-/// compute the reference values under.
+/// Panics with the [`InterpError`] when `p`, `sched` or a transform
+/// cannot be executed at `params` (an index, key or cell leaves `i64`, an
+/// unbounded domain, a schedule or transform of another program).
 pub fn semantics_preserved(
     p: &Program,
     params: &[i64],
     sched: &Schedule,
     transforms: &[StorageTransform],
 ) -> bool {
-    let instances = Instances::new(p, params);
-    let reference = instances.original_values(&reference_schedule(p));
-    matches_reference(&instances, &reference, sched, transforms)
+    let verdict = Instances::new(p, params).and_then(|instances| {
+        let reference = instances.reference()?;
+        matches_reference(&instances, &reference, sched, transforms)
+    });
+    match verdict {
+        Ok(same) => same,
+        Err(InterpError::Cycle(_)) => false,
+        Err(e) => panic!("interpreting {} at {params:?}: {e}", p.name()),
+    }
 }
 
 /// [`semantics_preserved`] over instances and reference values the
-/// caller already computed (see [`Instances::original_values`]), so
-/// several schedules share one enumeration and one reference execution.
+/// caller already computed (see [`Instances::reference`]), so several
+/// schedules share one lowering and one reference.
+///
+/// # Errors
+///
+/// The [`InterpError`] of [`Instances::run`].
 pub fn matches_reference(
     instances: &Instances<'_>,
-    reference: &InstanceValues,
+    reference: &Values,
     sched: &Schedule,
     transforms: &[StorageTransform],
-) -> bool {
-    let modes: Vec<StorageMode<'_>> = (0..instances.program().arrays().len())
-        .map(|aidx| {
-            transforms
-                .iter()
-                .find(|t| t.array().0 == aidx)
-                .map_or(StorageMode::Original, StorageMode::Transformed)
-        })
-        .collect();
-    let (vals, _) = instances.run(sched, &modes);
-    vals == *reference
+) -> Result<bool, InterpError> {
+    Ok(instances.run(sched, transforms)?.0 == *reference)
 }
 
 #[cfg(test)]
@@ -133,6 +138,27 @@ mod tests {
         let ts = transforms_for(&p, aov.vectors());
         let sched = problems::best_schedule_for_ov(&p, aov.vectors()).unwrap();
         assert!(semantics_preserved(&p, &[6], &sched, &ts));
+    }
+
+    /// Deciding a verdict solves no LP or ILP: the reference values need
+    /// no schedule and the enumeration no bounding-box LPs.
+    #[test]
+    fn semantics_preserved_solves_no_lp() {
+        use aov_support::context::Context;
+        let p = example1();
+        let ts = transforms_for(&p, &[OccupancyVector::new(vec![1, 2])]);
+        let skew = Schedule::uniform_for(&p, &[AffineExpr::from_i64(&[1, 2, 0, 0], 0)]);
+        let ctx = Context::child(None, None);
+        let entered = ctx.enter();
+        assert!(semantics_preserved(&p, &[8, 8], &skew, &ts));
+        drop(entered);
+        let lp: Vec<_> = ctx
+            .finish()
+            .counters
+            .into_iter()
+            .filter(|(k, _)| k.starts_with("lp."))
+            .collect();
+        assert!(lp.is_empty(), "{lp:?}");
     }
 
     /// Problem-2 pipeline: storage first, then any schedule from the

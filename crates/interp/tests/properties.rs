@@ -3,8 +3,7 @@
 //! stats are consistent.
 
 use aov_core::{transform::StorageTransform, OccupancyVector};
-use aov_interp::exec::{reference_values, run_scheduled};
-use aov_interp::store::StorageMode;
+use aov_interp::exec::Instances;
 use aov_interp::validate::semantics_preserved;
 use aov_ir::examples::{example1, heat1d};
 use aov_linalg::AffineExpr;
@@ -43,13 +42,12 @@ props! {
         let s1 = Schedule::uniform_for(&p, &[AffineExpr::from_i64(&[a1, b1, 0, 0], 0)]);
         let s2 = Schedule::uniform_for(&p, &[AffineExpr::from_i64(&[a2, b2, 0, 0], 0)]);
         prop_assume!(Analysis::new(&p).unwrap().is_legal(&s1) && Analysis::new(&p).unwrap().is_legal(&s2));
-        let modes1: Vec<StorageMode<'_>> =
-            p.arrays().iter().map(|_| StorageMode::Original).collect();
-        let modes2: Vec<StorageMode<'_>> =
-            p.arrays().iter().map(|_| StorageMode::Original).collect();
-        let (v1, _) = run_scheduled(&p, &[n, m], &s1, &modes1);
-        let (v2, _) = run_scheduled(&p, &[n, m], &s2, &modes2);
+        let instances = Instances::new(&p, &[n, m]).unwrap();
+        let (v1, _) = instances.run(&s1, &[]).unwrap();
+        let (v2, _) = instances.run(&s2, &[]).unwrap();
         assert_eq!(v1, v2);
+        // Both are the schedule-free reference values.
+        assert_eq!(v1, instances.reference().unwrap());
     }
 
     /// Run statistics are structurally consistent: instance counts match
@@ -59,9 +57,8 @@ props! {
         let m = g.i64_in(1, 8);
         let p = example1();
         let s = Schedule::uniform_for(&p, &[AffineExpr::from_i64(&[0, 1, 0, 0], 0)]);
-        let modes: Vec<StorageMode<'_>> =
-            p.arrays().iter().map(|_| StorageMode::Original).collect();
-        let (vals, stats) = run_scheduled(&p, &[n, m], &s, &modes);
+        let instances = Instances::new(&p, &[n, m]).unwrap();
+        let (vals, stats) = instances.run(&s, &[]).unwrap();
         assert_eq!(stats.instances, (n * m) as usize);
         assert_eq!(vals.len(), stats.instances);
         assert_eq!(stats.time_steps, m as usize);
@@ -70,6 +67,7 @@ props! {
         // Original storage uses exactly one cell per instance.
         assert_eq!(stats.cells_used, vec![(n * m) as usize]);
         // Reference agrees with itself (determinism).
-        assert_eq!(reference_values(&p, &[n, m]), reference_values(&p, &[n, m]));
+        let again = Instances::new(&p, &[n, m]).unwrap();
+        assert_eq!(instances.reference().unwrap(), again.reference().unwrap());
     }
 }

@@ -562,7 +562,10 @@ fn follow_session(
         if finished {
             break;
         }
-        std::thread::sleep(Duration::from_millis(10));
+        // A followed solve takes a few milliseconds and shares the ring
+        // with every concurrent session, so a slower poll lets a small
+        // ring (64 slots) lap its events before they are read.
+        std::thread::sleep(Duration::from_millis(1));
     }
     send(
         out,

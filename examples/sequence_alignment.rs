@@ -9,7 +9,6 @@
 
 use aov::core::{problems, transform::StorageTransform};
 use aov::interp::exec::Instances;
-use aov::interp::store::StorageMode;
 use aov::ir::examples::example3;
 use aov::machine::{experiments, MachineConfig};
 use aov::schedule::{scheduler, Analysis};
@@ -37,17 +36,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t.transformed_dim()
     );
 
-    // Execute the real recurrence (min/add interpreted, w hashed) with
-    // both storages under a legal schedule and compare every value.
+    // Execute the real recurrence (min/add interpreted, w hashed) once in
+    // dataflow order with original storage, once under a legal schedule
+    // with the collapsed storage, and compare every value.
     let sched = scheduler::find_schedule_with_budgeted(&analysis, &[], &Budget::unlimited())?;
-    let instances = Instances::new(&program, &[x, y, z]);
-    let reference = instances.original_values(&sched);
-    let modes: Vec<StorageMode<'_>> = program
-        .arrays()
-        .iter()
-        .map(|_| StorageMode::Transformed(&t))
-        .collect();
-    let (vals, stats) = instances.run(&sched, &modes);
+    let instances = Instances::new(&program, &[x, y, z])?;
+    let reference = instances.reference()?;
+    let (vals, stats) = instances.run(&sched, std::slice::from_ref(&t))?;
     assert_eq!(
         vals, reference,
         "transformed DP must compute identical costs"

@@ -47,6 +47,12 @@ echo "== polyhedra tests in release"
 # overflow wraps.
 cargo test --release -q --offline -p aov-polyhedra
 
+echo "== interp tests in release"
+# The lowered interpreter's checked index, bound and time-key arithmetic
+# and its differential tests against the HashMap oracle also run where
+# unchecked integer overflow would wrap.
+cargo test --release -q --offline -p aov-interp
+
 echo "== perfbench selftest"
 # Two processes per workload must agree on every solver count and, from
 # the second pass on, on every allocation count.
