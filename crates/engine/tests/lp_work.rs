@@ -1,17 +1,24 @@
-//! The exact LP work of the paper's four examples, pinned.
+//! The exact LP and polyhedra work of the paper's four examples, pinned.
 //!
 //! Each example runs through the full pipeline at `workers(1)` with the
 //! LP memo off, and its run totals of `lp.simplex.pivots` (simplex
 //! pivots, phase 1 and 2) and `lp.bb.nodes` (branch-and-bound nodes)
-//! must equal the figures below exactly. Reports do not depend on the
-//! worker count and counters are run-scoped, so the figures are
-//! deterministic. A change to the simplex start, the pivoting rule, an
-//! LP model or the number of LPs a stage solves moves them; such a
-//! change updates these figures and says why.
+//! must equal the figures below exactly, as must four polyhedra counts:
+//! DD conversions, parameterized-vertex enumerations, validity domains
+//! kept (`polyhedra.param.chambers`) and Fourier–Motzkin eliminations.
+//! Reports do not depend on the worker count and counters are
+//! run-scoped, so the figures are deterministic. A change to the simplex
+//! start, the pivoting rule, an LP model or the number of LPs a stage
+//! solves moves the LP figures; a change to how many projections,
+//! conversions or enumerations a stage asks for moves the polyhedra
+//! ones. A rewrite of a kernel that keeps its work moves neither. A
+//! change that moves them updates these figures and says why.
 
 use aov_engine::Pipeline;
 
-fn lp_work(name: &str) -> (u64, u64) {
+/// Pivots, branch-and-bound nodes, DD conversions, vertex enumerations,
+/// validity domains and FM eliminations of one run.
+fn work(name: &str) -> [u64; 6] {
     let report = Pipeline::for_example(name)
         .unwrap()
         .workers(1)
@@ -19,28 +26,33 @@ fn lp_work(name: &str) -> (u64, u64) {
         .run()
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(report.counter_total("lp.memo.hits"), 0, "{name}: memo off");
-    (
-        report.counter_total("lp.simplex.pivots"),
-        report.counter_total("lp.bb.nodes"),
-    )
+    [
+        "lp.simplex.pivots",
+        "lp.bb.nodes",
+        "polyhedra.dd.conversions",
+        "polyhedra.param.vertex_enums",
+        "polyhedra.param.chambers",
+        "polyhedra.fm.eliminations",
+    ]
+    .map(|counter| report.counter_total(counter))
 }
 
 #[test]
 fn example1_lp_work() {
-    assert_eq!(lp_work("example1"), (137, 14));
+    assert_eq!(work("example1"), [137, 14, 16, 7, 28, 69]);
 }
 
 #[test]
 fn example2_lp_work() {
-    assert_eq!(lp_work("example2"), (121, 20));
+    assert_eq!(work("example2"), [121, 20, 15, 6, 24, 50]);
 }
 
 #[test]
 fn example3_lp_work() {
-    assert_eq!(lp_work("example3"), (1_045, 40));
+    assert_eq!(work("example3"), [1_045, 40, 62, 30, 180, 1_669]);
 }
 
 #[test]
 fn example4_lp_work() {
-    assert_eq!(lp_work("example4"), (91, 12));
+    assert_eq!(work("example4"), [91, 12, 15, 6, 18, 30]);
 }
