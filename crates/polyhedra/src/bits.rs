@@ -31,9 +31,14 @@ impl Bits {
         self.0[k / 64] & (1 << (k % 64)) != 0
     }
 
-    /// Whether every element of `self` is in `other`.
-    pub fn is_subset_of(&self, other: &Bits) -> bool {
-        self.0.iter().zip(&other.0).all(|(a, b)| a & !b == 0)
+    /// Whether `self ∩ other` is a subset of `within` (without forming
+    /// the intersection).
+    pub fn meet_is_subset_of(&self, other: &Bits, within: &Bits) -> bool {
+        self.0
+            .iter()
+            .zip(&other.0)
+            .zip(&within.0)
+            .all(|((a, b), w)| a & b & !w == 0)
     }
 
     /// `self ∩ other`.
@@ -78,12 +83,14 @@ mod tests {
         assert!(a.contains(64) && !a.contains(65));
         let full = Bits::full(n);
         assert_eq!(full.iter().count(), n);
-        assert!(a.is_subset_of(&full) && !full.is_subset_of(&a));
+        assert!(a.meet_is_subset_of(&full, &a) && !full.meet_is_subset_of(&full, &a));
         let mut low = Bits::empty(n);
         for k in 0..65 {
             low.insert(k);
         }
         assert_eq!(a.and(&low).iter().collect::<Vec<_>>(), vec![0, 63, 64]);
+        assert!(a.meet_is_subset_of(&low, &a.and(&low)));
+        assert!(!a.meet_is_subset_of(&low, &Bits::empty(n)));
         let mut b = a.clone();
         b.intersect_with(&low);
         assert_eq!(b, a.and(&low));

@@ -108,6 +108,14 @@ impl Constraint {
             }
     }
 
+    /// The constraint of an expression already in canonical form (integer
+    /// coefficients of gcd 1, or all zero), without normalizing it again.
+    pub(crate) fn from_primitive(expr: AffineExpr, kind: ConstraintKind) -> Self {
+        let c = Constraint { expr, kind };
+        debug_assert_eq!(c.clone().normalized(), c, "not primitive");
+        c
+    }
+
     /// Canonical form: integer coefficients divided by their gcd (keeps
     /// the sign, so the constraint is unchanged as a set).
     fn normalized(self) -> Self {

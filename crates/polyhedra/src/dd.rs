@@ -7,11 +7,21 @@
 //! kept separately and "consumed" by the first constraint they are not
 //! orthogonal to, exactly as in Le Verge's presentation of Chernikova's
 //! algorithm.
+//!
+//! Like Le Verge's, the kernel works on homogeneous integer rows (see
+//! [`crate::int`]): constraint rows are the constraints' integer
+//! coefficients, and every generator is a primitive integer vector,
+//! updated in place (`|f(b0)|·v − sgn f(b0)·f(v)·b0` when a line is
+//! consumed) or built as one new row (`−f(n)·p + f(p)·n` for an adjacent
+//! pair) and divided by its gcd. Values become rationals only on the way
+//! out, where a vertex is `x/λ`. The rational kernel it replaced is kept
+//! as the test oracle `reference`, which it must match exactly.
 
 use crate::bits::Bits;
+use crate::int::{self, Row};
 use crate::{Constraint, ConstraintKind, Polyhedron};
 use aov_linalg::QVector;
-use aov_numeric::Rational;
+use aov_numeric::{BigInt, Rational};
 
 /// Generators of a polyhedron: `conv(vertices) + cone(rays) + span(lines)`.
 ///
@@ -45,7 +55,7 @@ impl GeneratorSet {
 #[derive(Clone, Debug)]
 struct Gen {
     /// Homogenized coordinates `(λ, x_0, …, x_{d-1})`, primitive integer.
-    v: QVector,
+    v: Row,
     /// The inequalities that hold with equality on this ray: the `r`-th
     /// inequality of the constraint list is bit `r`, and `λ >= 0` is the
     /// bit after the last one.
@@ -54,6 +64,7 @@ struct Gen {
 
 /// Generators together with the inequality rows each vertex and ray
 /// saturates ([`saturated`]). Lines saturate every row.
+#[derive(Debug, PartialEq)]
 pub(crate) struct Saturated {
     /// The generators, as [`generators`] returns them.
     pub gens: GeneratorSet,
@@ -65,55 +76,21 @@ pub(crate) struct Saturated {
     pub ray_tight: Vec<Bits>,
 }
 
-/// Scales to a primitive integer vector (direction preserved).
-pub(crate) fn normalize(v: &QVector) -> QVector {
-    use aov_numeric::BigInt;
-    // Combinations of primitive integer vectors are integer vectors:
-    // divide by their gcd in machine words.
-    if let Some(ints) = v.to_i64() {
-        // Negative only when the gcd is 2^63, which needs the slow path.
-        let g = ints.iter().fold(0, |g, &x| aov_numeric::gcd(g, x));
-        if (0..=1).contains(&g) {
-            return v.clone();
-        }
-        if g > 1 {
-            return ints.iter().map(|&x| Rational::from_int(x / g)).collect();
-        }
-    }
-    let mut l = BigInt::one();
-    for c in v.iter() {
-        let d = c.denom();
-        let g = aov_numeric::gcd_big(&l, d);
-        l = &l * &(d / &g);
-    }
-    let ints: Vec<BigInt> = v
-        .iter()
-        .map(|c| {
-            (c * &Rational::from(l.clone()))
-                .to_integer()
-                .expect("cleared")
-        })
-        .collect();
-    let mut g = BigInt::zero();
-    for x in &ints {
-        g = aov_numeric::gcd_big(&g, x);
-    }
-    if g.is_zero() {
-        return v.clone();
-    }
-    ints.into_iter().map(|x| Rational::from(&x / &g)).collect()
-}
-
 /// Computes the generators of `p`.
 pub(crate) fn generators(p: &Polyhedron) -> GeneratorSet {
-    saturated(p.dim(), p.constraints()).gens
+    let rows: Vec<Row> = p.constraints().iter().map(int::of_constraint).collect();
+    let kinds = p.constraints().iter().map(Constraint::kind);
+    let rows: Vec<(&[BigInt], ConstraintKind)> = rows.iter().map(|r| &r[..]).zip(kinds).collect();
+    saturated(p.dim(), &rows).gens
 }
 
-/// Computes the generators of the polyhedron `constraints` over `Q^d`,
-/// with each vertex's and ray's saturated inequality rows. Every row
-/// takes part, trivially true ones included, so tight-set positions are
-/// the rows' positions among the list's inequalities.
-pub(crate) fn saturated(d: usize, constraints: &[Constraint]) -> Saturated {
+/// Computes the generators of the polyhedron over `Q^d` whose
+/// constraints are the homogenized integer `rows` (constant term first,
+/// see [`crate::int`]), with each vertex's and ray's saturated inequality
+/// rows. Every row takes part, trivially true ones included, so
+/// tight-set positions are the rows' positions among the list's
+/// inequalities.
+pub(crate) fn saturated(d: usize, rows: &[(&[BigInt], ConstraintKind)]) -> Saturated {
     // One span per constraint-to-generator conversion step. A hot span
     // (example3 performs ~186k conversions): untraced runs pay nothing
     // and the flight-recorder ring keeps its low-rate evidence; it is
@@ -121,51 +98,52 @@ pub(crate) fn saturated(d: usize, constraints: &[Constraint]) -> Saturated {
     // multiplied heavily in traced runs.
     let _span = aov_trace::hot_span!("p2.dd.step");
     let hdim = d + 1;
-    // Homogenized constraint rows: (coeff on λ = constant term, then x
-    // coefficients), with a kind. λ >= 0 goes first.
-    let mut rows: Vec<(QVector, ConstraintKind)> = Vec::with_capacity(constraints.len() + 1);
-    rows.push((QVector::unit(hdim, 0), ConstraintKind::Ineq));
-    for c in constraints {
-        let mut row = QVector::zeros(hdim);
-        row[0] = c.expr().constant_term().clone();
-        for (k, coeff) in c.expr().coeffs().iter().enumerate() {
-            row[k + 1] = coeff.clone();
-        }
-        rows.push((row, c.kind()));
-    }
+    debug_assert!(rows.iter().all(|(row, _)| row.len() == hdim));
+    // λ >= 0 goes first.
+    let lambda = unit(hdim, 0);
+    let all_rows = std::iter::once((&lambda[..], ConstraintKind::Ineq)).chain(rows.iter().copied());
     // Tight-set bit of each inequality, in processing order: λ >= 0 is
     // bit `n_ineqs`, the constraints' inequalities bits 0, 1, ….
-    let n_ineqs = constraints.iter().filter(|c| !c.is_equality()).count();
+    let n_ineqs = rows
+        .iter()
+        .filter(|(_, kind)| *kind == ConstraintKind::Ineq)
+        .count();
     let mut bit_of = std::iter::once(n_ineqs).chain(0..n_ineqs);
     let width = n_ineqs + 1;
 
     // Initial cone: all of Q^{d+1} — lines along every axis.
-    let mut bi: Vec<QVector> = (0..hdim).map(|k| QVector::unit(hdim, k)).collect();
+    let mut bi: Vec<Row> = (0..hdim).map(|k| unit(hdim, k)).collect();
     let mut uni: Vec<Gen> = Vec::new();
     // The inequalities processed so far.
     let mut done = Bits::empty(width);
+    let mut values: Vec<BigInt> = Vec::new();
 
-    for (row, kind) in rows {
-        let f = |v: &QVector| row.dot(v);
+    for (row, kind) in all_rows {
+        let f = |v: &[BigInt]| int::dot(row, v);
         let bit = (kind == ConstraintKind::Ineq).then(|| bit_of.next().expect("one bit per row"));
         // Case 1: some line is non-orthogonal to the constraint.
-        if let Some(pos) = bi.iter().position(|b| !f(b).is_zero()) {
-            let b0 = bi.remove(pos);
-            let fb0 = f(&b0);
-            for b in bi.iter_mut() {
-                let fb = f(b);
-                if !fb.is_zero() {
-                    *b = normalize(&(&*b - &b0.scale(&(&fb / &fb0))));
+        let pivot = bi.iter().enumerate().find_map(|(pos, b)| {
+            let fb = f(b);
+            (!fb.is_zero()).then_some((pos, fb))
+        });
+        if let Some((pos, fb0)) = pivot {
+            let mut b0 = bi.remove(pos);
+            // `v - (f(v)/f(b0))·b0` scaled by `|f(b0)|`: zero on the row,
+            // and a positive multiple of the rational combination.
+            let scale = fb0.abs();
+            let eliminate = |v: &mut Row| {
+                let fv = f(v);
+                if !fv.is_zero() {
+                    let factor = if fb0.is_negative() { fv } else { -fv };
+                    int::combine_into(&scale, v, &factor, &b0);
                 }
-            }
+            };
+            bi.iter_mut().for_each(&eliminate);
             for g in uni.iter_mut() {
-                let fg = f(&g.v);
-                if !fg.is_zero() {
-                    g.v = normalize(&(&g.v - &b0.scale(&(&fg / &fb0))));
-                    // Previously processed constraints are unaffected
-                    // (b0 was orthogonal to all of them); the current one
-                    // now holds with equality.
-                }
+                // Previously processed constraints are unaffected (b0
+                // was orthogonal to all of them); the current one now
+                // holds with equality.
+                eliminate(&mut g.v);
                 if let Some(bit) = bit {
                     g.tight.insert(bit);
                 }
@@ -174,9 +152,11 @@ pub(crate) fn saturated(d: usize, constraints: &[Constraint]) -> Saturated {
             // becomes a unidirectional ray, oriented so f > 0; tight on
             // all previous inequalities, not the current.
             if let Some(bit) = bit {
-                let oriented = if fb0.is_negative() { -&b0 } else { b0 };
+                if fb0.is_negative() {
+                    b0.iter_mut().for_each(|x| *x = -&*x);
+                }
                 uni.push(Gen {
-                    v: normalize(&oriented),
+                    v: b0,
                     tight: done.clone(),
                 });
                 done.insert(bit);
@@ -184,7 +164,8 @@ pub(crate) fn saturated(d: usize, constraints: &[Constraint]) -> Saturated {
             continue;
         }
         // Case 2: all lines orthogonal — combine unidirectional rays.
-        let values: Vec<Rational> = uni.iter().map(|g| f(&g.v)).collect();
+        values.clear();
+        values.extend(uni.iter().map(|g| f(&g.v)));
         // Adjacent (+,−) pairs produce new rays on the hyperplane.
         let mut combos: Vec<Gen> = Vec::new();
         for (ip, vp) in values.iter().enumerate() {
@@ -198,9 +179,8 @@ pub(crate) fn saturated(d: usize, constraints: &[Constraint]) -> Saturated {
                 if !adjacent(&uni, ip, in_) {
                     continue;
                 }
-                let combo = &uni[ip].v.scale(&-vn) + &uni[in_].v.scale(vp);
-                let combo = normalize(&combo);
-                if combo.is_zero() {
+                let combo = int::combine(&-vn, &uni[ip].v, vp, &uni[in_].v);
+                if int::is_zero(&combo) {
                     continue;
                 }
                 let mut tight = uni[ip].tight.and(&uni[in_].tight);
@@ -238,21 +218,24 @@ pub(crate) fn saturated(d: usize, constraints: &[Constraint]) -> Saturated {
         vertex_tight: Vec::new(),
         ray_tight: Vec::new(),
     };
-    for b in bi {
+    for mut b in bi {
         debug_assert!(b[0].is_zero(), "line with nonzero homogenizing coord");
-        out.gens.lines.push(normalize(&drop_lambda(&b)));
+        int::make_primitive(&mut b[1..]);
+        out.gens.lines.push(int::to_qvector(&b[1..]));
     }
-    for g in uni {
-        let lambda = &g.v[0];
+    for mut g in uni {
+        let (lambda, x) = g.v.split_first_mut().expect("homogenized");
         if lambda.is_positive() {
-            let x = drop_lambda(&g.v);
-            out.gens.vertices.push(x.scale(&lambda.recip()));
+            let x = x
+                .iter()
+                .map(|x| Rational::from_big(x.clone(), lambda.clone()));
+            out.gens.vertices.push(x.collect());
             out.vertex_tight.push(g.tight);
         } else {
             debug_assert!(lambda.is_zero());
-            let dir = drop_lambda(&g.v);
-            if !dir.is_zero() {
-                out.gens.rays.push(normalize(&dir));
+            if !int::is_zero(x) {
+                int::make_primitive(x);
+                out.gens.rays.push(int::to_qvector(x));
                 out.ray_tight.push(g.tight);
             }
         }
@@ -263,17 +246,20 @@ pub(crate) fn saturated(d: usize, constraints: &[Constraint]) -> Saturated {
     out
 }
 
-fn drop_lambda(v: &QVector) -> QVector {
-    v.iter().skip(1).cloned().collect()
+/// The `k`-th unit row of length `n`.
+fn unit(n: usize, k: usize) -> Row {
+    let mut v = vec![BigInt::zero(); n];
+    v[k] = BigInt::one();
+    v
 }
 
 /// Combinatorial adjacency: `p` and `n` are adjacent iff no *other* ray's
 /// tight set contains `tight(p) ∩ tight(n)`.
 fn adjacent(uni: &[Gen], p: usize, n: usize) -> bool {
-    let common = uni[p].tight.and(&uni[n].tight);
+    let (tp, tn) = (&uni[p].tight, &uni[n].tight);
     uni.iter()
         .enumerate()
-        .all(|(i, g)| i == p || i == n || !common.is_subset_of(&g.tight))
+        .all(|(i, g)| i == p || i == n || !tp.meet_is_subset_of(tn, &g.tight))
 }
 
 fn dedup_gens(gens: Vec<Gen>) -> Vec<Gen> {
@@ -284,6 +270,180 @@ fn dedup_gens(gens: Vec<Gen>) -> Vec<Gen> {
         }
     }
     out
+}
+
+/// Test oracle: the double description over rational vectors that
+/// [`saturated`] replaced, with its rational normalization (lcm of the
+/// denominators, then gcd). Same algorithm and processing order, so the
+/// integer kernel must reproduce its generators and tight sets exactly.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{Bits, GeneratorSet, Saturated};
+    use crate::{Constraint, ConstraintKind};
+    use aov_linalg::QVector;
+    use aov_numeric::{BigInt, Rational};
+
+    struct Gen {
+        v: QVector,
+        tight: Bits,
+    }
+
+    /// Scales to a primitive integer vector (direction preserved).
+    pub fn normalize(v: &QVector) -> QVector {
+        let mut l = BigInt::one();
+        for c in v.iter() {
+            let d = c.denom();
+            let g = aov_numeric::gcd_big(&l, d);
+            l = &l * &(d / &g);
+        }
+        let ints: Vec<BigInt> = v
+            .iter()
+            .map(|c| {
+                (c * &Rational::from(l.clone()))
+                    .to_integer()
+                    .expect("cleared")
+            })
+            .collect();
+        let mut g = BigInt::zero();
+        for x in &ints {
+            g = aov_numeric::gcd_big(&g, x);
+        }
+        if g.is_zero() {
+            return v.clone();
+        }
+        ints.into_iter().map(|x| Rational::from(&x / &g)).collect()
+    }
+
+    /// The generators and tight sets of the polyhedron `constraints`
+    /// over `Q^d`.
+    pub fn saturated(d: usize, constraints: &[Constraint]) -> Saturated {
+        let hdim = d + 1;
+        let mut rows: Vec<(QVector, ConstraintKind)> = Vec::with_capacity(constraints.len() + 1);
+        rows.push((QVector::unit(hdim, 0), ConstraintKind::Ineq));
+        for c in constraints {
+            let mut row = QVector::zeros(hdim);
+            row[0] = c.expr().constant_term().clone();
+            for (k, coeff) in c.expr().coeffs().iter().enumerate() {
+                row[k + 1] = coeff.clone();
+            }
+            rows.push((row, c.kind()));
+        }
+        let n_ineqs = constraints.iter().filter(|c| !c.is_equality()).count();
+        let mut bit_of = std::iter::once(n_ineqs).chain(0..n_ineqs);
+        let mut bi: Vec<QVector> = (0..hdim).map(|k| QVector::unit(hdim, k)).collect();
+        let mut uni: Vec<Gen> = Vec::new();
+        let mut done = Bits::empty(n_ineqs + 1);
+        for (row, kind) in rows {
+            let f = |v: &QVector| row.dot(v);
+            let bit =
+                (kind == ConstraintKind::Ineq).then(|| bit_of.next().expect("one bit per row"));
+            if let Some(pos) = bi.iter().position(|b| !f(b).is_zero()) {
+                let b0 = bi.remove(pos);
+                let fb0 = f(&b0);
+                for b in bi.iter_mut() {
+                    let fb = f(b);
+                    if !fb.is_zero() {
+                        *b = normalize(&(&*b - &b0.scale(&(&fb / &fb0))));
+                    }
+                }
+                for g in uni.iter_mut() {
+                    let fg = f(&g.v);
+                    if !fg.is_zero() {
+                        g.v = normalize(&(&g.v - &b0.scale(&(&fg / &fb0))));
+                    }
+                    if let Some(bit) = bit {
+                        g.tight.insert(bit);
+                    }
+                }
+                if let Some(bit) = bit {
+                    let oriented = if fb0.is_negative() { -&b0 } else { b0 };
+                    uni.push(Gen {
+                        v: normalize(&oriented),
+                        tight: done.clone(),
+                    });
+                    done.insert(bit);
+                }
+                continue;
+            }
+            let values: Vec<Rational> = uni.iter().map(|g| f(&g.v)).collect();
+            let mut combos: Vec<Gen> = Vec::new();
+            for (ip, vp) in values.iter().enumerate() {
+                if !vp.is_positive() {
+                    continue;
+                }
+                for (in_, vn) in values.iter().enumerate() {
+                    if !vn.is_negative() {
+                        continue;
+                    }
+                    let common = uni[ip].tight.and(&uni[in_].tight);
+                    let (tp, tn) = (&uni[ip].tight, &uni[in_].tight);
+                    let adjacent = uni
+                        .iter()
+                        .enumerate()
+                        .all(|(i, g)| i == ip || i == in_ || !tp.meet_is_subset_of(tn, &g.tight));
+                    if !adjacent {
+                        continue;
+                    }
+                    let combo = normalize(&(&uni[ip].v.scale(&-vn) + &uni[in_].v.scale(vp)));
+                    if combo.is_zero() {
+                        continue;
+                    }
+                    let mut tight = common;
+                    if let Some(bit) = bit {
+                        tight.insert(bit);
+                    }
+                    combos.push(Gen { v: combo, tight });
+                }
+            }
+            let mut next: Vec<Gen> = Vec::with_capacity(uni.len() + combos.len());
+            for (mut g, val) in uni.into_iter().zip(&values) {
+                let keep = match kind {
+                    ConstraintKind::Ineq => !val.is_negative(),
+                    ConstraintKind::Eq => val.is_zero(),
+                };
+                if keep {
+                    if let Some(bit) = bit.filter(|_| val.is_zero()) {
+                        g.tight.insert(bit);
+                    }
+                    next.push(g);
+                }
+            }
+            next.extend(combos);
+            if let Some(bit) = bit {
+                done.insert(bit);
+            }
+            uni = Vec::with_capacity(next.len());
+            for g in next {
+                if !uni.iter().any(|h| h.v == g.v) {
+                    uni.push(g);
+                }
+            }
+        }
+        let drop_lambda = |v: &QVector| -> QVector { v.iter().skip(1).cloned().collect() };
+        let mut out = Saturated {
+            gens: GeneratorSet::default(),
+            vertex_tight: Vec::new(),
+            ray_tight: Vec::new(),
+        };
+        for b in bi {
+            out.gens.lines.push(normalize(&drop_lambda(&b)));
+        }
+        for g in uni {
+            let lambda = &g.v[0];
+            if lambda.is_positive() {
+                let x = drop_lambda(&g.v).scale(&lambda.recip());
+                out.gens.vertices.push(x);
+                out.vertex_tight.push(g.tight);
+            } else {
+                let dir = drop_lambda(&g.v);
+                if !dir.is_zero() {
+                    out.gens.rays.push(normalize(&dir));
+                    out.ray_tight.push(g.tight);
+                }
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -467,6 +627,34 @@ mod tests {
             }
         }
         assert!(directions >= 60, "{directions} directions");
+    }
+
+    /// The integer kernel against the rational reference on random
+    /// systems, some unbounded and some with equalities: the same
+    /// generators in the same order, with the same tight sets.
+    #[test]
+    fn matches_rational_reference_on_random_systems() {
+        let mut rng = aov_support::Rng::new(13);
+        for _case in 0..200 {
+            let d = rng.usize_in(1, 4);
+            let cs: Vec<Constraint> = (0..rng.usize_in(1, 6))
+                .map(|r| {
+                    let e = AffineExpr::from_i64(&rng.vec_i64(-3, 3, d), rng.i64_in(-4, 4));
+                    if r == 0 && rng.u64_below(3) == 0 {
+                        Constraint::eq0(e)
+                    } else {
+                        Constraint::ge0(e)
+                    }
+                })
+                .collect();
+            let rows: Vec<Row> = cs.iter().map(int::of_constraint).collect();
+            let rows: Vec<(&[BigInt], ConstraintKind)> = rows
+                .iter()
+                .map(|r| &r[..])
+                .zip(cs.iter().map(Constraint::kind))
+                .collect();
+            assert_eq!(saturated(d, &rows), reference::saturated(d, &cs), "{cs:?}");
+        }
     }
 
     #[test]

@@ -1,0 +1,134 @@
+//! Integer rows: the representation the DD, Fourier–Motzkin and
+//! parameterized-vertex kernels compute on.
+//!
+//! A row `(c, a_0, …, a_{d-1})` is either the homogenized form of the
+//! affine constraint `c + a·x >= 0` (or `== 0`), or a generator `(λ, x)`
+//! of a homogenized cone. Constraints are stored with integer
+//! coefficients of gcd 1 (see [`Constraint`]), so a constraint's row is
+//! its coefficients; every row a kernel builds is made primitive again
+//! before it is kept. The entries are [`BigInt`]s, whose inline `i64`
+//! form is the word-size fast path, and rows are updated in place:
+//! values become [`Rational`]s only when a result leaves the kernel.
+
+use crate::{Constraint, ConstraintKind};
+use aov_linalg::{AffineExpr, QVector};
+use aov_numeric::{BigInt, Rational};
+
+/// One integer row; see the module docs for its layout.
+pub(crate) type Row = Vec<BigInt>;
+
+/// The homogenized row of `c`: its constant term, then its coefficients.
+pub(crate) fn of_constraint(c: &Constraint) -> Row {
+    let e = c.expr();
+    std::iter::once(e.constant_term())
+        .chain(e.coeffs().iter())
+        .map(|q| {
+            debug_assert!(q.is_integer(), "constraints are stored integral");
+            q.numer().clone()
+        })
+        .collect()
+}
+
+/// The constraint `row >= 0` (or `== 0`) of a primitive homogenized row.
+pub(crate) fn to_constraint(row: &[BigInt], kind: ConstraintKind) -> Constraint {
+    let expr = AffineExpr::from_parts(to_qvector(&row[1..]), Rational::from(row[0].clone()));
+    Constraint::from_primitive(expr, kind)
+}
+
+/// The row as a vector of (integer) rationals.
+pub(crate) fn to_qvector(v: &[BigInt]) -> QVector {
+    v.iter().cloned().map(Rational::from).collect()
+}
+
+/// `a · b`.
+pub(crate) fn dot(a: &[BigInt], b: &[BigInt]) -> BigInt {
+    let mut acc = BigInt::zero();
+    for (x, y) in a.iter().zip(b) {
+        if !x.is_zero() && !y.is_zero() {
+            acc += &(x * y);
+        }
+    }
+    acc
+}
+
+/// Whether every entry is zero.
+pub(crate) fn is_zero(v: &[BigInt]) -> bool {
+    v.iter().all(BigInt::is_zero)
+}
+
+/// Divides `v` by the gcd of its entries, keeping its sign (a zero row
+/// stays zero).
+pub(crate) fn make_primitive(v: &mut [BigInt]) {
+    let mut g = BigInt::zero();
+    for x in v.iter() {
+        g = aov_numeric::gcd_big(&g, x);
+        if g.is_one() {
+            return;
+        }
+    }
+    if !g.is_zero() {
+        for x in v.iter_mut() {
+            *x = &*x / &g;
+        }
+    }
+}
+
+/// `fa·a + fb·b`, made primitive.
+pub(crate) fn combine(fa: &BigInt, a: &[BigInt], fb: &BigInt, b: &[BigInt]) -> Row {
+    let mut out: Row = a
+        .iter()
+        .zip(b)
+        .map(|(x, y)| &(fa * x) + &(fb * y))
+        .collect();
+    make_primitive(&mut out);
+    out
+}
+
+/// `a ← fa·a + fb·b`, made primitive, in place.
+pub(crate) fn combine_into(fa: &BigInt, a: &mut [BigInt], fb: &BigInt, b: &[BigInt]) {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x = &(fa * &*x) + &(fb * y);
+    }
+    make_primitive(a);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(v: &[i64]) -> Row {
+        v.iter().map(|&x| BigInt::from(x)).collect()
+    }
+
+    #[test]
+    fn primitive_keeps_sign_and_zero() {
+        let mut v = row(&[-4, 6, 0, 2]);
+        make_primitive(&mut v);
+        assert_eq!(v, row(&[-2, 3, 0, 1]));
+        let mut z = row(&[0, 0]);
+        make_primitive(&mut z);
+        assert_eq!(z, row(&[0, 0]));
+        // A gcd of 2^63 leaves the inline range.
+        let mut m = row(&[i64::MIN, i64::MIN]);
+        make_primitive(&mut m);
+        assert_eq!(m, row(&[-1, -1]));
+    }
+
+    #[test]
+    fn combinations() {
+        let (a, b) = (row(&[1, 2, 0]), row(&[0, 1, 3]));
+        assert_eq!(combine(&2.into(), &a, &(-4).into(), &b), row(&[1, 0, -6]));
+        let mut c = a.clone();
+        combine_into(&3.into(), &mut c, &3.into(), &b);
+        assert_eq!(c, row(&[1, 3, 3]));
+        assert_eq!(dot(&a, &b), BigInt::from(2));
+    }
+
+    #[test]
+    fn constraint_round_trip() {
+        let c = Constraint::ge0(AffineExpr::from_i64(&[2, -3], 5));
+        let r = of_constraint(&c);
+        assert_eq!(r, row(&[5, 2, -3]));
+        assert_eq!(to_constraint(&r, ConstraintKind::Ineq), c);
+    }
+}

@@ -19,6 +19,10 @@
 //!   iteration-domain vertices depend on loop bounds or on the unknown
 //!   occupancy vector.
 //!
+//! The DD, Fourier–Motzkin and vertex kernels compute on primitive
+//! integer rows of [`BigInt`](aov_numeric::BigInt); values become
+//! rationals only where they leave the crate.
+//!
 //! # Examples
 //!
 //! ```
@@ -42,6 +46,7 @@ mod bits;
 mod constraint;
 mod dd;
 mod fm;
+mod int;
 pub mod param;
 mod polyhedron;
 

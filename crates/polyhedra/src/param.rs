@@ -15,12 +15,23 @@
 //! their validity domains (the faces' projections onto `N`) follow from
 //! those tight sets and the generators' projections, without a DD or an
 //! LP per domain. No chamber decomposition is formed.
+//!
+//! The system's rows are homogeneous integer rows `(constant, i-part,
+//! parameter part)` (see [`crate::int`]), which are also the rows of `L`'s
+//! DD. A face's first basis and its vertex come from one fraction-free
+//! (Bareiss) elimination, which gives `det·c(N)` over the single
+//! denominator `det`; each domain row is the integer numerator
+//! `ipart·(det·c) + det·ppart`, deduplicated in first-occurrence order
+//! and made primitive before it becomes a [`Constraint`](crate::Constraint).
+//! That is the row set and order the rational evaluation gives, so the
+//! rational path, kept as a test oracle, must match every vertex exactly.
 
 use crate::bits::Bits;
 use crate::dd;
-use crate::{Constraint, ConstraintKind, GeneratorSet, PolyhedraError, Polyhedron};
-use aov_linalg::{AffineExpr, QMatrix, QVector};
-use aov_numeric::Rational;
+use crate::int::{self, Row};
+use crate::{ConstraintKind, GeneratorSet, PolyhedraError, Polyhedron};
+use aov_linalg::{AffineExpr, QVector};
+use aov_numeric::{BigInt, Rational};
 use std::collections::HashSet;
 use std::hash::Hash;
 
@@ -95,40 +106,32 @@ pub fn parameterized_vertices(
 
     // Identical rows are common (overlapping target/source bounds); one
     // copy of each keeps the tight sets and the bases small.
-    let rows = dedup_in_order(split_rows(system, n_elim));
+    let rows = dedup_in_order(split_rows(system));
     // L's extreme rays cannot tell whether every P(N) is bounded: a
     // recession direction of P(N) need not be extreme in L.
     if !bounded(&rows, n_elim) {
         return Err(PolyhedraError::UnboundedDirection);
     }
-    let lifted = Lifted::new(&rows, n_elim, param_domain);
+    let lifted = Lifted::from_saturated(lifted_dd(&rows, n_elim, param_domain), rows.len());
 
     // Each face with `i` fixed is named by the first basis among its
     // tight rows; `L ∩ {basis rows = 0}` is the largest face with that
     // basis's vertex expression.
-    let mut bases: Vec<Vec<usize>> = lifted.fixed_face_bases(&rows, n_elim);
-    bases.sort_unstable();
-    bases.dedup();
+    let mut bases = lifted.fixed_face_bases(|tight| Basis::first(&rows, tight.iter(), n_elim));
+    bases.sort_unstable_by(|a, b| a.rows.cmp(&b.rows));
+    bases.dedup_by(|a, b| a.rows == b.rows);
     let mut faces_seen = HashSet::with_capacity(bases.len());
     let mut out = Vec::with_capacity(bases.len());
     for basis in bases {
-        let face = lifted.face_of_rows(basis.iter().copied());
+        let face = lifted.face_of_rows(basis.rows.iter().copied());
         if !faces_seen.insert(face.clone()) {
             // A lower-dimensional face that two bases describe: their
             // expressions agree on its projection, so one is enough.
             continue;
         }
-        let coords = basic_solution(&rows, &basis, n_params).expect("first basis is invertible");
-        // Every row evaluated at the vertex must be >= 0. A row constant
-        // at the vertex (the basis rows among them) holds on the
-        // nonempty face, so it needs no domain row.
-        let conditions = rows
-            .iter()
-            .map(|row| row_at(row, &coords))
-            .filter(|cond| !cond.is_constant());
         let mut domain = param_domain.clone();
-        for cond in dedup_in_order(conditions.collect()) {
-            domain.add_constraint(Constraint::ge0(cond));
+        for cond in basis.domain_rows(&rows, n_elim) {
+            domain.add_constraint(int::to_constraint(&cond, ConstraintKind::Ineq));
         }
         let generators = if lifted.gens.lines.is_empty() {
             lifted.project(&face, n_elim)
@@ -142,7 +145,7 @@ pub fn parameterized_vertices(
         // so per-layer series remain comparable.
         aov_support::static_counter!("polyhedra.param.chambers").add(1);
         out.push(ParamVertex {
-            coords,
+            coords: basis.coords(),
             domain,
             generators,
         });
@@ -150,46 +153,90 @@ pub fn parameterized_vertices(
     Ok(out)
 }
 
-/// One row of `system`, split into its eliminated-variable coefficients
-/// and its affine parameter part; the row reads `ipart · i + ppart >= 0`.
-type Row = (QVector, AffineExpr);
-
-/// The rows of `system` with equalities as two opposite inequalities.
-fn split_rows(system: &Polyhedron, n_elim: usize) -> Vec<Row> {
+/// The rows of `system` as homogenized integer rows `(constant, i-part,
+/// parameter coefficients)`, equalities as two opposite inequalities:
+/// row `r` reads `ipart · i + ppart(N) >= 0`. These are also the rows of
+/// the lifted polyhedron over `(i, N)`.
+fn split_rows(system: &Polyhedron) -> Vec<Row> {
     let mut rows = Vec::with_capacity(system.constraints().len());
     for c in system.constraints() {
-        let ipart: QVector = (0..n_elim).map(|k| c.expr().coeff(k).clone()).collect();
-        let ppart = AffineExpr::from_parts(
-            (n_elim..system.dim())
-                .map(|k| c.expr().coeff(k).clone())
-                .collect(),
-            c.expr().constant_term().clone(),
-        );
-        match c.kind() {
-            ConstraintKind::Ineq => rows.push((ipart, ppart)),
-            ConstraintKind::Eq => {
-                let negated = (-&ipart, -&ppart);
-                rows.push((ipart, ppart));
-                rows.push(negated);
-            }
+        let row = int::of_constraint(c);
+        if c.is_equality() {
+            let negated = row.iter().map(|x| -x).collect();
+            rows.push(row);
+            rows.push(negated);
+        } else {
+            rows.push(row);
         }
     }
     rows
 }
 
+/// The `i`-part of a row.
+fn ipart(row: &[BigInt], n_elim: usize) -> &[BigInt] {
+    &row[1..=n_elim]
+}
+
+/// The parameter part of a row, homogenized: its constant, then its
+/// parameter coefficients.
+fn ppart(row: &[BigInt], n_elim: usize) -> impl Iterator<Item = &BigInt> {
+    std::iter::once(&row[0]).chain(&row[n_elim + 1..])
+}
+
 /// Whether the polytope is bounded: its recession cone
-/// `{i | ipart · i >= 0 for every row}` is `{0}`. Rows of one `i`-part
-/// bound the cone alike, so each distinct nonzero one is a row once.
+/// `{i | ipart · i >= 0 for every row}` is `{0}`.
 fn bounded(rows: &[Row], n_elim: usize) -> bool {
-    let iparts = rows.iter().map(|(ipart, _)| ipart).filter(|v| !v.is_zero());
-    let recession = Polyhedron::from_constraints(
-        n_elim,
-        dedup_in_order(iparts.collect())
-            .into_iter()
-            .map(|ipart| Constraint::ge0(AffineExpr::from_parts(ipart.clone(), Rational::zero())))
-            .collect(),
-    );
-    recession.generators().is_bounded()
+    recession(rows, n_elim).gens.is_bounded()
+}
+
+/// The DD of the polytope's recession cone. Rows of one `i`-part bound
+/// the cone alike, so each distinct nonzero one is a row once.
+fn recession(rows: &[Row], n_elim: usize) -> dd::Saturated {
+    let iparts = rows
+        .iter()
+        .map(|row| ipart(row, n_elim))
+        .filter(|v| !int::is_zero(v));
+    let cone: Vec<Row> = dedup_in_order(iparts.collect())
+        .into_iter()
+        .map(|ipart| {
+            let mut row: Row = std::iter::once(&BigInt::zero())
+                .chain(ipart)
+                .cloned()
+                .collect();
+            int::make_primitive(&mut row);
+            row
+        })
+        .collect();
+    let cone: Vec<(&[BigInt], ConstraintKind)> = cone
+        .iter()
+        .map(|row| (&row[..], ConstraintKind::Ineq))
+        .collect();
+    dd::saturated(n_elim, &cone)
+}
+
+/// The DD of the lifted polyhedron: `rows` as inequalities, in order,
+/// so that row `r` is tight-set bit `r`, then the parameter domain
+/// embedded after the eliminated dimensions.
+fn lifted_dd(rows: &[Row], n_elim: usize, param_domain: &Polyhedron) -> dd::Saturated {
+    let dim = n_elim + param_domain.dim();
+    let embedded: Vec<Row> = param_domain
+        .constraints()
+        .iter()
+        .map(|c| {
+            let row = int::of_constraint(c);
+            let mut lifted = vec![BigInt::zero(); dim + 1];
+            lifted[0] = row[0].clone();
+            lifted[n_elim + 1..].clone_from_slice(&row[1..]);
+            lifted
+        })
+        .collect();
+    let kinds = param_domain.constraints().iter().map(|c| c.kind());
+    let dd_rows: Vec<(&[BigInt], ConstraintKind)> = rows
+        .iter()
+        .map(|row| (&row[..], ConstraintKind::Ineq))
+        .chain(embedded.iter().map(|row| &row[..]).zip(kinds))
+        .collect();
+    dd::saturated(dim, &dd_rows)
 }
 
 /// The lifted polyhedron `L` after its one DD: its generators, and which
@@ -204,36 +251,15 @@ struct Lifted {
 }
 
 impl Lifted {
-    /// The DD of `rows` (as inequalities, in order, so that row `r` is
-    /// tight-set bit `r`) and the parameter domain embedded after the
-    /// eliminated dimensions.
-    fn new(rows: &[Row], n_elim: usize, param_domain: &Polyhedron) -> Self {
-        let dim = n_elim + param_domain.dim();
-        let params: Vec<usize> = (n_elim..dim).collect();
-        let mut constraints: Vec<Constraint> = rows
-            .iter()
-            .map(|(ipart, ppart)| {
-                let coeffs = ipart.iter().chain(ppart.coeffs().iter()).cloned();
-                Constraint::ge0(AffineExpr::from_parts(
-                    coeffs.collect(),
-                    ppart.constant_term().clone(),
-                ))
-            })
-            .collect();
-        for c in param_domain.constraints() {
-            let e = c.expr().embed(dim, &params);
-            constraints.push(match c.kind() {
-                ConstraintKind::Ineq => Constraint::ge0(e),
-                ConstraintKind::Eq => Constraint::eq0(e),
-            });
-        }
-        let sat = dd::saturated(dim, &constraints);
+    /// `L` from its DD, whose first `n_rows` inequalities are the
+    /// system's rows.
+    fn from_saturated(sat: dd::Saturated, n_rows: usize) -> Self {
         let n = sat.gens.vertices.len() + sat.gens.rays.len();
         let mut rows_at = Vec::with_capacity(n);
-        let mut on_row = vec![Bits::empty(n); rows.len()];
+        let mut on_row = vec![Bits::empty(n); n_rows];
         for (g, tight) in sat.vertex_tight.iter().chain(&sat.ray_tight).enumerate() {
-            let mut at = Bits::empty(rows.len());
-            for r in tight.iter().take_while(|&r| r < rows.len()) {
+            let mut at = Bits::empty(n_rows);
+            for r in tight.iter().take_while(|&r| r < n_rows) {
                 at.insert(r);
                 on_row[r].insert(g);
             }
@@ -256,22 +282,25 @@ impl Lifted {
         face
     }
 
-    /// The first bases (see [`first_basis`]) of every face of `L` on
-    /// which the tight rows of the system fix `i`. Faces are taken
-    /// closed under the system's rows: `L ∩ {rows tight on F = 0}` has
-    /// `F`'s tight rows, so nothing is lost. Such faces are closed under
-    /// taking subfaces, and every nonempty face holds a vertex, so they
-    /// are reached from the vertices by joining one generator at a time.
-    /// A larger face keeps its subface's first basis when it keeps all
-    /// of that basis's rows (a subset holding the first basis has no
-    /// earlier one).
-    fn fixed_face_bases(&self, rows: &[Row], n_elim: usize) -> Vec<Vec<usize>> {
+    /// The first bases (`first_basis` of a face's tight rows, see
+    /// [`Basis::first`]) of every face of `L` on which the tight rows of
+    /// the system fix `i`. Faces are taken closed under the system's
+    /// rows: `L ∩ {rows tight on F = 0}` has `F`'s tight rows, so nothing
+    /// is lost. Such faces are closed under taking subfaces, and every
+    /// nonempty face holds a vertex, so they are reached from the
+    /// vertices by joining one generator at a time. A larger face keeps
+    /// its subface's first basis when it keeps all of that basis's rows
+    /// (a subset holding the first basis has no earlier one).
+    fn fixed_face_bases<B: AsRef<[usize]>>(
+        &self,
+        first_basis: impl Fn(&Bits) -> Option<B>,
+    ) -> Vec<B> {
         let n = self.rows_at.len();
         let mut seen: HashSet<Bits> = HashSet::new();
         // Faces to grow, each with its tight rows and the position of its
         // subface's basis in `bases`.
         let mut stack: Vec<(Bits, Bits, Option<usize>)> = Vec::new();
-        let mut bases: Vec<Vec<usize>> = Vec::new();
+        let mut bases: Vec<B> = Vec::new();
         for w in 0..self.gens.vertices.len() {
             let tight = self.rows_at[w].clone();
             let face = self.face_of_rows(tight.iter());
@@ -280,10 +309,10 @@ impl Lifted {
             }
         }
         while let Some((face, tight, inherited)) = stack.pop() {
-            let kept = inherited.filter(|&b| bases[b].iter().all(|&r| tight.contains(r)));
+            let kept = inherited.filter(|&b| bases[b].as_ref().iter().all(|&r| tight.contains(r)));
             let basis = match kept {
                 Some(b) => b,
-                None => match first_basis(rows, tight.iter(), n_elim) {
+                None => match first_basis(&tight) {
                     Some(b) => {
                         bases.push(b);
                         bases.len() - 1
@@ -310,6 +339,11 @@ impl Lifted {
         let gens = &self.gens;
         let nv = gens.vertices.len();
         let drop_i = |x: &QVector| -> QVector { x.iter().skip(n_elim).cloned().collect() };
+        let primitive_dir = |x: &QVector| -> QVector {
+            let mut dir: Row = x.iter().skip(n_elim).map(|q| q.numer().clone()).collect();
+            int::make_primitive(&mut dir);
+            int::to_qvector(&dir)
+        };
         GeneratorSet {
             vertices: (0..nv)
                 .filter(|&k| face.contains(k))
@@ -317,74 +351,138 @@ impl Lifted {
                 .collect(),
             rays: (0..gens.rays.len())
                 .filter(|&k| face.contains(nv + k))
-                .map(|k| dd::normalize(&drop_i(&gens.rays[k])))
+                .map(|k| primitive_dir(&gens.rays[k]))
                 .collect(),
             lines: Vec::new(),
         }
     }
 }
 
-/// The lexicographically first `n_elim`-subset of `tight` (ascending row
-/// indices) whose `i`-parts are independent, or `None` when they have
-/// lower rank. Taking each row that is independent of those already
-/// taken finds it (a matroid's greedy basis).
-fn first_basis(
-    rows: &[Row],
-    tight: impl IntoIterator<Item = usize>,
-    n_elim: usize,
-) -> Option<Vec<usize>> {
-    let mut basis = Vec::with_capacity(n_elim);
-    // Reduced rows, each with its pivot column.
-    let mut echelon: Vec<(usize, QVector)> = Vec::with_capacity(n_elim);
-    for r in tight {
-        if basis.len() == n_elim {
-            break;
-        }
-        let mut v = rows[r].0.clone();
-        for (col, e) in &echelon {
-            if !v[*col].is_zero() {
-                let f = &v[*col] / &e[*col];
-                v = &v - &e.scale(&f);
-            }
-        }
-        if let Some(col) = (0..n_elim).find(|&k| !v[k].is_zero()) {
-            echelon.push((col, v));
-            basis.push(r);
-        }
-    }
-    (basis.len() == n_elim).then_some(basis)
+/// A basis of a face's tight rows and the vertex it fixes, from one
+/// fraction-free (Bareiss) Gauss–Jordan elimination.
+struct Basis {
+    /// The basis rows, ascending.
+    rows: Vec<usize>,
+    /// `|det|` of the basis rows' `i`-parts: the vertex's common
+    /// denominator (positive).
+    det: BigInt,
+    /// `det · c_k(N)` for each coordinate `k`, as a homogenized row over
+    /// the parameters (constant first).
+    coords: Vec<Row>,
 }
 
-/// The basic solution `i(p)` of the rows in `subset` held at equality,
-/// or `None` when those rows are linearly dependent.
-fn basic_solution(rows: &[Row], subset: &[usize], n_params: usize) -> Option<Vec<AffineExpr>> {
-    let m = QMatrix::from_rows(subset.iter().map(|&i| rows[i].0.clone()).collect());
-    let inv = m.inverse()?;
-    // Solve M · i = -g(p): i_k = Σ_j inv[k][j] · (-g_j(p)).
-    let coords = (0..subset.len())
-        .map(|k| {
-            let mut acc = AffineExpr::zero(n_params);
-            for (j, &row) in subset.iter().enumerate() {
-                let w = -&inv[(k, j)];
-                if !w.is_zero() {
-                    acc = &acc + &rows[row].1.scale(&w);
+impl AsRef<[usize]> for Basis {
+    fn as_ref(&self) -> &[usize] {
+        &self.rows
+    }
+}
+
+impl Basis {
+    /// The lexicographically first `n_elim`-subset of `tight` (ascending
+    /// row indices) whose `i`-parts are independent, with its vertex, or
+    /// `None` when they have lower rank. Taking each row that is
+    /// independent of those already taken finds it (a matroid's greedy
+    /// basis).
+    ///
+    /// The taken rows are kept in Gauss–Jordan form over one common
+    /// denominator `d`: each is `d` at its own pivot column (an `i`
+    /// column) and zero at the others'. A new row is reduced to
+    /// `d·row − Σ row[p_s]·E_s` (`d` times its rational reduction); if
+    /// its `i`-part is nonzero, at a first column `q`, it joins with pivot
+    /// `q` and `d' = reduced[q]`, and every earlier row becomes
+    /// `(d'·E_s − E_s[q]·reduced) / d`. By Sylvester's identity each
+    /// entry is a minor of the taken rows, so the divisions are exact and
+    /// `d` ends as `±det`. Row `s` then reads `d·i_{p_s} + E_s[ppart] = 0`.
+    fn first(rows: &[Row], tight: impl IntoIterator<Item = usize>, n_elim: usize) -> Option<Basis> {
+        let mut basis = Vec::with_capacity(n_elim);
+        let mut echelon: Vec<(usize, Row)> = Vec::with_capacity(n_elim);
+        let mut d = BigInt::one();
+        for r in tight {
+            if basis.len() == n_elim {
+                break;
+            }
+            let row = &rows[r];
+            let mut reduced: Row = row.iter().map(|x| &d * x).collect();
+            for (p, e) in &echelon {
+                let f = &row[*p];
+                if !f.is_zero() {
+                    for (x, y) in reduced.iter_mut().zip(e) {
+                        if !y.is_zero() {
+                            *x -= &(f * y);
+                        }
+                    }
                 }
             }
-            acc
-        })
-        .collect();
-    Some(coords)
-}
-
-/// `row` evaluated at the vertex `coords`, affine over the parameters.
-fn row_at((ipart, ppart): &Row, coords: &[AffineExpr]) -> AffineExpr {
-    let mut acc = ppart.clone();
-    for (k, c) in ipart.iter().enumerate() {
-        if !c.is_zero() {
-            acc = &acc + &coords[k].scale(c);
+            let Some(q) = (1..=n_elim).find(|&k| !reduced[k].is_zero()) else {
+                continue;
+            };
+            let pivot = reduced[q].clone();
+            for (_, e) in echelon.iter_mut() {
+                let eq = e[q].clone();
+                for (x, y) in e.iter_mut().zip(&reduced) {
+                    let mut num = &pivot * &*x;
+                    if !eq.is_zero() && !y.is_zero() {
+                        num -= &(&eq * y);
+                    }
+                    debug_assert!((&num % &d).is_zero(), "inexact Bareiss step");
+                    *x = &num / &d;
+                }
+            }
+            echelon.push((q, reduced));
+            basis.push(r);
+            d = pivot;
         }
+        if basis.len() < n_elim {
+            return None;
+        }
+        // d·c_{p_s} = −E_s[ppart]; made positive over |d|.
+        let sign = if d.is_negative() {
+            BigInt::one()
+        } else {
+            -BigInt::one()
+        };
+        let mut coords = vec![Row::new(); n_elim];
+        for (p, e) in echelon {
+            coords[p - 1] = ppart(&e, n_elim).map(|x| &sign * x).collect();
+        }
+        Some(Basis {
+            rows: basis,
+            det: d.abs(),
+            coords,
+        })
     }
-    acc
+
+    /// The vertex's coordinates, affine over the parameters.
+    fn coords(&self) -> Vec<AffineExpr> {
+        let q = |x: &BigInt| Rational::from_big(x.clone(), self.det.clone());
+        self.coords
+            .iter()
+            .map(|c| AffineExpr::from_parts(c[1..].iter().map(q).collect(), q(&c[0])))
+            .collect()
+    }
+
+    /// The validity domain's rows, as primitive homogenized parameter
+    /// rows: every row of the system at the vertex, `det · (ppart +
+    /// ipart · c) = det·ppart + ipart · (det·c) >= 0`, with the rows that
+    /// are constant there dropped (they hold on the nonempty face; the
+    /// basis rows are among them) and repeats dropped in first-occurrence
+    /// order.
+    fn domain_rows(&self, rows: &[Row], n_elim: usize) -> Vec<Row> {
+        let conditions = rows.iter().map(|row| {
+            let mut cond: Row = ppart(row, n_elim).map(|x| &self.det * x).collect();
+            for (a, c) in ipart(row, n_elim).iter().zip(&self.coords) {
+                if !a.is_zero() {
+                    for (x, y) in cond.iter_mut().zip(c) {
+                        *x += &(a * y);
+                    }
+                }
+            }
+            cond
+        });
+        let mut out = dedup_in_order(conditions.filter(|c| !int::is_zero(&c[1..])).collect());
+        out.iter_mut().for_each(|c| int::make_primitive(c));
+        out
+    }
 }
 
 /// Advances `subset` to the next `subset.len()`-combination of `0..m`
@@ -418,6 +516,210 @@ pub fn dedup_in_order<T: Eq + Hash>(items: Vec<T>) -> Vec<T> {
         .collect()
 }
 
+/// Test oracle: the rational vertex path the integer kernels replaced —
+/// rows as `(QVector, AffineExpr)`, the lifted polyhedron through the
+/// rational DD ([`dd::reference`]), the first basis by rational
+/// elimination, each vertex from a `QMatrix` inverse and its domain rows
+/// from `AffineExpr` sums. Same faces and order, so
+/// [`parameterized_vertices`] must reproduce its output exactly.
+#[cfg(test)]
+mod rational {
+    use super::{dedup_in_order, Lifted, ParamVertex};
+    use crate::dd;
+    use crate::{Constraint, ConstraintKind, PolyhedraError, Polyhedron};
+    use aov_linalg::{AffineExpr, QMatrix, QVector};
+    use aov_numeric::Rational;
+    use std::collections::HashSet;
+
+    /// One row of `system`, split into its eliminated-variable
+    /// coefficients and its affine parameter part; the row reads
+    /// `ipart · i + ppart >= 0`.
+    pub type Row = (QVector, AffineExpr);
+
+    /// The rows of `system` with equalities as two opposite inequalities.
+    pub fn split_rows(system: &Polyhedron, n_elim: usize) -> Vec<Row> {
+        let mut rows = Vec::with_capacity(system.constraints().len());
+        for c in system.constraints() {
+            let ipart: QVector = (0..n_elim).map(|k| c.expr().coeff(k).clone()).collect();
+            let ppart = AffineExpr::from_parts(
+                (n_elim..system.dim())
+                    .map(|k| c.expr().coeff(k).clone())
+                    .collect(),
+                c.expr().constant_term().clone(),
+            );
+            match c.kind() {
+                ConstraintKind::Ineq => rows.push((ipart, ppart)),
+                ConstraintKind::Eq => {
+                    let negated = (-&ipart, -&ppart);
+                    rows.push((ipart, ppart));
+                    rows.push(negated);
+                }
+            }
+        }
+        rows
+    }
+
+    /// The recession cone's constraints: each distinct nonzero `i`-part.
+    pub fn recession_cone(rows: &[Row], n_elim: usize) -> Polyhedron {
+        let iparts = rows.iter().map(|(ipart, _)| ipart).filter(|v| !v.is_zero());
+        Polyhedron::from_constraints(
+            n_elim,
+            dedup_in_order(iparts.collect())
+                .into_iter()
+                .map(|ipart| {
+                    Constraint::ge0(AffineExpr::from_parts(ipart.clone(), Rational::zero()))
+                })
+                .collect(),
+        )
+    }
+
+    /// Whether the polytope is bounded (its recession cone is `{0}`).
+    pub fn bounded(rows: &[Row], n_elim: usize) -> bool {
+        let cone = recession_cone(rows, n_elim);
+        dd::reference::saturated(n_elim, cone.constraints())
+            .gens
+            .is_bounded()
+    }
+
+    /// The lifted polyhedron's constraints: the rows as inequalities,
+    /// then the parameter domain embedded after the eliminated dims.
+    pub fn lifted_constraints(
+        rows: &[Row],
+        n_elim: usize,
+        param_domain: &Polyhedron,
+    ) -> Vec<Constraint> {
+        let dim = n_elim + param_domain.dim();
+        let params: Vec<usize> = (n_elim..dim).collect();
+        let mut constraints: Vec<Constraint> = rows
+            .iter()
+            .map(|(ipart, ppart)| {
+                let coeffs = ipart.iter().chain(ppart.coeffs().iter()).cloned();
+                Constraint::ge0(AffineExpr::from_parts(
+                    coeffs.collect(),
+                    ppart.constant_term().clone(),
+                ))
+            })
+            .collect();
+        for c in param_domain.constraints() {
+            let e = c.expr().embed(dim, &params);
+            constraints.push(match c.kind() {
+                ConstraintKind::Ineq => Constraint::ge0(e),
+                ConstraintKind::Eq => Constraint::eq0(e),
+            });
+        }
+        constraints
+    }
+
+    /// The first basis of `tight` by rational elimination.
+    pub fn first_basis(
+        rows: &[Row],
+        tight: impl IntoIterator<Item = usize>,
+        n_elim: usize,
+    ) -> Option<Vec<usize>> {
+        let mut basis = Vec::with_capacity(n_elim);
+        let mut echelon: Vec<(usize, QVector)> = Vec::with_capacity(n_elim);
+        for r in tight {
+            if basis.len() == n_elim {
+                break;
+            }
+            let mut v = rows[r].0.clone();
+            for (col, e) in &echelon {
+                if !v[*col].is_zero() {
+                    let f = &v[*col] / &e[*col];
+                    v = &v - &e.scale(&f);
+                }
+            }
+            if let Some(col) = (0..n_elim).find(|&k| !v[k].is_zero()) {
+                echelon.push((col, v));
+                basis.push(r);
+            }
+        }
+        (basis.len() == n_elim).then_some(basis)
+    }
+
+    /// The basic solution `i(p)` of the rows in `subset` held at
+    /// equality, or `None` when those rows are linearly dependent.
+    pub fn basic_solution(
+        rows: &[Row],
+        subset: &[usize],
+        n_params: usize,
+    ) -> Option<Vec<AffineExpr>> {
+        let m = QMatrix::from_rows(subset.iter().map(|&i| rows[i].0.clone()).collect());
+        let inv = m.inverse()?;
+        let coords = (0..subset.len())
+            .map(|k| {
+                let mut acc = AffineExpr::zero(n_params);
+                for (j, &row) in subset.iter().enumerate() {
+                    let w = -&inv[(k, j)];
+                    if !w.is_zero() {
+                        acc = &acc + &rows[row].1.scale(&w);
+                    }
+                }
+                acc
+            })
+            .collect();
+        Some(coords)
+    }
+
+    /// `row` evaluated at the vertex `coords`, affine over the
+    /// parameters.
+    pub fn row_at((ipart, ppart): &Row, coords: &[AffineExpr]) -> AffineExpr {
+        let mut acc = ppart.clone();
+        for (k, c) in ipart.iter().enumerate() {
+            if !c.is_zero() {
+                acc = &acc + &coords[k].scale(c);
+            }
+        }
+        acc
+    }
+
+    pub fn parameterized_vertices(
+        system: &Polyhedron,
+        n_elim: usize,
+        param_domain: &Polyhedron,
+    ) -> Result<Vec<ParamVertex>, PolyhedraError> {
+        let n_params = system.dim() - n_elim;
+        let rows = dedup_in_order(split_rows(system, n_elim));
+        if !bounded(&rows, n_elim) {
+            return Err(PolyhedraError::UnboundedDirection);
+        }
+        let constraints = lifted_constraints(&rows, n_elim, param_domain);
+        let sat = dd::reference::saturated(n_elim + n_params, &constraints);
+        let lifted = Lifted::from_saturated(sat, rows.len());
+        let mut bases = lifted.fixed_face_bases(|tight| first_basis(&rows, tight.iter(), n_elim));
+        bases.sort_unstable();
+        bases.dedup();
+        let mut faces_seen = HashSet::with_capacity(bases.len());
+        let mut out = Vec::with_capacity(bases.len());
+        for basis in bases {
+            let face = lifted.face_of_rows(basis.iter().copied());
+            if !faces_seen.insert(face.clone()) {
+                continue;
+            }
+            let coords = basic_solution(&rows, &basis, n_params).expect("invertible");
+            let conditions = rows
+                .iter()
+                .map(|row| row_at(row, &coords))
+                .filter(|cond| !cond.is_constant());
+            let mut domain = param_domain.clone();
+            for cond in dedup_in_order(conditions.collect()) {
+                domain.add_constraint(Constraint::ge0(cond));
+            }
+            let generators = if lifted.gens.lines.is_empty() {
+                lifted.project(&face, n_elim)
+            } else {
+                dd::reference::saturated(domain.dim(), domain.constraints()).gens
+            };
+            out.push(ParamVertex {
+                coords,
+                domain,
+                generators,
+            });
+        }
+        Ok(out)
+    }
+}
+
 /// Test oracle: the basis enumeration this module used before the lifted
 /// polyhedron's faces. Every invertible `n_elim`-subset of rows gives a
 /// candidate vertex; each distinct one, in first-enumeration order, is
@@ -425,9 +727,8 @@ pub fn dedup_in_order<T: Eq + Hash>(items: Vec<T>) -> Vec<T> {
 /// nonempty.
 #[cfg(test)]
 mod basis_reference {
-    use super::{
-        basic_solution, bounded, dedup_in_order, next_combination, row_at, split_rows, ParamVertex,
-    };
+    use super::rational::{basic_solution, bounded, row_at, split_rows};
+    use super::{dedup_in_order, next_combination, ParamVertex};
     use crate::{Constraint, PolyhedraError, Polyhedron};
 
     pub fn parameterized_vertices(
@@ -487,7 +788,8 @@ mod basis_reference {
 /// conversion per recursive call.
 #[cfg(test)]
 mod reference {
-    use super::{basic_solution, next_combination, row_at, split_rows, Row};
+    use super::next_combination;
+    use super::rational::{basic_solution, row_at, split_rows, Row};
     use crate::{Constraint, GeneratorSet, PolyhedraError, Polyhedron};
     use aov_linalg::{AffineExpr, QVector};
     use aov_numeric::Rational;
@@ -692,6 +994,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Constraint;
 
     fn ge(coeffs: &[i64], c: i64) -> Constraint {
         Constraint::ge0(AffineExpr::from_i64(coeffs, c))
@@ -1134,18 +1437,9 @@ mod tests {
         Some((new, old))
     }
 
-    /// Oracle for the face enumeration against the basis enumeration it
-    /// replaced, on every system the pipeline enumerates for ex1–4 and
-    /// 300 generated programs (seeds `mix(42, i)`, default profile):
-    /// dependence domains, statement domains, and Problem 2's `Z` at the
-    /// program's AOV. For each, both vertex lists give
-    /// the same vertex values at every integer point of a small parameter
-    /// box, and the causality, storage and Problem 2 rows linearized over
-    /// either list are equal as sets (the production rows, through
-    /// `Analysis` and `eliminate_to_linear`, against the basis list's).
-    #[test]
-    fn faces_match_basis_enumeration() {
-        use aov_schedule::{legal, linearize::eliminate_to_linear, Analysis};
+    /// The paper examples and 300 generated programs (seeds `mix(42, i)`,
+    /// default generator profile).
+    fn corpus() -> Vec<aov_ir::Program> {
         let mut programs = vec![
             aov_ir::examples::example1(),
             aov_ir::examples::example2(),
@@ -1156,62 +1450,184 @@ mod tests {
         programs.extend(
             (0..300).map(|i| aov_gen::generate(aov_support::rng::mix(42, i), &cfg).program),
         );
-        let (mut statements, mut domains, mut zs, mut fewer) = (0, 0, 0, 0);
-        for p in &programs {
-            let param_domain = local!(p.param_domain());
-            for st in p.statements() {
-                let what = format!("{} statement {}", p.name(), st.name());
-                assert_same_values(&local!(st.domain()), st.depth(), &param_domain, &what);
-                statements += 1;
+        programs
+    }
+
+    /// Where the pipeline enumerates a system's parameterized vertices.
+    enum Site {
+        /// A statement domain (the storage transform).
+        Statement,
+        /// Dependence `d`'s domain (the causality rows of ℛ).
+        Dependence(usize),
+        /// Problem 2's `Z` of dependence `d` at the occupancy vector `v`.
+        Z(usize, Vec<i64>),
+    }
+
+    /// One vertex enumeration the pipeline performs.
+    struct Enumeration {
+        what: String,
+        system: Polyhedron,
+        n_elim: usize,
+        site: Site,
+    }
+
+    /// What the pipeline hands the polyhedra kernels for one program.
+    struct Systems<'p> {
+        /// The program's analysis, when it has one.
+        analysis: Option<aov_schedule::Analysis<'p>>,
+        param_domain: Polyhedron,
+        /// Statement domains, dependence domains and, when the program
+        /// has an AOV, Problem 2's `Z` at it.
+        enumerations: Vec<Enumeration>,
+        /// DDs outside the enumerations: the parameter domain and ℛ.
+        dds: Vec<(String, Polyhedron)>,
+        /// FM projections, each with the dimensions it eliminates: every
+        /// dependence's overwriter system onto `v`, the image's cut by
+        /// every sign pattern onto nothing, and ℛ onto its iteration
+        /// coefficients.
+        projections: Vec<(String, Polyhedron, Vec<usize>)>,
+    }
+
+    /// The systems of `p`.
+    fn systems(p: &aov_ir::Program) -> Systems<'_> {
+        use aov_schedule::{legal, sign_patterns, Analysis};
+        let param_domain = local!(p.param_domain());
+        let mut out = Systems {
+            analysis: None,
+            param_domain: param_domain.clone(),
+            enumerations: Vec::new(),
+            dds: vec![(format!("{} parameter domain", p.name()), param_domain)],
+            projections: Vec::new(),
+        };
+        for st in p.statements() {
+            out.enumerations.push(Enumeration {
+                what: format!("{} statement {}", p.name(), st.name()),
+                system: local!(st.domain()),
+                n_elim: st.depth(),
+                site: Site::Statement,
+            });
+        }
+        let Ok(a) = Analysis::new(p) else {
+            return out;
+        };
+        for (d, dep) in a.deps().iter().enumerate() {
+            let what = format!("{} dependence {d}", p.name());
+            out.enumerations.push(Enumeration {
+                what: what.clone(),
+                system: local!(dep.domain),
+                n_elim: p.statement(dep.target).depth(),
+                site: Site::Dependence(d),
+            });
+            let joint = local!(legal::overwriter_system(p, dep));
+            let outer = p.statement(dep.target).depth() + p.num_params();
+            let image = joint.eliminate_dims(&(0..outer).collect::<Vec<_>>());
+            out.projections
+                .push((format!("{what} overwriter"), joint, (0..outer).collect()));
+            let d_v = image.dim();
+            for pattern in sign_patterns(d_v) {
+                let mut cut = image.clone();
+                for (k, &s) in pattern.iter().enumerate() {
+                    let v = AffineExpr::var(d_v, k);
+                    cut.add_constraint(if s == 0 {
+                        Constraint::eq0(v)
+                    } else {
+                        let one = AffineExpr::constant(d_v, 1.into());
+                        Constraint::ge0(&v.scale(&i64::from(s).into()) - &one)
+                    });
+                }
+                let what = format!("{what} orthant {pattern:?}");
+                out.projections.push((what, cut, (0..d_v).collect()));
             }
-            let Ok(a) = Analysis::new(p) else { continue };
-            let space = a.space();
+        }
+        let space = a.space();
+        let legal = local!(a.legal());
+        let mut drop: Vec<usize> = Vec::new();
+        for s in 0..space.num_statements() {
+            let s = aov_ir::StmtId(s);
+            drop.extend((0..p.params().len()).map(|j| space.param_coeff(s, j)));
+            drop.push(space.const_coeff(s));
+        }
+        out.dds.push((format!("{} ℛ", p.name()), legal.clone()));
+        out.projections
+            .push((format!("{} ℛ cone", p.name()), legal, drop));
+        if let Ok(aov) = aov_core::problems::aov_with(p, 1) {
             for (d, dep) in a.deps().iter().enumerate() {
-                let depth = p.statement(dep.target).depth();
-                let what = format!("{} dependence {d}", p.name());
-                let (new, old) =
-                    assert_same_values(&local!(dep.domain), depth, &param_domain, &what)
-                        .expect("the analysis linearized this domain");
-                fewer += usize::from(new.len() < old.len());
-                domains += 1;
-                let causality = legal::causality_form(p, space, dep);
-                let rows: HashSet<(AffineExpr, bool)> = rows_over(&causality, &old);
-                let production: HashSet<AffineExpr> =
-                    a.causality_rows()[d].iter().cloned().collect();
-                let reference: HashSet<AffineExpr> = rows.into_iter().map(|(r, _)| r).collect();
-                assert_eq!(production, reference, "{what} causality rows");
-                let f0 = legal::difference_form(p, space, dep, &dep.h, 0).negated();
-                assert_eq!(rows_over(&f0, &new), rows_over(&f0, &old), "{what} storage");
-            }
-            let Ok(aov) = aov_core::problems::aov_with(p, 1) else {
-                continue;
-            };
-            for (d, dep) in a.deps().iter().enumerate() {
-                let depth = p.statement(dep.target).depth();
                 let v = aov.vectors()[p.statement(dep.source).writes().0].components();
-                let dim = depth + p.num_params();
-                let h_plus_v: Vec<AffineExpr> = dep
-                    .h
-                    .iter()
-                    .zip(v)
-                    .map(|(hk, &vk)| hk + &AffineExpr::constant(dim, vk.into()))
-                    .collect();
-                let form = legal::difference_form(p, space, dep, &h_plus_v, 0).negated();
-                let z = aov_core::storage::exact_z(p, dep, v);
-                let what = format!("{} dependence {d} Z({v:?})", p.name());
-                let Some((_, old)) = assert_same_values(&local!(z), depth, &param_domain, &what)
-                else {
-                    continue;
+                out.enumerations.push(Enumeration {
+                    what: format!("{} dependence {d} Z({v:?})", p.name()),
+                    system: local!(aov_core::storage::exact_z(p, dep, v)),
+                    n_elim: p.statement(dep.target).depth(),
+                    site: Site::Z(d, v.to_vec()),
+                });
+            }
+        }
+        out.analysis = Some(a);
+        out
+    }
+
+    /// Oracle for the face enumeration against the basis enumeration it
+    /// replaced, on every system the pipeline enumerates for the corpus
+    /// ([`systems`]). For each, both vertex lists give the same vertex
+    /// values at every integer point of a small parameter box, and the
+    /// causality, storage and Problem 2 rows linearized over either list
+    /// are equal as sets (the production rows, through `Analysis` and
+    /// `eliminate_to_linear`, against the basis list's).
+    #[test]
+    fn faces_match_basis_enumeration() {
+        use aov_schedule::{legal, linearize::eliminate_to_linear};
+        let (mut statements, mut domains, mut zs, mut fewer) = (0, 0, 0, 0);
+        for p in &corpus() {
+            let s = systems(p);
+            for e in &s.enumerations {
+                let what = &e.what;
+                let compared = assert_same_values(&e.system, e.n_elim, &s.param_domain, what);
+                let a = || {
+                    s.analysis
+                        .as_ref()
+                        .expect("dependences come from an analysis")
                 };
-                zs += 1;
-                let production: HashSet<AffineExpr> =
-                    eliminate_to_linear(&form, &z, depth, p.param_domain())
-                        .expect("same verdict as the reference")
-                        .into_iter()
-                        .collect();
-                let reference: HashSet<AffineExpr> =
-                    rows_over(&form, &old).into_iter().map(|(r, _)| r).collect();
-                assert_eq!(production, reference, "{what} rows");
+                match &e.site {
+                    Site::Statement => statements += 1,
+                    Site::Dependence(d) => {
+                        let (a, d) = (a(), *d);
+                        let (p, space, dep) = (a.program(), a.space(), &a.deps()[d]);
+                        let (new, old) = compared.expect("the analysis linearized this domain");
+                        fewer += usize::from(new.len() < old.len());
+                        domains += 1;
+                        let causality = legal::causality_form(p, space, dep);
+                        let rows: HashSet<(AffineExpr, bool)> = rows_over(&causality, &old);
+                        let production: HashSet<AffineExpr> =
+                            a.causality_rows()[d].iter().cloned().collect();
+                        let reference: HashSet<AffineExpr> =
+                            rows.into_iter().map(|(r, _)| r).collect();
+                        assert_eq!(production, reference, "{what} causality rows");
+                        let f0 = legal::difference_form(p, space, dep, &dep.h, 0).negated();
+                        assert_eq!(rows_over(&f0, &new), rows_over(&f0, &old), "{what} storage");
+                    }
+                    Site::Z(d, v) => {
+                        let Some((_, old)) = compared else { continue };
+                        let a = a();
+                        let (p, space, dep) = (a.program(), a.space(), &a.deps()[*d]);
+                        let dim = e.n_elim + p.num_params();
+                        let h_plus_v: Vec<AffineExpr> = dep
+                            .h
+                            .iter()
+                            .zip(v)
+                            .map(|(hk, &vk)| hk + &AffineExpr::constant(dim, vk.into()))
+                            .collect();
+                        let form = legal::difference_form(p, space, dep, &h_plus_v, 0).negated();
+                        zs += 1;
+                        let z = aov_core::storage::exact_z(p, dep, v);
+                        let production: HashSet<AffineExpr> =
+                            eliminate_to_linear(&form, &z, e.n_elim, p.param_domain())
+                                .expect("same verdict as the reference")
+                                .into_iter()
+                                .collect();
+                        let reference: HashSet<AffineExpr> =
+                            rows_over(&form, &old).into_iter().map(|(r, _)| r).collect();
+                        assert_eq!(production, reference, "{what} rows");
+                    }
+                }
             }
         }
         assert!(
@@ -1219,6 +1635,160 @@ mod tests {
             "{statements} statement domains, {domains} dependence domains, {zs} Z compared"
         );
         assert!(fewer > 0, "no degenerate face met");
+    }
+
+    /// The integer DD of `rows` and the rational reference DD of
+    /// `constraints` (the same rows) agree exactly: generators in order
+    /// and every tight set.
+    fn assert_same_dd(d: usize, constraints: &[Constraint], what: &str) {
+        let rows: Vec<Row> = constraints.iter().map(int::of_constraint).collect();
+        let rows: Vec<(&[BigInt], ConstraintKind)> = rows
+            .iter()
+            .map(|r| &r[..])
+            .zip(constraints.iter().map(Constraint::kind))
+            .collect();
+        assert_eq!(
+            dd::saturated(d, &rows),
+            dd::reference::saturated(d, constraints),
+            "{what}"
+        );
+    }
+
+    /// Eliminates `dims` from `p` one dimension at a time, requiring the
+    /// integer kernel's constraint list to equal the rational reference's
+    /// after every step, and the one-call projection to equal the last.
+    fn assert_same_projection(p: &Polyhedron, dims: &[usize], what: &str) {
+        let mut sorted = dims.to_vec();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        sorted.dedup();
+        let mut cur = p.clone();
+        for &k in &sorted {
+            let next = cur.eliminate_dim(k);
+            assert_eq!(
+                next,
+                crate::fm::reference::eliminate_dim(&cur, k),
+                "{what} at {k}"
+            );
+            cur = next;
+        }
+        assert_eq!(p.eliminate_dims(dims), cur, "{what}");
+    }
+
+    /// The integer kernels against their rational references on every
+    /// DD, FM projection and vertex enumeration the pipeline performs for
+    /// the corpus ([`systems`]): generators with their tight sets (the
+    /// standalone DDs, and each enumeration's recession-cone and lifted
+    /// DDs), FM constraint lists after every step, and the vertex lists
+    /// (coordinates, domain constraint lists and domain generators), all
+    /// equal and in the same order.
+    #[test]
+    fn integer_kernels_match_rational_reference() {
+        let (mut dds, mut steps, mut enumerations) = (0, 0, 0);
+        for p in &corpus() {
+            let s = systems(p);
+            for (what, poly) in &s.dds {
+                assert_same_dd(poly.dim(), poly.constraints(), what);
+                dds += 1;
+            }
+            for (what, poly, dims) in &s.projections {
+                assert_same_projection(poly, dims, what);
+                steps += dims.len();
+            }
+            for e in &s.enumerations {
+                let (what, pd) = (&e.what, &s.param_domain);
+                let rows = dedup_in_order(split_rows(&e.system));
+                let qrows = dedup_in_order(rational::split_rows(&e.system, e.n_elim));
+                let cone = rational::recession_cone(&qrows, e.n_elim);
+                assert_eq!(
+                    recession(&rows, e.n_elim),
+                    dd::reference::saturated(e.n_elim, cone.constraints()),
+                    "{what} recession cone"
+                );
+                if bounded(&rows, e.n_elim) {
+                    let lifted = rational::lifted_constraints(&qrows, e.n_elim, pd);
+                    assert_eq!(
+                        lifted_dd(&rows, e.n_elim, pd),
+                        dd::reference::saturated(e.system.dim(), &lifted),
+                        "{what} lifted"
+                    );
+                    dds += 1;
+                }
+                assert_eq!(
+                    parameterized_vertices(&e.system, e.n_elim, pd),
+                    rational::parameterized_vertices(&e.system, e.n_elim, pd),
+                    "{what}"
+                );
+                dds += 1;
+                enumerations += 1;
+            }
+        }
+        assert!(
+            dds >= 3_000 && steps >= 10_000 && enumerations >= 1_500,
+            "{dds} DDs, {steps} FM steps, {enumerations} vertex enumerations compared"
+        );
+    }
+
+    /// Whether `q` needs heap limbs (numerator or denominator beyond
+    /// `i64`).
+    fn beyond_words(q: &Rational) -> bool {
+        q.numer().to_i64().is_none() || q.denom().to_i64().is_none()
+    }
+
+    /// Rows with coefficients near 2^62 over `(i, j, n)`: the DD's
+    /// combinations, the Bareiss determinant of two such rows (about
+    /// 2^125) and the FM combinations leave `BigInt`'s inline range, and
+    /// every kernel still equals its rational reference exactly.
+    #[test]
+    fn kernels_match_reference_beyond_machine_words() {
+        let b = 1i64 << 62;
+        let system = Polyhedron::from_constraints(
+            3,
+            vec![
+                ge(&[1, 0, 0], 0),                      // i >= 0
+                ge(&[0, 1, 0], 0),                      // j >= 0
+                ge(&[-(b - 1), -(b - 3), 1], b - 5),    // (b-1)i + (b-3)j <= n + b - 5
+                ge(&[b - 11, -(b - 17), 1], 7),         // (b-17)j <= (b-11)i + n + 7
+                ge(&[-(b - 23), b - 29, 3], b / 2 - 1), // a third large cut
+            ],
+        );
+        let params = Polyhedron::from_constraints(1, vec![ge(&[1], 0), ge(&[-1], b - 31)]);
+
+        assert_same_dd(3, system.constraints(), "system");
+        let gens = system.generators();
+        assert!(
+            gens.vertices.iter().flatten().any(beyond_words),
+            "no DD vertex beyond machine words: {gens:?}"
+        );
+
+        for dims in [vec![0], vec![1], vec![0, 1], vec![1, 2], vec![0, 1, 2]] {
+            assert_same_projection(&system, &dims, &format!("eliminating {dims:?}"));
+        }
+        let projected = system.eliminate_dim(0);
+        assert!(
+            projected
+                .constraints()
+                .iter()
+                .flat_map(|c| c.expr().coeffs().iter().chain([c.expr().constant_term()]))
+                .any(beyond_words),
+            "no FM row beyond machine words: {projected:?}"
+        );
+
+        let rows = dedup_in_order(split_rows(&system));
+        let basis = Basis::first(&rows, [2, 3], 2).expect("independent rows");
+        assert!(basis.det.to_i64().is_none(), "determinant {:?}", basis.det);
+        let vertices = parameterized_vertices(&system, 2, &params).unwrap();
+        assert_eq!(
+            vertices,
+            rational::parameterized_vertices(&system, 2, &params).unwrap()
+        );
+        assert!(
+            vertices
+                .iter()
+                .flat_map(|v| &v.coords)
+                .flat_map(|c| c.coeffs().iter().chain([c.constant_term()]))
+                .any(beyond_words),
+            "no vertex coordinate beyond machine words: {vertices:?}"
+        );
     }
 
     /// Oracle for validity domains against the chamber recursion, on the

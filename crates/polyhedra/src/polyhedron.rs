@@ -254,7 +254,7 @@ impl Polyhedron {
     ///
     /// Panics if `k >= dim`.
     pub fn eliminate_dim(&self, k: usize) -> Polyhedron {
-        fm::eliminate_dim(self, k)
+        fm::eliminate_dims(self, &[k])
     }
 
     /// Eliminates several dimensions (descending index order internally);
@@ -262,13 +262,9 @@ impl Polyhedron {
     /// relative order.
     pub fn eliminate_dims(&self, dims: &[usize]) -> Polyhedron {
         let mut sorted: Vec<usize> = dims.to_vec();
-        sorted.sort_unstable();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
         sorted.dedup();
-        let mut p = self.clone();
-        for &k in sorted.iter().rev() {
-            p = p.eliminate_dim(k);
-        }
-        p
+        fm::eliminate_dims(self, &sorted)
     }
 
     /// Whether `self ⊆ other` (exact).

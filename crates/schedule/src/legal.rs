@@ -77,6 +77,14 @@ pub fn difference_form(
 /// The mirror overwriter `h − v`'s image is this one reflected through
 /// the origin.
 pub fn overwriter_image(p: &Program, dep: &Dependence) -> Polyhedron {
+    let outer = p.statement(dep.target).depth() + p.num_params();
+    let keep: Vec<usize> = (0..outer).collect();
+    overwriter_system(p, dep).eliminate_dims(&keep)
+}
+
+/// The joint polyhedron over `(i, N, v)` that [`overwriter_image`]
+/// projects onto `v`.
+pub fn overwriter_system(p: &Program, dep: &Dependence) -> Polyhedron {
     let (r, t) = (p.statement(dep.target), p.statement(dep.source));
     let outer = r.depth() + p.num_params();
     let dim = outer + t.depth();
@@ -105,7 +113,7 @@ pub fn overwriter_image(p: &Program, dep: &Dependence) -> Polyhedron {
     for c in p.param_domain().constraints() {
         push(c, c.expr().embed(dim, &params));
     }
-    Polyhedron::from_constraints(dim, rows).eliminate_dims(&keep)
+    Polyhedron::from_constraints(dim, rows)
 }
 
 /// The polyhedron ℛ of legal one-dimensional affine schedules, in the

@@ -41,11 +41,14 @@ echo "== LP tests in release"
 cargo test --release -q --offline -p aov-lp
 
 echo "== polyhedra tests in release"
-# The DD's saturation bitsets, the normalization fast paths and the face
-# enumeration of parameterized vertices, with their oracles (the basis
-# enumeration and the chamber recursion), also run where integer
-# overflow wraps.
+# The integer DD, Fourier–Motzkin and parameterized-vertex kernels, the
+# DD's saturation bitsets and the face enumeration, with their oracles
+# (the rational reference kernels they replaced, row for row on the
+# corpus and past 2^63; the basis enumeration; the chamber recursion),
+# also run where integer overflow wraps, as do the pinned per-example LP
+# and polyhedra work counts.
 cargo test --release -q --offline -p aov-polyhedra
+cargo test --release -q --offline -p aov-engine --test lp_work
 
 echo "== interp tests in release"
 # The lowered interpreter's checked index, bound and time-key arithmetic
