@@ -9,8 +9,9 @@ use aov_ir::{ArrayId, Program};
 use aov_linalg::{AffineExpr, QVector};
 use aov_lp::{Cmp, LpOutcome, Model};
 use aov_polyhedra::param::dedup_in_order;
-use aov_polyhedra::{Constraint, GeneratorSet, Polyhedron};
+use aov_polyhedra::{Constraint, ConstraintKind, GeneratorSet, Polyhedron};
 use aov_schedule::{legal, scheduler, sign_patterns, Analysis, BilinearForm, Orthant, Schedule};
+use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::PoisonError;
@@ -24,7 +25,7 @@ type OrthantSolution<T> = (i64, T);
 
 /// Each dependence's rows over its source array's vector components,
 /// parallel to [`Analysis::deps`].
-type DepRows = Vec<Vec<(AffineExpr, Cmp)>>;
+type DepRows = Vec<Vec<Constraint>>;
 
 /// Lower bound on the objective inside a sign pattern: every nonzero
 /// component adds at least `LENGTH_WEIGHT` to the length term, and the
@@ -50,7 +51,7 @@ fn pattern_bound(pattern: &Orthant) -> i64 {
 /// panicking orthant surfaces as [`AovError::WorkerPanic`]. The first
 /// failure ends the loop.
 ///
-/// [`shortest_per_array`] runs it once per array, over that array's own
+/// [`search_arrays`] runs it once per array, over that array's own
 /// nonzero sign patterns.
 fn solve_patterns<T>(
     patterns: &[Orthant],
@@ -90,21 +91,23 @@ fn solve_patterns<T>(
 
 /// The shortest occupancy vector of every array of `a`'s program, one
 /// array at a time. Per array, [`solve_patterns`] searches the `3^d − 1`
-/// nonzero sign patterns of its `d` components; each pattern is one ILP
-/// over those components with the rows `dep_rows[dep]` of every
-/// dependence whose source writes the array and is `active` in the
-/// pattern, the pattern's sign rows and the array's two-term objective,
-/// handed to `solve_ilp`. `site` names the per-orthant span, budget
-/// checkpoint and chaos site. Problems 1 and 3 pass the analysis's
+/// nonzero sign patterns of its `d` components ([`ArrayOrthants`]); each
+/// pattern is decided in `v`-space first and, when it can hold a vector,
+/// solved as one ILP by `solve_ilp` ([`ArrayOrthants::solve`]) over the
+/// irredundant rows of every dependence whose source writes the array and
+/// is `active` in the pattern, the pattern's sign rows and the array's
+/// two-term objective. Each dependence's rows `dep_rows[dep]` are reduced
+/// once per call ([`ReducedRows`]). `site` names the per-orthant span,
+/// budget checkpoint and chaos site. Problems 1 and 3 pass the analysis's
 /// activity table ([`Analysis::active_in_orthant`]) and the budgeted
 /// branch and bound.
 ///
 /// It returns what one search over every array's components at once
 /// returns: a dependence's rows involve only its source array's vector,
 /// and the objective is a sum over arrays, so the joint ILP of a pattern
-/// is the direct sum of the per-array ILPs of its slices. `sign_patterns` is lexicographic over the array-contiguous
-/// components, so the joint `(objective, index)` minimum is the tuple
-/// of the per-array minima.
+/// is the direct sum of the per-array ILPs of its slices. `sign_patterns`
+/// is lexicographic over the array-contiguous components, so the joint
+/// `(objective, index)` minimum is the tuple of the per-array minima.
 fn shortest_per_array(
     a: &Analysis,
     budget: &Budget,
@@ -113,9 +116,54 @@ fn shortest_per_array(
     active: impl Fn(usize, &Orthant) -> bool,
     solve_ilp: impl Fn(&Model) -> Result<LpOutcome, AovError>,
 ) -> Result<OvResult, CoreError> {
+    let reduced = ReducedRows::new(dep_rows);
+    search_arrays(a, budget, site, active, |o, i| {
+        o.solve(i, &reduced, &solve_ilp)
+    })
+}
+
+/// The loop of [`shortest_per_array`], with `solve(orthants, i)` deciding
+/// pattern `i` of one array's orthants. Each visited pattern gets a
+/// `site` span.
+fn search_arrays(
+    a: &Analysis,
+    budget: &Budget,
+    site: &'static str,
+    active: impl Fn(usize, &Orthant) -> bool,
+    solve: impl Fn(&ArrayOrthants, usize) -> OrthantResult,
+) -> Result<OvResult, CoreError> {
     let p = a.program();
     let mut vectors = Vec::with_capacity(p.arrays().len());
-    for (aidx, array) in p.arrays().iter().enumerate() {
+    for aidx in 0..p.arrays().len() {
+        let orthants = ArrayOrthants::new(a, aidx, &active);
+        let solve = |i: usize| {
+            let _span = aov_trace::span!(site, pattern = pattern_label(&orthants.patterns[i]));
+            solve(&orthants, i)
+        };
+        let (_, v) = solve_patterns(&orthants.patterns, budget, site, solve)?
+            .ok_or(CoreError::NoVectorFound)?;
+        vectors.push(v);
+    }
+    Ok(OvResult::new(p, vectors))
+}
+
+/// One orthant's optimum, `None` when it holds no valid vector.
+type OrthantResult = Result<Option<OrthantSolution<OccupancyVector>>, AovError>;
+
+/// One array's sign orthants: its nonzero sign patterns and, per
+/// pattern, the dependences writing the array that are active there,
+/// decided before the loop so that an orthant's span times its own work.
+struct ArrayOrthants<'p> {
+    name: &'p str,
+    dim: usize,
+    patterns: Vec<Orthant>,
+    active_writers: Vec<Vec<usize>>,
+}
+
+impl<'p> ArrayOrthants<'p> {
+    fn new(a: &Analysis<'p>, aidx: usize, active: impl Fn(usize, &Orthant) -> bool) -> Self {
+        let p = a.program();
+        let array = &p.arrays()[aidx];
         let writers: Vec<usize> = (0..a.deps().len())
             .filter(|&d| p.statement(a.deps()[d].source).writes() == ArrayId(aidx))
             .collect();
@@ -123,9 +171,7 @@ fn shortest_per_array(
             .into_iter()
             .filter(|pat| pat.iter().any(|&s| s != 0))
             .collect();
-        // Each pattern's active writers, decided before the loop: an
-        // orthant's span times its ILP alone.
-        let active_writers: Vec<Vec<usize>> = patterns
+        let active_writers = patterns
             .iter()
             .map(|pat| {
                 writers
@@ -135,28 +181,124 @@ fn shortest_per_array(
                     .collect()
             })
             .collect();
-        let solve = |i: usize| {
-            let pattern = &patterns[i];
-            let _span = aov_trace::span!(site, pattern = pattern_label(pattern));
-            let mut m = Model::new();
-            for k in 0..array.dim() {
-                let v = m.add_var(format!("v_{}_{k}", array.name()));
-                m.set_integer(v);
-            }
-            for &didx in &active_writers[i] {
-                for (r, cmp) in &dep_rows[didx] {
-                    m.constrain(r.clone(), *cmp);
-                }
-            }
-            let obj = install_pattern_objective(&mut m, array.name(), pattern);
-            m.minimize(obj);
-            Ok(candidate_of(array.dim(), solve_ilp(&m)?))
-        };
-        let (_, v) =
-            solve_patterns(&patterns, budget, site, solve)?.ok_or(CoreError::NoVectorFound)?;
-        vectors.push(v);
+        ArrayOrthants {
+            name: array.name(),
+            dim: array.dim(),
+            patterns,
+            active_writers,
+        }
     }
-    Ok(OvResult::new(p, vectors))
+
+    /// Pattern `i`'s optimum, decided in `v`-space before any ILP: the
+    /// orthant holds no vector when some active writer's reduced rows
+    /// hold nowhere, or when one DD of the active writers' reduced rows
+    /// and the sign rows finds them empty. Otherwise one ILP over the
+    /// rows that DD keeps minimizes the two-term objective. The counters
+    /// `core.orthant.pruned` and `core.orthant.ilps` split the visited
+    /// orthants between the two.
+    fn solve(
+        &self,
+        i: usize,
+        reduced: &ReducedRows,
+        solve_ilp: impl Fn(&Model) -> Result<LpOutcome, AovError>,
+    ) -> OrthantResult {
+        let Some(rows) = self.orthant_rows(i, reduced) else {
+            aov_support::static_counter!("core.orthant.pruned").add(1);
+            return Ok(None);
+        };
+        aov_support::static_counter!("core.orthant.ilps").add(1);
+        self.solve_ilp_over(i, rows.constraints(), solve_ilp)
+    }
+
+    /// The rows of pattern `i`'s ILP: its sign rows, then each active
+    /// writer's reduced rows, reduced together by one DD; `None` when no
+    /// vector of the orthant satisfies them. With no active writer the
+    /// sign rows, one per component, are already irredundant.
+    fn orthant_rows(&self, i: usize, reduced: &ReducedRows) -> Option<Polyhedron> {
+        let mut rows = sign_rows(&self.patterns[i]);
+        let writers = &self.active_writers[i];
+        if writers.is_empty() {
+            return Some(Polyhedron::from_constraints(self.dim, rows));
+        }
+        for &d in writers {
+            rows.extend_from_slice(reduced.get(d, self.dim)?.constraints());
+        }
+        Polyhedron::from_constraints(self.dim, rows).irredundant()
+    }
+
+    /// Pattern `i`'s ILP over `rows`, which must confine the vector to
+    /// the pattern's orthant, with the array's two-term objective.
+    fn solve_ilp_over<'c>(
+        &self,
+        i: usize,
+        rows: impl IntoIterator<Item = &'c Constraint>,
+        solve_ilp: impl Fn(&Model) -> Result<LpOutcome, AovError>,
+    ) -> OrthantResult {
+        let mut m = Model::new();
+        for k in 0..self.dim {
+            let v = m.add_var(format!("v_{}_{k}", self.name));
+            m.set_integer(v);
+        }
+        for c in rows {
+            constrain(&mut m, c);
+        }
+        let obj = install_objective(&mut m, self.name, &self.patterns[i]);
+        m.minimize(obj);
+        Ok(candidate_of(self.dim, solve_ilp(&m)?))
+    }
+}
+
+/// Each dependence's rows reduced to an irredundant list by one DD
+/// ([`Polyhedron::irredundant`]) on first use, so at most once per
+/// [`shortest_per_array`] call: `None` when no vector satisfies them, and
+/// then no orthant where the dependence is active holds a vector.
+struct ReducedRows<'r> {
+    rows: &'r DepRows,
+    reduced: Vec<OnceCell<Option<Polyhedron>>>,
+}
+
+impl<'r> ReducedRows<'r> {
+    fn new(rows: &'r DepRows) -> Self {
+        ReducedRows {
+            rows,
+            reduced: rows.iter().map(|_| OnceCell::new()).collect(),
+        }
+    }
+
+    /// Dependence `dep`'s reduced rows over its source array's `dim`
+    /// components.
+    fn get(&self, dep: usize, dim: usize) -> Option<&Polyhedron> {
+        self.reduced[dep]
+            .get_or_init(|| Polyhedron::from_constraints(dim, self.rows[dep].clone()).irredundant())
+            .as_ref()
+    }
+}
+
+/// The sign rows of a pattern over its array's components: `v_k >= 1`,
+/// `v_k <= -1` or `v_k == 0`. Within the orthant `|v_k| = sign_k · v_k`
+/// exactly.
+fn sign_rows(pattern: &Orthant) -> Vec<Constraint> {
+    let dim = pattern.len();
+    let rows = pattern.iter().enumerate().map(|(k, &sign)| {
+        let var = AffineExpr::var(dim, k);
+        if sign == 0 {
+            Constraint::eq0(var)
+        } else {
+            Constraint::ge0(
+                &var.scale(&i64::from(sign).into()) - &AffineExpr::constant(dim, 1.into()),
+            )
+        }
+    });
+    rows.collect()
+}
+
+/// Adds the constraint `c` to `m`.
+fn constrain(m: &mut Model, c: &Constraint) {
+    let cmp = match c.kind() {
+        ConstraintKind::Ineq => Cmp::Ge,
+        ConstraintKind::Eq => Cmp::Eq,
+    };
+    m.constrain(c.expr().clone(), cmp);
 }
 
 /// Extracts an integral candidate and its exact objective from one
@@ -244,11 +386,13 @@ pub fn ov_for_schedule_with(
 /// paper's LP method: substitute the schedule into the linearized
 /// storage constraints and minimize the two-term objective. The storage
 /// forms are `a`'s ([`Analysis::storage_forms`]), and each array is
-/// solved on its own ([`shortest_per_array`]): one ILP per sign orthant
-/// of its vector, over the dependences active there
+/// solved on its own ([`shortest_per_array`]): per sign orthant of its
+/// vector, over the dependences active there
 /// ([`Analysis::active_in_orthant`]: exact `Z`-emptiness pruning, decided
-/// once per analysis). These ILPs are the only LPs it solves; every
-/// simplex pivot and branch-and-bound node charges `budget`.
+/// once per analysis), a DD in `v`-space decides whether the orthant
+/// holds a vector, and only then one ILP over the irredundant rows
+/// minimizes. These ILPs are the only LPs it solves; every simplex pivot
+/// and branch-and-bound node charges `budget`.
 ///
 /// # Errors
 ///
@@ -284,7 +428,7 @@ fn schedule_rows(a: &Analysis, theta: &QVector) -> DepRows {
     (0..a.deps().len())
         .map(|d| {
             let forms = a.storage_forms(d).iter();
-            forms.map(|f| (f.at_point(theta), Cmp::Ge)).collect()
+            forms.map(|f| Constraint::ge0(f.at_point(theta))).collect()
         })
         .collect()
 }
@@ -435,10 +579,11 @@ pub fn aov_with(p: &Program, _workers: usize) -> Result<OvResult, CoreError> {
 /// forms and their activity per orthant are `a`'s, shared with Problem 1
 /// ([`Analysis::storage_forms`], [`Analysis::active_in_orthant`]), and a
 /// row of a dependence involves only its source array's vector, so each
-/// array is solved on its own ([`shortest_per_array`]): one ILP per sign
-/// orthant of its vector minimizes its two-term objective. These ILPs
-/// are the only LPs it solves; every simplex pivot and branch-and-bound
-/// node charges `budget`.
+/// array is solved on its own ([`shortest_per_array`]): per sign orthant
+/// of its vector, a DD in `v`-space decides whether the orthant holds a
+/// vector, and only then one ILP over the irredundant rows minimizes its
+/// two-term objective. These ILPs are the only LPs it solves; every
+/// simplex pivot and branch-and-bound node charges `budget`.
 ///
 /// The generator count of ℛ can grow exponentially with its dimension.
 /// The counters `core.aov.generators` and `core.aov.generator_rows`
@@ -486,25 +631,23 @@ fn all_generator_rows(a: &Analysis, gens: &GeneratorSet) -> DepRows {
 
 /// Problem 3's rows for one dependence, in `v` alone (see
 /// [`aov_budgeted`]): each storage form at each vertex of ℛ (`>= 0`),
-/// along each ray (`>= 0`) and along each line (`== 0`), cleared of
-/// denominators, with duplicates and trivially true rows dropped.
-fn generator_rows(forms: &[BilinearForm], gens: &GeneratorSet) -> Vec<(AffineExpr, Cmp)> {
+/// along each ray (`>= 0`) and along each line (`== 0`), as primitive
+/// integer constraints, with duplicates and trivially true rows dropped.
+fn generator_rows(forms: &[BilinearForm], gens: &GeneratorSet) -> Vec<Constraint> {
     let _span = aov_trace::span!("aov.generator_rows", forms = forms.len());
     let mut out = Vec::new();
     for f in forms {
-        let at_vertices = gens.vertices.iter().map(|x| (f.at_point(x), Cmp::Ge));
-        let along_rays = gens.rays.iter().map(|r| (f.linear_part_along(r), Cmp::Ge));
-        let along_lines = gens.lines.iter().map(|l| (f.linear_part_along(l), Cmp::Eq));
-        for (row, cmp) in at_vertices.chain(along_rays).chain(along_lines) {
-            let trivial = row.is_constant()
-                && match cmp {
-                    Cmp::Eq => row.constant_term().is_zero(),
-                    _ => !row.constant_term().is_negative(),
-                };
-            if !trivial {
-                out.push((row.clear_denominators(), cmp));
-            }
-        }
+        let at_vertices = gens.vertices.iter().map(|x| Constraint::ge0(f.at_point(x)));
+        let along_rays = gens
+            .rays
+            .iter()
+            .map(|r| Constraint::ge0(f.linear_part_along(r)));
+        let along_lines = gens
+            .lines
+            .iter()
+            .map(|l| Constraint::eq0(f.linear_part_along(l)));
+        let rows = at_vertices.chain(along_rays).chain(along_lines);
+        out.extend(rows.filter(|c| !c.is_trivially_true()));
     }
     dedup_in_order(out)
 }
@@ -624,22 +767,12 @@ pub fn aov_search_with(
 // shared helpers
 // ---------------------------------------------------------------------
 
-/// Adds the sign-pattern constraints (`v_k >= 1`, `v_k <= -1` or
-/// `v_k == 0`) and the two-term objective of one array's vector, whose
-/// components are the model's first `pattern.len()` variables; returns
-/// the objective expression. Within a pattern `|v_k| = sign_k · v_k`
-/// exactly.
-fn install_pattern_objective(m: &mut Model, array: &str, pattern: &Orthant) -> AffineExpr {
+/// Adds the two-term objective of one array's vector, whose components
+/// are the model's first `pattern.len()` variables and lie in the
+/// pattern's orthant, so that `|v_k| = sign_k · v_k`; returns the
+/// objective expression.
+fn install_objective(m: &mut Model, array: &str, pattern: &Orthant) -> AffineExpr {
     let dim = pattern.len();
-    for (k, &sign) in pattern.iter().enumerate() {
-        let var = AffineExpr::var(dim, k);
-        if sign == 0 {
-            m.constrain(var, Cmp::Eq);
-        } else {
-            let e = &var.scale(&i64::from(sign).into()) - &AffineExpr::constant(dim, 1.into());
-            m.constrain(e, Cmp::Ge);
-        }
-    }
     let abs_exprs: Vec<AffineExpr> = pattern
         .iter()
         .enumerate()
@@ -736,6 +869,45 @@ fn enumerate_shell(dim: usize, r: i64) -> Vec<Vec<i64>> {
     out
 }
 
+/// Test oracle: the orthant ILP before the `v`-space pre-pass, one per
+/// visited orthant over every row of every active writer, unreduced, and
+/// the pattern's sign rows.
+#[cfg(test)]
+mod unreduced {
+    use super::{
+        search_arrays, sign_rows, ArrayOrthants, CoreError, DepRows, OrthantResult, OvResult,
+    };
+    use aov_fault::{AovError, Budget};
+    use aov_lp::{LpOutcome, Model};
+    use aov_schedule::{Analysis, Orthant};
+
+    /// Pattern `i`'s unreduced ILP.
+    pub fn solve(
+        o: &ArrayOrthants,
+        i: usize,
+        dep_rows: &DepRows,
+        solve_ilp: impl Fn(&Model) -> Result<LpOutcome, AovError>,
+    ) -> OrthantResult {
+        let writers = o.active_writers[i].iter().flat_map(|&d| &dep_rows[d]);
+        let signs = sign_rows(&o.patterns[i]);
+        o.solve_ilp_over(i, writers.chain(&signs), solve_ilp)
+    }
+
+    /// [`super::shortest_per_array`] with every orthant solved unreduced.
+    pub fn shortest_per_array(
+        a: &Analysis,
+        budget: &Budget,
+        site: &'static str,
+        dep_rows: &DepRows,
+        solve_ilp: impl Fn(&Model) -> Result<LpOutcome, AovError>,
+    ) -> Result<OvResult, CoreError> {
+        let active = |d, pattern: &Orthant| a.active_in_orthant(d, pattern);
+        search_arrays(a, budget, site, active, |o, i| {
+            solve(o, i, dep_rows, &solve_ilp)
+        })
+    }
+}
+
 /// Test oracle: the joint search over every array's vector components
 /// at once, one ILP per joint sign pattern, over storage forms linearized
 /// anew from each dependence domain — the search before it was split per
@@ -750,6 +922,7 @@ mod joint {
     use aov_ir::{Dependence, Program};
     use aov_linalg::AffineExpr;
     use aov_lp::{Cmp, LpOutcome, Model};
+    use aov_polyhedra::Constraint;
     use aov_schedule::{legal, sign_patterns, Analysis, BilinearForm, Orthant, Schedule};
 
     /// Problem 1 by the joint search.
@@ -775,13 +948,13 @@ mod joint {
         if gens.is_empty() {
             return Err(CoreError::Unschedulable);
         }
-        let dep_rows: Vec<Vec<(AffineExpr, Cmp)>> = joint_forms(a)?
+        let dep_rows: Vec<Vec<Constraint>> = joint_forms(a)?
             .iter()
             .map(|forms| super::generator_rows(forms, &gens))
             .collect();
         shortest_over_patterns(a, &Budget::unlimited(), "aov.orthant", |m, didx| {
-            for (r, cmp) in &dep_rows[didx] {
-                m.constrain(r.clone(), *cmp);
+            for c in &dep_rows[didx] {
+                super::constrain(m, c);
             }
         })
     }
@@ -1084,12 +1257,17 @@ mod tests {
         if a.legal().is_empty() {
             return Err(CoreError::Unschedulable);
         }
+        // ℛ's irredundant rows, each equality as two inequalities.
         let sched_rows: Vec<AffineExpr> = a
             .legal()
-            .remove_redundant()
+            .irredundant()
+            .expect("nonempty")
             .constraints()
             .iter()
-            .map(|c| c.expr().clone())
+            .flat_map(|c| {
+                let e = c.expr();
+                std::iter::once(e.clone()).chain(c.is_equality().then(|| -e))
+            })
             .collect();
         let dep_systems: Vec<Vec<_>> = joint::joint_forms(a)?
             .iter()
@@ -1178,6 +1356,57 @@ mod tests {
         );
     }
 
+    /// Oracle for the `v`-space pre-pass of Problems 1 (at the scheduler's
+    /// schedule) and 3: on ex1–4 and every corpus program, each orthant
+    /// of each array gets the verdict, optimum objective and vector of its
+    /// unreduced ILP (no tie resolves differently), and each search
+    /// returns the vectors, objective and error class of the unreduced
+    /// search.
+    #[test]
+    fn v_space_orthants_match_unreduced_ilps() {
+        let budget = Budget::unlimited();
+        let solve_ilp = |m: &Model| m.solve_ilp_budgeted(&budget);
+        let (mut orthants, mut pruned, mut solved) = (0, 0, 0);
+        for p in oracle_corpus() {
+            let Ok(a) = Analysis::new(&p) else { continue };
+            let active = |d, pattern: &Orthant| a.active_in_orthant(d, pattern);
+            let gens = a.legal().generators();
+            let mut problems = vec![("aov.orthant", all_generator_rows(&a, &gens))];
+            if let Ok(sched) = scheduler::find_schedule_with_budgeted(&a, &[], &budget) {
+                let theta = legal::point_of(&p, a.space(), &sched);
+                problems.push(("p1.orthant", schedule_rows(&a, &theta)));
+            }
+            for (site, dep_rows) in &problems {
+                let reduced = ReducedRows::new(dep_rows);
+                for aidx in 0..p.arrays().len() {
+                    let o = ArrayOrthants::new(&a, aidx, active);
+                    for (i, pattern) in o.patterns.iter().enumerate() {
+                        assert_eq!(
+                            o.solve(i, &reduced, solve_ilp).unwrap(),
+                            unreduced::solve(&o, i, dep_rows, solve_ilp).unwrap(),
+                            "{} {site} array {aidx} pattern {pattern:?}",
+                            p.name()
+                        );
+                        orthants += 1;
+                        pruned += usize::from(o.orthant_rows(i, &reduced).is_none());
+                    }
+                }
+                let got = verdict(shortest_per_array(
+                    &a, &budget, site, dep_rows, active, solve_ilp,
+                ));
+                let want = verdict(unreduced::shortest_per_array(
+                    &a, &budget, site, dep_rows, solve_ilp,
+                ));
+                assert_eq!(got, want, "{} {site}", p.name());
+                solved += usize::from(got.is_ok());
+            }
+        }
+        assert!(
+            orthants >= 4_000 && pruned * 2 >= orthants && pruned < orthants && solved >= 400,
+            "{orthants} orthants, {pruned} pruned, {solved} solved"
+        );
+    }
+
     /// Oracle for the activity table in the orthant loops: on ex1–4,
     /// Problems 1 (at the scheduler's schedule) and 3 solve the same
     /// orthant ILPs in the same order, byte for byte by `canonical_key`,
@@ -1221,10 +1450,25 @@ mod tests {
         }
     }
 
-    /// Oracle for Problem 1's legality check: on every corpus program,
-    /// membership in ℛ agrees with the exact per-dependence check
-    /// [`Analysis::is_legal`] at the scheduler's schedule and at each of
-    /// its neighbours one unit away along an iteration coefficient.
+    /// Legality by one implication LP per dependence: the causality form
+    /// at the schedule is nonnegative over the dependence domain jointly
+    /// with the parameter domain.
+    fn is_legal_by_lp(a: &Analysis, sched: &Schedule) -> bool {
+        let p = a.program();
+        let point = legal::point_of(p, a.space(), sched);
+        a.deps().iter().all(|dep| {
+            let form = legal::causality_form(p, a.space(), dep);
+            let depth = p.statement(dep.target).depth();
+            let region = dep.domain.intersect(&p.embed_param_domain(depth));
+            region.implies_nonneg(&form.fix_unknowns(&point))
+        })
+    }
+
+    /// Oracle for the legality check of Problem 1 and
+    /// [`Analysis::is_legal`]: on every corpus program, membership in ℛ
+    /// agrees with one implication LP per dependence ([`is_legal_by_lp`])
+    /// at the scheduler's schedule and at each of its neighbours one unit
+    /// away along an iteration coefficient.
     #[test]
     fn membership_in_legal_polyhedron_is_legality() {
         let (mut schedules, mut illegal) = (0, 0);
@@ -1246,8 +1490,10 @@ mod tests {
                 }
             }
             for q in points {
-                let legal = a.is_legal(&a.space().schedule_at(&q));
+                let sched = a.space().schedule_at(&q);
+                let legal = is_legal_by_lp(&a, &sched);
                 assert_eq!(a.legal().contains(&q), legal, "{} at {q:?}", p.name());
+                assert_eq!(a.is_legal(&sched), legal, "{} at {q:?}", p.name());
                 schedules += 1;
                 illegal += usize::from(!legal);
             }

@@ -12,20 +12,17 @@
 //! solves moves the LP figures; a change to how many projections,
 //! conversions or enumerations a stage asks for moves the polyhedra
 //! ones. A rewrite of a kernel that keeps its work moves neither. A
-//! change that moves them updates these figures and says why.
+//! change that moves them updates these figures and says why. The DD
+//! conversions include Problems 1 and 3's `v`-space pre-pass: one per
+//! dependence of more than one row, reduced once, and at most one per
+//! visited orthant.
 
-use aov_engine::Pipeline;
+use aov_engine::{Pipeline, Report};
 
 /// Pivots, branch-and-bound nodes, DD conversions, vertex enumerations,
 /// validity domains and FM eliminations of one run.
 fn work(name: &str) -> [u64; 6] {
-    let report = Pipeline::for_example(name)
-        .unwrap()
-        .workers(1)
-        .memoize(false)
-        .run()
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    assert_eq!(report.counter_total("lp.memo.hits"), 0, "{name}: memo off");
+    let report = run(name);
     [
         "lp.simplex.pivots",
         "lp.bb.nodes",
@@ -37,22 +34,49 @@ fn work(name: &str) -> [u64; 6] {
     .map(|counter| report.counter_total(counter))
 }
 
+/// One run of `name` at `workers(1)` with the LP memo off.
+fn run(name: &str) -> Report {
+    let report = Pipeline::for_example(name)
+        .unwrap()
+        .workers(1)
+        .memoize(false)
+        .run()
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(report.counter_total("lp.memo.hits"), 0, "{name}: memo off");
+    report
+}
+
 #[test]
 fn example1_lp_work() {
-    assert_eq!(work("example1"), [137, 14, 16, 7, 28, 69]);
+    assert_eq!(work("example1"), [64, 6, 31, 7, 28, 69]);
 }
 
 #[test]
 fn example2_lp_work() {
-    assert_eq!(work("example2"), [121, 20, 15, 6, 24, 50]);
+    assert_eq!(work("example2"), [89, 8, 35, 6, 24, 50]);
 }
 
 #[test]
 fn example3_lp_work() {
-    assert_eq!(work("example3"), [1_045, 40, 62, 30, 180, 1_669]);
+    assert_eq!(work("example3"), [701, 4, 71, 30, 180, 1_669]);
 }
 
 #[test]
 fn example4_lp_work() {
-    assert_eq!(work("example4"), [91, 12, 15, 6, 18, 30]);
+    assert_eq!(work("example4"), [68, 6, 28, 6, 18, 30]);
+}
+
+/// Problem 3 decides example3's orthants in `v`-space: 18 of the 19 it
+/// visits hold no vector, and the one left is a small ILP.
+#[test]
+fn example3_aov_stage_solves_at_most_two_small_ilps() {
+    let report = run("example3");
+    let aov = report.stage("aov").expect("aov stage");
+    let counter = |name: &str| {
+        let found = aov.counters.iter().find(|(n, _)| n == name);
+        found.map_or(0, |(_, count)| *count)
+    };
+    assert!(counter("core.orthant.ilps") <= 2, "{:?}", aov.counters);
+    assert!(counter("lp.bb.nodes") <= 2, "{:?}", aov.counters);
+    assert!(counter("lp.simplex.pivots") <= 20, "{:?}", aov.counters);
 }

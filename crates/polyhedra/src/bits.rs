@@ -46,6 +46,23 @@ impl Bits {
         Bits(self.0.iter().zip(&other.0).map(|(a, b)| a & b).collect())
     }
 
+    /// Makes `self` the set `a ∩ b` of the same width, in place.
+    pub fn assign_and(&mut self, a: &Bits, b: &Bits) {
+        for ((x, y), z) in self.0.iter_mut().zip(&a.0).zip(&b.0) {
+            *x = y & z;
+        }
+    }
+
+    /// Makes `self` the set of all of `0..n`, in place; `n` is the bound
+    /// it was built with.
+    pub fn fill(&mut self, n: usize) {
+        debug_assert_eq!(self.0.len(), n.div_ceil(64));
+        self.0.fill(u64::MAX);
+        if let (Some(last), rest @ 1..) = (self.0.last_mut(), n % 64) {
+            *last = (1 << rest) - 1;
+        }
+    }
+
     /// Keeps only the elements of `other`.
     pub fn intersect_with(&mut self, other: &Bits) {
         for (a, b) in self.0.iter_mut().zip(&other.0) {
@@ -94,6 +111,11 @@ mod tests {
         let mut b = a.clone();
         b.intersect_with(&low);
         assert_eq!(b, a.and(&low));
+        let mut c = Bits::empty(n);
+        c.assign_and(&a, &low);
+        assert_eq!(c, b);
+        c.fill(n);
+        assert_eq!(c, full);
         assert_eq!(Bits::full(0), Bits::empty(0));
         assert_eq!(Bits::full(128).iter().count(), 128);
     }

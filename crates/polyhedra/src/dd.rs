@@ -78,10 +78,15 @@ pub(crate) struct Saturated {
 
 /// Computes the generators of `p`.
 pub(crate) fn generators(p: &Polyhedron) -> GeneratorSet {
+    saturated_of(p).gens
+}
+
+/// [`saturated`] on the rows of `p`'s constraints.
+fn saturated_of(p: &Polyhedron) -> Saturated {
     let rows: Vec<Row> = p.constraints().iter().map(int::of_constraint).collect();
     let kinds = p.constraints().iter().map(Constraint::kind);
     let rows: Vec<(&[BigInt], ConstraintKind)> = rows.iter().map(|r| &r[..]).zip(kinds).collect();
-    saturated(p.dim(), &rows).gens
+    saturated(p.dim(), &rows)
 }
 
 /// Computes the generators of the polyhedron over `Q^d` whose
@@ -244,6 +249,88 @@ pub(crate) fn saturated(d: usize, rows: &[(&[BigInt], ConstraintKind)]) -> Satur
     aov_support::static_counter!("polyhedra.dd.vertices").add(out.gens.vertices.len() as u64);
     aov_support::static_counter!("polyhedra.dd.rays").add(out.gens.rays.len() as u64);
     out
+}
+
+/// An irredundant description of `p`, read off one DD: `None` when it
+/// is empty, else the positions of the constraints kept, in order, each
+/// with the kind it is kept as.
+///
+/// A face holds exactly the generators that saturate its rows, so the
+/// face where inequality `r` is tight is its saturation set `S_r` over
+/// the vertices and rays (lines saturate every row). An inequality
+/// tight at every generator holds with equality on the whole set: it
+/// joins the equalities, of which a linearly independent subset is
+/// kept, earlier rows first. Any other inequality stays when its face
+/// is a facet: `S_r` holds a vertex (a face without one is empty) and no
+/// other proper face `S_r'` strictly contains it (a facet is a maximal
+/// proper face, and every facet is some row's face). Of several rows on
+/// one facet, the first stays.
+pub(crate) fn irredundant(p: &Polyhedron) -> Option<Vec<(usize, ConstraintKind)>> {
+    let sat = saturated_of(p);
+    if sat.gens.is_empty() {
+        return None;
+    }
+    let nv = sat.vertex_tight.len();
+    let n = nv + sat.ray_tight.len();
+    let n_ineqs = p.constraints().iter().filter(|c| !c.is_equality()).count();
+    let mut faces = vec![Bits::empty(n); n_ineqs];
+    for (g, tight) in sat.vertex_tight.iter().chain(&sat.ray_tight).enumerate() {
+        for r in tight.iter().take_while(|&r| r < n_ineqs) {
+            faces[r].insert(g);
+        }
+    }
+    let whole = Bits::full(n);
+    let proper = |f: &Bits| f != &whole;
+    let mut equalities = Echelon::default();
+    let mut kept = Vec::new();
+    let mut ineq = 0;
+    for (pos, c) in p.constraints().iter().enumerate() {
+        if !c.is_equality() {
+            let (r, face) = (ineq, &faces[ineq]);
+            ineq += 1;
+            if proper(face) {
+                // Vertices are the generators `0..nv`, so the least
+                // element tells whether the face holds one.
+                let nonempty = face.iter().next().is_some_and(|g| g < nv);
+                let maximal = faces.iter().all(|other| {
+                    !proper(other) || other == face || !face.meet_is_subset_of(face, other)
+                });
+                let first = !faces[..r].contains(face);
+                if nonempty && maximal && first {
+                    kept.push((pos, ConstraintKind::Ineq));
+                }
+                continue;
+            }
+        }
+        if equalities.insert(int::of_constraint(c)) {
+            kept.push((pos, ConstraintKind::Eq));
+        }
+    }
+    Some(kept)
+}
+
+/// Homogenized rows in echelon form: each row is zero at the pivot (its
+/// first nonzero entry) of every row before it.
+#[derive(Default)]
+struct Echelon(Vec<Row>);
+
+impl Echelon {
+    /// Adds `r` when it is linearly independent of the rows so far;
+    /// returns whether it was.
+    fn insert(&mut self, mut r: Row) -> bool {
+        for b in &self.0 {
+            let p = b.iter().position(|x| !x.is_zero()).expect("nonzero row");
+            if !r[p].is_zero() {
+                let factor = -&r[p];
+                int::combine_into(&b[p], &mut r, &factor, b);
+            }
+        }
+        let independent = !int::is_zero(&r);
+        if independent {
+            self.0.push(r);
+        }
+        independent
+    }
 }
 
 /// The `k`-th unit row of length `n`.

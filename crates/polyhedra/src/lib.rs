@@ -8,7 +8,7 @@
 //!
 //! * [`Polyhedron`] — H-representation over named-free rational dims,
 //!   with emptiness (exact LP), containment, intersection and redundancy
-//!   removal,
+//!   removal ([`Polyhedron::irredundant`], read off one DD),
 //! * [`GeneratorSet`] / [`Polyhedron::generators`] — vertices, rays and
 //!   lines via Chernikova's double-description method,
 //! * [`Polyhedron::eliminate_dims`] — Fourier–Motzkin projection,

@@ -274,12 +274,17 @@ impl Lifted {
 
     /// The face where every row of `rows` is zero, as its generators.
     fn face_of_rows(&self, rows: impl IntoIterator<Item = usize>) -> Bits {
-        let n = self.rows_at.len();
-        let mut face = Bits::full(n);
+        let mut face = Bits::empty(self.rows_at.len());
+        self.face_of_rows_into(rows, &mut face);
+        face
+    }
+
+    /// [`Lifted::face_of_rows`], written into `face`.
+    fn face_of_rows_into(&self, rows: impl IntoIterator<Item = usize>, face: &mut Bits) {
+        face.fill(self.rows_at.len());
         for r in rows {
             face.intersect_with(&self.on_row[r]);
         }
-        face
     }
 
     /// The first bases (`first_basis` of a face's tight rows, see
@@ -301,6 +306,8 @@ impl Lifted {
         // subface's basis in `bases`.
         let mut stack: Vec<(Bits, Bits, Option<usize>)> = Vec::new();
         let mut bases: Vec<B> = Vec::new();
+        // Scratch sets for the faces one generator larger.
+        let (mut joined, mut bigger) = (Bits::empty(self.on_row.len()), Bits::empty(n));
         for w in 0..self.gens.vertices.len() {
             let tight = self.rows_at[w].clone();
             let face = self.face_of_rows(tight.iter());
@@ -321,11 +328,11 @@ impl Lifted {
                 },
             };
             for g in (0..n).filter(|&g| !face.contains(g)) {
-                let joined = tight.and(&self.rows_at[g]);
-                let bigger = self.face_of_rows(joined.iter());
+                joined.assign_and(&tight, &self.rows_at[g]);
+                self.face_of_rows_into(joined.iter(), &mut bigger);
                 if !seen.contains(&bigger) {
                     seen.insert(bigger.clone());
-                    stack.push((bigger, joined, Some(basis)));
+                    stack.push((bigger.clone(), joined.clone(), Some(basis)));
                 }
             }
         }

@@ -208,37 +208,57 @@ impl Polyhedron {
         self.minimum(&-e).map(|v| -v)
     }
 
-    /// Removes constraints implied by the rest (exact LP test). The result
-    /// describes the same set with an irredundant (not necessarily
-    /// minimal-cardinality for degenerate inputs) system.
-    pub fn remove_redundant(&self) -> Polyhedron {
-        let _span = aov_trace::span!("p2.redundancy", rows = self.constraints.len());
-        let mut kept: Vec<Constraint> = self.constraints.clone();
-        let mut i = 0;
-        while i < kept.len() {
-            let candidate = kept[i].clone();
-            if candidate.is_equality() {
-                i += 1;
-                continue; // keep equalities verbatim
-            }
-            let mut rest = kept.clone();
-            rest.remove(i);
-            let without = Polyhedron {
-                dim: self.dim,
-                constraints: rest,
-            };
-            aov_support::static_counter!("polyhedra.redundancy.checks").add(1);
-            if without.implies_nonneg(candidate.expr()) {
-                aov_support::static_counter!("polyhedra.redundancy.rows_dropped").add(1);
-                kept.remove(i);
+    /// The same set described by an irredundant subset of its
+    /// constraints, or `None` when it is empty: the crate's one
+    /// redundancy test, read off the saturation sets of one DD on
+    /// integer rows, without an LP. An inequality stays when the
+    /// generators saturating it span a facet, the first of several on
+    /// one facet. Inequalities that hold with equality on the whole set
+    /// become equalities, and of the equalities a linearly independent
+    /// subset stays, earlier ones first. Kept constraints keep their
+    /// order. A system of at most one constraint needs no DD.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use aov_polyhedra::{Constraint, Polyhedron};
+    /// use aov_linalg::AffineExpr;
+    ///
+    /// // x >= 0, x >= -5, x <= 10: the middle row is implied.
+    /// let p = Polyhedron::from_constraints(1, vec![
+    ///     Constraint::ge0(AffineExpr::from_i64(&[1], 0)),
+    ///     Constraint::ge0(AffineExpr::from_i64(&[1], 5)),
+    ///     Constraint::ge0(AffineExpr::from_i64(&[-1], 10)),
+    /// ]);
+    /// let r = p.irredundant().expect("nonempty");
+    /// assert_eq!(r.constraints(), [p.constraints()[0].clone(), p.constraints()[2].clone()]);
+    /// // x >= 3 and x <= 1 hold nowhere.
+    /// let empty = Polyhedron::from_constraints(1, vec![
+    ///     Constraint::ge0(AffineExpr::from_i64(&[1], -3)),
+    ///     Constraint::ge0(AffineExpr::from_i64(&[-1], 1)),
+    /// ]);
+    /// assert!(empty.irredundant().is_none());
+    /// ```
+    pub fn irredundant(&self) -> Option<Polyhedron> {
+        if self.constraints.iter().any(Constraint::is_trivially_false) {
+            return None;
+        }
+        if self.constraints.len() <= 1 {
+            return Some(self.clone());
+        }
+        let kept = dd::irredundant(self)?;
+        let constraints = kept.into_iter().map(|(pos, kind)| {
+            let c = &self.constraints[pos];
+            if c.kind() == kind {
+                c.clone()
             } else {
-                i += 1;
+                Constraint::from_primitive(c.expr().clone(), kind)
             }
-        }
-        Polyhedron {
+        });
+        Some(Polyhedron {
             dim: self.dim,
-            constraints: kept,
-        }
+            constraints: constraints.collect(),
+        })
     }
 
     /// Vertices, rays and lines via Chernikova's double-description
@@ -372,9 +392,55 @@ mod tests {
             1,
             vec![ge(&[1], 0), ge(&[1], 5), ge(&[-1], 10), ge(&[-1], 20)],
         );
-        let r = p.remove_redundant();
-        assert_eq!(r.constraints().len(), 2);
+        let r = p.irredundant().unwrap();
+        assert_eq!(r.constraints(), [ge(&[1], 0), ge(&[-1], 10)]);
         assert!(r.is_subset_of(&p) && p.is_subset_of(&r));
+    }
+
+    #[test]
+    fn redundancy_removal_keeps_the_first_row_of_a_facet_and_finds_equalities() {
+        // x + y >= 0 and x + y <= 0 hold with equality everywhere: the
+        // first stays as an equality, the second depends on it. y >= 0
+        // is a facet and y >= -3 is implied.
+        let p = Polyhedron::from_constraints(
+            2,
+            vec![
+                ge(&[1, 1], 0),
+                ge(&[0, 1], 0),
+                ge(&[-1, -1], 0),
+                ge(&[0, 1], 3),
+            ],
+        );
+        let r = p.irredundant().unwrap();
+        assert_eq!(
+            r.constraints(),
+            [
+                Constraint::eq0(AffineExpr::from_i64(&[1, 1], 0)),
+                ge(&[0, 1], 0)
+            ]
+        );
+        // The unit square with a repeated side and a cut through a
+        // corner only: four facets.
+        let square = Polyhedron::from_constraints(
+            2,
+            vec![
+                ge(&[1, 0], 0),
+                ge(&[0, 1], 0),
+                ge(&[1, 0], 0),
+                ge(&[-1, 0], 1),
+                ge(&[-1, -1], 2),
+                ge(&[0, -1], 1),
+            ],
+        );
+        let kept = square.irredundant().unwrap();
+        let c = square.constraints();
+        assert_eq!(
+            kept.constraints(),
+            [c[0].clone(), c[1].clone(), c[3].clone(), c[5].clone()]
+        );
+        assert!(Polyhedron::empty(2).irredundant().is_none());
+        let universe = Polyhedron::universe(2);
+        assert_eq!(universe.irredundant(), Some(universe));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the polyhedral substrate: the double-description
-//! generators, Fourier–Motzkin projection and redundancy removal agree
-//! with brute-force ground truth on random systems.
+//! generators, Fourier–Motzkin projection and the DD redundancy
+//! reduction agree with brute-force or LP ground truth on random systems.
 
 use aov_linalg::{AffineExpr, QVector};
 use aov_numeric::Rational;
@@ -25,6 +25,39 @@ fn boxed_polytope(g: &mut Rng, d: usize) -> Polyhedron {
         cs.push(Constraint::ge0(AffineExpr::from_i64(&coeffs, c)));
     }
     Polyhedron::from_constraints(d, cs)
+}
+
+/// A random system in 2 or 3 dimensions: a box half the time, random
+/// cuts (often several on one facet or through one vertex), and an
+/// equality now and then; bounded or not, possibly empty.
+fn random_system(g: &mut Rng) -> Polyhedron {
+    let d = g.usize_in(2, 3);
+    let mut p = if g.u64_below(2) == 0 {
+        boxed_polytope(g, d)
+    } else {
+        Polyhedron::universe(d)
+    };
+    for _ in 0..g.usize_in(1, 6) {
+        let e = AffineExpr::from_i64(&g.vec_i64(-2, 2, d), g.i64_in(-3, 3));
+        let c = if g.u64_below(6) == 0 {
+            Constraint::eq0(e)
+        } else {
+            Constraint::ge0(e)
+        };
+        p.add_constraint(c);
+    }
+    p
+}
+
+/// Whether `c` holds everywhere on `p` (exact LP).
+fn implied(p: &Polyhedron, c: &Constraint) -> bool {
+    p.implies_nonneg(c.expr()) && (!c.is_equality() || p.implies_nonneg(&-c.expr()))
+}
+
+fn sorted(vs: &[QVector]) -> Vec<String> {
+    let mut out: Vec<String> = vs.iter().map(|v| v.to_string()).collect();
+    out.sort();
+    out
 }
 
 fn integer_points(p: &Polyhedron, d: usize) -> Vec<Vec<i64>> {
@@ -106,19 +139,37 @@ props! {
         }
     }
 
-    /// Redundancy removal preserves the set exactly.
-    fn remove_redundant_preserves_set(g) {
-        let p = boxed_polytope(g, 2);
-        let r = p.remove_redundant();
-        assert!(r.constraints().len() <= p.constraints().len());
-        for pt in integer_points(&p, 2) {
-            assert!(r.contains(&QVector::from_i64(&pt)));
+    /// The DD reduction keeps the set: an empty input is reported empty
+    /// (as the LP sees it), and otherwise the kept rows, a subset of the
+    /// input's in order, have the input's generators, imply every
+    /// dropped row, and none of them is implied by the others.
+    fn irredundant_preserves_generators(g) {
+        let p = random_system(g);
+        let Some(r) = p.irredundant() else {
+            assert!(p.is_empty(), "{p:?} reported empty");
+            return;
+        };
+        assert!(!p.is_empty(), "{p:?} is not empty");
+        let (before, after) = (p.generators(), r.generators());
+        assert_eq!(sorted(&before.vertices), sorted(&after.vertices), "{p:?}");
+        assert_eq!(sorted(&before.rays), sorted(&after.rays), "{p:?}");
+        assert_eq!(before.lines.len(), after.lines.len(), "{p:?}");
+        for l in &after.lines {
+            assert!(p.constraints().iter().all(|c| c.expr().coeffs().dot(l).is_zero()));
         }
-        for x in -5i64..=5 {
-            for y in -5i64..=5 {
-                let q = QVector::from_i64(&[x, y]);
-                assert_eq!(p.contains(&q), r.contains(&q), "at ({x}, {y})");
-            }
+        let mut rest = p.constraints().iter();
+        for c in r.constraints() {
+            let same = |d: &&Constraint| d.expr() == c.expr();
+            assert!(rest.any(|d| same(&d)), "{c:?} is not an input row in order");
+        }
+        for c in p.constraints() {
+            assert!(implied(&r, c), "{c:?} dropped but not implied");
+        }
+        for (k, c) in r.constraints().iter().enumerate() {
+            let mut others = r.constraints().to_vec();
+            others.remove(k);
+            let others = Polyhedron::from_constraints(p.dim(), others);
+            assert!(!implied(&others, c), "{c:?} kept but implied in {r:?}");
         }
     }
 

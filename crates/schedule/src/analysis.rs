@@ -262,17 +262,12 @@ impl<'p> Analysis<'p> {
 
     /// Exact legality check of a concrete schedule: every dependence's
     /// causality form must be nonnegative over its domain (jointly with
-    /// the parameter domain).
+    /// the parameter domain). ℛ's rows are those forms linearized exactly
+    /// at the domains' parameterized vertices (Theorem 1), so membership
+    /// of the schedule's point in ℛ decides it without an LP.
     pub fn is_legal(&self, sched: &Schedule) -> bool {
-        let p = self.p;
-        let point = legal::point_of(p, &self.space, sched);
-        self.deps.iter().all(|dep| {
-            let form = legal::causality_form(p, &self.space, dep);
-            let over_domain = form.fix_unknowns(&point);
-            let depth = p.statement(dep.target).depth();
-            let region = dep.domain.intersect(&p.embed_param_domain(depth));
-            region.implies_nonneg(&over_domain)
-        })
+        self.legal
+            .contains(&legal::point_of(self.p, &self.space, sched))
     }
 }
 

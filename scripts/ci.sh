@@ -42,12 +42,16 @@ cargo test --release -q --offline -p aov-lp
 
 echo "== polyhedra tests in release"
 # The integer DD, Fourier–Motzkin and parameterized-vertex kernels, the
-# DD's saturation bitsets and the face enumeration, with their oracles
-# (the rational reference kernels they replaced, row for row on the
-# corpus and past 2^63; the basis enumeration; the chamber recursion),
-# also run where integer overflow wraps, as do the pinned per-example LP
-# and polyhedra work counts.
+# DD's saturation bitsets, the DD redundancy reduction and the face
+# enumeration, with their oracles (the rational reference kernels they
+# replaced, row for row on the corpus and past 2^63; LP implication for
+# every row the reduction drops or keeps; the basis enumeration; the
+# chamber recursion), also run where integer overflow wraps, as do the
+# pinned per-example LP and polyhedra work counts and aov-core's tests:
+# among them the orthant oracle, every orthant of Problems 1 and 3
+# decided in v-space against its unreduced ILP on the corpus.
 cargo test --release -q --offline -p aov-polyhedra
+cargo test --release -q --offline -p aov-core
 cargo test --release -q --offline -p aov-engine --test lp_work
 
 echo "== interp tests in release"
