@@ -1,8 +1,8 @@
 //! Benchmarks of the paper's analyses, one per evaluation artifact
-//! (Figures 3–14). Example 3's full AOV is benched through its dominant
-//! component (the shared `Analysis`: dependences and schedule
-//! constraints) because a single solve takes ~half a minute;
-//! `all_figures fig11` runs it end to end.
+//! (Figures 3–14). Example 3 is benched through its shared `Analysis`
+//! (dependences and schedule constraints) and its dependence analysis;
+//! `all_figures fig11` runs its full AOV end to end, a cold solve of
+//! tens of milliseconds.
 
 use aov_support::bench::Harness;
 use std::hint::black_box;

@@ -10,7 +10,6 @@
 pub mod diag;
 pub mod pipeline;
 pub mod profile;
-pub mod progress;
 
 pub use pipeline::{
     report_schema, run_example, BudgetSpec, EngineError, Health, Pipeline, Report, RunTiming,

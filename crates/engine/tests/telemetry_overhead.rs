@@ -1,10 +1,10 @@
 //! Telemetry overhead guards: the flight recorder runs in every build
 //! and every configuration, so its cost must stay marginal; the
 //! counting allocator's byte accounting is armed on demand (the CLI
-//! arms it for `--profile`/`--trace`/`--diag-dir`/`bench` only), so
-//! its unit cost must merely stay in the nanoseconds. The
-//! EXPERIMENTS.md overhead note is derived from the numbers these
-//! tests print under `--release`.
+//! arms it for `--profile`, `--mem`, `--trace`, `--profile-out` and
+//! `--diag-dir` only), so its unit cost must merely stay in the
+//! nanoseconds. The EXPERIMENTS.md overhead note is derived from the
+//! numbers these tests print under `--release`.
 //!
 //! The recording flag is process-global, so the tests serialize on a
 //! mutex and live in their own test binary.

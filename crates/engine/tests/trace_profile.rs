@@ -1,14 +1,14 @@
 //! Tracing/profiling integration tests: golden flame table on
 //! Example 1, Chrome-export round-trip, and per-run counter deltas.
 //!
-//! The trace sink and the counter registry are process-global, so these
-//! tests serialize on a mutex and live in their own test binary — the
-//! other engine test binaries never enable tracing and cannot pollute
-//! the sink.
+//! The tracing switch and the counter registry are process-global, so
+//! these tests serialize on a mutex and live in their own test binary —
+//! the other engine test binaries never enable tracing.
 
 use std::sync::Mutex;
 
 use aov_engine::{Pipeline, Report};
+use aov_support::context::Context;
 use aov_support::Json;
 use aov_trace::flame::FlameTable;
 use aov_trace::SpanRecord;
@@ -19,20 +19,33 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Runs `f` with tracing on and returns its result with the spans it
+/// recorded. The spans are collected in a fresh context, not the
+/// process root: while tracing is on, a test running unlocked code on
+/// another thread (say, `dependences` for an expected count) records
+/// spans too, and those land in the root.
+fn traced<R>(f: impl FnOnce() -> R) -> (R, Vec<SpanRecord>) {
+    let _guard = lock();
+    let ctx = Context::child(None, None);
+    let _entered = ctx.enter();
+    aov_trace::set_enabled(true);
+    let out = f();
+    aov_trace::set_enabled(false);
+    (out, aov_trace::drain())
+}
+
 /// Runs Example 1 with tracing on and returns its spans and report.
 fn traced_example1(workers: usize) -> (Vec<SpanRecord>, Report) {
-    let _guard = lock();
-    aov_lp::memo::set_enabled(false); // cold cache: the simplex must run
-    aov_trace::clear();
-    aov_trace::set_enabled(true);
-    let report = Pipeline::for_example("example1")
-        .unwrap()
-        .workers(workers)
-        .memoize(true)
-        .run()
-        .expect("example1 runs");
-    aov_trace::set_enabled(false);
-    (aov_trace::drain(), report)
+    let (report, records) = traced(|| {
+        aov_lp::memo::set_enabled(false); // cold cache: the simplex must run
+        Pipeline::for_example("example1")
+            .unwrap()
+            .workers(workers)
+            .memoize(true)
+            .run()
+            .expect("example1 runs")
+    });
+    (records, report)
 }
 
 /// The stages every run executes, in order (machine stage off).
@@ -101,7 +114,12 @@ fn example1_flame_table_golden() {
     // Deterministic tree shape: every root is a pipeline stage, and the
     // orthant spans attach below their stage.
     let tree = aov_trace::tree(&records);
-    assert_eq!(tree.len(), STAGES.len());
+    assert_eq!(
+        tree.len(),
+        STAGES.len(),
+        "roots: {:?}",
+        tree.iter().map(|n| &n.name).collect::<Vec<_>>()
+    );
     for root in &tree {
         assert!(
             root.name.starts_with("pipeline."),
@@ -130,19 +148,16 @@ fn example1_flame_table_golden() {
 /// the 4 one-component ones, so 5 per array.
 #[test]
 fn example2_orthants_are_searched_per_array() {
-    let _guard = lock();
-    aov_lp::memo::set_enabled(false);
-    aov_trace::clear();
-    aov_trace::set_enabled(true);
-    let report = Pipeline::for_example("example2")
-        .unwrap()
-        .workers(1)
-        .memoize(true)
-        .run()
-        .expect("example2 runs");
-    aov_trace::set_enabled(false);
+    let (report, records) = traced(|| {
+        aov_lp::memo::set_enabled(false);
+        Pipeline::for_example("example2")
+            .unwrap()
+            .workers(1)
+            .memoize(true)
+            .run()
+            .expect("example2 runs")
+    });
     assert_eq!(report.equivalent, Some(true));
-    let records = aov_trace::drain();
     // Each orthant span's sign pattern, in solve order: A's, then B's.
     let patterns = |name: &str| -> String {
         let labels: Vec<&str> = records
@@ -169,7 +184,6 @@ fn example2_orthants_are_searched_per_array() {
 /// its workers.
 #[test]
 fn analysis_is_built_once_per_run() {
-    let _guard = lock();
     let count = |records: &[SpanRecord]| {
         records
             .iter()
@@ -178,35 +192,25 @@ fn analysis_is_built_once_per_run() {
     };
     for example in ["example1", "example2"] {
         for workers in [1, 3] {
-            aov_trace::clear();
-            aov_trace::set_enabled(true);
-            let report = Pipeline::for_example(example)
-                .unwrap()
-                .workers(workers)
-                .memoize(true)
-                .run()
-                .expect("example runs");
-            aov_trace::set_enabled(false);
+            let (report, records) = traced(|| {
+                Pipeline::for_example(example)
+                    .unwrap()
+                    .workers(workers)
+                    .memoize(true)
+                    .run()
+                    .expect("example runs")
+            });
             assert_eq!(report.equivalent, Some(true));
-            assert_eq!(
-                count(&aov_trace::drain()),
-                1,
-                "{example} at {workers} workers"
-            );
+            assert_eq!(count(&records), 1, "{example} at {workers} workers");
         }
     }
     let p = aov_ir::examples::example2();
-    aov_trace::clear();
-    aov_trace::set_enabled(true);
-    let a = aov_schedule::Analysis::new(&p).expect("example2 linearizes");
-    let found = aov_core::problems::aov_search_with(&a, 6, 3).expect("example2 has AOVs");
-    aov_trace::set_enabled(false);
+    let (found, records) = traced(|| {
+        let a = aov_schedule::Analysis::new(&p).expect("example2 linearizes");
+        aov_core::problems::aov_search_with(&a, 6, 3).expect("example2 has AOVs")
+    });
     assert_eq!(found.vector_for("A").unwrap().components(), [1, 1]);
-    assert_eq!(
-        count(&aov_trace::drain()),
-        1,
-        "aov_search_with at 3 workers"
-    );
+    assert_eq!(count(&records), 1, "aov_search_with at 3 workers");
 }
 
 /// Golden internal span tree of the problem2 stage: the stage body is
@@ -299,14 +303,12 @@ fn example1_problem2_internal_span_tree_golden() {
 /// workers: the analysis on the calling thread, the per-array searches
 /// on worker threads.
 fn traced_search() -> Vec<SpanRecord> {
-    let _guard = lock();
-    aov_trace::clear();
-    aov_trace::set_enabled(true);
     let p = aov_ir::examples::example2();
-    let a = aov_schedule::Analysis::new(&p).expect("example2 linearizes");
-    aov_core::problems::aov_search_with(&a, 6, 2).expect("example2 has AOVs");
-    aov_trace::set_enabled(false);
-    aov_trace::drain()
+    traced(|| {
+        let a = aov_schedule::Analysis::new(&p).expect("example2 linearizes");
+        aov_core::problems::aov_search_with(&a, 6, 2).expect("example2 has AOVs");
+    })
+    .1
 }
 
 #[test]

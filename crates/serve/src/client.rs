@@ -146,55 +146,6 @@ fn attempt(addr: &str, line: &str) -> Result<Json, String> {
     Json::parse(response.trim()).map_err(|e| format!("bad response frame: {e}"))
 }
 
-/// Opens one connection, sends `request`, and consumes the daemon's
-/// frame stream until it terminates — the client side of the `watch`
-/// verb and of `solve` frames carrying `"watch": true`.
-///
-/// Every frame (stream or terminal) is handed to `on_frame` in
-/// arrival order. The stream ends at the `watch_end` frame the daemon
-/// always sends — after the final report for a followed solve, after
-/// the horizon/drain for a bare watch, and immediately after an
-/// admission rejection — or at EOF. Returns the terminal answer: the
-/// `report`/`error` frame when one arrived, otherwise the `watch_end`
-/// itself.
-///
-/// No retries: a stream subscription is not idempotent — replaying it
-/// would silently skip the events recorded between attempts.
-///
-/// # Errors
-///
-/// Transport failures, or a connection that closed before any frame.
-pub fn stream(addr: &str, request: &Json, mut on_frame: impl FnMut(&Json)) -> Result<Json, String> {
-    let mut line = request.to_compact();
-    line.push('\n');
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-    writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("send: {e}"))?;
-    let reader = BufReader::new(stream);
-    let mut terminal: Option<Json> = None;
-    for received in reader.lines() {
-        let received = received.map_err(|e| format!("recv: {e}"))?;
-        if received.trim().is_empty() {
-            continue;
-        }
-        let frame = Json::parse(received.trim()).map_err(|e| format!("bad stream frame: {e}"))?;
-        let kind = match frame.get("type") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => String::new(),
-        };
-        on_frame(&frame);
-        match kind.as_str() {
-            "watch" | "events" => {}
-            "watch_end" => return Ok(terminal.unwrap_or(frame)),
-            _ => terminal = Some(frame),
-        }
-    }
-    terminal.ok_or_else(|| "connection closed before a terminal frame".to_string())
-}
-
 /// Sends `request` with retry + backoff, returning the terminal frame.
 ///
 /// # Errors

@@ -25,13 +25,7 @@
 //!    `serve.request` and `serve.memo` fault probes; every injection
 //!    surfaces as a clean structured error while the daemon keeps
 //!    serving subsequent requests bit-identically.
-//! 6. **Telemetry plane** ([`telemetry`]) — lock-free latency
-//!    histograms per phase and verdict, rolling 1/10/60 s rate
-//!    windows, worker states, the `metrics` and `watch` verbs
-//!    (`aov-svcmetrics/1`, live flight-recorder tails), and the
-//!    size-rotated `aov-access/1` structured access log.
 
 pub mod client;
 pub mod protocol;
 pub mod server;
-pub mod telemetry;

@@ -20,15 +20,8 @@
 //!   economics.
 //! * `health` — liveness probe (`ok` or `draining`).
 //! * `shutdown` — asks the daemon to drain and exit.
-//! * `metrics` — the full telemetry document
-//!   (`aov-svcmetrics/1`): per-phase and per-verdict latency
-//!   histograms, rolling rate windows, worker states.
-//! * `watch` — subscribes this connection to the flight recorder:
-//!   the daemon streams `events` frames (optionally filtered to one
-//!   `session`) until the client disconnects, the optional `for_ms`
-//!   horizon passes, or the daemon drains. A `solve` frame may also
-//!   carry `"watch": true` to stream its own session's events on the
-//!   same connection, interleaved before the final report.
+//!
+//! Unknown fields are ignored; an unknown `type` is a `bad_request`.
 //!
 //! # Response frames
 //!
@@ -39,12 +32,6 @@
 //!   `shutting_down`), a human message, and — for `overloaded` — a
 //!   `retry_after_ms` hint the client backoff honors.
 //! * `stats`, `health`, `shutdown` — mirrors of their requests.
-//! * `metrics` — carries the `aov-svcmetrics/1` document under
-//!   `metrics`.
-//! * `events` — one batch of flight-recorder events plus an honest
-//!   `dropped` count (events the ring overwrote before this
-//!   subscriber could read them); `watch_end` terminates a stream
-//!   with totals.
 //!
 //! Captured request/response transcripts are themselves documents
 //! (`type":"transcript"`) validated by [`transcript_schema`] via
@@ -111,23 +98,10 @@ pub enum RequestKind {
         /// `<request>`).
         display: String,
         options: SolveOptions,
-        /// Stream this solve's flight-recorder events on the same
-        /// connection before the final report (`aov client --follow`).
-        watch: bool,
     },
     Stats,
     Health,
     Shutdown,
-    /// Return the `aov-svcmetrics/1` telemetry document.
-    Metrics,
-    /// Stream flight-recorder events until disconnect/drain.
-    Watch {
-        /// Only events stamped with this session (0 = all sessions).
-        session: u64,
-        /// Stop streaming after this horizon (None = until
-        /// disconnect or drain).
-        for_ms: Option<u64>,
-    },
 }
 
 fn get_u64(j: &Json, key: &str) -> Option<u64> {
@@ -194,17 +168,11 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
                 source,
                 display,
                 options,
-                watch: matches!(doc.get("watch"), Some(Json::Bool(true))),
             }
         }
         Some("stats") => RequestKind::Stats,
         Some("health") => RequestKind::Health,
         Some("shutdown") => RequestKind::Shutdown,
-        Some("metrics") => RequestKind::Metrics,
-        Some("watch") => RequestKind::Watch {
-            session: get_u64(&doc, "session").unwrap_or(0),
-            for_ms: get_u64(&doc, "for_ms"),
-        },
         Some(other) => return Err(bad(format!("unknown request type {other:?}"))),
         None => return Err(bad("missing \"type\" field".into())),
     };
@@ -297,57 +265,6 @@ pub fn report_frame(id: i64, session: u64, exit_code: i32, health: &str, report:
         .field("report", report)
 }
 
-/// Builds a `watch` request frame (`session` 0 subscribes to every
-/// session; `for_ms` bounds the stream).
-#[must_use]
-pub fn watch_frame(id: i64, session: u64, for_ms: Option<u64>) -> Json {
-    let frame = plain_frame("watch", id).field("session", session);
-    match for_ms {
-        Some(ms) => frame.field("for_ms", ms),
-        None => frame,
-    }
-}
-
-/// Builds a `metrics` response frame around an `aov-svcmetrics/1`
-/// document.
-#[must_use]
-pub fn metrics_frame(id: i64, doc: Json) -> Json {
-    plain_frame("metrics", id).field("metrics", doc)
-}
-
-/// One flight-recorder event as wire JSON.
-#[must_use]
-pub fn event_json(event: &aov_trace::recorder::Event) -> Json {
-    Json::obj()
-        .field("seq", event.seq)
-        .field("t_ns", event.t_ns)
-        .field("thread", event.thread)
-        .field("session", event.session)
-        .field("kind", event.kind.name())
-        .field("label", event.label.as_str())
-        .field("a", event.a)
-        .field("b", event.b)
-}
-
-/// Builds one `events` stream frame: a batch of recorder events plus
-/// the honest count of events this subscriber lost to ring wraparound
-/// since the previous batch.
-#[must_use]
-pub fn events_frame(id: i64, events: &[aov_trace::recorder::Event], dropped: u64) -> Json {
-    plain_frame("events", id)
-        .field("dropped", dropped)
-        .field("events", events.iter().map(event_json).collect::<Vec<_>>())
-}
-
-/// Terminates a watch stream: why it ended plus delivery totals.
-#[must_use]
-pub fn watch_end_frame(id: i64, reason: &str, events_sent: u64, dropped_total: u64) -> Json {
-    plain_frame("watch_end", id)
-        .field("reason", reason)
-        .field("events_sent", events_sent)
-        .field("dropped_total", dropped_total)
-}
-
 /// Structural schema of a captured request/response transcript
 /// (`{"schema":"aov-serve/1","type":"transcript","frames":[{dir,
 /// frame}]}`), registered with `aov inspect --check`. Frames stay
@@ -393,12 +310,10 @@ mod tests {
             source,
             display,
             options,
-            watch,
         } = req.kind
         else {
             panic!("not a solve");
         };
-        assert!(!watch, "watch defaults to off");
         assert!(!source.is_empty());
         assert_eq!(display, "examples/example1.aov");
         assert_eq!(options.workers, 3);
@@ -411,33 +326,6 @@ mod tests {
             options.chaos.as_deref(),
             Some("site=serve.request,kind=error")
         );
-    }
-
-    #[test]
-    fn watch_and_metrics_frames_roundtrip() {
-        let req = parse_request(&watch_frame(5, 42, Some(750)).to_compact()).expect("parses");
-        assert_eq!(req.id, 5);
-        let RequestKind::Watch { session, for_ms } = req.kind else {
-            panic!("not a watch");
-        };
-        assert_eq!(session, 42);
-        assert_eq!(for_ms, Some(750));
-        // Bare watch: all sessions, unbounded.
-        let req = parse_request(&plain_frame("watch", 6).to_compact()).expect("parses");
-        let RequestKind::Watch { session, for_ms } = req.kind else {
-            panic!("not a watch");
-        };
-        assert_eq!((session, for_ms), (0, None));
-        let req = parse_request(&plain_frame("metrics", 7).to_compact()).expect("parses");
-        assert!(matches!(req.kind, RequestKind::Metrics));
-        // A solve frame can opt into watching its own session.
-        let frame =
-            solve_frame(8, ("example1", true), &SolveOptions::default()).field("watch", true);
-        let req = parse_request(&frame.to_compact()).expect("parses");
-        let RequestKind::Solve { watch, .. } = req.kind else {
-            panic!("not a solve");
-        };
-        assert!(watch);
     }
 
     #[test]

@@ -44,37 +44,23 @@
 //! Each solve gets a process-unique session id, stamped into every
 //! flight-recorder event it records (including fan-out workers, via
 //! span-context adoption) — so one request's crash bundle carries only
-//! its own timeline even though the ring is process-global. The id is
-//! assigned at *admission* (not dequeue), so a `watch`ing connection
-//! can tail a session's events while the solve is still queued.
-//!
-//! # Telemetry
-//!
-//! Every request is decomposed into phases (admission, queue-wait,
-//! solve, serialize, end-to-end) recorded into lock-free latency
-//! histograms, and its end-to-end latency lands under its verdict
-//! (ok/degraded/overloaded/fault). The `metrics` verb returns the
-//! whole plane as an `aov-svcmetrics/1` document; the `watch` verb
-//! streams flight-recorder events live off a persistent ring cursor;
-//! `--access-log` appends one `aov-access/1` line per request. See
-//! [`crate::telemetry`].
+//! its own timeline even though the ring is process-global. The report
+//! frame echoes the id.
 
 use std::collections::VecDeque;
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use aov_engine::{diag, Health, Pipeline};
 use aov_fault::chaos::{self, ChaosSpec, FaultKind};
-use aov_support::{digest, Json, ToJson as _};
-use aov_trace::recorder;
+use aov_support::{Json, ToJson as _};
 
 use crate::protocol::{self, code, RequestKind, SolveOptions};
-use crate::telemetry::{self, AccessLog, AccessRecord, Phase, Telemetry, Verdict, WindowKind};
 
 /// Pivot-pool charge for a request that declared no pivot budget.
 /// Deliberately generous: unbudgeted requests are the minority tenant,
@@ -106,11 +92,6 @@ pub struct ServerConfig {
     pub diag_dir: Option<PathBuf>,
     /// The hint stamped into `overloaded` rejections.
     pub retry_after_ms: u64,
-    /// Structured access log: one `aov-access/1` line per request
-    /// (None = no log).
-    pub access_log: Option<PathBuf>,
-    /// Size-rotation threshold for the access log.
-    pub access_log_max_bytes: u64,
 }
 
 impl Default for ServerConfig {
@@ -125,8 +106,6 @@ impl Default for ServerConfig {
             default_deadline_ms: None,
             diag_dir: None,
             retry_after_ms: 25,
-            access_log: None,
-            access_log_max_bytes: telemetry::ACCESS_LOG_MAX_BYTES,
         }
     }
 }
@@ -144,15 +123,26 @@ struct Job {
     out: Arc<Mutex<TcpStream>>,
     /// Session id assigned at admission (flight-recorder attribution).
     session: u64,
-    /// FNV-1a digest of the program source (access-log identity).
-    digest: String,
-    /// When the request line arrived (end-to-end anchor).
-    received_at: Instant,
-    /// When admission pushed the job (queue-wait anchor).
-    enqueued_at: Instant,
-    /// Set once the final response frame for this job went out — the
-    /// signal a same-connection `watch` stream keys its shutdown on.
-    done: Arc<AtomicBool>,
+}
+
+/// Worker states surfaced by `stats`.
+mod worker_state {
+    /// Waiting on the queue.
+    pub const IDLE: u8 = 0;
+    /// Running a job.
+    pub const SOLVING: u8 = 1;
+    /// Supervisor restarting the loop after an escaped panic.
+    pub const RESTARTING: u8 = 2;
+
+    /// Stable name for a state code.
+    #[must_use]
+    pub fn name(state: u8) -> &'static str {
+        match state {
+            SOLVING => "solving",
+            RESTARTING => "restarting",
+            _ => "idle",
+        }
+    }
 }
 
 struct Shared {
@@ -169,58 +159,33 @@ struct Shared {
     faults: AtomicU64,
     worker_restarts: AtomicU64,
     inflight: AtomicU64,
-    /// Histograms, rate windows, worker states, uptime.
-    telemetry: Telemetry,
-    /// Structured per-request evidence, when configured.
-    access_log: Option<AccessLog>,
+    /// When the daemon started (`uptime_ms` in `stats`).
+    started: Instant,
+    /// One [`worker_state`] code per solver worker.
+    worker_states: Vec<AtomicU8>,
 }
 
 impl Shared {
     fn lock_queue(&self) -> std::sync::MutexGuard<'_, VecDeque<Job>> {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
-}
 
-/// Nanoseconds since `start`, saturating.
-fn ns_since(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// The request's knobs as recorded in access-log lines.
-fn knobs_json(options: &SolveOptions) -> Json {
-    let mut budget = Json::obj();
-    if let Some(p) = options.budget.pivots {
-        budget = budget.field("pivots", p);
+    fn set_worker_state(&self, idx: usize, state: u8) {
+        self.worker_states[idx].store(state, Ordering::Relaxed);
     }
-    if let Some(n) = options.budget.nodes {
-        budget = budget.field("nodes", n);
-    }
-    if let Some(ms) = options.budget.ms {
-        budget = budget.field("ms", ms);
-    }
-    let mut knobs = Json::obj()
-        .field("workers", options.workers)
-        .field("memoize", options.memoize)
-        .field("budget", budget);
-    if let Some(ms) = options.deadline_ms {
-        knobs = knobs.field("deadline_ms", ms);
-    }
-    if let Some(chaos) = &options.chaos {
-        knobs = knobs.field("chaos", chaos.as_str());
-    }
-    knobs
 }
 
 /// Writes one frame as a single line. The whole line goes out in one
 /// buffered write under the connection's writer lock — a concurrent
-/// frame can interleave between lines, never inside one. Returns
-/// whether the write reached the socket (a `watch` stream stops when
-/// its client hangs up).
-fn send(out: &Arc<Mutex<TcpStream>>, frame: &Json) -> bool {
+/// frame can interleave between lines, never inside one. A client that
+/// hung up loses the frame; the daemon carries on.
+fn send(out: &Arc<Mutex<TcpStream>>, frame: &Json) {
     let mut line = frame.to_compact();
     line.push('\n');
     let mut stream = out.lock().unwrap_or_else(PoisonError::into_inner);
-    stream.write_all(line.as_bytes()).is_ok() && stream.flush().is_ok()
+    let _ = stream
+        .write_all(line.as_bytes())
+        .and_then(|()| stream.flush());
 }
 
 /// A running daemon. Dropping the handle does **not** stop it; call
@@ -248,10 +213,6 @@ impl Server {
             aov_lp::memo::set_capacity(cfg.memo_capacity);
         }
         let workers = cfg.workers.max(1);
-        let access_log = match &cfg.access_log {
-            Some(path) => Some(AccessLog::open(path, cfg.access_log_max_bytes)?),
-            None => None,
-        };
         let shared = Arc::new(Shared {
             pivot_pool: AtomicI64::new(
                 cfg.pivot_pool
@@ -267,8 +228,10 @@ impl Server {
             faults: AtomicU64::new(0),
             worker_restarts: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
-            telemetry: Telemetry::new(workers),
-            access_log,
+            started: Instant::now(),
+            worker_states: (0..workers)
+                .map(|_| AtomicU8::new(worker_state::IDLE))
+                .collect(),
         });
         let accept_handle = {
             let shared = Arc::clone(&shared);
@@ -425,16 +388,11 @@ fn process_line(shared: &Arc<Shared>, line: &str, out: &Arc<Mutex<TcpStream>>) {
             shared.draining.store(true, Ordering::Relaxed);
             shared.cv.notify_all();
         }
-        RequestKind::Metrics => {
-            send(out, &protocol::metrics_frame(id, svcmetrics_doc(shared)));
-        }
-        RequestKind::Watch { session, for_ms } => watch_stream(shared, id, session, for_ms, out),
         RequestKind::Solve {
             source,
             display,
             options,
-            watch,
-        } => admit_solve(shared, id, &source, display, options, watch, out),
+        } => admit_solve(shared, id, &source, display, options, out),
     }
 }
 
@@ -450,183 +408,26 @@ fn stats_frame(shared: &Shared, id: i64) -> Json {
             shared.worker_restarts.load(Ordering::Relaxed),
         )
         .field("draining", shared.draining.load(Ordering::Relaxed))
-        .field("uptime_ms", shared.telemetry.uptime_ms())
-        .field("workers", shared.telemetry.workers_json())
-        .field("memo", protocol::memo_json(&aov_lp::memo::stats()))
-}
-
-/// Builds the `aov-svcmetrics/1` document the `metrics` verb returns.
-fn svcmetrics_doc(shared: &Shared) -> Json {
-    let t = &shared.telemetry;
-    Json::obj()
-        .field("schema", telemetry::SVCMETRICS_SCHEMA)
-        .field("uptime_ms", t.uptime_ms())
-        .field("draining", shared.draining.load(Ordering::Relaxed))
-        .field("queue_depth", shared.lock_queue().len())
-        .field("inflight", shared.inflight.load(Ordering::Relaxed))
-        .field("served", shared.served.load(Ordering::Relaxed))
-        .field("overloaded", shared.overloaded.load(Ordering::Relaxed))
-        .field("faults", shared.faults.load(Ordering::Relaxed))
         .field(
-            "worker_restarts",
-            shared.worker_restarts.load(Ordering::Relaxed),
+            "uptime_ms",
+            u64::try_from(shared.started.elapsed().as_millis()).unwrap_or(u64::MAX),
         )
-        .field("workers", t.workers_json())
+        .field(
+            "workers",
+            Json::Arr(
+                shared
+                    .worker_states
+                    .iter()
+                    .enumerate()
+                    .map(|(id, s)| {
+                        Json::obj()
+                            .field("id", id)
+                            .field("state", worker_state::name(s.load(Ordering::Relaxed)))
+                    })
+                    .collect(),
+            ),
+        )
         .field("memo", protocol::memo_json(&aov_lp::memo::stats()))
-        .field("windows", t.windows_json())
-        .field("phases", t.phases_json())
-        .field("verdicts", t.verdicts_json())
-}
-
-/// Streams flight-recorder events to this connection until the client
-/// hangs up, the `for_ms` horizon passes, or the daemon drains. The
-/// cursor survives ring wraparound; every batch carries the honest
-/// count of events the subscriber lost to overwrites.
-fn watch_stream(
-    shared: &Arc<Shared>,
-    id: i64,
-    session: u64,
-    for_ms: Option<u64>,
-    out: &Arc<Mutex<TcpStream>>,
-) {
-    let mut cursor = recorder::Cursor::new();
-    if !send(
-        out,
-        &protocol::plain_frame("watch", id)
-            .field("session", session)
-            .field("status", "ok"),
-    ) {
-        return;
-    }
-    let horizon = for_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut sent = 0u64;
-    let mut dropped_total = 0u64;
-    let reason = loop {
-        let batch = cursor.poll();
-        dropped_total += batch.dropped;
-        let events: Vec<recorder::Event> = batch
-            .events
-            .into_iter()
-            .filter(|e| session == 0 || e.session == session)
-            .collect();
-        if !events.is_empty() || batch.dropped > 0 {
-            sent += events.len() as u64;
-            if !send(out, &protocol::events_frame(id, &events, batch.dropped)) {
-                return; // client gone; nobody left to tell why
-            }
-        }
-        if shared.draining.load(Ordering::Relaxed) {
-            break "draining";
-        }
-        if horizon.is_some_and(|h| Instant::now() >= h) {
-            break "deadline";
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    send(
-        out,
-        &protocol::watch_end_frame(id, reason, sent, dropped_total),
-    );
-}
-
-/// The follow-a-solve stream: after admission queued `session`, tail
-/// its events on the admitting connection until the worker's final
-/// frame went out (`done`), then flush and close the stream.
-fn follow_session(
-    id: i64,
-    session: u64,
-    done: &AtomicBool,
-    mut cursor: recorder::Cursor,
-    out: &Arc<Mutex<TcpStream>>,
-) {
-    let mut sent = 0u64;
-    let mut dropped_total = 0u64;
-    loop {
-        // Read the flag before polling: events recorded before `done`
-        // was set are visible to this (or the final) poll, so the
-        // stream never ends with undelivered events still readable.
-        let finished = done.load(Ordering::Acquire);
-        let batch = cursor.poll();
-        dropped_total += batch.dropped;
-        let events: Vec<recorder::Event> = batch
-            .events
-            .into_iter()
-            .filter(|e| e.session == session)
-            .collect();
-        if !events.is_empty() || batch.dropped > 0 {
-            sent += events.len() as u64;
-            if !send(out, &protocol::events_frame(id, &events, batch.dropped)) {
-                return;
-            }
-        }
-        if finished {
-            break;
-        }
-        // A followed solve takes a few milliseconds and shares the ring
-        // with every concurrent session, so a slower poll lets a small
-        // ring (64 slots) lap its events before they are read.
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    send(
-        out,
-        &protocol::watch_end_frame(id, "done", sent, dropped_total),
-    );
-}
-
-/// Telemetry for a request shed at admission: the whole request was
-/// the admission walk, so that span doubles as its end-to-end
-/// latency, attributed to the `overloaded` verdict for load-shedding
-/// outcomes and `fault` for malformed/faulted ones.
-fn record_shed(
-    shared: &Shared,
-    id: i64,
-    outcome: &str,
-    received_at: Instant,
-    source: &str,
-    display: &str,
-    options: &SolveOptions,
-) {
-    let total_ns = ns_since(received_at);
-    shared.telemetry.record_phase(Phase::Admission, total_ns);
-    shared.telemetry.record_phase(Phase::EndToEnd, total_ns);
-    let verdict = if matches!(
-        outcome,
-        code::OVERLOADED | code::DEADLINE | code::SHUTTING_DOWN
-    ) {
-        shared.telemetry.windows.bump(WindowKind::Shed, 1);
-        Verdict::Overloaded
-    } else {
-        Verdict::Fault
-    };
-    shared.telemetry.record_verdict(verdict, total_ns);
-    if let Some(log) = &shared.access_log {
-        log.append(&AccessRecord {
-            id,
-            session: 0,
-            program: display,
-            digest: &digest::fnv1a_hex(source.as_bytes()),
-            outcome,
-            exit_code: None,
-            queue_wait_ns: 0,
-            solve_ns: 0,
-            serialize_ns: 0,
-            total_ns,
-            knobs: knobs_json(options),
-            memo_hits: 0,
-            memo_misses: 0,
-        });
-    }
-}
-
-/// Rejects a solve at admission: the error frame, plus — when the
-/// request asked to `watch` — the immediate `watch_end` the client is
-/// owed so its stream terminates instead of waiting on a session that
-/// will never run.
-fn reject(out: &Arc<Mutex<TcpStream>>, id: i64, watch: bool, frame: &Json) {
-    send(out, frame);
-    if watch {
-        send(out, &protocol::watch_end_frame(id, "rejected", 0, 0));
-    }
 }
 
 /// The admission policy: shed load *before* any solver work.
@@ -636,25 +437,11 @@ fn admit_solve(
     source: &str,
     display: String,
     options: SolveOptions,
-    watch: bool,
     out: &Arc<Mutex<TcpStream>>,
 ) {
-    let received_at = Instant::now();
-    shared.telemetry.windows.bump(WindowKind::Requests, 1);
     if shared.draining.load(Ordering::Relaxed) {
-        record_shed(
-            shared,
-            id,
-            code::SHUTTING_DOWN,
-            received_at,
-            source,
-            &display,
-            &options,
-        );
-        reject(
+        send(
             out,
-            id,
-            watch,
             &protocol::error_frame(id, code::SHUTTING_DOWN, "daemon is draining", None),
         );
         return;
@@ -664,19 +451,8 @@ fn admit_solve(
     if let Some(spec) = &options.chaos {
         match ChaosSpec::parse(spec) {
             Ok(parsed) if !parsed.site.starts_with("serve.") => {
-                record_shed(
-                    shared,
-                    id,
-                    code::BAD_REQUEST,
-                    received_at,
-                    source,
-                    &display,
-                    &options,
-                );
-                reject(
+                send(
                     out,
-                    id,
-                    watch,
                     &protocol::error_frame(
                         id,
                         code::BAD_REQUEST,
@@ -692,19 +468,8 @@ fn admit_solve(
             }
             Ok(_) => {}
             Err(e) => {
-                record_shed(
-                    shared,
-                    id,
-                    code::BAD_REQUEST,
-                    received_at,
-                    source,
-                    &display,
-                    &options,
-                );
-                reject(
+                send(
                     out,
-                    id,
-                    watch,
                     &protocol::error_frame(id, code::BAD_REQUEST, &format!("chaos: {e}"), None),
                 );
                 return;
@@ -714,19 +479,8 @@ fn admit_solve(
     let program = match aov_lang::parse(source) {
         Ok(p) => p,
         Err(d) => {
-            record_shed(
-                shared,
-                id,
-                code::PARSE,
-                received_at,
-                source,
-                &display,
-                &options,
-            );
-            reject(
+            send(
                 out,
-                id,
-                watch,
                 &protocol::error_frame(id, code::PARSE, &d.render(&display), None),
             );
             return;
@@ -746,21 +500,7 @@ fn admit_solve(
     if let Some(msg) = accept_fault {
         shared.faults.fetch_add(1, Ordering::Relaxed);
         write_service_diag(shared, &program, &options, &msg);
-        record_shed(
-            shared,
-            id,
-            code::FAULT,
-            received_at,
-            source,
-            &display,
-            &options,
-        );
-        reject(
-            out,
-            id,
-            watch,
-            &protocol::error_frame(id, code::FAULT, &msg, None),
-        );
+        send(out, &protocol::error_frame(id, code::FAULT, &msg, None));
         return;
     }
     let deadline = options
@@ -773,19 +513,8 @@ fn admit_solve(
     if shared.pivot_pool.fetch_sub(charge, Ordering::AcqRel) < charge {
         shared.pivot_pool.fetch_add(charge, Ordering::AcqRel);
         shared.overloaded.fetch_add(1, Ordering::Relaxed);
-        record_shed(
-            shared,
-            id,
-            code::OVERLOADED,
-            received_at,
-            source,
-            &display,
-            &options,
-        );
-        reject(
+        send(
             out,
-            id,
-            watch,
             &protocol::error_frame(
                 id,
                 code::OVERLOADED,
@@ -795,46 +524,24 @@ fn admit_solve(
         );
         return;
     }
-    // Session assigned here — before the queue — so a same-connection
-    // watch can subscribe to it while the job is still waiting.
-    let session = shared.next_session.fetch_add(1, Ordering::Relaxed);
-    let done = Arc::new(AtomicBool::new(false));
     let job = Job {
         id,
-        digest: digest::fnv1a_hex(source.as_bytes()),
         program,
         display,
         options,
         pool_charge,
         deadline,
         out: Arc::clone(out),
-        session,
-        received_at,
-        enqueued_at: Instant::now(),
-        done: Arc::clone(&done),
+        session: shared.next_session.fetch_add(1, Ordering::Relaxed),
     };
-    // The follow cursor must exist before a worker can pick the job
-    // up, or the session's first events could be recorded unseen.
-    let follow_cursor = watch.then(recorder::Cursor::new);
     {
         let mut queue = shared.lock_queue();
         if queue.len() >= shared.cfg.queue_limit {
             drop(queue);
             shared.pivot_pool.fetch_add(charge, Ordering::AcqRel);
             shared.overloaded.fetch_add(1, Ordering::Relaxed);
-            record_shed(
-                shared,
-                id,
-                code::OVERLOADED,
-                received_at,
-                source,
-                &job.display,
-                &job.options,
-            );
-            reject(
+            send(
                 out,
-                id,
-                watch,
                 &protocol::error_frame(
                     id,
                     code::OVERLOADED,
@@ -846,13 +553,7 @@ fn admit_solve(
         }
         queue.push_back(job);
     }
-    shared
-        .telemetry
-        .record_phase(Phase::Admission, ns_since(received_at));
     shared.cv.notify_one();
-    if let Some(cursor) = follow_cursor {
-        follow_session(id, session, &done, cursor, out);
-    }
 }
 
 /// The worker supervisor: re-enters the worker loop whenever a panic
@@ -863,16 +564,12 @@ fn supervise_worker(shared: &Arc<Shared>, idx: usize) {
         match catch_unwind(AssertUnwindSafe(|| worker_loop(shared, idx))) {
             Ok(()) => {
                 // Clean drain exit.
-                shared
-                    .telemetry
-                    .set_worker_state(idx, telemetry::worker_state::IDLE);
+                shared.set_worker_state(idx, worker_state::IDLE);
                 return;
             }
             Err(_) => {
                 shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .telemetry
-                    .set_worker_state(idx, telemetry::worker_state::RESTARTING);
+                shared.set_worker_state(idx, worker_state::RESTARTING);
             }
         }
     }
@@ -880,9 +577,7 @@ fn supervise_worker(shared: &Arc<Shared>, idx: usize) {
 
 fn worker_loop(shared: &Arc<Shared>, idx: usize) {
     loop {
-        shared
-            .telemetry
-            .set_worker_state(idx, telemetry::worker_state::IDLE);
+        shared.set_worker_state(idx, worker_state::IDLE);
         let job = {
             let mut queue = shared.lock_queue();
             loop {
@@ -899,12 +594,7 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
                 queue = guard;
             }
         };
-        shared
-            .telemetry
-            .set_worker_state(idx, telemetry::worker_state::SOLVING);
-        shared
-            .telemetry
-            .record_phase(Phase::QueueWait, ns_since(job.enqueued_at));
+        shared.set_worker_state(idx, worker_state::SOLVING);
         shared.inflight.fetch_add(1, Ordering::Relaxed);
         let outcome = catch_unwind(AssertUnwindSafe(|| process_job(shared, &job)));
         if let Err(panic) = outcome {
@@ -918,67 +608,13 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
                 &job.out,
                 &protocol::error_frame(job.id, code::FAULT, &msg, None),
             );
-            finish_job_telemetry(shared, &job, code::FAULT, None, 0, 0, 0, 0, 0);
         }
-        // Whatever the path, the job's final frame is out: release a
-        // same-connection follow stream.
-        job.done.store(true, Ordering::Release);
         shared.inflight.fetch_sub(1, Ordering::Relaxed);
         shared.served.fetch_add(1, Ordering::Relaxed);
         shared.pivot_pool.fetch_add(
             i64::try_from(job.pool_charge).unwrap_or(i64::MAX),
             Ordering::AcqRel,
         );
-    }
-}
-
-/// End-of-job telemetry shared by every completion path: end-to-end
-/// phase + verdict histograms, the shed window for drops, and the
-/// access-log line.
-#[allow(clippy::too_many_arguments)]
-fn finish_job_telemetry(
-    shared: &Shared,
-    job: &Job,
-    outcome: &str,
-    exit_code: Option<i32>,
-    queue_wait_ns: u64,
-    solve_ns: u64,
-    serialize_ns: u64,
-    memo_hits: u64,
-    memo_misses: u64,
-) {
-    let total_ns = ns_since(job.received_at);
-    shared.telemetry.record_phase(Phase::EndToEnd, total_ns);
-    let verdict = match outcome {
-        "ok" => Verdict::Ok,
-        "degraded" | "failed" => Verdict::Degraded,
-        code::DEADLINE => {
-            shared.telemetry.windows.bump(WindowKind::Shed, 1);
-            Verdict::Overloaded
-        }
-        _ => Verdict::Fault,
-    };
-    shared.telemetry.record_verdict(verdict, total_ns);
-    shared
-        .telemetry
-        .windows
-        .bump(WindowKind::MemoHits, memo_hits);
-    if let Some(log) = &shared.access_log {
-        log.append(&AccessRecord {
-            id: job.id,
-            session: job.session,
-            program: &job.display,
-            digest: &job.digest,
-            outcome,
-            exit_code,
-            queue_wait_ns,
-            solve_ns,
-            serialize_ns,
-            total_ns,
-            knobs: knobs_json(&job.options),
-            memo_hits,
-            memo_misses,
-        });
     }
 }
 
@@ -1023,7 +659,6 @@ fn fire_request_chaos(options: &SolveOptions, site: &str) -> Result<(), String> 
 
 /// Runs one admitted job through the pipeline and answers the client.
 fn process_job(shared: &Arc<Shared>, job: &Job) {
-    let queue_wait_ns = ns_since(job.enqueued_at);
     // Drop-before-solving: a request whose client deadline passed while
     // it sat in the queue gets a deadline error, not a solve.
     let remaining = match job.deadline {
@@ -1039,7 +674,6 @@ fn process_job(shared: &Arc<Shared>, job: &Job) {
                         None,
                     ),
                 );
-                finish_job_telemetry(shared, job, code::DEADLINE, None, queue_wait_ns, 0, 0, 0, 0);
                 return;
             }
             Some(deadline.duration_since(now))
@@ -1064,7 +698,6 @@ fn process_job(shared: &Arc<Shared>, job: &Job) {
                 &job.out,
                 &protocol::error_frame(job.id, code::FAULT, &msg, None),
             );
-            finish_job_telemetry(shared, job, code::FAULT, None, queue_wait_ns, 0, 0, 0, 0);
             return;
         }
     }
@@ -1077,55 +710,31 @@ fn process_job(shared: &Arc<Shared>, job: &Job) {
             .max(1);
         budget.ms = Some(budget.ms.map_or(remaining_ms, |ms| ms.min(remaining_ms)));
     }
-    let session = job.session;
     let mut pipeline = Pipeline::new(job.program.clone())
         .workers(job.options.workers.max(1))
         .memoize(job.options.memoize && shared.cfg.memo)
         .budget(budget)
-        .session(session);
+        .session(job.session);
     if let Some(dir) = &shared.cfg.diag_dir {
         pipeline = pipeline.diag_dir(dir.clone());
     }
-    let solve_start = Instant::now();
-    let result = pipeline.run();
-    let solve_ns = ns_since(solve_start);
-    shared.telemetry.record_phase(Phase::Solve, solve_ns);
-    match result {
+    match pipeline.run() {
         Ok(report) => {
-            // The run's own memo economics, exact under concurrency.
-            let memo_hits = report.counter("lp.memo.hits");
-            let memo_misses = report.counter("lp.memo.misses");
             // The CLI's exit-code contract, mirrored per frame.
             let exit_code = match report.health() {
                 Health::Degraded | Health::Failed => 3,
                 Health::Ok if report.equivalent == Some(false) => 1,
                 Health::Ok => 0,
             };
-            let serialize_start = Instant::now();
             send(
                 &job.out,
                 &protocol::report_frame(
                     job.id,
-                    session,
+                    job.session,
                     exit_code,
                     report.health().name(),
                     report.to_json(),
                 ),
-            );
-            let serialize_ns = ns_since(serialize_start);
-            shared
-                .telemetry
-                .record_phase(Phase::Serialize, serialize_ns);
-            finish_job_telemetry(
-                shared,
-                job,
-                report.health().name(),
-                Some(exit_code),
-                queue_wait_ns,
-                solve_ns,
-                serialize_ns,
-                memo_hits,
-                memo_misses,
             );
         }
         Err(e) => {
@@ -1135,17 +744,6 @@ fn process_job(shared: &Arc<Shared>, job: &Job) {
             send(
                 &job.out,
                 &protocol::error_frame(job.id, code::FAULT, &format!("{}: {e}", job.display), None),
-            );
-            finish_job_telemetry(
-                shared,
-                job,
-                code::FAULT,
-                None,
-                queue_wait_ns,
-                solve_ns,
-                0,
-                0,
-                0,
             );
         }
     }

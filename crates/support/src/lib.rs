@@ -29,18 +29,13 @@
 //!   flame tables inside those artifacts,
 //! * [`alloc`] — a counting `#[global_allocator]` wrapper with
 //!   per-scope (per-span) attribution, the memory axis of the
-//!   observability layer,
-//! * [`histogram`] — a log-bucketed (HDR-style) fixed-size latency
-//!   histogram with lock-free atomic recording, merge, and
-//!   deterministic quantile extraction (replaces `hdrhistogram` for
-//!   the service telemetry plane).
+//!   observability layer.
 
 pub mod alloc;
 pub mod bench;
 pub mod context;
 pub mod counters;
 pub mod digest;
-pub mod histogram;
 pub mod json;
 pub mod prop;
 pub mod rng;

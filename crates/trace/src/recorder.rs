@@ -335,104 +335,6 @@ pub fn snapshot() -> Vec<Event> {
     out
 }
 
-/// What one [`Cursor::poll`] drained: the new events (oldest first)
-/// plus an **honest** count of events this cursor can never deliver —
-/// overwritten by wraparound before the poll, or torn mid-read.
-#[derive(Debug, Default)]
-pub struct CursorBatch {
-    /// New events since the previous poll, in claim order.
-    pub events: Vec<Event>,
-    /// Events lost to this cursor since the previous poll.
-    pub dropped: u64,
-}
-
-/// A persistent reader cursor over the ring: successive [`poll`]s
-/// deliver each published event at most once, in order, across any
-/// number of wraparounds — the live-tail primitive behind the daemon's
-/// `watch` verb.
-///
-/// [`snapshot`] answers "what are the last `CAPACITY` events?";
-/// a cursor answers "what happened since I last looked?". When
-/// writers lap a slow reader, the overtaken events are gone — the
-/// cursor does not pretend otherwise: they are counted in
-/// [`CursorBatch::dropped`], never silently elided.
-///
-/// One cursor is single-reader state (`&mut self`); independent
-/// cursors coexist freely and never disturb writers or each other.
-///
-/// [`poll`]: Cursor::poll
-#[derive(Debug)]
-pub struct Cursor {
-    /// Next claim to deliver.
-    next: u64,
-    /// Claim whose slot looked unpublished on the previous poll: seen
-    /// twice, it is skipped as dropped instead of stalling the tail
-    /// forever (a mid-write slot resolves in nanoseconds; one that
-    /// stays unreadable across polls was cleared under us).
-    blocked_at: u64,
-}
-
-impl Default for Cursor {
-    fn default() -> Self {
-        Cursor::new()
-    }
-}
-
-impl Cursor {
-    /// A cursor that starts at the present: the first poll returns
-    /// only events recorded after this call.
-    #[must_use]
-    pub fn new() -> Cursor {
-        Cursor {
-            next: HEAD.load(Ordering::Acquire),
-            blocked_at: u64::MAX,
-        }
-    }
-
-    /// The next claim this cursor will deliver.
-    #[must_use]
-    pub fn position(&self) -> u64 {
-        self.next
-    }
-
-    /// Drains everything published since the previous poll.
-    ///
-    /// Events the ring overwrote before this poll reached them are
-    /// counted in [`CursorBatch::dropped`]. A slot claimed by a writer
-    /// but not yet published stops the drain just before it (the next
-    /// poll picks it up), so an in-flight write is neither skipped nor
-    /// miscounted.
-    pub fn poll(&mut self) -> CursorBatch {
-        let ring = ring();
-        let head = HEAD.load(Ordering::Acquire);
-        let oldest = head.saturating_sub(ring.len() as u64);
-        // Writers lapped us before we got here: those events are gone.
-        let mut dropped = oldest.saturating_sub(self.next);
-        let mut claim = self.next.max(oldest);
-        let mut events = Vec::new();
-        while claim < head {
-            let slot = &ring[(claim as usize) & (ring.len() - 1)];
-            if let Some(event) = read_slot(slot, claim) {
-                events.push(event);
-            } else {
-                let seq = slot.seq.load(Ordering::Acquire);
-                if seq <= claim && self.blocked_at != claim {
-                    // Claimed but not yet published (or cleared): wait
-                    // one poll before giving up on it.
-                    self.blocked_at = claim;
-                    break;
-                }
-                // Overwritten by a newer claim, torn mid-read, or
-                // still unreadable a whole poll later: honestly lost.
-                dropped += 1;
-            }
-            claim += 1;
-        }
-        self.next = claim;
-        CursorBatch { events, dropped }
-    }
-}
-
 /// Empties the ring (sequence numbering stays monotonic). For tests and
 /// for the engine between pipeline runs, so one program's bundle does
 /// not carry its predecessor's tail.
@@ -575,93 +477,6 @@ mod tests {
         assert_eq!(session_of("test.sess.b"), 42);
         assert_eq!(session_of("test.sess.a2"), 41);
         assert_eq!(session_of("test.sess.after"), 0);
-    }
-
-    #[test]
-    fn cursor_tails_new_events_exactly_once_in_order() {
-        let _g = locked();
-        clear();
-        let mut cursor = Cursor::new();
-        // Nothing yet: an empty, drop-free batch.
-        let batch = cursor.poll();
-        assert!(batch.events.is_empty());
-        assert_eq!(batch.dropped, 0);
-        for i in 0..10u64 {
-            record(EventKind::Counter, "test.cursor.a", i, 0);
-        }
-        let batch = cursor.poll();
-        assert_eq!(batch.dropped, 0);
-        let mine: Vec<&Event> = batch
-            .events
-            .iter()
-            .filter(|e| e.label == "test.cursor.a")
-            .collect();
-        assert_eq!(mine.len(), 10);
-        assert!(mine.windows(2).all(|w| w[0].seq < w[1].seq));
-        // Already delivered: a second poll yields nothing.
-        assert!(cursor.poll().events.is_empty());
-        // New events resume where the tail left off.
-        record(EventKind::Counter, "test.cursor.b", 99, 0);
-        let batch = cursor.poll();
-        assert_eq!(batch.events.len(), 1);
-        assert_eq!(batch.events[0].label, "test.cursor.b");
-        assert_eq!(batch.dropped, 0);
-    }
-
-    #[test]
-    fn cursor_counts_wraparound_drops_honestly() {
-        let _g = locked();
-        clear();
-        let capacity = slots() as u64;
-        let mut cursor = Cursor::new();
-        let n = capacity + 100;
-        for i in 0..n {
-            record(EventKind::BudgetTick, "test.cursor.wrap", i, 0);
-        }
-        let batch = cursor.poll();
-        // Single-threaded: nothing is torn, so the accounting is
-        // exact — every claimed event is either delivered or dropped.
-        assert_eq!(batch.events.len() as u64 + batch.dropped, n);
-        assert_eq!(batch.dropped, 100);
-        // The survivors are the most recent events, in order.
-        assert_eq!(batch.events.last().unwrap().a, n - 1);
-        assert!(batch.events.windows(2).all(|w| w[0].seq < w[1].seq));
-        // The drop was reported once, not re-reported on the next poll.
-        let again = cursor.poll();
-        assert!(again.events.is_empty());
-        assert_eq!(again.dropped, 0);
-    }
-
-    #[test]
-    fn cursor_survives_concurrent_writers_without_double_delivery() {
-        let _g = locked();
-        clear();
-        let mut cursor = Cursor::new();
-        let mut delivered = 0u64;
-        let mut dropped = 0u64;
-        let mut last_seq: Option<u64> = None;
-        std::thread::scope(|s| {
-            let writer = s.spawn(|| {
-                for i in 0..30_000u64 {
-                    record(EventKind::Counter, "test.cursor.mt", i, 0);
-                }
-            });
-            while !writer.is_finished() {
-                let batch = cursor.poll();
-                for e in &batch.events {
-                    if let Some(prev) = last_seq {
-                        assert!(e.seq > prev, "replayed or reordered: {} <= {prev}", e.seq);
-                    }
-                    last_seq = Some(e.seq);
-                }
-                delivered += batch.events.len() as u64;
-                dropped += batch.dropped;
-            }
-        });
-        let tail = cursor.poll();
-        delivered += tail.events.len() as u64;
-        dropped += tail.dropped;
-        assert_eq!(delivered + dropped, 30_000, "accounting must balance");
     }
 
     /// Once the ring has materialized, capacity requests report that

@@ -45,11 +45,6 @@
 //!                      artifact (flame table, counters, identity
 //!                      digests) for the run; render it with
 //!                      `aov inspect` (single program only)
-//!   --progress         print a once-a-second heartbeat to stderr while
-//!                      the pipeline runs: current stage and span,
-//!                      pivot/vertex rates, elapsed time against any
-//!                      wall-clock budget; read-only sampling of the
-//!                      flight recorder, no cost when absent
 //!   --diag-dir DIR     write an `aov-diag/1` crash-diagnostic bundle
 //!                      into DIR whenever a run degrades or fails: the
 //!                      stage ladder, error chain, budget state,
@@ -107,12 +102,10 @@
 //!   columns, the budget state and the flight-recorder timeline tail —
 //!   an `aov-profile/1` profile artifact (written via `--profile-out`)
 //!   — the flame table with allocator columns and the counter table —
-//!   an `aov-serve/1` transcript, an `aov-svcmetrics/1`
-//!   metrics document (saved from `aov client --metrics`), or an
-//!   `aov-access/1` access log (JSONL, written via `aovd
-//!   --access-log`; every line is validated). The schema tag in the
-//!   file picks the renderer. With `--check`, validate against the
-//!   matching schema instead and exit 0/1.
+//!   or an `aov-serve/1` transcript (written via `aov client
+//!   --transcript`). The schema tag in the file picks the renderer.
+//!   With `--check`, validate against the matching schema instead and
+//!   exit 0/1.
 //!
 //! Every subcommand accepts `--recorder-slots N`: size the flight
 //! recorder's ring (power of two, clamped to [64, 1048576]; default
@@ -176,7 +169,6 @@ struct Options {
     trace: Option<String>,
     profile: bool,
     profile_out: Option<String>,
-    progress: bool,
     mem: bool,
     diag_dir: Option<String>,
     check_trace: Option<String>,
@@ -190,7 +182,7 @@ fn usage() -> ! {
         "usage: aov <example1|example2|example3|example4|unschedulable|all> \
          [--workers N] [--sequential] [--memoize] \
          [--machine] [--params A,B,..] [--runs N] [--compact] \
-         [--trace FILE] [--profile] [--profile-out FILE] [--progress] \
+         [--trace FILE] [--profile] [--profile-out FILE] \
          [--mem] [--diag-dir DIR] \
          [--budget-pivots N] \
          [--budget-nodes N] [--budget-ms N] [--chaos SPEC] \
@@ -202,15 +194,12 @@ fn usage() -> ! {
          aov inspect FILE [--check]\n       \
          aovd / aov aovd [--addr A] [--workers N] [--queue N] \
          [--no-memo] [--memo-capacity N] [--pivot-pool N] \
-         [--deadline-ms N] [--diag-dir DIR] [--retry-after-ms N] \
-         [--access-log FILE] [--access-log-max-bytes N]\n       \
+         [--deadline-ms N] [--diag-dir DIR] [--retry-after-ms N]\n       \
          aov client [--addr A] [--example NAME | FILE.aov | --stats | \
-         --health | --shutdown | --metrics | --watch] [--follow] \
-         [--for-ms N] [--workers N] [--memoize] \
+         --health | --shutdown] [--workers N] [--memoize] \
          [--budget-pivots N] [--budget-nodes N] [--budget-ms N] \
          [--deadline-ms N] [--chaos SPEC] [--retries N] \
          [--transcript FILE]\n       \
-         aov top [ADDR] [--interval-ms N] [--once]\n       \
          aov --check-trace FILE\n       \
          aov --check-report FILE\n\n\
          every subcommand also accepts --recorder-slots N\n\
@@ -254,7 +243,6 @@ fn parse(args: &[String], run_mode: bool) -> Options {
         trace: None,
         profile: false,
         profile_out: None,
-        progress: false,
         mem: false,
         diag_dir: None,
         check_trace: None,
@@ -300,7 +288,6 @@ fn parse(args: &[String], run_mode: bool) -> Options {
                 Some(f) => opts.profile_out = Some(f.clone()),
                 None => usage(),
             },
-            "--progress" => opts.progress = true,
             "--mem" => opts.mem = true,
             "--diag-dir" => match it.next() {
                 Some(d) => opts.diag_dir = Some(d.clone()),
@@ -515,7 +502,7 @@ fn jarr<'a>(j: &'a Json, key: &str) -> &'a [Json] {
 }
 
 /// `aov inspect`: render (or, with `--check`, just validate) one
-/// written artifact of a kind in [`INSPECT_KINDS`], or an access log.
+/// written artifact of a kind in [`INSPECT_KINDS`].
 fn inspect_main(args: &[String]) -> i32 {
     let mut path: Option<&str> = None;
     let mut check = false;
@@ -534,17 +521,6 @@ fn inspect_main(args: &[String]) -> i32 {
             return 1;
         }
     };
-    // Access logs are JSONL, not one document: detect them by the
-    // first line's schema tag before whole-file parsing can reject
-    // them, then validate every line.
-    if let Some(first) = text.lines().find(|l| !l.trim().is_empty()) {
-        if let Ok(j) = Json::parse(first.trim()) {
-            if j.get("schema") == Some(&Json::Str(aov_serve::telemetry::ACCESS_SCHEMA.to_string()))
-            {
-                return inspect_access_log(path, &text, check);
-            }
-        }
-    }
     let doc = match Json::parse(&text) {
         Ok(j) => j,
         Err(e) => {
@@ -581,9 +557,8 @@ fn inspect_main(args: &[String]) -> i32 {
 /// it is validated against, and its renderer.
 type InspectKind = (&'static str, fn() -> aov_support::Schema, fn(&str, &Json));
 
-/// Every one-document kind `aov inspect` reads. The `aov-access/1`
-/// access log is JSONL and takes its own path, [`inspect_access_log`].
-const INSPECT_KINDS: [InspectKind; 4] = [
+/// Every kind `aov inspect` reads.
+const INSPECT_KINDS: [InspectKind; 3] = [
     (
         aov_engine::diag::SCHEMA,
         aov_engine::diag::diag_schema,
@@ -599,80 +574,17 @@ const INSPECT_KINDS: [InspectKind; 4] = [
         aov_serve::protocol::transcript_schema,
         render_transcript,
     ),
-    (
-        aov_serve::telemetry::SVCMETRICS_SCHEMA,
-        aov_serve::telemetry::svcmetrics_schema,
-        render_svcmetrics,
-    ),
 ];
 
 /// Refuses a document whose schema tag `aov inspect` does not read,
 /// naming every tag it does.
 fn unsupported_schema(path: &str, found: &str) -> i32 {
-    let mut tags: Vec<&str> = INSPECT_KINDS.iter().map(|k| k.0).collect();
-    tags.push(aov_serve::telemetry::ACCESS_SCHEMA);
+    let tags: Vec<&str> = INSPECT_KINDS.iter().map(|k| k.0).collect();
     eprintln!(
         "aov inspect: {path}: unsupported schema {found} (want one of {})",
         tags.join(", ")
     );
     1
-}
-
-/// `aov inspect` on an `aov-access/1` access log: validate every
-/// JSONL line, then summarize outcomes and total-latency quantiles.
-fn inspect_access_log(path: &str, text: &str, check: bool) -> i32 {
-    let schema = aov_serve::telemetry::access_schema();
-    let lat = aov_support::histogram::Histogram::new();
-    let mut outcomes: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    let mut lines = 0u64;
-    for (no, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = match Json::parse(line.trim()) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("aov inspect: {path}:{}: invalid JSON: {e}", no + 1);
-                return 1;
-            }
-        };
-        if let Err(errors) = aov_support::schema::validate(&doc, &schema) {
-            eprintln!("aov inspect: {path}:{}: schema violations:", no + 1);
-            for e in &errors {
-                eprintln!("  {e}");
-            }
-            return 1;
-        }
-        lines += 1;
-        *outcomes
-            .entry(jstr(&doc, "outcome").to_string())
-            .or_default() += 1;
-        if let Some(p) = doc.get("phases") {
-            lat.record(u64::try_from(jint(p, "total_us")).unwrap_or(0));
-        }
-    }
-    if lines == 0 {
-        eprintln!("aov inspect: {path}: empty access log");
-        return 1;
-    }
-    if check {
-        eprintln!("aov inspect: {path}: ok (aov-access/1, {lines} line(s))");
-        return 0;
-    }
-    println!("== {path}: aov-access/1, {lines} request(s) ==");
-    println!("\noutcomes:");
-    for (outcome, n) in &outcomes {
-        println!("  {outcome:<16} {n:>8}");
-    }
-    let snap = lat.snapshot();
-    println!(
-        "\ntotal latency µs: p50 {} p90 {} p99 {} max {}",
-        snap.quantile(0.50),
-        snap.quantile(0.90),
-        snap.quantile(0.99),
-        snap.max_value()
-    );
-    0
 }
 
 /// Human rendering of a validated `aov-serve/1` transcript: one line
@@ -1011,14 +923,6 @@ fn aovd_main(args: &[String]) -> i32 {
                 Some(n) => cfg.retry_after_ms = n,
                 None => usage(),
             },
-            "--access-log" => match it.next() {
-                Some(f) => cfg.access_log = Some(f.into()),
-                None => usage(),
-            },
-            "--access-log-max-bytes" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => cfg.access_log_max_bytes = n,
-                None => usage(),
-            },
             _ => usage(),
         }
     }
@@ -1052,84 +956,15 @@ fn aovd_main(args: &[String]) -> i32 {
     }
 }
 
-/// One flight-recorder event from an `events` frame, rendered as a
-/// single tail line.
-fn render_event(e: &Json) -> String {
-    format!(
-        "{:>12} ns  t{:<2} s{:<4} {:<12} {:<26} a={} b={}",
-        jint(e, "t_ns"),
-        jint(e, "thread"),
-        jint(e, "session"),
-        jstr(e, "kind"),
-        jstr(e, "label"),
-        jint(e, "a"),
-        jint(e, "b")
-    )
-}
-
-/// Runs a streaming request (`watch`, or a solve with `--follow`):
-/// event batches tail to stderr as they arrive, the terminal frame
-/// prints to stdout, and the exit code mirrors [`client_main`]'s
-/// mapping.
-fn client_stream(addr: &str, request: &Json) -> i32 {
-    let outcome = aov_serve::client::stream(addr, request, |frame| match frame.get("type") {
-        Some(Json::Str(t)) if t == "events" => {
-            for e in jarr(frame, "events") {
-                eprintln!("  {}", render_event(e));
-            }
-            if jint(frame, "dropped") > 0 {
-                eprintln!(
-                    "aov client: {} event(s) lost to ring overwrite",
-                    jint(frame, "dropped")
-                );
-            }
-        }
-        Some(Json::Str(t)) if t == "watch" => {
-            eprintln!("aov client: watching (session {})", jint(frame, "session"));
-        }
-        Some(Json::Str(t)) if t == "watch_end" => {
-            eprintln!(
-                "aov client: watch ended ({}): {} event(s) streamed, {} dropped",
-                jstr(frame, "reason"),
-                jint(frame, "events_sent"),
-                jint(frame, "dropped_total")
-            );
-        }
-        _ => {}
-    });
-    match outcome {
-        Ok(frame) => {
-            println!("{}", frame.to_pretty());
-            match frame.get("type") {
-                Some(Json::Str(t)) if t == "report" => match frame.get("exit_code") {
-                    Some(Json::Int(code)) => i32::try_from(*code).unwrap_or(2),
-                    _ => 2,
-                },
-                Some(Json::Str(t)) if t == "error" => 2,
-                _ => 0,
-            }
-        }
-        Err(e) => {
-            eprintln!("aov client: {e}");
-            2
-        }
-    }
-}
-
 /// `aov client`: one request to a running `aovd`, with retry + backoff.
 /// Exit code mirrors the daemon's verdict: a report's own `exit_code`,
 /// 2 for error frames and transport failures, 0 for the plain frames.
-/// `--follow` upgrades a solve to a live stream of the session's
-/// flight-recorder events; `--watch` tails the daemon's whole ring.
 fn client_main(args: &[String]) -> i32 {
     let mut cfg = aov_serve::client::ClientConfig::default();
     let mut options = aov_serve::protocol::SolveOptions::default();
     let mut program: Option<(String, bool)> = None; // (text, is_example)
     let mut plain: Option<&str> = None;
     let mut transcript_path: Option<String> = None;
-    let mut follow = false;
-    let mut watch = false;
-    let mut for_ms: Option<u64> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if parse_budget_flag(&mut options.budget, arg, &mut it) {
@@ -1147,13 +982,6 @@ fn client_main(args: &[String]) -> i32 {
             "--stats" => plain = Some("stats"),
             "--health" => plain = Some("health"),
             "--shutdown" => plain = Some("shutdown"),
-            "--metrics" => plain = Some("metrics"),
-            "--follow" => follow = true,
-            "--watch" => watch = true,
-            "--for-ms" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => for_ms = Some(n),
-                None => usage(),
-            },
             "--workers" => match it.next().and_then(|w| w.parse().ok()) {
                 Some(w) => options.workers = w,
                 None => usage(),
@@ -1185,10 +1013,6 @@ fn client_main(args: &[String]) -> i32 {
             _ => usage(),
         }
     }
-    if watch {
-        // Bare tail of the daemon's ring: session 0 means "all".
-        return client_stream(&cfg.addr, &aov_serve::protocol::watch_frame(1, 0, for_ms));
-    }
     let request = match (plain, &program) {
         (Some(kind), _) => aov_serve::protocol::plain_frame(kind, 1),
         (None, Some((text, is_example))) => {
@@ -1196,14 +1020,6 @@ fn client_main(args: &[String]) -> i32 {
         }
         (None, None) => usage(),
     };
-    if follow {
-        if program.is_none() {
-            usage();
-        }
-        // No retries on a followed solve: replaying the stream would
-        // silently skip events recorded between attempts.
-        return client_stream(&cfg.addr, &request.field("watch", true));
-    }
     let mut transcript = aov_serve::client::Transcript::default();
     let outcome = aov_serve::client::call(&cfg, &request, Some(&mut transcript));
     if let Some(path) = &transcript_path {
@@ -1213,13 +1029,7 @@ fn client_main(args: &[String]) -> i32 {
     }
     match outcome {
         Ok(outcome) => {
-            // --metrics prints the inner aov-svcmetrics/1 document so
-            // the output pipes straight into `aov inspect --check`.
-            let printable = match (plain, outcome.frame.get("metrics")) {
-                (Some("metrics"), Some(doc)) => doc.clone(),
-                _ => outcome.frame.clone(),
-            };
-            println!("{}", printable.to_pretty());
+            println!("{}", outcome.frame.to_pretty());
             if outcome.overloaded_retries > 0 {
                 eprintln!(
                     "aov client: {} attempt(s), {} shed with overloaded",
@@ -1239,129 +1049,6 @@ fn client_main(args: &[String]) -> i32 {
             eprintln!("aov client: {e}");
             2
         }
-    }
-}
-
-/// `aov top [ADDR] [--interval-ms N] [--once]`: a live dashboard over
-/// the daemon's `metrics` verb — uptime, rolling request/shed/memo-hit
-/// windows, per-phase and per-verdict latency quantiles, and worker
-/// states. `--once` renders a single frame without clearing the
-/// screen (CI-friendly); otherwise it repaints every interval until
-/// interrupted.
-fn top_main(args: &[String]) -> i32 {
-    let mut addr = "127.0.0.1:7401".to_string();
-    let mut interval_ms: u64 = 1_000;
-    let mut once = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--interval-ms" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => interval_ms = n,
-                None => usage(),
-            },
-            "--once" => once = true,
-            a if !a.starts_with('-') => addr = a.to_string(),
-            _ => usage(),
-        }
-    }
-    let cfg = aov_serve::client::ClientConfig {
-        addr: addr.clone(),
-        retries: 2,
-        base_ms: 5,
-        cap_ms: 200,
-        seed: 0x709,
-    };
-    loop {
-        let frame = match aov_serve::client::call(
-            &cfg,
-            &aov_serve::protocol::plain_frame("metrics", -2),
-            None,
-        ) {
-            Ok(o) => o.frame,
-            Err(e) => {
-                eprintln!("aov top: {addr}: {e}");
-                return 2;
-            }
-        };
-        let Some(doc) = frame.get("metrics") else {
-            eprintln!(
-                "aov top: {addr}: no metrics block in {}",
-                frame.to_compact()
-            );
-            return 2;
-        };
-        if !once {
-            print!("\x1b[2J\x1b[H"); // clear + home: repaint in place
-        }
-        render_svcmetrics(&addr, doc);
-        if once {
-            return 0;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(100)));
-    }
-}
-
-/// The dashboard body, shared by `aov top` and `aov inspect` on a
-/// saved `aov-svcmetrics/1` document.
-fn render_svcmetrics(origin: &str, doc: &Json) {
-    println!(
-        "== {origin}: aovd up {:.1} s — queue {} inflight {} served {} shed {} faults {} \
-         restarts {}{} ==",
-        jint(doc, "uptime_ms") as f64 / 1000.0,
-        jint(doc, "queue_depth"),
-        jint(doc, "inflight"),
-        jint(doc, "served"),
-        jint(doc, "overloaded"),
-        jint(doc, "faults"),
-        jint(doc, "worker_restarts"),
-        if matches!(doc.get("draining"), Some(Json::Bool(true))) {
-            " DRAINING"
-        } else {
-            ""
-        },
-    );
-    if let Some(w) = doc.get("windows") {
-        println!("\nrolling counts          1s       10s       60s");
-        for key in ["requests", "shed", "memo_hits"] {
-            if let Some(k) = w.get(key) {
-                println!(
-                    "  {:<16} {:>9} {:>9} {:>9}",
-                    key,
-                    jint(k, "s1"),
-                    jint(k, "s10"),
-                    jint(k, "s60")
-                );
-            }
-        }
-    }
-    let table = |title: &str, rows: &[Json]| {
-        println!(
-            "\n{title:<18} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            "count", "p50 µs", "p90 µs", "p99 µs", "p99.9 µs", "max µs"
-        );
-        for row in rows {
-            let us = |k: &str| jint(row, k) / 1000;
-            println!(
-                "  {:<16} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
-                jstr(row, "name"),
-                jint(row, "count"),
-                us("p50_ns"),
-                us("p90_ns"),
-                us("p99_ns"),
-                us("p999_ns"),
-                us("max_ns"),
-            );
-        }
-    };
-    table("phase", jarr(doc, "phases"));
-    table("verdict", jarr(doc, "verdicts"));
-    let states: Vec<String> = jarr(doc, "workers")
-        .iter()
-        .map(|w| format!("w{}={}", jint(w, "id"), jstr(w, "state")))
-        .collect();
-    println!("\nworkers: {}", states.join(" "));
-    if let Some(m) = doc.get("memo") {
-        println!("memo: {}", m.to_compact());
     }
 }
 
@@ -1393,9 +1080,6 @@ fn main() {
     }
     if args.first().map(String::as_str) == Some("client") {
         std::process::exit(client_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("top") {
-        std::process::exit(top_main(&args[1..]));
     }
     let run_mode = args.first().map(String::as_str) == Some("run");
     let opts = parse(if run_mode { &args[1..] } else { &args }, run_mode);
@@ -1448,15 +1132,6 @@ fn main() {
     if tracing {
         aov_trace::set_enabled(true);
     }
-
-    // The sampler only reads: flight-recorder snapshots and relaxed
-    // counter loads. Solver threads never see it.
-    let sampler = opts.progress.then(|| {
-        aov_engine::progress::ProgressSampler::start(
-            std::time::Duration::from_secs(1),
-            opts.budget.ms,
-        )
-    });
 
     let mut reports = Vec::new();
     let mut all_records: Vec<aov_trace::SpanRecord> = Vec::new();
@@ -1539,10 +1214,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    }
-
-    if let Some(s) = sampler {
-        s.finish();
     }
 
     if let Some(path) = &opts.trace {
