@@ -17,8 +17,7 @@ fn main() {
         eprintln!("all_figures: {e}");
         std::process::exit(64);
     });
-    let ctx = aov_bench::FigureCtx::for_figures(&specs, aov_bench::default_workers())
-        .expect("pipelines run");
+    let ctx = aov_bench::FigureCtx::for_figures(&specs).expect("pipelines run");
     let reports: Vec<_> = specs.iter().map(|s| (s.run)(&ctx, !quick)).collect();
     let mut failures = 0;
     for r in &reports {

@@ -4,7 +4,7 @@
 use aov_core::codegen;
 
 fn main() {
-    let ctx = aov_bench::FigureCtx::build_all(aov_bench::default_workers()).expect("pipelines run");
+    let ctx = aov_bench::FigureCtx::build_all().expect("pipelines run");
     for name in aov_bench::EXAMPLES {
         let p = ctx.program(name);
         println!("==== {} ====", p.name());

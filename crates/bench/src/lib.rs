@@ -76,15 +76,6 @@ impl ToJson for FigureReport {
 /// The paper's four example programs, in order.
 pub const EXAMPLES: [&str; 4] = ["example1", "example2", "example3", "example4"];
 
-/// Worker-thread default shared by the figure binaries and the `aov`
-/// CLI: available parallelism, capped at 8.
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-}
-
 fn program_by_name(name: &str) -> Option<Program> {
     match name {
         "example1" => Some(examples::example1()),
@@ -100,7 +91,6 @@ fn program_by_name(name: &str) -> Option<Program> {
 /// figure that needs that example's analysis results.
 #[derive(Debug)]
 pub struct FigureCtx {
-    workers: usize,
     entries: Vec<(String, Program, Report)>,
 }
 
@@ -111,7 +101,7 @@ impl FigureCtx {
     /// # Errors
     ///
     /// [`EngineError`] when a name is unknown or a pipeline stage fails.
-    pub fn build(names: &[&str], workers: usize) -> Result<FigureCtx, EngineError> {
+    pub fn build(names: &[&str]) -> Result<FigureCtx, EngineError> {
         let mut entries = Vec::new();
         for name in names {
             let program = program_by_name(name).ok_or_else(|| {
@@ -119,14 +109,11 @@ impl FigureCtx {
                     "unknown example {name:?} (expected example1..example4)"
                 ))
             })?;
-            let report = Pipeline::new(program.clone())
-                .workers(workers)
-                .memoize(true)
-                .run()?;
+            let report = Pipeline::new(program.clone()).memoize(true).run()?;
             reject_degraded(name, &report)?;
             entries.push((name.to_string(), program, report));
         }
-        Ok(FigureCtx { workers, entries })
+        Ok(FigureCtx { entries })
     }
 
     /// A context over all four examples.
@@ -134,8 +121,8 @@ impl FigureCtx {
     /// # Errors
     ///
     /// As for [`FigureCtx::build`].
-    pub fn build_all(workers: usize) -> Result<FigureCtx, EngineError> {
-        FigureCtx::build(&EXAMPLES, workers)
+    pub fn build_all() -> Result<FigureCtx, EngineError> {
+        FigureCtx::build(&EXAMPLES)
     }
 
     /// A context over just the examples `specs` need, in example order.
@@ -143,22 +130,17 @@ impl FigureCtx {
     /// # Errors
     ///
     /// As for [`FigureCtx::build`].
-    pub fn for_figures(specs: &[&FigureSpec], workers: usize) -> Result<FigureCtx, EngineError> {
+    pub fn for_figures(specs: &[&FigureSpec]) -> Result<FigureCtx, EngineError> {
         let needed: Vec<&str> = EXAMPLES
             .into_iter()
             .filter(|e| specs.iter().any(|s| s.needs.contains(e)))
             .collect();
-        FigureCtx::build(&needed, workers)
+        FigureCtx::build(&needed)
     }
 
     /// Whether this context holds a report for `name`.
     pub fn has(&self, name: &str) -> bool {
         self.entries.iter().any(|(n, _, _)| n == name)
-    }
-
-    /// Worker threads the pipelines ran with.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// The pipeline report of one example.
@@ -244,7 +226,6 @@ pub fn fig03(ctx: &FigureCtx) -> FigureReport {
     let p = ctx.program("example1");
     let row = Schedule::uniform_for(p, &[AffineExpr::from_i64(&[0, 1, 0, 0], 0)]);
     let report = Pipeline::new(p.clone())
-        .workers(ctx.workers())
         .memoize(true)
         .with_schedule(row.clone())
         .run()
@@ -346,7 +327,7 @@ pub fn fig05(ctx: &FigureCtx) -> FigureReport {
         .expect("array A")
         .clone();
     let analysis = Analysis::new(p).expect("example1 linearizes");
-    let search = problems::aov_search_with(&analysis, 6, 1).expect("solvable");
+    let search = problems::aov_search_with(&analysis, 6).expect("solvable");
     let uov = uov::shortest_uov(p, analysis.deps(), aov_ir::ArrayId(0), 6).expect("stencil");
     FigureReport {
         id: "fig05".into(),

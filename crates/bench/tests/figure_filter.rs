@@ -29,7 +29,7 @@ fn pinned_figure(id: &str) -> &'static str {
 #[test]
 fn chosen_figures_match_their_pinned_slices() {
     let specs = select_figures(&["fig15", "fig05"]).expect("known ids");
-    let ctx = FigureCtx::for_figures(&specs, 1).expect("pipelines run");
+    let ctx = FigureCtx::for_figures(&specs).expect("pipelines run");
     assert!(ctx.has("example1"));
     for other in ["example2", "example3", "example4"] {
         assert!(!ctx.has(other), "{other} ran but no chosen figure needs it");

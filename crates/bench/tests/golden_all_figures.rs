@@ -96,7 +96,7 @@ const RENDER: &str = r#"== fig03 — OV for the row-parallel schedule of Example
 
 #[test]
 fn all_figures_quick_matches_pinned_text() {
-    let ctx = aov_bench::FigureCtx::build_all(aov_bench::default_workers()).expect("pipelines run");
+    let ctx = aov_bench::FigureCtx::build_all().expect("pipelines run");
     let reports = aov_bench::all_reports(&ctx, false);
     let rendered: String = reports.iter().map(|r| r.render()).collect();
     assert_eq!(rendered, RENDER);

@@ -28,7 +28,7 @@ const JSON: &str = r#"{
 
 #[test]
 fn engine_driven_fig05_matches_pinned_text() {
-    let ctx = aov_bench::FigureCtx::build(&["example1"], 1).expect("pipeline runs");
+    let ctx = aov_bench::FigureCtx::build(&["example1"]).expect("pipeline runs");
     let engine = aov_bench::fig05(&ctx);
     assert_eq!(engine.render(), RENDER);
     assert_eq!(engine.to_json().to_pretty(), JSON);

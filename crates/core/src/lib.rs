@@ -92,8 +92,7 @@ pub enum CoreError {
     /// The request is outside the implemented fragment (e.g. storage
     /// offsets that would be piecewise in the parameters).
     Unsupported(String),
-    /// A runtime fault (budget trip, cancellation, worker panic,
-    /// injected fault) interrupted the solve before a verdict.
+    /// A runtime fault (budget trip, orthant panic, injected fault) interrupted the solve before a verdict.
     Fault(AovError),
 }
 

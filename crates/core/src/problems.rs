@@ -14,7 +14,6 @@ use aov_schedule::{legal, scheduler, sign_patterns, Analysis, BilinearForm, Orth
 use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::PoisonError;
 
 /// Default search radius (max Manhattan length) for the exact
 /// candidate-enumeration solvers.
@@ -399,7 +398,7 @@ pub fn ov_for_schedule_with(
 /// * [`CoreError::IllegalSchedule`] — the schedule violates dependences.
 /// * [`CoreError::NoVectorFound`] — no orthant of some array admits a
 ///   valid vector.
-/// * [`CoreError::Fault`] — budget exhaustion, cancellation, or an
+/// * [`CoreError::Fault`] — budget exhaustion or an
 ///   isolated orthant panic.
 pub fn ov_for_schedule_budgeted(
     a: &Analysis,
@@ -461,20 +460,10 @@ pub fn ov_for_schedule_search(
     if !a.is_legal(sched) {
         return Err(CoreError::IllegalSchedule);
     }
-    let p = a.program();
     let checker = Checker::new(a);
-    let mut vectors = Vec::new();
-    for (aidx, a) in p.arrays().iter().enumerate() {
-        let aid = aov_ir::ArrayId(aidx);
-        let found = search_shells(a.dim(), max_radius, |v| {
-            checker.valid_for_schedule(aid, v, sched)
-        });
-        match found {
-            Some(v) => vectors.push(OccupancyVector::new(v)),
-            None => return Err(CoreError::NoVectorFound),
-        }
-    }
-    Ok(OvResult::new(p, vectors))
+    search_per_array(a.program(), max_radius, "p1.search_array", |aid, v| {
+        Ok(checker.valid_for_schedule(aid, v, sched))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -535,7 +524,7 @@ pub fn best_schedule_for_ov(
 /// * [`CoreError::Unschedulable`] — no schedule respects both the
 ///   dependences and the storage constraints (the vectors are too
 ///   short for any affine schedule).
-/// * [`CoreError::Fault`] — budget exhaustion or cancellation.
+/// * [`CoreError::Fault`] — budget exhaustion.
 pub fn best_schedule_for_ov_budgeted(
     a: &Analysis,
     vectors: &[OccupancyVector],
@@ -597,7 +586,7 @@ pub fn aov_with(p: &Program, _workers: usize) -> Result<OvResult, CoreError> {
 ///   affine schedule, so "valid for all legal schedules" is vacuous.
 /// * [`CoreError::NoVectorFound`] — no orthant of some array admits a
 ///   vector.
-/// * [`CoreError::Fault`] — budget exhaustion, cancellation, or an
+/// * [`CoreError::Fault`] — budget exhaustion or an
 ///   isolated orthant panic.
 pub fn aov_budgeted(a: &Analysis, budget: &Budget) -> Result<OvResult, CoreError> {
     let gens = a.legal().generators();
@@ -661,106 +650,27 @@ fn generator_rows(forms: &[BilinearForm], gens: &GeneratorSet) -> Vec<Constraint
 /// As for [`aov_search_with`], plus [`CoreError::Polyhedra`] when the
 /// program's causality constraints cannot be linearized.
 pub fn aov_search(p: &Program, max_radius: i64) -> Result<OvResult, CoreError> {
-    aov_search_with(&Analysis::new(p)?, max_radius, 1)
+    aov_search_with(&Analysis::new(p)?, max_radius)
 }
 
-/// Exact cross-check for Problem 3 with the per-array searches fanned
-/// out over `workers` threads (`<= 1` means sequential). Arrays are
-/// independent and the workers share one checker, so the result is
-/// bit-identical to the sequential search.
+/// Exact cross-check for Problem 3 over a built analysis: per array,
+/// the first candidate valid for every legal schedule.
 ///
 /// # Errors
 ///
 /// * [`CoreError::Unschedulable`] / [`CoreError::NoVectorFound`] as for
 ///   [`aov_budgeted`].
-pub fn aov_search_with(
-    a: &Analysis,
-    max_radius: i64,
-    workers: usize,
-) -> Result<OvResult, CoreError> {
+/// * [`CoreError::Polyhedra`] when a validity check fails.
+pub fn aov_search_with(a: &Analysis, max_radius: i64) -> Result<OvResult, CoreError> {
     if a.legal().is_empty() {
         return Err(CoreError::Unschedulable);
     }
-    let p = a.program();
     let checker = Checker::new(a);
-    let narrays = p.arrays().len();
-    let search_one = |aidx: usize| -> Result<OccupancyVector, CoreError> {
-        let _span = aov_trace::span!("aov.search_array", array = aidx);
-        let aid = aov_ir::ArrayId(aidx);
-        let dim = p.arrays()[aidx].dim();
-        let mut err: Option<CoreError> = None;
-        let found = {
-            let e = &mut err;
-            search_shells(dim, max_radius, |v| {
-                match checker.valid_for_all_schedules(aid, v) {
-                    Ok(ok) => ok,
-                    Err(pe) => {
-                        *e = Some(CoreError::Polyhedra(pe));
-                        false
-                    }
-                }
-            })
-        };
-        if let Some(e) = err {
-            return Err(e);
-        }
-        found
-            .map(OccupancyVector::new)
-            .ok_or(CoreError::NoVectorFound)
-    };
-    if workers <= 1 || narrays <= 1 {
-        let mut vectors = Vec::with_capacity(narrays);
-        for aidx in 0..narrays {
-            vectors.push(search_one(aidx)?);
-        }
-        return Ok(OvResult::new(p, vectors));
-    }
-    // Results land in array order. Each per-array search runs under
-    // `catch_unwind` so a panicking worker surfaces as a structured
-    // `WorkerPanic` for its slot instead of aborting the scope.
-    let mut slots: Vec<Option<Result<OccupancyVector, CoreError>>> = Vec::new();
-    slots.resize_with(narrays, || None);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slot_refs: Vec<std::sync::Mutex<&mut Option<Result<OccupancyVector, CoreError>>>> =
-        slots.iter_mut().map(std::sync::Mutex::new).collect();
-    let ctx = aov_trace::current_context();
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(narrays) {
-            s.spawn(|| {
-                let _adopt = aov_trace::adopt(&ctx);
-                loop {
-                    let aidx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if aidx >= narrays {
-                        break;
-                    }
-                    let r = catch_unwind(AssertUnwindSafe(|| search_one(aidx))).unwrap_or_else(
-                        |payload| {
-                            Err(CoreError::Fault(AovError::from_panic(
-                                "aov.search_array",
-                                payload.as_ref(),
-                            )))
-                        },
-                    );
-                    **slot_refs[aidx]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner) = Some(r);
-                }
-            });
-        }
-    });
-    drop(slot_refs);
-    let mut vectors = Vec::with_capacity(narrays);
-    for slot in slots {
-        match slot {
-            Some(r) => vectors.push(r?),
-            None => {
-                return Err(CoreError::Fault(AovError::Internal {
-                    detail: "array search slot left unfilled".to_string(),
-                }))
-            }
-        }
-    }
-    Ok(OvResult::new(p, vectors))
+    search_per_array(a.program(), max_radius, "aov.search_array", |aid, v| {
+        checker
+            .valid_for_all_schedules(aid, v)
+            .map_err(CoreError::Polyhedra)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -807,14 +717,36 @@ fn install_objective(m: &mut Model, array: &str, pattern: &Orthant) -> AffineExp
     obj
 }
 
+/// The exact searches of Problems 1 and 3: per array, under a `site`
+/// span, the first vector of [`search_shells`] that `valid` accepts.
+///
+/// # Errors
+///
+/// [`CoreError::NoVectorFound`] when some array has none within
+/// `max_radius`; the first error `valid` returns.
+fn search_per_array(
+    p: &Program,
+    max_radius: i64,
+    site: &'static str,
+    valid: impl Fn(ArrayId, &[i64]) -> Result<bool, CoreError>,
+) -> Result<OvResult, CoreError> {
+    let mut vectors = Vec::with_capacity(p.arrays().len());
+    for (aidx, array) in p.arrays().iter().enumerate() {
+        let _span = aov_trace::span!(site, array = aidx);
+        let found = search_shells(array.dim(), max_radius, |v| valid(ArrayId(aidx), v))?;
+        vectors.push(OccupancyVector::new(found.ok_or(CoreError::NoVectorFound)?));
+    }
+    Ok(OvResult::new(p, vectors))
+}
+
 /// Enumerates integer vectors by increasing Manhattan length, breaking
 /// ties by the evenness term, and returns the first (hence objective-
 /// minimal) vector accepted by `valid`.
 fn search_shells(
     dim: usize,
     max_radius: i64,
-    mut valid: impl FnMut(&[i64]) -> bool,
-) -> Option<Vec<i64>> {
+    mut valid: impl FnMut(&[i64]) -> Result<bool, CoreError>,
+) -> Result<Option<Vec<i64>>, CoreError> {
     for r in 1..=max_radius {
         let mut shell = enumerate_shell(dim, r);
         shell.sort_by_key(|v| {
@@ -826,12 +758,12 @@ fn search_shells(
             )
         });
         for v in shell {
-            if valid(&v) {
-                return Some(v);
+            if valid(&v)? {
+                return Ok(Some(v));
             }
         }
     }
-    None
+    Ok(None)
 }
 
 /// Crate-internal re-export of the shell enumerator (used by the UOV

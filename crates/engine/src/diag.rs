@@ -88,7 +88,6 @@ pub fn diag_schema() -> Schema {
                 ),
                 ("pivots_spent", Schema::Int, true),
                 ("nodes_spent", Schema::Int, true),
-                ("cancelled", Schema::Bool, true),
             ]),
             true,
         ),
@@ -230,8 +229,7 @@ pub(crate) fn build_bundle(
             Json::obj()
                 .field("limits", spec.to_json())
                 .field("pivots_spent", int(budget.pivots_spent()))
-                .field("nodes_spent", int(budget.nodes_spent()))
-                .field("cancelled", budget.is_cancelled()),
+                .field("nodes_spent", int(budget.nodes_spent())),
         )
         .field(
             "counters",
@@ -284,7 +282,6 @@ pub(crate) fn build_bundle(
 pub fn write_service_bundle(
     dir: &Path,
     program: &Program,
-    workers: usize,
     spec: BudgetSpec,
     message: &str,
     session: u64,
@@ -294,7 +291,7 @@ pub fn write_service_bundle(
     write_bundle(
         dir,
         program,
-        workers,
+        1,
         Health::Failed,
         &[],
         &budget,

@@ -41,7 +41,7 @@ use aov_interp::exec::Instances;
 use aov_interp::validate::matches_reference;
 use aov_interp::InterpError;
 use aov_ir::{analysis, examples, Dependence, Program};
-use aov_machine::experiments::{example2_speedup_with, example3_speedup_with, SpeedupPoint};
+use aov_machine::experiments::{example2_points, example3_points, SpeedupPoint};
 use aov_machine::MachineConfig;
 use aov_polyhedra::PolyhedraError;
 use aov_schedule::{legal, scheduler, Analysis, Schedule};
@@ -683,9 +683,10 @@ impl Pipeline {
     }
 
     /// Worker threads for the machine-model speedup stage (`<= 1`
-    /// means sequential). Problems 1 and 3 solve their orthants in one
-    /// sequential loop, so the answers, counters and allocations of a
-    /// run do not depend on it.
+    /// means sequential), the only stage that spreads over threads. Its
+    /// workers charge the stage, so the answers and counters of a run do
+    /// not depend on it; the stage's allocations grow only by what
+    /// starting the threads costs.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -1188,8 +1189,16 @@ impl Pipeline {
             let cfg = MachineConfig::scaled_down();
             let procs = [1, 2, 4, 8];
             let points: Option<Vec<SpeedupPoint>> = match name.as_str() {
-                "example2" => Some(example2_speedup_with(&cfg, 64, 64, &procs, workers)),
-                "example3" => Some(example3_speedup_with(&cfg, 12, 24, 24, &procs, workers)),
+                "example2" => Some(fan_out_points(
+                    &procs,
+                    workers,
+                    &example2_points(&cfg, 64, 64),
+                )),
+                "example3" => Some(fan_out_points(
+                    &procs,
+                    workers,
+                    &example3_points(&cfg, 12, 24, 24),
+                )),
                 _ => None,
             };
             let detail = match &points {
@@ -1307,6 +1316,47 @@ pub(crate) fn error_chain_of(e: &dyn std::error::Error) -> Vec<String> {
     chain
 }
 
+/// Maps each processor count to its speedup point, in input order, over
+/// `workers` scoped threads (`<= 1` means sequential), worker `w` taking
+/// every `threads`-th count from the `w`-th. Each worker enters the
+/// calling thread's telemetry context, so the stage is charged for every
+/// point whatever the worker count.
+fn fan_out_points(
+    procs: &[usize],
+    workers: usize,
+    point: &(dyn Fn(usize) -> SpeedupPoint + Sync),
+) -> Vec<SpeedupPoint> {
+    let threads = workers.min(procs.len());
+    if threads <= 1 {
+        return procs.iter().map(|&p| point(p)).collect();
+    }
+    let ctx = aov_support::context::current();
+    let mut per_worker: Vec<std::vec::IntoIter<SpeedupPoint>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|w| {
+                let ctx = &ctx;
+                s.spawn(move || {
+                    let _entered = ctx.enter();
+                    let mine = procs.iter().skip(w).step_by(threads);
+                    mine.map(|&p| point(p)).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .map(Vec::into_iter)
+            .collect()
+    });
+    (0..procs.len())
+        .map(|k| {
+            per_worker[k % threads]
+                .next()
+                .expect("every point simulated")
+        })
+        .collect()
+}
+
 /// Runs `f` as the named stage of the ladder: opens the
 /// `pipeline.<name>` span, fires the chaos probe, isolates panics,
 /// times the body and charges it to a child telemetry context of the
@@ -1420,8 +1470,8 @@ fn ov_detail(p: &Program, ov: &OvResult) -> Json {
 /// # Errors
 ///
 /// As for [`Pipeline::run`].
-pub fn run_example(name: &str, workers: usize) -> Result<Report, EngineError> {
-    Pipeline::for_example(name)?.workers(workers).run()
+pub fn run_example(name: &str) -> Result<Report, EngineError> {
+    Pipeline::for_example(name)?.run()
 }
 
 #[cfg(test)]
@@ -1446,7 +1496,7 @@ mod tests {
 
     #[test]
     fn healthy_run_is_all_ok() {
-        let report = run_example("example1", 1).expect("example1 runs");
+        let report = run_example("example1").expect("example1 runs");
         assert_eq!(report.health(), Health::Ok);
         for s in &report.stages {
             assert_eq!(s.outcome, StageOutcome::Ok, "stage {}", s.name);
@@ -1459,7 +1509,7 @@ mod tests {
 
     #[test]
     fn single_run_has_no_timing_summary() {
-        let report = run_example("example1", 1).expect("example1 runs");
+        let report = run_example("example1").expect("example1 runs");
         assert!(report.timing.is_none());
         assert!(report.to_json().get("timing").is_none());
     }
@@ -1530,7 +1580,7 @@ mod tests {
             let node = stage.counters.iter().find(|(k, _)| k == "lp.bb.nodes");
             node.map_or(0, |(_, v)| *v)
         };
-        let found = run_example("example1", 1).expect("example1 runs");
+        let found = run_example("example1").expect("example1 runs");
         assert_eq!(found.equivalent, Some(true));
         assert_eq!(nodes(&found), 0);
         let p = examples::example1();
@@ -1558,7 +1608,7 @@ mod tests {
 
     #[test]
     fn report_json_has_stage_timings_and_outcomes() {
-        let report = run_example("example1", 1).expect("example1 runs");
+        let report = run_example("example1").expect("example1 runs");
         let json = report.to_json();
         let Some(Json::Arr(stages)) = json.get("stages") else {
             panic!("stages array missing");

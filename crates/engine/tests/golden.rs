@@ -199,3 +199,29 @@ fn machine_stage_reports_speedups() {
         assert!(t > o, "transformed storage must win: {pt:?}");
     }
 }
+
+/// The machine stage's fan-out workers charge the stage: more workers
+/// add only thread start-up to its allocations, never lose the
+/// simulations' own, and leave the curve unchanged.
+#[test]
+fn machine_stage_charges_its_workers() {
+    aov_support::alloc::set_counting(true);
+    let machine = |workers: usize| {
+        let report = Pipeline::for_example("example2")
+            .unwrap()
+            .workers(workers)
+            .machine(true)
+            .run()
+            .unwrap();
+        let stage = report.stage("machine").expect("machine stage ran");
+        let speedups = stage.detail.get("speedups").expect("speedups").clone();
+        (stage.allocs, stage.alloc_bytes, speedups)
+    };
+    let (seq_allocs, seq_bytes, seq_curve) = machine(1);
+    let (par_allocs, par_bytes, par_curve) = machine(4);
+    assert!(
+        par_allocs >= seq_allocs && par_bytes >= seq_bytes,
+        "4 workers charged {par_allocs} allocs / {par_bytes} B, 1 worker {seq_allocs} / {seq_bytes}"
+    );
+    assert_eq!(par_curve, seq_curve);
+}

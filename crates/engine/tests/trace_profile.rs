@@ -180,8 +180,8 @@ fn example2_orthants_are_searched_per_array() {
 }
 
 /// The analysis (dependences, schedule constraints, ℛ) is built once
-/// per run at any worker count, and one exact search shares it across
-/// its workers.
+/// per run at any worker count, and the exact search builds none of its
+/// own.
 #[test]
 fn analysis_is_built_once_per_run() {
     let count = |records: &[SpanRecord]| {
@@ -207,10 +207,10 @@ fn analysis_is_built_once_per_run() {
     let p = aov_ir::examples::example2();
     let (found, records) = traced(|| {
         let a = aov_schedule::Analysis::new(&p).expect("example2 linearizes");
-        aov_core::problems::aov_search_with(&a, 6, 3).expect("example2 has AOVs")
+        aov_core::problems::aov_search_with(&a, 6).expect("example2 has AOVs")
     });
     assert_eq!(found.vector_for("A").unwrap().components(), [1, 1]);
-    assert_eq!(count(&records), 1, "aov_search_with at 3 workers");
+    assert_eq!(count(&records), 1, "aov_search_with");
 }
 
 /// Golden internal span tree of the problem2 stage: the stage body is
@@ -299,14 +299,13 @@ fn example1_problem2_internal_span_tree_golden() {
     }
 }
 
-/// Spans of Example 2's exact Problem 3 search fanned out over 2
-/// workers: the analysis on the calling thread, the per-array searches
-/// on worker threads.
+/// Spans of Example 2's exact Problem 3 search: the analysis, then one
+/// search span per array.
 fn traced_search() -> Vec<SpanRecord> {
     let p = aov_ir::examples::example2();
     traced(|| {
         let a = aov_schedule::Analysis::new(&p).expect("example2 linearizes");
-        aov_core::problems::aov_search_with(&a, 6, 2).expect("example2 has AOVs");
+        aov_core::problems::aov_search_with(&a, 6).expect("example2 has AOVs");
     })
     .1
 }
@@ -335,12 +334,11 @@ fn chrome_export_round_trips() {
         }
     }
     assert_eq!(complete, records.len());
-    assert!(meta >= 2, "expected thread_name metadata per track");
-    // The search's worker threads put spans on more than one track.
     let threads: std::collections::BTreeSet<u64> = records.iter().map(|r| r.thread).collect();
-    assert!(
-        threads.len() >= 2,
-        "expected multiple threads, got {threads:?}"
+    assert_eq!(
+        meta,
+        threads.len(),
+        "one thread_name metadata event per track"
     );
 }
 

@@ -1,21 +1,19 @@
-//! Work budgets with cooperative cancellation.
+//! Work budgets.
 //!
-//! A [`Budget`] is a cheap clone-to-share handle (an `Arc` around a few
-//! atomics) threaded from the engine down into the simplex pivot loop
-//! and the branch-and-bound node loop. Solvers *tick* it at
-//! pivot/node granularity; a holder may *cancel* it cooperatively.
+//! A [`Budget`] is a few atomics threaded by reference from the engine
+//! down into the simplex pivot loop and the branch-and-bound node loop.
+//! Solvers *tick* it at pivot/node granularity.
 //!
 //! Determinism contract: the exceeded error carries only the resource,
 //! the configured limit, and the checkpoint site — never the observed
 //! count. Together with the rule that finite budgets disable
 //! incumbent-based pruning in the orthant loop of Problems 1 and 3, the
-//! same budget trips with the same error at the same stage regardless
-//! of worker count. Wall-clock deadlines are the documented exception:
+//! same budget trips with the same error at the same stage on every
+//! run. Wall-clock deadlines are the documented exception:
 //! they are inherently timing-dependent.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Which budgeted resource ran out.
@@ -27,9 +25,6 @@ pub enum Resource {
     Nodes,
     /// Wall-clock deadline.
     WallClock,
-    /// Not a resource at all: a sibling failure (or an external caller)
-    /// cancelled the run cooperatively.
-    Cancelled,
 }
 
 impl Resource {
@@ -40,7 +35,6 @@ impl Resource {
             Resource::Pivots => "pivots",
             Resource::Nodes => "nodes",
             Resource::WallClock => "wall_clock",
-            Resource::Cancelled => "cancelled",
         }
     }
 }
@@ -50,8 +44,7 @@ impl Resource {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetExceeded {
     pub resource: Resource,
-    /// The configured limit (milliseconds for [`Resource::WallClock`],
-    /// 0 for [`Resource::Cancelled`]).
+    /// The configured limit (milliseconds for [`Resource::WallClock`]).
     pub limit: u64,
     /// The checkpoint that observed the trip (e.g. `"lp.simplex"`).
     pub site: &'static str,
@@ -77,14 +70,14 @@ impl fmt::Display for BudgetExceeded {
                     self.site, self.limit
                 )
             }
-            Resource::Cancelled => write!(f, "cancelled at {}", self.site),
         }
     }
 }
 
 impl std::error::Error for BudgetExceeded {}
 
-struct Inner {
+/// The limits of one run and the work ticked against them so far.
+pub struct Budget {
     /// `u64::MAX` means unlimited.
     max_pivots: u64,
     max_nodes: u64,
@@ -92,14 +85,6 @@ struct Inner {
     deadline_ms: u64,
     pivots: AtomicU64,
     nodes: AtomicU64,
-    cancelled: AtomicBool,
-}
-
-/// Shareable budget handle. `Clone` shares the same counters and cancel
-/// flag.
-#[derive(Clone)]
-pub struct Budget {
-    inner: Arc<Inner>,
 }
 
 /// How often (in ticks) the wall-clock deadline is polled; counting
@@ -107,7 +92,7 @@ pub struct Budget {
 const DEADLINE_STRIDE: u64 = 64;
 
 impl Budget {
-    /// A budget with no limits; ticks only observe cancellation.
+    /// A budget with no limits; ticks only count.
     #[must_use]
     pub fn unlimited() -> Budget {
         Budget::new(None, None, None)
@@ -118,15 +103,12 @@ impl Budget {
     #[must_use]
     pub fn new(max_pivots: Option<u64>, max_nodes: Option<u64>, max_millis: Option<u64>) -> Budget {
         Budget {
-            inner: Arc::new(Inner {
-                max_pivots: max_pivots.unwrap_or(u64::MAX),
-                max_nodes: max_nodes.unwrap_or(u64::MAX),
-                deadline: max_millis.map(|ms| Instant::now() + Duration::from_millis(ms)),
-                deadline_ms: max_millis.unwrap_or(0),
-                pivots: AtomicU64::new(0),
-                nodes: AtomicU64::new(0),
-                cancelled: AtomicBool::new(false),
-            }),
+            max_pivots: max_pivots.unwrap_or(u64::MAX),
+            max_nodes: max_nodes.unwrap_or(u64::MAX),
+            deadline: max_millis.map(|ms| Instant::now() + Duration::from_millis(ms)),
+            deadline_ms: max_millis.unwrap_or(0),
+            pivots: AtomicU64::new(0),
+            nodes: AtomicU64::new(0),
         }
     }
 
@@ -137,45 +119,29 @@ impl Budget {
     /// unpruned index-order scan puts them).
     #[must_use]
     pub fn is_unlimited(&self) -> bool {
-        self.inner.max_pivots == u64::MAX
-            && self.inner.max_nodes == u64::MAX
-            && self.inner.deadline.is_none()
-    }
-
-    /// Requests cooperative cancellation; every subsequent tick on any
-    /// clone returns [`Resource::Cancelled`].
-    pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether [`Budget::cancel`] has been called on this handle or a
-    /// clone of it.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::Relaxed)
+        self.max_pivots == u64::MAX && self.max_nodes == u64::MAX && self.deadline.is_none()
     }
 
     /// Pivots ticked so far (for reporting).
     #[must_use]
     pub fn pivots_spent(&self) -> u64 {
-        self.inner.pivots.load(Ordering::Relaxed)
+        self.pivots.load(Ordering::Relaxed)
     }
 
     /// Nodes ticked so far (for reporting).
     #[must_use]
     pub fn nodes_spent(&self) -> u64 {
-        self.inner.nodes.load(Ordering::Relaxed)
+        self.nodes.load(Ordering::Relaxed)
     }
 
     /// One simplex pivot at `site`.
     ///
     /// # Errors
     ///
-    /// [`BudgetExceeded`] when the pivot limit, the deadline, or the
-    /// cancel flag trips.
+    /// [`BudgetExceeded`] when the pivot limit or the deadline trips.
     pub fn tick_pivot(&self, site: &'static str) -> Result<(), BudgetExceeded> {
-        let count = self.inner.pivots.fetch_add(1, Ordering::Relaxed);
-        if count >= self.inner.max_pivots {
+        let count = self.pivots.fetch_add(1, Ordering::Relaxed);
+        if count >= self.max_pivots {
             return Err(self.exceeded(Resource::Pivots, site));
         }
         self.common_checks(count, site)
@@ -185,27 +151,23 @@ impl Budget {
     ///
     /// # Errors
     ///
-    /// [`BudgetExceeded`] when the node limit, the deadline, or the
-    /// cancel flag trips.
+    /// [`BudgetExceeded`] when the node limit or the deadline trips.
     pub fn tick_node(&self, site: &'static str) -> Result<(), BudgetExceeded> {
-        let count = self.inner.nodes.fetch_add(1, Ordering::Relaxed);
-        if count >= self.inner.max_nodes {
+        let count = self.nodes.fetch_add(1, Ordering::Relaxed);
+        if count >= self.max_nodes {
             return Err(self.exceeded(Resource::Nodes, site));
         }
         self.common_checks(count, site)
     }
 
-    /// A coarse checkpoint (stage or orthant boundary): observes
-    /// cancellation and the deadline without charging any resource.
+    /// A coarse checkpoint (stage or orthant boundary): observes the
+    /// deadline without charging any resource.
     ///
     /// # Errors
     ///
-    /// [`BudgetExceeded`] when the deadline or the cancel flag trips.
+    /// [`BudgetExceeded`] when the deadline trips.
     pub fn check(&self, site: &'static str) -> Result<(), BudgetExceeded> {
-        if self.is_cancelled() {
-            return Err(self.exceeded(Resource::Cancelled, site));
-        }
-        if let Some(deadline) = self.inner.deadline {
+        if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
                 return Err(self.exceeded(Resource::WallClock, site));
             }
@@ -214,9 +176,6 @@ impl Budget {
     }
 
     fn common_checks(&self, count: u64, site: &'static str) -> Result<(), BudgetExceeded> {
-        if self.is_cancelled() {
-            return Err(self.exceeded(Resource::Cancelled, site));
-        }
         if count.is_multiple_of(DEADLINE_STRIDE) {
             // Piggyback the flight-recorder heartbeat on the deadline
             // stride: one ring event per DEADLINE_STRIDE ticks keeps
@@ -228,7 +187,7 @@ impl Budget {
                 self.pivots_spent(),
                 self.nodes_spent(),
             );
-            if let Some(deadline) = self.inner.deadline {
+            if let Some(deadline) = self.deadline {
                 if Instant::now() >= deadline {
                     return Err(self.exceeded(Resource::WallClock, site));
                 }
@@ -239,10 +198,9 @@ impl Budget {
 
     fn exceeded(&self, resource: Resource, site: &'static str) -> BudgetExceeded {
         let limit = match resource {
-            Resource::Pivots => self.inner.max_pivots,
-            Resource::Nodes => self.inner.max_nodes,
-            Resource::WallClock => self.inner.deadline_ms,
-            Resource::Cancelled => 0,
+            Resource::Pivots => self.max_pivots,
+            Resource::Nodes => self.max_nodes,
+            Resource::WallClock => self.deadline_ms,
         };
         // Cold path: stamp the trip into the flight recorder, labelled
         // with the span active on the tripping thread (works with full
@@ -252,7 +210,7 @@ impl Budget {
         let spent = match resource {
             Resource::Pivots => self.pivots_spent(),
             Resource::Nodes => self.nodes_spent(),
-            _ => 0,
+            Resource::WallClock => 0,
         };
         aov_trace::recorder::record(
             aov_trace::recorder::EventKind::BudgetTrip,
@@ -273,19 +231,15 @@ impl fmt::Debug for Budget {
         f.debug_struct("Budget")
             .field(
                 "max_pivots",
-                &(self.inner.max_pivots != u64::MAX).then_some(self.inner.max_pivots),
+                &(self.max_pivots != u64::MAX).then_some(self.max_pivots),
             )
             .field(
                 "max_nodes",
-                &(self.inner.max_nodes != u64::MAX).then_some(self.inner.max_nodes),
+                &(self.max_nodes != u64::MAX).then_some(self.max_nodes),
             )
-            .field(
-                "deadline_ms",
-                &self.inner.deadline.map(|_| self.inner.deadline_ms),
-            )
+            .field("deadline_ms", &self.deadline.map(|_| self.deadline_ms))
             .field("pivots", &self.pivots_spent())
             .field("nodes", &self.nodes_spent())
-            .field("cancelled", &self.is_cancelled())
             .finish()
     }
 }
@@ -326,16 +280,6 @@ mod tests {
         b.tick_node("n").unwrap();
         assert_eq!(b.tick_node("n").unwrap_err().resource, Resource::Nodes);
         b.tick_pivot("p").unwrap();
-    }
-
-    #[test]
-    fn cancellation_observed_by_clones() {
-        let b = Budget::unlimited();
-        let c = b.clone();
-        b.cancel();
-        let e = c.tick_pivot("lp.simplex").unwrap_err();
-        assert_eq!(e.resource, Resource::Cancelled);
-        assert_eq!(c.check("stage").unwrap_err().resource, Resource::Cancelled);
     }
 
     #[test]

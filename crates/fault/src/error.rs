@@ -18,7 +18,7 @@ pub enum AovError {
     Infeasible { context: String },
     /// An LP/ILP that a caller required to be bounded was not.
     Unbounded { context: String },
-    /// A work or wall-clock budget tripped (or the run was cancelled).
+    /// A work or wall-clock budget tripped.
     BudgetExceeded(BudgetExceeded),
     /// An orthant solve or a scoped worker panicked; the panic was
     /// caught at that boundary and converted into a value instead of

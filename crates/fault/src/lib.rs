@@ -12,11 +12,10 @@
 //!   `Unschedulable`, `InvalidInput`, `Internal`), so the engine can
 //!   classify any failure into its `StageOutcome` ladder without
 //!   string-matching.
-//! * [`budget::Budget`] — a cheap, shareable handle carrying work
-//!   limits (simplex pivots, ILP nodes, a wall-clock deadline) and an
-//!   atomic cancel flag. Solvers call [`budget::Budget::tick_pivot`] /
-//!   [`budget::Budget::tick_node`] at pivot/node granularity, and
-//!   [`budget::Budget::cancel`] stops every holder at its next tick.
+//! * [`budget::Budget`] — the work limits of one run (simplex pivots,
+//!   ILP nodes, a wall-clock deadline) and the work ticked against
+//!   them. Solvers call [`budget::Budget::tick_pivot`] /
+//!   [`budget::Budget::tick_node`] at pivot/node granularity.
 //! * [`chaos`] — a deterministic fault-injection layer. A single
 //!   process-global spec (parsed from `AOV_CHAOS` or `--chaos`) arms
 //!   exactly one fault — an injected solver error, a worker panic, or

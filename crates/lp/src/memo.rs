@@ -15,9 +15,9 @@
 //! # Concurrency
 //!
 //! The cache is mutex-striped over [`SHARD_COUNT`] shards (FNV-1a of
-//! the key selects the shard), so concurrent solvers — the per-orthant
-//! fan-out within one pipeline run, and concurrent requests inside the
-//! `aovd` daemon — contend only when they touch the same stripe.
+//! the key selects the shard), so concurrent solvers — concurrent
+//! requests inside the `aovd` daemon, parallel tests — contend only
+//! when they touch the same stripe.
 //! Duplicate work is deduplicated by *single-flight claims*: the first
 //! thread to [`claim`] a missing key computes the outcome and
 //! [`FlightGuard::complete`]s it; threads claiming the same key while
@@ -51,8 +51,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Number of mutex stripes. A small power of two: enough that the
-/// daemon's request workers and one run's orthant fan-out rarely share
-/// a stripe, small enough that [`clear`]/[`len`] stay cheap.
+/// daemon's request workers rarely share a stripe, small enough that
+/// [`clear`]/[`len`] stay cheap.
 pub const SHARD_COUNT: usize = 16;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);

@@ -64,8 +64,8 @@ pub enum LpOutcome {
     Infeasible,
     /// The objective is unbounded below on the feasible region.
     Unbounded,
-    /// No verdict: branch-and-bound hit its node backstop, or a fault
-    /// (injected or cancellation) interrupted a legacy infallible call
+    /// No verdict: branch-and-bound hit its node backstop, or an
+    /// injected fault interrupted a legacy infallible call
     /// ([`Model::solve_lp`]/[`Model::solve_ilp`]). The budgeted APIs
     /// report faults as [`AovError`] instead of this variant.
     LimitReached,
@@ -289,8 +289,8 @@ impl Model {
     /// process-global cache.
     ///
     /// Legacy infallible entry point: runs with an unlimited
-    /// [`Budget`], so the only possible faults are external (chaos
-    /// injection, cooperative cancellation); those map to
+    /// [`Budget`], so the only possible faults are injected chaos
+    /// faults; those map to
     /// [`LpOutcome::LimitReached`]. Budget-aware callers use
     /// [`Model::solve_lp_budgeted`].
     pub fn solve_lp(&self) -> LpOutcome {
@@ -303,8 +303,8 @@ impl Model {
     ///
     /// # Errors
     ///
-    /// [`AovError::BudgetExceeded`] when a pivot/deadline limit trips
-    /// or the budget is cancelled; injected chaos faults otherwise.
+    /// [`AovError::BudgetExceeded`] when a pivot/deadline limit trips;
+    /// injected chaos faults otherwise.
     pub fn solve_lp_budgeted(&self, budget: &Budget) -> Result<LpOutcome, AovError> {
         let _span = aov_trace::span!(
             "lp.solve",
@@ -405,8 +405,7 @@ impl Model {
     /// # Errors
     ///
     /// [`AovError::BudgetExceeded`] when a node/pivot/deadline limit
-    /// trips or the budget is cancelled; injected chaos faults
-    /// otherwise.
+    /// trips; injected chaos faults otherwise.
     pub fn solve_ilp_budgeted(&self, budget: &Budget) -> Result<LpOutcome, AovError> {
         branch_bound::solve(self, budget)
     }

@@ -103,59 +103,25 @@ fn example2_layouts(n: i64, m: i64, variant: Variant) -> (Layout, Layout) {
 /// Figure 15: speedup vs processors for Example 2 (both variants,
 /// relative to the sequential original).
 pub fn example2_speedup(cfg: &MachineConfig, n: i64, m: i64, procs: &[usize]) -> Vec<SpeedupPoint> {
-    example2_speedup_with(cfg, n, m, procs, 1)
+    let point = example2_points(cfg, n, m);
+    procs.iter().map(|&p| point(p)).collect()
 }
 
-/// [`example2_speedup`] with the per-processor-count simulations fanned
-/// out over `workers` threads (`<= 1` means sequential). Each point is an
-/// independent deterministic simulation, so the curve is bit-identical to
-/// the sequential sweep.
-pub fn example2_speedup_with(
+/// The points of [`example2_speedup`]'s curve, one processor count per
+/// call. The sequential original is simulated once, here; each point is
+/// an independent deterministic simulation, so callers may evaluate
+/// points on any thread in any order.
+pub fn example2_points(
     cfg: &MachineConfig,
     n: i64,
     m: i64,
-    procs: &[usize],
-    workers: usize,
-) -> Vec<SpeedupPoint> {
+) -> impl Fn(usize) -> SpeedupPoint + Sync + '_ {
     let baseline = example2_time(cfg, n, m, 1, Variant::Original) as f64;
-    fan_out_points(procs, workers, &|p| SpeedupPoint {
+    move |p| SpeedupPoint {
         procs: p,
         original: baseline / example2_time(cfg, n, m, p, Variant::Original) as f64,
         transformed: baseline / example2_time(cfg, n, m, p, Variant::Transformed) as f64,
-    })
-}
-
-/// Maps each processor count to its speedup point, in input order,
-/// optionally across scoped worker threads.
-fn fan_out_points(
-    procs: &[usize],
-    workers: usize,
-    point: &(dyn Fn(usize) -> SpeedupPoint + Sync),
-) -> Vec<SpeedupPoint> {
-    if workers <= 1 || procs.len() <= 1 {
-        return procs.iter().map(|&p| point(p)).collect();
     }
-    let mut slots: Vec<Option<SpeedupPoint>> = vec![None; procs.len()];
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slot_refs: Vec<std::sync::Mutex<&mut Option<SpeedupPoint>>> =
-        slots.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(procs.len()) {
-            s.spawn(|| loop {
-                let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if k >= procs.len() {
-                    break;
-                }
-                let pt = point(procs[k]);
-                **slot_refs[k].lock().unwrap() = Some(pt);
-            });
-        }
-    });
-    drop(slot_refs);
-    slots
-        .into_iter()
-        .map(|s| s.expect("every point simulated"))
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -246,25 +212,24 @@ pub fn example3_speedup(
     z: i64,
     procs: &[usize],
 ) -> Vec<SpeedupPoint> {
-    example3_speedup_with(cfg, x, y, z, procs, 1)
+    let point = example3_points(cfg, x, y, z);
+    procs.iter().map(|&p| point(p)).collect()
 }
 
-/// [`example3_speedup`] with the per-processor-count simulations fanned
-/// out over `workers` threads (`<= 1` means sequential).
-pub fn example3_speedup_with(
+/// The points of [`example3_speedup`]'s curve, one processor count per
+/// call (see [`example2_points`]).
+pub fn example3_points(
     cfg: &MachineConfig,
     x: i64,
     y: i64,
     z: i64,
-    procs: &[usize],
-    workers: usize,
-) -> Vec<SpeedupPoint> {
+) -> impl Fn(usize) -> SpeedupPoint + Sync + '_ {
     let baseline = example3_time(cfg, x, y, z, 1, Variant::Original) as f64;
-    fan_out_points(procs, workers, &|p| SpeedupPoint {
+    move |p| SpeedupPoint {
         procs: p,
         original: baseline / example3_time(cfg, x, y, z, p, Variant::Original) as f64,
         transformed: baseline / example3_time(cfg, x, y, z, p, Variant::Transformed) as f64,
-    })
+    }
 }
 
 #[cfg(test)]

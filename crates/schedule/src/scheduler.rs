@@ -22,7 +22,7 @@ pub enum ScheduleError {
     Infeasible,
     /// Polyhedral machinery failed.
     Polyhedra(PolyhedraError),
-    /// A runtime fault (budget trip, cancellation, injected fault)
+    /// A runtime fault (budget trip, injected fault)
     /// interrupted the search before a verdict.
     Fault(AovError),
 }

@@ -11,7 +11,7 @@
 //!    requests whose deadline expired while queued are dropped before
 //!    any solver work is spent on them.
 //! 2. **Worker supervision** ([`server`]) — every solve runs under
-//!    `catch_unwind` with a cooperative budget; a panicking or
+//!    `catch_unwind` under a work budget; a panicking or
 //!    budget-tripped solve degrades to the pipeline's ladder semantics,
 //!    writes an `aov-diag/1` bundle, and the supervisor restarts the
 //!    poisoned worker so the daemon keeps serving.

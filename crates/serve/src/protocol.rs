@@ -12,8 +12,7 @@
 //! # Request frames
 //!
 //! * `solve` — `{"schema","type":"solve","id",("source"|"example"),
-//!   "options":{workers,memoize,budget:{pivots,nodes,ms},deadline_ms,
-//!   chaos}}`. `source` is `.aov` program text; `example` names a
+//!   "options":{memoize,budget:{pivots,nodes,ms},deadline_ms,chaos}}`. `source` is `.aov` program text; `example` names a
 //!   corpus program. All options are optional.
 //! * `stats` — queue depth, in-flight count, served/overloaded/restart
 //!   counters, uptime, per-worker states, and the shared memo tier's
@@ -64,9 +63,6 @@ pub mod code {
 /// Per-request solve options (all optional on the wire).
 #[derive(Debug, Clone, Default)]
 pub struct SolveOptions {
-    /// Pipeline worker count (`0`/absent = 1; see
-    /// `aov_engine::Pipeline::workers`).
-    pub workers: usize,
     /// Request-level memoization opt-in (the daemon's shared tier must
     /// also be armed for it to matter).
     pub memoize: bool,
@@ -152,7 +148,6 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
             };
             let mut options = SolveOptions::default();
             if let Some(opts) = doc.get("options") {
-                options.workers = get_u64(opts, "workers").unwrap_or(0) as usize;
                 options.memoize = matches!(opts.get("memoize"), Some(Json::Bool(true)));
                 options.deadline_ms = get_u64(opts, "deadline_ms");
                 options.chaos = get_str(opts, "chaos").map(str::to_string);
@@ -195,7 +190,6 @@ pub fn solve_frame(id: i64, source_or_example: (&str, bool), options: &SolveOpti
         budget = budget.field("ms", ms);
     }
     let mut opts = Json::obj()
-        .field("workers", options.workers)
         .field("memoize", options.memoize)
         .field("budget", budget);
     if let Some(ms) = options.deadline_ms {
@@ -293,7 +287,6 @@ mod tests {
     #[test]
     fn solve_frame_roundtrips_through_parse() {
         let options = SolveOptions {
-            workers: 3,
             memoize: true,
             budget: BudgetSpec {
                 pivots: Some(500),
@@ -316,7 +309,6 @@ mod tests {
         };
         assert!(!source.is_empty());
         assert_eq!(display, "examples/example1.aov");
-        assert_eq!(options.workers, 3);
         assert!(options.memoize);
         assert_eq!(options.budget.pivots, Some(500));
         assert_eq!(options.budget.nodes, None);

@@ -42,10 +42,9 @@
 //! # Sessions
 //!
 //! Each solve gets a process-unique session id, stamped into every
-//! flight-recorder event it records (including fan-out workers, via
-//! span-context adoption) — so one request's crash bundle carries only
-//! its own timeline even though the ring is process-global. The report
-//! frame echoes the id.
+//! flight-recorder event it records, so one request's crash bundle
+//! carries only its own timeline even though the ring is process-global.
+//! The report frame echoes the id.
 
 use std::collections::VecDeque;
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -628,7 +627,6 @@ fn write_service_diag(
         let _ = diag::write_service_bundle(
             dir,
             program,
-            options.workers.max(1),
             options.budget,
             message,
             0, // the fault preempted session assignment; keep the tail
@@ -711,7 +709,6 @@ fn process_job(shared: &Arc<Shared>, job: &Job) {
         budget.ms = Some(budget.ms.map_or(remaining_ms, |ms| ms.min(remaining_ms)));
     }
     let mut pipeline = Pipeline::new(job.program.clone())
-        .workers(job.options.workers.max(1))
         .memoize(job.options.memoize && shared.cfg.memo)
         .budget(budget)
         .session(job.session);

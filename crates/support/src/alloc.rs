@@ -30,8 +30,7 @@
 //! [`stats`] yet. [`stats`] always flushes the *calling* thread first.
 //! Each flush also charges the batch to the thread's installed
 //! [`context`](crate::context), and installing or leaving a context
-//! (including a fan-out worker's `aov_trace::adopt`) flushes first, so a
-//! run's and a stage's allocation totals are exact.
+//! flushes first, so a run's and a stage's allocation totals are exact.
 //!
 //! The high-water mark is maintained at flush points with a racy
 //! load-compare-store rather than a CAS loop: it may come out low by
@@ -44,19 +43,16 @@
 //!
 //! Scopes nest per thread: allocations are charged to the **innermost**
 //! scope only (self-bytes semantics — parents do not see children's
-//! traffic, mirroring `self_ns` in the flame table). A scope can be
-//! handed across threads with [`AllocScope::handle`] +
-//! [`adopt`] — the worker's allocations then charge the same cells, so
-//! a scoped fan-out attributes its workers' traffic to the span that
-//! spawned them. Frees are charged to the scope open on the *freeing*
-//! thread, so `net`/`peak` are exact only when memory dies where it was
-//! born; for stage-grained scopes that is near enough, and the
-//! cumulative `allocs`/`bytes` columns are exact regardless.
+//! traffic, mirroring `self_ns` in the flame table). A scope belongs to
+//! the thread that opened it: allocations on other threads never charge
+//! it. Frees are charged to the scope open when the memory dies, so
+//! `net`/`peak` are exact only when memory dies in the scope it was born
+//! in; for stage-grained scopes that is near enough, and the cumulative
+//! `allocs`/`bytes` columns are exact regardless.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Global ledger
@@ -170,8 +166,7 @@ fn raise_racy_u64(cell: &AtomicU64, candidate: u64) {
 // Scoped ledger
 // ---------------------------------------------------------------------------
 
-/// The atomic cells one scope charges. Shared via `Arc` between the
-/// owning guard, cross-thread adopters, and readers.
+/// The atomic cells one scope charges, owned by its guard.
 #[derive(Debug, Default)]
 struct ScopeCell {
     allocs: AtomicU64,
@@ -240,11 +235,6 @@ thread_local! {
             freed_bytes: Cell::new(0),
         }
     };
-
-    /// Shadow stack of handles mirroring `LOCAL.top`, maintained only
-    /// by the guards (never touched from inside the allocator), so
-    /// [`current_handle`] can recover an owning reference.
-    static SHADOW: RefCell<Vec<ScopeHandle>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Drains this thread's batched tallies into the global atomics and
@@ -274,40 +264,18 @@ fn flush_cells(l: &LocalLedger) {
     raise_racy(&PEAK, bytes as i64 - freed as i64);
 }
 
-/// A cloneable, sendable reference to a scope's cells — capture with
-/// [`current_handle`] or [`AllocScope::handle`] before a fan-out, then
-/// [`adopt`] inside each worker.
-#[derive(Debug, Clone)]
-pub struct ScopeHandle {
-    cell: Arc<ScopeCell>,
-}
-
-impl ScopeHandle {
-    /// The scope's charges so far (live — the scope may still be open).
-    #[must_use]
-    pub fn stats(&self) -> ScopeStats {
-        self.cell.stats()
-    }
-}
-
 /// RAII guard of one allocation scope on the current thread. Holds the
 /// previous innermost pointer (restored on drop), so guards must drop
 /// in LIFO order — guaranteed by scoping since the guard is `!Send`.
 #[derive(Debug)]
 pub struct AllocScope {
-    cell: Arc<ScopeCell>,
+    /// Boxed so the address `LOCAL.top` holds stays put when the guard
+    /// moves.
+    cell: Box<ScopeCell>,
     prev: *const ScopeCell,
 }
 
 impl AllocScope {
-    /// A handle for charging this scope from other threads.
-    #[must_use]
-    pub fn handle(&self) -> ScopeHandle {
-        ScopeHandle {
-            cell: Arc::clone(&self.cell),
-        }
-    }
-
     /// The scope's charges so far.
     #[must_use]
     pub fn stats(&self) -> ScopeStats {
@@ -315,44 +283,18 @@ impl AllocScope {
     }
 }
 
-fn install(cell: Arc<ScopeCell>) -> AllocScope {
-    let handle = ScopeHandle {
-        cell: Arc::clone(&cell),
-    };
-    // Push the handle (may allocate — `top` not yet repointed, so the
-    // allocation charges the enclosing scope, which is correct: guard
-    // bookkeeping is the *caller's* traffic, not the new scope's).
-    SHADOW.with(|s| s.borrow_mut().push(handle));
-    let prev = LOCAL.with(|l| l.top.replace(Arc::as_ptr(&cell)));
-    AllocScope { cell, prev }
-}
-
 /// Opens a fresh scope; allocations on this thread charge it until it
 /// drops (or an inner scope opens).
 #[must_use]
 pub fn scope() -> AllocScope {
-    install(Arc::new(ScopeCell::default()))
-}
-
-/// Re-opens the scope behind `handle` on this thread, so a fan-out
-/// worker's allocations charge the scope of the span that spawned it.
-#[must_use]
-pub fn adopt(handle: &ScopeHandle) -> AllocScope {
-    install(Arc::clone(&handle.cell))
-}
-
-/// The innermost open scope on this thread, if any.
-#[must_use]
-pub fn current_handle() -> Option<ScopeHandle> {
-    SHADOW.with(|s| s.borrow().last().cloned())
+    let cell = Box::new(ScopeCell::default());
+    let prev = LOCAL.with(|l| l.top.replace(&*cell));
+    AllocScope { cell, prev }
 }
 
 impl Drop for AllocScope {
     fn drop(&mut self) {
         LOCAL.with(|l| l.top.set(self.prev));
-        SHADOW.with(|s| {
-            s.borrow_mut().pop();
-        });
     }
 }
 
@@ -398,7 +340,7 @@ pub fn record_bits(bits: u64) {
     let top = LOCAL.try_with(|l| l.top.get()).unwrap_or(std::ptr::null());
     if !top.is_null() {
         // Safety: non-null `top` always points at the ScopeCell of a
-        // live guard on this thread (the guard holds the Arc).
+        // live guard on this thread (the guard owns the Box).
         let cell = unsafe { &*top };
         raise_racy_u64(&cell.max_bits, bits);
     }
@@ -564,9 +506,10 @@ mod tests {
             assert_eq!(inner_stats.peak, 1_000_000);
         }
         drop(a);
-        // The outer scope never saw the inner megabyte: the shadow-stack
-        // push for the inner guard is charged to the caller (outer), so
-        // allow that bookkeeping but nothing near the inner's traffic.
+        // The outer scope never saw the inner megabyte: the inner guard's
+        // cell is allocated before it installs, so it charges the caller
+        // (outer); allow that bookkeeping but nothing near the inner's
+        // traffic.
         let outer_stats = outer.stats();
         assert!(
             outer_stats.bytes < 100_000,
@@ -574,40 +517,6 @@ mod tests {
             outer_stats.bytes
         );
         assert!(outer_stats.bytes >= 100);
-    }
-
-    #[test]
-    fn adopt_charges_parent_scope_across_threads() {
-        let parent = scope();
-        let handle = parent.handle();
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                let handle = handle.clone();
-                s.spawn(move || {
-                    let _adopted = adopt(&handle);
-                    let v = std::hint::black_box(vec![0u8; 10_000]);
-                    drop(v);
-                });
-            }
-        });
-        let stats = parent.stats();
-        assert!(stats.bytes >= 20_000, "both workers charged: {stats:?}");
-        assert_eq!(stats.net, stats.bytes as i64 - stats.freed_bytes as i64);
-    }
-
-    #[test]
-    fn current_handle_sees_innermost() {
-        assert!(current_handle().is_none() || current_handle().is_some()); // other tests may nest
-        let outer = scope();
-        let h = current_handle().expect("scope open");
-        assert!(Arc::ptr_eq(&h.cell, &outer.cell));
-        {
-            let inner = scope();
-            let h2 = current_handle().expect("inner open");
-            assert!(Arc::ptr_eq(&h2.cell, &inner.cell));
-        }
-        let h3 = current_handle().expect("outer restored");
-        assert!(Arc::ptr_eq(&h3.cell, &outer.cell));
     }
 
     #[test]
@@ -636,17 +545,6 @@ mod tests {
             stats.bytes, 128,
             "exempted traffic must not charge: {stats:?}"
         );
-    }
-
-    #[test]
-    fn handle_outlives_guard() {
-        let h = {
-            let s = scope();
-            let _v = std::hint::black_box(vec![0u8; 64]);
-            s.handle()
-        };
-        // Guard dropped; the handle still reads the final tallies.
-        assert!(h.stats().bytes >= 64);
     }
 
     #[test]

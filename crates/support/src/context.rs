@@ -4,8 +4,8 @@
 //! [`counters`](crate::counters)), the allocations and bytes its threads
 //! performed, the largest numeric bit-width they reported, its finished
 //! spans, its flight-recorder session and its LP-memo flag. A thread
-//! installs one with [`Context::enter`]; fan-out workers install their
-//! spawner's through `aov_trace::adopt`. A counter bump is one
+//! installs one with [`Context::enter`]; several threads may enter the
+//! same context, each charging it exactly. A counter bump is one
 //! thread-local read plus one relaxed add into the installed context.
 //! The allocator's per-event path never touches a context: its batched
 //! tallies drain into the installed one at each flush, and entering or
@@ -15,11 +15,13 @@
 //! child folds into its parent: additive counters, allocations and
 //! bytes add, max counters and the bit-width keep the larger value, and
 //! spans move over. With no context installed a thread charges the
-//! process root, so readers outside any run see process totals.
+//! process root, so readers of the root see every finished run plus the
+//! work done outside any run; a run still in flight reaches the root
+//! only when it finishes.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Counter ids a context has cells for.
 pub const MAX_COUNTERS: usize = 64;
@@ -29,7 +31,7 @@ pub const MAX_COUNTERS: usize = 64;
 pub struct SpanRecord {
     /// Unique id (sequential, process-wide).
     pub id: u64,
-    /// Enclosing span, possibly on another thread.
+    /// Enclosing span (always on the same thread).
     pub parent: Option<u64>,
     /// Small sequential id of the recording thread (trace track).
     pub thread: u64,
@@ -64,8 +66,6 @@ pub struct Context {
     bytes: AtomicU64,
     max_bits: AtomicU64,
     spans: Mutex<Vec<SpanRecord>>,
-    /// Unfolded children, for [`counters::snapshot`](crate::counters::snapshot).
-    children: Mutex<Vec<Weak<Context>>>,
     folded: AtomicBool,
 }
 
@@ -199,7 +199,6 @@ impl Context {
             bytes: AtomicU64::new(0),
             max_bits: AtomicU64::new(0),
             spans: Mutex::new(Vec::new()),
-            children: Mutex::new(Vec::new()),
             folded: AtomicBool::new(false),
         }
     }
@@ -209,13 +208,9 @@ impl Context {
     #[must_use]
     pub fn child(session: Option<u64>, memoize: Option<bool>) -> Arc<Context> {
         let parent = current();
-        let ctx = Arc::new(Context::new(
-            Some(Arc::clone(&parent)),
-            session.unwrap_or(parent.session),
-            memoize.or(parent.memoize),
-        ));
-        lock(&parent.children).push(Arc::downgrade(&ctx));
-        ctx
+        let session = session.unwrap_or(parent.session);
+        let memoize = memoize.or(parent.memoize);
+        Arc::new(Context::new(Some(parent), session, memoize))
     }
 
     /// Installs this context on the calling thread until the guard drops.
@@ -272,25 +267,19 @@ impl Context {
         }
         let max_rise =
             |cell: &AtomicU64, v: u64| v.saturating_sub(cell.fetch_max(v, Ordering::Relaxed));
+        for ((name, max), (own, cell)) in crate::counters::registry()
+            .iter()
+            .zip(self.counters.iter().zip(&parent.counters))
         {
-            // Under the registry lock, so `snapshot` never sees a
-            // counter in both child and parent.
-            let registry = crate::counters::registry();
-            lock(&parent.children).retain(|w| !std::ptr::eq(w.as_ptr(), self));
-            for ((name, max), (own, cell)) in registry
-                .iter()
-                .zip(self.counters.iter().zip(&parent.counters))
-            {
-                let own = own.load(Ordering::Relaxed);
-                let moved = if *max {
-                    max_rise(cell, own)
-                } else {
-                    cell.fetch_add(own, Ordering::Relaxed);
-                    own
-                };
-                if moved > 0 {
-                    added(name, moved);
-                }
+            let own = own.load(Ordering::Relaxed);
+            let moved = if *max {
+                max_rise(cell, own)
+            } else {
+                cell.fetch_add(own, Ordering::Relaxed);
+                own
+            };
+            if moved > 0 {
+                added(name, moved);
             }
         }
         parent
@@ -306,30 +295,6 @@ impl Context {
             lock(&parent.spans).extend(spans);
         }
         max_rise(&parent.max_bits, self.max_bits.load(Ordering::Relaxed))
-    }
-
-    /// Adds this context's and its unfolded descendants' counters into
-    /// `totals`; holds the descendants in `keep` so none drops (and
-    /// folds) under the caller's registry lock.
-    pub(crate) fn add_live(
-        self: &Arc<Self>,
-        registry: &[(String, bool)],
-        totals: &mut [u64],
-        keep: &mut Vec<Arc<Context>>,
-    ) {
-        for (((_, max), total), cell) in registry.iter().zip(totals.iter_mut()).zip(&self.counters)
-        {
-            let v = cell.load(Ordering::Relaxed);
-            *total = if *max { (*total).max(v) } else { *total + v };
-        }
-        let children: Vec<Arc<Context>> = lock(&self.children)
-            .iter()
-            .filter_map(Weak::upgrade)
-            .collect();
-        for child in &children {
-            child.add_live(registry, totals, keep);
-        }
-        keep.extend(children);
     }
 }
 
@@ -402,12 +367,22 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_includes_runs_in_flight() {
+    fn snapshot_excludes_runs_in_flight() {
+        let live = || {
+            counters::snapshot()
+                .into_iter()
+                .find(|(n, _)| n == "test.context.live")
+                .map_or(0, |(_, v)| v)
+        };
+        let before = live();
         let ctx = Context::child(None, None);
-        let _entered = ctx.enter();
-        Counter::named("test.context.live").add(11);
-        let live = counters::snapshot();
-        assert!(live.contains(&("test.context.live".to_string(), 11)));
+        {
+            let _entered = ctx.enter();
+            Counter::named("test.context.live").add(11);
+        }
+        assert_eq!(live(), before, "a run in flight stays out of the root");
+        let _ = ctx.finish();
+        assert_eq!(live() - before, 11, "a finished run folds into the root");
     }
 
     #[test]

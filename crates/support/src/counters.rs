@@ -9,10 +9,8 @@
 //! process root when no run is installed. The registry lock is only
 //! taken on first lookup and when reading.
 //!
-//! Parallel fan-out workers adopt their run's context, so totals are
-//! deterministic even though interleaving is not. Finished runs fold
-//! into the root, so [`snapshot`] and [`counter`] keep their
-//! process-wide meaning.
+//! Finished runs fold into the root, so [`snapshot`] and [`counter`]
+//! read every finished run plus the work done outside any run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -83,21 +81,15 @@ pub fn record_max(name: &str, value: u64) {
     context::with_current(|c| c.counter(id).fetch_max(value, Ordering::Relaxed));
 }
 
-/// Process-wide values of all registered counters, runs still in
-/// flight included, sorted by name.
+/// The root's value of every registered counter — every finished run
+/// plus the work done outside any run — sorted by name.
 pub fn snapshot() -> Vec<(String, u64)> {
-    let mut keep = Vec::new();
-    let mut out: Vec<(String, u64)> = {
-        let reg = registry();
-        let mut totals = vec![0; reg.len()];
-        context::root().add_live(&reg, &mut totals, &mut keep);
-        reg.iter()
-            .zip(totals)
-            .map(|((n, _), v)| (n.clone(), v))
-            .collect()
-    };
-    // Contexts that finished meanwhile fold here, after the lock.
-    drop(keep);
+    let root = context::root();
+    let mut out: Vec<(String, u64)> = registry()
+        .iter()
+        .enumerate()
+        .map(|(id, (n, _))| (n.clone(), root.counter(id).load(Ordering::Relaxed)))
+        .collect();
     out.sort();
     out
 }

@@ -49,17 +49,6 @@
 //! the sink. Turning the recorder off too ([`recorder::set_recording`])
 //! reduces a disabled span to one atomic load and a branch.
 //!
-//! # Cross-thread parenting
-//!
-//! A scoped fan-out captures [`current_context`] before spawning and
-//! calls [`adopt`] inside each worker; spans the worker opens then hang
-//! off the capturing span, so traces stay hierarchical across the
-//! per-orthant solver threads. The handle also carries the innermost
-//! allocation scope and the run's telemetry context, so adopted workers
-//! charge their heap traffic to the span that spawned them and their
-//! counters, allocations, spans and recorder events to its run, tracing
-//! on or off.
-//!
 //! # Determinism
 //!
 //! Span ids and per-thread track ids are small sequential integers, and
@@ -73,12 +62,12 @@ pub mod flame;
 pub mod metrics;
 pub mod recorder;
 
+use aov_support::context;
 pub use aov_support::context::SpanRecord;
-use aov_support::context::{self, Context};
 use recorder::EventKind;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -153,8 +142,6 @@ struct ThreadState {
     stack: Vec<u64>,
     /// Labels of every open span — full *and* lite — innermost last.
     labels: Vec<SmallLabel>,
-    /// Parent inherited from another thread via [`adopt`].
-    adopted: Option<u64>,
 }
 
 thread_local! {
@@ -162,7 +149,6 @@ thread_local! {
         thread_id: NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed),
         stack: Vec::new(),
         labels: Vec::with_capacity(LABEL_DEPTH),
-        adopted: None,
     });
 }
 
@@ -174,69 +160,6 @@ pub fn current_span_label() -> Option<String> {
     TLS.try_with(|tls| tls.borrow().labels.last().map(|l| l.as_str().to_string()))
         .ok()
         .flatten()
-}
-
-/// A handle naming the current innermost span, allocation scope and
-/// telemetry context, for handing to another thread (capture with
-/// [`current_context`], install with [`adopt`]).
-#[derive(Debug, Clone)]
-pub struct SpanContext {
-    parent: Option<u64>,
-    alloc: Option<aov_support::alloc::ScopeHandle>,
-    ctx: Arc<Context>,
-}
-
-/// The context under which new spans on this thread would nest. The
-/// allocation scope and the telemetry context are captured even while
-/// tracing is disabled, so a run's numbers survive fan-outs in untraced
-/// runs.
-pub fn current_context() -> SpanContext {
-    let alloc = aov_support::alloc::current_handle();
-    let ctx = context::current();
-    let parent = if enabled() {
-        TLS.with(|tls| {
-            let tls = tls.borrow();
-            tls.stack.last().copied().or(tls.adopted)
-        })
-    } else {
-        None
-    };
-    SpanContext { parent, alloc, ctx }
-}
-
-/// Guard restoring the thread's previous adopted parent on drop.
-pub struct AdoptGuard {
-    prev: Option<u64>,
-    _alloc: Option<aov_support::alloc::AllocScope>,
-    /// Dropped last: leaving the context flushes the worker's batched
-    /// allocation tallies into it.
-    _ctx: context::Entered,
-}
-
-/// Installs `ctx` as the parent for spans opened on this thread while
-/// the guard lives, re-opens the captured allocation scope here and
-/// enters the captured telemetry context. Used by scoped fan-outs to
-/// keep worker spans nested under — and worker heap traffic charged to
-/// — the span that spawned them, and the workers' counters, spans and
-/// recorder events charged to its run.
-pub fn adopt(ctx: &SpanContext) -> AdoptGuard {
-    let entered = ctx.ctx.enter();
-    let alloc = ctx.alloc.as_ref().map(aov_support::alloc::adopt);
-    // Touching the thread state here, tracing on or off, charges its
-    // one-time allocation to every adopted worker alike — not only to
-    // those that happen to open a span.
-    let prev = TLS.with(|tls| std::mem::replace(&mut tls.borrow_mut().adopted, ctx.parent));
-    AdoptGuard {
-        prev,
-        _alloc: alloc,
-        _ctx: entered,
-    }
-}
-
-impl Drop for AdoptGuard {
-    fn drop(&mut self) {
-        TLS.with(|tls| tls.borrow_mut().adopted = self.prev);
-    }
 }
 
 struct ActiveSpan {
@@ -298,7 +221,7 @@ impl SpanGuard {
         let label = SmallLabel::new(&name);
         let (parent, thread) = TLS.with(|tls| {
             let mut tls = tls.borrow_mut();
-            let parent = tls.stack.last().copied().or(tls.adopted);
+            let parent = tls.stack.last().copied();
             let thread = tls.thread_id;
             tls.stack.push(id);
             tls.labels.push(label);
@@ -454,9 +377,8 @@ pub struct TreeNode {
 
 /// Rebuilds the span hierarchy with timestamps zeroed out: each node
 /// keeps only its name, fields and children. Children are ordered by
-/// `(name, fields, start)` so trees compare equal across runs even when
-/// sibling spans raced on different threads. Roots are spans whose
-/// parent is absent from `records`.
+/// `(name, fields, start)` so trees compare equal across runs. Roots
+/// are spans whose parent is absent from `records`.
 pub fn tree(records: &[SpanRecord]) -> Vec<TreeNode> {
     fn build(records: &[SpanRecord], parent: Option<u64>, known: &[u64]) -> Vec<TreeNode> {
         let mut nodes: Vec<(&SpanRecord, TreeNode)> = records
@@ -605,85 +527,6 @@ mod tests {
         // Ordered by start time (first opened first).
         assert_eq!(roots[0].name, "test.first");
         assert_eq!(roots[1].name, "test.second");
-    }
-
-    #[test]
-    fn parent_id_propagates_across_scoped_threads() {
-        let (_, records) = with_tracing(|| {
-            let root = span!("test.root");
-            let ctx = current_context();
-            let ctx = &ctx;
-            std::thread::scope(|s| {
-                for w in 0..2u64 {
-                    s.spawn(move || {
-                        let _adopt = adopt(ctx);
-                        let _w = span!("test.worker", w = w);
-                        let _inner = span!("test.worker_inner");
-                    });
-                }
-            });
-            drop(root);
-        });
-        assert_eq!(records.len(), 5);
-        let roots = tree(&records);
-        assert_eq!(roots.len(), 1, "one root: {roots:?}");
-        let root = &roots[0];
-        assert_eq!(root.name, "test.root");
-        assert_eq!(root.children.len(), 2, "workers adopted the root");
-        for (w, child) in root.children.iter().enumerate() {
-            assert_eq!(child.name, "test.worker");
-            assert_eq!(child.fields, vec![("w", w.to_string())]);
-            assert_eq!(child.children.len(), 1);
-            assert_eq!(child.children[0].name, "test.worker_inner");
-        }
-        // Worker spans keep their own thread's track.
-        let root_rec = records.iter().find(|r| r.name == "test.root").unwrap();
-        for r in records.iter().filter(|r| r.name == "test.worker") {
-            assert_ne!(r.thread, root_rec.thread, "worker has its own track");
-        }
-    }
-
-    #[test]
-    fn adopted_workers_charge_the_capturing_span() {
-        let (_, records) = with_tracing(|| {
-            let root = span!("test.alloc_root");
-            let ctx = current_context();
-            let ctx = &ctx;
-            std::thread::scope(|s| {
-                s.spawn(move || {
-                    let _adopt = adopt(ctx);
-                    // No span of its own: traffic lands on the adopted
-                    // (root) scope.
-                    let v = std::hint::black_box(vec![0u8; 500_000]);
-                    drop(v);
-                });
-            });
-            drop(root);
-        });
-        let root = records
-            .iter()
-            .find(|r| r.name == "test.alloc_root")
-            .unwrap();
-        assert!(root.alloc_bytes >= 500_000, "{root:?}");
-    }
-
-    #[test]
-    fn adopt_restores_previous_parent() {
-        let (_, records) = with_tracing(|| {
-            let outer = span!("test.a");
-            let ctx = current_context();
-            drop(outer);
-            {
-                let _adopt = adopt(&ctx);
-                let _in_a = span!("test.under_a");
-            }
-            let _free = span!("test.free");
-        });
-        let roots = tree(&records);
-        let names: Vec<&str> = roots.iter().map(|n| n.name.as_str()).collect();
-        // test.under_a nests under the (closed) test.a; test.free is a root.
-        assert_eq!(names, vec!["test.a", "test.free"]);
-        assert_eq!(roots[0].children[0].name, "test.under_a");
     }
 
     #[test]

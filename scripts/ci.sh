@@ -83,16 +83,20 @@ trap 'rm -f "$trace_file" "$chaos_file"' EXIT
 ./target/release/aov --check-trace "$trace_file"
 
 echo "== worker invariance"
-# Problems 1 and 3 solve their orthants in one sequential loop, so a
-# report depends on the program alone: with the wall-clock fields and
-# the echoed worker count removed, --workers 1 and --workers 3 agree.
+# Only the machine stage spreads over threads, and each of its points is
+# an independent simulation, so a report depends on the program alone:
+# with the wall-clock fields and the echoed worker count removed,
+# --workers 1 and --workers 3 agree, with and without --machine.
 report_without_timings() {
-    ./target/release/aov "$1" --compact --workers "$2" \
+    ./target/release/aov "$@" --compact \
         | sed -E 's/"(total_)?micros":[0-9]+,?//g; s/"workers":[0-9]+,//'
 }
-for n in 1 2 3 4; do
-    if [ "$(report_without_timings "example$n" 1)" != "$(report_without_timings "example$n" 3)" ]; then
-        echo "worker invariance: example$n reports differ between --workers 1 and 3"
+for run in example1 example2 example3 example4 \
+    "example2 --machine" "example3 --machine"; do
+    # $run is split on purpose: an example name and its flags.
+    # shellcheck disable=SC2086
+    if [ "$(report_without_timings $run --workers 1)" != "$(report_without_timings $run --workers 3)" ]; then
+        echo "worker invariance: '$run' reports differ between --workers 1 and 3"
         exit 1
     fi
 done

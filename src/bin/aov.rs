@@ -25,7 +25,6 @@
 //!   --workers N        threads for the --machine simulations (default:
 //!                      available parallelism, capped at 8); reports do
 //!                      not depend on it
-//!   --sequential       shorthand for --workers 1
 //!   --memoize          enable the LP memoization cache
 //!   --machine          include the §6 simulated-speedup stage
 //!   --params A,B       parameter sizes for the equivalence oracle
@@ -75,13 +74,12 @@
 //!   vectors and replays both executions through the interpreter.
 //!   Mismatching or failing cases are shrunk to a minimal `.aov` repro
 //!   plus a crash-diagnostic bundle. Deterministic: a campaign is a
-//!   pure function of (--seed, --count, profile) — never of --workers.
+//!   pure function of (--seed, --count, profile).
 //!
 //!   --seed S           campaign seed (default 1); case i uses
 //!                      mix(S, i)
 //!   --count N          number of cases (default 100)
 //!   --quick            smaller programs, tighter budgets (CI smoke)
-//!   --workers N        pipeline worker threads per case
 //!   --repro-dir DIR    where minimal repros and diag bundles land
 //!                      (default fuzz-repros/)
 //!   --out FILE         write the campaign summary JSON here
@@ -180,7 +178,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: aov <example1|example2|example3|example4|unschedulable|all> \
-         [--workers N] [--sequential] [--memoize] \
+         [--workers N] [--memoize] \
          [--machine] [--params A,B,..] [--runs N] [--compact] \
          [--trace FILE] [--profile] [--profile-out FILE] \
          [--mem] [--diag-dir DIR] \
@@ -188,7 +186,7 @@ fn usage() -> ! {
          [--budget-nodes N] [--budget-ms N] [--chaos SPEC] \
          [--example NAME] [--check]\n       \
          aov run FILE.aov [same options]\n       \
-         aov fuzz [--seed S] [--count N] [--quick] [--workers N] \
+         aov fuzz [--seed S] [--count N] [--quick] \
          [--repro-dir DIR] [--out FILE] [--compact] [--budget-pivots N] \
          [--budget-nodes N]\n       \
          aov inspect FILE [--check]\n       \
@@ -196,7 +194,7 @@ fn usage() -> ! {
          [--no-memo] [--memo-capacity N] [--pivot-pool N] \
          [--deadline-ms N] [--diag-dir DIR] [--retry-after-ms N]\n       \
          aov client [--addr A] [--example NAME | FILE.aov | --stats | \
-         --health | --shutdown] [--workers N] [--memoize] \
+         --health | --shutdown] [--memoize] \
          [--budget-pivots N] [--budget-nodes N] [--budget-ms N] \
          [--deadline-ms N] [--chaos SPEC] [--retries N] \
          [--transcript FILE]\n       \
@@ -228,13 +226,22 @@ fn parse_budget_flag(
     true
 }
 
+/// Worker threads for the machine stage by default: available
+/// parallelism, capped at 8.
+fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(8)
+}
+
 /// Parses the main command line; under `run_mode` (`aov run …`),
 /// positional arguments are `.aov` file paths instead of example names.
 fn parse(args: &[String], run_mode: bool) -> Options {
     let mut opts = Options {
         programs: Vec::new(),
         check_syntax: false,
-        workers: aov_bench::default_workers(),
+        workers: default_workers(),
         memoize: false,
         machine: false,
         params: None,
@@ -260,7 +267,6 @@ fn parse(args: &[String], run_mode: bool) -> Options {
                 Some(w) => opts.workers = w,
                 None => usage(),
             },
-            "--sequential" => opts.workers = 1,
             "--memoize" => opts.memoize = true,
             "--machine" => opts.machine = true,
             "--params" => match it.next() {
@@ -670,14 +676,13 @@ fn render_bundle(path: &str, doc: &Json) {
         };
         println!(
             "workers {}, budget: pivots {} (spent {}), nodes {} (spent {}), \
-             deadline {} ms, cancelled {}",
+             deadline {} ms",
             jint(doc, "workers"),
             limit("pivots"),
             jint(b, "pivots_spent"),
             limit("nodes"),
             jint(b, "nodes_spent"),
-            limit("ms"),
-            matches!(b.get("cancelled"), Some(Json::Bool(true)))
+            limit("ms")
         );
     }
     match doc.get("error") {
@@ -759,7 +764,6 @@ fn fuzz_main(args: &[String]) -> i32 {
     let mut seed: u64 = 1;
     let mut count: usize = 100;
     let mut quick = false;
-    let mut workers = aov_bench::default_workers();
     let mut repro_dir: Option<String> = None;
     let mut out: Option<String> = None;
     let mut compact = false;
@@ -779,10 +783,6 @@ fn fuzz_main(args: &[String]) -> i32 {
                 None => usage(),
             },
             "--quick" => quick = true,
-            "--workers" => match it.next().and_then(|w| w.parse().ok()) {
-                Some(w) => workers = w,
-                None => usage(),
-            },
             "--repro-dir" => match it.next() {
                 Some(d) => repro_dir = Some(d.clone()),
                 None => usage(),
@@ -806,7 +806,6 @@ fn fuzz_main(args: &[String]) -> i32 {
     } else {
         aov::fuzz::FuzzConfig::new(seed, count)
     };
-    cfg.workers = workers;
     if let Some(p) = budget.pivots {
         cfg.budget.pivots = Some(p);
     }
@@ -820,7 +819,7 @@ fn fuzz_main(args: &[String]) -> i32 {
     // interpreter; per-event allocator accounting would dominate.
     aov_support::alloc::set_counting(false);
     eprintln!(
-        "aov fuzz: seed {seed}, {count} case(s), workers {workers}{}",
+        "aov fuzz: seed {seed}, {count} case(s){}",
         if quick { ", quick" } else { "" }
     );
     let summary = aov::fuzz::run(&cfg, |case| {
@@ -982,10 +981,6 @@ fn client_main(args: &[String]) -> i32 {
             "--stats" => plain = Some("stats"),
             "--health" => plain = Some("health"),
             "--shutdown" => plain = Some("shutdown"),
-            "--workers" => match it.next().and_then(|w| w.parse().ok()) {
-                Some(w) => options.workers = w,
-                None => usage(),
-            },
             "--memoize" => options.memoize = true,
             "--deadline-ms" => match it.next().and_then(|n| n.parse().ok()) {
                 Some(n) => options.deadline_ms = Some(n),

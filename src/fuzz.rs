@@ -30,7 +30,7 @@
 //! Determinism: per-case seeds are `mix(seed, index)`, budgets are
 //! work-based (pivots/nodes, never wall-clock), and the generator,
 //! solvers and shrinker are all deterministic — so a summary is a
-//! pure function of `(seed, count, config)`, independent of `--workers`.
+//! pure function of `(seed, count, config)`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -53,8 +53,6 @@ pub struct FuzzConfig {
     pub seed: u64,
     /// Number of cases.
     pub count: usize,
-    /// Pipeline worker threads per case.
-    pub workers: usize,
     /// Smaller programs, tighter budgets, fewer shrink evaluations.
     pub quick: bool,
     /// Where minimal `.aov` repros and diag bundles land.
@@ -76,7 +74,6 @@ impl FuzzConfig {
         FuzzConfig {
             seed,
             count,
-            workers: 1,
             quick: false,
             repro_dir: PathBuf::from("fuzz-repros"),
             budget: BudgetSpec {
@@ -439,7 +436,6 @@ fn run_case(cfg: &FuzzConfig, index: usize) -> CaseResult {
 /// matched the schema.
 fn evaluate(cfg: &FuzzConfig, program: &Program, check_params: &[i64]) -> (Evaluation, bool) {
     let pipeline = Pipeline::new(program.clone())
-        .workers(cfg.workers)
         .check_params(check_params.to_vec())
         .budget(cfg.budget);
     // Stage panics are isolated inside the engine; this outer guard only
@@ -551,7 +547,6 @@ fn write_repro(
     // state and the flight-recorder tail (see `aov inspect`). The diag
     // hook fires for any non-Ok health and for refuted equivalence.
     let diag = Pipeline::new(small.clone())
-        .workers(cfg.workers)
         .check_params(check_params.to_vec())
         .budget(cfg.budget)
         .diag_dir(&cfg.repro_dir)
@@ -639,25 +634,6 @@ mod tests {
         let summary = quiet(&FuzzConfig::quick(3, 4));
         aov_support::schema::validate(&summary.to_json(), &summary_schema())
             .expect("summary schema");
-    }
-
-    /// The campaign is a pure function of (seed, count, config):
-    /// worker count changes nothing observable.
-    #[test]
-    fn campaign_is_deterministic_across_workers() {
-        let print = |workers: usize| {
-            let mut cfg = FuzzConfig::quick(11, 6);
-            cfg.workers = workers;
-            quiet(&cfg)
-                .cases
-                .iter()
-                .map(|c| (c.seed, c.verdict, c.detail.clone()))
-                .collect::<Vec<_>>()
-        };
-        let base = print(1);
-        for workers in 2..=4 {
-            assert_eq!(print(workers), base, "workers {workers}");
-        }
     }
 
     /// `fuzz.case` spans are emitted per case. The campaign runs in a
