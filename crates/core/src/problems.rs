@@ -6,8 +6,10 @@ use crate::storage::storage_rows_concrete;
 use crate::{CoreError, OccupancyVector};
 use aov_fault::{AovError, Budget};
 use aov_ir::{ArrayId, Program};
-use aov_linalg::{AffineExpr, QVector};
+use aov_linalg::AffineExpr;
 use aov_lp::{Cmp, LpOutcome, Model};
+use aov_numeric::BigInt;
+use aov_polyhedra::int::{self, Row};
 use aov_polyhedra::param::dedup_in_order;
 use aov_polyhedra::{Constraint, ConstraintKind, GeneratorSet, Polyhedron};
 use aov_schedule::{legal, scheduler, sign_patterns, Analysis, BilinearForm, Orthant, Schedule};
@@ -22,9 +24,9 @@ pub const DEFAULT_SEARCH_RADIUS: i64 = 8;
 /// An orthant's optimum: its exact objective and what attains it.
 type OrthantSolution<T> = (i64, T);
 
-/// Each dependence's rows over its source array's vector components,
-/// parallel to [`Analysis::deps`].
-type DepRows = Vec<Vec<Constraint>>;
+/// Builds dependence `d`'s rows over its source array's vector
+/// components.
+type RowsOf<'r> = &'r dyn Fn(usize) -> Vec<Constraint>;
 
 /// Lower bound on the objective inside a sign pattern: every nonzero
 /// component adds at least `LENGTH_WEIGHT` to the length term, and the
@@ -95,8 +97,9 @@ fn solve_patterns<T>(
 /// solved as one ILP by `solve_ilp` ([`ArrayOrthants::solve`]) over the
 /// irredundant rows of every dependence whose source writes the array and
 /// is `active` in the pattern, the pattern's sign rows and the array's
-/// two-term objective. Each dependence's rows `dep_rows[dep]` are reduced
-/// once per call ([`ReducedRows`]). `site` names the per-orthant span,
+/// two-term objective. Each dependence's rows `dep_rows(dep)` are built
+/// and reduced when an orthant first reads them, at most once per call
+/// ([`ReducedRows`]). `site` names the per-orthant span,
 /// budget checkpoint and chaos site. Problems 1 and 3 pass the analysis's
 /// activity table ([`Analysis::active_in_orthant`]) and the budgeted
 /// branch and bound.
@@ -111,11 +114,11 @@ fn shortest_per_array(
     a: &Analysis,
     budget: &Budget,
     site: &'static str,
-    dep_rows: &DepRows,
+    dep_rows: RowsOf,
     active: impl Fn(usize, &Orthant) -> bool,
     solve_ilp: impl Fn(&Model) -> Result<LpOutcome, AovError>,
 ) -> Result<OvResult, CoreError> {
-    let reduced = ReducedRows::new(dep_rows);
+    let reduced = ReducedRows::new(a.deps().len(), dep_rows);
     search_arrays(a, budget, site, active, |o, i| {
         o.solve(i, &reduced, &solve_ilp)
     })
@@ -247,20 +250,21 @@ impl<'p> ArrayOrthants<'p> {
     }
 }
 
-/// Each dependence's rows reduced to an irredundant list by one DD
-/// ([`Polyhedron::irredundant`]) on first use, so at most once per
-/// [`shortest_per_array`] call: `None` when no vector satisfies them, and
-/// then no orthant where the dependence is active holds a vector.
+/// Each dependence's rows, built on first use and reduced to an
+/// irredundant list by one DD ([`Polyhedron::irredundant`]), so at most
+/// once per [`shortest_per_array`] call: `None` when no vector satisfies
+/// them, and then no orthant where the dependence is active holds a
+/// vector. A dependence no visited orthant reads costs nothing.
 struct ReducedRows<'r> {
-    rows: &'r DepRows,
+    rows: RowsOf<'r>,
     reduced: Vec<OnceCell<Option<Polyhedron>>>,
 }
 
 impl<'r> ReducedRows<'r> {
-    fn new(rows: &'r DepRows) -> Self {
+    fn new(deps: usize, rows: RowsOf<'r>) -> Self {
         ReducedRows {
             rows,
-            reduced: rows.iter().map(|_| OnceCell::new()).collect(),
+            reduced: (0..deps).map(|_| OnceCell::new()).collect(),
         }
     }
 
@@ -268,7 +272,7 @@ impl<'r> ReducedRows<'r> {
     /// components.
     fn get(&self, dep: usize, dim: usize) -> Option<&Polyhedron> {
         self.reduced[dep]
-            .get_or_init(|| Polyhedron::from_constraints(dim, self.rows[dep].clone()).irredundant())
+            .get_or_init(|| Polyhedron::from_constraints(dim, (self.rows)(dep)).irredundant())
             .as_ref()
     }
 }
@@ -411,25 +415,27 @@ pub fn ov_for_schedule_budgeted(
     if !a.legal().contains(&theta) {
         return Err(CoreError::IllegalSchedule);
     }
+    let theta = int::homogenize(&theta);
     shortest_per_array(
         a,
         budget,
         "p1.orthant",
-        &schedule_rows(a, &theta),
+        &|d| schedule_rows(a.storage_forms(d), &theta),
         |d, pattern| a.active_in_orthant(d, pattern),
         |m| m.solve_ilp_budgeted(budget),
     )
 }
 
-/// Problem 1's rows: each dependence's storage forms at the schedule
-/// point `theta`.
-fn schedule_rows(a: &Analysis, theta: &QVector) -> DepRows {
-    (0..a.deps().len())
-        .map(|d| {
-            let forms = a.storage_forms(d).iter();
-            forms.map(|f| Constraint::ge0(f.at_point(theta))).collect()
-        })
-        .collect()
+/// Problem 1's rows for one dependence: each storage form at the
+/// homogenized schedule point `theta`, one matrix product per form, as a
+/// primitive constraint.
+fn schedule_rows(forms: &[BilinearForm], theta: &[BigInt]) -> Vec<Constraint> {
+    let mut row = Row::new();
+    let at_theta = |f: &BilinearForm| {
+        f.row_at(theta, &mut row);
+        int::primitive_constraint(&mut row, ConstraintKind::Ineq)
+    };
+    forms.iter().map(at_theta).collect()
 }
 
 /// Compact trace label for a sign pattern, e.g. `+0-`.
@@ -575,10 +581,13 @@ pub fn aov_with(p: &Program, _workers: usize) -> Result<OvResult, CoreError> {
 /// simplex pivot and branch-and-bound node charges `budget`.
 ///
 /// The generator count of ℛ can grow exponentially with its dimension.
-/// The counters `core.aov.generators` and `core.aov.generator_rows`
-/// record it, against `core.aov.farkas_multipliers`: the multipliers the
-/// Farkas form would introduce, one per row of ℛ plus one per storage
-/// form, counted before its redundancy pass.
+/// The counters `core.aov.generators` and `core.aov.generator_rows` (one
+/// row per storage form and generator, counted before trivially true rows
+/// and repeats are dropped) record it, against
+/// `core.aov.farkas_multipliers`: the multipliers the Farkas form would
+/// introduce, one per row of ℛ plus one per storage form, counted before
+/// its redundancy pass. Both counts cover every dependence, whichever
+/// orthants the search visits.
 ///
 /// # Errors
 ///
@@ -593,50 +602,71 @@ pub fn aov_budgeted(a: &Analysis, budget: &Budget) -> Result<OvResult, CoreError
     if gens.is_empty() {
         return Err(CoreError::Unschedulable);
     }
-    let dep_rows = all_generator_rows(a, &gens);
     let forms_total: usize = (0..a.deps().len()).map(|d| a.storage_forms(d).len()).sum();
     let generators = gens.vertices.len() + gens.rays.len() + gens.lines.len();
     aov_support::static_counter!("core.aov.generators").add(generators as u64);
-    aov_support::static_counter!("core.aov.generator_rows")
-        .add(dep_rows.iter().map(Vec::len).sum::<usize>() as u64);
     aov_support::static_counter!("core.aov.farkas_multipliers")
         .add((forms_total * (a.rows().len() + 1)) as u64);
+    aov_support::static_counter!("core.aov.generator_rows").add((forms_total * generators) as u64);
+    let gens = GeneratorRows::new(&gens);
     shortest_per_array(
         a,
         budget,
         "aov.orthant",
-        &dep_rows,
+        &|d| generator_rows(a.storage_forms(d), &gens),
         |d, pattern| a.active_in_orthant(d, pattern),
         |m| m.solve_ilp_budgeted(budget),
     )
 }
 
-/// Problem 3's rows: each dependence's [`generator_rows`].
-fn all_generator_rows(a: &Analysis, gens: &GeneratorSet) -> DepRows {
-    (0..a.deps().len())
-        .map(|d| generator_rows(a.storage_forms(d), gens))
-        .collect()
+/// ℛ's generator matrix: each vertex, ray and line as a homogenized
+/// integer row ([`int::homogenize`]).
+struct GeneratorRows {
+    vertices: Vec<Row>,
+    rays: Vec<Row>,
+    lines: Vec<Row>,
+}
+
+impl GeneratorRows {
+    fn new(gens: &GeneratorSet) -> Self {
+        let rows = |vs: &[aov_linalg::QVector]| vs.iter().map(int::homogenize).collect();
+        GeneratorRows {
+            vertices: rows(&gens.vertices),
+            rays: rows(&gens.rays),
+            lines: rows(&gens.lines),
+        }
+    }
 }
 
 /// Problem 3's rows for one dependence, in `v` alone (see
-/// [`aov_budgeted`]): each storage form at each vertex of ℛ (`>= 0`),
-/// along each ray (`>= 0`) and along each line (`== 0`), as primitive
-/// integer constraints, with duplicates and trivially true rows dropped.
-fn generator_rows(forms: &[BilinearForm], gens: &GeneratorSet) -> Vec<Constraint> {
+/// [`aov_budgeted`]): the stacked storage-form matrices times ℛ's
+/// generator matrix — each form at each vertex of ℛ (`>= 0`), along each
+/// ray (`>= 0`) and along each line (`== 0`) — as primitive integer
+/// constraints, with trivially true rows dropped and repeats dropped in
+/// first-occurrence order.
+fn generator_rows(forms: &[BilinearForm], gens: &GeneratorRows) -> Vec<Constraint> {
     let _span = aov_trace::span!("aov.generator_rows", forms = forms.len());
-    let mut out = Vec::new();
+    let n_gens = gens.vertices.len() + gens.rays.len() + gens.lines.len();
+    let mut out = Vec::with_capacity(forms.len() * n_gens);
+    let mut row = Row::new();
+    let mut push = |row: &mut Row, kind: ConstraintKind| {
+        if !int::is_trivially_true(row, kind) {
+            out.push(int::primitive_constraint(row, kind));
+        }
+    };
     for f in forms {
-        let at_vertices = gens.vertices.iter().map(|x| Constraint::ge0(f.at_point(x)));
-        let along_rays = gens
-            .rays
-            .iter()
-            .map(|r| Constraint::ge0(f.linear_part_along(r)));
-        let along_lines = gens
-            .lines
-            .iter()
-            .map(|l| Constraint::eq0(f.linear_part_along(l)));
-        let rows = at_vertices.chain(along_rays).chain(along_lines);
-        out.extend(rows.filter(|c| !c.is_trivially_true()));
+        for x in &gens.vertices {
+            f.row_at(x, &mut row);
+            push(&mut row, ConstraintKind::Ineq);
+        }
+        for r in &gens.rays {
+            f.row_along(&r[1..], &mut row);
+            push(&mut row, ConstraintKind::Ineq);
+        }
+        for l in &gens.lines {
+            f.row_along(&l[1..], &mut row);
+            push(&mut row, ConstraintKind::Eq);
+        }
     }
     dedup_in_order(out)
 }
@@ -806,12 +836,19 @@ fn enumerate_shell(dim: usize, r: i64) -> Vec<Vec<i64>> {
 /// the pattern's sign rows.
 #[cfg(test)]
 mod unreduced {
-    use super::{
-        search_arrays, sign_rows, ArrayOrthants, CoreError, DepRows, OrthantResult, OvResult,
-    };
+    use super::{search_arrays, sign_rows, ArrayOrthants, CoreError, OrthantResult, OvResult};
     use aov_fault::{AovError, Budget};
     use aov_lp::{LpOutcome, Model};
+    use aov_polyhedra::Constraint;
     use aov_schedule::{Analysis, Orthant};
+
+    /// Each dependence's rows, parallel to [`Analysis::deps`].
+    pub type DepRows = Vec<Vec<Constraint>>;
+
+    /// Every dependence's rows, built up front.
+    pub fn all_rows(a: &Analysis, rows: super::RowsOf) -> DepRows {
+        (0..a.deps().len()).map(rows).collect()
+    }
 
     /// Pattern `i`'s unreduced ILP.
     pub fn solve(
@@ -882,7 +919,7 @@ mod joint {
         }
         let dep_rows: Vec<Vec<Constraint>> = joint_forms(a)?
             .iter()
-            .map(|forms| super::generator_rows(forms, &gens))
+            .map(|forms| super::generator_rows(forms, &super::GeneratorRows::new(&gens)))
             .collect();
         shortest_over_patterns(a, &Budget::unlimited(), "aov.orthant", |m, didx| {
             for c in &dep_rows[didx] {
@@ -1232,6 +1269,18 @@ mod tests {
         })
     }
 
+    /// Problem 3's rows of every dependence over the generators `gens`.
+    fn all_generator_rows(a: &Analysis, gens: &GeneratorSet) -> unreduced::DepRows {
+        let gens = GeneratorRows::new(gens);
+        unreduced::all_rows(a, &|d| generator_rows(a.storage_forms(d), &gens))
+    }
+
+    /// Problem 1's rows of every dependence at the schedule point `theta`.
+    fn all_schedule_rows(a: &Analysis, theta: &QVector) -> unreduced::DepRows {
+        let theta = int::homogenize(theta);
+        unreduced::all_rows(a, &|d| schedule_rows(a.storage_forms(d), &theta))
+    }
+
     /// What a differential oracle compares: the objective and vectors,
     /// or the error class.
     fn verdict(r: Result<OvResult, CoreError>) -> Result<(i64, Vec<OccupancyVector>), String> {
@@ -1306,10 +1355,11 @@ mod tests {
             let mut problems = vec![("aov.orthant", all_generator_rows(&a, &gens))];
             if let Ok(sched) = scheduler::find_schedule_with_budgeted(&a, &[], &budget) {
                 let theta = legal::point_of(&p, a.space(), &sched);
-                problems.push(("p1.orthant", schedule_rows(&a, &theta)));
+                problems.push(("p1.orthant", all_schedule_rows(&a, &theta)));
             }
             for (site, dep_rows) in &problems {
-                let reduced = ReducedRows::new(dep_rows);
+                let rows_of = |d: usize| dep_rows[d].clone();
+                let reduced = ReducedRows::new(dep_rows.len(), &rows_of);
                 for aidx in 0..p.arrays().len() {
                     let o = ArrayOrthants::new(&a, aidx, active);
                     for (i, pattern) in o.patterns.iter().enumerate() {
@@ -1324,7 +1374,7 @@ mod tests {
                     }
                 }
                 let got = verdict(shortest_per_array(
-                    &a, &budget, site, dep_rows, active, solve_ilp,
+                    &a, &budget, site, &rows_of, active, solve_ilp,
                 ));
                 let want = verdict(unreduced::shortest_per_array(
                     &a, &budget, site, dep_rows, solve_ilp,
@@ -1337,6 +1387,112 @@ mod tests {
             orthants >= 4_000 && pruned * 2 >= orthants && pruned < orthants && solved >= 400,
             "{orthants} orthants, {pruned} pruned, {solved} solved"
         );
+    }
+
+    /// A storage form at the point `x`, by the rational evaluation of its
+    /// coefficient forms that the matrix products replaced.
+    fn rational_at(f: &BilinearForm, x: &QVector) -> AffineExpr {
+        let coeffs = (0..f.num_unknowns()).map(|e| f.coeff(e).eval(x));
+        AffineExpr::from_parts(coeffs.collect(), f.constant().eval(x))
+    }
+
+    /// A storage form's linear part along `r`, rationally.
+    fn rational_along(f: &BilinearForm, r: &QVector) -> AffineExpr {
+        let coeffs = (0..f.num_unknowns()).map(|e| f.coeff(e).coeffs().dot(r));
+        AffineExpr::from_parts(coeffs.collect(), f.constant().coeffs().dot(r))
+    }
+
+    /// Oracle for the form matrices in Problems 1 and 3: on every corpus
+    /// program, each dependence's generator rows over ℛ and its rows at
+    /// the scheduler's schedule equal, in order, the rows the rational
+    /// evaluation of its storage forms gives.
+    #[test]
+    fn form_products_match_rational_evaluation() {
+        let (mut generator_lists, mut schedule_lists) = (0, 0);
+        for p in oracle_corpus() {
+            let Ok(a) = Analysis::new(&p) else { continue };
+            let gens = a.legal().generators();
+            let theta = scheduler::find_schedule_with_budgeted(&a, &[], &Budget::unlimited())
+                .ok()
+                .map(|sched| legal::point_of(&p, a.space(), &sched));
+            let gen_rows = GeneratorRows::new(&gens);
+            for d in 0..a.deps().len() {
+                let forms = a.storage_forms(d);
+                if !gens.is_empty() {
+                    let mut want = Vec::new();
+                    for f in forms {
+                        let at = gens
+                            .vertices
+                            .iter()
+                            .map(|x| Constraint::ge0(rational_at(f, x)));
+                        let rays = gens
+                            .rays
+                            .iter()
+                            .map(|r| Constraint::ge0(rational_along(f, r)));
+                        let lines = gens
+                            .lines
+                            .iter()
+                            .map(|l| Constraint::eq0(rational_along(f, l)));
+                        want.extend(
+                            at.chain(rays)
+                                .chain(lines)
+                                .filter(|c| !c.is_trivially_true()),
+                        );
+                    }
+                    let want = dedup_in_order(want);
+                    assert_eq!(
+                        generator_rows(forms, &gen_rows),
+                        want,
+                        "{} dep {d}",
+                        p.name()
+                    );
+                    generator_lists += 1;
+                }
+                if let Some(theta) = &theta {
+                    let want: Vec<Constraint> = forms
+                        .iter()
+                        .map(|f| Constraint::ge0(rational_at(f, theta)))
+                        .collect();
+                    let got = schedule_rows(forms, &int::homogenize(theta));
+                    assert_eq!(got, want, "{} dep {d}", p.name());
+                    schedule_lists += 1;
+                }
+            }
+        }
+        assert!(
+            generator_lists >= 550 && schedule_lists >= 550,
+            "{generator_lists} generator and {schedule_lists} schedule row lists compared"
+        );
+    }
+
+    /// Problem 3 builds a dependence's generator rows when an orthant
+    /// first reads them, once: example3's loop reads 10 of its 19
+    /// dependences.
+    #[test]
+    fn generator_rows_are_built_on_first_read() {
+        let p = aov_ir::examples::example3();
+        let a = Analysis::new(&p).unwrap();
+        let gens = GeneratorRows::new(&a.legal().generators());
+        let budget = Budget::unlimited();
+        let reads = std::cell::RefCell::new(Vec::new());
+        let rows_of = |d: usize| {
+            reads.borrow_mut().push(d);
+            generator_rows(a.storage_forms(d), &gens)
+        };
+        shortest_per_array(
+            &a,
+            &budget,
+            "aov.orthant",
+            &rows_of,
+            |d, pattern| a.active_in_orthant(d, pattern),
+            |m| m.solve_ilp_budgeted(&budget),
+        )
+        .unwrap();
+        let mut reads = reads.into_inner();
+        let calls = reads.len();
+        reads.sort_unstable();
+        reads.dedup();
+        assert_eq!((calls, reads.len(), a.deps().len()), (10, 10, 19));
     }
 
     /// Oracle for the activity table in the orthant loops: on ex1–4,
@@ -1354,16 +1510,17 @@ mod tests {
             let sched = scheduler::find_schedule_with_budgeted(&a, &[], &budget).unwrap();
             let theta = legal::point_of(&p, a.space(), &sched);
             let problems = [
-                ("p1.orthant", schedule_rows(&a, &theta)),
+                ("p1.orthant", all_schedule_rows(&a, &theta)),
                 (
                     "aov.orthant",
                     all_generator_rows(&a, &a.legal().generators()),
                 ),
             ];
             for (site, dep_rows) in &problems {
+                let rows_of = |d: usize| dep_rows[d].clone();
                 let solve = |active: &dyn Fn(usize, &Orthant) -> bool| {
                     let keys = std::cell::RefCell::new(Vec::new());
-                    let ov = shortest_per_array(&a, &budget, site, dep_rows, active, |m| {
+                    let ov = shortest_per_array(&a, &budget, site, &rows_of, active, |m| {
                         keys.borrow_mut().push(m.canonical_key());
                         m.solve_ilp_budgeted(&budget)
                     });

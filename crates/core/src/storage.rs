@@ -22,7 +22,7 @@
 //!   projection of the joint `(i, N, v)` polyhedron onto `v`.
 
 use aov_ir::{Dependence, Program};
-use aov_linalg::AffineExpr;
+use aov_linalg::{AffineExpr, QVector};
 use aov_polyhedra::param::dedup_in_order;
 use aov_polyhedra::{Constraint, PolyhedraError, Polyhedron};
 use aov_schedule::linearize::eliminate_to_linear;
@@ -54,7 +54,7 @@ pub fn exact_z(p: &Program, dep: &Dependence, v: &[i64]) -> Polyhedron {
         .h
         .iter()
         .zip(v)
-        .map(|(hk, &vk)| hk + &AffineExpr::constant(dim, vk.into()))
+        .map(|(hk, &vk)| hk.clone().plus_constant(&vk.into()))
         .collect();
     for j in 0..p.num_params() {
         subs.push(AffineExpr::var(dim, r.depth() + j));
@@ -95,7 +95,6 @@ pub fn storage_rows_concrete(
         let t = p.statement(dep.source);
         let v = vectors[t.writes().0].components();
         let r = p.statement(dep.target);
-        let dim = r.depth() + p.num_params();
         // Skip constraints whose Z is empty for every parameter value.
         if a.overwriter_exists(didx, v) {
             let z = exact_z(p, dep, v);
@@ -103,7 +102,7 @@ pub fn storage_rows_concrete(
                 .h
                 .iter()
                 .zip(v)
-                .map(|(hk, &vk)| hk + &AffineExpr::constant(dim, vk.into()))
+                .map(|(hk, &vk)| hk.clone().plus_constant(&vk.into()))
                 .collect();
             let form = legal::difference_form(p, space, dep, &h_plus_v, 0).negated();
             out.extend(eliminate_to_linear(&form, &z, r.depth(), p.param_domain())?);
@@ -122,12 +121,11 @@ pub fn storage_rows_concrete(
 /// The mirror-overwriter guard `a_T·v - 1 >= 0` as a row over the
 /// schedule space, for the writer statement of `dep` (see `exact_z`).
 pub fn mirror_guard_row(space: &ScheduleSpace, dep: &Dependence, v: &[i64]) -> AffineExpr {
-    let mut row = AffineExpr::constant(space.dim(), (-1i64).into());
+    let mut coeffs = QVector::zeros(space.dim());
     for (k, &vk) in v.iter().enumerate() {
-        let var = AffineExpr::var(space.dim(), space.iter_coeff(dep.source, k));
-        row = &row + &var.scale(&vk.into());
+        coeffs[space.iter_coeff(dep.source, k)] += &vk.into();
     }
-    row
+    AffineExpr::from_parts(coeffs, (-1i64).into())
 }
 
 /// Test oracle of `Analysis::active_in_orthant`: whether a
@@ -277,17 +275,15 @@ pub(crate) mod reference {
         let tagged = linearize_at_vertices(&f0, &vertices);
         let mut out = Vec::with_capacity(tagged.len());
         for (row, kind) in tagged {
-            let mut bf =
-                BilinearForm::new(vec![AffineExpr::zero(space.dim()); ov_space.dim()], row);
+            let mut coeffs = vec![AffineExpr::zero(space.dim()); ov_space.dim()];
             if kind == RowKind::Point {
                 // Θ_T(h + v) − Θ_T(h) = Σ_k v_k · a_{T,k}.
                 for k in 0..t.depth() {
-                    bf.add_to_coeff(
-                        ov_space.component(array, k),
-                        &AffineExpr::var(space.dim(), space.iter_coeff(dep.source, k)),
-                    );
+                    coeffs[ov_space.component(array, k)] =
+                        AffineExpr::var(space.dim(), space.iter_coeff(dep.source, k));
                 }
             }
+            let bf = BilinearForm::new(coeffs, row.to_affine());
             if !out.contains(&bf) {
                 out.push(bf);
             }
@@ -331,12 +327,12 @@ mod tests {
         for f in &forms {
             assert_eq!(
                 f.coeff(0),
-                &AffineExpr::var(space.dim(), ai),
+                AffineExpr::var(space.dim(), ai),
                 "coeff of v_i is a"
             );
             assert_eq!(
                 f.coeff(1),
-                &AffineExpr::var(space.dim(), aj),
+                AffineExpr::var(space.dim(), aj),
                 "coeff of v_j is b"
             );
             let c = f.constant();
@@ -576,9 +572,9 @@ mod tests {
                     .map(|f| {
                         let mut coeffs = vec![AffineExpr::zero(a.space().dim()); ov.dim()];
                         for k in 0..f.num_unknowns() {
-                            coeffs[ov.component(array, k)] = f.coeff(k).clone();
+                            coeffs[ov.component(array, k)] = f.coeff(k);
                         }
-                        BilinearForm::new(coeffs, f.constant().clone())
+                        BilinearForm::new(coeffs, f.constant())
                     })
                     .collect();
                 let fresh = reference::storage_forms_for_dep(&p, a.space(), &ov, dep).unwrap();

@@ -97,7 +97,7 @@ impl StorageTransform {
         for w in p.writers_of(array) {
             let st = p.statement(w);
             let vxs = param::parameterized_vertices(st.domain(), st.depth(), p.param_domain())?;
-            vertices.extend(vxs.into_iter().map(|vx| vx.coords));
+            vertices.extend(vxs.iter().map(param::ParamVertex::coords));
         }
         let range = |e: &AffineExpr| symbolic_range(&vertices, np, e, &nonneg);
         let mut coords = Vec::with_capacity(d - 1);

@@ -1669,13 +1669,16 @@ mod tests {
     }
 
     /// Budget trips must be deterministic: same budget, same trip site
-    /// and same report shape for any worker count.
+    /// and same report shape for any worker count. The count reaches only
+    /// the machine stage's fan-out, so these are `--machine` runs of
+    /// Example 2, which has a machine model.
     #[test]
     fn budget_trip_is_worker_invariant() {
         let outcome_of = |workers: usize| {
-            let r = Pipeline::for_example("example1")
+            let r = Pipeline::for_example("example2")
                 .unwrap()
                 .workers(workers)
+                .machine(true)
                 .budget_pivots(200)
                 .run()
                 .expect("structured report");
@@ -1685,9 +1688,12 @@ mod tests {
                     .iter()
                     .map(|s| (s.name, s.outcome.clone()))
                     .collect::<Vec<_>>(),
+                r.stage("machine").map(|s| s.detail.clone()),
             )
         };
         let seq = outcome_of(1);
+        let simulated = seq.2.as_ref().and_then(|d| d.get("speedups"));
+        assert!(simulated.is_some(), "{seq:?}");
         for workers in 2..=4 {
             assert_eq!(seq, outcome_of(workers), "workers = {workers}");
         }

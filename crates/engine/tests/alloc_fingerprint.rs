@@ -1,7 +1,9 @@
 //! Deterministic allocation fingerprints: the counting allocator's
-//! per-span attribution on Example 1 must be *exactly* reproducible —
-//! same span counts, same allocation counts, same byte totals — no
-//! matter which worker count the pipeline is configured with.
+//! per-span attribution must be *exactly* reproducible — same span
+//! counts, same allocation counts, same byte totals — no matter which
+//! worker count the pipeline is configured with. The count reaches only
+//! the machine stage's fan-out, so every traced run enables that stage,
+//! and the worker comparisons run Example 2, which has a machine model.
 //!
 //! The trace sink is process-global, so this lives in its own test
 //! binary (the other engine binaries never enable tracing).
@@ -68,6 +70,7 @@ fn traced_example_run(example: &str, workers: usize) -> Vec<SpanRecord> {
         .unwrap()
         .workers(workers)
         .memoize(false)
+        .machine(true)
         .run()
         .expect("example runs");
     aov_trace::set_enabled(false);
@@ -91,7 +94,8 @@ fn fingerprint_is_identical_across_worker_counts() {
     // optimum (0, 1) and Problem 3 solves all 8 (its optimum (1, 2)
     // exceeds every bound), each allocating a fresh model. The analysis
     // builds the storage forms once per dependence for both problems, and
-    // Problem 3 derives one generator-row set per dependence.
+    // Problem 3 builds the generator rows of each dependence an orthant
+    // reads: on Example 1, every one.
     let ndeps = aov_ir::analysis::dependences(&aov_ir::examples::example1()).len() as u64;
     assert_eq!(baseline["p1.orthant"].count, 4, "{baseline:?}");
     assert_eq!(baseline["aov.orthant"].count, 8, "{baseline:?}");
@@ -113,8 +117,11 @@ fn fingerprint_is_identical_across_worker_counts() {
         .unwrap_or(0);
     assert!(lp_bits > 0, "simplex spans must report coefficient widths");
 
+    // The worker count reaches only the machine stage: Example 2's
+    // simulations fan out over `workers` threads while tracing.
+    let baseline = fingerprint(&traced_example_run("example2", 1));
     for workers in 2..=4 {
-        let got = fingerprint(&traced_run(workers));
+        let got = fingerprint(&traced_example_run("example2", workers));
         assert_eq!(
             got, baseline,
             "allocation fingerprint drifted at --workers {workers}"

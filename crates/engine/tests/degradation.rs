@@ -76,8 +76,9 @@ fn healthy_report_matches_schema() {
 
 /// Satellite property: the same budget produces the same trip point —
 /// the same degraded stages with the same reasons — regardless of the
-/// worker count. Finite budgets disable the racy incumbent pruning, so
-/// nothing about the fingerprint may depend on thread scheduling.
+/// worker count. The count reaches only the machine stage's fan-out,
+/// so the runs are `--machine` runs of Example 2, which has a machine
+/// model; its simulated speedups must not depend on the count either.
 #[test]
 fn budget_trip_point_is_deterministic_across_workers() {
     aov_support::prop::run("budget_determinism", 8, 0xB0D9_E7E5, |g| {
@@ -88,10 +89,11 @@ fn budget_trip_point_is_deterministic_across_workers() {
             None
         };
         let run = |workers: usize| {
-            let mut p = Pipeline::for_example("example1")
+            let mut p = Pipeline::for_example("example2")
                 .unwrap()
                 .workers(workers)
                 .memoize(false)
+                .machine(true)
                 .budget_pivots(pivots);
             if let Some(n) = nodes {
                 p = p.budget_nodes(n);
@@ -100,6 +102,11 @@ fn budget_trip_point_is_deterministic_across_workers() {
         };
         let baseline = run(1);
         let base_print = fingerprint(&baseline);
+        let speedups = |r: &aov_engine::Report| {
+            let machine = r.stage("machine").expect("machine stage ran");
+            machine.detail.get("speedups").cloned()
+        };
+        assert!(speedups(&baseline).is_some(), "pivots={pivots}");
         for workers in 2..=4 {
             let r = run(workers);
             assert_eq!(r.health(), baseline.health(), "workers {workers}");
@@ -108,6 +115,7 @@ fn budget_trip_point_is_deterministic_across_workers() {
                 base_print,
                 "pivots={pivots} nodes={nodes:?} workers={workers}"
             );
+            assert_eq!(speedups(&r), speedups(&baseline), "workers {workers}");
         }
     });
 }

@@ -88,7 +88,8 @@ fn example1_flame_table_golden() {
     // Problem 3's optimum (1, 2) exceeds every bound, so all 8 solve.
     assert_eq!(table.row("p1.orthant").expect("p1 spans").count, 4);
     assert_eq!(table.row("aov.orthant").expect("aov spans").count, 8);
-    // Problem 3 derives its generator rows once per dependence.
+    // Problem 3 builds a dependence's generator rows once, when an
+    // orthant first reads them; on Example 1 every dependence is read.
     let rows = table
         .row("aov.generator_rows")
         .expect("generator-row spans");

@@ -238,10 +238,16 @@ impl AffineExpr {
         assert_eq!(subs.len(), self.dim(), "substitution arity mismatch");
         let target_dim = subs.first().map_or(0, AffineExpr::dim);
         let mut acc = AffineExpr::constant(target_dim, self.constant.clone());
-        for (i, sub) in subs.iter().enumerate() {
+        for (c, sub) in self.coeffs.iter().zip(subs) {
             assert_eq!(sub.dim(), target_dim, "substitutes of mixed dimension");
-            if !self.coeffs[i].is_zero() {
-                acc = &acc + &sub.scale(&self.coeffs[i]);
+            if !c.is_zero() {
+                // In place: one allocation for the whole composition.
+                let terms = acc.coeffs.as_mut_slice().iter_mut().zip(sub.coeffs.iter());
+                for (x, y) in terms.chain([(&mut acc.constant, &sub.constant)]) {
+                    if !y.is_zero() {
+                        *x += &(c * y);
+                    }
+                }
             }
         }
         acc

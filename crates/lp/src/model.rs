@@ -373,18 +373,17 @@ impl Model {
                 note(c);
             }
         }
-        const NAMES: [&str; 4] = [
-            "lp.solve.coeff_bits.le_64",
-            "lp.solve.coeff_bits.le_128",
-            "lp.solve.coeff_bits.le_256",
-            "lp.solve.coeff_bits.gt_256",
-        ];
-        for (name, &n) in NAMES.iter().zip(&buckets) {
-            if n > 0 {
-                aov_support::counters::Counter::named(name).add(n);
-            }
+        // Each bucket's counter is registered the first time it counts.
+        for (i, &n) in buckets.iter().enumerate().filter(|(_, &n)| n > 0) {
+            let counter = match i {
+                0 => aov_support::static_counter!("lp.solve.coeff_bits.le_64"),
+                1 => aov_support::static_counter!("lp.solve.coeff_bits.le_128"),
+                2 => aov_support::static_counter!("lp.solve.coeff_bits.le_256"),
+                _ => aov_support::static_counter!("lp.solve.coeff_bits.gt_256"),
+            };
+            counter.add(n);
         }
-        aov_support::counters::record_max("lp.solve.coeff_bits_max", widest);
+        aov_support::static_max_counter!("lp.solve.coeff_bits_max").record(widest);
         aov_support::alloc::record_bits(widest);
     }
 
@@ -491,5 +490,20 @@ mod tests {
         padded.objective = m.objective.as_ref().map(pad);
         assert_eq!(padded.canonical_key(), key);
         assert_eq!(padded.to_string(), m.to_string());
+        // Heap values render through the same digits as inline ones.
+        let mut wide = Model::new();
+        wide.add_var("w");
+        let big: aov_numeric::BigInt = "-18446744073709551616".parse().unwrap();
+        wide.constrain(
+            AffineExpr::from_parts(
+                vec![Rational::from(big)].into_iter().collect(),
+                Rational::new(i64::MIN, 1),
+            ),
+            Cmp::Ge,
+        );
+        assert_eq!(
+            wide.canonical_key(),
+            "min 0\n>=0 -18446744073709551616*x0+-9223372036854775808"
+        );
     }
 }

@@ -285,7 +285,7 @@ impl GrowthMeter {
 
     fn flush(self) {
         aov_support::static_counter!("lp.simplex.coeff_limbs_total").add(self.limbs);
-        aov_support::counters::record_max("lp.simplex.coeff_bits_max", self.bits);
+        aov_support::static_max_counter!("lp.simplex.coeff_bits_max").record(self.bits);
         // Feed the same width into the span-scoped telemetry so the
         // flame table's max_bits column names the span that grew.
         aov_support::alloc::record_bits(self.bits);

@@ -43,9 +43,17 @@ pub struct BigInt(Repr);
 enum Repr {
     /// Every value in `i64::MIN..=i64::MAX`.
     Small(i64),
-    /// A value outside `i64`: sign (-1 or 1) and a magnitude with no
-    /// trailing zero limbs.
-    Large(i8, Vec<u64>),
+    /// A value outside `i64`. Boxed, so that a `BigInt` is 16 bytes and
+    /// the rare heap values, not the inline ones, pay for the indirection.
+    Large(Box<Heap>),
+}
+
+/// A value outside `i64`: sign (-1 or 1) and a magnitude with no
+/// trailing zero limbs.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Heap {
+    sign: i8,
+    mag: Vec<u64>,
 }
 
 /// Sign and magnitude of a value for the heap path: borrows the limbs of
@@ -108,7 +116,7 @@ impl BigInt {
     pub fn signum(&self) -> i8 {
         match &self.0 {
             Repr::Small(v) => v.signum() as i8,
-            Repr::Large(sign, _) => *sign,
+            Repr::Large(h) => h.sign,
         }
     }
 
@@ -117,7 +125,7 @@ impl BigInt {
         match &self.0 {
             Repr::Small(v) => BigInt::from_i128(i128::from(*v).abs()),
             // A heap magnitude exceeds `i64::MAX` whatever its sign.
-            Repr::Large(_, mag) => BigInt(Repr::Large(1, mag.clone())),
+            Repr::Large(h) => BigInt::large(1, h.mag.clone()),
         }
     }
 
@@ -125,9 +133,9 @@ impl BigInt {
     pub fn bits(&self) -> usize {
         match &self.0 {
             Repr::Small(v) => 64 - v.unsigned_abs().leading_zeros() as usize,
-            Repr::Large(_, mag) => {
-                let hi = mag[mag.len() - 1];
-                64 * (mag.len() - 1) + (64 - hi.leading_zeros() as usize)
+            Repr::Large(h) => {
+                let hi = h.mag[h.mag.len() - 1];
+                64 * (h.mag.len() - 1) + (64 - hi.leading_zeros() as usize)
             }
         }
     }
@@ -141,7 +149,7 @@ impl BigInt {
         match &self.0 {
             Repr::Small(0) => 0,
             Repr::Small(_) => 1,
-            Repr::Large(_, mag) => mag.len(),
+            Repr::Large(h) => h.mag.len(),
         }
     }
 
@@ -152,10 +160,10 @@ impl BigInt {
                 limb: [v.unsigned_abs()],
                 heap: None,
             },
-            Repr::Large(sign, mag) => Parts {
-                sign: *sign,
+            Repr::Large(h) => Parts {
+                sign: h.sign,
                 limb: [0],
-                heap: Some(mag),
+                heap: Some(&h.mag),
             },
         }
     }
@@ -174,7 +182,12 @@ impl BigInt {
     fn from_u128_mag(sign: i8, mag: u128) -> BigInt {
         let (lo, hi) = (mag as u64, (mag >> 64) as u64);
         let limbs = if hi != 0 { vec![lo, hi] } else { vec![lo] };
-        BigInt(Repr::Large(sign, limbs))
+        BigInt::large(sign, limbs)
+    }
+
+    /// Heap value of sign `sign` (-1 or 1) and normalized magnitude `mag`.
+    fn large(sign: i8, mag: Vec<u64>) -> BigInt {
+        BigInt(Repr::Large(Box::new(Heap { sign, mag })))
     }
 
     /// Construct from sign and little-endian limbs (normalizing, and
@@ -190,12 +203,12 @@ impl BigInt {
                 let v = i128::from(sign) * i128::from(mag[0]);
                 match i64::try_from(v) {
                     Ok(small) => BigInt(Repr::Small(small)),
-                    Err(_) => BigInt(Repr::Large(sign, mag)),
+                    Err(_) => BigInt::large(sign, mag),
                 }
             }
             _ => {
                 debug_assert!(sign == 1 || sign == -1);
-                BigInt(Repr::Large(sign, mag))
+                BigInt::large(sign, mag)
             }
         }
     }
@@ -271,7 +284,7 @@ impl BigInt {
     pub fn to_i128(&self) -> Option<i128> {
         let mag = match &self.0 {
             Repr::Small(v) => return Some(i128::from(*v)),
-            Repr::Large(_, mag) => mag,
+            Repr::Large(h) => &h.mag,
         };
         match mag.len() {
             1 => Some(i128::from(self.signum()) * i128::from(mag[0])),
@@ -293,7 +306,7 @@ impl BigInt {
     pub fn to_f64(&self) -> f64 {
         let mag = match &self.0 {
             Repr::Small(v) => return *v as f64,
-            Repr::Large(_, mag) => mag,
+            Repr::Large(h) => &h.mag,
         };
         let mut v = 0.0f64;
         for &limb in mag.iter().rev() {
@@ -567,11 +580,11 @@ impl Ord for BigInt {
         match (&self.0, &other.0) {
             (Repr::Small(a), Repr::Small(b)) => a.cmp(b),
             // A heap value lies beyond every inline value on its side.
-            (Repr::Small(_), Repr::Large(sign, _)) => 0.cmp(sign),
-            (Repr::Large(sign, _), Repr::Small(_)) => sign.cmp(&0),
-            (Repr::Large(sa, a), Repr::Large(sb, b)) => match sa.cmp(sb) {
-                Ordering::Equal if *sa > 0 => cmp_mag(a, b),
-                Ordering::Equal => cmp_mag(b, a),
+            (Repr::Small(_), Repr::Large(h)) => 0.cmp(&h.sign),
+            (Repr::Large(h), Repr::Small(_)) => h.sign.cmp(&0),
+            (Repr::Large(a), Repr::Large(b)) => match a.sign.cmp(&b.sign) {
+                Ordering::Equal if a.sign > 0 => cmp_mag(&a.mag, &b.mag),
+                Ordering::Equal => cmp_mag(&b.mag, &a.mag),
                 ord => ord,
             },
         }
@@ -612,7 +625,7 @@ impl Neg for BigInt {
         match self.0 {
             Repr::Small(v) => BigInt::from_i128(-i128::from(v)),
             // 2^63 negates into the inline `i64::MIN`.
-            Repr::Large(sign, mag) => BigInt::from_sign_mag(-sign, mag),
+            Repr::Large(h) => BigInt::from_sign_mag(-h.sign, h.mag),
         }
     }
 }
@@ -726,8 +739,9 @@ impl Product for BigInt {
 impl fmt::Display for BigInt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mag = match &self.0 {
-            Repr::Small(v) => return f.pad_integral(*v >= 0, "", &v.unsigned_abs().to_string()),
-            Repr::Large(_, mag) => mag,
+            // `i64`'s own formatting: the same bytes and flags, no `String`.
+            Repr::Small(v) => return fmt::Display::fmt(v, f),
+            Repr::Large(h) => &h.mag,
         };
         // Repeatedly divide by 10^19 (largest power of ten within u64).
         const CHUNK: u64 = 10_000_000_000_000_000_000;
@@ -884,6 +898,25 @@ mod tests {
             let v: BigInt = s.parse().unwrap();
             assert_eq!(v.to_string(), s);
         }
+    }
+
+    #[test]
+    fn display_honours_format_flags() {
+        for v in [0i64, 7, -7, i64::MIN, i64::MAX] {
+            let b = BigInt::from(v);
+            assert_eq!(format!("{b:+}"), format!("{v:+}"));
+            assert_eq!(format!("{b:>6}"), format!("{v:>6}"));
+            assert_eq!(format!("{b:<6}|"), format!("{v:<6}|"));
+            assert_eq!(format!("{b:06}"), format!("{v:06}"));
+        }
+        assert_eq!(format!("{:+}", bi(2).pow(64)), "+18446744073709551616");
+    }
+
+    /// The heap variant is boxed so that inline values stay two words.
+    #[test]
+    fn values_are_two_words() {
+        assert_eq!(std::mem::size_of::<BigInt>(), 16);
+        assert_eq!(std::mem::size_of::<crate::Rational>(), 32);
     }
 
     #[test]

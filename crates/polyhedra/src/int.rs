@@ -1,5 +1,6 @@
 //! Integer rows: the representation the DD, Fourier–Motzkin and
-//! parameterized-vertex kernels compute on.
+//! parameterized-vertex kernels compute on, and that the bilinear forms
+//! of `aov-schedule` are linearized in.
 //!
 //! A row `(c, a_0, …, a_{d-1})` is either the homogenized form of the
 //! affine constraint `c + a·x >= 0` (or `== 0`), or a generator `(λ, x)`
@@ -15,7 +16,7 @@ use aov_linalg::{AffineExpr, QVector};
 use aov_numeric::{BigInt, Rational};
 
 /// One integer row; see the module docs for its layout.
-pub(crate) type Row = Vec<BigInt>;
+pub type Row = Vec<BigInt>;
 
 /// The homogenized row of `c`: its constant term, then its coefficients.
 pub(crate) fn of_constraint(c: &Constraint) -> Row {
@@ -29,10 +30,29 @@ pub(crate) fn of_constraint(c: &Constraint) -> Row {
         .collect()
 }
 
-/// The constraint `row >= 0` (or `== 0`) of a primitive homogenized row.
-pub(crate) fn to_constraint(row: &[BigInt], kind: ConstraintKind) -> Constraint {
+/// The constraint `row >= 0` (or `== 0`) of a primitive homogenized row
+/// (see [`make_primitive`]).
+pub fn to_constraint(row: &[BigInt], kind: ConstraintKind) -> Constraint {
     let expr = AffineExpr::from_parts(to_qvector(&row[1..]), Rational::from(row[0].clone()));
     Constraint::from_primitive(expr, kind)
+}
+
+/// The constraint `row >= 0` (or `== 0`) of any homogenized row, made
+/// primitive in place first.
+pub fn primitive_constraint(row: &mut [BigInt], kind: ConstraintKind) -> Constraint {
+    make_primitive(row);
+    to_constraint(row, kind)
+}
+
+/// Whether the homogenized row's constraint holds at every point: its
+/// linear part is zero and its constant satisfies `kind` (the row-level
+/// [`Constraint::is_trivially_true`]).
+pub fn is_trivially_true(row: &[BigInt], kind: ConstraintKind) -> bool {
+    is_zero(&row[1..])
+        && match kind {
+            ConstraintKind::Ineq => !row[0].is_negative(),
+            ConstraintKind::Eq => row[0].is_zero(),
+        }
 }
 
 /// The row as a vector of (integer) rationals.
@@ -41,7 +61,7 @@ pub(crate) fn to_qvector(v: &[BigInt]) -> QVector {
 }
 
 /// `a · b`.
-pub(crate) fn dot(a: &[BigInt], b: &[BigInt]) -> BigInt {
+pub fn dot(a: &[BigInt], b: &[BigInt]) -> BigInt {
     let mut acc = BigInt::zero();
     for (x, y) in a.iter().zip(b) {
         if !x.is_zero() && !y.is_zero() {
@@ -52,13 +72,13 @@ pub(crate) fn dot(a: &[BigInt], b: &[BigInt]) -> BigInt {
 }
 
 /// Whether every entry is zero.
-pub(crate) fn is_zero(v: &[BigInt]) -> bool {
+pub fn is_zero(v: &[BigInt]) -> bool {
     v.iter().all(BigInt::is_zero)
 }
 
 /// Divides `v` by the gcd of its entries, keeping its sign (a zero row
 /// stays zero).
-pub(crate) fn make_primitive(v: &mut [BigInt]) {
+pub fn make_primitive(v: &mut [BigInt]) {
     let mut g = BigInt::zero();
     for x in v.iter() {
         g = aov_numeric::gcd_big(&g, x);
@@ -71,6 +91,75 @@ pub(crate) fn make_primitive(v: &mut [BigInt]) {
             *x = &*x / &g;
         }
     }
+}
+
+/// Divides `v` and the positive denominator `den` by their common gcd,
+/// so that the value `v / den` has one representation.
+pub fn reduce(v: &mut [BigInt], den: &mut BigInt) {
+    if den.is_one() {
+        return;
+    }
+    let mut g = den.clone();
+    for x in v.iter() {
+        g = aov_numeric::gcd_big(&g, x);
+        if g.is_one() {
+            return;
+        }
+    }
+    for x in v.iter_mut() {
+        *x = &*x / &g;
+    }
+    *den = &*den / &g;
+}
+
+/// The least common denominator of `qs` (positive).
+pub fn common_denominator<'a>(qs: impl IntoIterator<Item = &'a Rational>) -> BigInt {
+    qs.into_iter().fold(BigInt::one(), |d, q| {
+        if q.denom().is_one() {
+            d
+        } else {
+            &d * &(q.denom() / &aov_numeric::gcd_big(&d, q.denom()))
+        }
+    })
+}
+
+/// `d · q`, for `d` a multiple of `q`'s denominator.
+pub fn scaled(q: &Rational, d: &BigInt) -> BigInt {
+    if q.denom().is_one() {
+        q.numer() * d
+    } else {
+        q.numer() * &(d / q.denom())
+    }
+}
+
+/// The homogenized row `(d, d·x)` of the point `x`, with `d` the least
+/// common denominator of its entries; read as a direction, its tail is
+/// `x` scaled by `d`.
+pub fn homogenize(x: &QVector) -> Row {
+    let mut out = Row::with_capacity(x.dim() + 1);
+    homogenize_into(x, &mut out);
+    out
+}
+
+/// [`homogenize`] into `out`, reusing its allocation.
+pub fn homogenize_into(x: &QVector, out: &mut Row) {
+    let d = common_denominator(x.iter());
+    out.clear();
+    out.push(d.clone());
+    out.extend(x.iter().map(|q| scaled(q, &d)));
+}
+
+/// The affine expression `row / den`, exactly: constant first, as in a
+/// homogenized row.
+pub fn to_affine(row: &[BigInt], den: &BigInt) -> AffineExpr {
+    let q = |x: &BigInt| {
+        if den.is_one() {
+            Rational::from(x.clone())
+        } else {
+            Rational::from_big(x.clone(), den.clone())
+        }
+    };
+    AffineExpr::from_parts(row[1..].iter().map(q).collect(), q(&row[0]))
 }
 
 /// `fa·a + fb·b`, made primitive.
@@ -122,6 +211,21 @@ mod tests {
         combine_into(&3.into(), &mut c, &3.into(), &b);
         assert_eq!(c, row(&[1, 3, 3]));
         assert_eq!(dot(&a, &b), BigInt::from(2));
+    }
+
+    #[test]
+    fn reduce_and_homogenize() {
+        let (mut v, mut den) = (row(&[4, -6, 0]), BigInt::from(10));
+        reduce(&mut v, &mut den);
+        assert_eq!((v, den), (row(&[2, -3, 0]), BigInt::from(5)));
+        let x = QVector::from_vec(vec![Rational::new(1, 2), Rational::new(-2, 3), 5.into()]);
+        let h = homogenize(&x);
+        assert_eq!(h, row(&[6, 3, -4, 30]));
+        assert_eq!(
+            to_affine(&h, &BigInt::from(6)),
+            AffineExpr::from_parts(x.clone(), Rational::one())
+        );
+        assert_eq!(homogenize(&QVector::from_i64(&[2, -1])), row(&[1, 2, -1]));
     }
 
     #[test]

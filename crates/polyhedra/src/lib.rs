@@ -20,8 +20,10 @@
 //!   occupancy vector.
 //!
 //! The DD, Fourier–Motzkin and vertex kernels compute on primitive
-//! integer rows of [`BigInt`](aov_numeric::BigInt); values become
-//! rationals only where they leave the crate.
+//! integer rows of [`BigInt`](aov_numeric::BigInt) ([`int`]); values
+//! become rationals only where they leave the crate. Parameterized
+//! vertices leave it as integer numerators over one denominator, the
+//! form the linearization of `aov-schedule` consumes.
 //!
 //! # Examples
 //!
@@ -46,7 +48,9 @@ mod bits;
 mod constraint;
 mod dd;
 mod fm;
-mod int;
+#[cfg(test)]
+mod forms_reference;
+pub mod int;
 pub mod param;
 mod polyhedron;
 

@@ -25,25 +25,36 @@
 //! and made primitive before it becomes a [`Constraint`](crate::Constraint).
 //! That is the row set and order the rational evaluation gives, so the
 //! rational path, kept as a test oracle, must match every vertex exactly.
+//! The vertex itself leaves as `det·c(N)` over `det`, reduced to lowest
+//! terms ([`ParamVertex`]), which is what the linearization multiplies
+//! forms by.
 
 use crate::bits::Bits;
 use crate::dd;
 use crate::int::{self, Row};
 use crate::{ConstraintKind, GeneratorSet, PolyhedraError, Polyhedron};
 use aov_linalg::{AffineExpr, QVector};
-use aov_numeric::{BigInt, Rational};
+use aov_numeric::BigInt;
 use std::collections::HashSet;
 use std::hash::Hash;
 
 /// A vertex of the eliminated-variable polytope, as affine functions of
 /// the parameters, with the parameter region where it is valid.
+///
+/// The coordinates are integer numerators over one positive denominator,
+/// as the fraction-free elimination computes them: coordinate `k` is
+/// `numerators[k] · (1, N) / denom`. The pair is in lowest terms (the
+/// gcd of `denom` and every numerator entry is 1), so equal vertices
+/// have equal representations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParamVertex {
-    /// One affine expression (over the parameter space) per eliminated
-    /// dimension.
-    pub coords: Vec<AffineExpr>,
+    /// The common denominator of the coordinates (positive).
+    pub denom: BigInt,
+    /// `denom · c_k(N)` for each eliminated dimension `k`, as a
+    /// homogenized integer row over the parameters (constant first).
+    pub numerators: Vec<Row>,
     /// Validity domain: the points of the parameter domain at which
-    /// `coords` lies in the polytope (nonempty).
+    /// the vertex lies in the polytope (nonempty).
     pub domain: Polyhedron,
     /// Generators of `domain`: the projections onto the parameters of
     /// the lifted polyhedron's generators on the vertex's face (a DD of
@@ -52,9 +63,41 @@ pub struct ParamVertex {
 }
 
 impl ParamVertex {
+    /// The coordinates, one affine expression over the parameters per
+    /// eliminated dimension.
+    pub fn coords(&self) -> Vec<AffineExpr> {
+        self.numerators
+            .iter()
+            .map(|row| int::to_affine(row, &self.denom))
+            .collect()
+    }
+
     /// Evaluates the vertex at a concrete parameter point.
     pub fn eval(&self, params: &QVector) -> QVector {
-        self.coords.iter().map(|c| c.eval(params)).collect()
+        self.coords().iter().map(|c| c.eval(params)).collect()
+    }
+
+    /// The vertex with rational coordinates `coords`, over their least
+    /// common denominator.
+    #[cfg(test)]
+    fn from_coords(coords: &[AffineExpr], domain: Polyhedron, generators: GeneratorSet) -> Self {
+        let entries = coords
+            .iter()
+            .flat_map(|c| c.coeffs().iter().chain([c.constant_term()]));
+        let denom = int::common_denominator(entries);
+        let numerators = coords
+            .iter()
+            .map(|c| {
+                let hom = std::iter::once(c.constant_term()).chain(c.coeffs().iter());
+                hom.map(|q| int::scaled(q, &denom)).collect()
+            })
+            .collect();
+        ParamVertex {
+            denom,
+            numerators,
+            domain,
+            generators,
+        }
     }
 }
 
@@ -144,8 +187,10 @@ pub fn parameterized_vertices(
         // Counts validity domains kept; the name predates them and stays
         // so per-layer series remain comparable.
         aov_support::static_counter!("polyhedra.param.chambers").add(1);
+        let (denom, numerators) = basis.vertex();
         out.push(ParamVertex {
-            coords: basis.coords(),
+            denom,
+            numerators,
             domain,
             generators,
         });
@@ -459,13 +504,21 @@ impl Basis {
         })
     }
 
-    /// The vertex's coordinates, affine over the parameters.
-    fn coords(&self) -> Vec<AffineExpr> {
-        let q = |x: &BigInt| Rational::from_big(x.clone(), self.det.clone());
-        self.coords
-            .iter()
-            .map(|c| AffineExpr::from_parts(c[1..].iter().map(q).collect(), q(&c[0])))
-            .collect()
+    /// The vertex's coordinate numerators and their denominator, in
+    /// lowest terms.
+    fn vertex(&self) -> (BigInt, Vec<Row>) {
+        let mut g = self.det.clone();
+        for x in self.coords.iter().flatten() {
+            if g.is_one() {
+                break;
+            }
+            g = aov_numeric::gcd_big(&g, x);
+        }
+        if g.is_one() {
+            return (self.det.clone(), self.coords.clone());
+        }
+        let divide = |row: &Row| row.iter().map(|x| x / &g).collect();
+        (&self.det / &g, self.coords.iter().map(divide).collect())
     }
 
     /// The validity domain's rows, as primitive homogenized parameter
@@ -717,11 +770,7 @@ mod rational {
             } else {
                 dd::reference::saturated(domain.dim(), domain.constraints()).gens
             };
-            out.push(ParamVertex {
-                coords,
-                domain,
-                generators,
-            });
+            out.push(ParamVertex::from_coords(&coords, domain, generators));
         }
         Ok(out)
     }
@@ -779,11 +828,7 @@ mod basis_reference {
             if generators.is_empty() {
                 continue;
             }
-            out.push(ParamVertex {
-                coords,
-                domain,
-                generators,
-            });
+            out.push(ParamVertex::from_coords(&coords, domain, generators));
         }
         Ok(out)
     }
@@ -1001,7 +1046,9 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forms_reference::{self, Form};
     use crate::Constraint;
+    use aov_numeric::Rational;
 
     fn ge(coeffs: &[i64], c: i64) -> Constraint {
         Constraint::ge0(AffineExpr::from_i64(coeffs, c))
@@ -1102,7 +1149,7 @@ mod tests {
         ];
         assert_eq!(vertices.len(), want.len(), "{vertices:?}");
         for (v, (coord, domain)) in vertices.iter().zip(&want) {
-            assert_eq!(v.coords, vec![coord.clone()]);
+            assert_eq!(v.coords(), vec![coord.clone()]);
             assert!(same_set(&v.domain, domain), "{v:?}");
         }
     }
@@ -1116,7 +1163,7 @@ mod tests {
         let system = Polyhedron::from_constraints(2, vec![ge(&[1, -1], 0), ge(&[-1, 1], 1)]);
         let params = Polyhedron::universe(1);
         let vertices = parameterized_vertices(&system, 1, &params).unwrap();
-        let coords: Vec<_> = vertices.iter().map(|v| v.coords.clone()).collect();
+        let coords: Vec<_> = vertices.iter().map(ParamVertex::coords).collect();
         assert_eq!(
             coords,
             vec![
@@ -1320,7 +1367,7 @@ mod tests {
             for coords in &chamber.vertices {
                 let mut subs = coords.clone();
                 subs.extend((0..n_params).map(|j| AffineExpr::var(n_params, j)));
-                let over_params = form.substitute_domain(&subs);
+                let over_params = Form::of(form).substitute_domain(&subs);
                 out.extend(gens.vertices.iter().map(|w| over_params.at_point(w)));
                 out.extend(gens.rays.iter().map(|r| over_params.linear_part_along(r)));
                 for l in &gens.lines {
@@ -1377,9 +1424,9 @@ mod tests {
         let mut out = HashSet::new();
         for vertex in vertices {
             let n_params = vertex.domain.dim();
-            let mut subs = vertex.coords.clone();
+            let mut subs = vertex.coords();
             subs.extend((0..n_params).map(|j| AffineExpr::var(n_params, j)));
-            let over_params = form.substitute_domain(&subs);
+            let over_params = Form::of(form).substitute_domain(&subs);
             let gens = &vertex.generators;
             out.extend(
                 gens.vertices
@@ -1685,12 +1732,13 @@ mod tests {
     /// DD, FM projection and vertex enumeration the pipeline performs for
     /// the corpus ([`systems`]): generators with their tight sets (the
     /// standalone DDs, and each enumeration's recession-cone and lifted
-    /// DDs), FM constraint lists after every step, and the vertex lists
-    /// (coordinates, domain constraint lists and domain generators), all
-    /// equal and in the same order.
+    /// DDs), FM constraint lists after every step, the vertex lists
+    /// (coordinates, domain constraint lists and domain generators), and
+    /// the integer form layer over those vertices ([`assert_same_forms`]),
+    /// all equal and in the same order.
     #[test]
     fn integer_kernels_match_rational_reference() {
-        let (mut dds, mut steps, mut enumerations) = (0, 0, 0);
+        let (mut dds, mut steps, mut enumerations, mut linearized) = (0, 0, 0, 0);
         for p in &corpus() {
             let s = systems(p);
             for (what, poly) in &s.dds {
@@ -1720,19 +1768,78 @@ mod tests {
                     );
                     dds += 1;
                 }
+                let old = rational::parameterized_vertices(&e.system, e.n_elim, pd);
                 assert_eq!(
                     parameterized_vertices(&e.system, e.n_elim, pd),
-                    rational::parameterized_vertices(&e.system, e.n_elim, pd),
+                    old,
                     "{what}"
                 );
                 dds += 1;
                 enumerations += 1;
+                if let (Ok(old), Some(a)) = (old, &s.analysis) {
+                    linearized += assert_same_forms(a, &e.site, &old, what);
+                }
             }
         }
         assert!(
-            dds >= 3_000 && steps >= 10_000 && enumerations >= 1_500,
-            "{dds} DDs, {steps} FM steps, {enumerations} vertex enumerations compared"
+            dds >= 3_000 && steps >= 10_000 && enumerations >= 1_500 && linearized >= 1_000,
+            "{dds} DDs, {steps} FM steps, {enumerations} vertex enumerations, \
+             {linearized} linearizations compared"
         );
+    }
+
+    /// The integer form layer against its rational reference
+    /// ([`forms_reference`]) over the vertices `old` of one enumeration
+    /// site: at a dependence domain, the causality rows of ℛ and the
+    /// storage forms; at Problem 2's `Z`, the storage rows. All equal and
+    /// in the same order. Returns the number of row lists compared.
+    fn assert_same_forms(
+        a: &aov_schedule::Analysis,
+        site: &Site,
+        old: &[ParamVertex],
+        what: &str,
+    ) -> usize {
+        use aov_schedule::{legal, linearize::eliminate_to_linear};
+        let (p, space) = (a.program(), a.space());
+        match site {
+            Site::Statement => 0,
+            Site::Dependence(d) => {
+                let dep = &a.deps()[*d];
+                let causality = forms_reference::difference_form(p, space, dep, &dep.h, 1);
+                let rows: Vec<AffineExpr> = forms_reference::linearize_at_vertices(&causality, old)
+                    .into_iter()
+                    .map(|(row, _)| row)
+                    .collect();
+                assert_eq!(a.causality_rows()[*d], rows, "{what} causality rows");
+                let forms: Vec<Form> = a.storage_forms(*d).iter().map(Form::of).collect();
+                let reference = forms_reference::storage_forms(p, space, dep, old);
+                assert_eq!(forms, reference, "{what} storage forms");
+                2
+            }
+            Site::Z(d, v) => {
+                let dep = &a.deps()[*d];
+                let depth = p.statement(dep.target).depth();
+                let dim = depth + p.num_params();
+                let h_plus_v: Vec<AffineExpr> = dep
+                    .h
+                    .iter()
+                    .zip(v)
+                    .map(|(hk, &vk)| hk + &AffineExpr::constant(dim, vk.into()))
+                    .collect();
+                let form = legal::difference_form(p, space, dep, &h_plus_v, 0).negated();
+                let z = aov_core::storage::exact_z(p, dep, v);
+                let rows = eliminate_to_linear(&form, &z, depth, p.param_domain())
+                    .expect("same verdict as the reference");
+                let reference = forms_reference::difference_form(p, space, dep, &h_plus_v, 0);
+                let reference: Vec<AffineExpr> =
+                    forms_reference::linearize_at_vertices(&reference.negated(), old)
+                        .into_iter()
+                        .map(|(row, _)| row)
+                        .collect();
+                assert_eq!(rows, reference, "{what} rows");
+                1
+            }
+        }
     }
 
     /// Whether `q` needs heap limbs (numerator or denominator beyond
@@ -1789,11 +1896,11 @@ mod tests {
             rational::parameterized_vertices(&system, 2, &params).unwrap()
         );
         assert!(
-            vertices
+            vertices.iter().flat_map(ParamVertex::coords).any(|c| c
+                .coeffs()
                 .iter()
-                .flat_map(|v| &v.coords)
-                .flat_map(|c| c.coeffs().iter().chain([c.constant_term()]))
-                .any(beyond_words),
+                .chain([c.constant_term()])
+                .any(beyond_words)),
             "no vertex coordinate beyond machine words: {vertices:?}"
         );
     }

@@ -1,12 +1,14 @@
 //! The per-program analysis every schedule/storage problem shares.
 
-use crate::linearize::{linearize_at_vertices, RowKind};
+use crate::linearize::{linearize_at_vertices, LinearRow, RowKind};
 use crate::{legal, BilinearForm, Schedule, ScheduleSpace};
 use aov_ir::{analysis, Dependence, Program};
 use aov_linalg::{AffineExpr, QVector};
+use aov_numeric::BigInt;
 use aov_polyhedra::param::{self, dedup_in_order, ParamVertex};
 use aov_polyhedra::{Constraint, PolyhedraError, Polyhedron};
 use std::borrow::Cow;
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
 /// Dependences, schedule space, the parameterized vertices of every
@@ -80,22 +82,26 @@ impl<'p> Analysis<'p> {
         let space = ScheduleSpace::new(p);
         let mut vertices = Vec::with_capacity(deps.len());
         let mut causality = Vec::with_capacity(deps.len());
+        // ℛ's rows: every dependence's rows in order, repeats dropped,
+        // each also as its primitive constraint.
+        let (mut seen, mut rows, mut legal_rows) = (HashSet::new(), Vec::new(), Vec::new());
         for dep in deps.iter() {
             let depth = p.statement(dep.target).depth();
             let dep_vertices = param::parameterized_vertices(&dep.domain, depth, p.param_domain())?;
             let form = legal::causality_form(p, &space, dep);
-            let dep_rows: Vec<AffineExpr> = linearize_at_vertices(&form, &dep_vertices)
-                .into_iter()
-                .map(|(row, _)| row)
-                .collect();
+            let mut dep_rows = Vec::new();
+            for (row, _) in linearize_at_vertices(&form, &dep_vertices) {
+                let expr = row.to_affine();
+                if seen.insert(row.clone()) {
+                    legal_rows.push(row.to_constraint());
+                    rows.push(expr.clone());
+                }
+                dep_rows.push(expr);
+            }
             causality.push(dep_rows);
             vertices.push(dep_vertices);
         }
-        let rows = dedup_in_order(causality.iter().flatten().cloned().collect());
-        let legal = Polyhedron::from_constraints(
-            space.dim(),
-            rows.iter().cloned().map(Constraint::ge0).collect(),
-        );
+        let legal = Polyhedron::from_constraints(space.dim(), legal_rows);
         Ok(Analysis {
             p,
             deps,
@@ -135,7 +141,7 @@ impl<'p> Analysis<'p> {
     ///
     /// Panics if `dep` is out of range or `form`'s domain is not the
     /// target statement's space.
-    pub fn linearize(&self, dep: usize, form: &BilinearForm) -> Vec<(AffineExpr, RowKind)> {
+    pub fn linearize(&self, dep: usize, form: &BilinearForm) -> Vec<(LinearRow, RowKind)> {
         linearize_at_vertices(form, &self.vertices[dep])
     }
 
@@ -166,20 +172,21 @@ impl<'p> Analysis<'p> {
         let (p, space) = (self.p, &self.space);
         let d = &self.deps[dep];
         let source_depth = p.statement(d.source).depth();
+        let cols = space.dim() + 1;
         // F0 = Θ_T(h(i), N) − Θ_R(i, N): slack 0, v added separately.
         let f0 = legal::difference_form(p, space, d, &d.h, 0).negated();
         let forms = self.linearize(dep, &f0).into_iter().map(|(row, kind)| {
-            let mut bf = BilinearForm::new(vec![AffineExpr::zero(space.dim()); source_depth], row);
+            // Unknown k's row: Θ_T(h + v) − Θ_T(h) = Σ_k v_k · a_{T,k} on
+            // point rows, over the row's denominator; the constant row is
+            // the linearized row itself.
+            let mut m = vec![BigInt::zero(); source_depth * cols];
             if kind == RowKind::Point {
-                // Θ_T(h + v) − Θ_T(h) = Σ_k v_k · a_{T,k}.
                 for k in 0..source_depth {
-                    bf.add_to_coeff(
-                        k,
-                        &AffineExpr::var(space.dim(), space.iter_coeff(d.source, k)),
-                    );
+                    m[k * cols + 1 + space.iter_coeff(d.source, k)] = row.denominator().clone();
                 }
             }
-            bf
+            m.extend_from_slice(row.numerators());
+            BilinearForm::from_parts(m, row.denominator().clone(), source_depth, cols)
         });
         dedup_in_order(forms.collect())
     }

@@ -3,6 +3,8 @@
 use crate::{Analysis, BilinearForm, Schedule, ScheduleSpace};
 use aov_ir::{Dependence, Program};
 use aov_linalg::{AffineExpr, QVector};
+use aov_numeric::BigInt;
+use aov_polyhedra::int;
 use aov_polyhedra::{Constraint, PolyhedraError, Polyhedron};
 
 /// The causality form of a dependence (Eq. 2 of the paper):
@@ -20,6 +22,11 @@ pub fn causality_form(p: &Program, space: &ScheduleSpace, dep: &Dependence) -> B
 /// Builds `Θ_target(i, N) − Θ_source(src_iter(i, N), N) − slack` over the
 /// target space. Shared by the causality constraints (src = h, slack = 1)
 /// and `aov-core`'s storage constraints (src = h + v, slack varies).
+///
+/// The form's matrix is written directly: `Θ_R` puts a unit in the
+/// rows of the target's coefficients, `Θ_T(src_iter)` the negated
+/// homogenized `src_iter` in the source's, all over the least common
+/// denominator of `src_iter`.
 pub fn difference_form(
     p: &Program,
     space: &ScheduleSpace,
@@ -27,43 +34,41 @@ pub fn difference_form(
     src_iter: &[AffineExpr],
     slack: i64,
 ) -> BilinearForm {
-    let r = p.statement(dep.target);
-    let dim = r.depth() + p.num_params();
-    let mut f = BilinearForm::zero(space.dim(), dim);
-    // + Θ_R(i, N)
-    for k in 0..r.depth() {
-        f.add_to_coeff(space.iter_coeff(dep.target, k), &AffineExpr::var(dim, k));
-    }
-    for j in 0..p.num_params() {
-        f.add_to_coeff(
-            space.param_coeff(dep.target, j),
-            &AffineExpr::var(dim, r.depth() + j),
-        );
-    }
-    f.add_to_coeff(
-        space.const_coeff(dep.target),
-        &AffineExpr::constant(dim, 1.into()),
-    );
-    // − Θ_T(src_iter(i, N), N)
-    let t = p.statement(dep.source);
+    let (r, t) = (p.statement(dep.target), p.statement(dep.source));
+    let depth = r.depth();
+    let dim = depth + p.num_params();
     assert_eq!(src_iter.len(), t.depth(), "source iteration arity");
-    for (k, hk) in src_iter.iter().enumerate() {
+    let den = int::common_denominator(src_iter.iter().flat_map(|hk| {
         assert_eq!(hk.dim(), dim, "source iteration over target space");
-        f.add_to_coeff(space.iter_coeff(dep.source, k), &-hk);
+        hk.coeffs().iter().chain([hk.constant_term()])
+    }));
+    let cols = dim + 1;
+    let mut m = vec![BigInt::zero(); (space.dim() + 1) * cols];
+    let mut add = |e: usize, col: usize, x: &BigInt| m[e * cols + col] += x;
+    let neg_den = -&den;
+    // + Θ_R(i, N)
+    for k in 0..depth {
+        add(space.iter_coeff(dep.target, k), 1 + k, &den);
     }
     for j in 0..p.num_params() {
-        f.add_to_coeff(
-            space.param_coeff(dep.source, j),
-            &-&AffineExpr::var(dim, r.depth() + j),
-        );
+        add(space.param_coeff(dep.target, j), 1 + depth + j, &den);
+        add(space.param_coeff(dep.source, j), 1 + depth + j, &neg_den);
     }
-    f.add_to_coeff(
-        space.const_coeff(dep.source),
-        &AffineExpr::constant(dim, (-1).into()),
-    );
+    add(space.const_coeff(dep.target), 0, &den);
+    add(space.const_coeff(dep.source), 0, &neg_den);
+    // − Θ_T(src_iter(i, N), N)
+    for (k, hk) in src_iter.iter().enumerate() {
+        let e = space.iter_coeff(dep.source, k);
+        let hom = std::iter::once(hk.constant_term()).chain(hk.coeffs().iter());
+        for (col, q) in hom.enumerate() {
+            if !q.is_zero() {
+                add(e, col, &-int::scaled(q, &den));
+            }
+        }
+    }
     // − slack
-    f.add_to_constant(&AffineExpr::constant(dim, (-slack).into()));
-    f
+    add(space.dim(), 0, &(&neg_den * &BigInt::from(slack)));
+    BilinearForm::from_parts(m, den, space.dim(), cols)
 }
 
 /// The occupancy vectors `v` of `dep`'s source array for which the

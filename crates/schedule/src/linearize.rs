@@ -20,8 +20,10 @@
 
 use crate::BilinearForm;
 use aov_linalg::AffineExpr;
+use aov_numeric::BigInt;
+use aov_polyhedra::int::{self, Row};
 use aov_polyhedra::param::{self, dedup_in_order, ParamVertex};
-use aov_polyhedra::{PolyhedraError, Polyhedron};
+use aov_polyhedra::{Constraint, ConstraintKind, PolyhedraError, Polyhedron};
 
 /// Linearizes `F(u, (i, N)) >= 0  ∀ (i, N) ∈ system, N ∈ param_domain`
 /// into affine constraints `g(u) >= 0`.
@@ -49,8 +51,8 @@ pub fn eliminate_to_linear(
     );
     let vertices = param::parameterized_vertices(system, n_elim, param_domain)?;
     Ok(linearize_at_vertices(form, &vertices)
-        .into_iter()
-        .map(|(e, _)| e)
+        .iter()
+        .map(|(row, _)| row.to_affine())
         .collect())
 }
 
@@ -66,11 +68,51 @@ pub enum RowKind {
     Direction,
 }
 
+/// One linearized row `row / den >= 0` over the unknowns: homogenized
+/// integer numerators (constant first) over a positive denominator, in
+/// lowest terms with it, so that equal rows have equal representations.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct LinearRow {
+    row: Row,
+    den: BigInt,
+}
+
+impl LinearRow {
+    /// The row `row / den`, brought to lowest terms.
+    fn new(mut row: Row, mut den: BigInt) -> Self {
+        int::reduce(&mut row, &mut den);
+        LinearRow { row, den }
+    }
+
+    /// The numerators, homogenized (constant first).
+    pub(crate) fn numerators(&self) -> &[BigInt] {
+        &self.row
+    }
+
+    /// The common denominator (positive).
+    pub(crate) fn denominator(&self) -> &BigInt {
+        &self.den
+    }
+
+    /// The row as an exact affine expression over the unknowns.
+    pub fn to_affine(&self) -> AffineExpr {
+        int::to_affine(&self.row, &self.den)
+    }
+
+    /// The constraint `row >= 0`: the numerators made primitive.
+    pub fn to_constraint(&self) -> Constraint {
+        int::primitive_constraint(&mut self.row.clone(), ConstraintKind::Ineq)
+    }
+}
+
 /// The linearization of [`eliminate_to_linear`] over parameterized
 /// vertices already computed for the form's domain, each row tagged with
-/// its [`RowKind`]. Trivially true constant rows are dropped (a negative
-/// constant is kept: the LP reports the contradiction), and repeated
-/// `(row, kind)` pairs keep their first occurrence.
+/// its [`RowKind`]. Per vertex, the form at the vertex is one matrix
+/// product ([`BilinearForm::at_vertex`]), and each row one product of
+/// that with a homogenized generator of the vertex's validity domain.
+/// Trivially true constant rows are dropped (a negative constant is
+/// kept: the LP reports the contradiction), and repeated `(row, kind)`
+/// pairs keep their first occurrence.
 ///
 /// # Panics
 ///
@@ -79,36 +121,39 @@ pub enum RowKind {
 pub fn linearize_at_vertices(
     form: &BilinearForm,
     vertices: &[ParamVertex],
-) -> Vec<(AffineExpr, RowKind)> {
+) -> Vec<(LinearRow, RowKind)> {
     let mut out = Vec::new();
+    let (mut gen, mut row) = (Row::new(), Row::new());
     for vertex in vertices {
-        // Substitute i := Γ(N): the domain space becomes N alone.
-        let n_params = vertex.domain.dim();
-        assert_eq!(
-            form.domain_dim(),
-            vertex.coords.len() + n_params,
-            "form/vertex domain mismatch"
-        );
-        let mut subs = vertex.coords.clone();
-        subs.extend((0..n_params).map(|j| AffineExpr::var(n_params, j)));
-        let over_params = form.substitute_domain(&subs);
+        // Substitute i := c(N): the domain space becomes N alone.
+        let over_params = form.at_vertex(vertex);
+        let den = over_params.denominator();
+        // A constant >= 0 requirement is either trivially true (dropped)
+        // or a contradiction (kept — the LP will report infeasibility).
+        let mut push = |row: &Row, scale: &BigInt, kind: RowKind| {
+            if !int::is_trivially_true(row, ConstraintKind::Ineq) {
+                out.push((LinearRow::new(row.clone(), den * scale), kind));
+            }
+        };
         let gens = &vertex.generators;
         for w in &gens.vertices {
-            out.push((over_params.at_point(w), RowKind::Point));
+            int::homogenize_into(w, &mut gen);
+            over_params.row_at(&gen, &mut row);
+            push(&row, &gen[0], RowKind::Point);
         }
         for r in &gens.rays {
-            out.push((over_params.linear_part_along(r), RowKind::Direction));
+            int::homogenize_into(r, &mut gen);
+            over_params.row_along(&gen[1..], &mut row);
+            push(&row, &gen[0], RowKind::Direction);
         }
         for l in &gens.lines {
-            let lin = over_params.linear_part_along(l);
-            let neg = -&lin;
-            out.push((lin, RowKind::Direction));
-            out.push((neg, RowKind::Direction));
+            int::homogenize_into(l, &mut gen);
+            over_params.row_along(&gen[1..], &mut row);
+            push(&row, &gen[0], RowKind::Direction);
+            row.iter_mut().for_each(|x| *x = -&*x);
+            push(&row, &gen[0], RowKind::Direction);
         }
     }
-    // A constant >= 0 requirement is either trivially true (dropped) or
-    // a contradiction (kept — the LP will report infeasibility).
-    out.retain(|(e, _)| !e.is_constant() || e.constant_term().is_negative());
     dedup_in_order(out)
 }
 

@@ -325,7 +325,7 @@ mod tests {
         {
             let _in_stage = stage.enter();
             pivots.add(5);
-            counters::record_max("test.context.width_max", 9);
+            counters::MaxCounter::named("test.context.width_max").record(9);
         }
         assert_eq!(value(&stage, "test.context.pivots"), 5);
         assert_eq!(value(&run, "test.context.pivots"), 2, "not folded yet");
@@ -342,7 +342,7 @@ mod tests {
         let stage = Context::child(None, None);
         {
             let _in_stage = stage.enter();
-            counters::record_max("test.context.width_max", 4);
+            counters::MaxCounter::named("test.context.width_max").record(4);
         }
         assert!(stage.finish().counters.is_empty(), "no rise, no entry");
         assert_eq!(value(&run, "test.context.width_max"), 9);

@@ -66,19 +66,31 @@ pub fn counter(name: &str) -> &'static AtomicU64 {
     context::root().counter(id(name, false))
 }
 
-/// Raises the max counter `name` to at least `value` in the current
-/// context.
+/// A registered max counter: a high-water mark, for quantities like the
+/// largest coefficient bit-width seen in simplex. Cache it in hot paths
+/// (see [`static_max_counter!`](crate::static_max_counter)).
 ///
 /// A finished context folds a max counter into its parent by maximum,
 /// and reports the rise of the parent's high-water mark as its share
 /// (see [`Context::finish`](crate::context::Context::finish)): a
 /// pipeline stage's entry reads "how much the run's high-water mark
 /// rose during the stage", and the run's mark after stage *k* is the
-/// sum of the first *k* entries. Used for quantities like the largest
-/// coefficient bit-width seen in simplex.
-pub fn record_max(name: &str, value: u64) {
-    let id = id(name, true);
-    context::with_current(|c| c.counter(id).fetch_max(value, Ordering::Relaxed));
+/// sum of the first *k* entries.
+#[derive(Debug, Clone, Copy)]
+pub struct MaxCounter(usize);
+
+impl MaxCounter {
+    /// The max counter named `name`, registering it on first use.
+    #[must_use]
+    pub fn named(name: &str) -> MaxCounter {
+        MaxCounter(id(name, true))
+    }
+
+    /// Raises the counter to at least `value` in the current context.
+    #[inline]
+    pub fn record(self, value: u64) {
+        context::with_current(|c| c.counter(self.0).fetch_max(value, Ordering::Relaxed));
+    }
 }
 
 /// The root's value of every registered counter — every finished run
@@ -128,6 +140,23 @@ macro_rules! static_counter {
     }};
 }
 
+/// [`static_counter!`](crate::static_counter) for a max counter: caches
+/// the [`MaxCounter`] lookup so hot loops pay only the `fetch_max`.
+///
+/// ```
+/// aov_support::static_max_counter!("example.widest").record(7);
+/// let snap = aov_support::counters::snapshot();
+/// assert!(snap.iter().any(|(n, v)| n == "example.widest" && *v >= 7));
+/// ```
+#[macro_export]
+macro_rules! static_max_counter {
+    ($name:expr) => {{
+        static ID: ::std::sync::OnceLock<$crate::counters::MaxCounter> =
+            ::std::sync::OnceLock::new();
+        *ID.get_or_init(|| $crate::counters::MaxCounter::named($name))
+    }};
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,6 +189,17 @@ mod tests {
         let after = snapshot();
         let d = delta(&before, &after);
         assert!(d.contains(&("test.counters.macro".to_string(), 4)));
+    }
+
+    #[test]
+    fn static_max_counter_shares_named_cell() {
+        let cell = counter("test.counters.max");
+        crate::static_max_counter!("test.counters.max").record(5);
+        MaxCounter::named("test.counters.max").record(3);
+        crate::static_max_counter!("test.counters.max").record(9);
+        assert_eq!(cell.load(Ordering::Relaxed), 9);
+        let reg = registry();
+        assert!(reg.iter().any(|(n, max)| n == "test.counters.max" && *max));
     }
 
     #[test]

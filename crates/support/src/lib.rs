@@ -18,10 +18,10 @@
 //! * [`context`] — run-scoped telemetry: each pipeline run (and stage)
 //!   charges its own counters, allocation totals and trace spans, and
 //!   folds them into its parent when it finishes,
-//! * [`counters`] + [`static_counter!`] — named counters used by the
-//!   solver stack (simplex pivots, branch-and-bound nodes,
-//!   Fourier–Motzkin eliminations, …), charged to the installed
-//!   [`context`] and read back by `aov-engine` reports,
+//! * [`counters`] + [`static_counter!`] / [`static_max_counter!`] —
+//!   named counters used by the solver stack (simplex pivots,
+//!   branch-and-bound nodes, Fourier–Motzkin eliminations, …), charged
+//!   to the installed [`context`] and read back by `aov-engine` reports,
 //! * [`schema`] — a structural checker for versioned JSON artifacts
 //!   (reports, profiles, diagnostic bundles) with path-annotated
 //!   mismatch reports,

@@ -1,8 +1,9 @@
 //! Determinism contracts behind `aov fuzz`: the generator is a pure
-//! function of `(seed, config)`, and a generated program's pipeline
-//! outcome is a pure function of the program — independent of the
-//! worker count. Together these make a fuzz campaign reproducible from
-//! its seed alone, which is what the repro files rely on.
+//! function of `(seed, config)`, and a program's pipeline outcome is a
+//! pure function of the program — independent of the worker count,
+//! which only the machine stage's fan-out reads. Together these make a
+//! fuzz campaign reproducible from its seed alone, which is what the
+//! repro files rely on.
 
 use aov::engine::{Pipeline, Report};
 use aov::gen::{generate, GenConfig};
@@ -43,27 +44,33 @@ fn generator_is_deterministic_per_seed() {
     }
 }
 
+/// The worker count reaches only the machine stage's fan-out, which
+/// simulates the two examples with a machine model: their `--machine`
+/// runs at 1–4 workers must tell the same stage story and report the
+/// same simulated speedups.
 #[test]
 fn pipeline_fingerprint_is_worker_independent() {
-    // A quick-profile seed keeps the solve cheap; the work-budget trip
-    // points (if any) are deterministic, so every worker count must
-    // produce the same stage story.
-    let generated = generate(7, &GenConfig::quick());
-    let mut prints = Vec::new();
-    for workers in 1..=4 {
-        let report = Pipeline::new(generated.program.clone())
-            .workers(workers)
-            .check_params(generated.check_params.clone())
-            .run()
-            .expect("pipeline completes");
-        prints.push(fingerprint(&report));
-    }
-    for w in 1..prints.len() {
-        assert_eq!(
-            prints[0],
-            prints[w],
-            "workers=1 vs workers={}: fingerprints diverge",
-            w + 1
-        );
+    for example in ["example2", "example3"] {
+        let prints: Vec<String> = (1..=4)
+            .map(|workers| {
+                let report = Pipeline::for_example(example)
+                    .expect("known example")
+                    .workers(workers)
+                    .machine(true)
+                    .run()
+                    .expect("pipeline completes");
+                let machine = report.stage("machine").expect("machine stage ran");
+                assert!(machine.detail.get("speedups").is_some(), "{example}");
+                format!("{}machine={}\n", fingerprint(&report), machine.detail)
+            })
+            .collect();
+        for w in 1..prints.len() {
+            assert_eq!(
+                prints[0],
+                prints[w],
+                "{example}: workers=1 vs workers={}: fingerprints diverge",
+                w + 1
+            );
+        }
     }
 }
