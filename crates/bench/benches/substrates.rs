@@ -122,6 +122,16 @@ fn main() {
         h.bench("polyhedra/param_vertices_rect", || {
             param::parameterized_vertices(black_box(&system), 2, &params).unwrap()
         });
+
+        // The shape the pipeline enumerates: example1's first dependence
+        // domain, 8 rows over (i, j, n, m).
+        let p = aov_ir::examples::example1();
+        let dep = aov_ir::analysis::dependences(&p).swap_remove(0);
+        let depth = p.statement(dep.target).depth();
+        assert_eq!((dep.domain.constraints().len(), dep.domain.dim()), (8, 4));
+        h.bench("polyhedra/param_vertices_example1_dep", || {
+            param::parameterized_vertices(black_box(&dep.domain), depth, p.param_domain()).unwrap()
+        });
     }
 
     {

@@ -13,15 +13,17 @@
 //! coefficients, and every generator is a primitive integer vector,
 //! updated in place (`|f(b0)|·v − sgn f(b0)·f(v)·b0` when a line is
 //! consumed) or built as one new row (`−f(n)·p + f(p)·n` for an adjacent
-//! pair) and divided by its gcd. Values become rationals only on the way
-//! out, where a vertex is `x/λ`. The rational kernel it replaced is kept
-//! as the test oracle `reference`, which it must match exactly.
+//! pair) and divided by its gcd. The generators leave [`saturated`] as
+//! those rows ([`int::Generators`]); they become rationals only at the
+//! crate boundary ([`Polyhedron::generators`]), where a vertex is `x/λ`.
+//! The rational kernel it replaced is kept as the test oracle
+//! `reference`, which it must match exactly.
 
 use crate::bits::Bits;
-use crate::int::{self, Row};
+use crate::int::{self, Generators, Row};
 use crate::{Constraint, ConstraintKind, Polyhedron};
 use aov_linalg::QVector;
-use aov_numeric::{BigInt, Rational};
+use aov_numeric::BigInt;
 
 /// Generators of a polyhedron: `conv(vertices) + cone(rays) + span(lines)`.
 ///
@@ -66,8 +68,8 @@ struct Gen {
 /// saturates ([`saturated`]). Lines saturate every row.
 #[derive(Debug, PartialEq)]
 pub(crate) struct Saturated {
-    /// The generators, as [`generators`] returns them.
-    pub gens: GeneratorSet,
+    /// The generators, as primitive homogenized integer rows.
+    pub gens: Generators,
     /// Per vertex, the inequalities of the constraint list (equalities
     /// not counted) that hold with equality there: bit `r` for the
     /// `r`-th one (the bit after the last is the homogenizing row).
@@ -78,11 +80,11 @@ pub(crate) struct Saturated {
 
 /// Computes the generators of `p`.
 pub(crate) fn generators(p: &Polyhedron) -> GeneratorSet {
-    saturated_of(p).gens
+    saturated_of(p).gens.to_rational()
 }
 
 /// [`saturated`] on the rows of `p`'s constraints.
-fn saturated_of(p: &Polyhedron) -> Saturated {
+pub(crate) fn saturated_of(p: &Polyhedron) -> Saturated {
     let rows: Vec<Row> = p.constraints().iter().map(int::of_constraint).collect();
     let kinds = p.constraints().iter().map(Constraint::kind);
     let rows: Vec<(&[BigInt], ConstraintKind)> = rows.iter().map(|r| &r[..]).zip(kinds).collect();
@@ -217,30 +219,25 @@ pub(crate) fn saturated(d: usize, rows: &[(&[BigInt], ConstraintKind)]) -> Satur
     }
     debug_assert_eq!(done, Bits::full(width));
 
-    // Extract polyhedron generators from the cone.
+    // Extract polyhedron generators from the cone: every row is already
+    // primitive.
     let mut out = Saturated {
-        gens: GeneratorSet::default(),
+        gens: Generators::default(),
         vertex_tight: Vec::new(),
         ray_tight: Vec::new(),
     };
-    for mut b in bi {
+    for b in bi {
         debug_assert!(b[0].is_zero(), "line with nonzero homogenizing coord");
-        int::make_primitive(&mut b[1..]);
-        out.gens.lines.push(int::to_qvector(&b[1..]));
+        out.gens.lines.push(b);
     }
-    for mut g in uni {
-        let (lambda, x) = g.v.split_first_mut().expect("homogenized");
-        if lambda.is_positive() {
-            let x = x
-                .iter()
-                .map(|x| Rational::from_big(x.clone(), lambda.clone()));
-            out.gens.vertices.push(x.collect());
+    for g in uni {
+        if g.v[0].is_positive() {
+            out.gens.vertices.push(g.v);
             out.vertex_tight.push(g.tight);
         } else {
-            debug_assert!(lambda.is_zero());
-            if !int::is_zero(x) {
-                int::make_primitive(x);
-                out.gens.rays.push(int::to_qvector(x));
+            debug_assert!(g.v[0].is_zero());
+            if !int::is_zero(&g.v) {
+                out.gens.rays.push(g.v);
                 out.ray_tight.push(g.tight);
             }
         }
@@ -365,7 +362,7 @@ fn dedup_gens(gens: Vec<Gen>) -> Vec<Gen> {
 /// integer kernel must reproduce its generators and tight sets exactly.
 #[cfg(test)]
 pub(crate) mod reference {
-    use super::{Bits, GeneratorSet, Saturated};
+    use super::{Bits, GeneratorSet, Generators, Saturated};
     use crate::{Constraint, ConstraintKind};
     use aov_linalg::QVector;
     use aov_numeric::{BigInt, Rational};
@@ -507,29 +504,30 @@ pub(crate) mod reference {
             }
         }
         let drop_lambda = |v: &QVector| -> QVector { v.iter().skip(1).cloned().collect() };
-        let mut out = Saturated {
-            gens: GeneratorSet::default(),
-            vertex_tight: Vec::new(),
-            ray_tight: Vec::new(),
-        };
+        let mut gens = GeneratorSet::default();
+        let (mut vertex_tight, mut ray_tight) = (Vec::new(), Vec::new());
         for b in bi {
-            out.gens.lines.push(normalize(&drop_lambda(&b)));
+            gens.lines.push(normalize(&drop_lambda(&b)));
         }
         for g in uni {
             let lambda = &g.v[0];
             if lambda.is_positive() {
                 let x = drop_lambda(&g.v).scale(&lambda.recip());
-                out.gens.vertices.push(x);
-                out.vertex_tight.push(g.tight);
+                gens.vertices.push(x);
+                vertex_tight.push(g.tight);
             } else {
                 let dir = drop_lambda(&g.v);
                 if !dir.is_zero() {
-                    out.gens.rays.push(normalize(&dir));
-                    out.ray_tight.push(g.tight);
+                    gens.rays.push(normalize(&dir));
+                    ray_tight.push(g.tight);
                 }
             }
         }
-        out
+        Saturated {
+            gens: Generators::of_rational(&gens),
+            vertex_tight,
+            ray_tight,
+        }
     }
 }
 

@@ -2,8 +2,9 @@
 //! integer matrices replaced — a form as one `AffineExpr` per unknown plus
 //! a constant, built from `AffineExpr` sums, substituted at the rational
 //! coordinates of each parameterized vertex and evaluated at the rational
-//! generators of its validity domain. It yields the same rows in the same
-//! order, so the production path must reproduce its output exactly.
+//! generators of its validity domain (the vertex's integer generator rows,
+//! converted). It yields the same rows in the same order, so the
+//! production path must reproduce its output exactly.
 
 use crate::param::{dedup_in_order, ParamVertex};
 use aov_ir::{Dependence, Program};
@@ -104,11 +105,11 @@ pub fn difference_form(
 pub fn linearize_at_vertices(form: &Form, vertices: &[ParamVertex]) -> Vec<(AffineExpr, bool)> {
     let mut out = Vec::new();
     for vertex in vertices {
-        let n_params = vertex.domain.dim();
+        let n_params = vertex.n_params;
         let mut subs = vertex.coords();
         subs.extend((0..n_params).map(|j| AffineExpr::var(n_params, j)));
         let over_params = form.substitute_domain(&subs);
-        let gens = &vertex.generators;
+        let gens = vertex.generators.to_rational();
         out.extend(
             gens.vertices
                 .iter()

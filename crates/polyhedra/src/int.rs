@@ -11,12 +11,74 @@
 //! form is the word-size fast path, and rows are updated in place:
 //! values become [`Rational`]s only when a result leaves the kernel.
 
-use crate::{Constraint, ConstraintKind};
+use crate::{Constraint, ConstraintKind, GeneratorSet};
 use aov_linalg::{AffineExpr, QVector};
 use aov_numeric::{BigInt, Rational};
 
 /// One integer row; see the module docs for its layout.
 pub type Row = Vec<BigInt>;
+
+/// Generators of a polyhedron as primitive homogenized integer rows, the
+/// form the DD computes them in: a vertex `x` is `(λ, λ·x)` with the
+/// least `λ > 0` that makes it integral (the row [`homogenize`] gives),
+/// and a ray or line is `(0, r)` with `r` its primitive integer
+/// direction. [`Generators::to_rational`] is the rational
+/// [`GeneratorSet`] of the same generators.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Generators {
+    /// Extreme points, `(λ, λ·x)` with `λ > 0`.
+    pub vertices: Vec<Row>,
+    /// Extreme unidirectional rays, `(0, r)`.
+    pub rays: Vec<Row>,
+    /// Basis of the lineality space, `(0, l)`.
+    pub lines: Vec<Row>,
+}
+
+impl Generators {
+    /// Whether the polyhedron is empty (it has no vertex).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.vertices.is_empty()
+    }
+
+    /// Whether the polyhedron is a bounded polytope.
+    pub(crate) fn is_bounded(&self) -> bool {
+        self.rays.is_empty() && self.lines.is_empty()
+    }
+
+    /// The same generators as rational vectors: each vertex `x/λ`, each
+    /// direction its integer entries.
+    pub(crate) fn to_rational(&self) -> GeneratorSet {
+        let point = |v: &Row| -> QVector {
+            let (lambda, x) = v.split_first().expect("homogenized");
+            x.iter()
+                .map(|x| Rational::from_big(x.clone(), lambda.clone()))
+                .collect()
+        };
+        let direction = |v: &Row| to_qvector(&v[1..]);
+        GeneratorSet {
+            vertices: self.vertices.iter().map(point).collect(),
+            rays: self.rays.iter().map(direction).collect(),
+            lines: self.lines.iter().map(direction).collect(),
+        }
+    }
+
+    /// The rows of rational generators: each vertex homogenized, each
+    /// direction `(0, r)` scaled to integers (the inverse of
+    /// [`Generators::to_rational`] on primitive directions).
+    #[cfg(test)]
+    pub(crate) fn of_rational(g: &GeneratorSet) -> Generators {
+        let direction = |r: &QVector| -> Row {
+            let mut row = homogenize(r);
+            row[0] = BigInt::zero();
+            row
+        };
+        Generators {
+            vertices: g.vertices.iter().map(homogenize).collect(),
+            rays: g.rays.iter().map(direction).collect(),
+            lines: g.lines.iter().map(direction).collect(),
+        }
+    }
+}
 
 /// The homogenized row of `c`: its constant term, then its coefficients.
 pub(crate) fn of_constraint(c: &Constraint) -> Row {
@@ -136,17 +198,11 @@ pub fn scaled(q: &Rational, d: &BigInt) -> BigInt {
 /// common denominator of its entries; read as a direction, its tail is
 /// `x` scaled by `d`.
 pub fn homogenize(x: &QVector) -> Row {
-    let mut out = Row::with_capacity(x.dim() + 1);
-    homogenize_into(x, &mut out);
-    out
-}
-
-/// [`homogenize`] into `out`, reusing its allocation.
-pub fn homogenize_into(x: &QVector, out: &mut Row) {
     let d = common_denominator(x.iter());
-    out.clear();
+    let mut out = Row::with_capacity(x.dim() + 1);
     out.push(d.clone());
     out.extend(x.iter().map(|q| scaled(q, &d)));
+    out
 }
 
 /// The affine expression `row / den`, exactly: constant first, as in a

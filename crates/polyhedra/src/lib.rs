@@ -13,17 +13,19 @@
 //!   lines via Chernikova's double-description method,
 //! * [`Polyhedron::eliminate_dims`] — Fourier–Motzkin projection,
 //! * [`param`] — vertices of a polytope whose right-hand sides depend
-//!   affinely on symbolic parameters, each with its validity domain,
-//!   read off the faces of one DD of the lifted polyhedron over
-//!   iterations and parameters (Loechner–Wilde), needed when
-//!   iteration-domain vertices depend on loop bounds or on the unknown
-//!   occupancy vector.
+//!   affinely on symbolic parameters, each with the generators of its
+//!   validity domain, read off the faces of one DD of the lifted
+//!   polyhedron over iterations and parameters (Loechner–Wilde), needed
+//!   when iteration-domain vertices depend on loop bounds or on the
+//!   unknown occupancy vector.
 //!
 //! The DD, Fourier–Motzkin and vertex kernels compute on primitive
 //! integer rows of [`BigInt`](aov_numeric::BigInt) ([`int`]); values
 //! become rationals only where they leave the crate. Parameterized
-//! vertices leave it as integer numerators over one denominator, the
-//! form the linearization of `aov-schedule` consumes.
+//! vertices leave it as integer numerators over one denominator, with
+//! their validity domains' generators as integer rows
+//! ([`int::Generators`]), the form the linearization of `aov-schedule`
+//! consumes.
 //!
 //! # Examples
 //!

@@ -12,34 +12,35 @@
 //! `c(N)`, and at every `N` the vertices of the polytope are the values of
 //! the faces whose projection holds `N`. One DD of `L` gives its
 //! generators and the rows each one saturates; the faces, their `c` and
-//! their validity domains (the faces' projections onto `N`) follow from
-//! those tight sets and the generators' projections, without a DD or an
-//! LP per domain. No chamber decomposition is formed.
+//! the generators of their validity domains (the faces' projections onto
+//! `N`) follow from those tight sets and the generators' integer rows,
+//! without a DD, an LP or a polyhedron per domain. No chamber
+//! decomposition is formed.
 //!
 //! The system's rows are homogeneous integer rows `(constant, i-part,
 //! parameter part)` (see [`crate::int`]), which are also the rows of `L`'s
-//! DD. A face's first basis and its vertex come from one fraction-free
-//! (Bareiss) elimination, which gives `det·c(N)` over the single
-//! denominator `det`; each domain row is the integer numerator
-//! `ipart·(det·c) + det·ppart`, deduplicated in first-occurrence order
-//! and made primitive before it becomes a [`Constraint`](crate::Constraint).
-//! That is the row set and order the rational evaluation gives, so the
-//! rational path, kept as a test oracle, must match every vertex exactly.
-//! The vertex itself leaves as `det·c(N)` over `det`, reduced to lowest
-//! terms ([`ParamVertex`]), which is what the linearization multiplies
-//! forms by.
+//! DD. A face's first basis is chosen on the rows' `i`-parts alone; the
+//! vertex of each face kept comes from one fraction-free (Bareiss)
+//! elimination, which gives `det·c(N)` over the single denominator `det`,
+//! and leaves reduced to lowest terms ([`ParamVertex`]), which is what the
+//! linearization multiplies forms by. A validity domain's generators are
+//! the face's generator rows with their `i`-part dropped. The rational
+//! path, kept as a test oracle, must match every vertex exactly, and its
+//! validity domains must equal the ones the test-only
+//! `validity_domain` builds from the vertex.
 
 use crate::bits::Bits;
 use crate::dd;
-use crate::int::{self, Row};
-use crate::{ConstraintKind, GeneratorSet, PolyhedraError, Polyhedron};
-use aov_linalg::{AffineExpr, QVector};
+use crate::int::{self, Generators, Row};
+use crate::{ConstraintKind, PolyhedraError, Polyhedron};
+use aov_linalg::AffineExpr;
 use aov_numeric::BigInt;
 use std::collections::HashSet;
 use std::hash::Hash;
 
 /// A vertex of the eliminated-variable polytope, as affine functions of
-/// the parameters, with the parameter region where it is valid.
+/// the parameters, with the generators of the parameter region where it
+/// is valid.
 ///
 /// The coordinates are integer numerators over one positive denominator,
 /// as the fraction-free elimination computes them: coordinate `k` is
@@ -53,13 +54,14 @@ pub struct ParamVertex {
     /// `denom · c_k(N)` for each eliminated dimension `k`, as a
     /// homogenized integer row over the parameters (constant first).
     pub numerators: Vec<Row>,
-    /// Validity domain: the points of the parameter domain at which
-    /// the vertex lies in the polytope (nonempty).
-    pub domain: Polyhedron,
-    /// Generators of `domain`: the projections onto the parameters of
-    /// the lifted polyhedron's generators on the vertex's face (a DD of
-    /// `domain` when that polyhedron has lines).
-    pub generators: GeneratorSet,
+    /// The number of parameters.
+    pub n_params: usize,
+    /// Generators of the validity domain (the points of the parameter
+    /// domain at which the vertex lies in the polytope): the projections
+    /// onto the parameters of the lifted polyhedron's generators on the
+    /// vertex's face, as rows `(λ, N)` (a DD of the domain when that
+    /// polyhedron has lines).
+    pub generators: Generators,
 }
 
 impl ParamVertex {
@@ -72,15 +74,10 @@ impl ParamVertex {
             .collect()
     }
 
-    /// Evaluates the vertex at a concrete parameter point.
-    pub fn eval(&self, params: &QVector) -> QVector {
-        self.coords().iter().map(|c| c.eval(params)).collect()
-    }
-
     /// The vertex with rational coordinates `coords`, over their least
     /// common denominator.
     #[cfg(test)]
-    fn from_coords(coords: &[AffineExpr], domain: Polyhedron, generators: GeneratorSet) -> Self {
+    fn from_coords(coords: &[AffineExpr], n_params: usize, generators: Generators) -> Self {
         let entries = coords
             .iter()
             .flat_map(|c| c.coeffs().iter().chain([c.constant_term()]));
@@ -95,7 +92,7 @@ impl ParamVertex {
         ParamVertex {
             denom,
             numerators,
-            domain,
+            n_params,
             generators,
         }
     }
@@ -115,11 +112,11 @@ impl ParamVertex {
 /// invertible `n_elim`-subset of `F`'s tight rows, and the vertices come
 /// in the order of those subsets. At every parameter point `N` of
 /// `param_domain`, the vertices of the polytope are exactly the values at
-/// `N` of the returned vertices whose domain contains `N` (an affine form
-/// is therefore `>= 0` on every polytope iff, for each returned vertex,
-/// it is `>= 0` after substitution at that vertex's domain generators).
-/// The list is empty when the polytope is empty for every parameter
-/// value.
+/// `N` of the returned vertices whose validity domain contains `N` (an
+/// affine form is therefore `>= 0` on every polytope iff, for each
+/// returned vertex, it is `>= 0` after substitution at that vertex's
+/// domain generators). The list is empty when the polytope is empty for
+/// every parameter value.
 ///
 /// # Errors
 ///
@@ -160,42 +157,95 @@ pub fn parameterized_vertices(
     // Each face with `i` fixed is named by the first basis among its
     // tight rows; `L ∩ {basis rows = 0}` is the largest face with that
     // basis's vertex expression.
-    let mut bases = lifted.fixed_face_bases(|tight| Basis::first(&rows, tight.iter(), n_elim));
-    bases.sort_unstable_by(|a, b| a.rows.cmp(&b.rows));
-    bases.dedup_by(|a, b| a.rows == b.rows);
+    let mut scratch = Vec::new();
+    let mut bases = lifted.fixed_face_bases(n_elim, |tight| {
+        first_basis(&rows, tight, n_elim, &mut scratch)
+    });
+    bases.sort_unstable();
+    bases.dedup();
     let mut faces_seen = HashSet::with_capacity(bases.len());
     let mut out = Vec::with_capacity(bases.len());
     for basis in bases {
-        let face = lifted.face_of_rows(basis.rows.iter().copied());
+        let face = lifted.face_of_rows(basis.iter().copied());
         if !faces_seen.insert(face.clone()) {
             // A lower-dimensional face that two bases describe: their
             // expressions agree on its projection, so one is enough.
             continue;
         }
-        let mut domain = param_domain.clone();
-        for cond in basis.domain_rows(&rows, n_elim) {
-            domain.add_constraint(int::to_constraint(&cond, ConstraintKind::Ineq));
-        }
+        let (denom, numerators) = Basis::solve(&rows, &basis, n_elim).vertex();
         let generators = if lifted.gens.lines.is_empty() {
             lifted.project(&face, n_elim)
         } else {
             // The vertices of a polyhedron with lines are not unique;
             // the DD of the domain keeps the representation it always
             // had.
-            domain.generators()
+            let domain = domain_of_rows(&rows, n_elim, param_domain, &denom, &numerators);
+            dd::saturated_of(&domain).gens
         };
-        // Counts validity domains kept; the name predates them and stays
-        // so per-layer series remain comparable.
+        // Counts the vertices returned, one per validity domain; the name
+        // predates them and stays so per-layer series remain comparable.
         aov_support::static_counter!("polyhedra.param.chambers").add(1);
-        let (denom, numerators) = basis.vertex();
         out.push(ParamVertex {
             denom,
             numerators,
-            domain,
+            n_params,
             generators,
         });
     }
     Ok(out)
+}
+
+/// The validity domain of `vertex`, one of the parameterized vertices of
+/// `system` over `param_domain`: the points of the parameter domain at
+/// which the vertex lies in the polytope. The pipeline reads only its
+/// generators ([`ParamVertex::generators`]); the oracles read the
+/// polyhedron through this.
+#[cfg(test)]
+pub(crate) fn validity_domain(
+    system: &Polyhedron,
+    n_elim: usize,
+    param_domain: &Polyhedron,
+    vertex: &ParamVertex,
+) -> Polyhedron {
+    let rows = dedup_in_order(split_rows(system));
+    domain_of_rows(
+        &rows,
+        n_elim,
+        param_domain,
+        &vertex.denom,
+        &vertex.numerators,
+    )
+}
+
+/// The validity domain of the vertex `c = numerators · (1, N) / denom`
+/// over the system's deduplicated `rows`: the parameter domain and every
+/// row at the vertex, `denom · (ppart + ipart · c) = denom·ppart + ipart ·
+/// numerators >= 0`, made primitive, with the rows that are constant
+/// there dropped (they hold on the vertex's nonempty face; the basis rows
+/// are among them) and repeats dropped in first-occurrence order.
+fn domain_of_rows(
+    rows: &[Row],
+    n_elim: usize,
+    param_domain: &Polyhedron,
+    denom: &BigInt,
+    numerators: &[Row],
+) -> Polyhedron {
+    let conditions = rows.iter().map(|row| {
+        let mut cond: Row = ppart(row, n_elim).map(|x| denom * x).collect();
+        for (a, c) in ipart(row, n_elim).iter().zip(numerators) {
+            if !a.is_zero() {
+                for (x, y) in cond.iter_mut().zip(c) {
+                    *x += &(a * y);
+                }
+            }
+        }
+        cond
+    });
+    let mut domain = param_domain.clone();
+    for mut cond in dedup_in_order(conditions.filter(|c| !int::is_zero(&c[1..])).collect()) {
+        domain.add_constraint(int::primitive_constraint(&mut cond, ConstraintKind::Ineq));
+    }
+    domain
 }
 
 /// The rows of `system` as homogenized integer rows `(constant, i-part,
@@ -288,7 +338,7 @@ fn lifted_dd(rows: &[Row], n_elim: usize, param_domain: &Polyhedron) -> dd::Satu
 /// rows of the system each one saturates. Generator sets index the
 /// vertices first, then the rays.
 struct Lifted {
-    gens: GeneratorSet,
+    gens: Generators,
     /// `rows_at[g]`: the system's rows that are zero at generator `g`.
     rows_at: Vec<Bits>,
     /// `on_row[r]`: the generators at which row `r` is zero.
@@ -333,24 +383,27 @@ impl Lifted {
     }
 
     /// The first bases (`first_basis` of a face's tight rows, see
-    /// [`Basis::first`]) of every face of `L` on which the tight rows of
-    /// the system fix `i`. Faces are taken closed under the system's
-    /// rows: `L ∩ {rows tight on F = 0}` has `F`'s tight rows, so nothing
-    /// is lost. Such faces are closed under taking subfaces, and every
-    /// nonempty face holds a vertex, so they are reached from the
-    /// vertices by joining one generator at a time. A larger face keeps
-    /// its subface's first basis when it keeps all of that basis's rows
-    /// (a subset holding the first basis has no earlier one).
-    fn fixed_face_bases<B: AsRef<[usize]>>(
+    /// [`first_basis`]) of every face of `L` on which the tight rows of
+    /// the system fix the `n_elim` coordinates of `i`. Faces are taken
+    /// closed under the system's rows: `L ∩ {rows tight on F = 0}` has
+    /// `F`'s tight rows, so nothing is lost. Such faces are closed under
+    /// taking subfaces, and every nonempty face holds a vertex, so they
+    /// are reached from the vertices by joining one generator at a time;
+    /// a face with fewer than `n_elim` tight rows fixes nothing and is
+    /// not visited. A larger face keeps its subface's first basis when it
+    /// keeps all of that basis's rows (a subset holding the first basis
+    /// has no earlier one).
+    fn fixed_face_bases(
         &self,
-        first_basis: impl Fn(&Bits) -> Option<B>,
-    ) -> Vec<B> {
+        n_elim: usize,
+        mut first_basis: impl FnMut(&Bits) -> Option<Vec<usize>>,
+    ) -> Vec<Vec<usize>> {
         let n = self.rows_at.len();
-        let mut seen: HashSet<Bits> = HashSet::new();
+        let mut seen: HashSet<Bits> = HashSet::with_capacity(4 * n);
         // Faces to grow, each with its tight rows and the position of its
         // subface's basis in `bases`.
-        let mut stack: Vec<(Bits, Bits, Option<usize>)> = Vec::new();
-        let mut bases: Vec<B> = Vec::new();
+        let mut stack: Vec<(Bits, Bits, Option<usize>)> = Vec::with_capacity(n);
+        let mut bases: Vec<Vec<usize>> = Vec::with_capacity(n);
         // Scratch sets for the faces one generator larger.
         let (mut joined, mut bigger) = (Bits::empty(self.on_row.len()), Bits::empty(n));
         for w in 0..self.gens.vertices.len() {
@@ -361,7 +414,7 @@ impl Lifted {
             }
         }
         while let Some((face, tight, inherited)) = stack.pop() {
-            let kept = inherited.filter(|&b| bases[b].as_ref().iter().all(|&r| tight.contains(r)));
+            let kept = inherited.filter(|&b| bases[b].iter().all(|&r| tight.contains(r)));
             let basis = match kept {
                 Some(b) => b,
                 None => match first_basis(&tight) {
@@ -374,6 +427,9 @@ impl Lifted {
             };
             for g in (0..n).filter(|&g| !face.contains(g)) {
                 joined.assign_and(&tight, &self.rows_at[g]);
+                if joined.len() < n_elim {
+                    continue;
+                }
                 self.face_of_rows_into(joined.iter(), &mut bigger);
                 if !seen.contains(&bigger) {
                     seen.insert(bigger.clone());
@@ -384,37 +440,76 @@ impl Lifted {
         bases
     }
 
-    /// The generators of `face`'s projection onto the parameters. The
-    /// projection is one to one on a face where `i = c(N)`, so extreme
-    /// points and rays stay extreme.
-    fn project(&self, face: &Bits, n_elim: usize) -> GeneratorSet {
+    /// The generators of `face`'s projection onto the parameters, as
+    /// primitive rows `(λ, N)`: each generator's row with its `i`-part
+    /// dropped. The projection is one to one on a face where `i = c(N)`,
+    /// so extreme points and rays stay extreme.
+    fn project(&self, face: &Bits, n_elim: usize) -> Generators {
         let gens = &self.gens;
         let nv = gens.vertices.len();
-        let drop_i = |x: &QVector| -> QVector { x.iter().skip(n_elim).cloned().collect() };
-        let primitive_dir = |x: &QVector| -> QVector {
-            let mut dir: Row = x.iter().skip(n_elim).map(|q| q.numer().clone()).collect();
-            int::make_primitive(&mut dir);
-            int::to_qvector(&dir)
+        let drop_i = |row: &Row| -> Row {
+            let mut out: Row = ppart(row, n_elim).cloned().collect();
+            int::make_primitive(&mut out);
+            out
         };
-        GeneratorSet {
+        Generators {
             vertices: (0..nv)
                 .filter(|&k| face.contains(k))
                 .map(|k| drop_i(&gens.vertices[k]))
                 .collect(),
             rays: (0..gens.rays.len())
                 .filter(|&k| face.contains(nv + k))
-                .map(|k| primitive_dir(&gens.rays[k]))
+                .map(|k| drop_i(&gens.rays[k]))
                 .collect(),
             lines: Vec::new(),
         }
     }
 }
 
-/// A basis of a face's tight rows and the vertex it fixes, from one
-/// fraction-free (Bareiss) Gauss–Jordan elimination.
+/// The lexicographically first `n_elim`-subset of `tight` (ascending row
+/// indices) whose `i`-parts are independent, or `None` when they have
+/// lower rank. Taking each row that is independent of those already
+/// taken finds it (a matroid's greedy basis). Only the `i`-parts take
+/// part: the taken ones are kept in echelon form, each zero at the pivot
+/// (first nonzero entry) of every one before it, so a new `i`-part
+/// reduced against them in turn is zero exactly when it depends on them.
+/// `echelon` is scratch space, reused across calls.
+fn first_basis(
+    rows: &[Row],
+    tight: &Bits,
+    n_elim: usize,
+    echelon: &mut Vec<BigInt>,
+) -> Option<Vec<usize>> {
+    let pivot = |e: &[BigInt]| e.iter().position(|x| !x.is_zero());
+    let mut basis = Vec::with_capacity(n_elim);
+    // The taken i-parts, back to back.
+    echelon.clear();
+    for r in tight.iter() {
+        if basis.len() == n_elim {
+            break;
+        }
+        let start = echelon.len();
+        echelon.extend_from_slice(ipart(&rows[r], n_elim));
+        let (taken, new) = echelon.split_at_mut(start);
+        for e in taken.chunks_exact(n_elim) {
+            let p = pivot(e).expect("taken rows are nonzero");
+            if !new[p].is_zero() {
+                let factor = -&new[p];
+                int::combine_into(&e[p], new, &factor, e);
+            }
+        }
+        if pivot(new).is_some() {
+            basis.push(r);
+        } else {
+            echelon.truncate(start);
+        }
+    }
+    (basis.len() == n_elim).then_some(basis)
+}
+
+/// The vertex that a basis fixes, from one fraction-free (Bareiss)
+/// Gauss–Jordan elimination over the basis rows.
 struct Basis {
-    /// The basis rows, ascending.
-    rows: Vec<usize>,
     /// `|det|` of the basis rows' `i`-parts: the vertex's common
     /// denominator (positive).
     det: BigInt,
@@ -423,36 +518,27 @@ struct Basis {
     coords: Vec<Row>,
 }
 
-impl AsRef<[usize]> for Basis {
-    fn as_ref(&self) -> &[usize] {
-        &self.rows
-    }
-}
-
 impl Basis {
-    /// The lexicographically first `n_elim`-subset of `tight` (ascending
-    /// row indices) whose `i`-parts are independent, with its vertex, or
-    /// `None` when they have lower rank. Taking each row that is
-    /// independent of those already taken finds it (a matroid's greedy
-    /// basis).
+    /// The basic solution of `basis` (`n_elim` rows whose `i`-parts are
+    /// independent, see [`first_basis`]) held at equality.
     ///
-    /// The taken rows are kept in Gauss–Jordan form over one common
-    /// denominator `d`: each is `d` at its own pivot column (an `i`
-    /// column) and zero at the others'. A new row is reduced to
-    /// `d·row − Σ row[p_s]·E_s` (`d` times its rational reduction); if
-    /// its `i`-part is nonzero, at a first column `q`, it joins with pivot
+    /// The rows are taken in turn and kept in Gauss–Jordan form over one
+    /// common denominator `d`: each is `d` at its own pivot column (an
+    /// `i` column) and zero at the others'. A new row is reduced to
+    /// `d·row − Σ row[p_s]·E_s` (`d` times its rational reduction); its
+    /// `i`-part is nonzero, at a first column `q`, so it joins with pivot
     /// `q` and `d' = reduced[q]`, and every earlier row becomes
     /// `(d'·E_s − E_s[q]·reduced) / d`. By Sylvester's identity each
     /// entry is a minor of the taken rows, so the divisions are exact and
     /// `d` ends as `±det`. Row `s` then reads `d·i_{p_s} + E_s[ppart] = 0`.
-    fn first(rows: &[Row], tight: impl IntoIterator<Item = usize>, n_elim: usize) -> Option<Basis> {
-        let mut basis = Vec::with_capacity(n_elim);
+    ///
+    /// # Panics
+    ///
+    /// Panics if the basis rows' `i`-parts are dependent.
+    fn solve(rows: &[Row], basis: &[usize], n_elim: usize) -> Basis {
         let mut echelon: Vec<(usize, Row)> = Vec::with_capacity(n_elim);
         let mut d = BigInt::one();
-        for r in tight {
-            if basis.len() == n_elim {
-                break;
-            }
+        for &r in basis {
             let row = &rows[r];
             let mut reduced: Row = row.iter().map(|x| &d * x).collect();
             for (p, e) in &echelon {
@@ -465,9 +551,9 @@ impl Basis {
                     }
                 }
             }
-            let Some(q) = (1..=n_elim).find(|&k| !reduced[k].is_zero()) else {
-                continue;
-            };
+            let q = (1..=n_elim)
+                .find(|&k| !reduced[k].is_zero())
+                .expect("basis rows are independent");
             let pivot = reduced[q].clone();
             for (_, e) in echelon.iter_mut() {
                 let eq = e[q].clone();
@@ -481,12 +567,9 @@ impl Basis {
                 }
             }
             echelon.push((q, reduced));
-            basis.push(r);
             d = pivot;
         }
-        if basis.len() < n_elim {
-            return None;
-        }
+        assert_eq!(echelon.len(), n_elim, "one basis row per coordinate");
         // d·c_{p_s} = −E_s[ppart]; made positive over |d|.
         let sign = if d.is_negative() {
             BigInt::one()
@@ -497,16 +580,15 @@ impl Basis {
         for (p, e) in echelon {
             coords[p - 1] = ppart(&e, n_elim).map(|x| &sign * x).collect();
         }
-        Some(Basis {
-            rows: basis,
+        Basis {
             det: d.abs(),
             coords,
-        })
+        }
     }
 
     /// The vertex's coordinate numerators and their denominator, in
     /// lowest terms.
-    fn vertex(&self) -> (BigInt, Vec<Row>) {
+    fn vertex(self) -> (BigInt, Vec<Row>) {
         let mut g = self.det.clone();
         for x in self.coords.iter().flatten() {
             if g.is_one() {
@@ -515,33 +597,13 @@ impl Basis {
             g = aov_numeric::gcd_big(&g, x);
         }
         if g.is_one() {
-            return (self.det.clone(), self.coords.clone());
+            return (self.det, self.coords);
         }
-        let divide = |row: &Row| row.iter().map(|x| x / &g).collect();
-        (&self.det / &g, self.coords.iter().map(divide).collect())
-    }
-
-    /// The validity domain's rows, as primitive homogenized parameter
-    /// rows: every row of the system at the vertex, `det · (ppart +
-    /// ipart · c) = det·ppart + ipart · (det·c) >= 0`, with the rows that
-    /// are constant there dropped (they hold on the nonempty face; the
-    /// basis rows are among them) and repeats dropped in first-occurrence
-    /// order.
-    fn domain_rows(&self, rows: &[Row], n_elim: usize) -> Vec<Row> {
-        let conditions = rows.iter().map(|row| {
-            let mut cond: Row = ppart(row, n_elim).map(|x| &self.det * x).collect();
-            for (a, c) in ipart(row, n_elim).iter().zip(&self.coords) {
-                if !a.is_zero() {
-                    for (x, y) in cond.iter_mut().zip(c) {
-                        *x += &(a * y);
-                    }
-                }
-            }
-            cond
-        });
-        let mut out = dedup_in_order(conditions.filter(|c| !int::is_zero(&c[1..])).collect());
-        out.iter_mut().for_each(|c| int::make_primitive(c));
-        out
+        let divide = |row: Row| row.iter().map(|x| x / &g).collect();
+        (
+            &self.det / &g,
+            self.coords.into_iter().map(divide).collect(),
+        )
     }
 }
 
@@ -579,14 +641,18 @@ pub fn dedup_in_order<T: Eq + Hash>(items: Vec<T>) -> Vec<T> {
 /// Test oracle: the rational vertex path the integer kernels replaced —
 /// rows as `(QVector, AffineExpr)`, the lifted polyhedron through the
 /// rational DD ([`dd::reference`]), the first basis by rational
-/// elimination, each vertex from a `QMatrix` inverse and its domain rows
-/// from `AffineExpr` sums. Same faces and order, so
-/// [`parameterized_vertices`] must reproduce its output exactly.
+/// elimination, each vertex from a `QMatrix` inverse, its domain rows
+/// from `AffineExpr` sums and its domain generators projected as
+/// rational vectors. Same faces and order, so
+/// [`parameterized_vertices`] must reproduce its vertices exactly, and
+/// [`validity_domain`] each vertex's domain.
 #[cfg(test)]
 mod rational {
     use super::{dedup_in_order, Lifted, ParamVertex};
+    use crate::bits::Bits;
     use crate::dd;
-    use crate::{Constraint, ConstraintKind, PolyhedraError, Polyhedron};
+    use crate::int::Generators;
+    use crate::{Constraint, ConstraintKind, GeneratorSet, PolyhedraError, Polyhedron};
     use aov_linalg::{AffineExpr, QMatrix, QVector};
     use aov_numeric::Rational;
     use std::collections::HashSet;
@@ -733,11 +799,31 @@ mod rational {
         acc
     }
 
+    /// The generators of `face`'s projection onto the parameters, by
+    /// rational vectors: each vertex without its `i`-part, each ray's
+    /// parameter part normalized.
+    fn project(gens: &GeneratorSet, face: &Bits, n_elim: usize) -> Generators {
+        let nv = gens.vertices.len();
+        let drop_i = |x: &QVector| -> QVector { x.iter().skip(n_elim).cloned().collect() };
+        Generators::of_rational(&GeneratorSet {
+            vertices: (0..nv)
+                .filter(|&k| face.contains(k))
+                .map(|k| drop_i(&gens.vertices[k]))
+                .collect(),
+            rays: (0..gens.rays.len())
+                .filter(|&k| face.contains(nv + k))
+                .map(|k| dd::reference::normalize(&drop_i(&gens.rays[k])))
+                .collect(),
+            lines: Vec::new(),
+        })
+    }
+
+    /// The vertices, each with its validity domain.
     pub fn parameterized_vertices(
         system: &Polyhedron,
         n_elim: usize,
         param_domain: &Polyhedron,
-    ) -> Result<Vec<ParamVertex>, PolyhedraError> {
+    ) -> Result<Vec<(ParamVertex, Polyhedron)>, PolyhedraError> {
         let n_params = system.dim() - n_elim;
         let rows = dedup_in_order(split_rows(system, n_elim));
         if !bounded(&rows, n_elim) {
@@ -746,7 +832,8 @@ mod rational {
         let constraints = lifted_constraints(&rows, n_elim, param_domain);
         let sat = dd::reference::saturated(n_elim + n_params, &constraints);
         let lifted = Lifted::from_saturated(sat, rows.len());
-        let mut bases = lifted.fixed_face_bases(|tight| first_basis(&rows, tight.iter(), n_elim));
+        let mut bases =
+            lifted.fixed_face_bases(n_elim, |tight| first_basis(&rows, tight.iter(), n_elim));
         bases.sort_unstable();
         bases.dedup();
         let mut faces_seen = HashSet::with_capacity(bases.len());
@@ -766,11 +853,14 @@ mod rational {
                 domain.add_constraint(Constraint::ge0(cond));
             }
             let generators = if lifted.gens.lines.is_empty() {
-                lifted.project(&face, n_elim)
+                project(&lifted.gens.to_rational(), &face, n_elim)
             } else {
                 dd::reference::saturated(domain.dim(), domain.constraints()).gens
             };
-            out.push(ParamVertex::from_coords(&coords, domain, generators));
+            out.push((
+                ParamVertex::from_coords(&coords, n_params, generators),
+                domain,
+            ));
         }
         Ok(out)
     }
@@ -785,13 +875,15 @@ mod rational {
 mod basis_reference {
     use super::rational::{basic_solution, bounded, row_at, split_rows};
     use super::{dedup_in_order, next_combination, ParamVertex};
+    use crate::int::Generators;
     use crate::{Constraint, PolyhedraError, Polyhedron};
 
+    /// The vertices, each with its validity domain.
     pub fn parameterized_vertices(
         system: &Polyhedron,
         n_elim: usize,
         param_domain: &Polyhedron,
-    ) -> Result<Vec<ParamVertex>, PolyhedraError> {
+    ) -> Result<Vec<(ParamVertex, Polyhedron)>, PolyhedraError> {
         let n_params = system.dim() - n_elim;
         let rows = dedup_in_order(split_rows(system, n_elim));
         if !bounded(&rows, n_elim) {
@@ -828,7 +920,11 @@ mod basis_reference {
             if generators.is_empty() {
                 continue;
             }
-            out.push(ParamVertex::from_coords(&coords, domain, generators));
+            let generators = Generators::of_rational(&generators);
+            out.push((
+                ParamVertex::from_coords(&coords, n_params, generators),
+                domain,
+            ));
         }
         Ok(out)
     }
@@ -1048,6 +1144,7 @@ mod tests {
     use super::*;
     use crate::forms_reference::{self, Form};
     use crate::Constraint;
+    use aov_linalg::QVector;
     use aov_numeric::Rational;
 
     fn ge(coeffs: &[i64], c: i64) -> Constraint {
@@ -1058,13 +1155,34 @@ mod tests {
         a.is_subset_of(b) && b.is_subset_of(a)
     }
 
+    /// The parameterized vertices, each with its validity domain.
+    fn with_domains(
+        system: &Polyhedron,
+        n_elim: usize,
+        param_domain: &Polyhedron,
+    ) -> Result<Vec<(ParamVertex, Polyhedron)>, PolyhedraError> {
+        let vertices = parameterized_vertices(system, n_elim, param_domain)?;
+        Ok(vertices
+            .into_iter()
+            .map(|v| {
+                let domain = validity_domain(system, n_elim, param_domain, &v);
+                (v, domain)
+            })
+            .collect())
+    }
+
+    /// The vertex's value at `params`.
+    fn eval(v: &ParamVertex, params: &QVector) -> QVector {
+        v.coords().iter().map(|c| c.eval(params)).collect()
+    }
+
     /// The vertices' values at `params`, sorted, for those whose validity
     /// domain contains `params`.
-    fn values_at(vertices: &[ParamVertex], params: &QVector) -> Vec<String> {
+    fn values_at(vertices: &[(ParamVertex, Polyhedron)], params: &QVector) -> Vec<String> {
         let mut pts: Vec<String> = vertices
             .iter()
-            .filter(|v| v.domain.contains(params))
-            .map(|v| v.eval(params).to_string())
+            .filter(|(_, domain)| domain.contains(params))
+            .map(|(v, _)| eval(v, params).to_string())
             .collect();
         pts.sort();
         pts.dedup();
@@ -1087,11 +1205,11 @@ mod tests {
             ],
         );
         let params = Polyhedron::from_constraints(2, vec![ge(&[1, 0], -1), ge(&[0, 1], -1)]);
-        let vertices = parameterized_vertices(&system, 2, &params).unwrap();
+        let vertices = with_domains(&system, 2, &params).unwrap();
         assert_eq!(vertices.len(), 4);
-        for v in &vertices {
-            assert!(same_set(&v.domain, &params), "{v:?}");
-            assert_eq!(v.generators, v.domain.generators());
+        for (v, domain) in &vertices {
+            assert!(same_set(domain, &params), "{v:?}");
+            assert_eq!(v.generators.to_rational(), domain.generators());
         }
         // Evaluate at (n, m) = (5, 7): corners (1,1), (5,1), (1,7), (5,7).
         let p = QVector::from_i64(&[5, 7]);
@@ -1115,10 +1233,10 @@ mod tests {
             ],
         );
         let params = Polyhedron::from_constraints(1, vec![ge(&[1], -1)]);
-        let vertices = parameterized_vertices(&system, 2, &params).unwrap();
+        let vertices = with_domains(&system, 2, &params).unwrap();
         assert_eq!(vertices.len(), 3);
-        for v in &vertices {
-            assert!(same_set(&v.domain, &params), "{v:?}");
+        for (v, domain) in &vertices {
+            assert!(same_set(domain, &params), "{v:?}");
         }
         let p = QVector::from_i64(&[4]);
         assert_eq!(values_at(&vertices, &p), vec!["(1, 1)", "(1, 4)", "(4, 4)"]);
@@ -1139,7 +1257,7 @@ mod tests {
             ],
         );
         let params = Polyhedron::from_constraints(1, vec![ge(&[1], 0)]);
-        let vertices = parameterized_vertices(&system, 1, &params).unwrap();
+        let vertices = with_domains(&system, 1, &params).unwrap();
         let up_to_3 = Polyhedron::from_constraints(1, vec![ge(&[1], 0), ge(&[-1], 3)]);
         let from_3 = Polyhedron::from_constraints(1, vec![ge(&[1], -3)]);
         let want = [
@@ -1148,9 +1266,9 @@ mod tests {
             (AffineExpr::from_i64(&[0], 3), &from_3),
         ];
         assert_eq!(vertices.len(), want.len(), "{vertices:?}");
-        for (v, (coord, domain)) in vertices.iter().zip(&want) {
+        for ((v, got), (coord, domain)) in vertices.iter().zip(&want) {
             assert_eq!(v.coords(), vec![coord.clone()]);
-            assert!(same_set(&v.domain, domain), "{v:?}");
+            assert!(same_set(got, domain), "{v:?}");
         }
     }
 
@@ -1162,8 +1280,8 @@ mod tests {
         // Dims: (i, p).
         let system = Polyhedron::from_constraints(2, vec![ge(&[1, -1], 0), ge(&[-1, 1], 1)]);
         let params = Polyhedron::universe(1);
-        let vertices = parameterized_vertices(&system, 1, &params).unwrap();
-        let coords: Vec<_> = vertices.iter().map(ParamVertex::coords).collect();
+        let vertices = with_domains(&system, 1, &params).unwrap();
+        let coords: Vec<_> = vertices.iter().map(|(v, _)| v.coords()).collect();
         assert_eq!(
             coords,
             vec![
@@ -1171,9 +1289,9 @@ mod tests {
                 vec![AffineExpr::from_i64(&[1], 1)]
             ]
         );
-        for v in &vertices {
-            assert!(same_set(&v.domain, &params), "{v:?}");
-            assert_eq!(v.generators, v.domain.generators());
+        for (v, domain) in &vertices {
+            assert!(same_set(domain, &params), "{v:?}");
+            assert_eq!(v.generators, dd::saturated_of(domain).gens);
             assert_eq!(v.generators.lines.len(), 1);
         }
         assert_eq!(
@@ -1216,7 +1334,7 @@ mod tests {
             ],
         );
         let params = Polyhedron::from_constraints(1, vec![ge(&[1], 0), ge(&[-1], 10)]);
-        let vertices = parameterized_vertices(&system, 1, &params).unwrap();
+        let vertices = with_domains(&system, 1, &params).unwrap();
         // The polytope is the single point {p}: the candidates 0 and 10
         // are valid only at p = 0 and p = 10, where they equal p.
         for p in 0..=10 {
@@ -1295,7 +1413,7 @@ mod tests {
                 pcs.push(ge(&lo, 4));
             }
             let param_domain = Polyhedron::from_constraints(n_params, pcs);
-            let Ok(vertices) = parameterized_vertices(&system, n_elim, &param_domain) else {
+            let Ok(vertices) = with_domains(&system, n_elim, &param_domain) else {
                 continue;
             };
             let chambers = reference::chambers(&system, n_elim, &param_domain).unwrap();
@@ -1309,8 +1427,8 @@ mod tests {
                 let n = QVector::from_i64(&pt);
                 let polytope = instantiate(&system, n_elim, &n);
                 let mut valid: Vec<QVector> = Vec::new();
-                for v in vertices.iter().filter(|v| v.domain.contains(&n)) {
-                    let x = v.eval(&n);
+                for (v, _) in vertices.iter().filter(|(_, domain)| domain.contains(&n)) {
+                    let x = eval(v, &n);
                     assert!(polytope.contains(&x), "{x:?} outside P({pt:?}): {system:?}");
                     if !valid.contains(&x) {
                         valid.push(x);
@@ -1423,11 +1541,11 @@ mod tests {
     ) -> HashSet<(AffineExpr, bool)> {
         let mut out = HashSet::new();
         for vertex in vertices {
-            let n_params = vertex.domain.dim();
+            let n_params = vertex.n_params;
             let mut subs = vertex.coords();
             subs.extend((0..n_params).map(|j| AffineExpr::var(n_params, j)));
             let over_params = Form::of(form).substitute_domain(&subs);
-            let gens = &vertex.generators;
+            let gens = vertex.generators.to_rational();
             out.extend(
                 gens.vertices
                     .iter()
@@ -1471,7 +1589,7 @@ mod tests {
         param_domain: &Polyhedron,
         what: &str,
     ) -> Option<(Vec<ParamVertex>, Vec<ParamVertex>)> {
-        let new = parameterized_vertices(system, n_elim, param_domain);
+        let new = with_domains(system, n_elim, param_domain);
         let old = basis_reference::parameterized_vertices(system, n_elim, param_domain);
         let (new, old) = match (new, old) {
             (Ok(new), Ok(old)) => (new, old),
@@ -1488,7 +1606,8 @@ mod tests {
                 "{what} at {pt:?}"
             );
         }
-        Some((new, old))
+        let vertices = |list: Vec<(ParamVertex, Polyhedron)>| list.into_iter().map(|(v, _)| v);
+        Some((vertices(new).collect(), vertices(old).collect()))
     }
 
     /// The paper examples and 300 generated programs (seeds `mix(42, i)`,
@@ -1733,9 +1852,10 @@ mod tests {
     /// the corpus ([`systems`]): generators with their tight sets (the
     /// standalone DDs, and each enumeration's recession-cone and lifted
     /// DDs), FM constraint lists after every step, the vertex lists
-    /// (coordinates, domain constraint lists and domain generators), and
-    /// the integer form layer over those vertices ([`assert_same_forms`]),
-    /// all equal and in the same order.
+    /// (coordinates and domain generators, and each validity domain's
+    /// constraint list through [`validity_domain`]), and the integer form
+    /// layer over those vertices ([`assert_same_forms`]), all equal and in
+    /// the same order.
     #[test]
     fn integer_kernels_match_rational_reference() {
         let (mut dds, mut steps, mut enumerations, mut linearized) = (0, 0, 0, 0);
@@ -1769,14 +1889,23 @@ mod tests {
                     dds += 1;
                 }
                 let old = rational::parameterized_vertices(&e.system, e.n_elim, pd);
-                assert_eq!(
-                    parameterized_vertices(&e.system, e.n_elim, pd),
-                    old,
-                    "{what}"
-                );
+                let new = parameterized_vertices(&e.system, e.n_elim, pd);
                 dds += 1;
                 enumerations += 1;
-                if let (Ok(old), Some(a)) = (old, &s.analysis) {
+                let (new, old) = match (new, old) {
+                    (Ok(new), Ok(old)) => (new, old),
+                    (new, old) => {
+                        assert_eq!(new.err(), old.err(), "{what}");
+                        continue;
+                    }
+                };
+                let (old, domains): (Vec<ParamVertex>, Vec<Polyhedron>) = old.into_iter().unzip();
+                assert_eq!(new, old, "{what}");
+                for (v, domain) in new.iter().zip(&domains) {
+                    let built = validity_domain(&e.system, e.n_elim, pd, v);
+                    assert_eq!(&built, domain, "{what} validity domain");
+                }
+                if let Some(a) = &s.analysis {
                     linearized += assert_same_forms(a, &e.site, &old, what);
                 }
             }
@@ -1888,15 +2017,15 @@ mod tests {
         );
 
         let rows = dedup_in_order(split_rows(&system));
-        let basis = Basis::first(&rows, [2, 3], 2).expect("independent rows");
+        let basis = Basis::solve(&rows, &[2, 3], 2);
         assert!(basis.det.to_i64().is_none(), "determinant {:?}", basis.det);
-        let vertices = parameterized_vertices(&system, 2, &params).unwrap();
+        let vertices = with_domains(&system, 2, &params).unwrap();
         assert_eq!(
             vertices,
             rational::parameterized_vertices(&system, 2, &params).unwrap()
         );
         assert!(
-            vertices.iter().flat_map(ParamVertex::coords).any(|c| c
+            vertices.iter().flat_map(|(v, _)| v.coords()).any(|c| c
                 .coeffs()
                 .iter()
                 .chain([c.constant_term()])

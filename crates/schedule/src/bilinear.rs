@@ -148,7 +148,7 @@ impl BilinearForm {
     /// followed by its parameters.
     pub fn at_vertex(&self, vertex: &ParamVertex) -> BilinearForm {
         let n_elim = vertex.numerators.len();
-        let cols = vertex.domain.dim() + 1;
+        let cols = vertex.n_params + 1;
         assert_eq!(self.cols, n_elim + cols, "form/vertex domain mismatch");
         let det = &vertex.denom;
         let mut m = Vec::with_capacity((self.unknowns + 1) * cols);

@@ -5,8 +5,8 @@
 //! domain, produce finitely many affine constraints over `u`:
 //!
 //! 1. eliminate `i` at the parameterized vertices of the domain
-//!    (§4.4.2); each vertex comes with its validity domain, the
-//!    parameters at which it is a vertex,
+//!    (§4.4.2); each vertex comes with the generators of its validity
+//!    domain, the parameters at which it is a vertex, as integer rows,
 //! 2. eliminate `N` at the vertices and rays of each validity domain
 //!    (§4.4.3; rays contribute "linear part nonnegative" constraints per
 //!    Theorem 1, lines contribute equalities encoded as two
@@ -109,7 +109,8 @@ impl LinearRow {
 /// vertices already computed for the form's domain, each row tagged with
 /// its [`RowKind`]. Per vertex, the form at the vertex is one matrix
 /// product ([`BilinearForm::at_vertex`]), and each row one product of
-/// that with a homogenized generator of the vertex's validity domain.
+/// that with an integer generator row `(λ, N)` of the vertex's validity
+/// domain.
 /// Trivially true constant rows are dropped (a negative constant is
 /// kept: the LP reports the contradiction), and repeated `(row, kind)`
 /// pairs keep their first occurrence.
@@ -123,35 +124,34 @@ pub fn linearize_at_vertices(
     vertices: &[ParamVertex],
 ) -> Vec<(LinearRow, RowKind)> {
     let mut out = Vec::new();
-    let (mut gen, mut row) = (Row::new(), Row::new());
+    let mut row = Row::new();
     for vertex in vertices {
         // Substitute i := c(N): the domain space becomes N alone.
         let over_params = form.at_vertex(vertex);
         let den = over_params.denominator();
         // A constant >= 0 requirement is either trivially true (dropped)
         // or a contradiction (kept — the LP will report infeasibility).
-        let mut push = |row: &Row, scale: &BigInt, kind: RowKind| {
+        let mut push = |row: &Row, den: BigInt, kind: RowKind| {
             if !int::is_trivially_true(row, ConstraintKind::Ineq) {
-                out.push((LinearRow::new(row.clone(), den * scale), kind));
+                out.push((LinearRow::new(row.clone(), den), kind));
             }
         };
+        // A point row `(λ, λ·N)` scales the form's value by `λ`; a
+        // direction `(0, r)` is read along `r`.
         let gens = &vertex.generators;
         for w in &gens.vertices {
-            int::homogenize_into(w, &mut gen);
-            over_params.row_at(&gen, &mut row);
-            push(&row, &gen[0], RowKind::Point);
+            over_params.row_at(w, &mut row);
+            push(&row, den * &w[0], RowKind::Point);
         }
         for r in &gens.rays {
-            int::homogenize_into(r, &mut gen);
-            over_params.row_along(&gen[1..], &mut row);
-            push(&row, &gen[0], RowKind::Direction);
+            over_params.row_along(&r[1..], &mut row);
+            push(&row, den.clone(), RowKind::Direction);
         }
         for l in &gens.lines {
-            int::homogenize_into(l, &mut gen);
-            over_params.row_along(&gen[1..], &mut row);
-            push(&row, &gen[0], RowKind::Direction);
+            over_params.row_along(&l[1..], &mut row);
+            push(&row, den.clone(), RowKind::Direction);
             row.iter_mut().for_each(|x| *x = -&*x);
-            push(&row, &gen[0], RowKind::Direction);
+            push(&row, den.clone(), RowKind::Direction);
         }
     }
     dedup_in_order(out)

@@ -55,11 +55,14 @@ echo "== polyhedra tests in release"
 # enumeration, with their oracles (the rational reference kernels they
 # replaced, row for row on the corpus and past 2^63; LP implication for
 # every row the reduction drops or keeps; the basis enumeration; the
-# chamber recursion), also run where integer overflow wraps, as do the
-# pinned per-example LP and polyhedra work counts and aov-core's tests:
+# chamber recursion), also run where integer overflow wraps, as do
+# aov-schedule's tests (the linearization multiplies the vertices'
+# integer generator rows), the pinned per-example LP and polyhedra work
+# counts and aov-core's tests:
 # among them the orthant oracle, every orthant of Problems 1 and 3
 # decided in v-space against its unreduced ILP on the corpus.
 cargo test --release -q --offline -p aov-polyhedra
+cargo test --release -q --offline -p aov-schedule
 cargo test --release -q --offline -p aov-core
 cargo test --release -q --offline -p aov-engine --test lp_work
 
