@@ -272,6 +272,7 @@ pub fn fig04(ctx: &FigureCtx) -> FigureReport {
                 - &AffineExpr::constant(dim, b_val.into()),
         ));
         let a_expr = AffineExpr::var(dim, space.iter_coeff(sid, 0));
+        let fixed = aov_core::check::lp_model(&fixed);
         let amin = fixed.minimum(&a_expr).expect("bounded").to_f64() / b_val as f64;
         let amax = fixed.maximum(&a_expr).expect("bounded").to_f64() / b_val as f64;
         (amin, amax)

@@ -5,14 +5,26 @@
 //! elimination over the exact domain `Z`, then an emptiness/implication
 //! LP per row). The solvers' results are cross-checked against these in
 //! tests, and the `_search` solver variants in [`crate::problems`] are
-//! built directly on them.
+//! built directly on them. Their LPs, and those of the test oracles
+//! downstream, are [`lp_model`]'s.
 
 use crate::storage::{exact_z, mirror_guard_row};
 use aov_ir::{ArrayId, Dependence};
 use aov_linalg::AffineExpr;
-use aov_polyhedra::PolyhedraError;
+use aov_lp::{Cmp, Model};
+use aov_polyhedra::{PolyhedraError, Polyhedron};
 use aov_schedule::linearize::eliminate_to_linear;
 use aov_schedule::{legal, Analysis, Schedule};
+
+/// `p` as an LP model ([`Model::over_rows`]): the exact emptiness,
+/// implication and extremum queries that stay LPs.
+pub fn lp_model(p: &Polyhedron) -> Model {
+    let rows = p.constraints().iter().map(|c| {
+        let cmp = if c.is_equality() { Cmp::Eq } else { Cmp::Ge };
+        (c.expr(), cmp)
+    });
+    Model::over_rows(p.dim(), rows)
+}
 
 /// Validity checks of concrete vectors over one program's [`Analysis`]
 /// (its dependences, schedule space and ℛ).
@@ -48,8 +60,8 @@ impl<'a> Checker<'a> {
             let dim = r.depth() + p.num_params();
             assert_eq!(v.len(), t.depth(), "vector dimension");
             let z = exact_z(p, dep, v);
-            let region = z.intersect(&p.embed_param_domain(r.depth()));
-            if !region.is_empty() {
+            let region = lp_model(&z.intersect(&p.embed_param_domain(r.depth())));
+            if !region.is_infeasible() {
                 let h_plus_v: Vec<AffineExpr> = dep
                     .h
                     .iter()
@@ -66,9 +78,7 @@ impl<'a> Checker<'a> {
             // overwriter h - v demands a_T·v >= 1 (see `exact_z`).
             let neg_v: Vec<i64> = v.iter().map(|&c| -c).collect();
             let z_minus = exact_z(p, dep, &neg_v);
-            if !z_minus
-                .intersect(&p.embed_param_domain(r.depth()))
-                .is_empty()
+            if !lp_model(&z_minus.intersect(&p.embed_param_domain(r.depth()))).is_infeasible()
                 && mirror_guard_row(space, dep, v).eval(&point).is_negative()
             {
                 return false;
@@ -89,14 +99,15 @@ impl<'a> Checker<'a> {
         array: ArrayId,
         v: &[i64],
     ) -> Result<bool, PolyhedraError> {
-        let (p, space, legal_poly) = (self.a.program(), self.a.space(), self.a.legal());
+        let (p, space) = (self.a.program(), self.a.space());
+        let legal_poly = lp_model(self.a.legal());
         for dep in self.deps_on_array(array) {
             let t = p.statement(dep.source);
             let r = p.statement(dep.target);
             let dim = r.depth() + p.num_params();
             assert_eq!(v.len(), t.depth(), "vector dimension");
             let z = exact_z(p, dep, v);
-            if !z.intersect(&p.embed_param_domain(r.depth())).is_empty() {
+            if !lp_model(&z.intersect(&p.embed_param_domain(r.depth()))).is_infeasible() {
                 let h_plus_v: Vec<AffineExpr> = dep
                     .h
                     .iter()
@@ -115,9 +126,7 @@ impl<'a> Checker<'a> {
             // overwriter h - v demands a_T·v >= 1 (see `exact_z`).
             let neg_v: Vec<i64> = v.iter().map(|&c| -c).collect();
             let z_minus = exact_z(p, dep, &neg_v);
-            if !z_minus
-                .intersect(&p.embed_param_domain(r.depth()))
-                .is_empty()
+            if !lp_model(&z_minus.intersect(&p.embed_param_domain(r.depth()))).is_infeasible()
                 && !legal_poly.implies_nonneg(&mirror_guard_row(space, dep, v))
             {
                 return Ok(false);
@@ -215,6 +224,44 @@ mod tests {
         assert!(!checker.valid_for_schedule(a, &[-1], &seq));
         assert!(!checker.valid_for_schedule(a, &[1], &seq));
         assert!(checker.valid_for_schedule(a, &[2], &seq));
+    }
+
+    /// Oracle for [`aov_polyhedra::Polyhedron::is_empty`], the DD
+    /// verdict that drops a dependence candidate and rejects
+    /// overlapping writers: the LP agrees on every candidate's joint
+    /// domain and every pair of writers of one array in the corpus.
+    #[test]
+    fn emptiness_verdicts_match_lp() {
+        // [empty, nonempty] for dependence candidates, then writer pairs.
+        let mut counts = [[0usize; 2]; 2];
+        for p in crate::oracle_corpus() {
+            let candidates = aov_ir::analysis::candidates(&p).into_iter();
+            let mut joints: Vec<(usize, Polyhedron)> = candidates.map(|(_, j)| (0, j)).collect();
+            for a in 0..p.arrays().len() {
+                let writers = p.writers_of(ArrayId(a));
+                for (x, &w1) in writers.iter().enumerate() {
+                    for &w2 in &writers[x + 1..] {
+                        joints.push((1, p.writer_joint(w1, w2)));
+                    }
+                }
+            }
+            for (kind, joint) in joints {
+                let empty = joint.is_empty();
+                assert_eq!(
+                    empty,
+                    lp_model(&joint).is_infeasible(),
+                    "{}: {joint:?}",
+                    p.name()
+                );
+                counts[kind][usize::from(!empty)] += 1;
+            }
+        }
+        let [[dropped, kept], [disjoint, overlapping]] = counts;
+        println!(
+            "dependence candidates: {kept} nonempty, {dropped} empty; \
+             writer pairs: {disjoint} disjoint, {overlapping} overlapping"
+        );
+        assert!(kept > 0 && dropped > 0 && disjoint > 0, "{counts:?}");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! why the paper left multi-vector reuse as an open question (it needs
 //! arrays of dimension ≥ 3, weaker schedule sets, or boundary effects).
 
-use crate::check::Checker;
+use crate::check::{self, Checker};
 use crate::CoreError;
 use aov_ir::ArrayId;
 use aov_linalg::AffineExpr;
@@ -85,7 +85,7 @@ pub fn lattice_valid_for_all_schedules(
 ) -> Result<bool, CoreError> {
     let shifts = lattice_shifts(gens, extents);
     let checker = Checker::new(a);
-    let (space, legal) = (a.space(), a.legal());
+    let (space, legal) = (a.space(), check::lp_model(a.legal()));
     let writers = a.program().writers_of(array);
 
     // Try every generator sign assignment.

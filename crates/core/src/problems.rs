@@ -1549,7 +1549,7 @@ mod tests {
             let form = legal::causality_form(p, a.space(), dep);
             let depth = p.statement(dep.target).depth();
             let region = dep.domain.intersect(&p.embed_param_domain(depth));
-            region.implies_nonneg(&form.fix_unknowns(&point))
+            crate::check::lp_model(&region).implies_nonneg(&form.fix_unknowns(&point))
         })
     }
 

@@ -204,7 +204,7 @@ fn overwriter_reachable(
             cs.push(Constraint::ge0(e));
         }
     }
-    !Polyhedron::from_constraints(dim, cs).is_empty()
+    !crate::check::lp_model(&Polyhedron::from_constraints(dim, cs)).is_infeasible()
 }
 
 /// Test oracles: the storage forms linearized anew from each dependence
@@ -214,6 +214,7 @@ fn overwriter_reachable(
 #[cfg(test)]
 pub(crate) mod reference {
     use super::{exact_z, mirror_guard_row};
+    use crate::check::lp_model;
     use crate::OvSpace;
     use aov_ir::{Dependence, Program};
     use aov_linalg::AffineExpr;
@@ -237,7 +238,7 @@ pub(crate) mod reference {
             let r = p.statement(dep.target);
             let dim = r.depth() + p.num_params();
             let z = exact_z(p, dep, v.components());
-            if !z.intersect(&p.embed_param_domain(r.depth())).is_empty() {
+            if !lp_model(&z.intersect(&p.embed_param_domain(r.depth()))).is_infeasible() {
                 let h_plus_v: Vec<AffineExpr> = dep
                     .h
                     .iter()
@@ -249,10 +250,7 @@ pub(crate) mod reference {
             }
             let neg_v: Vec<i64> = v.components().iter().map(|&c| -c).collect();
             let z_minus = exact_z(p, dep, &neg_v);
-            if !z_minus
-                .intersect(&p.embed_param_domain(r.depth()))
-                .is_empty()
-            {
+            if !lp_model(&z_minus.intersect(&p.embed_param_domain(r.depth()))).is_infeasible() {
                 out.push(mirror_guard_row(space, dep, v.components()));
             }
         }
@@ -473,7 +471,8 @@ mod tests {
                 }
                 for w in vectors {
                     let z = exact_z(&p, dep, &w);
-                    let lp = !z.intersect(&p.embed_param_domain(r.depth())).is_empty();
+                    let region = z.intersect(&p.embed_param_domain(r.depth()));
+                    let lp = !crate::check::lp_model(&region).is_infeasible();
                     assert_eq!(
                         a.overwriter_exists(didx, &w),
                         lp,

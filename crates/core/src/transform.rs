@@ -391,8 +391,8 @@ mod tests {
             };
             for (aidx, v) in aov.vectors().iter().enumerate() {
                 let a = ArrayId(aidx);
-                let by_lp =
-                    StorageTransform::build(&p, a, v, |e| p.param_domain().implies_nonneg(e));
+                let params = crate::check::lp_model(p.param_domain());
+                let by_lp = StorageTransform::build(&p, a, v, |e| params.implies_nonneg(e));
                 match (StorageTransform::new(&p, a, v), by_lp) {
                     (Ok(t), Ok(lp)) => {
                         assert_eq!(t, lp, "{} array {aidx}", p.name());

@@ -11,7 +11,7 @@
 //!   (engine → core → fault → budget trip),
 //! * the budget configuration and how much of it was spent,
 //! * the run's counter deltas and a process allocator snapshot,
-//! * the recorder ring tail — the last few thousand span/stage/counter/
+//! * the recorder ring tail — the last few thousand span/stage/
 //!   budget/chaos events with nanosecond timestamps, captured even when
 //!   full tracing was disabled,
 //! * identity: crate version and an FNV-1a digest of the program IR, so

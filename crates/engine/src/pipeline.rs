@@ -1401,12 +1401,6 @@ fn run_stage<T>(
         bytes: alloc_bytes,
         max_bits,
     } = stage.finish();
-    // Mirror the moved counters into the flight recorder so a crash
-    // bundle's tail shows where solver effort went, then close the
-    // stage window (a = micros, b = outcome/error class ordinal).
-    for (counter_name, delta) in &counters {
-        recorder::record(EventKind::Counter, counter_name, *delta, 0);
-    }
     let (value, detail, outcome, error_chain, hard_error) = match result {
         Ok((value, detail, outcome)) => (Some(value), detail, outcome, Vec::new(), None),
         Err(e) => {
@@ -1427,6 +1421,9 @@ fn run_stage<T>(
         StageOutcome::Skipped { .. } => 2,
         StageOutcome::Failed { .. } => 3,
     };
+    // Close the stage window (a = micros, b = outcome/error class
+    // ordinal). The stage's counters travel in its `StageReport`, which a
+    // crash bundle carries next to the ring tail.
     let micros_u64 = u64::try_from(micros).unwrap_or(u64::MAX);
     recorder::record(EventKind::StageExit, name, micros_u64, outcome_code);
     stages.push(StageReport {

@@ -50,6 +50,9 @@ fn recorder_event_stays_cheap() {
 /// must stay well under a microsecond.
 #[test]
 fn counting_allocator_stays_cheap() {
+    // Serialized with the timed tests too: on a two-CPU host this loop
+    // beside them steals the time they measure.
+    let _guard = lock();
     const ROUNDS: u64 = 1_000_000;
     for _ in 0..10_000 {
         std::hint::black_box(Box::new(0u64));
@@ -117,8 +120,14 @@ fn flight_recorder_overhead_on_example1_is_marginal() {
 /// a tight loop, multiplied by one real run's event count and compared
 /// against that run's wall time. A direct armed-vs-disarmed wall
 /// comparison drowns in this container's scheduler noise (±10% between
-/// back-to-back runs); its paired medians are recorded in
-/// EXPERIMENTS.md instead, and agree with the derived number here.
+/// back-to-back runs); its paired medians are recorded in EXPERIMENTS.md
+/// instead, and agree with the derived number here. The loop and the
+/// run are timed as several pairs, each run right after its loop, and
+/// the unit cost, event count and wall are each the median over the
+/// pairs, so one preempted loop or run cannot move the ratio. A run
+/// right after a loop times close to the one solve of a plain `aov`
+/// process, its `total_micros`; a run right after another run, caches
+/// warm, is about a third faster than either.
 ///
 /// The opt-in byte accounting is *not* asserted against the 1% budget:
 /// Example 1 performs ~13.5M allocations in under half a second, so
@@ -129,39 +138,51 @@ fn flight_recorder_overhead_on_example1_is_marginal() {
 fn derived_telemetry_overhead_is_within_budget() {
     let _guard = lock();
     recorder::set_recording(true);
+    fn median<T: Ord + Copy>(mut xs: Vec<T>) -> T {
+        xs.sort_unstable();
+        xs[xs.len() / 2]
+    }
 
-    // Unit cost of one ring event.
-    const EVENTS: u64 = 2_000_000;
+    // One pair: the unit cost of a ring event, then a real run's event
+    // volume and wall time in the default configuration (byte
+    // accounting disarmed, recorder armed).
+    const PAIRS: usize = 7;
+    const EVENTS: u64 = 400_000;
     for _ in 0..10_000 {
         recorder::record(EventKind::Counter, "overhead.warmup", 0, 0);
     }
-    let t0 = Instant::now();
-    for i in 0..EVENTS {
-        recorder::record(EventKind::Counter, "overhead.derived", i, 0);
-    }
-    let ns_per_event = t0.elapsed().as_nanos() as f64 / EVENTS as f64;
-
-    // One real run's event volume and wall time, in the default
-    // configuration (byte accounting disarmed, recorder armed).
-    aov_support::alloc::set_counting(false);
-    let events_before = recorder::events_recorded();
-    let t0 = Instant::now();
-    let report = Pipeline::for_example("example1")
-        .unwrap()
-        .workers(2)
-        .run()
-        .expect("example1 runs");
-    let wall = t0.elapsed();
-    aov_support::alloc::set_counting(true);
-    assert_eq!(report.health(), Health::Ok);
-    let events = recorder::events_recorded() - events_before;
+    let pair = || {
+        let t0 = Instant::now();
+        for i in 0..EVENTS {
+            recorder::record(EventKind::Counter, "overhead.derived", i, 0);
+        }
+        let batch = t0.elapsed();
+        aov_support::alloc::set_counting(false);
+        let events_before = recorder::events_recorded();
+        let t0 = Instant::now();
+        let report = Pipeline::for_example("example1")
+            .unwrap()
+            .workers(2)
+            .run()
+            .expect("example1 runs");
+        let wall = t0.elapsed();
+        let events = recorder::events_recorded() - events_before;
+        aov_support::alloc::set_counting(true);
+        assert_eq!(report.health(), Health::Ok);
+        (batch, wall, events)
+    };
+    let pairs: Vec<(Duration, Duration, u64)> = (0..PAIRS).map(|_| pair()).collect();
+    let ns_per_event =
+        median(pairs.iter().map(|p| p.0).collect()).as_nanos() as f64 / EVENTS as f64;
+    let wall = median(pairs.iter().map(|p| p.1).collect());
+    let events = median(pairs.iter().map(|p| p.2).collect());
     assert!(events > 100, "the recorder saw the run ({events} events)");
 
     let telemetry_ns = events as f64 * ns_per_event;
     let overhead = telemetry_ns / wall.as_nanos() as f64;
     println!(
         "default-config overhead: {events} events x {ns_per_event:.1} ns = {:.3} ms \
-         of {wall:?} wall ({:.4}%)",
+         of {wall:?} median wall ({:.4}%)",
         telemetry_ns / 1e6,
         overhead * 100.0
     );

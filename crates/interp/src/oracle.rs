@@ -7,6 +7,7 @@
 use crate::domain::{fix_params, iteration_points};
 use crate::exec::{Instances, RunStats, Values};
 use crate::funcs;
+use aov_core::check::lp_model;
 use aov_core::transform::StorageTransform;
 use aov_core::OccupancyVector;
 use aov_ir::{ArrayId, Expr, Program, StmtId};
@@ -39,7 +40,8 @@ impl StorageMode<'_> {
 fn lp_iteration_points(p: &Program, s: StmtId, params: &[i64]) -> Vec<Vec<i64>> {
     let st = p.statement(s);
     let fixed = fix_params(st.domain(), st.depth(), params);
-    if fixed.is_empty() {
+    let lp = lp_model(&fixed);
+    if lp.is_infeasible() {
         return Vec::new();
     }
     let depth = st.depth();
@@ -49,10 +51,10 @@ fn lp_iteration_points(p: &Program, s: StmtId, params: &[i64]) -> Vec<Vec<i64>> 
         b.to_i64().expect("small domain bound")
     };
     let lo: Vec<i64> = (0..depth)
-        .map(|k| bound(fixed.minimum(&AffineExpr::var(depth, k)), false))
+        .map(|k| bound(lp.minimum(&AffineExpr::var(depth, k)), false))
         .collect();
     let hi: Vec<i64> = (0..depth)
-        .map(|k| bound(fixed.maximum(&AffineExpr::var(depth, k)), true))
+        .map(|k| bound(lp.maximum(&AffineExpr::var(depth, k)), true))
         .collect();
     let mut out = Vec::new();
     let mut cur = lo.clone();

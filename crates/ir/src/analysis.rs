@@ -62,13 +62,20 @@ impl Dependence {
     }
 }
 
-/// Computes all flow dependences of the program.
-///
-/// For each read access `A[g(i, N)]` of a statement `R` and each writer
-/// `T` of `A`, emits a dependence with
-/// `domain = D_R ∩ {i | g(i, N) ∈ D_T}` when that domain is nonempty for
-/// some parameter value in the program's parameter domain.
+/// Computes all flow dependences of the program: the [`candidates`]
+/// whose joint domain is nonempty.
 pub fn dependences(p: &Program) -> Vec<Dependence> {
+    candidates(p)
+        .into_iter()
+        .filter(|(_, joint)| !joint.is_empty())
+        .map(|(dep, _)| dep)
+        .collect()
+}
+
+/// For each read access `A[g(i, N)]` of a statement `R` and each writer
+/// `T` of `A`, the dependence with `domain = D_R ∩ {i | g(i, N) ∈ D_T}`,
+/// paired with its joint domain: `domain` within the parameter domain.
+pub fn candidates(p: &Program) -> Vec<(Dependence, Polyhedron)> {
     let mut out = Vec::new();
     for target in p.stmt_ids() {
         let r = p.statement(target);
@@ -91,18 +98,15 @@ pub fn dependences(p: &Program) -> Vec<Dependence> {
                         Constraint::ge0(e)
                     });
                 }
-                // Keep only dependences possible for some parameters.
                 let joint = domain.intersect(&p.embed_param_domain(r.depth()));
-                if joint.is_empty() {
-                    continue;
-                }
-                out.push(Dependence {
+                let dep = Dependence {
                     source,
                     target,
                     h: acc.index().to_vec(),
                     domain,
                     access: acc_idx,
-                });
+                };
+                out.push((dep, joint));
             }
         }
     }

@@ -195,6 +195,17 @@ impl Program {
             .map(StmtId)
     }
 
+    /// Where two writers of one array would both assign a cell: their
+    /// domains' intersection within the parameter domain (both domains
+    /// live in the array's data space, see [`Program::validate`]).
+    pub fn writer_joint(&self, w1: StmtId, w2: StmtId) -> Polyhedron {
+        let depth = self.statement(w1).depth();
+        self.statement(w1)
+            .domain()
+            .intersect(self.statement(w2).domain())
+            .intersect(&self.embed_param_domain(depth))
+    }
+
     /// Checks the single-assignment structural invariants:
     ///
     /// * every array is written by at least one statement,
@@ -226,12 +237,7 @@ impl Program {
             }
             for (x, &w1) in writers.iter().enumerate() {
                 for &w2 in writers.iter().skip(x + 1) {
-                    let joint = self
-                        .statement(w1)
-                        .domain()
-                        .intersect(self.statement(w2).domain())
-                        .intersect(&self.embed_param_domain(self.statement(w1).depth()));
-                    if !joint.is_empty() {
+                    if !self.writer_joint(w1, w2).is_empty() {
                         return Err(format!(
                             "writers {} and {} of array {} overlap",
                             self.statement(w1).name,

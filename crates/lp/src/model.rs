@@ -410,6 +410,71 @@ impl Model {
     }
 }
 
+/// Exact queries over the region a list of affine rows cuts out of
+/// `Q^dim`: the one model builder behind every emptiness, implication
+/// and extremum LP outside the solvers. Each query solves with an
+/// unlimited budget, so only an injected fault interrupts it; that
+/// panics instead of guessing a verdict, which would corrupt the
+/// caller's result.
+impl Model {
+    /// The region `{x ∈ Q^dim | e cmp 0 for each (e, cmp) of rows}` as a
+    /// model over the free variables `x0, x1, …`, without an objective.
+    pub fn over_rows<'a>(
+        dim: usize,
+        rows: impl IntoIterator<Item = (&'a AffineExpr, Cmp)>,
+    ) -> Model {
+        let mut m = Model::new();
+        for k in 0..dim {
+            m.add_var(format!("x{k}"));
+        }
+        for (e, cmp) in rows {
+            m.constrain(e.clone(), cmp);
+        }
+        m
+    }
+
+    /// Whether no point satisfies the constraints (phase-1 simplex).
+    pub fn is_infeasible(&self) -> bool {
+        self.answer() == LpOutcome::Infeasible
+    }
+
+    /// Whether `e >= 0` holds on the whole feasible region (vacuously
+    /// when it is empty).
+    pub fn implies_nonneg(&self, e: &AffineExpr) -> bool {
+        match self.minimizing(e) {
+            LpOutcome::Optimal(sol) => !sol.objective.is_negative(),
+            outcome => outcome == LpOutcome::Infeasible,
+        }
+    }
+
+    /// The minimum of `e` over the feasible region: `Some` when
+    /// attained, `None` when the region is empty or `e` is unbounded
+    /// below on it.
+    pub fn minimum(&self, e: &AffineExpr) -> Option<Rational> {
+        self.minimizing(e).optimal().map(|sol| sol.objective)
+    }
+
+    /// The maximum of `e` (see [`Model::minimum`]).
+    pub fn maximum(&self, e: &AffineExpr) -> Option<Rational> {
+        self.minimum(&-e).map(|v| -v)
+    }
+
+    fn minimizing(&self, e: &AffineExpr) -> LpOutcome {
+        let mut m = self.clone();
+        m.minimize(e.clone());
+        m.answer()
+    }
+
+    fn answer(&self) -> LpOutcome {
+        let outcome = self.solve_lp();
+        assert!(
+            outcome != LpOutcome::LimitReached,
+            "solver fault during an unbudgeted LP query"
+        );
+        outcome
+    }
+}
+
 impl fmt::Display for Model {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let zero = AffineExpr::default();
@@ -466,6 +531,35 @@ mod tests {
         m.constrain(AffineExpr::from_i64(&[0, 2, -1], 0), Cmp::Le);
         m.minimize(AffineExpr::from_i64(&[0, 1], 5));
         m
+    }
+
+    #[test]
+    fn region_queries() {
+        let ge = |coeffs: &[i64], c: i64| (AffineExpr::from_i64(coeffs, c), Cmp::Ge);
+        let region = |rows: &[(AffineExpr, Cmp)]| {
+            let dim = rows.first().map_or(1, |(e, _)| e.dim());
+            Model::over_rows(dim, rows.iter().map(|(e, cmp)| (e, *cmp)))
+        };
+        // x in [1, 5] implies x + 10 >= 0 but not x - 2 >= 0.
+        let unit = region(&[ge(&[1], -1), ge(&[-1], 5)]);
+        assert!(unit.implies_nonneg(&AffineExpr::from_i64(&[1], 10)));
+        assert!(!unit.implies_nonneg(&AffineExpr::from_i64(&[1], -2)));
+        let x = AffineExpr::var(1, 0);
+        assert_eq!(unit.minimum(&x), Some(Rational::from(1)));
+        assert_eq!(unit.maximum(&x), Some(Rational::from(5)));
+        // An empty region implies everything and has no extremum.
+        let empty = region(&[ge(&[1], -3), ge(&[-1], 1)]);
+        assert!(empty.is_infeasible() && !unit.is_infeasible());
+        assert!(empty.implies_nonneg(&AffineExpr::from_i64(&[-1], -100)));
+        assert_eq!(empty.minimum(&x), None);
+        // An unbounded direction is neither implied nor attained.
+        let line = region(&[]);
+        assert!(!line.is_infeasible());
+        assert!(!line.implies_nonneg(&x));
+        assert_eq!(line.minimum(&x), None);
+        // Equalities hold both ways: x == y, x >= 0 implies y >= 0.
+        let diagonal = region(&[(AffineExpr::from_i64(&[1, -1], 0), Cmp::Eq), ge(&[1, 0], 0)]);
+        assert!(diagonal.implies_nonneg(&AffineExpr::from_i64(&[0, 1], 0)));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! the cone `C`. This crate supplies everything that theorem needs:
 //!
 //! * [`Polyhedron`] — H-representation over named-free rational dims,
-//!   with emptiness (exact LP), containment, intersection and redundancy
-//!   removal ([`Polyhedron::irredundant`], read off one DD),
+//!   with emptiness ([`Polyhedron::is_empty`]) and redundancy removal
+//!   ([`Polyhedron::irredundant`]), each read off one DD, containment
+//!   and intersection,
 //! * [`GeneratorSet`] / [`Polyhedron::generators`] — vertices, rays and
 //!   lines via Chernikova's double-description method,
 //! * [`Polyhedron::eliminate_dims`] — Fourier–Motzkin projection,
@@ -18,6 +19,10 @@
 //!   polyhedron over iterations and parameters (Loechner–Wilde), needed
 //!   when iteration-domain vertices depend on loop bounds or on the
 //!   unknown occupancy vector.
+//!
+//! The crate solves no LP: callers that need one (implication, extrema)
+//! build it from a polyhedron's rows with `aov_lp::Model::over_rows`,
+//! and the crate's tests hold the DD's verdicts to those LPs.
 //!
 //! The DD, Fourier–Motzkin and vertex kernels compute on primitive
 //! integer rows of [`BigInt`](aov_numeric::BigInt) ([`int`]); values

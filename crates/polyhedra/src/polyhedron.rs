@@ -1,17 +1,18 @@
-//! H-representation polyhedra with exact emptiness and redundancy tests.
+//! H-representation polyhedra with exact emptiness and redundancy tests,
+//! both read off one double description.
 
 use crate::dd::{self, GeneratorSet};
 use crate::fm;
-use crate::{Constraint, ConstraintKind};
+use crate::Constraint;
 use aov_linalg::{AffineExpr, QVector, VarSet};
-use aov_lp::{Cmp, LpOutcome, Model};
-use aov_numeric::Rational;
 use std::fmt;
 
 /// A convex polyhedron `{x ∈ Q^dim | A x + b >= 0, E x + f = 0}`.
 ///
 /// Stored as a list of [`Constraint`]s over an anonymous `dim`-dimensional
-/// space. All predicates are exact (rational LP / double description).
+/// space. All predicates are exact: emptiness, redundancy and generators
+/// come from Chernikova's double description on integer rows, without an
+/// LP.
 ///
 /// # Examples
 ///
@@ -68,19 +69,6 @@ impl Polyhedron {
         Polyhedron { dim, constraints }
     }
 
-    /// An axis-aligned box `lo[k] <= x_k <= hi[k]` (inclusive). Bounds are
-    /// given as affine expressions over the same space, enabling symbolic
-    /// bounds like `1 <= i <= n` when the space includes `n`.
-    pub fn from_bounds(dim: usize, bounds: &[(usize, AffineExpr, AffineExpr)]) -> Self {
-        let mut cs = Vec::new();
-        for (k, lo, hi) in bounds {
-            let xk = AffineExpr::var(dim, *k);
-            cs.push(Constraint::ge(xk.clone(), lo.clone()));
-            cs.push(Constraint::le(xk, hi.clone()));
-        }
-        Polyhedron::from_constraints(dim, cs)
-    }
-
     /// Dimension of the ambient space.
     pub fn dim(&self) -> usize {
         self.dim
@@ -122,90 +110,13 @@ impl Polyhedron {
         self.constraints.iter().all(|c| c.satisfied_by(x))
     }
 
-    /// Exact rational emptiness test (phase-1 simplex).
+    /// Whether no point satisfies the constraints, decided by one DD on
+    /// integer rows: a nonempty polyhedron has a vertex.
     pub fn is_empty(&self) -> bool {
         if self.constraints.iter().any(Constraint::is_trivially_false) {
             return true;
         }
-        let mut m = Model::new();
-        for k in 0..self.dim {
-            m.add_var(format!("x{k}"));
-        }
-        for c in &self.constraints {
-            m.constrain(
-                c.expr().clone(),
-                match c.kind() {
-                    ConstraintKind::Ineq => Cmp::Ge,
-                    ConstraintKind::Eq => Cmp::Eq,
-                },
-            );
-        }
-        match m.solve_lp() {
-            LpOutcome::Infeasible => true,
-            LpOutcome::Optimal(_) | LpOutcome::Unbounded => false,
-            // Unlimited budgets cannot trip; only an injected fault
-            // lands here. Panic instead of guessing an answer — the
-            // engine's stage isolation turns this into a degraded
-            // report, a wrong emptiness verdict would corrupt it.
-            LpOutcome::LimitReached => panic!("solver fault during emptiness check"),
-        }
-    }
-
-    /// Whether the affine form `e >= 0` holds everywhere on the
-    /// polyhedron (exact; an empty polyhedron implies everything).
-    pub fn implies_nonneg(&self, e: &AffineExpr) -> bool {
-        assert_eq!(e.dim(), self.dim, "expression dimension mismatch");
-        let mut m = Model::new();
-        for k in 0..self.dim {
-            m.add_var(format!("x{k}"));
-        }
-        for c in &self.constraints {
-            m.constrain(
-                c.expr().clone(),
-                match c.kind() {
-                    ConstraintKind::Ineq => Cmp::Ge,
-                    ConstraintKind::Eq => Cmp::Eq,
-                },
-            );
-        }
-        m.minimize(e.clone());
-        match m.solve_lp() {
-            LpOutcome::Optimal(sol) => !sol.objective.is_negative(),
-            LpOutcome::Infeasible => true,
-            LpOutcome::Unbounded => false,
-            // See `is_empty`: reachable only via an injected fault.
-            LpOutcome::LimitReached => panic!("solver fault during implication check"),
-        }
-    }
-
-    /// Minimum of `e` over the polyhedron: `Some(v)` when attained,
-    /// `None` when unbounded below or the polyhedron is empty.
-    pub fn minimum(&self, e: &AffineExpr) -> Option<Rational> {
-        let mut m = Model::new();
-        for k in 0..self.dim {
-            m.add_var(format!("x{k}"));
-        }
-        for c in &self.constraints {
-            m.constrain(
-                c.expr().clone(),
-                match c.kind() {
-                    ConstraintKind::Ineq => Cmp::Ge,
-                    ConstraintKind::Eq => Cmp::Eq,
-                },
-            );
-        }
-        m.minimize(e.clone());
-        match m.solve_lp() {
-            LpOutcome::Optimal(sol) => Some(sol.objective),
-            // See `is_empty`: reachable only via an injected fault.
-            LpOutcome::LimitReached => panic!("solver fault during minimization"),
-            _ => None,
-        }
-    }
-
-    /// Maximum of `e` over the polyhedron (see [`Polyhedron::minimum`]).
-    pub fn maximum(&self, e: &AffineExpr) -> Option<Rational> {
-        self.minimum(&-e).map(|v| -v)
+        !self.constraints.is_empty() && dd::saturated_of(self).gens.is_empty()
     }
 
     /// The same set described by an irredundant subset of its
@@ -287,15 +198,6 @@ impl Polyhedron {
         fm::eliminate_dims(self, &sorted)
     }
 
-    /// Whether `self ⊆ other` (exact).
-    pub fn is_subset_of(&self, other: &Polyhedron) -> bool {
-        assert_eq!(self.dim, other.dim, "subset dimension mismatch");
-        other.constraints.iter().all(|c| match c.kind() {
-            ConstraintKind::Ineq => self.implies_nonneg(c.expr()),
-            ConstraintKind::Eq => self.implies_nonneg(c.expr()) && self.implies_nonneg(&-c.expr()),
-        })
-    }
-
     /// Renders the constraint system with variable names.
     pub fn display<'a>(&'a self, vars: &'a VarSet) -> impl fmt::Display + 'a {
         DisplayPoly { p: self, vars }
@@ -323,6 +225,33 @@ impl fmt::Debug for Polyhedron {
     }
 }
 
+/// The LP reference the DD's verdicts are held to: emptiness by the
+/// phase-1 LP [`Polyhedron::is_empty`] replaced, and inclusion by one
+/// implication LP per row.
+#[cfg(test)]
+impl Polyhedron {
+    /// This polyhedron as an LP model ([`aov_lp::Model::over_rows`]).
+    pub(crate) fn lp(&self) -> aov_lp::Model {
+        let rows = self.constraints.iter().map(|c| {
+            let cmp = if c.is_equality() {
+                aov_lp::Cmp::Eq
+            } else {
+                aov_lp::Cmp::Ge
+            };
+            (c.expr(), cmp)
+        });
+        aov_lp::Model::over_rows(self.dim, rows)
+    }
+
+    /// Whether `self ⊆ other`, by implication LPs over `self`.
+    pub(crate) fn is_subset_lp(&self, other: &Polyhedron) -> bool {
+        let m = self.lp();
+        other.constraints.iter().all(|c| {
+            m.implies_nonneg(c.expr()) && (!c.is_equality() || m.implies_nonneg(&-c.expr()))
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,56 +262,37 @@ mod tests {
 
     #[test]
     fn emptiness() {
-        let p = Polyhedron::from_constraints(1, vec![ge(&[1], -3), ge(&[-1], 1)]);
-        assert!(p.is_empty()); // x >= 3 and x <= 1
-        let q = Polyhedron::from_constraints(1, vec![ge(&[1], -3), ge(&[-1], 10)]);
-        assert!(!q.is_empty());
-        assert!(Polyhedron::empty(4).is_empty());
-        assert!(!Polyhedron::universe(0).is_empty());
-        assert!(!Polyhedron::universe(3).is_empty());
+        let cases = [
+            Polyhedron::from_constraints(1, vec![ge(&[1], -3), ge(&[-1], 1)]), // x >= 3, x <= 1
+            Polyhedron::from_constraints(1, vec![ge(&[1], -3), ge(&[-1], 10)]),
+            Polyhedron::from_constraints(2, vec![ge(&[1, 1], -1), ge(&[-1, -1], 0)]),
+            Polyhedron::from_constraints(2, vec![ge(&[1, -1], 0), ge(&[0, 1], 0)]),
+            Polyhedron::empty(4),
+            Polyhedron::universe(0),
+            Polyhedron::universe(3),
+        ];
+        let verdicts: Vec<bool> = cases.iter().map(Polyhedron::is_empty).collect();
+        assert_eq!(verdicts, [true, false, true, false, true, false, false]);
+        for p in &cases {
+            assert_eq!(p.is_empty(), p.lp().is_infeasible(), "{p:?}");
+        }
     }
 
     #[test]
     fn contains_points() {
-        let square = Polyhedron::from_bounds(
+        // 0 <= x, y <= 2
+        let square = Polyhedron::from_constraints(
             2,
-            &[
-                (
-                    0,
-                    AffineExpr::constant(2, 0.into()),
-                    AffineExpr::constant(2, 2.into()),
-                ),
-                (
-                    1,
-                    AffineExpr::constant(2, 0.into()),
-                    AffineExpr::constant(2, 2.into()),
-                ),
+            vec![
+                ge(&[1, 0], 0),
+                ge(&[-1, 0], 2),
+                ge(&[0, 1], 0),
+                ge(&[0, -1], 2),
             ],
         );
         assert!(square.contains(&QVector::from_i64(&[1, 1])));
         assert!(square.contains(&QVector::from_i64(&[0, 2])));
         assert!(!square.contains(&QVector::from_i64(&[3, 0])));
-    }
-
-    #[test]
-    fn implication() {
-        // x in [1, 5] implies x + 10 >= 0 but not x - 2 >= 0.
-        let p = Polyhedron::from_constraints(1, vec![ge(&[1], -1), ge(&[-1], 5)]);
-        assert!(p.implies_nonneg(&AffineExpr::from_i64(&[1], 10)));
-        assert!(!p.implies_nonneg(&AffineExpr::from_i64(&[1], -2)));
-        // Empty implies anything.
-        assert!(Polyhedron::empty(1).implies_nonneg(&AffineExpr::from_i64(&[-1], -100)));
-        // Unbounded direction is not implied.
-        assert!(!Polyhedron::universe(1).implies_nonneg(&AffineExpr::from_i64(&[1], 0)));
-    }
-
-    #[test]
-    fn extrema() {
-        let p = Polyhedron::from_constraints(1, vec![ge(&[1], -1), ge(&[-1], 5)]);
-        let x = AffineExpr::var(1, 0);
-        assert_eq!(p.minimum(&x), Some(Rational::from(1)));
-        assert_eq!(p.maximum(&x), Some(Rational::from(5)));
-        assert_eq!(Polyhedron::universe(1).minimum(&x), None);
     }
 
     #[test]
@@ -394,7 +304,7 @@ mod tests {
         );
         let r = p.irredundant().unwrap();
         assert_eq!(r.constraints(), [ge(&[1], 0), ge(&[-1], 10)]);
-        assert!(r.is_subset_of(&p) && p.is_subset_of(&r));
+        assert!(r.is_subset_lp(&p) && p.is_subset_lp(&r));
     }
 
     #[test]
@@ -444,14 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn subset() {
-        let small = Polyhedron::from_constraints(1, vec![ge(&[1], -2), ge(&[-1], 4)]); // [2,4]
-        let big = Polyhedron::from_constraints(1, vec![ge(&[1], 0), ge(&[-1], 10)]); // [0,10]
-        assert!(small.is_subset_of(&big));
-        assert!(!big.is_subset_of(&small));
-    }
-
-    #[test]
     fn equality_constraints_respected() {
         let p = Polyhedron::from_constraints(
             2,
@@ -462,6 +364,5 @@ mod tests {
         );
         assert!(p.contains(&QVector::from_i64(&[2, 2])));
         assert!(!p.contains(&QVector::from_i64(&[2, 3])));
-        assert!(p.implies_nonneg(&AffineExpr::from_i64(&[0, 1], 0))); // y >= 0 follows
     }
 }

@@ -1,7 +1,9 @@
 //! Property tests for the polyhedral substrate: the double-description
-//! generators, Fourier–Motzkin projection and the DD redundancy
-//! reduction agree with brute-force or LP ground truth on random systems.
+//! generators, emptiness, Fourier–Motzkin projection and the DD
+//! redundancy reduction agree with brute-force or LP ground truth on
+//! random systems.
 
+use aov_core::check::lp_model;
 use aov_linalg::{AffineExpr, QVector};
 use aov_numeric::Rational;
 use aov_polyhedra::{Constraint, Polyhedron};
@@ -51,7 +53,13 @@ fn random_system(g: &mut Rng) -> Polyhedron {
 
 /// Whether `c` holds everywhere on `p` (exact LP).
 fn implied(p: &Polyhedron, c: &Constraint) -> bool {
-    p.implies_nonneg(c.expr()) && (!c.is_equality() || p.implies_nonneg(&-c.expr()))
+    let m = lp_model(p);
+    m.implies_nonneg(c.expr()) && (!c.is_equality() || m.implies_nonneg(&-c.expr()))
+}
+
+/// Whether `p` is empty, as a phase-1 LP sees it.
+fn empty_by_lp(p: &Polyhedron) -> bool {
+    lp_model(p).is_infeasible()
 }
 
 fn sorted(vs: &[QVector]) -> Vec<String> {
@@ -93,7 +101,8 @@ props! {
         let p = boxed_polytope(g, 2);
         let gens = p.generators();
         assert!(gens.is_bounded(), "boxed polytopes have no rays");
-        assert_eq!(gens.is_empty(), p.is_empty());
+        assert_eq!(gens.is_empty(), empty_by_lp(&p));
+        assert_eq!(p.is_empty(), empty_by_lp(&p));
         for v in &gens.vertices {
             assert!(p.contains(v), "vertex {v:?} infeasible");
         }
@@ -146,10 +155,10 @@ props! {
     fn irredundant_preserves_generators(g) {
         let p = random_system(g);
         let Some(r) = p.irredundant() else {
-            assert!(p.is_empty(), "{p:?} reported empty");
+            assert!(empty_by_lp(&p), "{p:?} reported empty");
             return;
         };
-        assert!(!p.is_empty(), "{p:?} is not empty");
+        assert!(!empty_by_lp(&p), "{p:?} is not empty");
         let (before, after) = (p.generators(), r.generators());
         assert_eq!(sorted(&before.vertices), sorted(&after.vertices), "{p:?}");
         assert_eq!(sorted(&before.rays), sorted(&after.rays), "{p:?}");
@@ -173,14 +182,15 @@ props! {
         }
     }
 
-    /// implies_nonneg agrees with evaluating at all integer points for
+    /// LP implication agrees with evaluating at all integer points for
     /// full-dimensional sets (rational minima at vertices are rational).
     fn implies_nonneg_sound(g) {
         let p = boxed_polytope(g, 2);
         let coeffs = g.vec_i64(-3, 3, 2);
         let c = g.i64_in(-6, 6);
         let e = AffineExpr::from_i64(&coeffs, c);
-        if p.implies_nonneg(&e) {
+        let m = lp_model(&p);
+        if m.implies_nonneg(&e) {
             for pt in integer_points(&p, 2) {
                 assert!(
                     !e.eval_i64(&pt).is_negative(),
@@ -189,7 +199,7 @@ props! {
             }
         } else {
             // There is a rational witness; confirm via LP minimum.
-            let min = p.minimum(&e).expect("bounded");
+            let min = m.minimum(&e).expect("bounded");
             assert!(min.is_negative());
         }
     }
@@ -208,7 +218,8 @@ props! {
                 assert_eq!(v, a.contains(&q) && b.contains(&q));
             }
         }
-        assert!(ab.is_subset_of(&a));
-        assert!(ab.is_subset_of(&b));
+        for c in a.constraints().iter().chain(b.constraints()) {
+            assert!(implied(&ab, c), "{c:?}");
+        }
     }
 }

@@ -319,10 +319,7 @@ mod tests {
         // rows before deduplication; dedup keeps it below.
         assert!(rows.len() <= 24, "got {} rows", rows.len());
         assert!(rows.len() >= 6, "got {} rows", rows.len());
-        let poly = Polyhedron::from_constraints(
-            space.dim(),
-            rows.iter().cloned().map(Constraint::ge0).collect(),
-        );
+        let poly = aov_lp::Model::over_rows(space.dim(), rows.iter().map(|r| (r, aov_lp::Cmp::Ge)));
         let s1 = p.stmt_by_name("S1").unwrap();
         let s2 = p.stmt_by_name("S2").unwrap();
         let dim = space.dim();

@@ -16,6 +16,18 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo build --release --offline"
 cargo build --release --offline --workspace
 
+echo "== no LP solver under aov-ir and aov-polyhedra"
+# Emptiness, redundancy and generators are read off the double
+# description, so neither crate links aov-lp outside its tests.
+for crate in aov-polyhedra aov-ir; do
+    deps="$(cargo tree --offline --locked -e normal -p "$crate")"
+    if grep -q "aov-lp" <<< "$deps"; then
+        echo "$crate depends on aov-lp:"
+        echo "$deps"
+        exit 1
+    fi
+done
+
 echo "== cargo test -q --offline"
 # Among them, crates/bench/tests/golden_all_figures.rs pins the whole
 # `all_figures --quick` rendering byte for byte: a figure change fails
@@ -51,16 +63,19 @@ cargo test --release -q --offline -p aov-lp
 
 echo "== polyhedra tests in release"
 # The integer DD, Fourier–Motzkin and parameterized-vertex kernels, the
-# DD's saturation bitsets, the DD redundancy reduction and the face
-# enumeration, with their oracles (the rational reference kernels they
-# replaced, row for row on the corpus and past 2^63; LP implication for
-# every row the reduction drops or keeps; the basis enumeration; the
-# chamber recursion), also run where integer overflow wraps, as do
+# DD's saturation bitsets, the DD redundancy reduction and emptiness
+# test and the face enumeration, with their oracles (the rational
+# reference kernels they replaced, row for row on the corpus and past
+# 2^63; aov-lp's LPs, a dev-dependency of aov-polyhedra, for emptiness
+# and for every row the reduction drops or keeps; the basis enumeration;
+# the chamber recursion), also run where integer overflow wraps, as do
 # aov-schedule's tests (the linearization multiplies the vertices'
 # integer generator rows), the pinned per-example LP and polyhedra work
 # counts and aov-core's tests:
 # among them the orthant oracle, every orthant of Problems 1 and 3
-# decided in v-space against its unreduced ILP on the corpus.
+# decided in v-space against its unreduced ILP on the corpus, and the
+# emptiness oracle, the DD against the LP of `check::lp_model` on every
+# dependence candidate and pair of writers of the corpus.
 cargo test --release -q --offline -p aov-polyhedra
 cargo test --release -q --offline -p aov-schedule
 cargo test --release -q --offline -p aov-core
