@@ -389,7 +389,7 @@ pub fn ov_for_schedule_with(
 /// paper's LP method: substitute the schedule into the linearized
 /// storage constraints and minimize the two-term objective. The storage
 /// forms are `a`'s ([`Analysis::storage_forms`]), and each array is
-/// solved on its own ([`shortest_per_array`]): per sign orthant of its
+/// solved on its own (`shortest_per_array`): per sign orthant of its
 /// vector, over the dependences active there
 /// ([`Analysis::active_in_orthant`]: exact `Z`-emptiness pruning, decided
 /// once per analysis), a DD in `v`-space decides whether the orthant
@@ -574,7 +574,7 @@ pub fn aov_with(p: &Program, _workers: usize) -> Result<OvResult, CoreError> {
 /// forms and their activity per orthant are `a`'s, shared with Problem 1
 /// ([`Analysis::storage_forms`], [`Analysis::active_in_orthant`]), and a
 /// row of a dependence involves only its source array's vector, so each
-/// array is solved on its own ([`shortest_per_array`]): per sign orthant
+/// array is solved on its own (`shortest_per_array`): per sign orthant
 /// of its vector, a DD in `v`-space decides whether the orthant holds a
 /// vector, and only then one ILP over the irredundant rows minimizes its
 /// two-term objective. These ILPs are the only LPs it solves; every

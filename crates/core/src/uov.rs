@@ -41,13 +41,9 @@ pub fn is_nonneg_combination(target: &[i64], dists: &[Vec<i64>]) -> bool {
         let coeffs: Vec<i64> = dists.iter().map(|d| d[coord]).collect();
         m.constrain(AffineExpr::from_i64(&coeffs, -target[coord]), Cmp::Eq);
     }
-    match m.solve_ilp() {
-        LpOutcome::Optimal(_) => true,
-        LpOutcome::Infeasible | LpOutcome::Unbounded => false,
-        // Unlimited budgets cannot trip; only an injected fault lands
-        // here, and a wrong membership answer would corrupt the UOV.
-        LpOutcome::LimitReached => panic!("solver fault during UOV membership check"),
-    }
+    // `solve_ilp` panics on a fault rather than answer wrongly, which
+    // would corrupt the UOV.
+    matches!(m.solve_ilp(), LpOutcome::Optimal(_))
 }
 
 /// Shortest UOV (by the paper's two-term objective) for an array whose

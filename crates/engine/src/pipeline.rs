@@ -45,7 +45,7 @@ use aov_machine::experiments::{example2_points, example3_points, SpeedupPoint};
 use aov_machine::MachineConfig;
 use aov_polyhedra::PolyhedraError;
 use aov_schedule::{legal, scheduler, Analysis, Schedule};
-use aov_support::context::{Context, Tally};
+use aov_support::context::{self, Context, Tally};
 use aov_support::{Json, ToJson};
 
 /// Errors from running a pipeline.
@@ -357,9 +357,9 @@ pub struct Report {
     /// fallback (see [`Report::aov_source`]). `None` when the stage
     /// degraded with no fallback.
     pub aov: Option<OvResult>,
-    /// Which solver produced [`Report::aov`]: `"farkas"` names the
-    /// paper's exact Problem 3 solver (solved in the generator form of
-    /// Farkas' condition, see [`problems::aov_budgeted`]), `"uov"` the
+    /// Which solver produced [`Report::aov`]: `"generators"` names the
+    /// paper's exact Problem 3 solver, which reads Theorem 1 off the
+    /// generators of ℛ (see [`problems::aov_budgeted`]), `"uov"` the
     /// schedule-independent fallback.
     pub aov_source: Option<&'static str>,
     /// Names of the arrays, aligned with [`Report::aov`].
@@ -692,12 +692,11 @@ impl Pipeline {
         self
     }
 
-    /// Whether this run's LPs probe the process-global memoization
-    /// cache: identical LP relaxations (common across sign orthants and
-    /// branch-and-bound nodes) are then solved once. The run's flag
-    /// decides regardless of the process switch; `true` also arms that
-    /// switch ([`aov_lp::memo::set_enabled`]) for solves outside any
-    /// run.
+    /// Whether this run's LPs probe the process-global memo
+    /// ([`aov_lp::memo`]): an LP canonically equal to one solved before,
+    /// in this run or an earlier memoized one, is then served from it.
+    /// The flag is the run context's; `true` also turns on the root's
+    /// ([`context::memoize_root`]), for solves outside any run.
     pub fn memoize(mut self, on: bool) -> Self {
         self.memoize = on;
         self
@@ -832,8 +831,7 @@ impl Pipeline {
     fn run_once(&self) -> Result<Report, EngineError> {
         let check_params = self.resolved_params()?;
         if self.memoize {
-            // Arms the process switch too, for solves outside any run.
-            aov_lp::memo::set_enabled(true);
+            context::memoize_root();
         }
         // Session-free runs own the process: a fresh flight-recorder
         // ring per run, so a crash bundle carries this run's event
@@ -1048,7 +1046,7 @@ impl Pipeline {
             match shared.get().and_then(|a| problems::aov_budgeted(a, budget)) {
                 Ok(aov) => {
                     let detail = ov_detail(p, &aov);
-                    done((aov, "farkas"), detail)
+                    done((aov, "generators"), detail)
                 }
                 Err(e) => {
                     let e = EngineError::Core(e);
@@ -1330,7 +1328,7 @@ fn fan_out_points(
     if threads <= 1 {
         return procs.iter().map(|&p| point(p)).collect();
     }
-    let ctx = aov_support::context::current();
+    let ctx = context::current();
     let mut per_worker: Vec<std::vec::IntoIter<SpeedupPoint>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
@@ -1498,7 +1496,7 @@ mod tests {
         for s in &report.stages {
             assert_eq!(s.outcome, StageOutcome::Ok, "stage {}", s.name);
         }
-        assert_eq!(report.aov_source, Some("farkas"));
+        assert_eq!(report.aov_source, Some("generators"));
         assert_eq!(report.equivalent, Some(true));
         let json = report.to_json();
         assert_eq!(json.get("health"), Some(&Json::from("ok")));

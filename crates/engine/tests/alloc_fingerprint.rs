@@ -81,10 +81,9 @@ fn traced_example_run(example: &str, workers: usize) -> Vec<SpanRecord> {
 #[test]
 fn fingerprint_is_identical_across_worker_counts() {
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    aov_lp::memo::set_enabled(false); // cold solver on every run
-                                      // Warmup run: one-time lazy initialisation (thread-id assignment,
-                                      // counter registration, allocator bookkeeping) must not pollute the
-                                      // first fingerprinted run.
+    // Warmup run: one-time lazy initialisation (thread-id assignment,
+    // counter registration, allocator bookkeeping) must not pollute the
+    // first fingerprinted run.
     let _ = traced_run(2);
 
     let records = traced_run(1);
@@ -135,7 +134,6 @@ fn fingerprint_is_identical_across_worker_counts() {
 #[test]
 fn fingerprint_is_identical_across_repeat_runs() {
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    aov_lp::memo::set_enabled(false);
     let _ = traced_run(1); // warmup (see above)
     let first = fingerprint(&traced_run(3));
     let second = fingerprint(&traced_run(3));
@@ -150,7 +148,6 @@ fn fingerprint_is_identical_across_repeat_runs() {
 #[test]
 fn example2_fingerprint_counts_orthants_per_array() {
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    aov_lp::memo::set_enabled(false);
     let _ = traced_example_run("example2", 1); // warmup (see above)
     let baseline = fingerprint(&traced_example_run("example2", 1));
     assert_eq!(baseline["p1.orthant"].count, 8, "{baseline:?}");

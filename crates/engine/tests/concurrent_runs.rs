@@ -7,6 +7,7 @@
 use std::sync::Barrier;
 
 use aov_engine::{Pipeline, Report};
+use aov_support::context::Context;
 
 const PROGRAMS: [&str; 2] = ["example1", "example4"];
 
@@ -81,9 +82,11 @@ fn racing_runs_match_solo_runs_with_two_workers() {
     racing_runs_match_solo_runs(2);
 }
 
-/// A run's own memo flag decides: after a memoized run armed the
-/// process switch, a `memoize(false)` run neither probes nor fills the
-/// memo, and spends exactly the pivots of a cold solo run.
+/// A run's own memo flag decides: after a memoized run, a
+/// `memoize(false)` run neither probes nor fills the memo, and spends
+/// exactly the pivots of a cold solo run. Solves outside any run do
+/// probe it from then on (the memoized run turned the root's flag on),
+/// one lookup per solve.
 #[test]
 fn unmemoized_run_after_memoized_run_stays_cold() {
     let cold = solo("example1", 1);
@@ -93,7 +96,22 @@ fn unmemoized_run_after_memoized_run_stays_cold() {
         .run()
         .expect("healthy run");
     assert!(memoized.counter("lp.memo.misses") > 0);
-    assert!(aov_lp::memo::enabled(), "a memoized run arms the switch");
+    let outside = Context::child(None, None);
+    {
+        let _entered = outside.enter();
+        assert!(aov_lp::memo::enabled(), "a memoized run arms the root");
+        let mut m = aov_lp::Model::new();
+        let x = m.add_nonneg_var("x");
+        m.minimize(aov_linalg::AffineExpr::var(1, x.index()));
+        assert!(m.solve_lp().optimal().is_some());
+    }
+    let lookups: u64 = outside
+        .counters()
+        .into_iter()
+        .filter(|(name, _)| name == "lp.memo.hits" || name == "lp.memo.misses")
+        .map(|(_, v)| v)
+        .sum();
+    assert_eq!(lookups, 1, "a solve outside any run probes the memo once");
     let after = run("example1", 1);
     assert!(!after.memoized);
     assert_eq!(after.counter("lp.memo.hits"), 0);

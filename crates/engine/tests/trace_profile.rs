@@ -37,7 +37,7 @@ fn traced<R>(f: impl FnOnce() -> R) -> (R, Vec<SpanRecord>) {
 /// Runs Example 1 with tracing on and returns its spans and report.
 fn traced_example1(workers: usize) -> (Vec<SpanRecord>, Report) {
     let (report, records) = traced(|| {
-        aov_lp::memo::set_enabled(false); // cold cache: the simplex must run
+        aov_lp::memo::clear(); // cold memo: the simplex must run
         Pipeline::for_example("example1")
             .unwrap()
             .workers(workers)
@@ -150,7 +150,7 @@ fn example1_flame_table_golden() {
 #[test]
 fn example2_orthants_are_searched_per_array() {
     let (report, records) = traced(|| {
-        aov_lp::memo::set_enabled(false);
+        aov_lp::memo::clear();
         Pipeline::for_example("example2")
             .unwrap()
             .workers(1)
@@ -348,7 +348,7 @@ fn chrome_export_round_trips() {
 #[test]
 fn report_counters_are_per_run_deltas() {
     let _guard = lock();
-    aov_lp::memo::set_enabled(false); // cold cache
+    aov_lp::memo::clear(); // cold memo
     let run = || {
         Pipeline::for_example("example1")
             .unwrap()

@@ -5,7 +5,7 @@
 //! writer statement `T` of `A` whose domain contains `g(i, N)` — so the
 //! dependences `(R, T, h, P)` of §4.1 are computed by intersecting access
 //! relations with writer domains. This matches what a full array
-//! dataflow analysis (Feautrier [6], the Omega test [15]) produces on
+//! dataflow analysis (Feautrier \[6\], the Omega test \[15\]) produces on
 //! this class.
 
 use crate::{Program, StmtId};

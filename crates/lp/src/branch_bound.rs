@@ -2,17 +2,21 @@
 //! variables.
 
 use crate::model::{Cmp, LpOutcome, Model, Solution};
-use aov_fault::{AovError, Budget};
+use aov_fault::{AovError, Budget, BudgetExceeded, Resource};
 use aov_linalg::AffineExpr;
 use aov_numeric::Rational;
 
-/// Hard cap on explored nodes; the paper's problems need a handful.
-/// This backstop predates [`Budget`] node limits and still protects
-/// legacy unbudgeted callers; it reports [`LpOutcome::LimitReached`]
-/// rather than an error.
+/// Backstop on explored nodes under any budget; the paper's problems
+/// need a handful. Exceeding it is a node-budget error (site `lp.ilp`):
+/// an unfinished search proves neither an incumbent optimal nor the
+/// problem infeasible.
 const NODE_LIMIT: usize = 100_000;
 
 pub(crate) fn solve(model: &Model, budget: &Budget) -> Result<LpOutcome, AovError> {
+    solve_within(model, budget, NODE_LIMIT)
+}
+
+fn solve_within(model: &Model, budget: &Budget, node_limit: usize) -> Result<LpOutcome, AovError> {
     let marks = model.integer_marks().to_vec();
     if !marks.iter().any(|&b| b) {
         return model.solve_lp_budgeted(budget);
@@ -20,17 +24,19 @@ pub(crate) fn solve(model: &Model, budget: &Budget) -> Result<LpOutcome, AovErro
     let _span = aov_trace::span!("lp.ilp", vars = model.num_vars());
     let mut best: Option<Solution> = None;
     let mut nodes = 0usize;
-    let mut limit_hit = false;
     let mut stack = vec![model.clone()];
-    let mut root_unbounded = false;
     while let Some(node) = stack.pop() {
         nodes += 1;
         budget.tick_node("lp.ilp")?;
         aov_fault::chaos::tick("lp.ilp.node")?;
         aov_support::static_counter!("lp.bb.nodes").add(1);
-        if nodes > NODE_LIMIT {
-            limit_hit = true;
-            break;
+        if nodes > node_limit {
+            return Err(BudgetExceeded {
+                resource: Resource::Nodes,
+                limit: node_limit as u64,
+                site: "lp.ilp",
+            }
+            .into());
         }
         match node.solve_lp_budgeted(budget)? {
             LpOutcome::Infeasible => continue,
@@ -38,15 +44,9 @@ pub(crate) fn solve(model: &Model, budget: &Budget) -> Result<LpOutcome, AovErro
                 // An unbounded relaxation at the root means the ILP is
                 // unbounded or infeasible; report unbounded (documented).
                 if nodes == 1 {
-                    root_unbounded = true;
-                    break;
+                    return Ok(LpOutcome::Unbounded);
                 }
                 continue;
-            }
-            LpOutcome::LimitReached => {
-                // Budgeted relaxations report faults as errors, so the
-                // relaxation itself never yields this.
-                unreachable!("solve_lp_budgeted has no node limit")
             }
             LpOutcome::Optimal(sol) => {
                 if let Some(b) = &best {
@@ -91,19 +91,13 @@ pub(crate) fn solve(model: &Model, budget: &Budget) -> Result<LpOutcome, AovErro
             }
         }
     }
-    if root_unbounded {
-        return Ok(LpOutcome::Unbounded);
-    }
-    Ok(match best {
-        Some(sol) => LpOutcome::Optimal(sol),
-        None if limit_hit => LpOutcome::LimitReached,
-        None => LpOutcome::Infeasible,
-    })
+    Ok(best.map_or(LpOutcome::Infeasible, LpOutcome::Optimal))
 }
 
 #[cfg(test)]
 mod tests {
     use crate::{Cmp, LpOutcome, Model};
+    use aov_fault::{AovError, Budget, BudgetExceeded, Resource};
     use aov_linalg::AffineExpr;
     use aov_numeric::Rational;
 
@@ -182,6 +176,48 @@ mod tests {
         assert_eq!(sol.objective, Rational::new(5, 2));
         assert_eq!(sol.value(x), &Rational::from(2));
         assert_eq!(sol.value(y), &Rational::new(1, 2));
+    }
+
+    /// Below the nodes an ILP needs, the backstop is a node-budget
+    /// error, never an unproven incumbent or an "infeasible" verdict.
+    /// The knapsack's second node is integral, (2, 2) at −18, so a
+    /// limit of 1 trips with no incumbent and every limit from 2 on
+    /// trips holding one, until the search proves (4, 0) at −20.
+    #[test]
+    fn node_backstop_is_an_error() {
+        let mut m = Model::new();
+        let x = m.add_nonneg_var("x");
+        let y = m.add_nonneg_var("y");
+        m.set_integer(x);
+        m.set_integer(y);
+        m.constrain(AffineExpr::from_i64(&[6, 4], -24), Cmp::Le);
+        m.constrain(AffineExpr::from_i64(&[1, 2], -6), Cmp::Le);
+        m.minimize(AffineExpr::from_i64(&[-5, -4], 0));
+        let optimum = m.solve_ilp();
+        // The root relaxation is (3, 3/2); its `y >= 2` branch, searched
+        // first, is integral.
+        let mut branch = m.clone();
+        branch.constrain(AffineExpr::from_i64(&[0, 1], -2), Cmp::Ge);
+        let second = branch.solve_lp().optimal().expect("feasible branch");
+        assert_eq!(second.values.as_slice(), [2.into(), 2.into()]);
+        let budget = Budget::unlimited();
+        let mut limit = 1;
+        loop {
+            match super::solve_within(&m, &budget, limit) {
+                Ok(outcome) => break assert_eq!(outcome, optimum),
+                Err(AovError::BudgetExceeded(trip)) => assert_eq!(
+                    trip,
+                    BudgetExceeded {
+                        resource: Resource::Nodes,
+                        limit: limit as u64,
+                        site: "lp.ilp"
+                    }
+                ),
+                Err(e) => panic!("unexpected fault {e}"),
+            }
+            limit += 1;
+        }
+        assert!(limit > 2, "the ILP branches: {limit} nodes");
     }
 
     #[test]

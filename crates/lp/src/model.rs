@@ -64,11 +64,6 @@ pub enum LpOutcome {
     Infeasible,
     /// The objective is unbounded below on the feasible region.
     Unbounded,
-    /// No verdict: branch-and-bound hit its node backstop, or an
-    /// injected fault interrupted a legacy infallible call
-    /// ([`Model::solve_lp`]/[`Model::solve_ilp`]). The budgeted APIs
-    /// report faults as [`AovError`] instead of this variant.
-    LimitReached,
 }
 
 impl LpOutcome {
@@ -284,22 +279,24 @@ impl Model {
 
     /// Solves the continuous relaxation with exact two-phase simplex.
     ///
-    /// When [`memo::enabled`](crate::memo::enabled) holds, repeated
-    /// solves of canonically identical models are served from a
-    /// process-global cache.
+    /// Infallible entry point: runs with an unlimited [`Budget`], so
+    /// only an injected fault interrupts it.
     ///
-    /// Legacy infallible entry point: runs with an unlimited
-    /// [`Budget`], so the only possible faults are injected chaos
-    /// faults; those map to
-    /// [`LpOutcome::LimitReached`]. Budget-aware callers use
+    /// # Panics
+    ///
+    /// On an injected fault; budget-aware callers use
     /// [`Model::solve_lp_budgeted`].
     pub fn solve_lp(&self) -> LpOutcome {
-        self.solve_lp_budgeted(&Budget::unlimited())
-            .unwrap_or(LpOutcome::LimitReached)
+        unfailing(self.solve_lp_budgeted(&Budget::unlimited()))
     }
 
     /// Solves the continuous relaxation under `budget`, checked at
     /// pivot granularity.
+    ///
+    /// When [`memo::enabled`](crate::memo::enabled) holds, the solve
+    /// first looks up the model's [canonical key](Model::canonical_key)
+    /// in the [`memo`](crate::memo); on a miss it runs the simplex and
+    /// caches the outcome only if the simplex finishes.
     ///
     /// # Errors
     ///
@@ -312,33 +309,27 @@ impl Model {
             constraints = self.num_constraints()
         );
         self.record_coeff_histogram();
-        if crate::memo::enabled() {
-            let key = {
-                let _s = aov_trace::span!("lp.canonicalize");
-                self.canonical_key()
-            };
-            let claim = {
-                let _s = aov_trace::span!("lp.memo.lookup");
-                crate::memo::claim(&key)
-            };
-            match claim {
-                crate::memo::Claim::Hit(cached) => Ok(cached),
-                crate::memo::Claim::Miss(flight) => {
-                    let outcome = {
-                        let _s = aov_trace::span!("lp.simplex");
-                        // Faults propagate with `?`, dropping the flight
-                        // guard: the claim is abandoned, concurrent
-                        // waiters retry, and nothing partial is cached.
-                        simplex::solve(self, budget)?
-                    };
-                    flight.complete(&outcome);
-                    Ok(outcome)
-                }
-            }
-        } else {
+        if !crate::memo::enabled() {
             let _s = aov_trace::span!("lp.simplex");
-            simplex::solve(self, budget)
+            return simplex::solve(self, budget);
         }
+        let key = {
+            let _s = aov_trace::span!("lp.canonicalize");
+            self.canonical_key()
+        };
+        let cached = {
+            let _s = aov_trace::span!("lp.memo.lookup");
+            crate::memo::lookup(&key)
+        };
+        if let Some(outcome) = cached {
+            return Ok(outcome);
+        }
+        let outcome = {
+            let _s = aov_trace::span!("lp.simplex");
+            simplex::solve(self, budget)?
+        };
+        crate::memo::insert(key, outcome.clone());
+        Ok(outcome)
     }
 
     /// One pass over the model's input coefficients per solve,
@@ -390,12 +381,15 @@ impl Model {
     /// Solves with integrality on variables marked by
     /// [`Model::set_integer`], via branch-and-bound on the exact simplex.
     ///
-    /// Legacy infallible entry point; see [`Model::solve_lp`] for the
-    /// fault mapping. Budget-aware callers use
+    /// Infallible entry point with an unlimited [`Budget`].
+    ///
+    /// # Panics
+    ///
+    /// On an injected fault or when branch-and-bound exceeds its node
+    /// backstop; budget-aware callers use
     /// [`Model::solve_ilp_budgeted`].
     pub fn solve_ilp(&self) -> LpOutcome {
-        self.solve_ilp_budgeted(&Budget::unlimited())
-            .unwrap_or(LpOutcome::LimitReached)
+        unfailing(self.solve_ilp_budgeted(&Budget::unlimited()))
     }
 
     /// Branch-and-bound under `budget`: nodes charge
@@ -404,7 +398,9 @@ impl Model {
     /// # Errors
     ///
     /// [`AovError::BudgetExceeded`] when a node/pivot/deadline limit
-    /// trips; injected chaos faults otherwise.
+    /// trips, or when branch-and-bound exceeds its node backstop
+    /// (site `lp.ilp`) under any budget; injected chaos faults
+    /// otherwise.
     pub fn solve_ilp_budgeted(&self, budget: &Budget) -> Result<LpOutcome, AovError> {
         branch_bound::solve(self, budget)
     }
@@ -412,10 +408,9 @@ impl Model {
 
 /// Exact queries over the region a list of affine rows cuts out of
 /// `Q^dim`: the one model builder behind every emptiness, implication
-/// and extremum LP outside the solvers. Each query solves with an
-/// unlimited budget, so only an injected fault interrupts it; that
-/// panics instead of guessing a verdict, which would corrupt the
-/// caller's result.
+/// and extremum LP outside the solvers. Each query goes through
+/// [`Model::solve_lp`], which panics on a fault instead of guessing a
+/// verdict.
 impl Model {
     /// The region `{x ∈ Q^dim | e cmp 0 for each (e, cmp) of rows}` as a
     /// model over the free variables `x0, x1, …`, without an objective.
@@ -435,7 +430,7 @@ impl Model {
 
     /// Whether no point satisfies the constraints (phase-1 simplex).
     pub fn is_infeasible(&self) -> bool {
-        self.answer() == LpOutcome::Infeasible
+        self.solve_lp() == LpOutcome::Infeasible
     }
 
     /// Whether `e >= 0` holds on the whole feasible region (vacuously
@@ -462,16 +457,16 @@ impl Model {
     fn minimizing(&self, e: &AffineExpr) -> LpOutcome {
         let mut m = self.clone();
         m.minimize(e.clone());
-        m.answer()
+        m.solve_lp()
     }
+}
 
-    fn answer(&self) -> LpOutcome {
-        let outcome = self.solve_lp();
-        assert!(
-            outcome != LpOutcome::LimitReached,
-            "solver fault during an unbudgeted LP query"
-        );
-        outcome
+/// The outcome of an unbudgeted solve, which only a fault interrupts:
+/// a guessed verdict would corrupt the caller's result, so it panics.
+fn unfailing(result: Result<LpOutcome, AovError>) -> LpOutcome {
+    match result {
+        Ok(outcome) => outcome,
+        Err(e) => panic!("solver fault during an unbudgeted LP solve: {e}"),
     }
 }
 

@@ -405,7 +405,7 @@ pub(crate) fn solve_ilp(model: &Model, start: Start) -> (LpOutcome, Vec<Pivot>) 
         match outcome {
             LpOutcome::Infeasible => continue,
             LpOutcome::Unbounded if nodes == 1 => return (LpOutcome::Unbounded, log),
-            LpOutcome::Unbounded | LpOutcome::LimitReached => continue,
+            LpOutcome::Unbounded => continue,
             LpOutcome::Optimal(sol) => {
                 if best.as_ref().is_some_and(|b| sol.objective >= b.objective) {
                     continue;
@@ -631,7 +631,6 @@ mod tests {
             LpOutcome::Optimal(sol) => (0, Some(sol.objective.clone())),
             LpOutcome::Infeasible => (1, None),
             LpOutcome::Unbounded => (2, None),
-            LpOutcome::LimitReached => (3, None),
         }
     }
 

@@ -1,13 +1,14 @@
-//! Concurrency contract of the sharded single-flight memo tier.
+//! The contract of the LP memo under concurrent and failing solves.
 //!
-//! Runs in its own process (integration-test binary), so enabling the
-//! global cache and arming a tiny LRU capacity here cannot perturb the
-//! library's unit tests. The tests serialize on a local mutex because
-//! the cache itself is process-global.
+//! Runs in its own process (integration-test binary), so arming a tiny
+//! LRU capacity here cannot perturb the library's unit tests. The tests
+//! serialize on a local mutex because the memo itself is
+//! process-global, and each solves inside a memoizing telemetry
+//! context, the only place the memo is probed.
 
-use aov_fault::Budget;
+use aov_fault::{AovError, Budget};
 use aov_lp::{memo, Cmp, Model};
-use std::sync::atomic::{AtomicU64, Ordering};
+use aov_support::context::Context;
 use std::sync::Mutex;
 
 static TIER: Mutex<()> = Mutex::new(());
@@ -34,81 +35,27 @@ fn model(variant: i64, names: [&str; 2]) -> Model {
     m
 }
 
-/// N threads × M structurally-identical programs: the solver layer must
-/// run **exactly one computation per canonical key**; every other
-/// claimant is served the shared outcome. Exercised directly at the
-/// claim layer (where the guarantee lives) with an instrumented compute
-/// counter, so the assertion is exact rather than statistical.
-#[test]
-fn hammer_single_flight_computes_each_key_once() {
-    let _g = locked();
-    memo::clear();
-    memo::set_capacity(0);
-    const THREADS: usize = 8;
-    const KEYS: usize = 5;
-    let computes = AtomicU64::new(0);
-    let served = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let computes = &computes;
-            let served = &served;
-            s.spawn(move || {
-                for k in 0..KEYS {
-                    // Rotate the starting key per thread so claims
-                    // collide mid-flight, not just back to back.
-                    let k = (k + t) % KEYS;
-                    let key = format!("test.hammer.single_flight.{k}");
-                    let m = model(k as i64, ["x", "y"]);
-                    let expected = m.solve_lp();
-                    let got = match memo::claim(&key) {
-                        memo::Claim::Hit(outcome) => {
-                            served.fetch_add(1, Ordering::Relaxed);
-                            outcome
-                        }
-                        memo::Claim::Miss(flight) => {
-                            computes.fetch_add(1, Ordering::Relaxed);
-                            let outcome = m.solve_lp();
-                            flight.complete(&outcome);
-                            outcome
-                        }
-                    };
-                    assert_eq!(got, expected, "key {key}: wrong-model hit");
-                }
-            });
-        }
-    });
-    assert_eq!(
-        computes.load(Ordering::Relaxed),
-        KEYS as u64,
-        "exactly one computation per canonical key"
-    );
-    assert_eq!(
-        served.load(Ordering::Relaxed),
-        (THREADS * KEYS - KEYS) as u64,
-        "every other claimant is served the shared outcome"
-    );
-    memo::clear();
-}
-
-/// The same hammer through the real solver entry point: N threads solve
-/// M alpha-renamed variants concurrently with memoization on; every
-/// thread must observe the same outcome per variant as a cold
-/// single-threaded solve (a wrong-model hit would diverge).
+/// N threads solve M alpha-renamed variants concurrently with
+/// memoization on; every thread must observe the same outcome per
+/// variant as a cold single-threaded solve (a wrong-model hit would
+/// diverge).
 #[test]
 fn hammer_solver_path_is_consistent_under_contention() {
     let _g = locked();
     memo::clear();
     memo::set_capacity(0);
-    memo::set_enabled(true);
     const THREADS: usize = 8;
     const VARIANTS: i64 = 4;
     let expected: Vec<_> = (0..VARIANTS)
         .map(|v| model(v, ["x", "y"]).solve_lp())
         .collect();
+    assert_eq!(memo::len(), 0, "solves outside a memoizing context");
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let expected = &expected;
             s.spawn(move || {
+                let ctx = Context::child(None, Some(true));
+                let _entered = ctx.enter();
                 for v in 0..VARIANTS {
                     // Alternate naming schemes: alpha-renaming must
                     // land both on the same entry.
@@ -125,76 +72,79 @@ fn hammer_solver_path_is_consistent_under_contention() {
             });
         }
     });
-    memo::set_enabled(false);
+    assert_eq!(
+        memo::len(),
+        VARIANTS as usize,
+        "one entry per canonical key"
+    );
+    memo::clear();
 }
 
 /// Eviction under a tiny LRU bound must degrade to recomputation, never
 /// to a wrong-model hit: with capacity far below the working set, every
-/// solve still returns the same outcome as an uncached solve.
+/// solve still returns the same outcome as an uncached solve, and the
+/// bound holds exactly.
 #[test]
 fn tiny_lru_bound_never_returns_a_wrong_model_hit() {
     let _g = locked();
     memo::clear();
     const VARIANTS: i64 = 24;
-    // Uncached baselines first: disabling the tier clears it, so the
-    // baselines must not interleave with the bounded-cache solves.
+    const CAPACITY: usize = 2; // far below the 24-variant working set
     let uncached: Vec<_> = (0..VARIANTS)
         .map(|v| model(v, ["x", "y"]).solve_lp())
         .collect();
-    memo::set_enabled(true);
-    memo::set_capacity(2); // far below the 24-variant working set
+    memo::set_capacity(CAPACITY);
     let before = memo::stats();
-    for round in 0..3 {
-        for v in 0..VARIANTS {
-            let cached = model(v, ["x", "y"]).solve_lp();
-            assert_eq!(cached, uncached[v as usize], "round {round}, variant {v}");
+    let ctx = Context::child(None, Some(true));
+    {
+        let _entered = ctx.enter();
+        for round in 0..3 {
+            for v in 0..VARIANTS {
+                let cached = model(v, ["x", "y"]).solve_lp();
+                assert_eq!(cached, uncached[v as usize], "round {round}, variant {v}");
+                assert!(memo::len() <= CAPACITY, "{} entries resident", memo::len());
+            }
         }
     }
-    let after = memo::stats();
-    assert!(
-        after.evictions > before.evictions,
-        "a 2-entry bound over 24 variants must evict"
-    );
-    // The bound holds approximately: at most one resident entry per
-    // shard stripe.
-    assert!(
-        memo::len() <= aov_lp::memo::SHARD_COUNT,
-        "resident entries {} exceed the per-shard floor",
-        memo::len()
-    );
+    let evictions = |c: &Context| {
+        c.counters()
+            .into_iter()
+            .find(|(n, _)| n == "lp.memo.evictions")
+            .map_or(0, |(_, v)| v)
+    };
+    // 72 inserts into 2 slots: every insert after the second evicts.
+    assert_eq!(evictions(&ctx), 3 * VARIANTS as u64 - CAPACITY as u64);
+    drop(ctx);
+    assert!(memo::stats().evictions > before.evictions);
     memo::set_capacity(0);
-    memo::set_enabled(false);
+    memo::clear();
 }
 
-/// An abandoned flight (failed computation) wakes waiters into
-/// recomputing rather than hanging or serving a phantom entry.
+/// A memoized solve whose pivot budget trips caches nothing, and the
+/// retry that finishes caches its outcome.
 #[test]
-fn abandoned_flight_wakes_waiters_into_retry() {
+fn tripped_solve_caches_nothing_and_retry_caches() {
     let _g = locked();
     memo::clear();
     memo::set_capacity(0);
-    let key = "test.hammer.abandon";
     let m = model(7, ["x", "y"]);
     let expected = m.solve_lp();
-    let memo::Claim::Miss(flight) = memo::claim(key) else {
-        panic!("first claim must miss");
-    };
-    let waiter = std::thread::spawn({
-        let m = m.clone();
-        move || match memo::claim("test.hammer.abandon") {
-            // Raced in before the owner's claim resolved either way.
-            memo::Claim::Hit(outcome) => outcome,
-            memo::Claim::Miss(flight) => {
-                let outcome = m.solve_lp();
-                flight.complete(&outcome);
-                outcome
-            }
-        }
-    });
-    // Give the waiter a moment to block on the flight, then fail it.
-    std::thread::sleep(std::time::Duration::from_millis(20));
-    drop(flight);
-    let got = waiter.join().expect("waiter must not hang or panic");
-    assert_eq!(got, expected);
+    let ctx = Context::child(None, Some(true));
+    let _entered = ctx.enter();
+    let tripped = m.solve_lp_budgeted(&Budget::new(Some(0), None, None));
+    assert!(
+        matches!(tripped, Err(AovError::BudgetExceeded(_))),
+        "{tripped:?}"
+    );
+    assert_eq!(memo::len(), 0, "a tripped solve must cache nothing");
+    let retried = m
+        .solve_lp_budgeted(&Budget::unlimited())
+        .expect("unlimited budget never trips");
+    assert_eq!(retried, expected);
+    assert_eq!(memo::len(), 1, "the finished retry is cached");
+    let hit = m
+        .solve_lp_budgeted(&Budget::new(Some(0), None, None))
+        .expect("a hit spends no pivots");
+    assert_eq!(hit, expected);
     memo::clear();
 }

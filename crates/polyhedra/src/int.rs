@@ -22,7 +22,7 @@ pub type Row = Vec<BigInt>;
 /// form the DD computes them in: a vertex `x` is `(λ, λ·x)` with the
 /// least `λ > 0` that makes it integral (the row [`homogenize`] gives),
 /// and a ray or line is `(0, r)` with `r` its primitive integer
-/// direction. [`Generators::to_rational`] is the rational
+/// direction. `Generators::to_rational` is the rational
 /// [`GeneratorSet`] of the same generators.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Generators {

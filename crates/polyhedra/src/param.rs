@@ -5,7 +5,7 @@
 //! right-hand sides depend on symbolic parameters — loop bounds `N`, or
 //! the unknown occupancy vector `v` — the vertices are affine functions of
 //! those parameters, and *which* affine functions are vertices can change
-//! across the parameter space. Following [13] (Loechner & Wilde), the
+//! across the parameter space. Following \[13\] (Loechner & Wilde), the
 //! vertices are read off the faces of the lifted polyhedron
 //! `L = {(i, N) | system, N ∈ param domain}`: on a face whose tight rows
 //! fix `i` (their `i`-parts have full rank), `i` is an affine function

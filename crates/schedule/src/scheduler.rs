@@ -141,9 +141,6 @@ pub fn find_schedule_with_budgeted(
         aov_lp::LpOutcome::Unbounded => {
             unreachable!("objective is a nonnegative weighted norm")
         }
-        // The node-limit backstop: no verdict, which for schedule
-        // existence is indistinguishable from "none found".
-        aov_lp::LpOutcome::LimitReached => Err(ScheduleError::Infeasible),
     }
 }
 

@@ -15,9 +15,10 @@
 //!    budget-tripped solve degrades to the pipeline's ladder semantics,
 //!    writes an `aov-diag/1` bundle, and the supervisor restarts the
 //!    poisoned worker so the daemon keeps serving.
-//! 3. **Shared memo tier** ([`aov_lp::memo`]) — canonically-keyed LP
-//!    solves are cached across requests in a sharded, LRU-bounded
-//!    single-flight cache; responses report hit/miss/eviction counts.
+//! 3. **Shared memo** ([`aov_lp::memo`]) — canonically-keyed LP
+//!    solves of memoizing requests are cached across requests in one
+//!    optionally LRU-bounded map; responses report hit/miss/eviction
+//!    counts.
 //! 4. **Client resilience** ([`client`]) — retry with
 //!    decorrelated-jitter exponential backoff that honors the server's
 //!    `retry_after_ms` hint; solves are idempotent so retries are safe.

@@ -77,9 +77,10 @@ pub struct ServerConfig {
     /// Bounded request-queue depth; beyond it requests shed as
     /// `overloaded`.
     pub queue_limit: usize,
-    /// Arms the shared cross-request memo tier.
+    /// Whether requests that ask for `memoize` probe the shared memo.
     pub memo: bool,
-    /// LRU bound for the memo tier (0 = unbounded).
+    /// Exact LRU entry bound of the memo (0 = unbounded); meant for at
+    /// most a few thousand entries (see [`aov_lp::memo`]).
     pub memo_capacity: usize,
     /// Total pivots admitted in flight at once (None = unlimited).
     /// Requests charge their declared pivot budget, or
@@ -197,8 +198,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, arms the memo tier per config, and spawns the accept
-    /// loop plus the worker pool.
+    /// Binds, bounds the memo per config, and spawns the accept loop
+    /// plus the worker pool.
     ///
     /// # Errors
     ///
@@ -208,7 +209,6 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         if cfg.memo {
-            aov_lp::memo::set_enabled(true);
             aov_lp::memo::set_capacity(cfg.memo_capacity);
         }
         let workers = cfg.workers.max(1);
@@ -678,7 +678,8 @@ fn process_job(shared: &Arc<Shared>, job: &Job) {
         }
         None => None,
     };
-    // Chaos probes: the request pickup and memo-arming layers. Errors
+    // Chaos probes: request pickup, and `serve.memo` (a probe site
+    // only) when the daemon memoizes. Errors
     // reject with a structured frame + service bundle; panics unwind
     // into the worker's catch.
     for site in ["serve.request", "serve.memo"] {

@@ -21,8 +21,8 @@
 //! The global ledger is **batched**: an allocation with no open scope
 //! is two plain `Cell` increments on the thread's local ledger plus a
 //! flush check; the local tallies drain into the shared atomics every
-//! [`FLUSH_EVERY`] events (or immediately for allocations of
-//! [`FLUSH_SIZE`] bytes and up, so big spikes hit the high-water mark
+//! `FLUSH_EVERY` events (or immediately for allocations of
+//! `FLUSH_SIZE` bytes and up, so big spikes hit the high-water mark
 //! promptly). That keeps the per-allocation cost at the nanosecond
 //! floor — shared `fetch_add`s per allocation would cost more than the
 //! small allocations they count. The price is staleness: another

@@ -3,7 +3,9 @@
 //! A context holds what a run reports: one cell per counter id (see
 //! [`counters`](crate::counters)), the allocations and bytes its threads
 //! performed, the largest numeric bit-width they reported, its finished
-//! spans, its flight-recorder session and its LP-memo flag. A thread
+//! spans, its flight-recorder session and its LP-memo flag (whether its
+//! solves probe `aov_lp::memo`; off in the root until a memoizing run
+//! turns it on with [`memoize_root`]). A thread
 //! installs one with [`Context::enter`]; several threads may enter the
 //! same context, each charging it exactly. A counter bump is one
 //! thread-local read plus one relaxed add into the installed context.
@@ -53,14 +55,15 @@ pub struct SpanRecord {
     pub max_bits: u64,
 }
 
-/// The telemetry of one run, one stage, or the process root.
+/// The telemetry of one run, one stage, or the process root, and
+/// whether the LP solves under it probe the memo.
 #[derive(Debug)]
 pub struct Context {
     /// `None` only for the root.
     parent: Option<Arc<Context>>,
     session: u64,
-    /// `None` defers to the process switch (`aov_lp::memo`).
-    memoize: Option<bool>,
+    /// Whether LP solves under this context probe `aov_lp::memo`.
+    memoize: AtomicBool,
     counters: [AtomicU64; MAX_COUNTERS],
     allocs: AtomicU64,
     bytes: AtomicU64,
@@ -94,7 +97,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 pub(crate) fn root() -> &'static Arc<Context> {
     static ROOT: OnceLock<Arc<Context>> = OnceLock::new();
-    ROOT.get_or_init(|| Arc::new(Context::new(None, 0, None)))
+    ROOT.get_or_init(|| Arc::new(Context::new(None, 0, false)))
 }
 
 /// Runs `f` on the installed context, if any; safe inside the
@@ -136,11 +139,19 @@ pub fn session() -> u64 {
     with_current(|c| c.session)
 }
 
-/// The LP-memo flag of the current context (`None`: the process switch
-/// decides).
+/// The LP-memo flag of the current context.
 #[must_use]
-pub fn memoize() -> Option<bool> {
-    with_current(|c| c.memoize)
+pub fn memoize() -> bool {
+    with_current(|c| c.memoize.load(Ordering::Relaxed))
+}
+
+/// Turns on the root's LP-memo flag for the rest of the process, so LP
+/// solves outside any run, and contexts opened after this that inherit
+/// it, probe the memo too. A memoizing `aov_engine::Pipeline` run calls
+/// it: perfbench's traced mirror calls the crates' entry points outside
+/// any run after such a run, and measures the memoized path.
+pub fn memoize_root() {
+    root().memoize.store(true, Ordering::Relaxed);
 }
 
 /// Appends a finished span to the current context.
@@ -189,11 +200,11 @@ impl Drop for Entered {
 }
 
 impl Context {
-    fn new(parent: Option<Arc<Context>>, session: u64, memoize: Option<bool>) -> Context {
+    fn new(parent: Option<Arc<Context>>, session: u64, memoize: bool) -> Context {
         Context {
             parent,
             session,
-            memoize,
+            memoize: AtomicBool::new(memoize),
             counters: [const { AtomicU64::new(0) }; MAX_COUNTERS],
             allocs: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
@@ -204,12 +215,12 @@ impl Context {
     }
 
     /// A new context under the current one; `None` inherits the
-    /// parent's session or memo flag.
+    /// parent's session or its memo flag as it is now.
     #[must_use]
     pub fn child(session: Option<u64>, memoize: Option<bool>) -> Arc<Context> {
         let parent = current();
         let session = session.unwrap_or(parent.session);
-        let memoize = memoize.or(parent.memoize);
+        let memoize = memoize.unwrap_or_else(|| parent.memoize.load(Ordering::Relaxed));
         Arc::new(Context::new(Some(parent), session, memoize))
     }
 
@@ -410,12 +421,12 @@ mod tests {
 
     #[test]
     fn session_memo_flag_and_spans_follow_the_context() {
-        let run = Context::child(Some(7), Some(false));
+        let run = Context::child(Some(7), Some(true));
         let entered = run.enter();
         let stage = Context::child(None, None);
         {
             let _in_stage = stage.enter();
-            assert_eq!((session(), memoize()), (7, Some(false)), "inherited");
+            assert_eq!((session(), memoize()), (7, true), "inherited");
             push_span(SpanRecord {
                 name: "test.context.span".to_string(),
                 ..SpanRecord::default()
@@ -427,5 +438,6 @@ mod tests {
         assert_eq!(spans[0].name, "test.context.span");
         drop(entered);
         assert_ne!(session(), 7, "leaving restores the previous context");
+        assert!(!memoize(), "no memoizing run turned the root's flag on");
     }
 }

@@ -10,7 +10,7 @@
 //! * [`json`] — a minimal JSON value with a compact/pretty writer and
 //!   a parser (replaces `serde`/`serde_json` for report dumps and
 //!   read-back),
-//! * [`bench`] — a wall-clock micro-benchmark harness with warmup and
+//! * [`bench`](mod@bench) — a wall-clock micro-benchmark harness with warmup and
 //!   per-iteration statistics (replaces `criterion`),
 //! * [`prop`] + [`props!`] — a seeded property-test runner (replaces
 //!   `proptest`): failures report the case index and per-case seed so

@@ -13,6 +13,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings"
+# A broken or private intra-doc link (say, to a deleted item) fails the
+# build of the API docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "== cargo build --release --offline"
 cargo build --release --offline --workspace
 
