@@ -9,9 +9,9 @@ use aov_ir::{ArrayId, Program};
 use aov_linalg::AffineExpr;
 use aov_lp::{Cmp, LpOutcome, Model};
 use aov_numeric::BigInt;
-use aov_polyhedra::int::{self, Row};
+use aov_polyhedra::int::{self, Generators, Row};
 use aov_polyhedra::param::dedup_in_order;
-use aov_polyhedra::{Constraint, ConstraintKind, GeneratorSet, Polyhedron};
+use aov_polyhedra::{Constraint, ConstraintKind, Polyhedron};
 use aov_schedule::{legal, scheduler, sign_patterns, Analysis, BilinearForm, Orthant, Schedule};
 use std::cell::OnceCell;
 use std::collections::HashSet;
@@ -522,7 +522,14 @@ pub fn best_schedule_for_ov(
 }
 
 /// A best (smallest-coefficient) schedule valid for the given occupancy
-/// vectors. The scheduling ILP charges `budget` per pivot and per
+/// vectors: the scheduler's ILP over ℛ with the storage rows added.
+///
+/// When every storage row already holds on all of ℛ
+/// ([`Analysis::holds_on_legal`]), as it does for a vector valid for every
+/// legal schedule (an AOV or a UOV), the added rows are redundant and the
+/// answer is the scheduler's own over ℛ alone ([`Analysis::schedule`]),
+/// solved at most once per analysis. Otherwise the ILP with the rows is
+/// solved. Either ILP charges `budget` per pivot and per
 /// branch-and-bound node.
 ///
 /// # Errors
@@ -536,10 +543,15 @@ pub fn best_schedule_for_ov_budgeted(
     vectors: &[OccupancyVector],
     budget: &Budget,
 ) -> Result<Schedule, CoreError> {
-    let extra: Vec<(AffineExpr, Cmp)> = storage_rows(a, vectors)?
-        .into_iter()
-        .map(|r| (r, Cmp::Ge))
-        .collect();
+    let rows = storage_rows(a, vectors)?;
+    let certified = {
+        let _s = aov_trace::span!("p2.certify", rows = rows.len());
+        a.holds_on_legal(&rows)
+    };
+    if certified {
+        return Ok(a.schedule(budget)?);
+    }
+    let extra: Vec<(AffineExpr, Cmp)> = rows.into_iter().map(|r| (r, Cmp::Ge)).collect();
     let _s = aov_trace::span!("p2.solve", rows = a.rows().len() + extra.len());
     Ok(scheduler::find_schedule_with_budgeted(a, &extra, budget)?)
 }
@@ -598,7 +610,7 @@ pub fn aov_with(p: &Program, _workers: usize) -> Result<OvResult, CoreError> {
 /// * [`CoreError::Fault`] — budget exhaustion or an
 ///   isolated orthant panic.
 pub fn aov_budgeted(a: &Analysis, budget: &Budget) -> Result<OvResult, CoreError> {
-    let gens = a.legal().generators();
+    let gens = a.generators();
     if gens.is_empty() {
         return Err(CoreError::Unschedulable);
     }
@@ -608,43 +620,23 @@ pub fn aov_budgeted(a: &Analysis, budget: &Budget) -> Result<OvResult, CoreError
     aov_support::static_counter!("core.aov.farkas_multipliers")
         .add((forms_total * (a.rows().len() + 1)) as u64);
     aov_support::static_counter!("core.aov.generator_rows").add((forms_total * generators) as u64);
-    let gens = GeneratorRows::new(&gens);
     shortest_per_array(
         a,
         budget,
         "aov.orthant",
-        &|d| generator_rows(a.storage_forms(d), &gens),
+        &|d| generator_rows(a.storage_forms(d), gens),
         |d, pattern| a.active_in_orthant(d, pattern),
         |m| m.solve_ilp_budgeted(budget),
     )
 }
 
-/// ℛ's generator matrix: each vertex, ray and line as a homogenized
-/// integer row ([`int::homogenize`]).
-struct GeneratorRows {
-    vertices: Vec<Row>,
-    rays: Vec<Row>,
-    lines: Vec<Row>,
-}
-
-impl GeneratorRows {
-    fn new(gens: &GeneratorSet) -> Self {
-        let rows = |vs: &[aov_linalg::QVector]| vs.iter().map(int::homogenize).collect();
-        GeneratorRows {
-            vertices: rows(&gens.vertices),
-            rays: rows(&gens.rays),
-            lines: rows(&gens.lines),
-        }
-    }
-}
-
 /// Problem 3's rows for one dependence, in `v` alone (see
 /// [`aov_budgeted`]): the stacked storage-form matrices times ℛ's
-/// generator matrix — each form at each vertex of ℛ (`>= 0`), along each
-/// ray (`>= 0`) and along each line (`== 0`) — as primitive integer
-/// constraints, with trivially true rows dropped and repeats dropped in
-/// first-occurrence order.
-fn generator_rows(forms: &[BilinearForm], gens: &GeneratorRows) -> Vec<Constraint> {
+/// generator matrix ([`Analysis::generators`]) — each form at each
+/// vertex of ℛ (`>= 0`), along each ray (`>= 0`) and along each line
+/// (`== 0`) — as primitive integer constraints, with trivially true rows
+/// dropped and repeats dropped in first-occurrence order.
+fn generator_rows(forms: &[BilinearForm], gens: &Generators) -> Vec<Constraint> {
     let _span = aov_trace::span!("aov.generator_rows", forms = forms.len());
     let n_gens = gens.vertices.len() + gens.rays.len() + gens.lines.len();
     let mut out = Vec::with_capacity(forms.len() * n_gens);
@@ -913,13 +905,13 @@ mod joint {
 
     /// Problem 3 by the joint search, with the generator rows of ℛ.
     pub fn aov(a: &Analysis) -> Result<OvResult, CoreError> {
-        let gens = a.legal().generators();
+        let gens = a.generators();
         if gens.is_empty() {
             return Err(CoreError::Unschedulable);
         }
         let dep_rows: Vec<Vec<Constraint>> = joint_forms(a)?
             .iter()
-            .map(|forms| super::generator_rows(forms, &super::GeneratorRows::new(&gens)))
+            .map(|forms| super::generator_rows(forms, gens))
             .collect();
         shortest_over_patterns(a, &Budget::unlimited(), "aov.orthant", |m, didx| {
             for c in &dep_rows[didx] {
@@ -1218,6 +1210,70 @@ mod tests {
         assert!(checker.valid_for_schedule(aov_ir::ArrayId(0), v.components(), &s));
     }
 
+    /// Problem 2 by the ILP the certificate replaces: the scheduler's ILP
+    /// over ℛ with the storage rows of `vectors` added.
+    fn problem2_by_ilp(a: &Analysis, vectors: &[OccupancyVector]) -> Result<Schedule, CoreError> {
+        let extra: Vec<(AffineExpr, Cmp)> = storage_rows(a, vectors)
+            .unwrap()
+            .into_iter()
+            .map(|r| (r, Cmp::Ge))
+            .collect();
+        Ok(scheduler::find_schedule_with_budgeted(
+            a,
+            &extra,
+            &Budget::unlimited(),
+        )?)
+    }
+
+    /// Whether Problem 2's storage rows for `vectors` hold on all of ℛ.
+    fn certified(a: &Analysis, vectors: &[OccupancyVector]) -> bool {
+        a.holds_on_legal(&storage_rows(a, vectors).unwrap())
+    }
+
+    /// Oracle for Problem 2's certificate: at every corpus AOV and at
+    /// example1's UOV fallback `(0, 3)`, the storage rows hold on all of
+    /// ℛ, and the certified answer is the schedule of the ILP with those
+    /// rows (no tie resolves differently).
+    #[test]
+    fn certified_problem2_matches_its_ilp() {
+        let budget = Budget::unlimited();
+        let mut checked = 0;
+        for p in oracle_corpus() {
+            let Ok(a) = Analysis::new(&p) else { continue };
+            let Ok(aov) = aov_budgeted(&a, &budget) else {
+                continue;
+            };
+            assert!(certified(&a, aov.vectors()), "{}", p.name());
+            assert_eq!(
+                best_schedule_for_ov_budgeted(&a, aov.vectors(), &budget).unwrap(),
+                problem2_by_ilp(&a, aov.vectors()).unwrap(),
+                "{}",
+                p.name()
+            );
+            checked += 1;
+        }
+        assert_eq!(checked, 198, "corpus programs with an AOV");
+        let p = example1();
+        let a = Analysis::new(&p).unwrap();
+        let uov = [OccupancyVector::new(vec![0, 3])];
+        assert!(certified(&a, &uov));
+        assert_eq!(
+            best_schedule_for_ov_budgeted(&a, &uov, &budget).unwrap(),
+            problem2_by_ilp(&a, &uov).unwrap()
+        );
+    }
+
+    /// The certificate is not vacuous: example1's `(0, 1)` and `(0, 2)`
+    /// are valid for some legal schedules only, so their rows fail it.
+    #[test]
+    fn certificate_rejects_vectors_below_the_aov() {
+        let p = example1();
+        let a = Analysis::new(&p).unwrap();
+        for v in [vec![0, 1], vec![0, 2]] {
+            assert!(!certified(&a, &[OccupancyVector::new(v.clone())]), "{v:?}");
+        }
+    }
+
     /// The paper's Farkas form of Problem 3 (§4.5.3): each storage form
     /// is equated to a nonnegative combination of ℛ's irredundant rows,
     /// with fresh multipliers per form. Kept as the oracle of the
@@ -1269,10 +1325,9 @@ mod tests {
         })
     }
 
-    /// Problem 3's rows of every dependence over the generators `gens`.
-    fn all_generator_rows(a: &Analysis, gens: &GeneratorSet) -> unreduced::DepRows {
-        let gens = GeneratorRows::new(gens);
-        unreduced::all_rows(a, &|d| generator_rows(a.storage_forms(d), &gens))
+    /// Problem 3's rows of every dependence over ℛ's generators.
+    fn all_generator_rows(a: &Analysis) -> unreduced::DepRows {
+        unreduced::all_rows(a, &|d| generator_rows(a.storage_forms(d), a.generators()))
     }
 
     /// Problem 1's rows of every dependence at the schedule point `theta`.
@@ -1351,8 +1406,7 @@ mod tests {
         for p in oracle_corpus() {
             let Ok(a) = Analysis::new(&p) else { continue };
             let active = |d, pattern: &Orthant| a.active_in_orthant(d, pattern);
-            let gens = a.legal().generators();
-            let mut problems = vec![("aov.orthant", all_generator_rows(&a, &gens))];
+            let mut problems = vec![("aov.orthant", all_generator_rows(&a))];
             if let Ok(sched) = scheduler::find_schedule_with_budgeted(&a, &[], &budget) {
                 let theta = legal::point_of(&p, a.space(), &sched);
                 problems.push(("p1.orthant", all_schedule_rows(&a, &theta)));
@@ -1415,7 +1469,6 @@ mod tests {
             let theta = scheduler::find_schedule_with_budgeted(&a, &[], &Budget::unlimited())
                 .ok()
                 .map(|sched| legal::point_of(&p, a.space(), &sched));
-            let gen_rows = GeneratorRows::new(&gens);
             for d in 0..a.deps().len() {
                 let forms = a.storage_forms(d);
                 if !gens.is_empty() {
@@ -1441,7 +1494,7 @@ mod tests {
                     }
                     let want = dedup_in_order(want);
                     assert_eq!(
-                        generator_rows(forms, &gen_rows),
+                        generator_rows(forms, a.generators()),
                         want,
                         "{} dep {d}",
                         p.name()
@@ -1472,12 +1525,11 @@ mod tests {
     fn generator_rows_are_built_on_first_read() {
         let p = aov_ir::examples::example3();
         let a = Analysis::new(&p).unwrap();
-        let gens = GeneratorRows::new(&a.legal().generators());
         let budget = Budget::unlimited();
         let reads = std::cell::RefCell::new(Vec::new());
         let rows_of = |d: usize| {
             reads.borrow_mut().push(d);
-            generator_rows(a.storage_forms(d), &gens)
+            generator_rows(a.storage_forms(d), a.generators())
         };
         shortest_per_array(
             &a,
@@ -1511,10 +1563,7 @@ mod tests {
             let theta = legal::point_of(&p, a.space(), &sched);
             let problems = [
                 ("p1.orthant", all_schedule_rows(&a, &theta)),
-                (
-                    "aov.orthant",
-                    all_generator_rows(&a, &a.legal().generators()),
-                ),
+                ("aov.orthant", all_generator_rows(&a)),
             ];
             for (site, dep_rows) in &problems {
                 let rows_of = |d: usize| dep_rows[d].clone();

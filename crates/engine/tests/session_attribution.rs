@@ -57,11 +57,13 @@ fn interleaved_sessions_keep_their_bundles_disjoint() {
                 // Start the runs together so their ring events genuinely
                 // interleave rather than landing in disjoint windows.
                 barrier.wait();
+                // 22 of example1's 25 pivots: the trip lands in the aov
+                // stage's ILP.
                 let report = Pipeline::for_example("example1")
                     .unwrap()
                     .workers(2)
                     .session(session)
-                    .budget_pivots(40)
+                    .budget_pivots(22)
                     .diag_dir(dir.clone())
                     .run()
                     .expect("budget trips degrade, not abort");

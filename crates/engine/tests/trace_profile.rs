@@ -227,8 +227,9 @@ fn example1_problem2_internal_span_tree_golden() {
         .iter()
         .find(|n| n.name == "pipeline.problem2")
         .expect("problem2 root");
-    // The two phases of best_schedule_for_ov, each exactly once.
-    for phase in ["p2.storage_rows", "p2.solve"] {
+    // The two phases of best_schedule_for_ov, each exactly once: the
+    // storage rows, then their certificate on ℛ's generators.
+    for phase in ["p2.storage_rows", "p2.certify"] {
         assert_eq!(
             p2.children.iter().filter(|c| c.name == phase).count(),
             1,
@@ -237,8 +238,9 @@ fn example1_problem2_internal_span_tree_golden() {
         );
     }
     // The causality constraints and dependences come from the run's
-    // shared analysis; problem2 must not recompute them.
-    for phase in ["p2.legal_constraints", "p2.dependences"] {
+    // shared analysis, and the AOV's rows hold on all of ℛ, so problem2
+    // recomputes neither and solves no ILP of its own.
+    for phase in ["p2.legal_constraints", "p2.dependences", "p2.solve"] {
         assert!(
             p2.children.iter().all(|c| c.name != phase),
             "problem2 must not run {phase}"
@@ -298,6 +300,56 @@ fn example1_problem2_internal_span_tree_golden() {
             "counter {counter} must move on example1"
         );
     }
+}
+
+/// A vector too short for every legal schedule fails the certificate,
+/// so Problem 2 still solves its own ILP: example1 at `v = (0, 2)` runs
+/// `p2.storage_rows`, `p2.certify` and `p2.solve` once each.
+#[test]
+fn problem2_below_the_aov_still_solves_its_ilp() {
+    let p = aov_ir::examples::example1();
+    let v = aov_core::OccupancyVector::new(vec![0, 2]);
+    let (sched, records) =
+        traced(|| aov_core::problems::best_schedule_for_ov(&p, std::slice::from_ref(&v)));
+    sched.expect("(0, 2) admits a schedule");
+    let table = FlameTable::build(&records);
+    for phase in ["p2.storage_rows", "p2.certify", "p2.solve"] {
+        let row = table
+            .row(phase)
+            .unwrap_or_else(|| panic!("missing {phase}"));
+        assert_eq!(row.count, 1, "{phase} must run exactly once");
+    }
+}
+
+/// The equivalence stage interprets each distinct schedule once. At
+/// example1's certified AOV, Problem 2's schedule is the found one, so
+/// it runs once for both verdicts. Under an overridden schedule Problem
+/// 2 still returns the scheduler's own answer, a different schedule, and
+/// both are interpreted.
+#[test]
+fn equivalence_interprets_each_distinct_schedule_once() {
+    let interpretations = |pipeline: Pipeline| {
+        let (report, records) = traced(|| pipeline.run().expect("example1 runs"));
+        assert_eq!(report.equivalent, Some(true));
+        let detail = &report.stage("equivalence").expect("equivalence ran").detail;
+        for verdict in ["under_found_schedule", "under_best_schedule"] {
+            assert_eq!(detail.get(verdict), Some(&Json::Bool(true)), "{verdict}");
+        }
+        let theta = |stage: &str| report.stage(stage).unwrap().detail.get("theta").cloned();
+        let same = theta("schedule") == theta("problem2");
+        let table = FlameTable::build(&records);
+        let count = table.row("equivalence.interpret").map_or(0, |r| r.count);
+        (count, same)
+    };
+    let found = Pipeline::for_example("example1").unwrap();
+    assert_eq!(interpretations(found), (1, true));
+    let p = aov_ir::examples::example1();
+    let skew = aov_schedule::Schedule::uniform_for(
+        &p,
+        &[aov_linalg::AffineExpr::from_i64(&[1, 2, 0, 0], 0)],
+    );
+    let overridden = Pipeline::new(p).with_schedule(skew);
+    assert_eq!(interpretations(overridden), (2, false));
 }
 
 /// Spans of Example 2's exact Problem 3 search: the analysis, then one

@@ -11,8 +11,8 @@
 //! positional index, so models that differ only in variable names
 //! share an entry.
 //!
-//! A memoized cold solve of the paper's examples 1–4 makes 6 / 8 / 4 /
-//! 6 lookups (0 / 3 / 1 / 2 hits), and the simplex work of all its
+//! A memoized cold solve of the paper's examples 1–4 makes 5 / 7 / 3 /
+//! 5 lookups (0 / 3 / 1 / 2 hits), and the simplex work of all its
 //! misses together is 0.3–8 ms, so the memo is one mutex-guarded map:
 //! a solve
 //! looks up its key and, on a miss, solves outside the lock and inserts

@@ -36,7 +36,7 @@ pub struct Generators {
 
 impl Generators {
     /// Whether the polyhedron is empty (it has no vertex).
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.vertices.is_empty()
     }
 

@@ -3,6 +3,7 @@
 
 use crate::dd::{self, GeneratorSet};
 use crate::fm;
+use crate::int;
 use crate::Constraint;
 use aov_linalg::{AffineExpr, QVector, VarSet};
 use std::fmt;
@@ -176,6 +177,13 @@ impl Polyhedron {
     /// method.
     pub fn generators(&self) -> GeneratorSet {
         dd::generators(self)
+    }
+
+    /// The same generators as the DD computes them: primitive
+    /// homogenized integer rows ([`int::Generators`]), each vertex
+    /// `(λ, λ·x)` and each ray or line `(0, r)`.
+    pub fn generator_rows(&self) -> int::Generators {
+        dd::saturated_of(self).gens
     }
 
     /// Fourier–Motzkin elimination of dimension `k`; the result lives in

@@ -1,10 +1,13 @@
 //! The per-program analysis every schedule/storage problem shares.
 
 use crate::linearize::{linearize_at_vertices, LinearRow, RowKind};
+use crate::scheduler::{self, ScheduleError};
 use crate::{legal, BilinearForm, Schedule, ScheduleSpace};
+use aov_fault::Budget;
 use aov_ir::{analysis, Dependence, Program};
 use aov_linalg::{AffineExpr, QVector};
 use aov_numeric::BigInt;
+use aov_polyhedra::int::{self, Generators};
 use aov_polyhedra::param::{self, dedup_in_order, ParamVertex};
 use aov_polyhedra::{Constraint, PolyhedraError, Polyhedron};
 use std::borrow::Cow;
@@ -25,7 +28,9 @@ use std::sync::OnceLock;
 /// and shared by both problems ([`Analysis::storage_forms`],
 /// [`Analysis::active_in_orthant`]). Problem 2 asks of the same
 /// projections whether a concrete vector's overwriters exist
-/// ([`Analysis::overwriter_exists`]).
+/// ([`Analysis::overwriter_exists`]). ℛ's generators
+/// ([`Analysis::generators`]) and the scheduler's answer over ℛ
+/// ([`Analysis::schedule`]) are also computed once, on first use.
 ///
 /// # Examples
 ///
@@ -48,6 +53,10 @@ pub struct Analysis<'p> {
     causality: Vec<Vec<AffineExpr>>,
     rows: Vec<AffineExpr>,
     legal: Polyhedron,
+    /// ℛ's generators as integer rows, computed on first use.
+    generators: OnceLock<Generators>,
+    /// The scheduler's finished answer over ℛ alone, kept on first use.
+    schedule: OnceLock<Result<Schedule, ScheduleError>>,
     /// Each dependence's storage forms, built on first use.
     storage_forms: OnceLock<Vec<Vec<BilinearForm>>>,
     /// Each dependence's [`legal::overwriter_image`], built on first use.
@@ -110,6 +119,8 @@ impl<'p> Analysis<'p> {
             causality,
             rows,
             legal,
+            generators: OnceLock::new(),
+            schedule: OnceLock::new(),
             storage_forms: OnceLock::new(),
             images: OnceLock::new(),
             activity: OnceLock::new(),
@@ -267,6 +278,60 @@ impl<'p> Analysis<'p> {
         &self.legal
     }
 
+    /// ℛ's vertices, rays and lines as primitive homogenized integer
+    /// rows ([`Polyhedron::generator_rows`]), from one DD on the first
+    /// call. ℛ is empty exactly when there is no vertex.
+    pub fn generators(&self) -> &Generators {
+        self.generators.get_or_init(|| self.legal.generator_rows())
+    }
+
+    /// Whether every row `r >= 0` holds on all of ℛ, decided exactly at
+    /// ℛ's [`generators`](Analysis::generators) without an LP (Theorem 1):
+    /// each row is `>= 0` at every vertex, its linear part is `>= 0` along
+    /// every ray and `= 0` along every line. Each row is scaled once to
+    /// integers, then dotted with the generator rows. Holds vacuously when
+    /// ℛ is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's dimension is not the schedule space's.
+    pub fn holds_on_legal(&self, rows: &[AffineExpr]) -> bool {
+        let gens = self.generators();
+        rows.iter().all(|r| {
+            assert_eq!(r.dim(), self.space.dim(), "row dimension");
+            let terms = || std::iter::once(r.constant_term()).chain(r.coeffs().iter());
+            let den = int::common_denominator(terms());
+            let row: Vec<BigInt> = terms().map(|q| int::scaled(q, &den)).collect();
+            gens.vertices
+                .iter()
+                .chain(&gens.rays)
+                .all(|g| !int::dot(&row, g).is_negative())
+                && gens.lines.iter().all(|l| int::dot(&row, l).is_zero())
+        })
+    }
+
+    /// The scheduler's answer over ℛ with no extra rows
+    /// ([`scheduler::find_schedule_with_budgeted`] with none), solved
+    /// on the first call and shared by every later one. Only a finished
+    /// answer — a schedule, or [`ScheduleError::Infeasible`] — is kept: a
+    /// budget trip or an injected fault keeps nothing, so a later call
+    /// solves again under its own budget.
+    ///
+    /// # Errors
+    ///
+    /// As for [`scheduler::find_schedule_with_budgeted`].
+    pub fn schedule(&self, budget: &Budget) -> Result<Schedule, ScheduleError> {
+        if let Some(done) = self.schedule.get() {
+            return done.clone();
+        }
+        let outcome = scheduler::find_schedule_with_budgeted(self, &[], budget);
+        if !matches!(outcome, Err(ScheduleError::Fault(_))) {
+            // A concurrent caller may have kept the same answer first.
+            let _ = self.schedule.set(outcome.clone());
+        }
+        outcome
+    }
+
     /// Exact legality check of a concrete schedule: every dependence's
     /// causality form must be nonnegative over its domain (jointly with
     /// the parameter domain). ℛ's rows are those forms linearized exactly
@@ -366,6 +431,21 @@ mod tests {
         pats.sort();
         pats.dedup();
         assert_eq!(pats.len(), n);
+    }
+
+    /// The certificate accepts ℛ's own rows and rejects a row that cuts
+    /// ℛ: on example1, each causality row holds on ℛ, and no row
+    /// `−r − 1` does.
+    #[test]
+    fn causality_rows_hold_on_legal_and_their_negations_do_not() {
+        let p = aov_ir::examples::example1();
+        let a = Analysis::new(&p).unwrap();
+        assert!(a.holds_on_legal(a.rows()));
+        let minus_one = aov_numeric::Rational::from(-1);
+        for r in a.rows() {
+            let cut = r.scale(&minus_one).plus_constant(&minus_one);
+            assert!(!a.holds_on_legal(&[cut]), "{r:?}");
+        }
     }
 
     #[test]

@@ -78,9 +78,11 @@ echo "== polyhedra tests in release"
 # integer generator rows), the pinned per-example LP and polyhedra work
 # counts and aov-core's tests:
 # among them the orthant oracle, every orthant of Problems 1 and 3
-# decided in v-space against its unreduced ILP on the corpus, and the
+# decided in v-space against its unreduced ILP on the corpus, the
 # emptiness oracle, the DD against the LP of `check::lp_model` on every
-# dependence candidate and pair of writers of the corpus.
+# dependence candidate and pair of writers of the corpus, and the
+# certificate oracle, Problem 2's certified answer at every corpus AOV
+# and example1's UOV against its ILP with the storage rows.
 cargo test --release -q --offline -p aov-polyhedra
 cargo test --release -q --offline -p aov-schedule
 cargo test --release -q --offline -p aov-core
@@ -235,7 +237,8 @@ echo "== serve smoke"
 # chaos-injected service panic (structured error frame, exit 2) — then
 # answers a health probe and drains cleanly on SIGTERM. The daemon runs
 # --no-memo so the budget trip stays deterministic (a warm shared tier
-# would satisfy the solve without spending pivots).
+# would satisfy the solve without spending pivots). example1 spends 25
+# pivots, so a budget of 22 trips inside Problem 3's ILP.
 serve_diag="$(mktemp -d /tmp/aov-serve-smoke.XXXXXX)"
 serve_log="$(mktemp /tmp/aov-serve-smoke-log.XXXXXX)"
 serve_chaos_out="$(mktemp /tmp/aov-serve-smoke-chaos.XXXXXX.json)"
@@ -256,7 +259,7 @@ fi
 ./target/release/aov client --addr "$addr" --example example1 \
     > /dev/null 2> /dev/null & c_healthy=$!
 ./target/release/aov client --addr "$addr" --example example1 \
-    --budget-pivots 40 > /dev/null 2> /dev/null & c_budget=$!
+    --budget-pivots 22 > /dev/null 2> /dev/null & c_budget=$!
 ./target/release/aov client --addr "$addr" --example example1 \
     --chaos site=serve.request,kind=panic \
     > "$serve_chaos_out" 2> /dev/null & c_chaos=$!
