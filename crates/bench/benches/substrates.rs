@@ -93,7 +93,7 @@ fn main() {
         cs.push(Constraint::ge0(AffineExpr::from_i64(&[-1, -1, -1, -1], 9)));
         cs.push(Constraint::ge0(AffineExpr::from_i64(&[1, -1, 1, -1], 2)));
         let p = Polyhedron::from_constraints(4, cs);
-        h.bench("polyhedra/dd_4cube_cut", || black_box(&p).generators());
+        h.bench("polyhedra/dd_4cube_cut", || black_box(&p).generator_rows());
         h.bench("polyhedra/fm_eliminate_2", || {
             black_box(&p).eliminate_dims(&[1, 3])
         });

@@ -1,5 +1,7 @@
 //! Regenerates the paper's evaluation artifacts and writes
-//! `target/figures.json`; exits nonzero if any qualitative claim fails.
+//! `target/figures.json` under the working directory, creating `target/`
+//! when it is missing; exits nonzero if any qualitative claim fails or
+//! the file cannot be written.
 //!
 //! `all_figures [--quick] [ID…]`: `--quick` runs smaller machine
 //! sweeps. Figure ids (`fig03` … `fig16`, `storage`) restrict the run
@@ -28,10 +30,12 @@ fn main() {
     }
     use aov_support::ToJson;
     let json = reports.to_json().to_pretty();
-    let path = std::path::Path::new("target").join("figures.json");
-    if std::fs::write(&path, json).is_ok() {
-        println!("(wrote {})", path.display());
+    let path = "target/figures.json";
+    if let Err(e) = std::fs::create_dir_all("target").and_then(|()| std::fs::write(path, json)) {
+        eprintln!("all_figures: cannot write {path}: {e}");
+        std::process::exit(1);
     }
+    println!("(wrote {path})");
     println!("{} artifacts, {} failures", reports.len(), failures);
     assert_eq!(failures, 0, "{failures} artifacts failed to reproduce");
 }

@@ -1078,6 +1078,7 @@ mod tests {
     use crate::oracle_corpus;
     use aov_ir::examples::{example1, example2, example4, prefix_sum, wavefront2d};
     use aov_linalg::QVector;
+    use aov_numeric::Rational;
 
     #[test]
     fn shell_enumeration_counts() {
@@ -1456,6 +1457,19 @@ mod tests {
         AffineExpr::from_parts(coeffs.collect(), f.constant().coeffs().dot(r))
     }
 
+    /// The point `x/λ` of a homogenized vertex row `(λ, x)`.
+    fn point_of_row(v: &[BigInt]) -> QVector {
+        let (lambda, x) = v.split_first().expect("homogenized");
+        x.iter()
+            .map(|x| Rational::from_big(x.clone(), lambda.clone()))
+            .collect()
+    }
+
+    /// The direction `r` of a homogenized ray or line row `(0, r)`.
+    fn direction_of_row(r: &[BigInt]) -> QVector {
+        r[1..].iter().cloned().map(Rational::from).collect()
+    }
+
     /// Oracle for the form matrices in Problems 1 and 3: on every corpus
     /// program, each dependence's generator rows over ℛ and its rows at
     /// the scheduler's schedule equal, in order, the rows the rational
@@ -1465,7 +1479,7 @@ mod tests {
         let (mut generator_lists, mut schedule_lists) = (0, 0);
         for p in oracle_corpus() {
             let Ok(a) = Analysis::new(&p) else { continue };
-            let gens = a.legal().generators();
+            let gens = a.generators();
             let theta = scheduler::find_schedule_with_budgeted(&a, &[], &Budget::unlimited())
                 .ok()
                 .map(|sched| legal::point_of(&p, a.space(), &sched));
@@ -1477,15 +1491,15 @@ mod tests {
                         let at = gens
                             .vertices
                             .iter()
-                            .map(|x| Constraint::ge0(rational_at(f, x)));
+                            .map(|x| Constraint::ge0(rational_at(f, &point_of_row(x))));
                         let rays = gens
                             .rays
                             .iter()
-                            .map(|r| Constraint::ge0(rational_along(f, r)));
+                            .map(|r| Constraint::ge0(rational_along(f, &direction_of_row(r))));
                         let lines = gens
                             .lines
                             .iter()
-                            .map(|l| Constraint::eq0(rational_along(f, l)));
+                            .map(|l| Constraint::eq0(rational_along(f, &direction_of_row(l))));
                         want.extend(
                             at.chain(rays)
                                 .chain(lines)

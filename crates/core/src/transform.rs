@@ -19,7 +19,7 @@ use crate::{CoreError, OccupancyVector};
 use aov_ir::{ArrayId, Program};
 use aov_linalg::{lattice, AffineExpr};
 use aov_numeric::Rational;
-use aov_polyhedra::{param, GeneratorSet};
+use aov_polyhedra::param;
 
 /// A computed storage mapping for one array.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,8 +51,8 @@ impl StorageTransform {
     ///   parameter-uniform bounding box (offsets/extents would differ
     ///   across parameter regions).
     pub fn new(p: &Program, array: ArrayId, ov: &OccupancyVector) -> Result<Self, CoreError> {
-        let gens = p.param_domain().generators();
-        Self::build(p, array, ov, |e| nonneg_at_generators(&gens, e))
+        let gens = p.param_domain().generator_rows();
+        Self::build(p, array, ov, |e| gens.implies_nonneg(e))
     }
 
     /// The transformation, with `nonneg(e)` deciding whether the
@@ -235,15 +235,6 @@ impl StorageTransform {
 fn embed_params(e: &AffineExpr, d: usize, np: usize) -> AffineExpr {
     let map: Vec<usize> = (d..d + np).collect();
     e.embed(d + np, &map)
-}
-
-/// Whether the parameter-affine `e` is `>= 0` on the polyhedron with
-/// generators `gens` (Theorem 1): at every vertex, along every ray, and
-/// constant along every line.
-fn nonneg_at_generators(gens: &GeneratorSet, e: &AffineExpr) -> bool {
-    gens.vertices.iter().all(|v| !e.eval(v).is_negative())
-        && gens.rays.iter().all(|r| !e.coeffs().dot(r).is_negative())
-        && gens.lines.iter().all(|l| e.coeffs().dot(l).is_zero())
 }
 
 /// Symbolic (parameter-affine) min and max of `e` (over data dims ++

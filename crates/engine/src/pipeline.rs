@@ -979,25 +979,11 @@ impl Pipeline {
 
         run_stage(stages, "legal_schedule", || {
             let a = shared.get()?;
-            let (space, poly) = (a.space(), a.legal());
-            // Project away the parameter/constant coefficients (FM
-            // elimination) to expose the cone of legal iteration
-            // coefficients — the part of ℛ the occupancy vectors fight.
-            let mut drop_dims: Vec<usize> = Vec::new();
-            for s in 0..space.num_statements() {
-                let s = aov_ir::StmtId(s);
-                for j in 0..p.params().len() {
-                    drop_dims.push(space.param_coeff(s, j));
-                }
-                drop_dims.push(space.const_coeff(s));
-            }
-            let cone = poly.eliminate_dims(&drop_dims);
             done(
                 (),
                 Json::obj()
-                    .field("space_dim", space.dim())
-                    .field("constraints", poly.constraints().len())
-                    .field("iter_cone_constraints", cone.constraints().len()),
+                    .field("space_dim", a.space().dim())
+                    .field("constraints", a.legal().constraints().len()),
             )
         })?;
 

@@ -15,13 +15,16 @@
 //! change that moves them updates these figures and says why. The DD
 //! conversions include Problems 1 and 3's `v`-space pre-pass: one per
 //! dependence of more than one row, reduced once, and at most one per
-//! visited orthant, and one emptiness test per dependence candidate and
-//! per pair of writers of one array: the `ir` and `dependences` stages
-//! solve no LP. Problem 2 certifies the AOV at ℛ's generators and reuses
+//! visited orthant; one per dependence and sign pattern of its source
+//! array for the activity table; and one emptiness test per dependence
+//! candidate and per pair of writers of one array: the `ir` and
+//! `dependences` stages solve no LP. Fourier–Motzkin only projects each
+//! dependence's overwriter image, once per run. Problem 2 certifies the AOV at ℛ's generators and reuses
 //! the `schedule` stage's ILP answer, so the scheduler's ILP is solved
 //! once per run and the `problem2` stage solves no LP either.
 
 use aov_engine::{Pipeline, Report};
+use aov_ir::{analysis, examples};
 
 /// Pivots, branch-and-bound nodes, DD conversions, vertex enumerations,
 /// validity domains and FM eliminations of one run.
@@ -52,22 +55,44 @@ fn run(name: &str) -> Report {
 
 #[test]
 fn example1_lp_work() {
-    assert_eq!(work("example1"), [25, 5, 34, 7, 28, 69]);
+    assert_eq!(work("example1"), [25, 5, 61, 7, 28, 12]);
 }
 
 #[test]
 fn example2_lp_work() {
-    assert_eq!(work("example2"), [40, 7, 37, 6, 24, 50]);
+    assert_eq!(work("example2"), [40, 7, 55, 6, 24, 8]);
 }
 
 #[test]
 fn example3_lp_work() {
-    assert_eq!(work("example3"), [165, 3, 105, 30, 180, 1_669]);
+    assert_eq!(work("example3"), [165, 3, 618, 30, 180, 114]);
 }
 
 #[test]
 fn example4_lp_work() {
-    assert_eq!(work("example4"), [33, 5, 30, 6, 18, 30]);
+    assert_eq!(work("example4"), [33, 5, 42, 6, 18, 5]);
+}
+
+/// Fourier–Motzkin only projects: its one use in a run is each
+/// dependence's overwriter image, which eliminates the target's
+/// iterations and the parameters. Emptiness, sign orthants included, is
+/// the DD's, so the run's eliminations are exactly those.
+#[test]
+fn fm_only_projects_overwriter_images() {
+    let programs = [
+        ("example1", examples::example1()),
+        ("example2", examples::example2()),
+        ("example3", examples::example3()),
+        ("example4", examples::example4()),
+    ];
+    for (name, p) in programs {
+        let projected: usize = analysis::dependences(&p)
+            .iter()
+            .map(|d| p.statement(d.target).depth() + p.num_params())
+            .sum();
+        let eliminations = run(name).counter_total("polyhedra.fm.eliminations");
+        assert_eq!(eliminations, projected as u64, "{name}");
+    }
 }
 
 /// Emptiness is decided by the DD, so validation and dependence

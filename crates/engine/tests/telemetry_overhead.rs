@@ -118,7 +118,10 @@ fn flight_recorder_overhead_on_example1_is_marginal() {
 ///
 /// Measured in a noise-immune way: the per-event unit cost is timed in
 /// a tight loop, multiplied by one real run's event count and compared
-/// against that run's wall time. A direct armed-vs-disarmed wall
+/// against that run's wall time. A timed event reads the clock once, as
+/// each event of a recorder-only span does (its exit reuses one clock
+/// read for the timestamp and the duration), so the product is what the
+/// run's events cost. A direct armed-vs-disarmed wall
 /// comparison drowns in this container's scheduler noise (±10% between
 /// back-to-back runs); its paired medians are recorded in EXPERIMENTS.md
 /// instead, and agree with the derived number here. The loop and the

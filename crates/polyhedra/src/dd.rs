@@ -14,24 +14,28 @@
 //! updated in place (`|f(b0)|·v − sgn f(b0)·f(v)·b0` when a line is
 //! consumed) or built as one new row (`−f(n)·p + f(p)·n` for an adjacent
 //! pair) and divided by its gcd. The generators leave [`saturated`] as
-//! those rows ([`int::Generators`]); they become rationals only at the
-//! crate boundary ([`Polyhedron::generators`]), where a vertex is `x/λ`.
-//! The rational kernel it replaced is kept as the test oracle
-//! `reference`, which it must match exactly.
+//! those rows ([`int::Generators`]), and no result of the kernel becomes
+//! rational. The rational kernel it replaced is kept as the test oracle
+//! `reference`, which it must match exactly, with its rational
+//! `GeneratorSet`.
 
 use crate::bits::Bits;
 use crate::int::{self, Generators, Row};
 use crate::{Constraint, ConstraintKind, Polyhedron};
+#[cfg(test)]
 use aov_linalg::QVector;
 use aov_numeric::BigInt;
 
-/// Generators of a polyhedron: `conv(vertices) + cone(rays) + span(lines)`.
+/// Generators of a polyhedron as rational vectors:
+/// `conv(vertices) + cone(rays) + span(lines)`, the form the test
+/// oracles compare against.
 ///
 /// An empty `vertices` list means the polyhedron is empty (a nonempty
 /// polyhedron always has at least one generator with positive
 /// homogenizing coordinate).
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct GeneratorSet {
+pub(crate) struct GeneratorSet {
     /// Extreme points (dimension = ambient dimension).
     pub vertices: Vec<QVector>,
     /// Extreme unidirectional rays (primitive integer directions).
@@ -40,6 +44,7 @@ pub struct GeneratorSet {
     pub lines: Vec<QVector>,
 }
 
+#[cfg(test)]
 impl GeneratorSet {
     /// Whether the polyhedron is empty.
     pub fn is_empty(&self) -> bool {
@@ -78,7 +83,8 @@ pub(crate) struct Saturated {
     pub ray_tight: Vec<Bits>,
 }
 
-/// Computes the generators of `p`.
+/// Computes the generators of `p` as rational vectors.
+#[cfg(test)]
 pub(crate) fn generators(p: &Polyhedron) -> GeneratorSet {
     saturated_of(p).gens.to_rational()
 }

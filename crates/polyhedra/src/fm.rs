@@ -235,7 +235,7 @@ mod tests {
                 ge(&[0, -1], 3),
             ],
         );
-        let q = p.eliminate_dim(1);
+        let q = p.eliminate_dims(&[1]);
         assert_eq!(q.dim(), 1);
         assert!(q.contains(&QVector::from_i64(&[0])));
         assert!(q.contains(&QVector::from_i64(&[2])));
@@ -255,7 +255,7 @@ mod tests {
                 ge(&[0, -1], 5),
             ],
         );
-        let q = p.eliminate_dim(1);
+        let q = p.eliminate_dims(&[1]);
         assert!(q.contains(&QVector::from_i64(&[0])));
         assert!(q.contains(&QVector::from_i64(&[6])));
         assert!(!q.contains(&QVector::from_i64(&[7])));
@@ -272,7 +272,7 @@ mod tests {
                 ge(&[-1, 0], 4),
             ],
         );
-        let q = p.eliminate_dim(0);
+        let q = p.eliminate_dims(&[0]);
         assert!(q.contains(&QVector::from_vec(vec![Rational::new(1, 2)])));
         assert!(q.contains(&QVector::from_i64(&[2])));
         assert!(!q.contains(&QVector::from_i64(&[3])));
@@ -282,7 +282,7 @@ mod tests {
     fn empty_detected_through_projection() {
         // x >= 3, x <= 1 -> eliminating x leaves an infeasible constant row.
         let p = Polyhedron::from_constraints(1, vec![ge(&[1], -3), ge(&[-1], 1)]);
-        let q = p.eliminate_dim(0);
+        let q = p.eliminate_dims(&[0]);
         assert_eq!(q.dim(), 0);
         assert!(q.is_empty());
     }
@@ -334,7 +334,7 @@ mod tests {
                         .iter()
                         .any(|c| c.is_equality() && c.expr().coeff(k).is_negative()),
                 );
-                let next = p.eliminate_dim(k);
+                let next = p.eliminate_dims(&[k]);
                 assert_eq!(next, reference::eliminate_dim(&p, k), "{p:?} at {k}");
                 p = next;
             }
@@ -354,7 +354,7 @@ mod tests {
                 ge(&[1, 0], 5),
             ],
         );
-        let q = p.eliminate_dim(1);
+        let q = p.eliminate_dims(&[1]);
         for x in -10..=10 {
             for y in -10..=10 {
                 if p.contains(&QVector::from_i64(&[x, y])) {

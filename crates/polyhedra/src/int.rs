@@ -11,7 +11,9 @@
 //! form is the word-size fast path, and rows are updated in place:
 //! values become [`Rational`]s only when a result leaves the kernel.
 
-use crate::{Constraint, ConstraintKind, GeneratorSet};
+#[cfg(test)]
+use crate::GeneratorSet;
+use crate::{Constraint, ConstraintKind};
 use aov_linalg::{AffineExpr, QVector};
 use aov_numeric::{BigInt, Rational};
 
@@ -22,8 +24,7 @@ pub type Row = Vec<BigInt>;
 /// form the DD computes them in: a vertex `x` is `(λ, λ·x)` with the
 /// least `λ > 0` that makes it integral (the row [`homogenize`] gives),
 /// and a ray or line is `(0, r)` with `r` its primitive integer
-/// direction. `Generators::to_rational` is the rational
-/// [`GeneratorSet`] of the same generators.
+/// direction.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Generators {
     /// Extreme points, `(λ, λ·x)` with `λ > 0`.
@@ -45,8 +46,28 @@ impl Generators {
         self.rays.is_empty() && self.lines.is_empty()
     }
 
+    /// Whether `e >= 0` holds on the whole polyhedron these rows
+    /// generate, exactly and without an LP (Theorem 1): `e` is `>= 0` at
+    /// every vertex, its linear part is `>= 0` along every ray and `= 0`
+    /// along every line. `e` is scaled once to an integer row, which is
+    /// then dotted with the generator rows. Holds vacuously when the
+    /// polyhedron is empty, which may still have rays and lines.
+    pub fn implies_nonneg(&self, e: &AffineExpr) -> bool {
+        let terms = || std::iter::once(e.constant_term()).chain(e.coeffs().iter());
+        let den = common_denominator(terms());
+        let row: Row = terms().map(|q| scaled(q, &den)).collect();
+        self.is_empty()
+            || self
+                .vertices
+                .iter()
+                .chain(&self.rays)
+                .all(|g| !dot(&row, g).is_negative())
+                && self.lines.iter().all(|l| dot(&row, l).is_zero())
+    }
+
     /// The same generators as rational vectors: each vertex `x/λ`, each
     /// direction its integer entries.
+    #[cfg(test)]
     pub(crate) fn to_rational(&self) -> GeneratorSet {
         let point = |v: &Row| -> QVector {
             let (lambda, x) = v.split_first().expect("homogenized");

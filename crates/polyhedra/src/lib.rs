@@ -4,15 +4,21 @@
 //! Theorem 1: an affine form is nonnegative on a polyhedron `D = P + C`
 //! iff it is nonnegative on the vertices of the polytope `P` and its
 //! linear part is nonnegative (resp. null) on the rays (resp. lines) of
-//! the cone `C`. This crate supplies everything that theorem needs:
+//! the cone `C`. This crate supplies everything that theorem needs,
+//! with one kernel per question:
 //!
 //! * [`Polyhedron`] — H-representation over named-free rational dims,
-//!   with emptiness ([`Polyhedron::is_empty`]) and redundancy removal
-//!   ([`Polyhedron::irredundant`]), each read off one DD, containment
-//!   and intersection,
-//! * [`GeneratorSet`] / [`Polyhedron::generators`] — vertices, rays and
-//!   lines via Chernikova's double-description method,
-//! * [`Polyhedron::eliminate_dims`] — Fourier–Motzkin projection,
+//!   with containment and intersection;
+//! * the double description (Chernikova's method) decides every
+//!   emptiness and face question: emptiness ([`Polyhedron::is_empty`]),
+//!   which sign orthants a polyhedron meets
+//!   ([`Polyhedron::meets_orthants`]), redundancy removal
+//!   ([`Polyhedron::irredundant`]), and vertices, rays and lines
+//!   ([`Polyhedron::generator_rows`]);
+//! * Theorem 1's test on those generators —
+//!   [`int::Generators::implies_nonneg`], whether a form is `>= 0` on
+//!   the whole polyhedron;
+//! * Fourier–Motzkin only projects ([`Polyhedron::eliminate_dims`]);
 //! * [`param`] — vertices of a polytope whose right-hand sides depend
 //!   affinely on symbolic parameters, each with the generators of its
 //!   validity domain, read off the faces of one DD of the lifted
@@ -26,11 +32,11 @@
 //!
 //! The DD, Fourier–Motzkin and vertex kernels compute on primitive
 //! integer rows of [`BigInt`](aov_numeric::BigInt) ([`int`]); values
-//! become rationals only where they leave the crate. Parameterized
-//! vertices leave it as integer numerators over one denominator, with
-//! their validity domains' generators as integer rows
-//! ([`int::Generators`]), the form the linearization of `aov-schedule`
-//! consumes.
+//! become rationals only where they leave the crate as constraints or
+//! parameter-affine vertex coordinates. Generators leave it as integer
+//! rows ([`int::Generators`]): a polyhedron's, and each parameterized
+//! vertex's validity domain's, the form the linearization of
+//! `aov-schedule` consumes.
 //!
 //! # Examples
 //!
@@ -44,9 +50,12 @@
 //!     Constraint::ge0(AffineExpr::from_i64(&[0, 1], 0)),
 //!     Constraint::ge0(AffineExpr::from_i64(&[-1, -1], 3)),
 //! ]);
-//! let gens = tri.generators();
+//! let gens = tri.generator_rows();
 //! assert_eq!(gens.vertices.len(), 3);
 //! assert!(gens.rays.is_empty() && gens.lines.is_empty());
+//! // Theorem 1: x + y <= 3 holds at every vertex, x <= 2 does not.
+//! assert!(gens.implies_nonneg(&AffineExpr::from_i64(&[-1, -1], 3)));
+//! assert!(!gens.implies_nonneg(&AffineExpr::from_i64(&[-1, 0], 2)));
 //! assert!(tri.contains(&QVector::from_i64(&[1, 1])));
 //! assert!(!tri.contains(&QVector::from_i64(&[3, 1])));
 //! ```
@@ -62,7 +71,8 @@ pub mod param;
 mod polyhedron;
 
 pub use constraint::{Constraint, ConstraintKind};
-pub use dd::GeneratorSet;
+#[cfg(test)]
+use dd::GeneratorSet;
 pub use polyhedron::Polyhedron;
 
 /// Errors from polyhedral computations.

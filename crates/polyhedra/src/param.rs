@@ -1836,7 +1836,7 @@ mod tests {
         sorted.dedup();
         let mut cur = p.clone();
         for &k in &sorted {
-            let next = cur.eliminate_dim(k);
+            let next = cur.eliminate_dims(&[k]);
             assert_eq!(
                 next,
                 crate::fm::reference::eliminate_dim(&cur, k),
@@ -2006,7 +2006,7 @@ mod tests {
         for dims in [vec![0], vec![1], vec![0, 1], vec![1, 2], vec![0, 1, 2]] {
             assert_same_projection(&system, &dims, &format!("eliminating {dims:?}"));
         }
-        let projected = system.eliminate_dim(0);
+        let projected = system.eliminate_dims(&[0]);
         assert!(
             projected
                 .constraints()

@@ -1,19 +1,20 @@
-//! H-representation polyhedra with exact emptiness and redundancy tests,
-//! both read off one double description.
+//! H-representation polyhedra with exact emptiness, sign-orthant and
+//! redundancy tests, each read off double descriptions.
 
-use crate::dd::{self, GeneratorSet};
+use crate::dd;
 use crate::fm;
 use crate::int;
-use crate::Constraint;
+use crate::{Constraint, ConstraintKind};
 use aov_linalg::{AffineExpr, QVector, VarSet};
+use aov_numeric::BigInt;
 use std::fmt;
 
 /// A convex polyhedron `{x ∈ Q^dim | A x + b >= 0, E x + f = 0}`.
 ///
 /// Stored as a list of [`Constraint`]s over an anonymous `dim`-dimensional
-/// space. All predicates are exact: emptiness, redundancy and generators
-/// come from Chernikova's double description on integer rows, without an
-/// LP.
+/// space. All predicates are exact: emptiness, sign orthants, redundancy
+/// and generators come from Chernikova's double description on integer
+/// rows, without an LP.
 ///
 /// # Examples
 ///
@@ -173,32 +174,60 @@ impl Polyhedron {
         })
     }
 
-    /// Vertices, rays and lines via Chernikova's double-description
-    /// method.
-    pub fn generators(&self) -> GeneratorSet {
-        dd::generators(self)
+    /// Per sign pattern of `patterns`, whether the polyhedron meets its
+    /// orthant. A pattern has one digit per dimension: `+1` for
+    /// `v_k >= 1`, `0` for `v_k == 0` and `−1` for `v_k <= −1`. The rows
+    /// are converted to integers once; each pattern rewrites its sign
+    /// rows after them, in place, and is decided by one DD over the
+    /// buffer, as [`Polyhedron::is_empty`] decides emptiness.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern's length is not the dimension.
+    pub fn meets_orthants(&self, patterns: &[Vec<i8>]) -> Vec<bool> {
+        let d = self.dim;
+        let mut rows: Vec<(int::Row, ConstraintKind)> = self
+            .constraints
+            .iter()
+            .map(|c| (int::of_constraint(c), c.kind()))
+            .collect();
+        let n = rows.len();
+        rows.resize(n + d, (vec![BigInt::zero(); d + 1], ConstraintKind::Eq));
+        let met = patterns.iter().map(|pattern| {
+            assert_eq!(pattern.len(), d, "sign pattern dimension");
+            for (k, s) in pattern.iter().map(|s| i64::from(s.signum())).enumerate() {
+                // `s·v_k − 1 >= 0`, or `v_k == 0` for `s = 0`.
+                let (row, kind) = &mut rows[n + k];
+                row[0] = (-s.abs()).into();
+                row[k + 1] = if s == 0 { 1.into() } else { s.into() };
+                *kind = if s == 0 {
+                    ConstraintKind::Eq
+                } else {
+                    ConstraintKind::Ineq
+                };
+            }
+            let refs: Vec<_> = rows.iter().map(|(row, kind)| (&row[..], *kind)).collect();
+            !dd::saturated(d, &refs).gens.is_empty()
+        });
+        met.collect()
     }
 
-    /// The same generators as the DD computes them: primitive
-    /// homogenized integer rows ([`int::Generators`]), each vertex
-    /// `(λ, λ·x)` and each ray or line `(0, r)`.
+    /// Vertices, rays and lines via Chernikova's double-description
+    /// method, as the DD computes them: primitive homogenized integer
+    /// rows ([`int::Generators`]), each vertex `(λ, λ·x)` and each ray or
+    /// line `(0, r)`.
     pub fn generator_rows(&self) -> int::Generators {
         dd::saturated_of(self).gens
     }
 
-    /// Fourier–Motzkin elimination of dimension `k`; the result lives in
-    /// `dim - 1` dimensions (indices above `k` shift down).
+    /// Fourier–Motzkin projection, the crate's one projection: eliminates
+    /// the dimensions `dims` (descending index order internally); the
+    /// result keeps the remaining dimensions in their original relative
+    /// order.
     ///
     /// # Panics
     ///
-    /// Panics if `k >= dim`.
-    pub fn eliminate_dim(&self, k: usize) -> Polyhedron {
-        fm::eliminate_dims(self, &[k])
-    }
-
-    /// Eliminates several dimensions (descending index order internally);
-    /// the result keeps the remaining dimensions in their original
-    /// relative order.
+    /// Panics if a dimension is out of range.
     pub fn eliminate_dims(&self, dims: &[usize]) -> Polyhedron {
         let mut sorted: Vec<usize> = dims.to_vec();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
@@ -235,9 +264,15 @@ impl fmt::Debug for Polyhedron {
 
 /// The LP reference the DD's verdicts are held to: emptiness by the
 /// phase-1 LP [`Polyhedron::is_empty`] replaced, and inclusion by one
-/// implication LP per row.
+/// implication LP per row; and the rational generators the test oracles
+/// compare against.
 #[cfg(test)]
 impl Polyhedron {
+    /// Vertices, rays and lines as rational vectors.
+    pub(crate) fn generators(&self) -> dd::GeneratorSet {
+        dd::generators(self)
+    }
+
     /// This polyhedron as an LP model ([`aov_lp::Model::over_rows`]).
     pub(crate) fn lp(&self) -> aov_lp::Model {
         let rows = self.constraints.iter().map(|c| {
@@ -284,6 +319,107 @@ mod tests {
         for p in &cases {
             assert_eq!(p.is_empty(), p.lp().is_infeasible(), "{p:?}");
         }
+    }
+
+    /// Every sign pattern of `p`'s dimension, with whether its orthant
+    /// meets `p` by the phase-1 LP over `p` and the pattern's rows.
+    fn orthants_by_lp(p: &Polyhedron) -> (Vec<Vec<i8>>, Vec<bool>) {
+        let d = p.dim();
+        let mut patterns = vec![Vec::new()];
+        for _ in 0..d {
+            patterns = patterns
+                .iter()
+                .flat_map(|pat: &Vec<i8>| {
+                    [1, 0, -1].map(|s| pat.iter().copied().chain([s]).collect())
+                })
+                .collect();
+        }
+        let verdicts = patterns
+            .iter()
+            .map(|pattern| {
+                let mut cut = p.clone();
+                for (k, &s) in pattern.iter().enumerate() {
+                    let v = AffineExpr::var(d, k);
+                    cut.add_constraint(if s == 0 {
+                        Constraint::eq0(v)
+                    } else {
+                        let one = AffineExpr::constant(d, 1.into());
+                        Constraint::ge0(&v.scale(&i64::from(s).into()) - &one)
+                    });
+                }
+                !cut.lp().is_infeasible()
+            })
+            .collect();
+        (patterns, verdicts)
+    }
+
+    /// The DD's orthant verdicts against the LP: an empty polyhedron,
+    /// dimension 0, equality rows, orthants touched only at `v_k = ±1`,
+    /// and random systems in up to 3 dimensions.
+    #[test]
+    fn orthants_match_lp() {
+        let eq = |coeffs: &[i64], c: i64| Constraint::eq0(AffineExpr::from_i64(coeffs, c));
+        let mut cases = vec![
+            Polyhedron::empty(2),
+            Polyhedron::from_constraints(2, vec![ge(&[1, 0], -3), ge(&[-1, 0], 1)]),
+            Polyhedron::universe(0),
+            Polyhedron::universe(2),
+            // x == y, and x + y == 0: the origin and two diagonal lines.
+            Polyhedron::from_constraints(2, vec![eq(&[1, -1], 0)]),
+            Polyhedron::from_constraints(2, vec![eq(&[1, 1], 0), ge(&[1, 0], 5)]),
+            // -1 <= x <= 1, y == 1: the orthants x = ±1 only at the ends.
+            Polyhedron::from_constraints(2, vec![ge(&[1, 0], 1), ge(&[-1, 0], 1), eq(&[0, 1], -1)]),
+            // 1/2 <= x <= 1 and -1 <= y <= -1/2: one point of each sign.
+            Polyhedron::from_constraints(
+                2,
+                vec![
+                    ge(&[2, 0], -1),
+                    ge(&[-1, 0], 1),
+                    ge(&[0, 1], 1),
+                    ge(&[0, -2], -1),
+                ],
+            ),
+            // x + y + z == 3/2 with every coordinate in (-1, 1).
+            Polyhedron::from_constraints(
+                3,
+                vec![
+                    eq(&[2, 2, 2], -3),
+                    ge(&[2, 0, 0], 1),
+                    ge(&[-2, 0, 0], 1),
+                    ge(&[0, 2, 0], 1),
+                    ge(&[0, -2, 0], 1),
+                ],
+            ),
+        ];
+        let mut rng = aov_support::Rng::new(29);
+        for _ in 0..120 {
+            let d = rng.usize_in(1, 3);
+            let cs = (0..rng.usize_in(1, 5))
+                .map(|r| {
+                    let e = AffineExpr::from_i64(&rng.vec_i64(-3, 3, d), rng.i64_in(-4, 4));
+                    if r == 0 && rng.u64_below(4) == 0 {
+                        Constraint::eq0(e)
+                    } else {
+                        Constraint::ge0(e)
+                    }
+                })
+                .collect();
+            cases.push(Polyhedron::from_constraints(d, cs));
+        }
+        let (mut met, mut missed) = (0, 0);
+        for p in &cases {
+            let (patterns, want) = orthants_by_lp(p);
+            let got = p.meets_orthants(&patterns);
+            assert_eq!(got, want, "{p:?}");
+            met += want.iter().filter(|&&m| m).count();
+            missed += want.iter().filter(|&&m| !m).count();
+        }
+        assert_eq!(
+            cases[0].meets_orthants(&[vec![1, 1], vec![0, 0]]),
+            [false, false]
+        );
+        assert_eq!(cases[2].meets_orthants(&[vec![]]), [true]);
+        assert!(met >= 300 && missed >= 1_000, "{met} met, {missed} missed");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use aov_core::check::lp_model;
 use aov_linalg::{AffineExpr, QVector};
 use aov_numeric::Rational;
+use aov_polyhedra::int::{Generators, Row};
 use aov_polyhedra::{Constraint, Polyhedron};
 use aov_support::{props, Rng};
 
@@ -62,6 +63,23 @@ fn empty_by_lp(p: &Polyhedron) -> bool {
     lp_model(p).is_infeasible()
 }
 
+/// The DD's vertex rows `(λ, λ·x)` as the points `x`.
+fn vertices(gens: &Generators) -> Vec<QVector> {
+    let point = |v: &Row| -> QVector {
+        v[1..]
+            .iter()
+            .map(|x| Rational::from_big(x.clone(), v[0].clone()))
+            .collect()
+    };
+    gens.vertices.iter().map(point).collect()
+}
+
+/// Ray or line rows `(0, r)` as the directions `r`.
+fn directions(rows: &[Row]) -> Vec<QVector> {
+    let direction = |r: &Row| -> QVector { r[1..].iter().cloned().map(Rational::from).collect() };
+    rows.iter().map(direction).collect()
+}
+
 fn sorted(vs: &[QVector]) -> Vec<String> {
     let mut out: Vec<String> = vs.iter().map(|v| v.to_string()).collect();
     out.sort();
@@ -99,11 +117,11 @@ props! {
     /// with the LP test.
     fn dd_vertices_feasible_and_emptiness_agrees(g) {
         let p = boxed_polytope(g, 2);
-        let gens = p.generators();
-        assert!(gens.is_bounded(), "boxed polytopes have no rays");
+        let gens = p.generator_rows();
+        assert!(gens.rays.is_empty() && gens.lines.is_empty(), "boxed polytopes have no rays");
         assert_eq!(gens.is_empty(), empty_by_lp(&p));
         assert_eq!(p.is_empty(), empty_by_lp(&p));
-        for v in &gens.vertices {
+        for v in &vertices(&gens) {
             assert!(p.contains(v), "vertex {v:?} infeasible");
         }
     }
@@ -112,12 +130,12 @@ props! {
     /// cannot be outside the bounding box of the vertices.
     fn dd_vertices_bound_integer_points(g) {
         let p = boxed_polytope(g, 2);
-        let gens = p.generators();
+        let points = vertices(&p.generator_rows());
         for pt in integer_points(&p, 2) {
             for k in 0..2 {
                 let x = Rational::from(pt[k]);
-                let min = gens.vertices.iter().map(|v| v[k].clone()).min();
-                let max = gens.vertices.iter().map(|v| v[k].clone()).max();
+                let min = points.iter().map(|v| v[k].clone()).min();
+                let max = points.iter().map(|v| v[k].clone()).max();
                 assert!(min.clone().is_some_and(|m| m <= x));
                 assert!(max.clone().is_some_and(|m| m >= x));
             }
@@ -129,7 +147,7 @@ props! {
     /// shadows).
     fn fm_projection_is_shadow(g) {
         let p = boxed_polytope(g, 2);
-        let proj = p.eliminate_dim(1);
+        let proj = p.eliminate_dims(&[1]);
         let pts = integer_points(&p, 2);
         // Soundness: every point's shadow is in the projection.
         for pt in &pts {
@@ -159,11 +177,11 @@ props! {
             return;
         };
         assert!(!empty_by_lp(&p), "{p:?} is not empty");
-        let (before, after) = (p.generators(), r.generators());
-        assert_eq!(sorted(&before.vertices), sorted(&after.vertices), "{p:?}");
-        assert_eq!(sorted(&before.rays), sorted(&after.rays), "{p:?}");
+        let (before, after) = (p.generator_rows(), r.generator_rows());
+        assert_eq!(sorted(&vertices(&before)), sorted(&vertices(&after)), "{p:?}");
+        assert_eq!(sorted(&directions(&before.rays)), sorted(&directions(&after.rays)), "{p:?}");
         assert_eq!(before.lines.len(), after.lines.len(), "{p:?}");
-        for l in &after.lines {
+        for l in &directions(&after.lines) {
             assert!(p.constraints().iter().all(|c| c.expr().coeffs().dot(l).is_zero()));
         }
         let mut rest = p.constraints().iter();

@@ -7,9 +7,9 @@ use aov_fault::Budget;
 use aov_ir::{analysis, Dependence, Program};
 use aov_linalg::{AffineExpr, QVector};
 use aov_numeric::BigInt;
-use aov_polyhedra::int::{self, Generators};
+use aov_polyhedra::int::Generators;
 use aov_polyhedra::param::{self, dedup_in_order, ParamVertex};
-use aov_polyhedra::{Constraint, PolyhedraError, Polyhedron};
+use aov_polyhedra::{PolyhedraError, Polyhedron};
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -26,11 +26,13 @@ use std::sync::OnceLock;
 /// ([`Analysis::linearize`]). The storage forms and their activity per
 /// sign orthant depend on the program alone; they are built on first use
 /// and shared by both problems ([`Analysis::storage_forms`],
-/// [`Analysis::active_in_orthant`]). Problem 2 asks of the same
+/// [`Analysis::active_in_orthant`], one DD per sign pattern on each
+/// dependence's overwriter image). Problem 2 asks of the same
 /// projections whether a concrete vector's overwriters exist
 /// ([`Analysis::overwriter_exists`]). ℛ's generators
-/// ([`Analysis::generators`]) and the scheduler's answer over ℛ
-/// ([`Analysis::schedule`]) are also computed once, on first use.
+/// ([`Analysis::generators`]), which decide Theorem 1's "holds on all
+/// of ℛ" ([`Analysis::holds_on_legal`]), and the scheduler's answer over
+/// ℛ ([`Analysis::schedule`]) are also computed once, on first use.
 ///
 /// # Examples
 ///
@@ -213,9 +215,9 @@ impl<'p> Analysis<'p> {
     ///
     /// The first call decides every dependence and pattern at once,
     /// without an LP: each dependence's [`legal::overwriter_image`]
-    /// (projected once per run) meets a pattern's orthant iff, with the
-    /// pattern's rows added and its remaining dimensions eliminated, no
-    /// trivially false row is left. The mirror's image is its reflection.
+    /// (projected once per run) is asked which orthants it meets
+    /// ([`Polyhedron::meets_orthants`], one DD per pattern on integer
+    /// rows). The mirror's image is its reflection.
     ///
     /// # Panics
     ///
@@ -286,11 +288,8 @@ impl<'p> Analysis<'p> {
     }
 
     /// Whether every row `r >= 0` holds on all of ℛ, decided exactly at
-    /// ℛ's [`generators`](Analysis::generators) without an LP (Theorem 1):
-    /// each row is `>= 0` at every vertex, its linear part is `>= 0` along
-    /// every ray and `= 0` along every line. Each row is scaled once to
-    /// integers, then dotted with the generator rows. Holds vacuously when
-    /// ℛ is empty.
+    /// ℛ's [`generators`](Analysis::generators) without an LP (Theorem 1,
+    /// [`Generators::implies_nonneg`]). Holds vacuously when ℛ is empty.
     ///
     /// # Panics
     ///
@@ -299,14 +298,7 @@ impl<'p> Analysis<'p> {
         let gens = self.generators();
         rows.iter().all(|r| {
             assert_eq!(r.dim(), self.space.dim(), "row dimension");
-            let terms = || std::iter::once(r.constant_term()).chain(r.coeffs().iter());
-            let den = int::common_denominator(terms());
-            let row: Vec<BigInt> = terms().map(|q| int::scaled(q, &den)).collect();
-            gens.vertices
-                .iter()
-                .chain(&gens.rays)
-                .all(|g| !int::dot(&row, g).is_negative())
-                && gens.lines.iter().all(|l| int::dot(&row, l).is_zero())
+            gens.implies_nonneg(r)
         })
     }
 
@@ -375,45 +367,18 @@ fn pattern_index(pattern: &[i8]) -> usize {
 
 /// One dependence's activity per sign pattern of its source array, in
 /// [`sign_patterns`] order, from its overwriter image over the array's
-/// `d_v` dimensions (see [`Analysis::active_in_orthant`]). The mirror `h − v`'s image is
-/// the reflection `v ↦ −v` of the `h + v` overwriter's, so a pattern is
-/// active iff that one image meets its orthant or the reflected one.
-/// Reflection maps pattern index `i` to `3^d − 1 − i`: it swaps the
-/// digits `+1` and `−1`.
+/// `d_v` dimensions (see [`Analysis::active_in_orthant`]). The mirror
+/// `h − v`'s image is the reflection `v ↦ −v` of the `h + v`
+/// overwriter's, so a pattern is active iff that one image meets its
+/// orthant or the reflected one. Reflection maps pattern index `i` to
+/// `3^d − 1 − i`: it swaps the digits `+1` and `−1`.
 fn activity_table(image: &Polyhedron) -> Vec<bool> {
-    let d_v = image.dim();
-    let _span = aov_trace::span!("schedule.activity", depth = d_v);
-    let patterns = sign_patterns(d_v);
-    if is_trivially_empty(image) {
-        return vec![false; patterns.len()];
-    }
-    let all: Vec<usize> = (0..d_v).collect();
-    let meets: Vec<bool> = patterns
-        .iter()
-        .map(|pattern| {
-            let mut cut = image.clone();
-            for (k, &s) in pattern.iter().enumerate() {
-                let v = AffineExpr::var(d_v, k);
-                cut.add_constraint(if s == 0 {
-                    Constraint::eq0(v)
-                } else {
-                    let one = AffineExpr::constant(d_v, 1.into());
-                    Constraint::ge0(&v.scale(&i64::from(s).into()) - &one)
-                });
-            }
-            !is_trivially_empty(&cut.eliminate_dims(&all))
-        })
-        .collect();
+    let _span = aov_trace::span!("schedule.activity", depth = image.dim());
+    let meets = image.meets_orthants(&sign_patterns(image.dim()));
     let last = meets.len() - 1;
     (0..meets.len())
         .map(|i| meets[i] || meets[last - i])
         .collect()
-}
-
-/// Whether a row of `p` is false everywhere — after Fourier–Motzkin has
-/// eliminated every dimension, exactly when `p` is empty.
-fn is_trivially_empty(p: &Polyhedron) -> bool {
-    p.constraints().iter().any(Constraint::is_trivially_false)
 }
 
 #[cfg(test)]
@@ -445,6 +410,21 @@ mod tests {
         for r in a.rows() {
             let cut = r.scale(&minus_one).plus_constant(&minus_one);
             assert!(!a.holds_on_legal(&[cut]), "{r:?}");
+        }
+    }
+
+    /// An empty ℛ can still have rays and lines (the DD's `λ = 0`
+    /// generators: the unschedulable example has one ray and three
+    /// lines), yet every row holds on it vacuously.
+    #[test]
+    fn every_row_holds_on_an_empty_legal_polyhedron() {
+        let p = aov_ir::examples::unschedulable();
+        let a = Analysis::new(&p).unwrap();
+        assert!(a.generators().is_empty() && !a.generators().lines.is_empty());
+        let dim = a.space().dim();
+        for k in 0..dim {
+            let e = AffineExpr::var(dim, k);
+            assert!(a.holds_on_legal(&[e.clone(), -&e]), "{k}");
         }
     }
 

@@ -174,10 +174,11 @@ struct ActiveSpan {
 }
 
 /// A lightweight always-on span: feeds the flight recorder and the
-/// label stack, records nothing to the sink.
+/// label stack, records nothing to the sink. Its enter event's
+/// timestamp is its start, so entry and exit read the clock once each.
 struct LiteSpan {
     label: SmallLabel,
-    start: Instant,
+    start_ns: u64,
 }
 
 enum GuardInner {
@@ -199,19 +200,17 @@ impl SpanGuard {
     }
 
     /// Opens a recorder-only span (the tracing-disabled arm of
-    /// [`span!`]): one ring event on entry and exit, a label-stack
-    /// push, no sink record and no allocation.
+    /// [`span!`]): one ring event on entry and exit, one clock read for
+    /// each, a label-stack push, no sink record and no allocation.
     pub fn enter_lite(name: &str) -> SpanGuard {
         if !recorder::recording() {
             return SpanGuard::disabled();
         }
         let label = SmallLabel::new(name);
         let _ = TLS.try_with(|tls| tls.borrow_mut().labels.push(label));
-        recorder::record(EventKind::SpanEnter, label.as_str(), 0, 0);
-        SpanGuard(GuardInner::Lite(LiteSpan {
-            label,
-            start: Instant::now(),
-        }))
+        let start_ns = now_ns();
+        recorder::record_at(start_ns, EventKind::SpanEnter, label.as_str(), 0, 0);
+        SpanGuard(GuardInner::Lite(LiteSpan { label, start_ns }))
     }
 
     /// Opens a span (the enabled arm of [`span!`]). Prefer the macro,
@@ -251,11 +250,12 @@ impl Drop for SpanGuard {
         match std::mem::replace(&mut self.0, GuardInner::Off) {
             GuardInner::Off => {}
             GuardInner::Lite(span) => {
-                let dur_ns = span.start.elapsed().as_nanos() as u64;
+                let end_ns = now_ns();
+                let dur_ns = end_ns.saturating_sub(span.start_ns);
                 let _ = TLS.try_with(|tls| {
                     tls.borrow_mut().labels.pop();
                 });
-                recorder::record(EventKind::SpanExit, span.label.as_str(), 0, dur_ns);
+                recorder::record_at(end_ns, EventKind::SpanExit, span.label.as_str(), 0, dur_ns);
             }
             GuardInner::Full(span) => {
                 let dur_ns = span.start.elapsed().as_nanos() as u64;

@@ -244,13 +244,22 @@ pub fn events_recorded() -> u64 {
     HEAD.load(Ordering::Relaxed)
 }
 
-/// Records one event. Nanosecond-scale; never allocates, never locks.
+/// Records one event, stamped now. Nanosecond-scale; never allocates,
+/// never locks.
 #[inline]
 pub fn record(kind: EventKind, label: &str, a: u64, b: u64) {
+    if recording() {
+        record_at(crate::now_ns(), kind, label, a, b);
+    }
+}
+
+/// Records one event stamped `t_ns` (nanoseconds since the trace
+/// epoch), for a caller that has read the clock already.
+#[inline]
+pub fn record_at(t_ns: u64, kind: EventKind, label: &str, a: u64, b: u64) {
     if !recording() {
         return;
     }
-    let t_ns = crate::now_ns();
     let thread = crate::thread_track_id();
     let ring = ring();
     let claim = HEAD.fetch_add(1, Ordering::Relaxed);

@@ -73,7 +73,9 @@ echo "== polyhedra tests in release"
 # reference kernels they replaced, row for row on the corpus and past
 # 2^63; aov-lp's LPs, a dev-dependency of aov-polyhedra, for emptiness
 # and for every row the reduction drops or keeps; the basis enumeration;
-# the chamber recursion), also run where integer overflow wraps, as do
+# the chamber recursion; the orthant query, every sign pattern against
+# the LP over the polyhedron and its sign rows), also run where integer
+# overflow wraps, as do
 # aov-schedule's tests (the linearization multiplies the vertices'
 # integer generator rows), the pinned per-example LP and polyhedra work
 # counts and aov-core's tests:
@@ -106,6 +108,19 @@ trap 'rm -f "$trace_file" "$chaos_file"' EXIT
 ./target/release/aov example1 --memoize --trace "$trace_file" --profile \
     --compact > /dev/null
 ./target/release/aov --check-trace "$trace_file"
+
+echo "== figures smoke"
+# all_figures writes target/figures.json under its working directory,
+# creating target/ when it is missing: from a fresh directory it must
+# exit 0 and leave the file.
+figures_dir="$(mktemp -d /tmp/aov-figures-smoke.XXXXXX)"
+trap 'rm -f "$trace_file" "$chaos_file"; rm -rf "$figures_dir"' EXIT
+figures_bin="$PWD/target/release/all_figures"
+(cd "$figures_dir" && "$figures_bin" --quick > /dev/null)
+if [ ! -s "$figures_dir/target/figures.json" ]; then
+    echo "figures smoke: all_figures --quick wrote no target/figures.json"
+    exit 1
+fi
 
 echo "== worker invariance"
 # Only the machine stage spreads over threads, and each of its points is
@@ -169,7 +184,7 @@ echo "== parse round-trip"
 # diagnostic with usage exit code 64, not a crash.
 ./target/release/aov run --check examples/*.aov
 bad_file="$(mktemp /tmp/aov-bad-smoke.XXXXXX.aov)"
-trap 'rm -f "$trace_file" "$chaos_file" "$bad_file"' EXIT
+trap 'rm -f "$trace_file" "$chaos_file" "$bad_file"; rm -rf "$figures_dir"' EXIT
 printf 'program broken;\nstmt S(i) {\n  1 <= i <= ;\n}\n' > "$bad_file"
 status=0
 ./target/release/aov run "$bad_file" > /dev/null 2> /dev/null || status=$?
@@ -183,7 +198,7 @@ echo "== profile smoke"
 # (aov inspect --check picks the schema from the tag) and render
 # without error.
 profile_file="$(mktemp /tmp/aov-profile-smoke.XXXXXX.json)"
-trap 'rm -f "$trace_file" "$chaos_file" "$bad_file" "$profile_file"' EXIT
+trap 'rm -f "$trace_file" "$chaos_file" "$bad_file" "$profile_file"; rm -rf "$figures_dir"' EXIT
 ./target/release/aov example1 --memoize --profile-out "$profile_file" \
     > /dev/null 2> /dev/null
 ./target/release/aov inspect "$profile_file" --check
@@ -194,7 +209,7 @@ echo "== fuzz smoke"
 # every case is ok or legitimately degraded — zero oracle mismatches,
 # zero panics, zero schema-invalid reports.
 repro_dir="$(mktemp -d /tmp/aov-fuzz-smoke.XXXXXX)"
-trap 'rm -f "$trace_file" "$chaos_file" "$bad_file" "$profile_file"; rm -rf "$repro_dir"' EXIT
+trap 'rm -f "$trace_file" "$chaos_file" "$bad_file" "$profile_file"; rm -rf "$figures_dir" "$repro_dir"' EXIT
 ./target/release/aov fuzz --seed 1 --count 25 --quick \
     --repro-dir "$repro_dir" --compact > /dev/null
 
@@ -214,7 +229,7 @@ echo "== diag smoke"
 # crash-diagnostic bundle that validates against the aov-diag/1 schema
 # (aov inspect --check) and renders without error.
 diag_dir="$(mktemp -d /tmp/aov-diag-smoke.XXXXXX)"
-trap 'rm -f "$trace_file" "$chaos_file" "$bad_file" "$profile_file"; rm -rf "$repro_dir" "$diag_dir"' EXIT
+trap 'rm -f "$trace_file" "$chaos_file" "$bad_file" "$profile_file"; rm -rf "$figures_dir" "$repro_dir" "$diag_dir"' EXIT
 status=0
 AOV_CHAOS="site=lp.simplex,kind=panic,nth=2" \
     ./target/release/aov example1 --workers 2 --diag-dir "$diag_dir" \
@@ -242,7 +257,7 @@ echo "== serve smoke"
 serve_diag="$(mktemp -d /tmp/aov-serve-smoke.XXXXXX)"
 serve_log="$(mktemp /tmp/aov-serve-smoke-log.XXXXXX)"
 serve_chaos_out="$(mktemp /tmp/aov-serve-smoke-chaos.XXXXXX.json)"
-trap 'rm -f "$trace_file" "$chaos_file" "$bad_file" "$profile_file" "$serve_log" "$serve_chaos_out"; rm -rf "$repro_dir" "$diag_dir" "$serve_diag"' EXIT
+trap 'rm -f "$trace_file" "$chaos_file" "$bad_file" "$profile_file" "$serve_log" "$serve_chaos_out"; rm -rf "$figures_dir" "$repro_dir" "$diag_dir" "$serve_diag"' EXIT
 ./target/release/aov aovd --addr 127.0.0.1:0 --no-memo --workers 2 \
     --diag-dir "$serve_diag" > "$serve_log" 2> /dev/null &
 aovd_pid=$!
