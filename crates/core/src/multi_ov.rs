@@ -139,7 +139,7 @@ pub fn second_vector_search(
 ) -> Result<Option<Vec<i64>>, CoreError> {
     let dim = v1.len();
     for r in 1..=radius {
-        for v2 in crate::problems::enumerate_shell_for_tests(dim, r) {
+        for v2 in crate::problems::enumerate_shell(dim, r) {
             if colinear(v1, &v2) {
                 continue;
             }

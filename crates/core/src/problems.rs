@@ -39,13 +39,11 @@ fn pattern_bound(pattern: &Orthant) -> i64 {
 /// in one sequential loop (`solve(i)` solves `patterns[i]`) and returns
 /// the minimum under the key `(objective, pattern index)`.
 ///
-/// Under an unlimited budget the loop visits patterns by
-/// `(bound, index)` ([`pattern_bound`]) and stops at the first whose key
-/// exceeds the incumbent's `(objective, index)`: every later pattern
-/// has a larger key, so none can win. The answer is the index-order
-/// minimum by construction, and the work done is a function of the
-/// input alone. Under a finite budget every pattern is solved, in index
-/// order, so where the budget trips does not depend on incumbents.
+/// The loop visits patterns by `(bound, index)` ([`pattern_bound`]) and
+/// stops at the first whose key exceeds the incumbent's
+/// `(objective, index)`: every later pattern has a larger key, so none
+/// can win. The answer is the index-order minimum by construction, and
+/// the work done, budgeted or not, is a function of the input alone.
 ///
 /// Fault behaviour: the budget is checked and the chaos site ticked
 /// before each orthant, and each solve runs under `catch_unwind`, so a
@@ -60,18 +58,13 @@ fn solve_patterns<T>(
     site: &'static str,
     solve: impl Fn(usize) -> Result<Option<OrthantSolution<T>>, AovError>,
 ) -> Result<Option<OrthantSolution<T>>, AovError> {
-    let pruning = budget.is_unlimited();
     let mut order: Vec<usize> = (0..patterns.len()).collect();
-    if pruning {
-        order.sort_by_key(|&i| (pattern_bound(&patterns[i]), i));
-    }
+    order.sort_by_key(|&i| (pattern_bound(&patterns[i]), i));
     let mut best: Option<(i64, usize, T)> = None;
     for i in order {
-        let pat = &patterns[i];
-        if pruning
-            && best
-                .as_ref()
-                .is_some_and(|(obj, bi, _)| (pattern_bound(pat), i) > (*obj, *bi))
+        if best
+            .as_ref()
+            .is_some_and(|(obj, bi, _)| (pattern_bound(&patterns[i]), i) > (*obj, *bi))
         {
             break;
         }
@@ -764,7 +757,7 @@ fn search_per_array(
 /// Enumerates integer vectors by increasing Manhattan length, breaking
 /// ties by the evenness term, and returns the first (hence objective-
 /// minimal) vector accepted by `valid`.
-fn search_shells(
+pub(crate) fn search_shells(
     dim: usize,
     max_radius: i64,
     mut valid: impl FnMut(&[i64]) -> Result<bool, CoreError>,
@@ -788,14 +781,8 @@ fn search_shells(
     Ok(None)
 }
 
-/// Crate-internal re-export of the shell enumerator (used by the UOV
-/// baseline search).
-pub(crate) fn enumerate_shell_for_tests(dim: usize, r: i64) -> Vec<Vec<i64>> {
-    enumerate_shell(dim, r)
-}
-
 /// All integer vectors with Manhattan length exactly `r`.
-fn enumerate_shell(dim: usize, r: i64) -> Vec<Vec<i64>> {
+pub(crate) fn enumerate_shell(dim: usize, r: i64) -> Vec<Vec<i64>> {
     let mut out = Vec::new();
     let mut cur = vec![0i64; dim];
     fn rec(k: usize, remaining: i64, cur: &mut Vec<i64>, out: &mut Vec<Vec<i64>>) {
@@ -1656,25 +1643,67 @@ mod tests {
         );
     }
 
-    /// Oracle for the bound-ordered orthant loop: under an unlimited
-    /// budget it returns what the unpruned index-order scan returns. A
-    /// finite budget turns pruning off and visits patterns in index
-    /// order, so a limit no solve reaches gives that scan.
+    /// Reference for [`solve_patterns`]: every pattern solved, in index
+    /// order, with no pruning; the minimum under `(objective, pattern
+    /// index)`. The first failure ends the scan.
+    fn index_order_scan<T>(
+        patterns: usize,
+        solve: impl Fn(usize) -> Result<Option<OrthantSolution<T>>, AovError>,
+    ) -> Result<Option<OrthantSolution<T>>, AovError> {
+        let mut best: Option<(i64, usize, T)> = None;
+        for i in 0..patterns {
+            if let Some((obj, vs)) = solve(i)? {
+                if best.as_ref().is_none_or(|(b, bi, _)| (obj, i) < (*b, *bi)) {
+                    best = Some((obj, i, vs));
+                }
+            }
+        }
+        Ok(best.map(|(obj, _, vs)| (obj, vs)))
+    }
+
+    /// [`shortest_per_array`] over `dep_rows` with the analysis's
+    /// activity table, each array's orthants solved by
+    /// [`index_order_scan`] instead of the bound-ordered loop.
+    fn scan_per_array(a: &Analysis, dep_rows: &unreduced::DepRows) -> Result<OvResult, CoreError> {
+        let budget = Budget::unlimited();
+        let rows_of = |d: usize| dep_rows[d].clone();
+        let reduced = ReducedRows::new(a.deps().len(), &rows_of);
+        let p = a.program();
+        let mut vectors = Vec::with_capacity(p.arrays().len());
+        for aidx in 0..p.arrays().len() {
+            let o = ArrayOrthants::new(a, aidx, |d, pattern| a.active_in_orthant(d, pattern));
+            let (_, v) = index_order_scan(o.patterns.len(), |i| {
+                o.solve(i, &reduced, |m| m.solve_ilp_budgeted(&budget))
+            })?
+            .ok_or(CoreError::NoVectorFound)?;
+            vectors.push(v);
+        }
+        Ok(OvResult::new(p, vectors))
+    }
+
+    /// Oracle for the bound-ordered orthant loop: Problems 1 (at the
+    /// scheduler's schedule) and 3 return what the unpruned index-order
+    /// scan over the same orthants returns ([`scan_per_array`]).
     #[test]
     fn ordered_loop_matches_index_order_scan() {
-        let scan = || Budget::new(Some(u64::MAX - 1), None, None);
         let (mut p1_solved, mut p3_solved) = (0, 0);
         for p in oracle_corpus() {
             let Ok(a) = Analysis::new(&p) else { continue };
             let ordered = verdict(aov_budgeted(&a, &Budget::unlimited()));
-            assert_eq!(ordered, verdict(aov_budgeted(&a, &scan())), "{}", p.name());
+            let index_order = if a.generators().is_empty() {
+                Err(CoreError::Unschedulable)
+            } else {
+                scan_per_array(&a, &all_generator_rows(&a))
+            };
+            assert_eq!(ordered, verdict(index_order), "{}", p.name());
             p3_solved += usize::from(ordered.is_ok());
             let Ok(sched) = scheduler::find_schedule_with_budgeted(&a, &[], &Budget::unlimited())
             else {
                 continue;
             };
+            let theta = legal::point_of(&p, a.space(), &sched);
             let ordered = verdict(ov_for_schedule_budgeted(&a, &sched, &Budget::unlimited()));
-            let index_order = verdict(ov_for_schedule_budgeted(&a, &sched, &scan()));
+            let index_order = verdict(scan_per_array(&a, &all_schedule_rows(&a, &theta)));
             assert_eq!(ordered, index_order, "{}", p.name());
             p1_solved += usize::from(ordered.is_ok());
         }
@@ -1686,8 +1715,8 @@ mod tests {
 
     /// Oracle for the loop itself, on synthetic orthant optima with
     /// many cross-pattern ties: the bound-ordered, pruned loop returns
-    /// the minimum of `(objective, pattern index)` that an unpruned
-    /// index-order scan finds, and it prunes.
+    /// the minimum of `(objective, pattern index)` that
+    /// [`index_order_scan`] finds, and it prunes.
     #[test]
     fn ordered_loop_matches_index_order_scan_on_synthetic_optima() {
         let patterns: Vec<Orthant> = sign_patterns(3)
@@ -1708,18 +1737,15 @@ mod tests {
                     (rng.u64_below(3) != 0).then(|| LENGTH_WEIGHT * length + rng.i64_in(0, 3))
                 })
                 .collect();
-            let scan = optima
-                .iter()
-                .enumerate()
-                .filter_map(|(i, o)| o.map(|obj| (obj, i)))
-                .min()
-                .map(|(obj, i)| (obj, OccupancyVector::new(vec![i as i64])));
+            let optimum =
+                |i: usize| optima[i].map(|obj| (obj, OccupancyVector::new(vec![i as i64])));
+            let scan = index_order_scan(patterns.len(), |i| Ok(optimum(i)));
             let solve = |i: usize| {
                 solves.set(solves.get() + 1);
-                Ok(optima[i].map(|obj| (obj, OccupancyVector::new(vec![i as i64]))))
+                Ok(optimum(i))
             };
             let ordered = solve_patterns(&patterns, &Budget::unlimited(), "aov.orthant", solve);
-            assert_eq!(ordered.unwrap(), scan, "optima {optima:?}");
+            assert_eq!(ordered.unwrap(), scan.unwrap(), "optima {optima:?}");
         }
         assert!(
             solves.get() < trials * patterns.len(),

@@ -10,7 +10,7 @@
 //! therefore be longer than the shortest AOV — the paper's Example 1 has
 //! UOV `(0,3)` but AOV `(1,2)`.
 
-use crate::objective::evenness;
+use crate::problems::search_shells;
 use crate::{CoreError, OccupancyVector};
 use aov_ir::{ArrayId, Dependence, Program};
 use aov_linalg::AffineExpr;
@@ -85,23 +85,17 @@ pub fn shortest_uov(
             "array has no dependences to protect".into(),
         ));
     }
-    let dim = dists[0].len();
-    for r in 1..=max_radius {
-        let mut shell = crate::problems::enumerate_shell_for_tests(dim, r);
-        shell.sort_by_key(|v| (evenness(v), v.iter().filter(|&&c| c < 0).count(), v.clone()));
-        for v in shell {
-            if is_uov(&v, &dists) {
-                return Ok(OccupancyVector::new(v));
-            }
-        }
-    }
-    Err(CoreError::NoVectorFound)
+    let found = search_shells(dists[0].len(), max_radius, |v| Ok(is_uov(v, &dists)))?;
+    found
+        .map(OccupancyVector::new)
+        .ok_or(CoreError::NoVectorFound)
 }
 
 /// Shortest UOV for *every* array of the program (see [`shortest_uov`]).
 /// This is the schedule-independent fallback the engine degrades to when
-/// the Farkas AOV solver is unavailable (budget spent, injected fault,
-/// failed linearization): it needs nothing but the dependences.
+/// the AOV solver (Problem 3 over ℛ's generators) is unavailable (budget
+/// spent, injected fault, failed linearization): it needs nothing but
+/// the dependences.
 ///
 /// # Errors
 ///

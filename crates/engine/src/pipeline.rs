@@ -715,29 +715,12 @@ impl Pipeline {
         self
     }
 
-    /// Replaces the whole budget at once (CLI and bench pass-through).
+    /// Caps one run's simplex pivots, branch-and-bound nodes and wall
+    /// clock. Exceeding a cap degrades the tripping stage; work caps
+    /// trip deterministically, deadlines do not. A cap the run never
+    /// reaches changes nothing in its report but the echoed `budget`.
     pub fn budget(mut self, spec: BudgetSpec) -> Self {
         self.budget = spec;
-        self
-    }
-
-    /// Caps the total simplex pivots for one run; exceeding the cap
-    /// degrades the tripping stage deterministically.
-    pub fn budget_pivots(mut self, n: u64) -> Self {
-        self.budget.pivots = Some(n);
-        self
-    }
-
-    /// Caps the total branch-and-bound nodes for one run.
-    pub fn budget_nodes(mut self, n: u64) -> Self {
-        self.budget.nodes = Some(n);
-        self
-    }
-
-    /// Wall-clock deadline for one run, in milliseconds. Trips are
-    /// inherently nondeterministic (unlike the work limits).
-    pub fn budget_ms(mut self, ms: u64) -> Self {
-        self.budget.ms = Some(ms);
         self
     }
 
@@ -1618,7 +1601,10 @@ mod tests {
     fn exhausted_budget_degrades_to_uov() {
         let report = Pipeline::for_example("example1")
             .unwrap()
-            .budget_pivots(1)
+            .budget(BudgetSpec {
+                pivots: Some(1),
+                ..BudgetSpec::default()
+            })
             .run()
             .expect("degraded, not failed");
         assert_eq!(report.health(), Health::Degraded);
@@ -1666,7 +1652,10 @@ mod tests {
                 .unwrap()
                 .workers(workers)
                 .machine(true)
-                .budget_pivots(200)
+                .budget(BudgetSpec {
+                    pivots: Some(200),
+                    ..BudgetSpec::default()
+                })
                 .run()
                 .expect("structured report");
             (

@@ -2,7 +2,7 @@
 //! into structured reports, and budget trips are deterministic across
 //! worker counts.
 
-use aov_engine::{Health, Pipeline, Report};
+use aov_engine::{BudgetSpec, Health, Pipeline, Report};
 use aov_support::Json;
 
 /// Everything about a run that must be reproducible: the health verdict
@@ -89,15 +89,16 @@ fn budget_trip_point_is_deterministic_across_workers() {
             None
         };
         let run = |workers: usize| {
-            let mut p = Pipeline::for_example("example2")
+            let p = Pipeline::for_example("example2")
                 .unwrap()
                 .workers(workers)
                 .memoize(false)
                 .machine(true)
-                .budget_pivots(pivots);
-            if let Some(n) = nodes {
-                p = p.budget_nodes(n);
-            }
+                .budget(BudgetSpec {
+                    pivots: Some(pivots),
+                    nodes,
+                    ms: None,
+                });
             p.run().expect("budget trips degrade, they do not abort")
         };
         let baseline = run(1);

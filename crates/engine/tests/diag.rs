@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use aov_engine::diag;
-use aov_engine::{Health, Pipeline};
+use aov_engine::{BudgetSpec, Health, Pipeline};
 use aov_fault::chaos::{self, ChaosSpec, FaultKind};
 use aov_support::{schema, Json};
 
@@ -208,11 +208,14 @@ fn budget_trip_bundle_names_the_active_span() {
     let _guard = lock();
     chaos::disarm();
     let dir = fresh_dir("budget");
-    // example1 spends 25 pivots (schedule 13, problem1 7, aov 5), so 22
-    // trips inside Problem 3's ILP.
+    // example1 spends 25 pivots (schedule 13, problem1 3, aov 9), so 22
+    // trips inside Problem 3's ILP, at its 7th pivot.
     let report = Pipeline::for_example("example1")
         .unwrap()
-        .budget_pivots(22)
+        .budget(BudgetSpec {
+            pivots: Some(22),
+            ..BudgetSpec::default()
+        })
         .diag_dir(dir.clone())
         .run()
         .expect("budget trips degrade, not abort");

@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 use std::sync::Barrier;
 
-use aov_engine::{diag, Health, Pipeline};
+use aov_engine::{diag, BudgetSpec, Health, Pipeline};
 use aov_support::{schema, Json};
 
 /// Reads the single bundle in `dir`, parses and schema-validates it.
@@ -63,7 +63,10 @@ fn interleaved_sessions_keep_their_bundles_disjoint() {
                     .unwrap()
                     .workers(2)
                     .session(session)
-                    .budget_pivots(22)
+                    .budget(BudgetSpec {
+                        pivots: Some(22),
+                        ..BudgetSpec::default()
+                    })
                     .diag_dir(dir.clone())
                     .run()
                     .expect("budget trips degrade, not abort");
@@ -93,7 +96,7 @@ fn interleaved_sessions_keep_their_bundles_disjoint() {
 #[test]
 fn session_runs_do_not_clear_the_shared_ring() {
     use aov_trace::recorder::{self, EventKind};
-    recorder::record(EventKind::Counter, "test.session.neighbor", 7, 0);
+    recorder::record(EventKind::BudgetTick, "test.session.neighbor", 7, 0);
     let report = Pipeline::for_example("example1")
         .unwrap()
         .session(99)

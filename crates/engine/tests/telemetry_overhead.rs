@@ -29,11 +29,11 @@ fn recorder_event_stays_cheap() {
     const EVENTS: u64 = 2_000_000;
     recorder::set_recording(true);
     for _ in 0..10_000 {
-        recorder::record(EventKind::Counter, "overhead.warmup", 0, 0);
+        recorder::record(EventKind::BudgetTick, "overhead.warmup", 0, 0);
     }
     let t0 = Instant::now();
     for i in 0..EVENTS {
-        recorder::record(EventKind::Counter, "overhead.test", i, 0);
+        recorder::record(EventKind::BudgetTick, "overhead.test", i, 0);
     }
     let elapsed = t0.elapsed();
     let ns_per_event = elapsed.as_nanos() as f64 / EVENTS as f64;
@@ -152,12 +152,12 @@ fn derived_telemetry_overhead_is_within_budget() {
     const PAIRS: usize = 7;
     const EVENTS: u64 = 400_000;
     for _ in 0..10_000 {
-        recorder::record(EventKind::Counter, "overhead.warmup", 0, 0);
+        recorder::record(EventKind::BudgetTick, "overhead.warmup", 0, 0);
     }
     let pair = || {
         let t0 = Instant::now();
         for i in 0..EVENTS {
-            recorder::record(EventKind::Counter, "overhead.derived", i, 0);
+            recorder::record(EventKind::BudgetTick, "overhead.derived", i, 0);
         }
         let batch = t0.elapsed();
         aov_support::alloc::set_counting(false);

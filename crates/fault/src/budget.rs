@@ -6,11 +6,12 @@
 //!
 //! Determinism contract: the exceeded error carries only the resource,
 //! the configured limit, and the checkpoint site — never the observed
-//! count. Together with the rule that finite budgets disable
-//! incumbent-based pruning in the orthant loop of Problems 1 and 3, the
-//! same budget trips with the same error at the same stage on every
-//! run. Wall-clock deadlines are the documented exception:
-//! they are inherently timing-dependent.
+//! count. A solve is one sequential loop whose incumbents depend on its
+//! input alone, so the work it ticks does too, and the same budget
+//! trips with the same error at the same stage on every run. The budget
+//! only counts: a limit the run never reaches changes none of its work.
+//! Wall-clock deadlines are the documented exception: they are
+//! inherently timing-dependent.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,16 +111,6 @@ impl Budget {
             pivots: AtomicU64::new(0),
             nodes: AtomicU64::new(0),
         }
-    }
-
-    /// True when no pivot/node/deadline limit is set. The orthant loop
-    /// of Problems 1 and 3 uses this to decide whether incumbent pruning
-    /// is allowed (pruning makes work counts depend on incumbents, so
-    /// any finite budget turns it off to keep trip points where an
-    /// unpruned index-order scan puts them).
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.max_pivots == u64::MAX && self.max_nodes == u64::MAX && self.deadline.is_none()
     }
 
     /// Pivots ticked so far (for reporting).
@@ -255,7 +246,6 @@ mod tests {
             b.tick_pivot("t").unwrap();
             b.tick_node("t").unwrap();
         }
-        assert!(b.is_unlimited());
         assert_eq!(b.pivots_spent(), 10_000);
     }
 
@@ -269,7 +259,6 @@ mod tests {
         assert_eq!(e.resource, Resource::Pivots);
         assert_eq!(e.limit, 5);
         assert_eq!(e.site, "lp.simplex");
-        assert!(!b.is_unlimited());
     }
 
     #[test]

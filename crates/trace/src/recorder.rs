@@ -5,22 +5,16 @@
 //! Full tracing (the span sink) is opt-in because it allocates and
 //! locks; the recorder exists for the opposite regime — a production
 //! run that fails wants the last few thousand events (span entries and
-//! exits, per-stage counter deltas, budget ticks, chaos firings)
+//! exits, stage boundaries, budget ticks, chaos firings)
 //! without having paid for tracing it did not know it would need. The
 //! engine drains the ring into the crash-diagnostic bundle when a stage
 //! degrades or fails.
 //!
 //! # Capacity
 //!
-//! The ring holds [`DEFAULT_RING_CAPACITY`] slots unless resized before
-//! first use: programmatically via [`set_slots`] (the CLI's
-//! `--recorder-slots` flag) or through the [`SLOTS_ENV`] environment
-//! variable. The capacity is fixed once the ring records its first
-//! event — the slot array is allocated exactly once and never moves, so
-//! writers stay lock-free — and requests are clamped to a sane range
-//! and rounded up to a power of two (the index modulo is a mask). Hot
-//! runs whose span/budget churn would scroll crash evidence out of the
-//! default window raise it; wraparound tests shrink it.
+//! The ring is a static array of [`RING_CAPACITY`] slots, a power of
+//! two (the index modulo is a mask). It never moves, so writers stay
+//! lock-free.
 //!
 //! # Ring protocol
 //!
@@ -49,23 +43,10 @@
 //! store, and one `Instant::now` — tens of nanoseconds per event. No
 //! allocation: labels are truncated into [`LABEL_BYTES`] inline bytes.
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 
-/// Ring capacity when neither [`set_slots`] nor [`SLOTS_ENV`] asked for
-/// a different one.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
-
-/// Environment variable consulted for the ring capacity on first use
-/// (overridden by an explicit [`set_slots`] call).
-pub const SLOTS_ENV: &str = "AOV_RECORDER_SLOTS";
-
-/// Smallest capacity a request clamps to (enough that a drained bundle
-/// still shows the failing stage's neighborhood).
-pub const MIN_SLOTS: usize = 64;
-
-/// Largest capacity a request clamps to (1 Mi slots ≈ 64 MiB resident).
-pub const MAX_SLOTS: usize = 1 << 20;
+/// Ring capacity in slots.
+pub const RING_CAPACITY: usize = 4096;
 
 /// Bytes of label text kept per event (longer labels are truncated).
 pub const LABEL_BYTES: usize = 24;
@@ -85,8 +66,6 @@ pub enum EventKind {
     StageEnter = 3,
     /// A pipeline stage finished (`a` = stage ordinal, `b` = micros).
     StageExit = 4,
-    /// A counter moved across a stage (`a` = delta, `b` = new total).
-    Counter = 5,
     /// A budget checkpoint polled the deadline (`a` = pivots spent,
     /// `b` = nodes spent).
     BudgetTick = 6,
@@ -105,7 +84,6 @@ impl EventKind {
             EventKind::SpanExit => "span_exit",
             EventKind::StageEnter => "stage_enter",
             EventKind::StageExit => "stage_exit",
-            EventKind::Counter => "counter",
             EventKind::BudgetTick => "budget_tick",
             EventKind::BudgetTrip => "budget_trip",
             EventKind::ChaosFired => "chaos_fired",
@@ -118,7 +96,6 @@ impl EventKind {
             2 => EventKind::SpanExit,
             3 => EventKind::StageEnter,
             4 => EventKind::StageExit,
-            5 => EventKind::Counter,
             6 => EventKind::BudgetTick,
             7 => EventKind::BudgetTrip,
             8 => EventKind::ChaosFired,
@@ -152,56 +129,9 @@ const EMPTY_SLOT: Slot = Slot {
     label: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
 };
 
-/// Capacity requested by [`set_slots`] before the ring materialized
-/// (0 = no request; fall back to [`SLOTS_ENV`], then the default).
-static REQUESTED_SLOTS: AtomicUsize = AtomicUsize::new(0);
-static RING: OnceLock<Box<[Slot]>> = OnceLock::new();
+static RING: [Slot; RING_CAPACITY] = [EMPTY_SLOT; RING_CAPACITY];
 static HEAD: AtomicU64 = AtomicU64::new(0);
 static RECORDING: AtomicBool = AtomicBool::new(true);
-
-/// Clamps a capacity request into `[MIN_SLOTS, MAX_SLOTS]` and rounds
-/// up to a power of two so the ring index stays a mask.
-fn clamp_slots(n: usize) -> usize {
-    n.clamp(MIN_SLOTS, MAX_SLOTS).next_power_of_two()
-}
-
-/// The slot array, allocated on first use at the capacity in effect at
-/// that moment. Never reallocated: writers hold `&'static` slots.
-fn ring() -> &'static [Slot] {
-    RING.get_or_init(|| {
-        let requested = REQUESTED_SLOTS.load(Ordering::Relaxed);
-        let n = if requested > 0 {
-            requested
-        } else {
-            std::env::var(SLOTS_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(DEFAULT_RING_CAPACITY)
-        };
-        let mut slots = Vec::with_capacity(clamp_slots(n));
-        slots.resize_with(clamp_slots(n), || EMPTY_SLOT);
-        slots.into_boxed_slice()
-    })
-}
-
-/// Requests a ring capacity (clamped to `[MIN_SLOTS, MAX_SLOTS]`,
-/// rounded up to a power of two). Returns `true` if the request will
-/// take effect — i.e. the ring has not materialized yet — and `false`
-/// if the capacity was already fixed by an earlier event. Call it
-/// before any instrumented work (the CLI does, straight after flag
-/// parsing).
-pub fn set_slots(n: usize) -> bool {
-    REQUESTED_SLOTS.store(clamp_slots(n), Ordering::Relaxed);
-    RING.get().is_none()
-}
-
-/// The ring's capacity in slots. Forces the ring to materialize, fixing
-/// the capacity.
-#[must_use]
-pub fn slots() -> usize {
-    ring().len()
-}
 
 /// One event read back out of the ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -238,7 +168,7 @@ pub fn recording() -> bool {
 }
 
 /// Total events ever claimed (monotonic; the ring holds the last
-/// [`slots`] of them).
+/// [`RING_CAPACITY`] of them).
 #[must_use]
 pub fn events_recorded() -> u64 {
     HEAD.load(Ordering::Relaxed)
@@ -261,9 +191,8 @@ pub fn record_at(t_ns: u64, kind: EventKind, label: &str, a: u64, b: u64) {
         return;
     }
     let thread = crate::thread_track_id();
-    let ring = ring();
     let claim = HEAD.fetch_add(1, Ordering::Relaxed);
-    let slot = &ring[(claim as usize) & (ring.len() - 1)];
+    let slot = &RING[(claim as usize) & (RING_CAPACITY - 1)];
     // Tear the slot; AcqRel keeps the payload stores from floating up.
     slot.seq.swap(0, Ordering::AcqRel);
     let bytes = label.as_bytes();
@@ -331,12 +260,11 @@ fn read_slot(slot: &Slot, claim: u64) -> Option<Event> {
 /// slots. Non-destructive: the ring keeps recording.
 #[must_use]
 pub fn snapshot() -> Vec<Event> {
-    let ring = ring();
     let head = HEAD.load(Ordering::Acquire);
-    let first = head.saturating_sub(ring.len() as u64);
+    let first = head.saturating_sub(RING_CAPACITY as u64);
     let mut out = Vec::with_capacity((head - first) as usize);
     for claim in first..head {
-        let slot = &ring[(claim as usize) & (ring.len() - 1)];
+        let slot = &RING[(claim as usize) & (RING_CAPACITY - 1)];
         if let Some(event) = read_slot(slot, claim) {
             out.push(event);
         }
@@ -349,7 +277,7 @@ pub fn snapshot() -> Vec<Event> {
 /// not carry its predecessor's tail.
 pub fn clear() {
     let head = HEAD.load(Ordering::Acquire);
-    for slot in ring() {
+    for slot in &RING {
         slot.seq.store(0, Ordering::Release);
     }
     // Bump HEAD past anything a straggling writer may still publish
@@ -368,17 +296,17 @@ mod tests {
         clear();
         record(EventKind::SpanEnter, "test.rec.a", 1, 0);
         record(EventKind::SpanExit, "test.rec.a", 1, 250);
-        record(EventKind::Counter, "lp.simplex.pivots", 4, 10);
+        record(EventKind::BudgetTick, "test.rec.tick", 4, 10);
         let events = snapshot();
         let mine: Vec<&Event> = events
             .iter()
-            .filter(|e| e.label.starts_with("test.rec") || e.label == "lp.simplex.pivots")
+            .filter(|e| e.label.starts_with("test.rec"))
             .collect();
         assert_eq!(mine.len(), 3);
         assert_eq!(mine[0].kind, EventKind::SpanEnter);
         assert_eq!(mine[0].label, "test.rec.a");
         assert_eq!(mine[1].b, 250);
-        assert_eq!(mine[2].kind, EventKind::Counter);
+        assert_eq!(mine[2].kind, EventKind::BudgetTick);
         assert_eq!(mine[2].a, 4);
         assert!(mine[0].seq < mine[1].seq && mine[1].seq < mine[2].seq);
     }
@@ -402,7 +330,7 @@ mod tests {
     fn wraparound_keeps_last_capacity_events() {
         let _g = locked();
         clear();
-        let capacity = slots();
+        let capacity = RING_CAPACITY;
         let n = capacity + 100;
         for i in 0..n {
             record(EventKind::BudgetTick, "test.wrap", i as u64, 0);
@@ -425,13 +353,13 @@ mod tests {
             for t in 0..4u64 {
                 s.spawn(move || {
                     for i in 0..5000u64 {
-                        record(EventKind::Counter, "test.mt.writer", t, i);
+                        record(EventKind::BudgetTick, "test.mt.writer", t, i);
                     }
                 });
             }
         });
         let events = snapshot();
-        for e in events.iter().filter(|e| e.kind == EventKind::Counter) {
+        for e in events.iter().filter(|e| e.kind == EventKind::BudgetTick) {
             // Every surviving slot decodes to a value some writer wrote.
             assert_eq!(e.label, "test.mt.writer");
             assert!(e.a < 4 && e.b < 5000, "torn payload: {e:?}");
@@ -450,35 +378,24 @@ mod tests {
     }
 
     #[test]
-    fn capacity_requests_clamp_to_power_of_two_band() {
-        assert_eq!(clamp_slots(0), MIN_SLOTS);
-        assert_eq!(clamp_slots(1), MIN_SLOTS);
-        assert_eq!(clamp_slots(64), 64);
-        assert_eq!(clamp_slots(100), 128);
-        assert_eq!(clamp_slots(4096), 4096);
-        assert_eq!(clamp_slots(usize::MAX), MAX_SLOTS);
-        assert!(clamp_slots(MAX_SLOTS - 1).is_power_of_two());
-    }
-
-    #[test]
     fn session_attribution_stamps_nests_and_restores() {
         let _g = locked();
         clear();
         use aov_support::context::Context;
-        record(EventKind::Counter, "test.sess.none", 0, 0);
+        record(EventKind::BudgetTick, "test.sess.none", 0, 0);
         {
             let _outer = Context::child(Some(41), None).enter();
-            record(EventKind::Counter, "test.sess.a", 0, 0);
+            record(EventKind::BudgetTick, "test.sess.a", 0, 0);
             {
                 let _inner = Context::child(Some(42), None).enter();
-                record(EventKind::Counter, "test.sess.b", 0, 0);
+                record(EventKind::BudgetTick, "test.sess.b", 0, 0);
             }
             {
                 let _inherits = Context::child(None, None).enter();
-                record(EventKind::Counter, "test.sess.a2", 0, 0);
+                record(EventKind::BudgetTick, "test.sess.a2", 0, 0);
             }
         }
-        record(EventKind::Counter, "test.sess.after", 0, 0);
+        record(EventKind::BudgetTick, "test.sess.after", 0, 0);
         let events = snapshot();
         let session_of = |l: &str| events.iter().find(|e| e.label == l).unwrap().session;
         assert_eq!(session_of("test.sess.none"), 0);
@@ -486,19 +403,5 @@ mod tests {
         assert_eq!(session_of("test.sess.b"), 42);
         assert_eq!(session_of("test.sess.a2"), 41);
         assert_eq!(session_of("test.sess.after"), 0);
-    }
-
-    /// Once the ring has materialized, capacity requests report that
-    /// they arrived too late. (The ring is process-global, so this test
-    /// binary's other tests have long since fixed the capacity; the
-    /// dedicated small-ring integration test exercises the
-    /// before-first-use path in its own process.)
-    #[test]
-    fn set_slots_after_first_use_is_rejected() {
-        let _g = locked();
-        let fixed = slots();
-        assert!(fixed.is_power_of_two());
-        assert!(!set_slots(fixed * 2));
-        assert_eq!(slots(), fixed);
     }
 }

@@ -141,6 +141,24 @@ for run in example1 example2 example3 example4 \
     fi
 done
 
+echo "== budget transparency"
+# A budget only counts: caps the run never reaches leave the report as
+# it is, orthant ILPs and pivots included, once the wall-clock fields,
+# the echoed budget and the allocator's peak (a high-water mark over
+# the whole process, which the longer command line itself moves) are
+# removed.
+report_without_budget() {
+    report_without_timings "$@" \
+        | sed -E 's/"budget":\{[^}]*\},?//; s/"peak":[0-9]+,?//g'
+}
+for ex in example1 example2 example3 example4; do
+    if [ "$(report_without_budget "$ex" --workers 1)" != \
+        "$(report_without_budget "$ex" --workers 1 --budget-pivots 1000000000 --budget-nodes 1000000000)" ]; then
+        echo "budget transparency: $ex: a non-tripping budget changed the report"
+        exit 1
+    fi
+done
+
 echo "== chaos smoke"
 # One injected fault per pipeline stage (plus a worker panic and a
 # forced budget trip in the solver layers): every run must degrade —
@@ -253,7 +271,8 @@ echo "== serve smoke"
 # answers a health probe and drains cleanly on SIGTERM. The daemon runs
 # --no-memo so the budget trip stays deterministic (a warm shared tier
 # would satisfy the solve without spending pivots). example1 spends 25
-# pivots, so a budget of 22 trips inside Problem 3's ILP.
+# pivots (schedule 13, problem1 3, aov 9), budgeted or not, so a budget
+# of 22 trips inside Problem 3's ILP, at its 7th pivot.
 serve_diag="$(mktemp -d /tmp/aov-serve-smoke.XXXXXX)"
 serve_log="$(mktemp /tmp/aov-serve-smoke-log.XXXXXX)"
 serve_chaos_out="$(mktemp /tmp/aov-serve-smoke-chaos.XXXXXX.json)"

@@ -105,13 +105,6 @@
 //!   With `--check`, validate against the matching schema instead and
 //!   exit 0/1.
 //!
-//! Every subcommand accepts `--recorder-slots N`: size the flight
-//! recorder's ring (power of two, clamped to [64, 1048576]; default
-//! 4096 slots) before its first event. The `AOV_RECORDER_SLOTS`
-//! environment variable takes the same value; the flag wins when both
-//! are set. The capacity is fixed at first use, so a flag given after
-//! the recorder has already recorded is a usage error.
-//!
 //! aov --check-trace FILE
 //!
 //!   Validate a previously written trace: parse the JSON and assert it
@@ -200,7 +193,6 @@ fn usage() -> ! {
          [--transcript FILE]\n       \
          aov --check-trace FILE\n       \
          aov --check-report FILE\n\n\
-         every subcommand also accepts --recorder-slots N\n\
          exit codes: 0 ok, 1 inequivalent, 2 failed, \
          3 degraded, 64 usage"
     );
@@ -1048,22 +1040,7 @@ fn client_main(args: &[String]) -> i32 {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // --recorder-slots is global and position-independent: it must land
-    // before the flight recorder's ring is first touched, whichever
-    // subcommand runs. The AOV_RECORDER_SLOTS environment variable is
-    // read lazily by the recorder itself; the flag wins because
-    // set_slots overrides the environment.
-    while let Some(i) = args.iter().position(|a| a == "--recorder-slots") {
-        let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-            usage()
-        };
-        args.drain(i..=i + 1);
-        if !aov_trace::recorder::set_slots(n) {
-            eprintln!("aov: --recorder-slots: the recorder ring is already sized");
-            std::process::exit(64);
-        }
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("inspect") {
         std::process::exit(inspect_main(&args[1..]));
     }

@@ -57,25 +57,10 @@ fn drop_watermarks(counters: &Json) -> Json {
 }
 
 /// Runs one program through the pipeline and returns its normalized
-/// report text. `budget_pivots` bounds solver work (deterministically)
-/// for the expensive corpus entries.
-fn report_text(program: aov::ir::Program, budget_pivots: Option<u64>) -> String {
-    let mut pipeline = Pipeline::new(program);
-    if let Some(n) = budget_pivots {
-        pipeline = pipeline.budget_pivots(n);
-    }
-    let report = pipeline.run().expect("pipeline completes");
+/// report text.
+fn report_text(program: aov::ir::Program) -> String {
+    let report = Pipeline::new(program).run().expect("pipeline completes");
     normalize(&report.to_json()).to_pretty()
-}
-
-/// Per-corpus-program solver budget: `example3` costs over a minute at
-/// full depth (see BENCH_2.json), so its parity check runs under a
-/// pivot budget that completes the schedule and Problem 1 stages but
-/// trips the AOV Farkas stage (~20 s) — the trip point is
-/// deterministic, so both paths still produce byte-identical
-/// (degraded) reports, which is all parser parity needs.
-fn budget_for(name: &str) -> Option<u64> {
-    (name == "example3").then_some(1_000)
 }
 
 #[test]
@@ -84,9 +69,8 @@ fn parsed_corpus_reports_match_hand_built_reports() {
         let parsed = parse(corpus::source(name).expect("corpus source"))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let hand = corpus::hand_built(name).expect("hand-built program");
-        let budget = budget_for(name);
-        let from_parser = report_text(parsed, budget);
-        let from_hand = report_text(hand, budget);
+        let from_parser = report_text(parsed);
+        let from_hand = report_text(hand);
         assert_eq!(
             from_parser, from_hand,
             "{name}: parser-path report differs from hand-built report"
