@@ -14,8 +14,8 @@
 //!    Vector*, valid for every legal one-dimensional affine schedule.
 //!    The paper states the condition with the affine form of Farkas'
 //!    lemma (§4.5.3); the solver uses its generator form, one row in
-//!    `v` per vertex, ray and line of ℛ (Theorem 1), and keeps
-//!    [`aov_schedule::farkas`] as the paper's method and test oracle.
+//!    `v` per vertex, ray and line of ℛ (Theorem 1), and keeps the
+//!    paper's method as a test-only oracle (`farkas_reference`).
 //!
 //! Problems 1 and 3 solve each array on its own — a storage row involves
 //! only its source array's vector and the objective is a sum over arrays
@@ -57,6 +57,8 @@
 
 pub mod check;
 pub mod codegen;
+#[cfg(test)]
+mod farkas_reference;
 pub mod multi_ov;
 mod objective;
 mod ov;

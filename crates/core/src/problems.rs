@@ -570,7 +570,7 @@ pub fn aov_with(p: &Program, _workers: usize) -> Result<OvResult, CoreError> {
 /// every legal schedule Θ ∈ ℛ.
 ///
 /// The paper linearizes that condition with the affine form of Farkas'
-/// lemma (§4.5.3; [`aov_schedule::farkas`]). This solver uses the
+/// lemma (§4.5.3; kept as the test-only `farkas_reference`). This solver uses the
 /// equivalent generator form, the paper's Theorem 1 (Minkowski–Weyl)
 /// applied to ℛ = conv(vertices) + cone(rays) + span(lines): `G ≥ 0` on
 /// ℛ exactly when `G(v, x) ≥ 0` at every vertex `x`, `G`'s linear part
@@ -1287,7 +1287,7 @@ mod tests {
             .map(|forms| {
                 forms
                     .iter()
-                    .map(|f| aov_schedule::farkas::farkas_system(f, &sched_rows))
+                    .map(|f| crate::farkas_reference::farkas_system(f, &sched_rows))
                     .collect()
             })
             .collect();

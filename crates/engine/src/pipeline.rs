@@ -1346,7 +1346,10 @@ fn run_stage<T>(
     use aov_trace::recorder::{self, EventKind};
 
     let site = format!("pipeline.{name}");
-    let _span = aov_trace::span!(site.clone());
+    // A full span when tracing; with tracing off the stage's own
+    // StageEnter/StageExit events are its ring record, so a lite span
+    // would only repeat them.
+    let _span = aov_trace::hot_span!(site.clone());
     recorder::record(EventKind::StageEnter, name, stages.len() as u64, 0);
     let stage = Context::child(None, None);
     let entered = stage.enter();
@@ -1644,7 +1647,9 @@ mod tests {
     /// Budget trips must be deterministic: same budget, same trip site
     /// and same report shape for any worker count. The count reaches only
     /// the machine stage's fan-out, so these are `--machine` runs of
-    /// Example 2, which has a machine model.
+    /// Example 2, which has a machine model. It spends 25 pivots (9 in
+    /// the scheduler), so a cap of 20 trips inside Problem 1, and the
+    /// machine stage still simulates the schedule.
     #[test]
     fn budget_trip_is_worker_invariant() {
         let outcome_of = |workers: usize| {
@@ -1653,7 +1658,7 @@ mod tests {
                 .workers(workers)
                 .machine(true)
                 .budget(BudgetSpec {
-                    pivots: Some(200),
+                    pivots: Some(20),
                     ..BudgetSpec::default()
                 })
                 .run()
@@ -1668,6 +1673,13 @@ mod tests {
             )
         };
         let seq = outcome_of(1);
+        assert_eq!(seq.0, Health::Degraded, "{seq:?}");
+        let trip = seq.1.iter().find(|(name, _)| *name == "problem1");
+        let reason = trip.and_then(|(_, outcome)| outcome.reason());
+        assert!(
+            reason.is_some_and(|r| r.contains("pivot limit 20")),
+            "the trip is reported: {seq:?}"
+        );
         let simulated = seq.2.as_ref().and_then(|d| d.get("speedups"));
         assert!(simulated.is_some(), "{seq:?}");
         for workers in 2..=4 {

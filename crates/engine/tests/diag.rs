@@ -208,12 +208,12 @@ fn budget_trip_bundle_names_the_active_span() {
     let _guard = lock();
     chaos::disarm();
     let dir = fresh_dir("budget");
-    // example1 spends 25 pivots (schedule 13, problem1 3, aov 9), so 22
+    // example1 spends 15 pivots (schedule 3, problem1 3, aov 9), so 12
     // trips inside Problem 3's ILP, at its 7th pivot.
     let report = Pipeline::for_example("example1")
         .unwrap()
         .budget(BudgetSpec {
-            pivots: Some(22),
+            pivots: Some(12),
             ..BudgetSpec::default()
         })
         .diag_dir(dir.clone())

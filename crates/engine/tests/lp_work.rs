@@ -55,22 +55,22 @@ fn run(name: &str) -> Report {
 
 #[test]
 fn example1_lp_work() {
-    assert_eq!(work("example1"), [25, 5, 61, 7, 28, 12]);
+    assert_eq!(work("example1"), [15, 5, 34, 7, 28, 12]);
 }
 
 #[test]
 fn example2_lp_work() {
-    assert_eq!(work("example2"), [40, 7, 55, 6, 24, 8]);
+    assert_eq!(work("example2"), [25, 7, 37, 6, 24, 8]);
 }
 
 #[test]
 fn example3_lp_work() {
-    assert_eq!(work("example3"), [165, 3, 618, 30, 180, 114]);
+    assert_eq!(work("example3"), [110, 3, 429, 30, 180, 114]);
 }
 
 #[test]
 fn example4_lp_work() {
-    assert_eq!(work("example4"), [33, 5, 42, 6, 18, 5]);
+    assert_eq!(work("example4"), [14, 5, 30, 6, 18, 5]);
 }
 
 /// Fourier–Motzkin only projects: its one use in a run is each

@@ -57,14 +57,14 @@ fn interleaved_sessions_keep_their_bundles_disjoint() {
                 // Start the runs together so their ring events genuinely
                 // interleave rather than landing in disjoint windows.
                 barrier.wait();
-                // 22 of example1's 25 pivots: the trip lands in the aov
+                // 12 of example1's 15 pivots: the trip lands in the aov
                 // stage's ILP.
                 let report = Pipeline::for_example("example1")
                     .unwrap()
                     .workers(2)
                     .session(session)
                     .budget(BudgetSpec {
-                        pivots: Some(22),
+                        pivots: Some(12),
                         ..BudgetSpec::default()
                     })
                     .diag_dir(dir.clone())

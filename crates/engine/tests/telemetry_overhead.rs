@@ -126,8 +126,9 @@ fn flight_recorder_overhead_on_example1_is_marginal() {
 /// back-to-back runs); its paired medians are recorded in EXPERIMENTS.md
 /// instead, and agree with the derived number here. The loop and the
 /// run are timed as several pairs, each run right after its loop, and
-/// the unit cost, event count and wall are each the median over the
-/// pairs, so one preempted loop or run cannot move the ratio. A run
+/// the overhead is the median of the pairs' ratios: a loop and its run
+/// share the host's speed of the moment, and one preempted loop or run
+/// cannot move the median. A run
 /// right after a loop times close to the one solve of a plain `aov`
 /// process, its `total_micros`; a run right after another run, caches
 /// warm, is about a third faster than either.
@@ -179,13 +180,19 @@ fn derived_telemetry_overhead_is_within_budget() {
         median(pairs.iter().map(|p| p.0).collect()).as_nanos() as f64 / EVENTS as f64;
     let wall = median(pairs.iter().map(|p| p.1).collect());
     let events = median(pairs.iter().map(|p| p.2).collect());
-    assert!(events > 100, "the recorder saw the run ({events} events)");
+    // Ten stages leave twenty stage events; the rest are solver spans.
+    assert!(events >= 50, "the recorder saw the run ({events} events)");
 
     let telemetry_ns = events as f64 * ns_per_event;
-    let overhead = telemetry_ns / wall.as_nanos() as f64;
+    let ratios = pairs.iter().map(|&(batch, wall, events)| {
+        let ns = events as f64 * batch.as_nanos() as f64 / EVENTS as f64;
+        // Parts per million, so the median sorts as an integer.
+        (ns / wall.as_nanos() as f64 * 1e6) as u64
+    });
+    let overhead = median(ratios.collect()) as f64 / 1e6;
     println!(
         "default-config overhead: {events} events x {ns_per_event:.1} ns = {:.3} ms \
-         of {wall:?} median wall ({:.4}%)",
+         of {wall:?} median wall; median pair ratio {:.4}%",
         telemetry_ns / 1e6,
         overhead * 100.0
     );

@@ -9,8 +9,11 @@
 //!   (no cycling, no rounding),
 //! * depth-first branch-and-bound for integer variables (occupancy
 //!   vectors are integer vectors),
-//! * helpers for the paper's Manhattan-length objective (`|x| = w + z`
-//!   with `x = w − z`, §4.5.1).
+//! * `|x|` cost terms for the paper's Manhattan-length objective
+//!   (`|x| = w + z` with `x = w − z`, §4.5.1), priced on the simplex's
+//!   own split columns,
+//! * a tie rule: among optimal points, the lexicographic minimum of a
+//!   chosen variable order, found in the same tableau.
 //!
 //! # Examples
 //!

@@ -195,8 +195,8 @@ mod tests {
     #[test]
     fn canonical_key_is_name_independent() {
         let (a, b) = renamed_models();
-        // The display texts differ…
-        assert_ne!(a.to_string(), b.to_string());
+        // The models differ in their names…
+        assert_ne!(format!("{a:?}"), format!("{b:?}"));
         // …but the alpha-renamed canonical keys agree.
         assert_eq!(a.canonical_key(), b.canonical_key());
     }
@@ -241,6 +241,48 @@ mod tests {
             count(&memoized, "lp.simplex.pivots"),
             count(&plain, "lp.simplex.pivots"),
             "the hit pivots nothing"
+        );
+    }
+
+    /// The tie order is part of the objective, so two models that differ
+    /// only in it key apart and each is served its own answer.
+    #[test]
+    fn tie_order_separates_keys() {
+        let build = |order: [usize; 2]| {
+            let mut m = Model::new();
+            let x = m.add_var("x");
+            let y = m.add_var("y");
+            m.constrain(AffineExpr::from_i64(&[1, 1], -1), Cmp::Eq);
+            m.add_abs_cost(x, 1.into());
+            m.add_abs_cost(y, 1.into());
+            m.set_tie_order(order.map(crate::VarId::from_index).to_vec());
+            m
+        };
+        let (xy, yx) = (build([0, 1]), build([1, 0]));
+        assert_eq!(
+            xy.canonical_key(),
+            "min 0+1*|x0|+1*|x1|\nlex x0 x1\n==0 1*x0+1*x1+-1"
+        );
+        assert_eq!(
+            yx.canonical_key(),
+            "min 0+1*|x0|+1*|x1|\nlex x1 x0\n==0 1*x0+1*x1+-1"
+        );
+        let memoized = Context::child(None, Some(true));
+        let (a, b) = {
+            let _entered = memoized.enter();
+            (xy.solve_lp(), yx.solve_lp())
+        };
+        let values = |o: crate::LpOutcome| o.optimal().expect("feasible").values;
+        assert_eq!(values(a), aov_linalg::QVector::from_i64(&[0, 1]));
+        assert_eq!(values(b), aov_linalg::QVector::from_i64(&[1, 0]));
+        let misses = memoized
+            .counters()
+            .into_iter()
+            .find(|(n, _)| n == "lp.memo.misses");
+        assert_eq!(
+            misses.map(|(_, v)| v),
+            Some(2),
+            "neither solve hits the other"
         );
     }
 }

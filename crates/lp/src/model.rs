@@ -5,7 +5,6 @@ use crate::simplex;
 use aov_fault::{AovError, Budget};
 use aov_linalg::{AffineExpr, QVector, VarSet};
 use aov_numeric::Rational;
-use std::fmt;
 
 /// Handle to a model variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -76,8 +75,10 @@ impl LpOutcome {
     }
 }
 
-/// A linear (or mixed-integer) program: minimize `c·x` subject to affine
-/// constraints, bounds and optional integrality marks.
+/// A linear (or mixed-integer) program: minimize `c·x + Σ w_i·|x_i|`
+/// (`w_i >= 0`) subject to affine constraints, bounds and optional
+/// integrality marks, with ties among optima broken by an optional
+/// lexicographic order ([`Model::set_tie_order`]).
 ///
 /// Variables are unbounded (free) by default. Constraint expressions are
 /// affine forms over the model variables in creation order; expressions of
@@ -103,8 +104,12 @@ pub struct Model {
     lower: Vec<Option<Rational>>,
     upper: Vec<Option<Rational>>,
     integer: Vec<bool>,
+    /// Each variable's `|x|` weight in the objective (zero: none).
+    abs_costs: Vec<Rational>,
     constraints: Vec<(AffineExpr, Cmp)>,
     objective: Option<AffineExpr>,
+    /// Variables minimized in turn among the optimal points.
+    tie_order: Vec<VarId>,
 }
 
 impl Model {
@@ -123,6 +128,7 @@ impl Model {
         self.lower.push(None);
         self.upper.push(None);
         self.integer.push(false);
+        self.abs_costs.push(Rational::zero());
         VarId(idx)
     }
 
@@ -179,7 +185,8 @@ impl Model {
         self.constraints.push((expr, cmp));
     }
 
-    /// Sets the objective to minimize.
+    /// Sets the affine part of the objective to minimize; the `|x|`
+    /// terms of [`Model::add_abs_cost`] add to it.
     ///
     /// # Panics
     ///
@@ -193,20 +200,23 @@ impl Model {
         self.objective = Some(expr);
     }
 
-    /// Adds a variable `a` with `a >= x` and `a >= -x`, so that minimizing
-    /// `a` yields `|x|`.
+    /// Adds `weight·|x|` to the objective, priced on the simplex's own
+    /// columns for `x` (§4.5.1's `x = w − z` split): no row, no variable.
     ///
-    /// The paper's §4.5.1 uses the equivalent `x = w − z, w,z ≥ 0`
-    /// encoding; both give the same optimum for objectives that press the
-    /// absolute value down.
-    pub fn add_abs_bound<S: Into<String>>(&mut self, x: VarId, name: S) -> VarId {
-        let a = self.add_var(name);
-        let n = self.num_vars();
-        let e1 = &AffineExpr::var(n, a.0) - &AffineExpr::var(n, x.0); // a - x >= 0
-        let e2 = &AffineExpr::var(n, a.0) + &AffineExpr::var(n, x.0); // a + x >= 0
-        self.constrain(e1, Cmp::Ge);
-        self.constrain(e2, Cmp::Ge);
-        a
+    /// # Panics
+    ///
+    /// Panics if `weight` is negative: `|x|` may only be pressed down.
+    pub fn add_abs_cost(&mut self, x: VarId, weight: Rational) {
+        assert!(!weight.is_negative(), "|x| weight {weight} is negative");
+        self.abs_costs[x.0] += &weight;
+    }
+
+    /// Defines the answer among tied optima: the one whose values of
+    /// `order` are lexicographically smallest. Each variable of `order`
+    /// must be bounded below on the optimal face (a `|x|` term makes
+    /// sure of that), or the solve is [`LpOutcome::Unbounded`].
+    pub fn set_tie_order(&mut self, order: Vec<VarId>) {
+        self.tie_order = order;
     }
 
     /// The stored constraints, each over a prefix of the variables
@@ -227,6 +237,28 @@ impl Model {
 
     pub(crate) fn integer_marks(&self) -> &[bool] {
         &self.integer
+    }
+
+    pub(crate) fn abs_costs(&self) -> &[Rational] {
+        &self.abs_costs
+    }
+
+    pub(crate) fn tie_order(&self) -> &[VarId] {
+        &self.tie_order
+    }
+
+    /// The objective at `values`: the affine part plus every `|x|` term.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn objective_at(&self, values: &QVector) -> Rational {
+        let mut total = self.objective.as_ref().map_or_else(Rational::zero, |e| {
+            e.eval(&values.iter().take(e.dim()).cloned().collect())
+        });
+        for (w, x) in self.abs_costs.iter().zip(values.iter()) {
+            if !w.is_zero() {
+                total += &(w * &x.abs());
+            }
+        }
+        total
     }
 
     /// A memoization key (see [`memo`](crate::memo)): the model rendered
@@ -251,6 +283,17 @@ impl Model {
             &mut out,
             self.objective.as_ref().unwrap_or(&AffineExpr::default()),
         );
+        for (k, w) in self.abs_costs.iter().enumerate() {
+            if !w.is_zero() {
+                let _ = write!(out, "+{w}*|x{k}|");
+            }
+        }
+        if !self.tie_order.is_empty() {
+            out.push_str("\nlex");
+            for v in &self.tie_order {
+                let _ = write!(out, " x{}", v.0);
+            }
+        }
         for (e, c) in &self.constraints {
             out.push('\n');
             out.push_str(match c {
@@ -303,12 +346,14 @@ impl Model {
     /// [`AovError::BudgetExceeded`] when a pivot/deadline limit trips;
     /// injected chaos faults otherwise.
     pub fn solve_lp_budgeted(&self, budget: &Budget) -> Result<LpOutcome, AovError> {
-        let _span = aov_trace::span!(
+        // Hot: with tracing off the ring already shows each solve as
+        // its `lp.simplex` span (or, under the memo, its lookup).
+        let _span = aov_trace::hot_span!(
             "lp.solve",
             vars = self.num_vars(),
             constraints = self.num_constraints()
         );
-        self.record_coeff_histogram();
+        self.record_coeff_bits();
         if !crate::memo::enabled() {
             let _s = aov_trace::span!("lp.simplex");
             return simplex::solve(self, budget);
@@ -332,48 +377,22 @@ impl Model {
         Ok(outcome)
     }
 
-    /// One pass over the model's input coefficients per solve,
-    /// bucketing each by the wider of its numerator/denominator
-    /// bit-length. The histogram counters
-    /// (`lp.solve.coeff_bits.le_64` … `.gt_256`) say how wide the
-    /// *inputs* were; `lp.simplex.coeff_bits_max` (updated per pivot)
-    /// says how wide the tableau *grew* — the gap between the two is
-    /// the numeric-growth cost of the solve.
-    fn record_coeff_histogram(&self) {
-        let mut buckets = [0u64; 4];
-        let mut widest = 0u64;
-        let mut note = |v: &Rational| {
-            let bits = v.numer().bits().max(v.denom().bits()) as u64;
-            widest = widest.max(bits);
-            let idx = match bits {
-                0..=64 => 0,
-                65..=128 => 1,
-                129..=256 => 2,
-                _ => 3,
-            };
-            buckets[idx] += 1;
-        };
-        for (e, _) in &self.constraints {
-            for c in e.coeffs().iter() {
-                note(c);
-            }
-            note(e.constant_term());
-        }
-        if let Some(obj) = &self.objective {
-            for c in obj.coeffs().iter() {
-                note(c);
-            }
-        }
-        // Each bucket's counter is registered the first time it counts.
-        for (i, &n) in buckets.iter().enumerate().filter(|(_, &n)| n > 0) {
-            let counter = match i {
-                0 => aov_support::static_counter!("lp.solve.coeff_bits.le_64"),
-                1 => aov_support::static_counter!("lp.solve.coeff_bits.le_128"),
-                2 => aov_support::static_counter!("lp.solve.coeff_bits.le_256"),
-                _ => aov_support::static_counter!("lp.solve.coeff_bits.gt_256"),
-            };
-            counter.add(n);
-        }
+    /// One pass over the model's input coefficients per solve, raising
+    /// `lp.solve.coeff_bits_max` to the widest numerator or denominator:
+    /// how wide the *inputs* were, where `lp.simplex.coeff_bits_max`
+    /// (updated per pivot) says how wide the tableau *grew*.
+    fn record_coeff_bits(&self) {
+        let bits = |v: &Rational| v.numer().bits().max(v.denom().bits()) as u64;
+        let rows = (self.constraints.iter())
+            .flat_map(|(e, _)| e.coeffs().iter().chain([e.constant_term()]));
+        let objective = self.objective.iter().flat_map(|e| e.coeffs().iter());
+        let abs = self.abs_costs.iter().filter(|w| !w.is_zero());
+        let widest = rows
+            .chain(objective)
+            .chain(abs)
+            .map(bits)
+            .max()
+            .unwrap_or(0);
         aov_support::static_max_counter!("lp.solve.coeff_bits_max").record(widest);
         aov_support::alloc::record_bits(widest);
     }
@@ -470,39 +489,6 @@ fn unfailing(result: Result<LpOutcome, AovError>) -> LpOutcome {
     }
 }
 
-impl fmt::Display for Model {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let zero = AffineExpr::default();
-        let objective = self.objective.as_ref().unwrap_or(&zero);
-        writeln!(f, "minimize {}", objective.display(&self.vars))?;
-        writeln!(f, "subject to")?;
-        for (e, c) in &self.constraints {
-            let rel = match c {
-                Cmp::Ge => ">=",
-                Cmp::Le => "<=",
-                Cmp::Eq => "==",
-            };
-            writeln!(f, "  {} {rel} 0", e.display(&self.vars))?;
-        }
-        for (i, (lo, hi)) in self.lower.iter().zip(&self.upper).enumerate() {
-            if lo.is_some() || hi.is_some() || self.integer[i] {
-                write!(f, "  {}", self.vars.name(i))?;
-                if let Some(l) = lo {
-                    write!(f, " >= {l}")?;
-                }
-                if let Some(u) = hi {
-                    write!(f, " <= {u}")?;
-                }
-                if self.integer[i] {
-                    write!(f, " integer")?;
-                }
-                writeln!(f)?;
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,7 +564,6 @@ mod tests {
         padded.constraints = m.constraints.iter().map(|(e, c)| (pad(e), *c)).collect();
         padded.objective = m.objective.as_ref().map(pad);
         assert_eq!(padded.canonical_key(), key);
-        assert_eq!(padded.to_string(), m.to_string());
         // Heap values render through the same digits as inline ones.
         let mut wide = Model::new();
         wide.add_var("w");

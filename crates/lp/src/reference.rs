@@ -469,8 +469,9 @@ mod tests {
     }
 
     /// An expression over the first `dim` variables — shorter than the
-    /// model when `dim` is, as the Farkas build and `add_abs_bound`
-    /// produce.
+    /// model when `dim` is, as the Farkas build produces. (Models here
+    /// carry no `|x|` term or tie order: the dense reference predates
+    /// both, and `branch_bound`'s enumeration test covers them.)
     fn expr(g: &mut Rng, dim: usize) -> AffineExpr {
         let coeffs: QVector = (0..dim).map(|_| coeff(g)).collect();
         AffineExpr::from_parts(coeffs, constant(g))
@@ -603,7 +604,12 @@ mod tests {
                 (m.solve_lp(), super::solve_lp(&m, Start::Slack))
             };
             let got_log = take_log();
-            assert_eq!(got, want.0, "case {case}: outcome of\n{m}");
+            assert_eq!(
+                got,
+                want.0,
+                "case {case}: outcome of\n{}",
+                m.canonical_key()
+            );
             assert_same_pivots(case, &got_log, &want.1);
             pivots += got_log.len();
             let tally = if integer { &mut ilp } else { &mut lp };
@@ -659,7 +665,12 @@ mod tests {
             };
             slack_pivots += take_log().len();
             artificial_pivots += want.1.len();
-            assert_eq!(class(&got), class(&want.0), "case {case}: outcome of\n{m}");
+            assert_eq!(
+                class(&got),
+                class(&want.0),
+                "case {case}: outcome of\n{}",
+                m.canonical_key()
+            );
             tally[class(&got).0.min(2)] += 1;
         }
         assert!(

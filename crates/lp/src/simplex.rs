@@ -5,6 +5,21 @@
 //! then solved in two phases over exact rationals. Bland's
 //! smallest-index pivoting rule guarantees termination without cycling.
 //!
+//! **`|x|` terms.** A weight `w` on `|x|` costs `w` on both split
+//! columns of a free `x`: at an optimum one of them is zero, so their
+//! sum is `|x|`, with no row or auxiliary column. When `x`'s bounds fix
+//! its sign it takes one column: shifted above a lower bound `>= 0`
+//! (cost `w·x`), or mirrored below an upper bound `<= 0` as
+//! `x = u − y` (cost `−w·x`). A variable with a `|x|` term and a
+//! negative lower bound is split, and that bound becomes a row.
+//!
+//! **Tie phases.** With a tie order, phase 2 is followed by one phase
+//! per tie variable that minimizes it, entering only columns with zero
+//! reduced cost in phase 2 and in every earlier tie phase. Those pivots
+//! keep every earlier objective row as it is, so the point stays on the
+//! optimal face and ends at the lexicographic minimum of the tie order
+//! there. The objective and the dual certificate are read after phase 2.
+//!
 //! **Slack start.** Each row starts with a basic column whose entry is
 //! +1 and zero in every other row. A row whose slack has coefficient +1
 //! once its rhs is made nonnegative uses that slack: a `≤` row with a
@@ -14,8 +29,8 @@
 //! an artificial column. So the form is `A y + E a = b` with one column
 //! of `E` per such row, and phase 1 minimizes the sum of those
 //! artificials only, stopping as soon as that sum reaches zero. The
-//! paper's homogeneous storage and generator rows, and the `|x|` and
-//! evenness rows, all start on their slacks.
+//! paper's homogeneous storage and generator rows, and the evenness
+//! rows, all start on their slacks.
 //!
 //! **Row layout.** `standardize` reads the model's stored (unpadded)
 //! expressions and allocates each row once at its final width `n + k`
@@ -38,10 +53,11 @@
 //! touched entries' deltas after that, so both equal a dense scan.
 //!
 //! **Certificates.** Debug builds check every answer: an `Optimal` one
-//! against the model and against its dual read off the final tableau,
-//! an `Infeasible` one against a Farkas ray read off phase 1.
+//! against the model and against its dual read off the tableau at the
+//! end of phase 2, an `Infeasible` one against a Farkas ray read off
+//! phase 1.
 
-use crate::model::{Cmp, LpOutcome, Model, Solution};
+use crate::model::{Cmp, LpOutcome, Model, Solution, VarId};
 use aov_fault::{AovError, Budget, BudgetExceeded};
 use aov_linalg::QVector;
 use aov_numeric::Rational;
@@ -52,8 +68,85 @@ use std::cmp::Ordering;
 enum VarMap {
     /// `x = lower + y[col]`
     Shifted { col: usize, lower: Rational },
+    /// `x = upper − y[col]`, for a `|x|` term below an upper bound `<= 0`
+    Mirrored { col: usize, upper: Rational },
     /// `x = y[pos] - y[neg]`
     Split { pos: usize, neg: usize },
+}
+
+impl VarMap {
+    /// Variable `i`'s map (see the module doc's `|x|` terms).
+    fn of(i: usize, model: &Model, next_col: &mut usize) -> VarMap {
+        let (lower, upper) = model.bounds();
+        let abs = !model.abs_costs()[i].is_zero();
+        let col = *next_col;
+        *next_col += 1;
+        match (&lower[i], &upper[i]) {
+            (Some(l), _) if !abs || !l.is_negative() => VarMap::Shifted {
+                col,
+                lower: l.clone(),
+            },
+            (_, Some(u)) if abs && !u.is_positive() => VarMap::Mirrored {
+                col,
+                upper: u.clone(),
+            },
+            _ => {
+                *next_col += 1;
+                VarMap::Split {
+                    pos: col,
+                    neg: col + 1,
+                }
+            }
+        }
+    }
+
+    /// The constant part of `x`.
+    fn offset(&self) -> Option<&Rational> {
+        match self {
+            VarMap::Shifted { lower: o, .. } | VarMap::Mirrored { upper: o, .. } => Some(o),
+            VarMap::Split { .. } => None,
+        }
+    }
+
+    /// Adds the column part of `c·x` to `row`.
+    fn put(&self, c: &Rational, row: &mut [Rational]) {
+        match self {
+            VarMap::Shifted { col, .. } => row[*col] += c,
+            VarMap::Mirrored { col, .. } => row[*col] -= c,
+            VarMap::Split { pos, neg } => {
+                row[*pos] += c;
+                row[*neg] -= c;
+            }
+        }
+    }
+
+    /// Adds `c·x` to `costs` and its constant part to `constant`.
+    fn price(&self, c: &Rational, costs: &mut [Rational], constant: &mut Rational) {
+        self.put(c, costs);
+        if let Some(o) = self.offset() {
+            *constant += &(c * o);
+        }
+    }
+
+    /// Adds `w·|x|`, `w >= 0`.
+    fn price_abs(&self, w: &Rational, costs: &mut [Rational], constant: &mut Rational) {
+        match self {
+            VarMap::Shifted { .. } => self.price(w, costs, constant),
+            VarMap::Mirrored { .. } => self.price(&-w, costs, constant),
+            VarMap::Split { pos, neg } => {
+                costs[*pos] += w;
+                costs[*neg] += w;
+            }
+        }
+    }
+
+    fn value(&self, y: &[Rational]) -> Rational {
+        match self {
+            VarMap::Shifted { col, lower } => lower + &y[*col],
+            VarMap::Mirrored { col, upper } => upper - &y[*col],
+            VarMap::Split { pos, neg } => &y[*pos] - &y[*neg],
+        }
+    }
 }
 
 pub(crate) struct Standardized {
@@ -76,64 +169,58 @@ pub(crate) fn standardize(model: &Model) -> Standardized {
     let n = model.num_vars();
     let (lower, upper) = model.bounds();
     let mut num_cols = 0usize;
-    let mut maps = Vec::with_capacity(n);
-    for lo in lower.iter().take(n) {
-        match lo {
-            Some(l) => {
-                maps.push(VarMap::Shifted {
-                    col: num_cols,
-                    lower: l.clone(),
-                });
-                num_cols += 1;
-            }
-            None => {
-                maps.push(VarMap::Split {
-                    pos: num_cols,
-                    neg: num_cols + 1,
-                });
-                num_cols += 2;
-            }
-        }
-    }
+    let maps: Vec<VarMap> = (0..n)
+        .map(|i| VarMap::of(i, model, &mut num_cols))
+        .collect();
 
     // Every row as `coeffs·x cmp −constant`: the constraints, then the
-    // upper bounds as `x <= u`.
+    // bounds the maps do not encode, per variable `x >= l` before
+    // `x <= u`.
     let constraints = model.constraints();
-    let units: Vec<(Vec<Rational>, Rational)> = upper
+    let unit = |i: usize, bound: &Rational, cmp: Cmp| {
+        let mut unit = vec![Rational::zero(); i + 1];
+        unit[i] = Rational::one();
+        (unit, -bound, cmp)
+    };
+    let units: Vec<(Vec<Rational>, Rational, Cmp)> = maps
         .iter()
-        .take(n)
         .enumerate()
-        .filter_map(|(i, u)| {
-            let u = u.as_ref()?;
-            let mut unit = vec![Rational::zero(); i + 1];
-            unit[i] = Rational::one();
-            Some((unit, -u))
+        .flat_map(|(i, map)| {
+            let lo = lower[i]
+                .as_ref()
+                .filter(|_| !matches!(map, VarMap::Shifted { .. }))
+                .map(|l| unit(i, l, Cmp::Ge));
+            let hi = upper[i]
+                .as_ref()
+                .filter(|_| !matches!(map, VarMap::Mirrored { .. }))
+                .map(|u| unit(i, u, Cmp::Le));
+            lo.into_iter().chain(hi)
         })
         .collect();
     let sources = || {
         constraints
             .iter()
             .map(|(e, cmp)| (e.coeffs().as_slice(), e.constant_term(), *cmp))
-            .chain(units.iter().map(|(u, c)| (u.as_slice(), c, Cmp::Le)))
+            .chain(units.iter().map(|(u, c, cmp)| (u.as_slice(), c, *cmp)))
     };
     let num_rows = constraints.len() + units.len();
     // One slack/surplus column per inequality, after the variable
     // columns and in row order; then the artificials.
     let width = num_cols + sources().filter(|(.., cmp)| *cmp != Cmp::Eq).count();
 
-    // First pass: each row's rhs with the lower bounds shifted out, and
-    // its orientation. A row is negated when its rhs is negative, or
-    // zero on a `≥` row, so that every rhs is nonnegative and every
-    // slack that can start basic has coefficient +1.
+    // First pass: each row's rhs with the bounds shifted out, and its
+    // orientation. A row is negated when its rhs is negative, or zero
+    // on a `≥` row, so that every rhs is nonnegative and every slack
+    // that can start basic has coefficient +1.
     let mut rhs: Vec<Rational> = Vec::with_capacity(num_rows);
     let mut negated: Vec<bool> = Vec::with_capacity(num_rows);
     let mut artificials = 0usize;
     for (coeffs, constant, cmp) in sources() {
         let mut b = -constant;
         for (var, c) in coeffs.iter().enumerate() {
-            if let VarMap::Shifted { lower, .. } = &maps[var] {
-                if !c.is_zero() && !lower.is_zero() {
-                    b -= &(c * lower);
+            if let Some(offset) = maps[var].offset() {
+                if !c.is_zero() && !offset.is_zero() {
+                    b -= &(c * offset);
                 }
             }
         }
@@ -157,15 +244,8 @@ pub(crate) fn standardize(model: &Model) -> Standardized {
     for ((coeffs, _, cmp), negate) in sources().zip(negated) {
         let mut row = vec![Rational::zero(); width + artificials];
         for (var, c) in coeffs.iter().enumerate() {
-            if c.is_zero() {
-                continue;
-            }
-            match &maps[var] {
-                VarMap::Shifted { col, .. } => row[*col] += c,
-                VarMap::Split { pos, neg } => {
-                    row[*pos] += c;
-                    row[*neg] -= c;
-                }
+            if !c.is_zero() {
+                maps[var].put(c, &mut row);
             }
         }
         let mut slack = None;
@@ -191,25 +271,21 @@ pub(crate) fn standardize(model: &Model) -> Standardized {
     }
     debug_assert_eq!(next_artificial, width + artificials);
 
-    // Phase-2 costs over standardized columns.
+    // Phase-2 costs over standardized columns: the affine part, then
+    // the `|x|` terms.
     let mut costs = vec![Rational::zero(); width];
     let mut obj_constant = Rational::zero();
     if let Some(obj) = model.objective() {
         obj_constant = obj.constant_term().clone();
         for (i, c) in obj.coeffs().iter().enumerate() {
-            if c.is_zero() {
-                continue;
+            if !c.is_zero() {
+                maps[i].price(c, &mut costs, &mut obj_constant);
             }
-            match &maps[i] {
-                VarMap::Shifted { col, lower } => {
-                    costs[*col] += c;
-                    obj_constant += &(c * lower);
-                }
-                VarMap::Split { pos, neg } => {
-                    costs[*pos] += c;
-                    costs[*neg] -= c;
-                }
-            }
+        }
+    }
+    for (map, w) in maps.iter().zip(model.abs_costs()) {
+        if !w.is_zero() {
+            map.price_abs(w, &mut costs, &mut obj_constant);
         }
     }
 
@@ -294,36 +370,28 @@ impl GrowthMeter {
 
 impl Tableau {
     /// The phase-1 tableau: each row's `start` column is basic, and the
-    /// objective row is the sum of the artificials (the columns from `n`
-    /// on) priced out: `d_j = −Σ a_rj` on the standardized columns, the
-    /// sum over the rows that start on an artificial, and zero elsewhere.
+    /// objective is the sum of the artificials (the columns from `n` on).
     fn phase1(
         rows: Vec<Vec<Rational>>,
         rhs: Vec<Rational>,
         start: Vec<usize>,
         n: usize,
     ) -> Tableau {
-        let m = rows.len();
         let width = rows.first().map_or(n, Vec::len);
-        let mut obj = vec![Rational::zero(); width];
-        let mut obj_rhs = Rational::zero();
-        for ((row, b), _) in rows.iter().zip(&rhs).zip(&start).filter(|(_, s)| **s >= n) {
-            for (d, a) in obj.iter_mut().zip(&row[..n]) {
-                if !a.is_zero() {
-                    *d -= a;
-                }
-            }
-            obj_rhs -= b;
-        }
-        Tableau {
+        let mut t = Tableau {
+            row_limbs: vec![None; rows.len()],
             rows,
             rhs,
             basis: start,
-            row_limbs: vec![None; m],
-            obj,
-            obj_rhs,
+            obj: vec![Rational::zero(); width],
+            obj_rhs: Rational::zero(),
             obj_limbs: None,
-        }
+        };
+        let costs: Vec<Rational> = (0..width)
+            .map(|j| Rational::from(i64::from(j >= n)))
+            .collect();
+        t.install_objective(&costs, &Rational::zero());
+        t
     }
 
     fn pivot(&mut self, r: usize, c: usize) {
@@ -363,13 +431,13 @@ impl Tableau {
         growth.flush();
     }
 
-    /// Runs simplex iterations with Bland's rule on the columns in
-    /// `0..active_cols`; with `until_zero`, stops as soon as the
+    /// Runs simplex iterations with Bland's rule on the columns
+    /// `may_enter` accepts; with `until_zero`, stops as soon as the
     /// objective reaches zero (phase 1: the start is then feasible).
     /// Returns `false` when unbounded.
     fn run(
         &mut self,
-        active_cols: usize,
+        may_enter: impl Fn(usize) -> bool,
         until_zero: bool,
         budget: &Budget,
     ) -> Result<bool, BudgetExceeded> {
@@ -379,7 +447,11 @@ impl Tableau {
             }
             // Bland: entering column = smallest index with negative
             // reduced cost.
-            let Some(c) = (0..active_cols).find(|&j| self.obj[j].is_negative()) else {
+            let columns = 0..self.obj.len();
+            let Some(c) = columns
+                .into_iter()
+                .find(|&j| may_enter(j) && self.obj[j].is_negative())
+            else {
                 return Ok(true); // optimal
             };
             // Ratio test; Bland tie-break on smallest basis variable.
@@ -441,6 +513,34 @@ impl Tableau {
             self.obj_rhs -= &(&f * &self.rhs[r]);
         }
     }
+    /// The tie phases (see the module doc). Returns `false` when a tie
+    /// variable is unbounded below on the optimal face.
+    fn break_ties(
+        &mut self,
+        ties: &[VarId],
+        maps: &[VarMap],
+        n: usize,
+        budget: &Budget,
+    ) -> Result<bool, BudgetExceeded> {
+        let mut allowed: Vec<bool> = self.obj[..n].iter().map(Rational::is_zero).collect();
+        for v in ties {
+            // Basic columns are always allowed; once no other column
+            // is, the optimal face is one point.
+            if allowed.iter().filter(|&&a| a).count() == self.rows.len() {
+                break;
+            }
+            let (mut costs, mut constant) = (vec![Rational::zero(); n], Rational::zero());
+            maps[v.index()].price(&Rational::one(), &mut costs, &mut constant);
+            self.install_objective(&costs, &constant);
+            if !self.run(|j| j < n && allowed[j], false, budget)? {
+                return Ok(false);
+            }
+            for (a, d) in allowed.iter_mut().zip(&self.obj) {
+                *a &= d.is_zero();
+            }
+        }
+        Ok(true)
+    }
 }
 
 pub(crate) fn solve(model: &Model, budget: &Budget) -> Result<LpOutcome, AovError> {
@@ -451,13 +551,12 @@ pub(crate) fn solve(model: &Model, budget: &Budget) -> Result<LpOutcome, AovErro
     let start = std.start.clone();
     let mut t = Tableau::phase1(std.rows, std.rhs, std.start, n);
     // Phase 1: minimize the sum of the artificials.
-    let total = t.obj.len();
-    let bounded = t.run(total, true, budget)?;
+    let bounded = t.run(|_| true, true, budget)?;
     debug_assert!(bounded, "phase 1 is always bounded below by 0");
     // Optimal phase-1 objective is -obj_rhs.
     if !t.obj_rhs.is_zero() {
         #[cfg(debug_assertions)]
-        check_infeasibility_certificate(model, &duals(&t.obj, &start, n, true));
+        check_certificate(model, &duals(&t.obj, &start, n, true), None);
         return Ok(LpOutcome::Infeasible);
     }
     // Drive remaining artificials out of the basis.
@@ -477,10 +576,15 @@ pub(crate) fn solve(model: &Model, budget: &Budget) -> Result<LpOutcome, AovErro
         }
         r += 1;
     }
-    // Phase 2 on original costs; artificial columns are excluded from
-    // pricing by passing `active_cols = n`.
+    // Phase 2 on original costs; artificial columns may not enter.
     t.install_objective(&std.costs, &std.obj_constant);
-    if !t.run(n, false, budget)? {
+    if !t.run(|j| j < n, false, budget)? {
+        return Ok(LpOutcome::Unbounded);
+    }
+    let objective = -&t.obj_rhs;
+    #[cfg(debug_assertions)]
+    let dual = duals(&t.obj, &start, n, false);
+    if !t.break_ties(model.tie_order(), &std.maps, n, budget)? {
         return Ok(LpOutcome::Unbounded);
     }
     let mut y = vec![Rational::zero(); n];
@@ -489,19 +593,11 @@ pub(crate) fn solve(model: &Model, budget: &Budget) -> Result<LpOutcome, AovErro
             y[b] = std::mem::take(&mut t.rhs[r]);
         }
     }
-    let values: QVector = std
-        .maps
-        .iter()
-        .map(|m| match m {
-            VarMap::Shifted { col, lower } => lower + &y[*col],
-            VarMap::Split { pos, neg } => &y[*pos] - &y[*neg],
-        })
-        .collect();
-    let objective = -&t.obj_rhs;
+    let values: QVector = std.maps.iter().map(|m| m.value(&y)).collect();
     #[cfg(debug_assertions)]
     {
         check_optimal_answer(model, &values, &objective);
-        check_dual_certificate(model, &duals(&t.obj, &start, n, false), &objective);
+        check_certificate(model, &dual, Some(&objective));
     }
     Ok(LpOutcome::Optimal(Solution { values, objective }))
 }
@@ -528,7 +624,8 @@ fn duals(obj: &[Rational], start: &[usize], n: usize, phase1: bool) -> Vec<Ratio
 
 /// Debug-build check of an `Optimal` answer against the model it claims
 /// to solve: the values satisfy every constraint and bound exactly, and
-/// the objective is the objective expression evaluated at them.
+/// the objective is the objective, `|x|` terms included, evaluated at
+/// them.
 #[cfg(debug_assertions)]
 fn check_optimal_answer(model: &Model, values: &QVector, objective: &Rational) {
     for (i, (e, cmp)) in model.constraints().iter().enumerate() {
@@ -545,71 +642,52 @@ fn check_optimal_answer(model: &Model, values: &QVector, objective: &Rational) {
     }
     let (lower, upper) = model.bounds();
     for (i, x) in values.iter().enumerate() {
-        if let Some(Some(l)) = lower.get(i) {
-            assert!(
-                x >= l,
-                "simplex answer x{i} = {x} is below its lower bound {l}"
-            );
-        }
-        if let Some(Some(u)) = upper.get(i) {
-            assert!(
-                x <= u,
-                "simplex answer x{i} = {x} is above its upper bound {u}"
-            );
-        }
+        let (lo, hi) = (&lower[i], &upper[i]);
+        let inside = lo.as_ref().is_none_or(|l| x >= l) && hi.as_ref().is_none_or(|u| x <= u);
+        assert!(
+            inside,
+            "simplex answer x{i} = {x} is outside its bounds {lo:?}, {hi:?}"
+        );
     }
-    let expected = model.objective().map_or_else(Rational::zero, |e| {
-        e.eval(&values.iter().take(e.dim()).cloned().collect())
-    });
     assert_eq!(
-        objective, &expected,
+        objective,
+        &model.objective_at(values),
         "simplex objective differs from the objective at its values"
     );
 }
 
-/// Debug-build check of an `Infeasible` verdict: `y` is a Farkas
-/// certificate for the standardized system `A y' = b, y' >= 0`, i.e.
-/// `yᵀA_j <= 0` for every standardized column `j` and `yᵀb > 0` (then
-/// `0 >= yᵀA y' = yᵀb > 0` for any feasible `y'`, a contradiction).
+/// Debug-build check of a certificate `y` for the standardized system
+/// `A y' = b, y' >= 0`: `yᵀA_j <= c_j` on every column `j`. For an
+/// `Optimal` answer `c` is the phase-2 costs and `yᵀb` plus the
+/// objective constant is the objective, so no feasible `y'` costs less
+/// (weak duality). For an `Infeasible` verdict (`objective` `None`) `c`
+/// is zero and `yᵀb > 0`, a Farkas ray: `0 >= yᵀA y' = yᵀb > 0` for any
+/// feasible `y'`, a contradiction.
 #[cfg(debug_assertions)]
-fn check_infeasibility_certificate(model: &Model, y: &[Rational]) {
+fn check_certificate(model: &Model, y: &[Rational], objective: Option<&Rational>) {
     let std = standardize(model);
     assert_eq!(y.len(), std.rows.len(), "certificate has one entry per row");
+    let zero = Rational::zero();
     for j in 0..std.num_cols {
-        let yaj: Rational = y.iter().zip(&std.rows).map(|(yr, row)| yr * &row[j]).sum();
-        assert!(
-            !yaj.is_positive(),
-            "infeasibility certificate fails on column {j}: yᵀA_j = {yaj} > 0"
-        );
-    }
-    let yb: Rational = y.iter().zip(&std.rhs).map(|(yr, b)| yr * b).sum();
-    assert!(
-        yb.is_positive(),
-        "infeasibility certificate fails: yᵀb = {yb} is not positive"
-    );
-}
-
-/// Debug-build check of an `Optimal` answer's dual: `y` is feasible for
-/// the dual of `min cᵀy' : A y' = b, y' >= 0`, i.e. `yᵀA_j <= c_j` for
-/// every standardized column `j`, and `yᵀb` plus the objective constant
-/// is the objective (then no feasible `y'` costs less, by weak duality).
-#[cfg(debug_assertions)]
-fn check_dual_certificate(model: &Model, y: &[Rational], objective: &Rational) {
-    let std = standardize(model);
-    assert_eq!(y.len(), std.rows.len(), "dual has one entry per row");
-    for (j, c) in std.costs.iter().enumerate() {
+        let c = objective.map_or(&zero, |_| &std.costs[j]);
         let yaj: Rational = y.iter().zip(&std.rows).map(|(yr, row)| yr * &row[j]).sum();
         assert!(
             yaj <= *c,
-            "dual certificate fails on column {j}: yᵀA_j = {yaj} > c_j = {c}"
+            "certificate fails on column {j}: yᵀA_j = {yaj} > c_j = {c}"
         );
     }
     let yb: Rational = y.iter().zip(&std.rhs).map(|(yr, b)| yr * b).sum();
-    assert_eq!(
-        &(&yb + &std.obj_constant),
-        objective,
-        "dual certificate fails: yᵀb + constant differs from the objective"
-    );
+    match objective {
+        Some(objective) => assert_eq!(
+            &(&yb + &std.obj_constant),
+            objective,
+            "dual certificate fails: yᵀb + constant differs from the objective"
+        ),
+        None => assert!(
+            yb.is_positive(),
+            "infeasibility certificate fails: yᵀb = {yb} <= 0"
+        ),
+    }
 }
 
 #[cfg(test)]
@@ -740,16 +818,120 @@ mod tests {
         assert_eq!(sol.objective, r(-1, 20));
     }
 
-    #[test]
-    fn abs_bound_helper() {
-        // min |x| s.t. x <= -2  ->  2 at x = -2.
+    /// `min w·|x|` over `x` in `[lo, hi]` (either end open), as an LP:
+    /// the bounds pick the map (free: split, `lo >= 0`: shifted,
+    /// `hi <= 0` without such a `lo`: mirrored, a negative `lo`: split
+    /// with a bound row), and the answer is the point nearest zero.
+    fn abs_lp(
+        lo: Option<Rational>,
+        hi: Option<Rational>,
+        row: Option<(i64, i64)>,
+    ) -> (Rational, Rational) {
         let mut m = Model::new();
         let x = m.add_var("x");
-        m.constrain(AffineExpr::from_i64(&[1], 2), Cmp::Le);
-        let a = m.add_abs_bound(x, "abs_x");
-        m.minimize(AffineExpr::var(2, a.index()));
-        let sol = m.solve_lp().optimal().unwrap();
-        assert_eq!(sol.value(a), &Rational::from(2));
-        assert_eq!(sol.value(x), &Rational::from(-2));
+        if let Some(l) = lo {
+            m.set_lower_bound(x, l);
+        }
+        if let Some(u) = hi {
+            m.set_upper_bound(x, u);
+        }
+        if let Some((a, b)) = row {
+            m.constrain(AffineExpr::from_i64(&[a], b), Cmp::Ge);
+        }
+        m.add_abs_cost(x, 3.into());
+        let sol = m.solve_lp().optimal().expect("feasible");
+        (sol.value(x).clone(), sol.objective)
+    }
+
+    #[test]
+    fn abs_cost_on_a_free_variable() {
+        // min 3|x| s.t. x <= -2 (a row): -2 at 6, on the split columns.
+        assert_eq!(abs_lp(None, None, Some((-1, -2))), (r(-2, 1), r(6, 1)));
+        // x >= 5/2 (a row) and no bound: 5/2 at 15/2.
+        assert_eq!(abs_lp(None, None, Some((2, -5))), (r(5, 2), r(15, 2)));
+        // Unconstrained: zero.
+        assert_eq!(abs_lp(None, None, None), (r(0, 1), r(0, 1)));
+    }
+
+    #[test]
+    fn abs_cost_once_the_bounds_fix_the_sign() {
+        // x >= 0 and x >= 3/2: shifted, |x| = x.
+        assert_eq!(
+            abs_lp(Some(r(0, 1)), None, Some((2, -3))),
+            (r(3, 2), r(9, 2))
+        );
+        assert_eq!(
+            abs_lp(Some(r(2, 1)), Some(r(5, 1)), None),
+            (r(2, 1), r(6, 1))
+        );
+        // x <= 0 and x <= -7/3: mirrored, |x| = -x.
+        assert_eq!(
+            abs_lp(None, Some(r(0, 1)), Some((-3, -7))),
+            (r(-7, 3), r(7, 1))
+        );
+        assert_eq!(
+            abs_lp(Some(r(-9, 1)), Some(r(-4, 1)), None),
+            (r(-4, 1), r(12, 1))
+        );
+        assert_eq!(abs_lp(None, Some(r(-1, 2)), None), (r(-1, 2), r(3, 2)));
+    }
+
+    #[test]
+    fn abs_cost_on_bounds_across_zero() {
+        // -2 <= x <= 5 holds zero: split, with the lower bound as a row.
+        assert_eq!(
+            abs_lp(Some(r(-2, 1)), Some(r(5, 1)), None),
+            (r(0, 1), r(0, 1))
+        );
+        // -2 <= x and x >= -1 (a row): still zero.
+        assert_eq!(
+            abs_lp(Some(r(-2, 1)), None, Some((1, 1))),
+            (r(0, 1), r(0, 1))
+        );
+        // -2 <= x <= 5 but x <= -1 (a row): -1 at 3.
+        assert_eq!(
+            abs_lp(Some(r(-2, 1)), Some(r(5, 1)), Some((-1, -1))),
+            (r(-1, 1), r(3, 1))
+        );
+        // x <= 4 and x >= 1 (a row): 1 at 3.
+        assert_eq!(
+            abs_lp(None, Some(r(4, 1)), Some((1, -1))),
+            (r(1, 1), r(3, 1))
+        );
+    }
+
+    /// `min |x| + |y|` s.t. `x + y == 1`: every point of the segment from
+    /// `(1, 0)` to `(0, 1)` is optimal; the tie order picks its end.
+    #[test]
+    fn tie_order_picks_the_lexicographic_minimum() {
+        let solve = |order: &[usize]| {
+            let mut m = Model::new();
+            let x = m.add_var("x");
+            let y = m.add_var("y");
+            m.constrain(AffineExpr::from_i64(&[1, 1], -1), Cmp::Eq);
+            m.add_abs_cost(x, 1.into());
+            m.add_abs_cost(y, 1.into());
+            m.set_tie_order(order.iter().map(|&i| crate::VarId::from_index(i)).collect());
+            let sol = m.solve_lp().optimal().expect("feasible");
+            assert_eq!(sol.objective, r(1, 1));
+            (sol.value(x).clone(), sol.value(y).clone())
+        };
+        assert_eq!(solve(&[0, 1]), (r(0, 1), r(1, 1)));
+        assert_eq!(solve(&[1, 0]), (r(1, 1), r(0, 1)));
+        assert_eq!(solve(&[1]), (r(1, 1), r(0, 1)));
+    }
+
+    /// A tie variable unbounded below on the optimal face leaves no
+    /// lexicographic minimum.
+    #[test]
+    fn unbounded_tie_variable_is_unbounded() {
+        let mut m = Model::new();
+        let x = m.add_var("x");
+        let y = m.add_var("y");
+        m.add_abs_cost(x, 1.into());
+        m.set_tie_order(vec![x, y]);
+        assert_eq!(m.solve_lp(), LpOutcome::Unbounded);
+        m.set_tie_order(vec![x]);
+        assert_eq!(m.solve_lp().optimal().unwrap().value(x), &Rational::zero());
     }
 }

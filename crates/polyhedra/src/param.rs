@@ -128,7 +128,9 @@ pub fn parameterized_vertices(
     n_elim: usize,
     param_domain: &Polyhedron,
 ) -> Result<Vec<ParamVertex>, PolyhedraError> {
-    let _span = aov_trace::span!(
+    // Hot like the DD steps and FM projections it runs: a kernel call,
+    // not an event the flight recorder needs.
+    let _span = aov_trace::hot_span!(
         "p2.vertex_enum",
         n_elim = n_elim,
         rows = system.constraints().len(),

@@ -179,13 +179,22 @@ impl Polyhedron {
     /// `v_k >= 1`, `0` for `v_k == 0` and `−1` for `v_k <= −1`. The rows
     /// are converted to integers once; each pattern rewrites its sign
     /// rows after them, in place, and is decided by one DD over the
-    /// buffer, as [`Polyhedron::is_empty`] decides emptiness.
+    /// buffer, as [`Polyhedron::is_empty`] decides emptiness. A
+    /// polyhedron with no rows is all of `Q^d` and meets every orthant
+    /// without a DD.
     ///
     /// # Panics
     ///
     /// Panics if a pattern's length is not the dimension.
     pub fn meets_orthants(&self, patterns: &[Vec<i8>]) -> Vec<bool> {
         let d = self.dim;
+        if self.constraints.is_empty() {
+            assert!(
+                patterns.iter().all(|p| p.len() == d),
+                "sign pattern dimension"
+            );
+            return vec![true; patterns.len()];
+        }
         let mut rows: Vec<(int::Row, ConstraintKind)> = self
             .constraints
             .iter()
@@ -364,6 +373,7 @@ mod tests {
             Polyhedron::from_constraints(2, vec![ge(&[1, 0], -3), ge(&[-1, 0], 1)]),
             Polyhedron::universe(0),
             Polyhedron::universe(2),
+            Polyhedron::universe(3),
             // x == y, and x + y == 0: the origin and two diagonal lines.
             Polyhedron::from_constraints(2, vec![eq(&[1, -1], 0)]),
             Polyhedron::from_constraints(2, vec![eq(&[1, 1], 0), ge(&[1, 0], 5)]),

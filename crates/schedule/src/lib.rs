@@ -15,9 +15,6 @@
 //!   Eq. 11) and the polyhedron `ℛ` of legal schedules, built once,
 //! * [`legal`] — causality forms, legality of a concrete schedule and
 //!   the unschedulability diagnostic,
-//! * [`farkas`] — the affine form of Farkas' lemma (Theorem 2), the
-//!   paper's form of Problem 3; `aov-core` solves Problem 3 over ℛ's
-//!   generators and keeps this form as its test oracle,
 //! * [`scheduler::find_schedule_with_budgeted`] — a Feautrier-style LP
 //!   scheduler picking a shortest-coefficient legal schedule.
 //!
@@ -41,9 +38,10 @@
 
 mod analysis;
 mod bilinear;
-pub mod farkas;
 pub mod legal;
 pub mod linearize;
+#[cfg(test)]
+mod reference;
 pub mod scheduler;
 mod space;
 

@@ -1,16 +1,21 @@
 //! A Feautrier-style one-dimensional LP scheduler.
 //!
-//! Searches the legal-schedule polyhedron ℛ for a "small" schedule:
-//! integer coefficients minimizing (lexicographically, via weights) the
-//! total magnitude of iteration coefficients, then parameter
-//! coefficients, then constants. This favors maximally parallel
-//! schedules like the paper's `Θ = j` for Example 1.
+//! Searches the legal-schedule polyhedron ℛ for a "small" schedule: the
+//! integer point minimizing a weighted Manhattan norm, `|x|` cost terms
+//! of weight 100 on iteration coefficients, 10 on parameter
+//! coefficients and 1 on constants. This favors maximally parallel
+//! schedules like the paper's `Θ = j` for Example 1. The answer among
+//! points of equal norm is their lexicographic minimum in
+//! `ScheduleSpace` variable order (the convention of PIP and isl), so
+//! it does not depend on the simplex's pivot rule: the ILP carries that
+//! tie order ([`aov_lp::Model::set_tie_order`]). Problem 2's fallback
+//! ILP is this function with extra rows and inherits the rule.
 
 use crate::{Analysis, Schedule};
 use aov_fault::{AovError, Budget};
 use aov_ir::Program;
 use aov_linalg::AffineExpr;
-use aov_lp::{Cmp, Model};
+use aov_lp::{Cmp, Model, VarId};
 use aov_polyhedra::{Constraint, PolyhedraError};
 
 /// Outcome of scheduling.
@@ -106,40 +111,25 @@ pub fn find_schedule_with_budgeted(
         assert_eq!(e.dim(), space.dim(), "extra constraint dimension");
         m.constrain(e.clone(), *cmp);
     }
-    // Objective: weighted Manhattan norms — iteration coefficients
-    // dominate, then parameter coefficients, then constants.
-    let mut abs_terms: Vec<(aov_lp::VarId, i64)> = Vec::new();
+    // Objective: a weighted Manhattan norm, one `|x|` term per
+    // coefficient — iteration coefficients weigh most, then parameter
+    // coefficients, then constants; ties go to the lexicographically
+    // smallest point in `ScheduleSpace` order.
     for s in p.stmt_ids() {
-        let st = p.statement(s);
-        for k in 0..st.depth() {
-            abs_terms.push((aov_lp::VarId::from_index(space.iter_coeff(s, k)), 100));
+        for k in 0..p.statement(s).depth() {
+            m.add_abs_cost(VarId::from_index(space.iter_coeff(s, k)), 100.into());
         }
         for j in 0..p.num_params() {
-            abs_terms.push((aov_lp::VarId::from_index(space.param_coeff(s, j)), 10));
+            m.add_abs_cost(VarId::from_index(space.param_coeff(s, j)), 10.into());
         }
-        abs_terms.push((aov_lp::VarId::from_index(space.const_coeff(s)), 1));
+        m.add_abs_cost(VarId::from_index(space.const_coeff(s)), 1.into());
     }
-    let mut obj_terms: Vec<(usize, i64)> = Vec::new();
-    for (var, weight) in abs_terms {
-        let a = m.add_abs_bound(var, format!("abs_{}", var.index()));
-        obj_terms.push((a.index(), weight));
-    }
-    let total = m.num_vars();
-    let mut obj = AffineExpr::zero(total);
-    for (idx, w) in obj_terms {
-        obj = &obj + &AffineExpr::var(total, idx).scale(&w.into());
-    }
-    m.minimize(obj);
+    m.set_tie_order(m.var_ids().collect());
     match m.solve_ilp_budgeted(budget)? {
-        aov_lp::LpOutcome::Optimal(sol) => {
-            let point: aov_linalg::QVector = (0..space.dim())
-                .map(|k| sol.values.as_slice()[k].clone())
-                .collect();
-            Ok(space.schedule_at(&point))
-        }
+        aov_lp::LpOutcome::Optimal(sol) => Ok(space.schedule_at(&sol.values)),
         aov_lp::LpOutcome::Infeasible => Err(ScheduleError::Infeasible),
         aov_lp::LpOutcome::Unbounded => {
-            unreachable!("objective is a nonnegative weighted norm")
+            unreachable!("objective is a weighted norm over every variable")
         }
     }
 }
