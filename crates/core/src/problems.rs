@@ -6,7 +6,7 @@ use crate::storage::storage_rows_concrete;
 use crate::{CoreError, OccupancyVector};
 use aov_fault::{AovError, Budget};
 use aov_ir::{ArrayId, Program};
-use aov_linalg::AffineExpr;
+use aov_linalg::{AffineExpr, QVector};
 use aov_lp::{Cmp, LpOutcome, Model};
 use aov_numeric::BigInt;
 use aov_polyhedra::int::{self, Generators, Row};
@@ -517,12 +517,13 @@ pub fn best_schedule_for_ov(
 /// A best (smallest-coefficient) schedule valid for the given occupancy
 /// vectors: the scheduler's ILP over ℛ with the storage rows added.
 ///
-/// When every storage row already holds on all of ℛ
-/// ([`Analysis::holds_on_legal`]), as it does for a vector valid for every
-/// legal schedule (an AOV or a UOV), the added rows are redundant and the
-/// answer is the scheduler's own over ℛ alone ([`Analysis::schedule`]),
-/// solved at most once per analysis. Otherwise the ILP with the rows is
-/// solved. Either ILP charges `budget` per pivot and per
+/// When every storage row already holds on all of ℛ, as it does for a
+/// vector valid for every legal schedule (an AOV or a UOV), the added
+/// rows are redundant and the answer is the scheduler's own over ℛ alone
+/// ([`Analysis::schedule`]), solved at most once per analysis. The
+/// `p2.certify` span decides that on the storage forms Problems 1 and 3
+/// built and, when they fail, on the exact rows; when those fail too, the
+/// ILP with them is solved. Either ILP charges `budget` per pivot and per
 /// branch-and-bound node.
 ///
 /// # Errors
@@ -536,17 +537,37 @@ pub fn best_schedule_for_ov_budgeted(
     vectors: &[OccupancyVector],
     budget: &Budget,
 ) -> Result<Schedule, CoreError> {
-    let rows = storage_rows(a, vectors)?;
-    let certified = {
-        let _s = aov_trace::span!("p2.certify", rows = rows.len());
-        a.holds_on_legal(&rows)
+    let uncertified = {
+        let _s = aov_trace::span!("p2.certify", deps = a.deps().len());
+        let exact = (!forms_certified(a, vectors)).then(|| storage_rows(a, vectors));
+        exact.transpose()?.filter(|rows| !a.holds_on_legal(rows))
     };
-    if certified {
+    let Some(rows) = uncertified else {
         return Ok(a.schedule(budget)?);
-    }
+    };
     let extra: Vec<(AffineExpr, Cmp)> = rows.into_iter().map(|r| (r, Cmp::Ge)).collect();
     let _s = aov_trace::span!("p2.solve", rows = a.rows().len() + extra.len());
     Ok(scheduler::find_schedule_with_budgeted(a, &extra, budget)?)
+}
+
+/// Whether Problem 2's storage rows for `vectors` hold on all of ℛ, from
+/// the storage forms over `Z' = P` ([`Analysis::storage_forms`]) fixed at
+/// `v`, for every dependence with an `h ± v` overwriter. A pass implies
+/// every exact row: `Z(v) ⊆ P`, and with causality the forms imply the
+/// mirror guard `a_T·v ≥ 1` on ℛ. A failure decides nothing.
+fn forms_certified(a: &Analysis, vectors: &[OccupancyVector]) -> bool {
+    a.deps().iter().enumerate().all(|(d, dep)| {
+        let v = vectors[a.program().statement(dep.source).writes().0].components();
+        let mirror: Vec<i64> = v.iter().map(|&c| -c).collect();
+        let u = QVector::from_i64(v);
+        let rows = || {
+            a.storage_forms(d)
+                .iter()
+                .map(|f| f.fix_unknowns(&u))
+                .collect::<Vec<_>>()
+        };
+        !(a.overwriter_exists(d, v) || a.overwriter_exists(d, &mirror)) || a.holds_on_legal(&rows())
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1260,6 +1281,51 @@ mod tests {
         for v in [vec![0, 1], vec![0, 2]] {
             assert!(!certified(&a, &[OccupancyVector::new(v.clone())]), "{v:?}");
         }
+    }
+
+    /// Oracle for the forms certificate Problem 2 tries first
+    /// ([`forms_certified`]): on the corpus, at every AOV, every shortest
+    /// UOV and Problem 1's vectors at the scheduler's schedule, and at
+    /// example1's `(0, 1)` and `(0, 2)`, a pass implies the exact
+    /// certificate ([`certified`]). Per kind, the vectors checked and how
+    /// many fail the forms and take the exact path: every AOV and UOV
+    /// passes.
+    #[test]
+    fn forms_certificate_implies_the_exact_one() {
+        let budget = Budget::unlimited();
+        // (vectors checked, exact path taken) per kind.
+        let mut tally = [(0, 0); 4];
+        let mut check = |kind: usize, a: &Analysis, vectors: &[OccupancyVector], what: &str| {
+            let forms = forms_certified(a, vectors);
+            assert!(!forms || certified(a, vectors), "{what}: {vectors:?}");
+            tally[kind].0 += 1;
+            tally[kind].1 += usize::from(!forms);
+        };
+        for p in oracle_corpus() {
+            let Ok(a) = Analysis::new(&p) else { continue };
+            let name = p.name();
+            if let Ok(aov) = aov_budgeted(&a, &budget) {
+                check(0, &a, aov.vectors(), &format!("{name} AOV"));
+            }
+            if let Ok(uov) = crate::uov::shortest_uov_all(&p, a.deps(), DEFAULT_SEARCH_RADIUS) {
+                check(1, &a, uov.vectors(), &format!("{name} UOV"));
+            }
+            if let Ok(sched) = a.schedule(&budget) {
+                if let Ok(ov) = ov_for_schedule_budgeted(&a, &sched, &budget) {
+                    check(2, &a, ov.vectors(), &format!("{name} Problem 1"));
+                }
+            }
+        }
+        let p = example1();
+        let a = Analysis::new(&p).unwrap();
+        for v in [vec![0, 1], vec![0, 2]] {
+            check(3, &a, &[OccupancyVector::new(v)], "example1");
+        }
+        assert_eq!(
+            tally,
+            [(198, 0), (134, 0), (225, 76), (2, 2)],
+            "AOV, UOV, Problem 1, example1"
+        );
     }
 
     /// The paper's Farkas form of Problem 3 (§4.5.3): each storage form

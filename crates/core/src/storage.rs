@@ -7,19 +7,12 @@
 //! `Θ_T(h(i, N) + v_A, N) − Θ_R(i, N) >= 0` for all
 //! `i ∈ Z = {i ∈ P | h(i, N) + v_A ∈ D_T}`.
 //!
-//! Two generators are provided:
-//!
-//! * [`storage_rows_concrete`] — `v` known: exact `Z`, rows affine over
-//!   the schedule space (used by Problem 2 and the validity checkers),
-//! * [`Analysis::storage_forms`] — `v` unknown: the paper's practical
-//!   recipe of `Z' = P` (conservative, exact for uniform self-
-//!   dependences), linearized at the dependence domain's vertices that
-//!   the [`Analysis`] kept. Problems 1 and 3 add exact *activity pruning*
-//!   ([`Analysis::active_in_orthant`]) — a dependence whose `Z` is empty
-//!   for every `v` in the current sign orthant contributes no constraint
-//!   (the paper's §5.3 argument for Example 3). The analysis decides it
-//!   once per program, for every dependence and orthant, on the
-//!   projection of the joint `(i, N, v)` polyhedron onto `v`.
+//! [`storage_rows_concrete`] gives the rows for a known `v` over the exact
+//! `Z`, for the validity checkers and for Problem 2 when the storage forms
+//! fail its certificate. The forms themselves, for unknown `v` over the
+//! paper's conservative `Z' = P` with exact activity pruning per sign
+//! orthant (§5.3), are the [`Analysis`]'s ([`Analysis::storage_forms`],
+//! [`Analysis::active_in_orthant`]), shared by Problems 1–3.
 
 use aov_ir::{Dependence, Program};
 use aov_linalg::{AffineExpr, QVector};
@@ -71,9 +64,11 @@ pub fn exact_z(p: &Program, dep: &Dependence, v: &[i64]) -> Polyhedron {
     z
 }
 
-/// Linearized storage rows for concrete occupancy vectors: affine forms
-/// over the schedule space of `a`, each required `>= 0` (the
-/// instantiated Eq. 10).
+/// Linearized storage rows for concrete occupancy vectors over the exact
+/// `Z(v)`: affine forms over the schedule space of `a`, each required
+/// `>= 0` (the instantiated Eq. 10). Problem 2 builds them only when the
+/// storage forms at `v` fail its certificate: they cost one vertex
+/// enumeration per dependence whose `h + v` overwriter exists.
 ///
 /// `vectors[a]` is the vector of array `a` (one per program array, in
 /// array order). Whether a dependence's `Z(v)`, or its mirror `Z(−v)`,

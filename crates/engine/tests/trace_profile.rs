@@ -214,11 +214,14 @@ fn analysis_is_built_once_per_run() {
     assert_eq!(count(&records), 1, "aov_search_with");
 }
 
-/// Golden internal span tree of the problem2 stage: the stage body is
-/// fully re-attributed to `p2.*` child spans, and the polyhedral
-/// library underneath (vertex enumeration, DD conversion steps, FM
-/// projections) shows up in the flame table with its own rows and
-/// counters.
+/// Golden internal span tree of the problem2 stage. At example1's AOV
+/// the stage is one `p2.certify` that passes on the storage forms
+/// Problems 1 and 3 built: no exact storage rows, no `Z(v)` vertex
+/// enumeration, no ILP. The polyhedral library the run uses elsewhere
+/// (vertex enumeration, DD conversion steps, FM projections) shows up in
+/// the flame table with its own rows and counters. Below the AOV the
+/// same `p2.certify` takes the exact path
+/// (`problem2_below_the_aov_still_solves_its_ilp`).
 #[test]
 fn example1_problem2_internal_span_tree_golden() {
     let (records, report) = traced_example1(1);
@@ -227,42 +230,29 @@ fn example1_problem2_internal_span_tree_golden() {
         .iter()
         .find(|n| n.name == "pipeline.problem2")
         .expect("problem2 root");
-    // The two phases of best_schedule_for_ov, each exactly once: the
-    // storage rows, then their certificate on ℛ's generators.
-    for phase in ["p2.storage_rows", "p2.certify"] {
-        assert_eq!(
-            p2.children.iter().filter(|c| c.name == phase).count(),
-            1,
-            "problem2 must run {phase} exactly once; children: {:?}",
-            p2.children.iter().map(|c| &c.name).collect::<Vec<_>>()
-        );
+    let children: Vec<&str> = p2.children.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(children, ["p2.certify"], "problem2's children");
+    // Nothing below it builds exact rows, enumerates vertices or solves;
+    // the causality constraints and dependences come from the run's
+    // shared analysis.
+    let mut below = Vec::new();
+    let mut stack: Vec<&aov_trace::TreeNode> = p2.children.iter().collect();
+    while let Some(node) = stack.pop() {
+        below.push(node.name.as_str());
+        stack.extend(&node.children);
     }
-    // The causality constraints and dependences come from the run's
-    // shared analysis, and the AOV's rows hold on all of ℛ, so problem2
-    // recomputes neither and solves no ILP of its own.
-    for phase in ["p2.legal_constraints", "p2.dependences", "p2.solve"] {
+    for phase in [
+        "p2.storage_rows",
+        "p2.vertex_enum",
+        "p2.solve",
+        "p2.legal_constraints",
+        "p2.dependences",
+    ] {
         assert!(
-            p2.children.iter().all(|c| c.name != phase),
-            "problem2 must not run {phase}"
+            !below.contains(&phase),
+            "problem2 must not run {phase}: {below:?}"
         );
     }
-    // One storage-row derivation per dependence, nested under the
-    // storage phase.
-    let ndeps = aov_ir::analysis::dependences(&aov_ir::examples::example1()).len();
-    let storage = p2
-        .children
-        .iter()
-        .find(|c| c.name == "p2.storage_rows")
-        .unwrap();
-    assert_eq!(
-        storage
-            .children
-            .iter()
-            .filter(|c| c.name == "p2.storage_dep")
-            .count(),
-        ndeps,
-        "one p2.storage_dep per dependence"
-    );
     // The polyhedral internals surface as flame rows. Vertex enumeration
     // gives each vertex a validity domain without recursing through
     // chambers: there is no `p2.chamber` row, and the run's DD steps are
@@ -278,17 +268,6 @@ fn example1_problem2_internal_span_tree_golden() {
         "one p2.dd.step per DD conversion"
     );
     assert!(table.row("p2.fm.project").is_some(), "FM projections");
-    // Re-attribution: the stage's own self time is residual glue. The
-    // acceptance bar is ≥90% of self time moved into p2.* children;
-    // assert the same with slack (≥80%) so scheduler jitter on a
-    // millisecond-scale stage cannot flake the suite.
-    let stage = table.row("pipeline.problem2").expect("problem2 row");
-    assert!(
-        stage.self_ns * 5 <= stage.total_ns,
-        "problem2 self time {} ns must be a small residue of total {} ns",
-        stage.self_ns,
-        stage.total_ns
-    );
     // The counters riding along with the spans moved this run.
     for counter in [
         "polyhedra.param.vertex_enums",
@@ -302,9 +281,11 @@ fn example1_problem2_internal_span_tree_golden() {
     }
 }
 
-/// A vector too short for every legal schedule fails the certificate,
-/// so Problem 2 still solves its own ILP: example1 at `v = (0, 2)` runs
-/// `p2.storage_rows`, `p2.certify` and `p2.solve` once each.
+/// A vector too short for every legal schedule fails the forms and the
+/// exact certificate, so Problem 2 still solves its own ILP: example1 at
+/// `v = (0, 2)` runs `p2.certify`, `p2.storage_rows` and `p2.solve` once
+/// each. The exact path keeps its golden shape: one `p2.storage_rows`
+/// under `p2.certify`, with one `p2.storage_dep` per dependence.
 #[test]
 fn problem2_below_the_aov_still_solves_its_ilp() {
     let p = aov_ir::examples::example1();
@@ -319,6 +300,37 @@ fn problem2_below_the_aov_still_solves_its_ilp() {
             .unwrap_or_else(|| panic!("missing {phase}"));
         assert_eq!(row.count, 1, "{phase} must run exactly once");
     }
+    let tree = aov_trace::tree(&records);
+    let certify = tree
+        .iter()
+        .find(|n| n.name == "p2.certify")
+        .expect("p2.certify root");
+    let storage = certify
+        .children
+        .iter()
+        .find(|c| c.name == "p2.storage_rows")
+        .expect("p2.storage_rows under p2.certify");
+    let ndeps = aov_ir::analysis::dependences(&p).len();
+    let per_dep = storage
+        .children
+        .iter()
+        .filter(|c| c.name == "p2.storage_dep");
+    assert_eq!(per_dep.count(), ndeps, "one p2.storage_dep per dependence");
+    // Re-attribution: the certificate's own self time is residual glue,
+    // its work sits in child spans (the exact rows' vertex enumerations,
+    // the analysis parts it builds on first use). The acceptance bar is
+    // ≥90% moved into children; assert ≥80% so scheduler jitter cannot
+    // flake the suite. At the AOV the whole problem2 stage takes
+    // microseconds, about half of them the engine's per-stage
+    // bookkeeping, so the bar is asserted here, where the polyhedral work
+    // runs.
+    let certify = table.row("p2.certify").expect("p2.certify row");
+    assert!(
+        certify.self_ns * 5 <= certify.total_ns,
+        "p2.certify self time {} ns must be a small residue of total {} ns",
+        certify.self_ns,
+        certify.total_ns
+    );
 }
 
 /// The equivalence stage interprets each distinct schedule once. At

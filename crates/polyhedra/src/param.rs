@@ -283,7 +283,23 @@ fn ppart(row: &[BigInt], n_elim: usize) -> impl Iterator<Item = &BigInt> {
 /// Whether the polytope is bounded: its recession cone
 /// `{i | ipart · i >= 0 for every row}` is `{0}`.
 fn bounded(rows: &[Row], n_elim: usize) -> bool {
-    recession(rows, n_elim).gens.is_bounded()
+    boxed(rows, n_elim) || recession(rows, n_elim).gens.is_bounded()
+}
+
+/// Whether rows with `i`-parts `c·e_k` and `−c·e_k` (`c > 0`) box every
+/// `i_k`, so that the recession cone is `{0}` without a DD.
+fn boxed(rows: &[Row], n_elim: usize) -> bool {
+    let mut sides = vec![[false; 2]; n_elim];
+    for row in rows {
+        let mut nonzero = ipart(row, n_elim)
+            .iter()
+            .enumerate()
+            .filter(|(_, x)| !x.is_zero());
+        if let (Some((k, x)), None) = (nonzero.next(), nonzero.next()) {
+            sides[k][usize::from(x.is_negative())] = true;
+        }
+    }
+    sides.iter().all(|&[up, down]| up && down)
 }
 
 /// The DD of the polytope's recession cone. Rows of one `i`-part bound
@@ -1738,6 +1754,65 @@ mod tests {
         }
         out.analysis = Some(a);
         out
+    }
+
+    /// Oracle for the box test that skips the recession-cone DD
+    /// ([`boxed`]): on every vertex enumeration of the corpus
+    /// ([`systems`]) and on random row sets, a box pass implies the DD's
+    /// "bounded". Every corpus enumeration passes the box; the random
+    /// sets also meet cones only the DD finds bounded.
+    #[test]
+    fn box_pass_implies_bounded_recession_cone() {
+        let check = |rows: &[Row], n_elim: usize, what: &str| {
+            let boxed = boxed(rows, n_elim);
+            let dd = recession(rows, n_elim).gens.is_bounded();
+            assert!(!boxed || dd, "{what}: box pass on an unbounded cone");
+            (boxed, dd)
+        };
+        let (mut passed, mut enumerations) = (0, 0);
+        for p in &corpus() {
+            for e in &systems(p).enumerations {
+                let rows = dedup_in_order(split_rows(&e.system));
+                passed += usize::from(check(&rows, e.n_elim, &e.what).0);
+                enumerations += 1;
+            }
+        }
+        assert!(
+            passed == enumerations && enumerations >= 1_500,
+            "{passed} of {enumerations} enumerations pass the box test"
+        );
+        let mut rng = aov_support::rng::Rng::new(11);
+        let (mut box_passes, mut dd_only) = (0, 0);
+        for _ in 0..2_000 {
+            let n_elim = 1 + rng.u64_below(3) as usize;
+            let rows: Vec<Row> = (0..1 + rng.u64_below(6))
+                .map(|_| {
+                    let mut row: Row = (0..=n_elim + 1)
+                        .map(|_| BigInt::from(rng.i64_in(-2, 2)))
+                        .collect();
+                    // Often a unit row, so that boxes are common.
+                    if rng.bool() {
+                        let k = 1 + rng.u64_below(n_elim as u64) as usize;
+                        let unit = if rng.bool() { 1 } else { -1 };
+                        for (j, x) in row[1..=n_elim].iter_mut().enumerate() {
+                            *x = BigInt::from(if j + 1 == k {
+                                unit * rng.i64_in(1, 3)
+                            } else {
+                                0
+                            });
+                        }
+                    }
+                    row
+                })
+                .collect();
+            let (boxed, dd) = check(&rows, n_elim, &format!("{rows:?}"));
+            box_passes += usize::from(boxed);
+            dd_only += usize::from(!boxed && dd);
+        }
+        assert!(
+            box_passes > 0 && dd_only > 0,
+            "{box_passes} box passes, {dd_only} DD-only"
+        );
     }
 
     /// Oracle for the face enumeration against the basis enumeration it

@@ -82,7 +82,9 @@ echo "== polyhedra tests in release"
 # 2^63; aov-lp's LPs, a dev-dependency of aov-polyhedra, for emptiness
 # and for every row the reduction drops or keeps; the basis enumeration;
 # the chamber recursion; the orthant query, every sign pattern against
-# the LP over the polyhedron and its sign rows), also run where integer
+# the LP over the polyhedron and its sign rows; the box test that skips
+# the recession-cone DD, a pass implying the DD's "bounded" on the
+# corpus and random row sets), also run where integer
 # overflow wraps, as do
 # aov-schedule's tests (the linearization multiplies the vertices'
 # integer generator rows; the tie-rule oracle, the scheduler's answer on
@@ -94,7 +96,10 @@ echo "== polyhedra tests in release"
 # emptiness oracle, the DD against the LP of `check::lp_model` on every
 # dependence candidate and pair of writers of the corpus, and the
 # certificate oracle, Problem 2's certified answer at every corpus AOV
-# and example1's UOV against its ILP with the storage rows.
+# and example1's UOV against its ILP with the storage rows, and the
+# forms-certificate oracle, a pass of the storage forms at a vector
+# implying the exact certificate at every corpus AOV, shortest UOV and
+# Problem 1 answer.
 cargo test --release -q --offline -p aov-polyhedra
 cargo test --release -q --offline -p aov-schedule
 cargo test --release -q --offline -p aov-core
